@@ -189,14 +189,15 @@ class FaultInjector:
 
     def _clone(self, message: Message) -> Message:
         """A duplicate copy with a fresh ``msg_id`` (duplicates must stay
-        distinguishable in traces and scheduler state)."""
-        copy = Message(tag=message.tag, mtype=message.mtype,
+        distinguishable in traces and scheduler state).  The payload is
+        shared, so the original's wire size carries over."""
+        return Message(tag=message.tag, mtype=message.mtype,
                        sender=message.sender,
                        recipient=message.recipient,
                        payload=message.payload,
                        msg_id=self._simulator._fresh_msg_id(),
-                       depth=message.depth, cause_id=message.cause_id)
-        return copy
+                       depth=message.depth, cause_id=message.cause_id,
+                       wire_size=message.wire_size())
 
     def _corrupt(self, message: Message) -> Message:
         """A replacement message with every bytes payload element XORed

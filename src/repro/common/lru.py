@@ -53,9 +53,15 @@ class LruCache:
         return key in self._data
 
     def get(self, key: Hashable, default: Any = None) -> Any:
-        """Return the cached value (refreshing its recency) or ``default``."""
+        """Return the cached value (refreshing its recency) or ``default``.
+
+        An unhashable ``key`` raises ``TypeError`` — the signal callers
+        use to bypass the cache — whatever the cache holds.
+        """
         value = self._data.pop(key, _MISSING)
         if value is _MISSING:
+            if not self._data:
+                hash(key)  # an empty dict answers without hashing
             self.misses += 1
             return default
         # Re-insert at the back: most recently used.

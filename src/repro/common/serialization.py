@@ -28,10 +28,10 @@ _U32 = struct.Struct(">I")
 
 #: Canonical encodings memoized by value.  Protocols re-encode the same
 #: grouping keys ``(commitment, client)`` / ``(value, timestamp)`` on
-#: every handler activation, and the metrics plane re-sizes equal
-#: payloads; encoding is a pure function of the value, so equal inputs
-#: may share the cached bytes.  See :func:`_cache_key` for why keys are
-#: not the values themselves.
+#: every handler activation; encoding is a pure function of the value,
+#: so equal inputs may share the cached bytes.  See :func:`_cache_key`
+#: for why keys are not the values themselves.  Sizing never comes
+#: here: :func:`encoded_size` counts bytes without building them.
 _ENCODE_CACHE = LruCache(capacity=1024)
 
 # Key sentinels: ``True == 1`` and ``False == 0`` in Python, but they
@@ -96,6 +96,14 @@ def _cache_key(value: Any) -> Any:
 _WIRE_TYPES_BY_NAME: dict[str, tuple[type, tuple[str, ...]]] = {}
 _WIRE_NAMES_BY_TYPE: dict[type, str] = {}
 
+#: Bytes of a type tag plus a ``u32`` length or count: what every
+#: ``int``/``bytes``/``str``/``list``/``tuple``/``dict`` encoding starts
+#: with, ahead of its content.
+_PREFIX_SIZE = 1 + _U32.size
+#: class -> (bytes of the ``r`` tag and qualified-name header, field
+#: names): all :func:`encoded_size` needs to size a wire type.
+_WIRE_LAYOUTS: dict[type, tuple[int, tuple[str, ...]]] = {}
+
 
 def register_wire_type(cls: type) -> type:
     """Class decorator: make a dataclass canonically serializable.
@@ -120,6 +128,7 @@ def register_wire_type(cls: type) -> type:
     fields = tuple(f.name for f in dataclasses.fields(cls))
     _WIRE_TYPES_BY_NAME[name] = (cls, fields)
     _WIRE_NAMES_BY_TYPE[cls] = name
+    _WIRE_LAYOUTS[cls] = (_PREFIX_SIZE + len(name.encode("utf-8")), fields)
     return cls
 
 
@@ -199,9 +208,81 @@ def encode(value: Any) -> bytes:
     return data
 
 
+def _size(value: Any) -> int:
+    """The walk behind :func:`encoded_size` (which see).
+
+    It recurses through this private name, so that a wrapper installed
+    around the public function (kvperf's timing spans) sees one call per
+    value sized, not one per node.
+    """
+    kind = type(value)
+    if kind is bytes:
+        return _PREFIX_SIZE + len(value)
+    if kind is str:
+        if value.isascii():
+            return _PREFIX_SIZE + len(value)
+        return _PREFIX_SIZE + len(value.encode("utf-8"))
+    if kind is int:
+        return _PREFIX_SIZE + (value.bit_length() + 8) // 8
+    if value is None or kind is bool:
+        return 1
+    if kind is tuple or kind is list:
+        total = _PREFIX_SIZE
+        for item in value:
+            total += _size(item)
+        return total
+    layout = _WIRE_LAYOUTS.get(kind)
+    if layout is None:
+        return len(encode(value))
+    try:
+        return value.__dict__["_encoded_size"]
+    except (AttributeError, KeyError):
+        pass
+    total, fields = layout
+    for field in fields:
+        total += _size(getattr(value, field))
+    try:
+        # Bypasses the frozen-dataclass __setattr__ guard, like the
+        # memo of _cache_key; slotted classes simply skip it.
+        value.__dict__["_encoded_size"] = total
+    except AttributeError:
+        pass
+    return total
+
+
 def encoded_size(value: Any) -> int:
-    """Return ``len(encode(value))`` — the value's wire size in bytes."""
-    return len(encode(value))
+    """Return ``len(encode(value))`` — the value's wire size in bytes —
+    without building the encoding.
+
+    Walks the same grammar as :func:`_encode` and adds up lengths.  Only
+    exact builtin types and registered wire types are walked; anything
+    else (dicts, whose canonical order needs the encoded keys, buffer
+    types, subclasses, unserializable values) is handed to
+    :func:`encode`, which stays the one definition of the format and of
+    its :class:`SerializationError`.
+
+    Wire-type instances memoize their size in their instance dict, like
+    :func:`_cache_key` does and for the same reason: they are frozen,
+    and identities and timestamps recur in nearly every payload.
+    """
+    return _size(value)
+
+
+def composite_size(kind: type, parts_size: int) -> int:
+    """Encoded size of a ``kind`` — ``tuple`` or a registered wire
+    type — whose items or fields encode to ``parts_size`` bytes in
+    total.
+
+    Lets callers that already know their parts' sizes (a kv envelope of
+    sized entries) compose the size of the whole without walking it and
+    without knowing the header layout.
+    """
+    if kind is tuple:
+        return _PREFIX_SIZE + parts_size
+    layout = _WIRE_LAYOUTS.get(kind)
+    if layout is None:
+        raise SerializationError(f"{kind!r} is not a registered wire type")
+    return layout[0] + parts_size
 
 
 class _Decoder:

@@ -44,7 +44,11 @@ from repro.common.errors import (
     InvalidShare,
     InvalidSignature,
 )
-from repro.common.serialization import encode, register_wire_type
+from repro.common.serialization import (
+    encode,
+    encoded_size,
+    register_wire_type,
+)
 from repro.crypto.numtheory import (
     extended_gcd,
     factorial,
@@ -75,7 +79,7 @@ class SignatureShare:
 
     def size_bytes(self) -> int:
         """Wire size of this share (the `S` of the complexity model)."""
-        return len(encode(self))
+        return encoded_size(self)
 
 
 @register_wire_type
@@ -87,7 +91,7 @@ class ThresholdSignature:
 
     def size_bytes(self) -> int:
         """Wire size of this signature."""
-        return len(encode(self))
+        return encoded_size(self)
 
 
 def _int_to_bytes(value: int) -> bytes:

@@ -25,15 +25,21 @@ inner ids, which the validity memos in the inner protocols assume away.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import PartyId, server_id
 from repro.core.atomic import AtomicClient, AtomicServer
 from repro.core.register import RegisterClientBase
 from repro.kv.directory import KvDirectory, ShardSpec
-from repro.kv.envelope import KV_TAG, MSG_KV_BATCH, KvEntry
-from repro.net.message import Message
+from repro.kv.envelope import (
+    KV_TAG,
+    MSG_KV_BATCH,
+    KvEntry,
+    batch_wire_size,
+    entry_wire_size,
+)
+from repro.net.message import Message, content_wire_size
 from repro.net.process import Process
 
 
@@ -63,14 +69,19 @@ class ShardBus:
     ``time``, ``obs``, ``record_input``/``record_output``.
     """
 
-    __slots__ = ("host", "spec", "inner", "_server_pids")
+    __slots__ = ("host", "spec", "inner", "_server_pids", "_fleet_pids")
 
     def __init__(self, host: "_KvMuxProcess", spec: ShardSpec) -> None:
         self.host = host
         self.spec = spec
         self.inner: Optional[Process] = None
-        self._server_pids = [server_id(local)
-                             for local in range(1, spec.config.n + 1)]
+        # Both are read on every inner send and delivery, so they are
+        # built once: identities are validated, hashed dataclasses.
+        self._server_pids = tuple(server_id(local)
+                                  for local in range(1, spec.config.n + 1))
+        self._fleet_pids = {
+            local_pid: server_id(spec.fleet_server_index(local_pid.index))
+            for local_pid in self._server_pids}
 
     def attach(self, inner: Process) -> Process:
         """Bind ``inner`` to this bus and return it."""
@@ -92,14 +103,15 @@ class ShardBus:
         return None if simulator is None else simulator.obs
 
     @property
-    def server_pids(self) -> List[PartyId]:
-        """The shard-local server roster ``P_1 .. P_shard_n``."""
-        return list(self._server_pids)
+    def server_pids(self) -> Sequence[PartyId]:
+        """The shard-local server roster ``P_1 .. P_shard_n`` (shared,
+        immutable: inner protocols only iterate it)."""
+        return self._server_pids
 
     def fleet_pid(self, local_pid: PartyId) -> PartyId:
         """Map a shard-local identity to the hosting fleet party."""
         if local_pid.is_server:
-            return server_id(self.spec.fleet_server_index(local_pid.index))
+            return self._fleet_pids[local_pid]
         return local_pid
 
     def enqueue(self, sender: PartyId, recipient: PartyId, tag: str,
@@ -111,6 +123,10 @@ class ShardBus:
         the sending inner process's causal stamps, and is announced to
         the tracer immediately — mirroring ``Simulator.enqueue`` so
         traces of batched and unbatched runs have the same shape.
+
+        ``wire_size`` is the inner content's size when the sender knows
+        it (broadcasts); it sizes the entry for the envelope's byte
+        count and is stamped on the message the tracer sees.
         """
         host = self.host
         simulator = host._require_simulator()
@@ -119,16 +135,19 @@ class ShardBus:
         cause_id = inner.activation_msg_id
         msg_id = simulator._fresh_msg_id()
         payload = tuple(payload)
+        if wire_size is None:
+            wire_size = content_wire_size(tag, mtype, payload)
         entry = KvEntry(shard=self.spec.shard_id, tag=tag, mtype=mtype,
                         sender=sender, recipient=recipient, payload=payload,
                         msg_id=msg_id, depth=depth, cause_id=cause_id)
-        host._kv_buffer(self.fleet_pid(recipient), entry)
+        host._kv_buffer(self.fleet_pid(recipient), entry,
+                        entry_wire_size(entry, wire_size))
         observer = simulator.obs
         if observer is not None:
             observer.on_send(
                 Message(tag=tag, mtype=mtype, sender=sender,
                         recipient=recipient, payload=payload, msg_id=msg_id,
-                        depth=depth, cause_id=cause_id),
+                        depth=depth, cause_id=cause_id, wire_size=wire_size),
                 simulator.time, pending=simulator.pending_count)
 
     def record_output(self, party: PartyId, tag: str, action: str,
@@ -157,25 +176,33 @@ class _KvMuxProcess(Process):
         super().__init__(pid)
         self.directory = directory
         self._kv_outbound: Dict[PartyId, List[KvEntry]] = {}
+        #: encoded size of each destination's buffered entries, summed
+        self._kv_outbound_size: Dict[PartyId, int] = {}
         self.on(MSG_KV_BATCH, self._on_kv_batch)
 
     # -- outbound: buffer + flush ------------------------------------------
 
-    def _kv_buffer(self, fleet_recipient: PartyId, entry: KvEntry) -> None:
+    def _kv_buffer(self, fleet_recipient: PartyId, entry: KvEntry,
+                   entry_size: int) -> None:
         self._kv_outbound.setdefault(fleet_recipient, []).append(entry)
+        sizes = self._kv_outbound_size
+        sizes[fleet_recipient] = sizes.get(fleet_recipient, 0) + entry_size
 
     def kv_flush(self) -> None:
         """Send every buffered inner message, one envelope per destination.
 
         Envelope causal stamps come from this host's current activation
         (zero outside one), exactly like any direct ``Process.send``.
+        The envelope's wire size is composed from its entries' sizes, so
+        the metrics plane never has to walk or serialize the batch.
         """
         if not self._kv_outbound:
             return
-        outbound = self._kv_outbound
-        self._kv_outbound = {}
+        outbound, sizes = self._kv_outbound, self._kv_outbound_size
+        self._kv_outbound, self._kv_outbound_size = {}, {}
         for recipient, entries in outbound.items():
-            self.send(recipient, KV_TAG, MSG_KV_BATCH, tuple(entries))
+            self.send(recipient, KV_TAG, MSG_KV_BATCH, tuple(entries),
+                      wire_size=batch_wire_size(sizes[recipient]))
 
     def receive(self, message: Message) -> None:
         """Deliver, then flush inner sends within the same activation.

@@ -19,25 +19,29 @@ from repro.common.serialization import encoded_size
 
 #: Wire sizes memoized by message *content* ``(tag, mtype, payload)``.
 #: Broadcast-style protocols send the same payload to all ``n`` servers,
-#: so of the ``n`` messages of a round only the first pays the canonical
-#: encoding; the rest hit this cache.  Keys are compared by value (never
-#: by ``id``), so the cache is deterministic; unhashable payloads (e.g.
-#: containing lists) simply bypass it.
+#: so of the ``n`` messages of a round only the first pays the size walk
+#: of the canonical grammar; the rest hit this cache.  Keys are compared
+#: by value (never by ``id``), so the cache is deterministic; unhashable
+#: payloads (e.g. containing lists) simply bypass it.
 _WIRE_SIZE_CACHE = LruCache(capacity=512)
 
 
 def content_wire_size(tag: str, mtype: str, payload: Tuple[Any, ...]) -> int:
     """Wire size of the canonical encoding of ``(tag, mtype, payload)``.
 
-    Shared by :meth:`Message.wire_size` and by broadcast senders, which
-    compute the size once and stamp it onto all ``n`` copies.
+    Shared by :meth:`Message.wire_size`, by broadcast senders, which
+    compute the size once and stamp it onto all ``n`` copies, and by the
+    kv envelope, which sizes each entry from the size of its content.
     """
     content = (tag, mtype, payload)
     try:
-        return _WIRE_SIZE_CACHE.get_or_compute(
-            content, lambda: encoded_size(content))
-    except TypeError:  # unhashable payload: encode directly
+        size = _WIRE_SIZE_CACHE.get(content)
+    except TypeError:  # unhashable payload: size it uncached
         return encoded_size(content)
+    if size is None:
+        size = encoded_size(content)
+        _WIRE_SIZE_CACHE.put(content, size)
+    return size
 
 
 class Message:
@@ -61,6 +65,10 @@ class Message:
     backward from an operation's completing event to extract the message
     chain that determined the operation's latency.
 
+    ``wire_size`` is the sender's precomputed :meth:`wire_size`, for
+    senders that know it (broadcast copies, kv envelopes, chaos
+    duplicates); it must equal what the content would be sized at.
+
     Implementation note: this is a hand-written slotted class rather than
     a frozen dataclass because message construction is the single most
     frequent allocation in a run (one per send) and the frozen-dataclass
@@ -75,7 +83,8 @@ class Message:
     def __init__(self, tag: str, mtype: str, sender: PartyId,
                  recipient: PartyId, payload: Tuple[Any, ...],
                  msg_id: int, depth: int = 0,
-                 cause_id: Optional[int] = None) -> None:
+                 cause_id: Optional[int] = None,
+                 wire_size: Optional[int] = None) -> None:
         self.tag = tag
         self.mtype = mtype
         self.sender = sender
@@ -84,7 +93,7 @@ class Message:
         self.msg_id = msg_id
         self.depth = depth
         self.cause_id = cause_id
-        self._wire_size: Optional[int] = None
+        self._wire_size = wire_size
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Message:
@@ -117,7 +126,8 @@ class Message:
 
         The size is computed once per message (the metrics and tracing
         planes both ask for it) and shared across messages with equal
-        content via a value-keyed cache.
+        content via a value-keyed cache; senders that already know it
+        stamp it at enqueue time instead.
         """
         size = self._wire_size
         if size is None:

@@ -83,20 +83,23 @@ class Process:
     # -- sending ----------------------------------------------------------
 
     def send(self, recipient: PartyId, tag: str, mtype: str,
-             *payload: Any) -> None:
+             *payload: Any, wire_size: Optional[int] = None) -> None:
         """Send ``(tag, mtype, payload)`` to one party over the secure
-        channel (sender identity is bound by the channel)."""
+        channel (sender identity is bound by the channel).
+
+        ``wire_size`` is for senders that already know the message's
+        size (see :meth:`Simulator.enqueue
+        <repro.net.simulator.Simulator.enqueue>`)."""
         self._require_simulator().enqueue(
             sender=self.pid, recipient=recipient, tag=tag, mtype=mtype,
-            payload=payload)
+            payload=payload, wire_size=wire_size)
 
     def send_to_servers(self, tag: str, mtype: str, *payload: Any) -> None:
         """Send the same message to every server ``P_1 .. P_n``.
 
         All ``n`` messages share one payload tuple and a wire size
-        computed once, so the per-message cost is one enqueue;
-        content-keyed caches (canonical encoding) then make the copies
-        nearly free downstream.
+        computed once, so the per-message cost is one enqueue and
+        nothing downstream sizes a copy again.
         """
         simulator = self._require_simulator()
         pid = self.pid

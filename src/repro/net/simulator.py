@@ -247,9 +247,10 @@ class Simulator:
         authenticated (secure channels).  Unknown recipients are an error —
         the topology is fixed before the run.
 
-        ``wire_size`` lets broadcast senders stamp a precomputed size onto
-        all ``n`` copies of a message instead of each copy re-deriving it
-        (the size is a pure function of ``(tag, mtype, payload)``).
+        ``wire_size`` lets senders that already know a message's size —
+        broadcasts, for all ``n`` copies, and kv hosts, which add up
+        their entries — stamp it instead of having it re-derived (the
+        size is a pure function of ``(tag, mtype, payload)``).
         """
         if recipient not in self._processes:
             raise SimulationError(f"message to unknown party {recipient}")
@@ -262,9 +263,7 @@ class Simulator:
         message = Message(tag=tag, mtype=mtype, sender=sender,
                           recipient=recipient, payload=payload,
                           msg_id=self._next_msg_id, depth=depth,
-                          cause_id=cause_id)
-        if wire_size is not None:
-            message._wire_size = wire_size
+                          cause_id=cause_id, wire_size=wire_size)
         self._next_msg_id += 1
         if self.chaos is not None:
             for actual in self.chaos.intercept_enqueue(message):

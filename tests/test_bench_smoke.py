@@ -80,6 +80,21 @@ def test_cli_bench_quick_writes_json(tmp_path):
     assert any(row["name"].startswith("micro.") for row in rows)
 
 
+def test_kvperf_smoke_runs_against_the_pinned_surface(tmp_path):
+    """``BENCHMARK.json``'s benchmark wraps public names of the kv stack
+    from the outside (``encoded_size``, ``Message.wire_size``,
+    ``kv_flush``, ...) and requires its traced and untraced repetitions
+    to report one schedule; a smoke run of one workload exercises both.
+    Read-only use: the benchmark's own tests live next to it."""
+    out = tmp_path / "smoke.json"
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "benchmarks" / "perf" / "run.py"),
+         "--smoke", "--workload", "mixed_small", "--out", str(out)],
+        capture_output=True, text=True, timeout=170, cwd=REPO_ROOT)
+    assert result.returncode == 0, (result.stdout, result.stderr)
+    assert out.exists()
+
+
 def test_checked_in_benchmark_pair_meets_acceptance_gates():
     """The committed baseline/after pair documents the PR's speedups:
     >= 3x on the n=16 Atomic macrobench, >= 5x on repeated decode."""

@@ -39,7 +39,11 @@ from repro.chaos import (
 )
 from repro.cluster import build_cluster
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.ids import server_id
+from repro.common.serialization import encode
 from repro.config import SystemConfig
+from repro.net import message as message_module
+from repro.net.message import Message
 from repro.net.schedulers import RandomScheduler
 from repro.workloads.generator import random_workload, run_workload
 
@@ -266,6 +270,31 @@ def test_duplicates_get_fresh_message_ids():
     run_workload(cluster, TAG, operations, seed=0)
     assert injector.instruments.counter(
         "chaos.injected[duplicate]").value == 2
+
+
+def test_duplicate_carries_the_original_wire_size(monkeypatch):
+    """The copy shares the original's payload, so it is not sized
+    again; a corrupted replacement has new content and is."""
+    plan = FaultPlan(name="d", faulty=(4,),
+                     rules=(FaultRule(kind="duplicate", party=4),
+                            FaultRule(kind="corrupt", party=4)))
+    cluster, injector = _chaos_cluster(plan)
+    content = (TAG, "ping", (b"payload", 7))
+
+    def fresh():
+        return Message(*content[:2], server_id(4), server_id(1),
+                       content[2], cluster.simulator._fresh_msg_id())
+
+    original, copy = injector.intercept_enqueue(fresh())
+    assert copy.msg_id != original.msg_id
+    (corrupted,) = injector.intercept_enqueue(fresh())
+    assert corrupted.payload != content[2]
+    assert corrupted.wire_size() == len(encode(
+        (corrupted.tag, corrupted.mtype, corrupted.payload)))
+    size = original.wire_size()
+    monkeypatch.setattr(message_module, "content_wire_size",
+                        lambda *content: pytest.fail("sized again"))
+    assert copy.wire_size() == size == len(encode(content))
 
 
 def test_delayed_messages_are_eventually_released():

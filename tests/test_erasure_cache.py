@@ -180,6 +180,17 @@ def test_lru_eviction_is_insertion_ordered():
     assert cache.get("a") == 1 and cache.get("c") == 3
 
 
+def test_lru_get_rejects_unhashable_keys_even_when_empty():
+    """``dict.pop`` on an empty dict never hashes its key; callers rely
+    on the ``TypeError`` to route unhashable inputs around the cache."""
+    cache = LruCache(capacity=2)
+    with pytest.raises(TypeError):
+        cache.get([1, 2])
+    cache.put("a", 1)
+    with pytest.raises(TypeError):
+        cache.get([1, 2])
+
+
 def test_memoize_unary_bypasses_unhashable_arguments():
     calls = []
 

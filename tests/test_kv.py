@@ -6,6 +6,9 @@ The load-bearing guarantees tested here:
   data, identical across instances, and validated against the fleet.
 * **Wire fidelity** — kv envelopes and their inner entries round-trip
   through the canonical encoding like any other payload.
+* **Size accounting** — envelope and entry sizes are composed from
+  their parts, equal the full encoding byte for byte, and cost no
+  serialization.
 * **Session semantics** — coalescing folds queued same-key writes,
   backpressure bounds the queue, retries complete stranded operations.
 * **Scaling** — more shards yield strictly higher aggregate ops/tick
@@ -22,20 +25,26 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import FaultInjector, builtin_plan
+from repro.chaos import FaultInjector, FaultPlan, FaultRule, builtin_plan
+from repro.common import serialization
 from repro.common.errors import BackpressureError, ConfigurationError
 from repro.common.ids import client_id, server_id
 from repro.common.serialization import decode, encode
 from repro.config import SystemConfig
 from repro.kv import (
+    KV_TAG,
+    MSG_KV_BATCH,
     KvDirectory,
     KvEntry,
     KvSession,
+    ShardBus,
     build_kv_cluster,
     check_kv_histories,
     drive,
     run_kv_case,
 )
+from repro.net.schedulers import RandomScheduler
+from repro.obs import TraceRecorder
 from repro.workloads.kv import KvOp, key_names, kv_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -115,6 +124,111 @@ def test_live_kv_envelopes_roundtrip_on_the_wire():
                                         message.payload)
                 seen += 1
     assert seen > 0
+
+
+# -- size accounting ------------------------------------------------------------
+
+class _SendSpy(TraceRecorder):
+    """A recorder that keeps every message it is told was sent: the
+    envelopes the simulator admits and the inner messages the buses
+    announce."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def on_send(self, message, time, pending=0):
+        self.sent.append(message)
+        super().on_send(message, time, pending=pending)
+
+
+def _small_kv_cluster(protocol, seed):
+    directory = KvDirectory(
+        FLEET, 2, shard_k=FLEET.t + 1 if protocol == "atomic_md" else None)
+    return build_kv_cluster(directory, protocol=protocol, num_sessions=2,
+                            scheduler=RandomScheduler(seed))
+
+
+@pytest.mark.parametrize("protocol,fault_kinds", [
+    ("atomic", ()), ("atomic_ns", ()), ("atomic_md", ()),
+    ("atomic", ("duplicate", "corrupt")),
+])
+def test_composed_sizes_equal_the_full_encoding(protocol, fault_kinds):
+    """No size on the kv path comes from serializing: entries are sized
+    from their content's size, envelopes from their entries', chaos
+    duplicates inherit the original's.  Each must still be exactly the
+    length of the canonical encoding, and so must their total."""
+    cluster = _small_kv_cluster(protocol, seed=5)
+    spy = _SendSpy().attach(cluster.simulator)
+    if fault_kinds:
+        plan = FaultPlan(name="dup-corrupt", seed=5, faulty=(FLEET.n,),
+                         rules=tuple(FaultRule(kind=kind, party=FLEET.n,
+                                               limit=3)
+                                     for kind in fault_kinds))
+        plan.validate(FLEET.n, FLEET.t)
+        cluster.simulator.attach_injector(FaultInjector(plan))
+    drive(cluster, kv_workload(num_sessions=2, num_keys=4, ops=12, seed=5),
+          seed=5)
+    check_kv_histories(cluster.sessions)
+    if fault_kinds:
+        injected = cluster.simulator.chaos.instruments.snapshot()
+        assert injected["chaos.injected[duplicate]"]["value"] == 3
+        # An envelope's payload is one tuple of entries — no top-level
+        # bytes — so the corrupt rule never finds anything to flip.
+        assert "chaos.injected[corrupt]" not in injected
+    envelopes = [message for message in spy.sent
+                 if message.mtype == MSG_KV_BATCH]
+    assert envelopes and len(envelopes) < len(spy.sent)
+    assert len(envelopes) == cluster.simulator.metrics.total_messages
+    for message in spy.sent:
+        assert message.wire_size() == len(encode(
+            (message.tag, message.mtype, message.payload))), message
+    assert cluster.simulator.metrics.total_bytes == sum(
+        message.wire_size() for message in envelopes)
+
+
+def test_untraced_drive_serializes_no_envelope(monkeypatch):
+    """Counting an envelope's bytes must not build them: whatever the
+    size walk still hands to ``encode`` (its fallback for values it does
+    not walk), it is never a kv envelope, an entry, or a batch of them."""
+    encoded = []
+    real_encode = serialization.encode
+
+    def counting_encode(value):
+        encoded.append(value)
+        return real_encode(value)
+
+    monkeypatch.setattr(serialization, "encode", counting_encode)
+    cluster = _small_kv_cluster("atomic", seed=7)
+    drive(cluster, kv_workload(num_sessions=2, num_keys=4, ops=12, seed=7),
+          seed=7)
+    assert cluster.simulator.metrics.total_bytes > 0
+
+    def is_kv_content(value):
+        if isinstance(value, KvEntry):
+            return True
+        if isinstance(value, tuple):
+            return value[:2] == (KV_TAG, MSG_KV_BATCH) or any(
+                is_kv_content(item) for item in value)
+        return False
+
+    assert not [value for value in encoded if is_kv_content(value)]
+
+
+def test_shard_bus_maps_local_identities_through_one_shared_table():
+    directory = KvDirectory(SystemConfig(n=7, t=1), 3, shard_n=4)
+    cluster = build_kv_cluster(directory, num_sessions=1)
+    spec = directory.shard(2)
+    bus = ShardBus(cluster.servers[0], spec)
+    assert list(bus.server_pids) == [server_id(j) for j in range(1, 5)]
+    assert bus.server_pids is bus.server_pids  # no copy per access
+    for local in range(1, 5):
+        fleet = bus.fleet_pid(server_id(local))
+        assert fleet == server_id(spec.placement[local - 1])
+        assert bus.fleet_pid(server_id(local)) is fleet  # no allocation
+    assert bus.fleet_pid(client_id(3)) == client_id(3)
+    with pytest.raises(KeyError):
+        bus.fleet_pid(server_id(5))  # not a server of this shard
 
 
 # -- sessions -----------------------------------------------------------------

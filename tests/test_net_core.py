@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.ids import client_id, server_id
+from repro.common.serialization import encode
+from repro.net import message as message_module
 from repro.net.inbox import Inbox
-from repro.net.message import Message
+from repro.net.message import Message, content_wire_size
 from repro.net.metrics import Metrics
 from repro.net.schedulers import (
     FifoScheduler,
@@ -33,6 +35,26 @@ def test_wire_size_counts_payload_not_addressing():
     big = _msg(payload=(b"x" * 1000,))
     assert big.wire_size() > small.wire_size() + 900
     assert _msg(sender=1).wire_size() == _msg(sender=2).wire_size()
+
+
+def test_unhashable_payloads_are_sized_uncached():
+    content = ("reg", "ping", ([1, 2], b"x"))
+    assert content_wire_size(*content) == len(encode(content))
+    assert _msg(payload=content[2]).wire_size() == len(encode(content))
+
+
+def test_type_error_inside_sizing_is_not_mistaken_for_unhashable(
+        monkeypatch):
+    calls = []
+
+    def broken(content):
+        calls.append(content)
+        raise TypeError("bug inside sizing")
+
+    monkeypatch.setattr(message_module, "encoded_size", broken)
+    with pytest.raises(TypeError, match="bug inside sizing"):
+        content_wire_size("reg", "sized-nowhere-else", (1,))
+    assert len(calls) == 1  # raised once, not swallowed and re-run
 
 
 def test_message_str():

@@ -1,6 +1,8 @@
 """Wire compatibility: every message any protocol sends must survive a
 canonical serialize/deserialize roundtrip (the simulator normally only
-*sizes* payloads; a real network would transport the encodings)."""
+*sizes* payloads; a real network would transport the encodings), and
+the size the metrics plane counted for it — walked or stamped, never
+serialized — must be the length of that encoding."""
 
 import pytest
 
@@ -23,6 +25,7 @@ def _assert_all_payloads_roundtrip(cluster):
                 tag, mtype, payload = decode(wire)
                 assert (tag, mtype, payload) == (
                     message.tag, message.mtype, message.payload)
+                assert message.wire_size() == len(wire)
                 seen += 1
     assert seen > 0
 
