@@ -54,10 +54,10 @@ from repro.kv.envelope import KV_TAG
 from repro.kv.session import KvSession
 from repro.net.schedulers import RandomScheduler, Scheduler
 from repro.obs import (
+    PlaneTraffic,
     TraceRecorder,
     build_spans,
     operation_plane_traffic,
-    plane_traffic,
 )
 from repro.workloads.kv import DEFAULT_SHIFT_EVERY, kv_workload
 
@@ -240,19 +240,6 @@ def _phase_attribution(recorder: TraceRecorder) -> Dict[str, int]:
     return totals
 
 
-def _traffic(recorder: TraceRecorder) -> Tuple[int, int, int]:
-    envelopes = 0
-    inner = 0
-    wire_bytes = 0
-    for record in recorder.messages.values():
-        if record.tag == KV_TAG:
-            envelopes += 1
-            wire_bytes += record.wire_bytes
-        else:
-            inner += 1
-    return envelopes, inner, wire_bytes
-
-
 def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
                 protocol: str = "atomic", sessions: int = 4,
                 keys: int = 32, ops: int = 96,
@@ -380,28 +367,38 @@ def collect_kv_row(recorder: TraceRecorder, cluster: KvCluster,
     atomic.
     """
     keys_checked = check_kv_histories(cluster.sessions)
-    coalesced = sum(1 for session in cluster.sessions
-                    for handle in session.handles if handle.coalesced)
-    reads_completed = sum(1 for session in cluster.sessions
-                          for handle in session.handles
-                          if handle.kind == KIND_READ and handle.done)
-    ticks = cluster.simulator.time
+    coalesced = reads_completed = 0
     cache_stats = {name: 0 for name in
                    ("lease_hits", "revalidations", "revalidate_hits",
                     "revalidate_fallbacks")}
     for session in cluster.sessions:
+        for handle in session.handles:
+            if handle.coalesced:
+                coalesced += 1
+            if handle.kind == KIND_READ and handle.done:
+                reads_completed += 1
         for name in cache_stats:
             cache_stats[name] += session.cache.stats[name]
-    envelopes, inner, wire_bytes = _traffic(recorder)
-    block_fetches = sum(1 for record in recorder.messages.values()
-                        if record.mtype == MSG_GET_BLOCK)
-    block_misses = sum(1 for record in recorder.messages.values()
-                       if record.mtype == MSG_BLOCK_MISS)
+    ticks = cluster.simulator.time
+    # Every whole-run column comes out of one pass over the trace; the
+    # per-operation ones below read the recorder's index.
+    envelopes = inner = wire_bytes = block_fetches = block_misses = 0
+    planes = PlaneTraffic()
+    for record in recorder.messages.values():
+        if record.tag == KV_TAG:
+            envelopes += 1
+            wire_bytes += record.wire_bytes
+        else:
+            inner += 1
+        if record.mtype == MSG_GET_BLOCK:
+            block_fetches += 1
+        elif record.mtype == MSG_BLOCK_MISS:
+            block_misses += 1
+        planes.add(record)
+    registry = recorder.registry
     verify_failures = sum(
-        summary["value"]
-        for name, summary in recorder.registry.snapshot().items()
+        registry.counter(name).value for name in registry.names()
         if name.startswith("verify.failed.by["))
-    planes = plane_traffic(recorder)
     read_planes = operation_plane_traffic(recorder)["read"]
     return KvBenchRow(
         shards=num_shards, protocol=protocol, plan=plan_label,

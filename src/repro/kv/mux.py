@@ -98,9 +98,14 @@ class ShardBus:
 
     @property
     def obs(self):
-        """The fleet simulator's observability hook (or ``None``)."""
+        """The fleet simulator's observability hook as this shard's
+        inner process sees it (or ``None``): see :class:`_ShardObserver`.
+        """
         simulator = self.host.simulator
-        return None if simulator is None else simulator.obs
+        observer = None if simulator is None else simulator.obs
+        if observer is not None:
+            observer = _ShardObserver(observer, self)
+        return observer
 
     @property
     def server_pids(self) -> Sequence[PartyId]:
@@ -122,7 +127,11 @@ class ShardBus:
         The entry gets a fresh ``msg_id`` from the fleet simulator and
         the sending inner process's causal stamps, and is announced to
         the tracer immediately — mirroring ``Simulator.enqueue`` so
-        traces of batched and unbatched runs have the same shape.
+        traces of batched and unbatched runs have the same shape.  The
+        tracer sees *fleet* identities (the host, and the recipient's
+        host): shard ``s`` places local ``P_j`` on a rotated fleet
+        server, and per-server health signals are scored against the
+        fleet roster.
 
         ``wire_size`` is the inner content's size when the sender knows
         it (broadcasts); it sizes the entry for the envelope's byte
@@ -145,9 +154,10 @@ class ShardBus:
         observer = simulator.obs
         if observer is not None:
             observer.on_send(
-                Message(tag=tag, mtype=mtype, sender=sender,
-                        recipient=recipient, payload=payload, msg_id=msg_id,
-                        depth=depth, cause_id=cause_id, wire_size=wire_size),
+                Message(tag=tag, mtype=mtype, sender=host.pid,
+                        recipient=self.fleet_pid(recipient),
+                        payload=payload, msg_id=msg_id, depth=depth,
+                        cause_id=cause_id, wire_size=wire_size),
                 simulator.time, pending=simulator.pending_count)
 
     def record_output(self, party: PartyId, tag: str, action: str,
@@ -163,6 +173,34 @@ class ShardBus:
         host = self.host
         host._require_simulator().record_input(host.pid, tag, action,
                                                payload)
+
+
+class _ShardObserver:
+    """The fleet tracer as one shard's inner processes see it.
+
+    Inner processes name servers by *shard-local* identity, but the
+    tracer scores per-server signals against the *fleet* roster, so the
+    suspect of a failed verification is translated on the way out —
+    like ``sender``/``recipient`` in :meth:`ShardBus.enqueue` and
+    ``_deliver_entry``.  ``on_quorum``'s ``party`` deliberately stays
+    shard-local: it only labels span annotations (committed outputs
+    that must stay byte-identical) and matches clients, whose
+    identities are fleet-wide anyway.
+    """
+
+    __slots__ = ("_observer", "_bus", "on_quorum")
+
+    def __init__(self, observer, bus: ShardBus) -> None:
+        self._observer = observer
+        self._bus = bus
+        self.on_quorum = observer.on_quorum
+
+    def on_verify_fail(self, party: PartyId, suspect: PartyId, tag: str,
+                       mtype: str) -> None:
+        hook = getattr(self._observer, "on_verify_fail", None)
+        if hook is not None:
+            hook(self._bus.host.pid, self._bus.fleet_pid(suspect), tag,
+                 mtype)
 
 
 class _KvMuxProcess(Process):
@@ -247,9 +285,14 @@ class _KvMuxProcess(Process):
         simulator = self._require_simulator()
         observer = simulator.obs
         if observer is not None:
-            observer.on_deliver(inner_message, simulator.time,
-                                inbox_depth=len(inner.inbox),
-                                pending=simulator.pending_count)
+            # the tracer's view of the same delivery, in fleet identities
+            observer.on_deliver(
+                Message(tag=entry.tag, mtype=entry.mtype,
+                        sender=fleet_sender, recipient=self.pid,
+                        payload=entry.payload, msg_id=entry.msg_id,
+                        depth=entry.depth, cause_id=entry.cause_id),
+                simulator.time, inbox_depth=len(inner.inbox),
+                pending=simulator.pending_count)
         inner.receive(inner_message)
 
     def _kv_inner_for(

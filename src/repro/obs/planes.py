@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
-from repro.analysis.trace import match_operations
 from repro.avid.disperse import MESSAGE_TYPES as _AVID_TYPES
 from repro.core.atomic_md import DATA_PLANE_TYPES as _MD_DATA_TYPES
 from repro.obs.recorder import MessageRecord, TraceRecorder
@@ -113,7 +112,7 @@ def operation_plane_traffic(
     """
     totals: Dict[str, PlaneTraffic] = {"write": PlaneTraffic(),
                                        "read": PlaneTraffic()}
-    pairs, _, _ = match_operations(recorder.events)
+    pairs, _, _ = recorder.operations()
     for start, _end in pairs:
         oid = start.payload[0] if start.payload else ""
         bucket = totals.setdefault(start.action, PlaneTraffic())

@@ -27,12 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.trace import match_operations
 from repro.avid.disperse import MESSAGE_TYPES as DISPERSE_MESSAGE_TYPES
 from repro.broadcast.reliable import MESSAGE_TYPES as RBC_MESSAGE_TYPES
 from repro.common.ids import TAG_SEP, PartyId
-from repro.net.message import EVENT_OUTPUT, LocalEvent
-from repro.obs.recorder import MessageRecord, TraceRecorder
+from repro.obs.recorder import MessageRecord, QuorumRelease, TraceRecorder
 
 KIND_OPERATION = "operation"
 KIND_PHASE = "phase"
@@ -137,26 +135,14 @@ class Span:
 
 def operation_records(recorder: TraceRecorder, tag: str,
                       oid: str) -> List[MessageRecord]:
-    """All message records belonging to one operation: register-tag
-    messages carrying its oid plus all sub-instance traffic
-    (``ID|<kind>.oid``).  Public because plane attribution
+    """All message records belonging to one operation, in send order:
+    register-tag messages carrying its oid plus all sub-instance
+    traffic (``ID|<kind>.oid``) — the recorder's belongs-to predicate
+    (:func:`repro.obs.recorder.record_belongs`) applied to the
+    operation's index bucket.  Public because plane attribution
     (:mod:`repro.obs.planes`) folds the same record set by wire plane.
     """
-    prefix = tag + TAG_SEP
-    records = []
-    for record in recorder.messages.values():
-        if record.tag == tag:
-            if record.oid == oid:
-                records.append(record)
-        elif record.tag.startswith(prefix):
-            sub_oid = record.tag.rsplit(TAG_SEP, 1)[1].partition(".")[2]
-            if sub_oid == oid:
-                records.append(record)
-    return records
-
-
-# internal alias retained for the span builder below
-_operation_records = operation_records
+    return recorder.operation_records(tag, oid)
 
 
 def _close_time(record: MessageRecord) -> int:
@@ -185,68 +171,34 @@ def _phase_spans(records: List[MessageRecord], tag: str) -> List[Span]:
     return spans
 
 
-def _quorum_annotations(recorder: TraceRecorder, tag: str, oid: str,
-                        client: PartyId, open_time: int,
-                        close_time: int) -> List[Dict[str, Any]]:
-    """Quorum releases belonging to one operation.
-
-    A release is bound through the arrival that tipped it (its record
-    carries the operation identifier); releases that never waited
-    (``releasing_msg_id is None``) are bound by tag, party, and time
-    window instead.
-    """
-    entries = []
-    for release in recorder.quorum_releases:
-        if release.releasing_msg_id is not None:
-            record = recorder.messages.get(release.releasing_msg_id)
-            if record is None:
-                continue
-            bound = _record_belongs(record, tag, oid)
-        else:
-            bound = (release.tag == tag and release.party == client
-                     and open_time <= release.time <= close_time)
-        if bound:
-            entries.append({
-                "party": str(release.party),
-                "tag": release.tag,
-                "mtype": release.mtype,
-                "threshold": release.threshold,
-                "time": release.time,
-                "released_by": release.releasing_msg_id,
-            })
-    return entries
-
-
-def _record_belongs(record: MessageRecord, tag: str, oid: str) -> bool:
-    if record.tag == tag:
-        return record.oid == oid
-    if record.tag.startswith(tag + TAG_SEP):
-        return record.tag.rsplit(TAG_SEP, 1)[1].partition(".")[2] == oid
-    return False
-
-
-def _accepted_by(events: List[LocalEvent], tag: str,
-                 oid: str) -> List[str]:
-    return [str(event.party) for event in events
-            if event.kind == EVENT_OUTPUT
-            and event.action == "write-accepted"
-            and event.tag == tag
-            and event.payload and event.payload[0] == oid]
+def _quorum_annotations(releases: List[QuorumRelease]
+                        ) -> List[Dict[str, Any]]:
+    return [{
+        "party": str(release.party),
+        "tag": release.tag,
+        "mtype": release.mtype,
+        "threshold": release.threshold,
+        "time": release.time,
+        "released_by": release.releasing_msg_id,
+    } for release in releases]
 
 
 def build_spans(recorder: TraceRecorder) -> List[Span]:
     """Fold a recorded run into operation spans with nested phases.
 
-    Returns one span per *completed* operation, ordered by completion;
-    operations still open at the end of the run are summarised in the
-    ``open_operations`` annotation of no span (query
-    :func:`repro.analysis.trace.match_operations` directly for those).
+    Returns one span per *completed* operation, ordered by completion.
+    Operations still open at the end of the run get no span; they are
+    the third element of :meth:`TraceRecorder.operations`.
+
+    Every per-operation lookup (records, quorum releases, accepting
+    servers) reads the recorder's index, so the fold is linear in the
+    trace — no pass over the whole run per operation.
     """
-    pairs, _, _ = match_operations(recorder.events)
+    pairs, _, _ = recorder.operations()
     spans = []
     for start, end in pairs:
         oid = start.payload[0] if start.payload else ""
-        records = _operation_records(recorder, start.tag, oid)
+        records = operation_records(recorder, start.tag, oid)
         children = _phase_spans(records, start.tag)
         tail = max((span.close_time for span in children),
                    default=end.time) - end.time
@@ -270,10 +222,12 @@ def build_spans(recorder: TraceRecorder) -> List[Span]:
                 "latency_rounds": completion_record.depth
                 if completion_record is not None else None,
                 "quorum_releases": _quorum_annotations(
-                    recorder, start.tag, oid, start.party, start.time,
-                    end.time),
-                "accepted_by": _accepted_by(recorder.events, start.tag,
-                                            oid),
+                    recorder.operation_releases(
+                        start.tag, oid, start.party, start.time,
+                        end.time)),
+                "accepted_by": [
+                    str(party) for party
+                    in recorder.accepted_by(start.tag, oid)],
                 "tail_time": max(tail, 0),
             },
             children=children)

@@ -247,6 +247,31 @@ def test_checked_in_kv_baseline_shows_shard_scaling():
     assert chaos_rows and chaos_rows[0]["plan"] == "delays"
 
 
+def test_checked_in_kv_baseline_row_regenerates_exactly():
+    """No gate re-ran a committed row until now: the shard-1 row of the
+    kv baseline must come out of today's code column for column —
+    ticks, traffic, and the per-phase attribution the trace index
+    feeds."""
+    from repro.kv.bench import run_kv_case
+
+    data = json.loads(
+        (REPO_ROOT / "benchmarks" / "BENCH_kv_baseline.json").read_text()
+    )["data"]
+    config, committed = data["config"], data["rows"][0]
+    assert (committed["shards"], committed["plan"]) == (1, None)
+    row, _cluster = run_kv_case(
+        1, n=config["n"], t=config["t"], protocol=config["protocol"],
+        sessions=config["sessions"], keys=config["keys"],
+        ops=config["ops"], write_ratio=config["write_ratio"],
+        distribution=config["distribution"], seed=config["seed"],
+        value_size=config["value_size"])
+    fresh = row.to_json()
+    assert committed["phase_ticks"]
+    # the committed file predates the newer columns; every column it
+    # has must match
+    assert {name: fresh[name] for name in committed} == committed
+
+
 def test_cli_kv_bench_churn_smoke_writes_json(tmp_path):
     """``repro kv-bench --churn --smoke`` runs the crash-replace storm
     comparison end to end and writes a well-formed document whose

@@ -148,6 +148,47 @@ def test_boundary_plan_separates_faulty_from_honest():
     assert best_faulty > worst_honest
 
 
+@pytest.mark.parametrize("shards", [1, 4])
+def test_crashed_kv_server_stands_out_at_any_shard_count(shards):
+    """Shard ``s`` places its local ``P_j`` on a rotated fleet server;
+    the tracer must see fleet identities, or a crashed server's silence
+    is smeared over every local name it answers to (at 4 shards it used
+    to score 0.15 against honest 0.05-0.12)."""
+    from repro.kv.bench import run_kv_case
+    from repro.repair import RepairCoordinator
+
+    plan = builtin_plan("crash", 4, 1, seed=0)
+    crashed = f"P{plan.crashes[0].server}"
+    monitor = HealthMonitor()
+    _, cluster = run_kv_case(shards, n=4, t=1, ops=96, plan_name="crash",
+                             monitor=monitor)
+    scores = monitor.suspicion_scores()
+    honest = max(score for server, score in scores.items()
+                 if server != crashed)
+    assert scores[crashed] == max(scores.values())
+    assert scores[crashed] >= 3 * honest
+    assert scores[crashed] > 0.4
+    coordinator = RepairCoordinator(cluster, monitor=monitor)
+    assert coordinator.detect_degraded(0.25) \
+        == [plan.crashes[0].server]
+
+
+def test_kv_verification_failures_blame_the_fleet_server():
+    """A Byzantine data plane on the last fleet server must be charged
+    to that server, whichever shard-local name its blocks came under."""
+    from repro.kv.bench import run_kv_case
+
+    monitor = HealthMonitor()
+    row, _ = run_kv_case(4, n=4, t=1, protocol="atomic_md", ops=96,
+                         write_ratio=0.1, byzantine="corrupt-block",
+                         monitor=monitor)
+    assert row.verify_failures > 0
+    fails = {entry["server"]: entry["signals"]["verify_fails"]
+             for entry in monitor.server_health()}
+    assert fails["P4"] == row.verify_failures
+    assert sum(fails.values()) == fails["P4"]
+
+
 def test_slow_server_fires_replication_skew_alert():
     """The starved server breaches the replication-skew objective while
     completion latencies still look healthy — the signal that pages."""

@@ -5,9 +5,13 @@ import json
 
 import pytest
 
+from repro.analysis.trace import match_operations
 from repro.cluster import build_cluster
 from repro.common.errors import SimulationError
+from repro.common.ids import TAG_SEP, client_id, server_id
 from repro.config import SystemConfig
+from repro.kv.bench import run_kv_case
+from repro.net.message import EVENT_CHAOS, EVENT_OUTPUT, Message
 from repro.net.schedulers import FifoScheduler, RandomScheduler
 from repro.obs import (
     KIND_OPERATION,
@@ -20,6 +24,7 @@ from repro.obs import (
     PHASE_TS_QUERY,
     Counter,
     Gauge,
+    HealthMonitor,
     Histogram,
     Registry,
     TraceRecorder,
@@ -28,10 +33,13 @@ from repro.obs import (
     classify_phase,
     critical_path,
     emit_bench,
+    operation_plane_traffic,
+    operation_records,
     to_jsonable,
     wall_seconds,
 )
 from repro.obs.clock import WallTimer
+from repro.workloads.generator import random_workload, run_workload
 
 
 @pytest.fixture
@@ -399,3 +407,312 @@ def test_injected_delays_show_as_attributed_wait():
     assert delayed.attribution[PHASE_LOCAL] \
         > clean.attribution[PHASE_LOCAL]
     assert delayed.dominant_phase() == PHASE_LOCAL
+
+
+# -- the per-operation index ---------------------------------------------------
+#
+# The recorder files what it records under the operation(s) it can
+# belong to, and every per-operation query reads one bucket.  The full
+# scans the index replaced survive here, as the reference the indexed
+# queries must equal: same records, same order.
+
+def _scan_belongs(record, tag, oid):
+    if record.tag == tag:
+        return record.oid == oid
+    if record.tag.startswith(tag + TAG_SEP):
+        return record.tag.rsplit(TAG_SEP, 1)[1].partition(".")[2] == oid
+    return False
+
+
+def _scan_operation_records(recorder, tag, oid):
+    return [record for record in recorder.messages.values()
+            if _scan_belongs(record, tag, oid)]
+
+
+def _scan_records_under(recorder, tag_prefix):
+    return [record for record in recorder.messages.values()
+            if record.tag == tag_prefix
+            or record.tag.startswith(tag_prefix + TAG_SEP)]
+
+
+def _scan_releases(recorder, tag, oid, client, open_time, close_time):
+    bound = []
+    for release in recorder.quorum_releases:
+        if release.releasing_msg_id is not None:
+            record = recorder.messages.get(release.releasing_msg_id)
+            if record is not None and _scan_belongs(record, tag, oid):
+                bound.append(release)
+        elif (release.tag == tag and release.party == client
+              and open_time <= release.time <= close_time):
+            bound.append(release)
+    return bound
+
+
+def _scan_accepted_by(recorder, tag, oid):
+    return [event.party for event in recorder.events
+            if event.kind == EVENT_OUTPUT
+            and event.action == "write-accepted" and event.tag == tag
+            and event.payload and event.payload[0] == oid]
+
+
+def _assert_index_equals_scan(recorder, min_operations=1):
+    """Every indexed per-operation query equals its full-scan
+    reference, for every completed *and* still-open operation."""
+    matched = match_operations(recorder.events)
+    assert recorder.operations() == matched
+    pairs, _, still_open = matched
+    end_of_run = max((event.time for event in recorder.events), default=0)
+    operations = [(start, end.time) for start, end in pairs] \
+        + [(start, end_of_run) for start in still_open]
+    assert len(operations) >= min_operations
+    for start, close_time in operations:
+        tag, oid = start.tag, start.payload[0]
+        records = operation_records(recorder, tag, oid)
+        reference = _scan_operation_records(recorder, tag, oid)
+        assert len(records) == len(reference)
+        assert all(mine is theirs
+                   for mine, theirs in zip(records, reference))
+        assert recorder.operation_releases(
+            tag, oid, start.party, start.time, close_time) \
+            == _scan_releases(recorder, tag, oid, start.party,
+                              start.time, close_time)
+        assert recorder.accepted_by(tag, oid) \
+            == _scan_accepted_by(recorder, tag, oid)
+    for tag in sorted({record.tag for record
+                       in recorder.messages.values()}):
+        assert recorder.records_under(tag) \
+            == _scan_records_under(recorder, tag)
+    return operations
+
+
+@pytest.mark.parametrize("protocol", ["atomic", "atomic_ns", "atomic_md"])
+def test_index_equals_scan_on_register_runs(protocol):
+    config = SystemConfig(n=4, t=1,
+                          k=2 if protocol == "atomic_md" else None)
+    cluster = build_cluster(config, protocol=protocol, num_clients=2,
+                            scheduler=RandomScheduler(3))
+    recorder = TraceRecorder().attach(cluster.simulator)
+    run_workload(cluster, "reg",
+                 random_workload(2, writes=3, reads=3, seed=3), seed=3)
+    cluster.client(1).invoke_write("reg", "w-open", b"never finishes")
+    for _ in range(6):  # a few deliveries only: the write stays open
+        cluster.simulator.step()
+    operations = _assert_index_equals_scan(recorder, min_operations=7)
+    open_tag, open_oid = "reg", "w-open"
+    assert (open_tag, open_oid) in {
+        (start.tag, start.payload[0]) for start, _ in operations}
+    assert operation_records(recorder, open_tag, open_oid)
+    assert not any(span.annotations["oid"] == open_oid
+                   for span in build_spans(recorder))
+
+
+def test_index_equals_scan_on_a_sharded_kv_run():
+    _, cluster = run_kv_case(4, n=4, t=1, ops=48, seed=3)
+    recorder = cluster.simulator.obs
+    operations = _assert_index_equals_scan(recorder, min_operations=40)
+    assert len({start.tag for start, _ in operations}) > 4
+
+
+def test_index_keeps_one_oid_on_two_registers_apart():
+    """Operation identifiers are only unique per register: the same oid
+    running on two registers at once must not leak across them."""
+    cluster = build_cluster(SystemConfig(n=4, t=1), protocol="atomic",
+                            num_clients=2, scheduler=RandomScheduler(5))
+    recorder = TraceRecorder().attach(cluster.simulator)
+    cluster.client(1).invoke_write("left", "w1", b"left value")
+    cluster.client(2).invoke_write("right", "w1", b"right value")
+    cluster.run()
+    _assert_index_equals_scan(recorder, min_operations=2)
+    left = operation_records(recorder, "left", "w1")
+    right = operation_records(recorder, "right", "w1")
+    assert left and right
+    assert all(record.tag.split(TAG_SEP)[0] == "left" for record in left)
+    assert all(record.tag.split(TAG_SEP)[0] == "right"
+               for record in right)
+    spans = {span.tag: span for span in build_spans(recorder)}
+    assert spans["left"].messages == len(left)
+    assert spans["right"].messages == len(right)
+
+
+@pytest.mark.parametrize("plan_name", ["duplicates", "delays"])
+def test_index_equals_scan_under_chaos(plan_name):
+    """Duplicate clones are recorded under fresh ``msg_id``s; held
+    messages are recorded when released, so send order is not id
+    order.  The index follows recording order either way."""
+    _, cluster = run_kv_case(4, n=4, t=1, ops=48, seed=1,
+                             plan_name=plan_name)
+    recorder = cluster.simulator.obs
+    assert any(event.kind == EVENT_CHAOS
+               for event in cluster.simulator.event_log)
+    if plan_name == "delays":
+        assert list(recorder.messages) != sorted(recorder.messages)
+    _assert_index_equals_scan(recorder, min_operations=40)
+
+
+def _hand_recorder():
+    """A hand-built trace around register ``ID``: nested sub-instances,
+    a colliding oid on another register, a look-alike root, a payload
+    oid that disagrees with its sub-instance tag, and a dotless one."""
+    recorder = TraceRecorder()
+    traffic = [
+        ("ID", "get-ts", ("w1",)),
+        ("ID|disp.w1", "avid-send", (b"block",)),
+        ("ID|a.x|disp.w1", "avid-echo", (b"block",)),
+        ("ID|a.x", "ack", ("w1",)),
+        ("ID2", "get-ts", ("w1",)),
+        ("ID2|disp.w1", "avid-send", (b"block",)),
+        ("IDX|disp.w1", "avid-send", (b"block",)),
+        ("ID|rbc.w1", "rbc-echo", ("w2",)),
+        ("ID|disp", "avid-send", (7,)),
+        ("ID", "ack", ("w2",)),
+        ("ID", "noise", ()),
+        ("ID|a.x|rbc.w1", "rbc-ready", ("w1",)),
+    ]
+    for msg_id, (tag, mtype, payload) in enumerate(traffic):
+        recorder.on_send(Message(tag=tag, mtype=mtype,
+                                 sender=client_id(1),
+                                 recipient=server_id(1),
+                                 payload=payload, msg_id=msg_id),
+                         time=msg_id)
+    return recorder
+
+
+_HAND_QUERIES = [("ID", "w1"), ("ID|a.x", "w1"), ("ID", "w2"),
+                 ("ID", ""), ("ID2", "w1"), ("IDX", "w1"),
+                 ("ID|a", "w1"), ("I", "w1"), ("ID", "w3"),
+                 ("nowhere", "w1")]
+
+
+def test_index_on_nested_and_colliding_tags():
+    recorder = _hand_recorder()
+    for tag, oid in _HAND_QUERIES:
+        assert operation_records(recorder, tag, oid) \
+            == _scan_operation_records(recorder, tag, oid), (tag, oid)
+        assert recorder.records_under(tag) \
+            == _scan_records_under(recorder, tag), tag
+    # the nested Disperse instance belongs to the operation of both
+    # the register and the intermediate instance it hangs off
+    nested = recorder.messages[2]
+    assert nested in operation_records(recorder, "ID", "w1")
+    assert nested in operation_records(recorder, "ID|a.x", "w1")
+    assert [record.msg_id
+            for record in operation_records(recorder, "ID", "w1")] \
+        == [0, 1, 2, 7, 11]
+    assert operation_records(recorder, "nowhere", "w1") == []
+    assert operation_records(recorder, "ID", "w3") == []
+    assert recorder.records_under("nowhere") == []
+
+
+def test_index_binds_unwaited_releases_in_release_order():
+    """Releases that never waited are bound by tag, client and time
+    window and interleave with the waited ones in release order."""
+    recorder = _hand_recorder()
+    client = client_id(1)
+
+    def release(time, tag, releasing_msg_id, party=client):
+        recorder.on_quorum(time, party, tag, "ack", 3, (),
+                           releasing_msg_id)
+
+    release(1, "ID", None)          # in window, unwaited
+    release(2, "ID", 0)             # waited, tipped by ID/w1 traffic
+    release(2, "ID", None)          # same tick, after the waited one
+    release(3, "ID", 9)             # tipped by w2's ack: not w1's
+    release(3, "ID", None, party=client_id(2))  # another client
+    release(4, "ID|a.x", 11)        # nested sub-instance traffic of w1
+    release(5, "ID", 4242)          # tipping arrival never recorded
+    release(9, "ID", None)          # outside the window
+    for tag, oid in _HAND_QUERIES:
+        assert recorder.operation_releases(tag, oid, client, 0, 5) \
+            == _scan_releases(recorder, tag, oid, client, 0, 5)
+    bound = recorder.operation_releases("ID", "w1", client, 0, 5)
+    assert [recorder.quorum_releases.index(release)
+            for release in bound] == [0, 1, 2, 5]
+
+
+def test_index_agrees_with_messages_when_a_msg_id_is_recorded_twice():
+    """Simulators never reuse a ``msg_id``; if a tracer is fed one
+    twice, the last write wins in ``messages`` — keeping the first
+    write's position — and the index says the same."""
+    recorder = _hand_recorder()
+    recorder.on_quorum(3, client_id(1), "ID", "ack", 3, (), 1)
+    recorder.on_send(Message(tag="ID2|disp.w9", mtype="avid-send",
+                             sender=client_id(1), recipient=server_id(2),
+                             payload=(b"moved",), msg_id=1), time=40)
+    assert recorder.messages[1].tag == "ID2|disp.w9"
+    assert list(recorder.messages)[1] == 1  # position of the first write
+    for tag, oid in _HAND_QUERIES + [("ID2", "w9")]:
+        assert operation_records(recorder, tag, oid) \
+            == _scan_operation_records(recorder, tag, oid), (tag, oid)
+        assert recorder.records_under(tag) \
+            == _scan_records_under(recorder, tag), tag
+        assert recorder.operation_releases(tag, oid, client_id(1), 0, 9) \
+            == _scan_releases(recorder, tag, oid, client_id(1), 0, 9)
+    assert recorder.messages[1] not in operation_records(
+        recorder, "ID", "w1")
+    assert operation_records(recorder, "ID2", "w9") \
+        == [recorder.messages[1]]
+    assert len(recorder.operation_releases(
+        "ID2", "w9", client_id(1), 0, 9)) == 1
+
+
+class _CountingDict(dict):
+    """A dict that counts full iterations (lookups stay free)."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.scans += 1
+        return super().keys()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+
+class _CountingList(list):
+    """A list that counts full iterations (indexing stays free)."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def _attribution_scans(ops):
+    """Full iterations of each trace container over a whole
+    ``ops``-operation kv-bench row: the traced run, the row's columns,
+    then the two attribution consumers once more."""
+    monitor = HealthMonitor()  # the supported way to hand a recorder in
+    recorder = monitor.recorder
+    recorder.messages = _CountingDict()
+    recorder.events = _CountingList()
+    recorder.quorum_releases = _CountingList()
+    run_kv_case(4, n=4, t=1, ops=ops, seed=2, monitor=monitor)
+    spans = build_spans(recorder)
+    operation_plane_traffic(recorder)
+    assert len(spans) >= ops * 3 // 4  # all but the coalesced writes
+    return {"operations": len(spans),
+            "messages": recorder.messages.scans,
+            "events": recorder.events.scans,
+            "quorum_releases": recorder.quorum_releases.scans}
+
+
+def test_attribution_never_rescans_the_trace_per_operation():
+    """The guard that keeps the quadratic from coming back, by count
+    not by clock: attributing a run iterates each trace container a
+    small constant number of times, however many operations it has."""
+    small, large = _attribution_scans(24), _attribution_scans(96)
+    assert large.pop("operations") >= 3 * small.pop("operations")
+    assert small == large
+    # one pass for the row's whole-run columns, one match of the
+    # events shared by every consumer, and no pass over the releases
+    assert small == {"messages": 1, "events": 1, "quorum_releases": 0}

@@ -1,0 +1,171 @@
+"""Regenerate the golden-attribution fixtures (tests/fixtures/golden_spans.json).
+
+The fixtures pin, for a handful of small seeded runs, a sha256 over the
+canonical JSON of everything post-run attribution derives from a trace:
+the operation/phase span tree (``build_spans``), the per-operation-kind
+plane totals (``operation_plane_traffic``) and, for kv cases, the whole
+bench row.  The golden-attribution regression test replays the same runs
+and asserts the digests match, which proves changes to how the trace is
+stored or queried (the recorder's per-operation index, the one-pass row
+collection) are *attribution-preserving*: not one record may move between
+operations, phases or planes.
+
+Run from the repo root::
+
+    PYTHONPATH=src python tools/gen_golden_spans.py
+
+Only regenerate when an attribution change is *intended* (a new phase, a
+new row column); note the reason in the commit message.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from repro.cluster import build_cluster  # noqa: E402
+from repro.config import SystemConfig  # noqa: E402
+from repro.kv.bench import run_kv_case  # noqa: E402
+from repro.net.schedulers import RandomScheduler  # noqa: E402
+from repro.obs import (  # noqa: E402
+    HealthMonitor,
+    TraceRecorder,
+    build_spans,
+    operation_plane_traffic,
+)
+from repro.repair.bench import churn_storm_plan, run_kv_churn_case  # noqa: E402
+from repro.workloads.generator import random_workload, run_workload  # noqa: E402
+
+FIXTURE = REPO / "tests" / "fixtures" / "golden_spans.json"
+
+
+def _digest(value) -> str:
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def span_json(span) -> dict:
+    """One span (and its children) as plain JSON: every field, parties
+    by name."""
+    return {
+        "name": span.name, "kind": span.kind, "tag": span.tag,
+        "open_time": span.open_time, "close_time": span.close_time,
+        "party": None if span.party is None else str(span.party),
+        "messages": span.messages, "message_bytes": span.message_bytes,
+        "annotations": span.annotations,
+        "children": [span_json(child) for child in span.children],
+    }
+
+
+def _run_register(spec: dict):
+    t = spec["t"]
+    config = SystemConfig(
+        n=spec["n"], t=t, seed=spec["seed"],
+        k=t + 1 if spec["protocol"] == "atomic_md" else None)
+    cluster = build_cluster(config, protocol=spec["protocol"],
+                            num_clients=spec["clients"],
+                            scheduler=RandomScheduler(spec["seed"]))
+    recorder = TraceRecorder().attach(cluster.simulator)
+    operations = random_workload(spec["clients"], writes=spec["writes"],
+                                 reads=spec["reads"], seed=spec["seed"])
+    run_workload(cluster, "reg", operations, seed=spec["seed"])
+    return recorder, None
+
+
+def _run_kv(spec: dict):
+    row, cluster = run_kv_case(
+        spec["shards"], n=spec["n"], t=spec["t"],
+        protocol=spec["protocol"], sessions=spec["sessions"],
+        keys=spec["keys"], ops=spec["ops"],
+        write_ratio=spec["write_ratio"], seed=spec["seed"],
+        cache_size=spec.get("cache_size", 0),
+        lease_ticks=spec.get("lease_ticks", 0))
+    return cluster.simulator.obs, row.to_json()
+
+
+def _run_churn(spec: dict):
+    # The churn harness keeps its recorder to itself; a health monitor
+    # is the supported way to hand one in (and it puts the wrapped-
+    # recorder path under the same pin).
+    monitor = HealthMonitor()
+    plan = churn_storm_plan(spec["n"], spec["t"], seed=spec["seed"],
+                            first_crash=spec["first_crash"],
+                            stagger=spec["stagger"],
+                            replace_after=spec["replace_after"])
+    row = run_kv_churn_case(
+        spec["shards"], n=spec["n"], t=spec["t"],
+        sessions=spec["sessions"], keys=spec["keys"], ops=spec["ops"],
+        write_ratio=spec["write_ratio"], seed=spec["seed"],
+        value_size=spec["value_size"], plan=plan, repair=True,
+        case="churn+repair", monitor=monitor)
+    return monitor.recorder, row
+
+
+_RUNNERS = {"register": _run_register, "kv": _run_kv, "churn": _run_churn}
+
+
+def run_case(spec: dict) -> dict:
+    """Run one seeded case and return its canonical attribution record."""
+    recorder, row = _RUNNERS[spec["kind"]](spec)
+    spans = [span_json(span) for span in build_spans(recorder)]
+    planes = {kind: totals.to_json() for kind, totals
+              in operation_plane_traffic(recorder).items()}
+    record = {
+        "spec": spec,
+        "records": len(recorder.messages),
+        "spans": len(spans),
+        "spans_sha256": _digest(spans),
+        "planes_sha256": _digest(planes),
+    }
+    if row is not None:
+        record["row_sha256"] = _digest(row)
+    return record
+
+
+CASES = [
+    {"name": "register_atomic", "kind": "register", "protocol": "atomic",
+     "n": 4, "t": 1, "clients": 2, "writes": 3, "reads": 3, "seed": 5},
+    {"name": "register_atomic_ns", "kind": "register",
+     "protocol": "atomic_ns",
+     "n": 4, "t": 1, "clients": 2, "writes": 3, "reads": 3, "seed": 11},
+    {"name": "register_atomic_md", "kind": "register",
+     "protocol": "atomic_md",
+     "n": 4, "t": 1, "clients": 2, "writes": 3, "reads": 3, "seed": 13},
+    {"name": "kv_atomic_4shards", "kind": "kv", "protocol": "atomic",
+     "shards": 4, "n": 4, "t": 1, "sessions": 4, "keys": 16, "ops": 48,
+     "write_ratio": 0.5, "seed": 3},
+    {"name": "kv_atomic_md_cached", "kind": "kv", "protocol": "atomic_md",
+     "shards": 2, "n": 4, "t": 1, "sessions": 2, "keys": 8, "ops": 96,
+     "write_ratio": 0.1, "seed": 9, "cache_size": 4, "lease_ticks": 64},
+    {"name": "kv_churn_repair_smoke", "kind": "churn", "shards": 2,
+     "n": 7, "t": 2, "sessions": 2, "keys": 4, "ops": 48,
+     "write_ratio": 0.5, "seed": 0, "value_size": 32,
+     "first_crash": 20, "stagger": 80, "replace_after": 30},
+]
+
+
+def main() -> int:
+    records = [run_case(dict(spec)) for spec in CASES]
+    document = {
+        "comment": "golden attribution digests; regenerate with "
+                   "tools/gen_golden_spans.py only when an attribution "
+                   "change is intended",
+        "cases": records,
+    }
+    FIXTURE.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
+    for record in records:
+        print(f"{record['spec']['name']:>24}: {record['records']:6d} records "
+              f"{record['spans']:4d} spans {record['spans_sha256'][:16]}")
+    print(f"wrote {FIXTURE}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
