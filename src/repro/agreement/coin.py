@@ -47,7 +47,8 @@ class CommonCoin:
         self._ready = ready
         self._flipped: Dict[bytes, bool] = {}
         self._done: Dict[bytes, int] = {}
-        process.on(MSG_COIN_SHARE, self._on_share)
+        # Shares are counted by _collect's wait state as well.
+        process.on(MSG_COIN_SHARE, self._on_share, retain=True)
 
     @staticmethod
     def _signing_name(name: Tuple) -> Tuple:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.common.serialization import encode
 from repro.config import SystemConfig
 from repro.net.message import Message
-from repro.net.process import Process
+from repro.net.process import Process, WaitState
 
 MSG_RETRIEVE = "avid-retrieve"
 MSG_BLOCK = "avid-block"
@@ -71,8 +71,9 @@ class AvidRetrieverClient:
             return (message.sender.is_server and len(payload) == 4
                     and payload[0] == round_no)
 
-        # check() is re-polled on every activation; report each server's
-        # failed block verification to the tracer only once per round.
+        # check() is re-polled on every block arrival; report each
+        # server's failed block verification to the tracer only once per
+        # round.
         flagged = set()
 
         def check():
@@ -122,7 +123,7 @@ class AvidRetrieverClient:
                 return ("missing", None)
             return None
 
-        verdict, value = yield check
+        verdict, value = yield WaitState(check, (tag, MSG_BLOCK, None))
         self._done(tag, value)
 
 

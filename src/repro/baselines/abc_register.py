@@ -25,7 +25,7 @@ from repro.config import SystemConfig
 from repro.core.register import OperationHandle, RegisterClientBase
 from repro.core.timestamps import Timestamp
 from repro.net.message import Message
-from repro.net.process import Process
+from repro.net.process import Process, WaitState
 
 MSG_SUBMIT = "abc-submit"
 MSG_WRITE_DONE = "abc-write-done"
@@ -113,9 +113,8 @@ class AbcRegisterClient(RegisterClientBase):
         request = ("write", tag, oid, handle.value, self.pid)
         self.send_to_servers(tag, MSG_SUBMIT, request)
         yield self.condition_quorum(
-            tag, MSG_WRITE_DONE, self.config.t + 1,
-            where=lambda m: (m.sender.is_server and len(m.payload) == 2
-                             and m.payload[0] == oid))
+            tag, MSG_WRITE_DONE, self.config.t + 1, oid=oid,
+            where=lambda m: m.sender.is_server and len(m.payload) == 2)
         self._finish_write(handle)
 
     def _read_thread(self, handle: OperationHandle):
@@ -128,10 +127,9 @@ class AbcRegisterClient(RegisterClientBase):
             groups: Dict[bytes, list] = {}
             from repro.common.serialization import encode
             for message in self.inbox.first_per_sender(
-                    tag, MSG_READ_RESULT,
+                    tag, MSG_READ_RESULT, oid=oid,
                     where=lambda m: (m.sender.is_server
                                      and len(m.payload) == 3
-                                     and m.payload[0] == oid
                                      and isinstance(m.payload[1], bytes))):
                 key = encode((message.payload[1], message.payload[2]))
                 groups.setdefault(key, []).append(message)
@@ -140,5 +138,5 @@ class AbcRegisterClient(RegisterClientBase):
                     return group[0]
             return None
 
-        message = yield check
+        message = yield WaitState(check, (tag, MSG_READ_RESULT, oid))
         self._finish_read(handle, message.payload[1], message.payload[2])

@@ -203,9 +203,8 @@ class GoodsonClient(RegisterClientBase):
         tag, oid = handle.tag, handle.oid
         self.send_to_servers(tag, MSG_GET_TS, oid)
         replies = yield self.condition_quorum(
-            tag, MSG_TS, self.config.quorum,
+            tag, MSG_TS, self.config.quorum, oid=oid,
             where=lambda m: (m.sender.is_server and len(m.payload) == 2
-                             and m.payload[0] == oid
                              and isinstance(m.payload[1], int)
                              and m.payload[1] >= 0))
         ts = max(message.payload[1] for message in replies)
@@ -222,9 +221,8 @@ class GoodsonClient(RegisterClientBase):
             self.send(server, tag, MSG_STORE, oid, timestamp,
                       fragments[index - 1], checksum)
         yield self.condition_quorum(
-            tag, MSG_ACK, self.config.quorum,
-            where=lambda m: (m.sender.is_server and len(m.payload) == 1
-                             and m.payload[0] == oid))
+            tag, MSG_ACK, self.config.quorum, oid=oid,
+            where=lambda m: m.sender.is_server and len(m.payload) == 1)
 
     # -- read ---------------------------------------------------------------------
 
@@ -235,8 +233,8 @@ class GoodsonClient(RegisterClientBase):
         self.rollback_counts[oid] = 0
         self.send_to_servers(tag, MSG_READ_LATEST, oid, round_no)
         replies = yield self.condition_quorum(
-            tag, MSG_LATEST, self.config.quorum,
-            where=lambda m: self._valid_reply(m, oid, round_no, MSG_LATEST))
+            tag, MSG_LATEST, self.config.quorum, oid=oid,
+            where=lambda m: self._valid_reply(m, round_no))
 
         rollbacks = 0
         while True:
@@ -249,8 +247,10 @@ class GoodsonClient(RegisterClientBase):
                 if len(holders) < self.config.quorum:
                     # Repair: write the validated version back before
                     # returning, so later reads cannot miss it.
-                    yield from self._store_round(tag, f"{oid}.repair",
+                    repair_oid = f"{oid}.repair"
+                    yield from self._store_round(tag, repair_oid,
                                                  candidate, value)
+                    self.inbox.retire(tag, repair_oid)
                 self._finish_read(handle, value, candidate)
                 return
             if candidate <= INITIAL_TIMESTAMP:
@@ -267,16 +267,14 @@ class GoodsonClient(RegisterClientBase):
             self.send_to_servers(tag, MSG_READ_PREV, oid, round_no,
                                  candidate)
             replies = yield self.condition_quorum(
-                tag, MSG_PREV, self.config.quorum,
-                where=lambda m, r=round_no: self._valid_reply(
-                    m, oid, r, MSG_PREV))
+                tag, MSG_PREV, self.config.quorum, oid=oid,
+                where=lambda m, r=round_no: self._valid_reply(m, r))
 
     @staticmethod
-    def _valid_reply(message: Message, oid: str, round_no: int,
-                     kind: str) -> bool:
+    def _valid_reply(message: Message, round_no: int) -> bool:
         payload = message.payload
         return (message.sender.is_server and len(payload) == 5
-                and payload[0] == oid and payload[1] == round_no
+                and payload[1] == round_no
                 and isinstance(payload[2], Timestamp))
 
     def _validate(self, candidate: Timestamp, replies) -> Optional[tuple]:

@@ -34,7 +34,7 @@ from repro.core.listeners import ListenerSet
 from repro.core.register import OperationHandle, RegisterClientBase
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.net.message import Message
-from repro.net.process import Process
+from repro.net.process import Process, WaitState
 
 MSG_GET_TS = "get-ts"
 MSG_TS = "ts"
@@ -146,9 +146,8 @@ class MartinClient(RegisterClientBase):
         tag, oid = handle.tag, handle.oid
         self.send_to_servers(tag, MSG_GET_TS, oid)
         replies = yield self.condition_quorum(
-            tag, MSG_TS, self.config.quorum,
+            tag, MSG_TS, self.config.quorum, oid=oid,
             where=lambda m: (m.sender.is_server and len(m.payload) == 2
-                             and m.payload[0] == oid
                              and isinstance(m.payload[1], int)
                              and m.payload[1] >= 0))
         ts = self._choose_timestamp(
@@ -156,9 +155,8 @@ class MartinClient(RegisterClientBase):
         self.send_to_servers(tag, MSG_STORE, oid, Timestamp(ts + 1, oid),
                              handle.value)
         yield self.condition_quorum(
-            tag, MSG_ACK, self.config.quorum,
-            where=lambda m: (m.sender.is_server and len(m.payload) == 1
-                             and m.payload[0] == oid))
+            tag, MSG_ACK, self.config.quorum, oid=oid,
+            where=lambda m: m.sender.is_server and len(m.payload) == 1)
         self._finish_write(handle)
 
     def _choose_timestamp(self, descending_ts) -> int:
@@ -174,13 +172,13 @@ class MartinClient(RegisterClientBase):
         def valid(message: Message) -> bool:
             payload = message.payload
             return (message.sender.is_server and len(payload) == 3
-                    and payload[0] == oid
                     and isinstance(payload[1], Timestamp)
                     and isinstance(payload[2], bytes))
 
         def check():
             groups: Dict[bytes, Dict[PartyId, Message]] = {}
-            for message in self.inbox.messages(tag, MSG_VALUE, where=valid):
+            for message in self.inbox.messages(tag, MSG_VALUE, where=valid,
+                                               oid=oid):
                 key = encode((message.payload[1], message.payload[2]))
                 groups.setdefault(key, {}).setdefault(
                     message.sender, message)
@@ -189,7 +187,7 @@ class MartinClient(RegisterClientBase):
                     return list(group.values())
             return None
 
-        messages = yield check
+        messages = yield WaitState(check, (tag, MSG_VALUE, oid))
         self.send_to_servers(tag, MSG_READ_COMPLETE, oid)
         first = messages[0]
         self._finish_read(handle, first.payload[2], first.payload[1])

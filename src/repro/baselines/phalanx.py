@@ -94,18 +94,16 @@ class PhalanxClient(RegisterClientBase):
         tag, oid = handle.tag, handle.oid
         self.send_to_servers(tag, MSG_GET_TS, oid)
         replies = yield self.condition_quorum(
-            tag, MSG_TS, self.config.quorum,
+            tag, MSG_TS, self.config.quorum, oid=oid,
             where=lambda m: (m.sender.is_server and len(m.payload) == 2
-                             and m.payload[0] == oid
                              and isinstance(m.payload[1], int)
                              and m.payload[1] >= 0))
         ts = max(message.payload[1] for message in replies)
         self.send_to_servers(tag, MSG_STORE, oid, Timestamp(ts + 1, oid),
                              handle.value)
         yield self.condition_quorum(
-            tag, MSG_ACK, self.config.quorum,
-            where=lambda m: (m.sender.is_server and len(m.payload) == 1
-                             and m.payload[0] == oid))
+            tag, MSG_ACK, self.config.quorum, oid=oid,
+            where=lambda m: m.sender.is_server and len(m.payload) == 1)
         self._finish_write(handle)
 
     # -- read (single round, t+1 support) ------------------------------------
@@ -120,12 +118,13 @@ class PhalanxClient(RegisterClientBase):
             def valid(message: Message, r=round_no) -> bool:
                 payload = message.payload
                 return (message.sender.is_server and len(payload) == 4
-                        and payload[0] == oid and payload[1] == r
+                        and payload[1] == r
                         and isinstance(payload[2], Timestamp)
                         and isinstance(payload[3], bytes))
 
             replies = yield self.condition_quorum(
-                tag, MSG_VALUE_SAFE, self.config.quorum, where=valid)
+                tag, MSG_VALUE_SAFE, self.config.quorum, where=valid,
+                oid=oid)
             counts: Dict[bytes, int] = {}
             best: Optional[Message] = None
             for message in replies:

@@ -40,7 +40,7 @@ from repro.core.listeners import ListenerSet
 from repro.core.register import OperationHandle, RegisterClientBase
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.net.message import Message
-from repro.net.process import Process
+from repro.net.process import Process, WaitState
 
 MSG_GET_TS = "get-ts"
 MSG_TS = "ts"
@@ -302,18 +302,16 @@ class AtomicClient(RegisterClientBase):
         tag, oid = handle.tag, handle.oid
         self.send_to_servers(tag, MSG_GET_TS, oid)
         replies = yield self.condition_quorum(
-            tag, MSG_TS, self.config.quorum,
+            tag, MSG_TS, self.config.quorum, oid=oid,
             where=lambda m: (m.sender.is_server
                              and len(m.payload) >= 2
-                             and m.payload[0] == oid
                              and self._valid_ts_reply(tag, m.payload)))
         broadcast_value = self._choose_broadcast_value(tag, replies)
         disperse(self, disp_tag(tag, oid), handle.value, self.config)
         r_broadcast(self, rbc_tag(tag, oid), broadcast_value)
         yield self.condition_quorum(
-            tag, MSG_ACK, self.config.quorum,
-            where=lambda m: (m.sender.is_server and len(m.payload) >= 1
-                             and m.payload[0] == oid))
+            tag, MSG_ACK, self.config.quorum, oid=oid,
+            where=lambda m: m.sender.is_server)
         self._finish_write(handle)
 
     def _valid_ts_reply(self, tag: str, payload: Tuple[Any, ...]) -> bool:
@@ -343,9 +341,11 @@ class AtomicClient(RegisterClientBase):
         messages agreeing on one ``(commitment, TIMESTAMP)`` pair.
 
         Returns ``(timestamp, commitment, messages)`` for the first such
-        group.  Block validity checks are memoized per message.
+        group.  Block validity checks and the encoding that names a
+        message's group are memoized per message.
         """
         memo: Dict[int, bool] = {}
+        group_memo: Dict[int, bytes] = {}
         scheme = self.config.commitment_scheme
         quorum = self.config.quorum
 
@@ -356,7 +356,6 @@ class AtomicClient(RegisterClientBase):
                 well_formed = (
                     message.sender.is_server
                     and len(payload) == 5
-                    and payload[0] == oid
                     and isinstance(payload[4], Timestamp))
                 cached = well_formed and scheme.verify(
                     payload[1], message.sender.index,
@@ -371,7 +370,8 @@ class AtomicClient(RegisterClientBase):
             return cached
 
         def check():
-            candidates = self.inbox.messages(tag, MSG_VALUE, where=valid)
+            candidates = self.inbox.messages(tag, MSG_VALUE, where=valid,
+                                             oid=oid)
             if self.bounded_memory:
                 # Martin et al.'s bound: keep one entry per server — the
                 # highest-TIMESTAMPed valid message it sent.
@@ -384,7 +384,10 @@ class AtomicClient(RegisterClientBase):
                 candidates = list(latest.values())
             groups: Dict[bytes, Dict[PartyId, Message]] = {}
             for message in candidates:
-                key = encode((message.payload[1], message.payload[4]))
+                key = group_memo.get(message.msg_id)
+                if key is None:
+                    key = group_memo[message.msg_id] = encode(
+                        (message.payload[1], message.payload[4]))
                 group = groups.setdefault(key, {})
                 group.setdefault(message.sender, message)
             for group in groups.values():
@@ -394,4 +397,4 @@ class AtomicClient(RegisterClientBase):
                     return (first.payload[4], first.payload[1], messages)
             return None
 
-        return check
+        return WaitState(check, (tag, MSG_VALUE, oid))

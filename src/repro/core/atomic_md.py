@@ -72,7 +72,7 @@ from repro.core.register import (
 )
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.net.message import Message
-from repro.net.process import Process
+from repro.net.process import Process, WaitState
 
 MSG_GET_TS = "md-get-ts"
 MSG_TS = "md-ts"
@@ -439,10 +439,9 @@ class AtomicMdClient(RegisterClientBase):
         tag, oid = handle.tag, handle.oid
         self.send_to_servers(tag, MSG_GET_TS, oid)
         replies = yield self.condition_quorum(
-            tag, MSG_TS, self.config.quorum,
+            tag, MSG_TS, self.config.quorum, oid=oid,
             where=lambda m: (m.sender.is_server
                              and len(m.payload) == 2
-                             and m.payload[0] == oid
                              and isinstance(m.payload[1], int)
                              and m.payload[1] >= 0))
         ts = max(message.payload[1] for message in replies)
@@ -458,9 +457,8 @@ class AtomicMdClient(RegisterClientBase):
         # Metadata plane: bind every honest server to one (ts, D) pair.
         r_broadcast(self, rbc_tag(tag, oid), (ts, commitment))
         yield self.condition_quorum(
-            tag, MSG_ACK, self.config.quorum,
-            where=lambda m: (m.sender.is_server and len(m.payload) == 1
-                             and m.payload[0] == oid))
+            tag, MSG_ACK, self.config.quorum, oid=oid,
+            where=lambda m: m.sender.is_server and len(m.payload) == 1)
         self._finish_write(handle)
         # Expose the TIMESTAMP the acked write took effect with (the
         # servers adopt exactly ``Timestamp(ts + 1, oid)``) so session
@@ -493,16 +491,13 @@ class AtomicMdClient(RegisterClientBase):
         tag, oid = handle.tag, handle.oid
         self.send_to_servers(tag, MSG_VALIDATE, oid)
         replies = yield self.condition_quorum(
-            tag, MSG_VALID, self.config.quorum,
+            tag, MSG_VALID, self.config.quorum, oid=oid,
             where=lambda m: (m.sender.is_server
                              and len(m.payload) == 2
-                             and m.payload[0] == oid
                              and isinstance(m.payload[1], Timestamp)))
         timestamp = max(message.payload[1] for message in replies)
         self.output(tag, "validate", oid)
-        handle._complete(self.simulator.time, timestamp=timestamp)
-        handle.latency_rounds = self.activation_depth
-        handle.completion_cause = self.activation_msg_id
+        self._complete(handle, timestamp=timestamp)
 
     # -- read ---------------------------------------------------------------
 
@@ -531,6 +526,8 @@ class AtomicMdClient(RegisterClientBase):
         quorum = self.config.quorum
         k = self.config.k
         meta_memo: Dict[int, bool] = {}
+        #: per valid ``md-meta``: the encoding of its (D, TIMESTAMP) pair
+        group_memo: Dict[int, bytes] = {}
         block_memo: Dict[Tuple[int, bytes], bool] = {}
         #: per target key: servers already asked for this version's block
         queried: Dict[bytes, Set[PartyId]] = {}
@@ -541,7 +538,6 @@ class AtomicMdClient(RegisterClientBase):
                 payload = message.payload
                 cached = (message.sender.is_server
                           and len(payload) == 3
-                          and payload[0] == oid
                           and isinstance(payload[2], Timestamp))
                 meta_memo[message.msg_id] = cached
             return cached
@@ -553,7 +549,6 @@ class AtomicMdClient(RegisterClientBase):
                 payload = message.payload
                 well_formed = (message.sender.is_server
                                and len(payload) == 4
-                               and payload[0] == oid
                                and payload[1] == timestamp
                                and isinstance(payload[2], bytes))
                 cached = well_formed and scheme.verify(
@@ -570,10 +565,13 @@ class AtomicMdClient(RegisterClientBase):
 
         def check():
             candidates = self.inbox.messages(tag, MSG_META,
-                                             where=meta_valid)
+                                             where=meta_valid, oid=oid)
             groups: Dict[bytes, Dict[PartyId, Message]] = {}
             for message in candidates:
-                key = encode((message.payload[1], message.payload[2]))
+                key = group_memo.get(message.msg_id)
+                if key is None:
+                    key = group_memo[message.msg_id] = encode(
+                        (message.payload[1], message.payload[2]))
                 groups.setdefault(key, {}).setdefault(message.sender,
                                                       message)
             agreed = [(key, group) for key, group in groups.items()
@@ -584,8 +582,11 @@ class AtomicMdClient(RegisterClientBase):
             # version has the best block availability.
             agreed.sort(key=lambda item: next(
                 iter(item[1].values())).payload[2], reverse=True)
-            fetches = self.inbox.messages(tag, MSG_BLOCK)
-            misses = self.inbox.messages(tag, MSG_BLOCK_MISS)
+            # This read's replies only: an earlier read of the register
+            # has its own buckets, so its blocks cannot be mistaken for
+            # failed answers to this one's requests.
+            fetches = self.inbox.messages(tag, MSG_BLOCK, oid=oid)
+            misses = self.inbox.messages(tag, MSG_BLOCK_MISS, oid=oid)
             for key, group in agreed:
                 first = next(iter(group.values()))
                 commitment = first.payload[1]
@@ -605,7 +606,6 @@ class AtomicMdClient(RegisterClientBase):
                 asked = queried.setdefault(key, set())
                 failed = {message.sender for message in misses
                           if len(message.payload) == 2
-                          and message.payload[0] == oid
                           and message.payload[1] == timestamp}
                 failed.update(
                     message.sender for message in fetches
@@ -625,4 +625,5 @@ class AtomicMdClient(RegisterClientBase):
                     self.send(server, tag, MSG_GET_BLOCK, oid, timestamp)
             return None
 
-        return check
+        return WaitState(check, (tag, MSG_META, oid), (tag, MSG_BLOCK, oid),
+                         (tag, MSG_BLOCK_MISS, oid))

@@ -99,7 +99,6 @@ class AtomicNSServer(AtomicServer):
                 payload = message.payload
                 well_formed = (message.sender.is_server
                                and len(payload) == 2
-                               and payload[0] == oid
                                and isinstance(payload[1], SignatureShare)
                                and payload[1].signer
                                == message.sender.index)
@@ -115,10 +114,13 @@ class AtomicNSServer(AtomicServer):
             return cached
 
         share_messages = yield self.condition_quorum(
-            register_tag, MSG_SHARE, self.config.quorum, where=valid_share)
+            register_tag, MSG_SHARE, self.config.quorum, where=valid_share,
+            oid=oid)
         signature = scheme.combine(
             signed_message,
             [message.payload[1] for message in share_messages])
+        # The round is over: late shares have nothing left to sign.
+        self.inbox.retire(register_tag, oid)
         self._accept_write(register_tag, oid, writer,
                            Timestamp(new_ts, oid), state,
                            signature=signature, ack_payload=(new_ts,))

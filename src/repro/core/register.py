@@ -126,17 +126,23 @@ class RegisterClientBase(Process):
 
     def _finish_write(self, handle: OperationHandle) -> None:
         self.output(handle.tag, "ack", handle.oid)
-        handle._complete(self.simulator.time)
-        handle.latency_rounds = self.activation_depth
-        handle.completion_cause = self.activation_msg_id
+        self._complete(handle)
 
     def _finish_read(self, handle: OperationHandle, value: bytes,
                      timestamp: Any) -> None:
         self.output(handle.tag, "read", handle.oid, value)
-        handle._complete(self.simulator.time, result=value,
+        self._complete(handle, result=value, timestamp=timestamp)
+
+    def _complete(self, handle: OperationHandle,
+                  result: Optional[bytes] = None,
+                  timestamp: Any = None) -> None:
+        """Close the operation: stamp the handle from the completing
+        activation and retire what the operation buffered."""
+        handle._complete(self.simulator.time, result=result,
                          timestamp=timestamp)
         handle.latency_rounds = self.activation_depth
         handle.completion_cause = self.activation_msg_id
+        self.inbox.retire(handle.tag, handle.oid)
 
     # -- protocol threads (subclass responsibility) ---------------------------
 

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.common.errors import ConfigurationError
 from repro.crypto.numtheory import is_probable_prime, random_safe_prime
 
 #: Deterministically generated safe-prime pairs ``(p, q)`` keyed by bit size.
 #: Generated once with ``random_safe_prime`` from seeds 20060206/20060207
-#: (the paper's date) and verified on import.
+#: (the paper's date); a pair is verified the first time
+#: :func:`precomputed_modulus` hands it out.
 PRECOMPUTED_SAFE_PRIMES = {
     128: (0xD1C90F34E4738697A7E366588AA77143,
           0x8BD1D78849FAB3CEA50DF512FFB5833B),
@@ -79,32 +81,41 @@ def generate_modulus(bits: int, rng: random.Random) -> RsaModulus:
     return RsaModulus(n=p * q, p=p, q=q)
 
 
+#: Moduli of the pairs verified so far, by per-prime size.  Primality
+#: tests on all four pairs cost more than a third of the package's
+#: import, and most runs never sign, so each pair pays on first use.
+_VERIFIED_MODULI: Dict[int, RsaModulus] = {}
+
+
 def precomputed_modulus(prime_bits: int = 256) -> RsaModulus:
     """Return a modulus built from precomputed safe primes.
 
     ``prime_bits`` selects the per-prime size; the modulus has about twice
     that many bits.  Available sizes: ``sorted(PRECOMPUTED_SAFE_PRIMES)``.
+    No modulus is built from a pair that has not passed the safe-prime
+    check.
     """
-    try:
-        p, q = PRECOMPUTED_SAFE_PRIMES[prime_bits]
-    except KeyError:
-        sizes = sorted(PRECOMPUTED_SAFE_PRIMES)
-        raise ConfigurationError(
-            f"no precomputed safe primes of {prime_bits} bits; "
-            f"available sizes: {sizes}") from None
-    return RsaModulus(n=p * q, p=p, q=q)
+    modulus = _VERIFIED_MODULI.get(prime_bits)
+    if modulus is None:
+        try:
+            p, q = PRECOMPUTED_SAFE_PRIMES[prime_bits]
+        except KeyError:
+            sizes = sorted(PRECOMPUTED_SAFE_PRIMES)
+            raise ConfigurationError(
+                f"no precomputed safe primes of {prime_bits} bits; "
+                f"available sizes: {sizes}") from None
+        _verify_pair(prime_bits, p, q)
+        modulus = _VERIFIED_MODULI[prime_bits] = RsaModulus(
+            n=p * q, p=p, q=q)
+    return modulus
 
 
-def _verify_precomputed() -> None:
-    for bits, (p, q) in PRECOMPUTED_SAFE_PRIMES.items():
-        for prime in (p, q):
-            if prime.bit_length() != bits:
-                raise ConfigurationError(
-                    f"precomputed prime has wrong size ({bits})")
-            if not is_probable_prime(prime) or \
-                    not is_probable_prime((prime - 1) // 2):
-                raise ConfigurationError(
-                    f"precomputed value of {bits} bits is not a safe prime")
-
-
-_verify_precomputed()
+def _verify_pair(bits: int, p: int, q: int) -> None:
+    for prime in (p, q):
+        if prime.bit_length() != bits:
+            raise ConfigurationError(
+                f"precomputed prime has wrong size ({bits})")
+        if not is_probable_prime(prime) or \
+                not is_probable_prime((prime - 1) // 2):
+            raise ConfigurationError(
+                f"precomputed value of {bits} bits is not a safe prime")

@@ -63,8 +63,9 @@ def run(writer_counts: Sequence[int] = (1, 2, 3, 4), readers: int = 4,
             HistoryRecorder(cluster, TAG).check()
         except Exception:
             atomic = False
-        reader = cluster.client(clients)
-        value_messages = len(reader.inbox.messages(TAG, MSG_VALUE))
+        # the dedicated reader is the only party ever sent a value
+        value_messages = cluster.simulator.metrics.messages_by_mtype(
+            TAG).get(MSG_VALUE, 0)
         rows.append(ConcurrencyRow(
             protocol=protocol, writers=writers,
             operations=len(operations),

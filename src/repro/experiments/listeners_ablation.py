@@ -83,8 +83,9 @@ def run(write_counts: Sequence[int] = (0, 2, 4, 8), reads: int = 4,
                 total_rounds = sum(client.read_rounds.values())
             else:
                 total_rounds = reads  # listeners: exactly one query each
-            read_traffic = sum(
-                1 for message in client.inbox.messages(TAG, "value"))
+            # the reader is the only party ever sent a value
+            read_traffic = cluster.simulator.metrics.messages_by_mtype(
+                TAG).get("value", 0)
             rows.append(AblationRow(
                 variant=variant, concurrent_writes=writes, reads=reads,
                 rounds_per_read=total_rounds / reads,

@@ -41,7 +41,7 @@ class CrashServer(Process):
         self.config = config
 
     def receive(self, message: Message) -> None:
-        self.inbox.add(message)  # reads its buffer, does nothing
+        pass  # delivered, never read
 
 
 class InflatorServer(AtomicServer):

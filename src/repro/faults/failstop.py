@@ -40,8 +40,8 @@ TRIGGERS = ("messages", "decisions")
 class _FailStopMixin:
     """Honest behaviour until the trigger clock passes ``crash_after``.
 
-    After the crash point, received messages are still buffered (the
-    paper's model always delivers) but never processed, and the parked
+    After the crash point, received messages are delivered (the paper's
+    model always delivers) but never processed or kept, and the parked
     threads never resume — exactly a fail-stop party.
 
     With ``recover_after`` set, the crash is transient: once the
@@ -101,8 +101,7 @@ class _FailStopMixin:
     def receive(self, message: Message) -> None:  # type: ignore[override]
         if self.crashed:
             if self._recover_after is None:
-                self.inbox.add(message)
-                return
+                return  # down for good: nothing will ever read it
             self._down_buffer.append(message)
             if self._recovery_due():
                 self._recovered = True

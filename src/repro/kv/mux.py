@@ -373,6 +373,14 @@ class KvClientHost(_KvMuxProcess):
         self._client_cls = client_cls
         self._inner_clients: Dict[int, Tuple[RegisterClientBase,
                                              ShardBus]] = {}
+        #: deliveries processed so far: an inner operation can complete
+        #: only inside one, so a session that has seen this count has
+        #: nothing new to reap.
+        self.activations = 0
+
+    def receive(self, message: Message) -> None:
+        self.activations += 1
+        super().receive(message)
 
     def inner_client(self, shard_id: int) -> RegisterClientBase:
         """The (lazily created) inner client for ``shard_id``."""

@@ -174,6 +174,11 @@ class KvSession:
         #: complete), and the generation currently admitted under.
         self._pending_directory: Optional[KvDirectory] = None
         self.epoch = directory.epoch
+        #: whether a queued submission, an announcement or a retry
+        #: since the last pump may have given it work, and the host
+        #: activation count that pump saw.
+        self._touched = False
+        self._pumped_at = host.activations
 
     # -- submission --------------------------------------------------------
 
@@ -209,7 +214,7 @@ class KvSession:
         self._admission_check()
         op = _QueuedOp(kind=KIND_WRITE, key=key, shard=shard, value=value,
                        handles=[handle], epoch=epoch)
-        self._queue.append(op)
+        self._enqueue(op)
         self._coalescible[key] = op
         self.handles.append(handle)
         return handle
@@ -262,7 +267,7 @@ class KvSession:
             self._count("miss")
         op = _QueuedOp(kind=KIND_READ, key=key, shard=shard, value=None,
                        handles=[handle], cached=entry, epoch=epoch)
-        self._queue.append(op)
+        self._enqueue(op)
         self._coalescible.pop(key, None)
         if self.cache.enabled:
             self._shareable[key] = op
@@ -274,6 +279,12 @@ class KvSession:
             raise BackpressureError(
                 f"session {self.index}: queue full "
                 f"({self.max_queue} operations awaiting admission)")
+
+    def _enqueue(self, op: _QueuedOp) -> None:
+        """Take a queue slot: the one way a submission gives the next
+        pump work (coalesced, joined and lease-served ones do not)."""
+        self._queue.append(op)
+        self._touched = True
 
     def _now(self) -> int:
         return self.host._require_simulator().time
@@ -298,8 +309,17 @@ class KvSession:
 
         Returns the number of state changes (completions, fallback
         reads, admissions, epoch swaps) — the drive loop's progress
-        signal.
+        signal.  Each pump leaves nothing it could still do, so a call
+        is a no-op unless something happened since the last one: a
+        submission that took a queue slot, a reconfiguration
+        announcement, a retry round, or an activation of the host (the
+        only place an inner operation completes).
         """
+        activations = self.host.activations
+        if not self._touched and activations == self._pumped_at:
+            return 0
+        self._touched = False
+        self._pumped_at = activations
         changed = self._reap()
         changed += self._try_epoch_swap()
         changed += self._admit()
@@ -323,6 +343,7 @@ class KvSession:
         """
         if directory.epoch <= self.epoch:
             return  # stale or duplicate announcement: already there
+        self._touched = True
         self._pending_directory = directory
         self._try_epoch_swap()
 
@@ -544,6 +565,7 @@ class KvSession:
         reads.  Returns the number of re-invocations; zero means the
         retry budget is spent.
         """
+        self._touched = True
         retried = 0
         for shard, entries in self._inflight.items():
             client = None

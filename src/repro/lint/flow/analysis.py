@@ -42,11 +42,13 @@ from repro.lint.flow.registry import (
     CLEAN_RESULT_CALLS,
     COMPLETION_SINKS,
     CONDITION_CALLS,
+    DECLARED_OID_KEYWORD,
     DECODE_SINKS,
     DISPATCH_SINKS,
     INBOX_QUERY_CALLS,
     SANITIZERISH_RE,
     SEND_SINKS,
+    WAIT_STATE_CALL,
     TaintRegistry,
 )
 
@@ -756,9 +758,11 @@ class FunctionAnalysis:
         resumes with the condition's result: a collection of messages
         from other parties, sanitized only when the ``where=``
         predicate validates payloads.  Yields of locally-built check
-        closures resume with whatever the closure returned — those
-        closures are analyzed inline, so their own sinks are covered,
-        and their results are treated as clean here."""
+        closures — bare, or wrapped in ``WaitState(check, keys...)`` to
+        declare the buckets they read — resume with whatever the
+        closure returned: those closures are analyzed inline, so their
+        own sinks are covered, and their results are treated as clean
+        here."""
         inner = getattr(node, "value", None)
         if inner is None:
             return CLEAN
@@ -768,9 +772,16 @@ class FunctionAnalysis:
                 self._eval_call(inner, check_sinks)
                 return CLEAN if self._where_validates(inner) \
                     else CARRIER_LIST
+            if name == WAIT_STATE_CALL and inner.args:
+                inner = inner.args[0]
         return self._eval(inner, check_sinks)
 
     def _where_validates(self, call: ast.Call) -> bool:
+        for kw in call.keywords:
+            if kw.arg == DECLARED_OID_KEYWORD and not (
+                    isinstance(kw.value, ast.Constant)
+                    and kw.value.value is None):
+                return True  # the index pins payload[0] to the oid
         for kw in call.keywords:
             if kw.arg != "where":
                 continue

@@ -48,6 +48,17 @@ CONDITION_CALLS: Tuple[str, ...] = ("condition_quorum", "condition_message")
 #: Inbox query methods (must be called on an ``inbox`` receiver).
 INBOX_QUERY_CALLS: Tuple[str, ...] = ("messages", "first_per_sender")
 
+#: Keyword by which a condition or inbox query names its operation.
+#: The inbox files a message under ``payload[0]`` only when that is an
+#: exact ``str``, so a declared ``oid=`` is an equality pin on
+#: payload-derived data made by the index instead of the predicate.
+DECLARED_OID_KEYWORD = "oid"
+
+#: Wrapper that declares the buckets a hand-written check closure
+#: reads; yielding it is yielding the closure (its first argument), and
+#: the handler pack counts each declared bucket as a receive site.
+WAIT_STATE_CALL = "WaitState"
+
 
 @dataclass(frozen=True)
 class Sanitizer:

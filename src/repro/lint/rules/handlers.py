@@ -2,12 +2,13 @@
 
 Every message type string that is ever sent must have a receive site
 somewhere — an ``on(mtype, ...)`` dispatch registration, a
-``condition_quorum``/``condition_message`` wait, or a direct inbox
-query — and every receive site must correspond to a message that some
-process actually sends.  A sent-but-unhandled message silently
-disappears into inboxes (a liveness bug waiting for a schedule that
-exposes it); a handled-but-never-sent type is dead dispatch code or a
-typo in a tag string.
+``condition_quorum``/``condition_message`` wait, a direct inbox query,
+or a ``(tag, mtype, oid)`` bucket a ``WaitState`` declares — and every
+receive site must correspond to a message that some process actually
+sends.  A sent-but-unhandled message silently disappears into inboxes
+(a liveness bug waiting for a schedule that exposes it); a
+handled-but-never-sent type is dead dispatch code or a typo in a tag
+string.
 
 * ``handler-unhandled`` — a send site whose message type has no
   receive site anywhere in scope.
@@ -32,6 +33,7 @@ from repro.lint.astutil import str_constant, terminal_name
 from repro.lint.config import LintConfig
 from repro.lint.engine import ModuleInfo, Project
 from repro.lint.findings import Finding
+from repro.lint.flow.registry import WAIT_STATE_CALL
 
 RULE_UNHANDLED = "handler-unhandled"
 RULE_ORPHAN = "handler-orphan"
@@ -171,6 +173,15 @@ class HandlerCompletenessRule:
                 if (arg.id in params
                         and func_name not in _SEND_MTYPE_INDEX):
                     wrappers[func_name] = params.index(arg.id)
+        elif fname == WAIT_STATE_CALL:
+            # every argument after the check closure is a
+            # ``(tag, mtype, oid)`` bucket the closure waits on
+            for key in node.args[1:]:
+                if isinstance(key, ast.Tuple) and len(key.elts) == 3:
+                    mtype = _resolve_mtype(key.elts[1], module.constants)
+                    if mtype is not None:
+                        receives.append(
+                            _Site(mtype, module.dotted, node.lineno))
         elif fname in _RECEIVE_MTYPE_INDEX:
             if fname in _INBOX_ONLY:
                 receiver = (node.func.value

@@ -15,7 +15,7 @@ from repro.net.message import (
     Message,
 )
 from repro.net.metrics import Metrics
-from repro.net.process import Process
+from repro.net.process import Process, WaitState
 from repro.net.schedulers import (
     FifoScheduler,
     PartitionScheduler,
@@ -36,6 +36,7 @@ __all__ = [
     "Message",
     "Metrics",
     "Process",
+    "WaitState",
     "FifoScheduler",
     "PartitionScheduler",
     "PriorityScheduler",

@@ -19,30 +19,62 @@ truthy.  This is a direct transcription of the pseudo-code, e.g.::
 
 Local per-thread variables are generator locals; instance attributes are
 the paper's per-instance global variables.
+
+What a delivery costs depends only on what it can change.  A message
+whose type has an ``on()`` handler is consumed by the handler and never
+buffered; everything else goes to the :class:`~repro.net.inbox.Inbox`
+(which states the retention rule).  A wait state built by
+:meth:`Process.condition_quorum` / :meth:`Process.condition_message`, or
+wrapped in :class:`WaitState`, names the ``(tag, mtype, oid)`` buckets it
+reads, so an activation re-checks only the parked threads the arriving
+message can satisfy; a bare callable names nothing and is re-checked on
+every activation.
 """
 
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.ids import PartyId
-from repro.net.inbox import Inbox
+from repro.net.inbox import Inbox, WaitKey
 from repro.net.message import Message, content_wire_size
 
 Condition = Callable[[], Any]
 Handler = Callable[[Message], Any]
 
 
-class _Thread:
-    """A parked protocol thread: a generator plus its wait condition."""
+class WaitState:
+    """A wait-state condition that names the inbox buckets it reads.
 
-    __slots__ = ("generator", "condition")
+    ``keys`` are ``(tag, mtype, oid)`` triples (``oid`` ``None`` = the
+    whole ``(tag, mtype)`` key).  The condition must be a function of
+    those buckets and its own closure only: the process re-evaluates it
+    when a message joins one of them, and at no other time.
+    """
+
+    __slots__ = ("check", "keys")
+
+    def __init__(self, check: Condition, *keys: WaitKey):
+        self.check = check
+        self.keys = keys
+
+    def __call__(self) -> Any:
+        return self.check()
+
+
+class _Thread:
+    """A parked protocol thread: a generator, its wait condition, and
+    the buckets the condition declared (``None``: declared nothing)."""
+
+    __slots__ = ("generator", "condition", "keys")
 
     def __init__(self, generator: Generator, condition: Condition):
         self.generator = generator
         self.condition = condition
+        self.keys: Optional[Tuple[WaitKey, ...]] = \
+            getattr(condition, "keys", None)
 
 
 class Process:
@@ -58,6 +90,8 @@ class Process:
         self.inbox = Inbox()
         self.simulator = None  # set by Simulator.add_process
         self._handlers: Dict[str, List[Handler]] = {}
+        #: handled message types that are buffered as well (``retain``)
+        self._retained: Set[str] = set()
         self._threads: List[_Thread] = []
         self._pumping = False
         #: causal depth of the delivery currently being processed (0 when
@@ -110,13 +144,19 @@ class Process:
 
     # -- handlers and threads ----------------------------------------------
 
-    def on(self, mtype: str, handler: Handler) -> None:
+    def on(self, mtype: str, handler: Handler,
+           retain: bool = False) -> None:
         """Register an ``upon receiving (_, mtype, ...)`` handler.
 
         Plain callables run to completion; generator functions become
-        threads that may enter wait states.
+        threads that may enter wait states.  The handler consumes the
+        message: it is not buffered, so no wait state can read it —
+        unless ``retain`` says this protocol's wait states count
+        messages of this type too (parking on a consumed type raises).
         """
         self._handlers.setdefault(mtype, []).append(handler)
+        if retain:
+            self._retained.add(mtype)
 
     def start_thread(self, generator: Generator) -> None:
         """Start a protocol thread, running it until its first wait state."""
@@ -136,34 +176,52 @@ class Process:
                     f"got {condition!r}")
             result = condition()
             if not result:
-                self._threads.append(_Thread(generator, condition))
+                self._park(_Thread(generator, condition))
                 return
             try:
                 condition = generator.send(result)
             except StopIteration:
                 return
 
+    def _park(self, thread: _Thread) -> None:
+        for _, mtype, _ in thread.keys or ():
+            if mtype in self._handlers and mtype not in self._retained:
+                raise SimulationError(
+                    f"{self.pid}: wait state on {mtype!r}, which its "
+                    f"handler consumes; register it with retain=True")
+        self._threads.append(thread)
+
     # -- activation ---------------------------------------------------------
 
     def receive(self, message: Message) -> None:
-        """Deliver a message: buffer it, fire handlers, pump threads."""
-        self.inbox.add(message)
+        """Deliver a message: fire its handlers or buffer it, then pump
+        the threads it can wake."""
+        mtype = message.mtype
+        handlers = self._handlers.get(mtype)
+        arrived = None
+        if handlers is None or mtype in self._retained:
+            arrived = self.inbox.add(message)
         self.activation_depth = message.depth
         self.activation_msg_id = message.msg_id
         try:
-            handlers = self._handlers.get(message.mtype)
             if handlers is not None:
                 for handler in handlers:
                     result = handler(message)
                     if type(result) is GeneratorType:
                         self._advance(result, None)
-            self._pump()
+            self._pump(arrived)
         finally:
             self.activation_depth = 0
             self.activation_msg_id = None
 
-    def _pump(self) -> None:
+    def _pump(self, arrived: Optional[WaitKey] = None) -> None:
         """Resume parked threads until no condition is satisfied.
+
+        ``arrived`` is the bucket the activating message joined (``None``
+        when nothing was buffered): threads that declared their buckets
+        are re-checked only if it is one of them, in parking order like
+        everything else, so resumption order is what checking every
+        thread would give.
 
         Re-entrant calls (a resumed thread starting another thread, which
         calls back into the pump) are absorbed by the guard: the outermost
@@ -172,6 +230,7 @@ class Process:
         """
         if self._pumping or not self._threads:
             return
+        whole_key = None if arrived is None else arrived[:2] + (None,)
         self._pumping = True
         try:
             progress = True
@@ -180,6 +239,10 @@ class Process:
                 for thread in list(self._threads):
                     if thread not in self._threads:
                         continue  # resumed by a nested _advance already
+                    keys = thread.keys
+                    if keys is not None and arrived not in keys \
+                            and whole_key not in keys:
+                        continue  # nothing it reads has changed
                     result = thread.condition()
                     if result:
                         self._threads.remove(thread)
@@ -221,10 +284,11 @@ class Process:
     # -- wait-state condition builders ------------------------------------------
 
     def condition_quorum(self, tag: str, mtype: str, count: int,
-                         where: Optional[Callable[[Message], bool]] = None
-                         ) -> Condition:
+                         where: Optional[Callable[[Message], bool]] = None,
+                         oid: Optional[str] = None) -> Condition:
         """Condition: ``count`` messages from distinct senders; returns the
-        earliest matching message of each sender.
+        earliest matching message of each sender.  ``oid`` restricts the
+        wait to one operation's bucket (see :class:`WaitState`).
 
         When a tracer is attached to the simulator (:mod:`repro.obs`),
         the first satisfaction is reported as a quorum release carrying
@@ -235,7 +299,7 @@ class Process:
 
         def check():
             nonlocal released
-            matching = self.inbox.first_per_sender(tag, mtype, where)
+            matching = self.inbox.first_per_sender(tag, mtype, where, oid)
             if len(matching) >= count:
                 if not released:
                     released = True
@@ -243,7 +307,7 @@ class Process:
                 return matching
             return None
 
-        return check
+        return WaitState(check, (tag, mtype, oid))
 
     def _notify_quorum_release(self, tag: str, mtype: str, count: int,
                                matching: List[Message]) -> None:
@@ -259,15 +323,15 @@ class Process:
             releasing_msg_id=self.activation_msg_id)
 
     def condition_message(self, tag: str, mtype: str,
-                          where: Optional[Callable[[Message], bool]] = None
-                          ) -> Condition:
+                          where: Optional[Callable[[Message], bool]] = None,
+                          oid: Optional[str] = None) -> Condition:
         """Condition: at least one matching message; returns the first."""
 
         def check():
-            matching = self.inbox.messages(tag, mtype, where)
+            matching = self.inbox.messages(tag, mtype, where, oid)
             return matching[0] if matching else None
 
-        return check
+        return WaitState(check, (tag, mtype, oid))
 
     # -- introspection ----------------------------------------------------------
 

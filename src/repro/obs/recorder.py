@@ -248,7 +248,9 @@ class TraceRecorder:
         if depth is None:
             depth = self._inbox_depth[recipient] = \
                 self.registry.gauge(f"inbox.depth[{recipient}]")
-        depth.set(inbox_depth + 1)
+        # what the recipient's buffer held when this delivery arrived:
+        # live depth, which retirement brings back down
+        depth.set(inbox_depth)
         self._in_flight().set(pending)
 
     def _in_flight(self) -> Gauge:

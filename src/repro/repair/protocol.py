@@ -79,9 +79,7 @@ class RepairClient(AtomicMdClient):
             # cross-checksum never vouched for.  Fail loudly instead.
             handle.repair_failed = True
             self.output(tag, "repair-failed", oid, timestamp)
-            handle._complete(self.simulator.time, timestamp=timestamp)
-            handle.latency_rounds = self.activation_depth
-            handle.completion_cause = self.activation_msg_id
+            self._complete(handle, timestamp=timestamp)
             return
         target = server_id(target_index)
         self.send(target, tag, MSG_REPAIR, oid, timestamp, commitment,
@@ -90,11 +88,9 @@ class RepairClient(AtomicMdClient):
         # server, so a single matching ack from *that* sender completes.
         yield self.condition_quorum(
             tag, MSG_REPAIR_ACK, 1,  # lint: disable=quorum-literal
+            oid=oid,
             where=lambda m: (m.sender == target
                              and len(m.payload) == 2
-                             and m.payload[0] == oid
                              and m.payload[1] == timestamp))
         self.output(tag, "repair", oid, timestamp)
-        handle._complete(self.simulator.time, timestamp=timestamp)
-        handle.latency_rounds = self.activation_depth
-        handle.completion_cause = self.activation_msg_id
+        self._complete(handle, timestamp=timestamp)

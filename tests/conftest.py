@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.config import SystemConfig
 from repro.net.schedulers import RandomScheduler
+from repro.obs import TraceRecorder
 
 
 @pytest.fixture
@@ -33,3 +34,24 @@ def atomic_ns_cluster(config41):
     """A ready-to-use Protocol AtomicNS cluster with two clients."""
     return build_cluster(config41, protocol="atomic_ns", num_clients=2,
                          scheduler=RandomScheduler(1))
+
+
+class _DeliveryLog(TraceRecorder):
+    """A recorder that keeps every message it is told was delivered."""
+
+    def __init__(self):
+        super().__init__()
+        self.delivered = []
+
+    def on_deliver(self, message, time, inbox_depth=0, pending=0):
+        self.delivered.append(message)
+        super().on_deliver(message, time, inbox_depth=inbox_depth,
+                           pending=pending)
+
+
+@pytest.fixture
+def log_deliveries():
+    """``log_deliveries(simulator)`` attaches a tracer and returns the
+    list it appends each delivered message to — the delivery log tests
+    read, since inboxes keep only what a wait state may still read."""
+    return lambda simulator: _DeliveryLog().attach(simulator).delivered

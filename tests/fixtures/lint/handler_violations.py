@@ -24,3 +24,15 @@ class BadDispatch:
 
     def _on_ping(self, message):
         pass
+
+
+MSG_DECLARED = "declared-reply"
+MSG_DECLARED_NEVER = "declared-never-sent"
+
+
+class DeclaredWait:
+    def ask(self, recipient, tag, oid, check):
+        # The reply's only receive site is the bucket the wait declares.
+        self.process.send(recipient, tag, MSG_DECLARED, oid)
+        yield WaitState(check, (tag, MSG_DECLARED, oid))
+        yield WaitState(check, (tag, MSG_DECLARED_NEVER, oid))  # line 38

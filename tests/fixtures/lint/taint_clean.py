@@ -40,3 +40,13 @@ class CleanServer:
         # are sanitized collections.
         for reply in replies:
             self.state["vote"] = reply.payload[0]
+
+    def run_declared_round(self, tag, oid):
+        replies = yield self.condition_quorum(
+            tag, "vote", 3, oid=oid,
+            where=lambda m: m.sender.is_server)
+        # Naming the operation is the index's equality pin on
+        # payload[0], so the bucket's messages are sanitized like any
+        # the predicate had pinned itself.
+        for reply in replies:
+            self.state["vote"] = reply.payload[0]

@@ -188,6 +188,24 @@ def test_fault_free_read_fetches_exactly_k_blocks():
     assert counts.get(MSG_BLOCK, 0) == cluster.config.k
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_repeated_reads_of_a_register_each_fetch_exactly_k_blocks(seed):
+    """Regression: the reader used to take the ``md-block`` replies of
+    its *earlier* reads of the register — still in its buffer, under
+    their own oids — for failed answers to this read's requests, and
+    escalated to servers it never needed."""
+    cluster = _cluster(n=7, t=2, seed=seed)
+    cluster.write(1, "reg", "w1", b"z" * 64)
+    metrics = cluster.simulator.metrics
+    for index in range(3):
+        before = metrics.messages_by_mtype("reg").get(MSG_GET_BLOCK, 0)
+        assert cluster.read(2, "reg", f"r{index}").result == b"z" * 64
+        cluster.run()
+        fetched = metrics.messages_by_mtype("reg")[MSG_GET_BLOCK] - before
+        assert fetched == cluster.config.k, f"read {index}"
+    assert MSG_BLOCK_MISS not in metrics.messages_by_mtype("reg")
+
+
 # -- metadata-only revalidation -----------------------------------------------
 
 def test_write_handle_exposes_the_adopted_timestamp():

@@ -17,7 +17,8 @@ from repro.workloads.generator import random_workload, run_workload
 TAG = "reg"
 
 
-def _run_with_crash_point(protocol, server_cls, crash_after, seed=0):
+def _run_with_crash_point(protocol, server_cls, crash_after, seed=0,
+                          before_run=None):
     config = SystemConfig(n=4, t=1, seed=seed)
     cluster = build_cluster(
         config, protocol=protocol, num_clients=2,
@@ -25,6 +26,8 @@ def _run_with_crash_point(protocol, server_cls, crash_after, seed=0):
         server_overrides={
             2: lambda pid, cfg: server_cls(pid, cfg,
                                            crash_after=crash_after)})
+    if before_run is not None:
+        before_run(cluster)
     operations = random_workload(2, writes=2, reads=2, seed=seed)
     run_workload(cluster, TAG, operations, seed=seed)
     honest = [server.pid for index, server
@@ -66,11 +69,20 @@ def test_server_that_never_crashes_counts_as_honest():
     assert not cluster.server(2).crashed
 
 
-def test_crashed_server_buffers_but_ignores():
-    cluster = _run_with_crash_point("atomic", FailStopServer, 1)
+def test_crashed_server_is_delivered_to_but_ignores(log_deliveries):
+    logs = []
+    cluster = _run_with_crash_point(
+        "atomic", FailStopServer, 1,
+        before_run=lambda c: logs.append(log_deliveries(c.simulator)))
     server = cluster.server(2)
     assert server.crashed
-    assert len(server.inbox) > 1  # deliveries continued into the buffer
+    # deliveries continued (the model always delivers) ...
+    assert sum(1 for message in logs[0]
+               if message.recipient == server.pid) > 1
+    # ... but only the one before the crash point was processed, and a
+    # host that is down for good keeps nothing
+    assert server._delivered == 1
+    assert len(server.inbox) == 0
 
 
 def _run_with_recovery(protocol, server_cls, crash_after, recover_after,

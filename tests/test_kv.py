@@ -45,6 +45,7 @@ from repro.kv import (
 )
 from repro.net.schedulers import RandomScheduler
 from repro.obs import TraceRecorder
+from repro.repair.reconfig import next_generation
 from repro.workloads.kv import KvOp, key_names, kv_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -112,18 +113,16 @@ def test_kv_entry_roundtrips_through_canonical_encoding():
 def test_live_kv_envelopes_roundtrip_on_the_wire():
     directory = KvDirectory(FLEET, 2)
     cluster = build_kv_cluster(directory, num_sessions=2)
+    spy = _SendSpy().attach(cluster.simulator)
     drive(cluster, kv_workload(num_sessions=2, num_keys=4, ops=8, seed=3),
           seed=3)
-    seen = 0
-    for process in cluster.simulator.processes:
-        for messages in process.inbox._by_key.values():
-            for message in messages:
-                wire = encode((message.tag, message.mtype,
-                               message.payload))
-                assert decode(wire) == (message.tag, message.mtype,
-                                        message.payload)
-                seen += 1
-    assert seen > 0
+    envelopes = [message for message in spy.sent
+                 if message.mtype == MSG_KV_BATCH]
+    assert envelopes
+    for message in envelopes:
+        wire = encode((message.tag, message.mtype, message.payload))
+        assert decode(wire) == (message.tag, message.mtype,
+                                message.payload)
 
 
 # -- size accounting ------------------------------------------------------------
@@ -304,6 +303,54 @@ def test_retry_budget_is_bounded():
     assert session.retry_pending() == 1  # attempt 2 of 2
     assert session.retry_pending() == 0  # budget spent
     cluster.settle()
+
+
+def test_pump_works_only_when_its_outcome_could_have_changed(monkeypatch):
+    """``drive`` polls every session on every step; a poll does work
+    only after a submission, a reconfiguration announcement, a retry
+    round or an activation of the session's host.  Counted, not timed."""
+    cluster = build_kv_cluster(KvDirectory(FLEET, 2), num_sessions=2)
+    session = cluster.session(1)
+    worked = []
+    reap = KvSession._reap
+    monkeypatch.setattr(
+        KvSession, "_reap",
+        lambda self: worked.append(self.index) or reap(self))
+
+    def polls_that_worked():
+        before = len(worked)
+        session.pump()
+        session.pump()  # the second finds nothing left, whatever came
+        return len(worked) - before
+
+    assert polls_that_worked() == 0  # nothing has happened yet
+    handle = session.put("k001", b"v1")
+    assert session.pump() == 1 and session.pump() == 0
+    assert worked == [1]
+    # deliveries to servers (and to the other session's host) are not
+    # this session's business
+    while session.host.activations == 0:
+        assert polls_that_worked() == 0
+        cluster.simulator.step()
+    assert polls_that_worked() == 1  # its host was activated
+    assert session.retry_pending() == 1
+    assert polls_that_worked() == 1
+    session.begin_reconfiguration(next_generation(cluster.directory))
+    assert polls_that_worked() == 1
+    session.get("k001")
+    assert polls_that_worked() == 1
+    cluster.settle()
+    assert handle.done and session.epoch == 1
+
+    worked.clear()
+    polls = []
+    pump = KvSession.pump
+    monkeypatch.setattr(KvSession, "pump",
+                        lambda self: polls.append(self.index) or pump(self))
+    drive(cluster, kv_workload(num_sessions=2, num_keys=4, ops=40, seed=2),
+          seed=2)
+    check_kv_histories(cluster.sessions)
+    assert len(polls) > 4 * len(worked) > 0
 
 
 # -- session accounting -------------------------------------------------------

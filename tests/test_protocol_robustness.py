@@ -115,10 +115,11 @@ def test_forged_ts_replies_ignored_by_writer():
     assert cluster.server(1).register_state(TAG).timestamp.ts == 1
 
 
-def test_forged_acks_do_not_complete_writes():
+def test_forged_acks_do_not_complete_writes(log_deliveries):
     """Acks from a single Byzantine client/party cannot satisfy the
     n - t server quorum."""
     cluster, attacker = _cluster(protocol="atomic")
+    delivered = log_deliveries(cluster.simulator)
     # Stall everything real: send only forged acks for a write that was
     # never dispersed.
     handle = cluster.client(1).invoke_write(TAG, "w1", b"v")
@@ -128,8 +129,9 @@ def test_forged_acks_do_not_complete_writes():
     # the genuine protocol proceeds and completes normally.
     cluster.run()
     assert handle.done  # completed via the real servers
-    acks = cluster.client(1).inbox.messages(TAG, "ack")
-    servers_only = [m for m in acks if m.sender.is_server]
+    servers_only = [m for m in delivered
+                    if (m.tag, m.mtype) == (TAG, "ack")
+                    and m.recipient == client_id(1) and m.sender.is_server]
     assert len(servers_only) >= 3
 
 
@@ -159,8 +161,8 @@ def test_retired_read_oid_cannot_be_resurrected():
     cluster.write(1, TAG, "w1", b"x")
     cluster.read(1, TAG, "r1")
     cluster.run()
-    before = len(cluster.client(2).inbox.messages(TAG, "value"))
+    metrics = cluster.simulator.metrics
+    before = metrics.messages_by_mtype(TAG)["value"]
     attacker.send(server_id(1), TAG, "read", "r1")
     cluster.run()
-    after = len(cluster.client(2).inbox.messages(TAG, "value"))
-    assert after == before
+    assert metrics.messages_by_mtype(TAG)["value"] == before

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.crypto import rsa
 from repro.crypto.numtheory import is_probable_prime
 from repro.crypto.rsa import (
     PRECOMPUTED_SAFE_PRIMES,
@@ -31,6 +32,24 @@ def test_precomputed_modulus_m():
     assert modulus.n == modulus.p * modulus.q
     assert modulus.m == modulus.p_prime * modulus.q_prime
     assert modulus.p_prime == (modulus.p - 1) // 2
+
+
+def test_every_precomputed_size_is_handed_out_verified():
+    for bits, (p, q) in PRECOMPUTED_SAFE_PRIMES.items():
+        modulus = precomputed_modulus(bits)
+        assert (modulus.p, modulus.q) == (p, q)
+        assert precomputed_modulus(bits) is modulus  # verified once
+
+
+def test_unsafe_precomputed_pair_is_never_handed_out(monkeypatch):
+    p, q = PRECOMPUTED_SAFE_PRIMES[128]
+    monkeypatch.setattr(rsa, "_VERIFIED_MODULI", {})
+    for bits, pair in ((64, (p, q)),           # wrong size
+                       (128, (p, q + 2))):     # q + 2 is not prime
+        monkeypatch.setitem(PRECOMPUTED_SAFE_PRIMES, bits, pair)
+        for _ in range(2):  # a failed check is not remembered as passed
+            with pytest.raises(ConfigurationError):
+                precomputed_modulus(bits)
 
 
 def test_precomputed_unknown_size():

@@ -15,19 +15,14 @@ from repro.workloads.generator import random_workload, run_workload
 TAG = "reg"
 
 
-def _assert_all_payloads_roundtrip(cluster):
-    seen = 0
-    for process in cluster.simulator.processes:
-        for key in list(process.inbox._by_key):
-            for message in process.inbox._by_key[key]:
-                wire = encode((message.tag, message.mtype,
-                               message.payload))
-                tag, mtype, payload = decode(wire)
-                assert (tag, mtype, payload) == (
-                    message.tag, message.mtype, message.payload)
-                assert message.wire_size() == len(wire)
-                seen += 1
-    assert seen > 0
+def _assert_all_payloads_roundtrip(delivered):
+    for message in delivered:
+        wire = encode((message.tag, message.mtype, message.payload))
+        tag, mtype, payload = decode(wire)
+        assert (tag, mtype, payload) == (
+            message.tag, message.mtype, message.payload)
+        assert message.wire_size() == len(wire)
+    assert delivered
 
 
 @pytest.mark.parametrize("protocol,n", [
@@ -36,30 +31,33 @@ def _assert_all_payloads_roundtrip(cluster):
     ("no_listeners", 4),
     ("abc", 4),
 ])
-def test_all_protocol_messages_roundtrip(protocol, n):
+def test_all_protocol_messages_roundtrip(protocol, n, log_deliveries):
     cluster = build_cluster(SystemConfig(n=n, t=1), protocol=protocol,
                             num_clients=2,
                             scheduler=RandomScheduler(1))
+    delivered = log_deliveries(cluster.simulator)
     operations = random_workload(2, writes=2, reads=2, seed=1)
     run_workload(cluster, TAG, operations, seed=1)
-    _assert_all_payloads_roundtrip(cluster)
+    _assert_all_payloads_roundtrip(delivered)
 
 
-def test_merkle_mode_messages_roundtrip():
+def test_merkle_mode_messages_roundtrip(log_deliveries):
     cluster = build_cluster(
         SystemConfig(n=4, t=1, commitment="merkle"), protocol="atomic_ns",
         num_clients=1, scheduler=RandomScheduler(2))
+    delivered = log_deliveries(cluster.simulator)
     cluster.write(1, TAG, "w1", b"merkle wire test")
     cluster.read(1, TAG, "r1")
     cluster.run()
-    _assert_all_payloads_roundtrip(cluster)
+    _assert_all_payloads_roundtrip(delivered)
 
 
-def test_shoup_mode_messages_roundtrip():
+def test_shoup_mode_messages_roundtrip(log_deliveries):
     cluster = build_cluster(
         SystemConfig(n=4, t=1, threshold_backend="shoup"),
         protocol="atomic_ns", num_clients=1,
         scheduler=RandomScheduler(3))
+    delivered = log_deliveries(cluster.simulator)
     cluster.write(1, TAG, "w1", b"rsa wire test")
     cluster.run()
-    _assert_all_payloads_roundtrip(cluster)
+    _assert_all_payloads_roundtrip(delivered)
