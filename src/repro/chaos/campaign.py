@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.injector import FaultInjector
 from repro.chaos.library import builtin_plan
 from repro.chaos.plan import FaultPlan
-from repro.cluster import Cluster, build_cluster
+from repro.cluster import PROTOCOLS, Cluster, build_cluster, default_k
 from repro.common.errors import (
     AtomicityViolation,
     ConfigurationError,
@@ -38,13 +38,7 @@ from repro.common.errors import (
 )
 from repro.config import SystemConfig
 from repro.analysis.history import HistoryRecorder
-from repro.faults.failstop import (
-    FailStopMartinServer,
-    FailStopMdServer,
-    FailStopNSServer,
-    FailStopServer,
-)
-from repro.net.schedulers import RandomScheduler
+from repro.faults.failstop import fault_overrides
 from repro.workloads.generator import random_workload, run_workload
 
 TAG = "reg"
@@ -52,14 +46,6 @@ TAG = "reg"
 STATUS_OK = "ok"
 STATUS_STALLED = "stalled"
 STATUS_VIOLATION = "violation"
-
-#: Protocols the campaign can crash servers of (fail-stop subclasses).
-FAILSTOP_SERVERS = {
-    "atomic": FailStopServer,
-    "atomic_ns": FailStopNSServer,
-    "atomic_md": FailStopMdServer,
-    "martin": FailStopMartinServer,
-}
 
 
 @dataclass(frozen=True)
@@ -80,9 +66,7 @@ class RunSpec:
 
     def resolved_k(self) -> Optional[int]:
         """The erasure threshold this run deploys with."""
-        if self.k is None and self.protocol == "atomic_md":
-            return self.t + 1
-        return self.k
+        return default_k(self.protocol, self.t, self.k)
 
     def to_json(self) -> Dict[str, Any]:
         """The spec as a plain JSON-serializable dictionary."""
@@ -128,61 +112,24 @@ class RunResult:
                 "expected": self.expected}
 
 
-def _crash_overrides(spec: RunSpec):
-    """Server overrides implementing the plan's crash schedule."""
-    if not spec.plan.crashes:
-        return None
-    server_cls = FAILSTOP_SERVERS.get(spec.protocol)
-    if server_cls is None:
-        raise ConfigurationError(
-            f"no fail-stop server variant for protocol "
-            f"{spec.protocol!r}; choose from "
-            f"{sorted(FAILSTOP_SERVERS)}")
-    overrides = {}
-    for crash in spec.plan.crashes:
-        overrides[crash.server] = (
-            lambda pid, cfg, _crash=crash: server_cls(
-                pid, cfg, crash_after=_crash.after,
-                recover_after=_crash.recover_after,
-                trigger=_crash.trigger))
-    return overrides
-
-
-def _byzantine_overrides(spec: RunSpec):
-    """Server overrides implementing the plan's Byzantine behaviours.
-
-    The registered behaviours are AtomicMd server subclasses, so plans
-    carrying them only run against the ``atomic_md`` protocol.
-    """
-    if not spec.plan.byzantine:
-        return None
-    if spec.protocol != "atomic_md":
-        raise ConfigurationError(
-            f"byzantine behaviours are AtomicMd server subclasses; plan "
-            f"{spec.plan.name!r} cannot run against protocol "
-            f"{spec.protocol!r}")
-    return {entry.server: entry.server_class()
-            for entry in spec.plan.byzantine}
-
-
 def build_chaos_cluster(spec: RunSpec) -> Tuple[Cluster, FaultInjector]:
     """A cluster wired for one chaos run: seeded scheduler (the plan's
-    adversarial one when present, random otherwise), fail-stop
-    overrides for planned crashes, Byzantine behaviour overrides,
-    fault injector attached."""
+    adversarial one when present, random otherwise), the plan's crashing
+    and Byzantine servers substituted
+    (:func:`~repro.faults.failstop.fault_overrides`), fault injector
+    attached."""
+    if spec.protocol not in PROTOCOLS:
+        raise ConfigurationError(
+            f"unknown protocol {spec.protocol!r}; choose from "
+            f"{sorted(PROTOCOLS)}")
     spec.plan.validate(spec.n, spec.t)
     config = SystemConfig(n=spec.n, t=spec.t, k=spec.resolved_k(),
                           seed=spec.seed)
-    if spec.plan.scheduler is not None:
-        scheduler = spec.plan.scheduler.build(spec.seed)
-    else:
-        scheduler = RandomScheduler(spec.seed)
-    overrides = dict(_crash_overrides(spec) or {})
-    overrides.update(_byzantine_overrides(spec) or {})
-    cluster = build_cluster(config, protocol=spec.protocol,
-                            num_clients=spec.clients,
-                            scheduler=scheduler,
-                            server_overrides=overrides or None)
+    cluster = build_cluster(
+        config, protocol=spec.protocol, num_clients=spec.clients,
+        scheduler=spec.plan.build_scheduler(spec.seed),
+        server_overrides=fault_overrides(
+            spec.plan, PROTOCOLS[spec.protocol][0]))
     injector = FaultInjector(spec.plan)
     cluster.simulator.attach_injector(injector)
     return cluster, injector

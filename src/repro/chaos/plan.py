@@ -449,6 +449,11 @@ class FaultPlan:
         if self.scheduler is not None:
             self.scheduler.validate(n)
 
+    def build_scheduler(self, seed: int):
+        """The seeded scheduler a run under this plan uses: the plan's
+        adversarial one when it names one, the random one otherwise."""
+        return (self.scheduler or SchedulerSpec()).build(seed)
+
     def to_json(self) -> Dict[str, Any]:
         """The plan as a plain JSON-serializable dictionary."""
         doc: Dict[str, Any] = {

@@ -39,7 +39,8 @@ from repro.analysis.trace import (
     operation_summary,
     traffic_summary,
 )
-from repro.cluster import PROTOCOLS, build_cluster
+from repro.cluster import PROTOCOLS, build_cluster, default_k
+from repro.common.errors import ConfigurationError
 from repro.config import SystemConfig
 from repro.net.schedulers import RandomScheduler
 from repro.obs import (
@@ -75,12 +76,8 @@ _EXPERIMENTS = {
 def _traced_run(args: argparse.Namespace) -> tuple:
     """Build a cluster with a tracer attached, run the random workload,
     and return ``(cluster, recorder)``."""
-    k = args.k
-    if k is None and args.protocol == "atomic_md":
-        # the metadata/data separation needs k <= n - 2t; mirror the
-        # campaign/kv-bench default rather than rejecting the run
-        k = args.t + 1
-    config = SystemConfig(n=args.n, t=args.t, k=k,
+    config = SystemConfig(n=args.n, t=args.t,
+                          k=default_k(args.protocol, args.t, args.k),
                           commitment=args.commitment, seed=args.seed)
     cluster = build_cluster(config, protocol=args.protocol,
                             num_clients=args.clients,
@@ -241,211 +238,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_kv_md_compare(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.kv.bench import run_kv_md_comparison
-    from repro.obs.bench import emit_bench
-
-    overrides = ({"sessions": 2, "keys": 8, "ops": 24, "value_size": 32}
-                 if args.smoke else
-                 {"sessions": args.sessions, "keys": args.keys,
-                  "ops": args.ops, "value_size": args.value_size})
-    payload = run_kv_md_comparison(
-        write_ratio=args.write_ratio, distribution=args.distribution,
-        zipf_exponent=args.zipf_exponent, seed=args.seed,
-        shift_every=args.shift_every, **overrides)
-    print(f"{'n':>3} {'t':>2} {'protocol':<10} {'plan':<18} "
-          f"{'ops/tick':>9} {'lin':>4} {'rd md B':>9} {'rd data B':>9} "
-          f"{'fetches':>7} {'miss':>5} {'vfail':>5}")
-    for row in payload["rows"]:
-        print(f"{row['n']:>3} {row['t']:>2} {row['protocol']:<10} "
-              f"{row['plan'] or '-':<18} {row['ops_per_tick']:>9.4f} "
-              f"{'ok' if row['linearizable'] else 'FAIL':>4} "
-              f"{row['read_metadata_bytes']:>9} "
-              f"{row['read_data_bytes']:>9} {row['block_fetches']:>7} "
-              f"{row['block_misses']:>5} {row['verify_failures']:>5}")
-    for entry in payload["summary"]:
-        print(f"\nn={entry['n']} t={entry['t']}: atomic_md reads move "
-              f"{entry['read_data_bytes_ratio']:.2f}x fewer data-plane "
-              f"bytes than atomic_ns")
-    if args.out:
-        path = emit_bench(args.label, payload,
-                          directory=Path(args.out))
-        print(f"wrote {path}")
-    return 0
-
-
-def _cmd_kv_readheavy(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.kv.bench import run_kv_readheavy_comparison
-    from repro.obs.bench import emit_bench
-
-    if args.check:
-        return _check_kv_readheavy(Path(args.check))
-    # The read-heavy comparison is a pinned benchmark (the committed
-    # BENCH_kv_readheavy.json): its workload shape comes from the tuned
-    # function defaults, not the generic sweep flags — only the fleet,
-    # seed, and cache knobs pass through (and --smoke shrinks the run).
-    overrides = ({"sessions": 2, "keys": 4, "ops": 48, "value_size": 32}
-                 if args.smoke else {})
-    payload = run_kv_readheavy_comparison(
-        n=args.n, t=args.t, seed=args.seed,
-        cache_size=args.cache or 32,
-        lease_ticks=args.lease_ticks or 128, **overrides)
-    print(f"{'case':<18} {'rd/tick':>8} {'ticks':>6} {'lin':>4} "
-          f"{'lease':>6} {'reval':>6} {'hits':>5} {'fb':>4}")
-    for row in payload["rows"]:
-        print(f"{row['case']:<18} {row['reads_per_tick']:>8.4f} "
-              f"{row['ticks']:>6} "
-              f"{'ok' if row['linearizable'] else 'FAIL':>4} "
-              f"{row['lease_hits']:>6} {row['revalidations']:>6} "
-              f"{row['revalidate_hits']:>5} "
-              f"{row['revalidate_fallbacks']:>4}")
-    summary = payload["summary"]
-    print(f"\nsession cache: {summary['read_throughput_ratio']:.2f}x "
-          f"read throughput vs uncached atomic_md "
-          f"({'all linearizable' if summary['all_linearizable'] else 'LINEARIZABILITY FAILURES'})")
-    if args.out:
-        label = args.label if args.label != "kv" else "kv_readheavy"
-        path = emit_bench(label, payload, directory=Path(args.out))
-        print(f"wrote {path}")
-    return 0
-
-
-def _check_kv_readheavy(path) -> int:
-    """Validate a committed read-heavy bench payload against the
-    acceptance gates (the CI pin for ``BENCH_kv_readheavy.json``)."""
-    import json
-
-    document = json.loads(path.read_text(encoding="utf-8"))
-    payload = document.get("data", document)
-    rows = {row["case"]: row for row in payload["rows"]}
-    summary = payload["summary"]
-    failures = []
-    required = ("uncached", "cached", "cached+chaos",
-                "cached+byz-stale", "cached+byz-forged")
-    for case in required:
-        if case not in rows:
-            failures.append(f"missing case {case!r}")
-    for case, row in rows.items():
-        if not row["linearizable"]:
-            failures.append(f"case {case!r} is not linearizable")
-    ratio = summary.get("read_throughput_ratio", 0.0)
-    if ratio <= 5.0:
-        failures.append(f"read throughput ratio {ratio} <= 5.0")
-    forged = rows.get("cached+byz-forged")
-    if forged is not None and not forged["revalidate_fallbacks"]:
-        failures.append(
-            "forged-metadata case triggered no full-read fallback")
-    if failures:
-        print(f"readheavy check FAILED for {path}:")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print(f"readheavy check ok: {ratio:.2f}x read throughput, "
-          f"{len(rows)} cases linearizable ({path})")
-    return 0
-
-
-def _cmd_kv_churn(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.obs.bench import emit_bench
-    from repro.repair.bench import run_kv_churn_comparison
-
-    if args.check:
-        return _check_kv_churn(Path(args.check))
-    # The churn comparison is a pinned benchmark (the committed
-    # BENCH_kv_churn.json): the n=7/t=2 deployment and storm timing
-    # come from the tuned function defaults — only the seed passes
-    # through (and --smoke shrinks the workload, not the fleet).
-    overrides = ({"sessions": 2, "keys": 4, "ops": 48,
-                  "first_crash": 20, "stagger": 80, "replace_after": 30}
-                 if args.smoke else {})
-    payload = run_kv_churn_comparison(seed=args.seed, **overrides)
-    print(f"{'case':<16} {'ops/tick':>9} {'done':>5} {'ticks':>6} "
-          f"{'lin':>4} {'alive':>5} {'repl':>5} {'reprs':>6} "
-          f"{'lag':>4} {'live':>5}")
-    for row in payload["rows"]:
-        print(f"{row['case']:<16} {row['ops_per_tick']:>9.4f} "
-              f"{row['completed']:>5} {row['ticks']:>6} "
-              f"{'ok' if row['linearizable'] else 'FAIL':>4} "
-              f"{row['alive_servers']:>5} "
-              f"{row.get('replacements', '-'):>5} "
-              f"{row.get('repairs_completed', '-'):>6} "
-              f"{row.get('repair_lag_final', '-'):>4} "
-              f"{'LOST' if row['liveness_violation'] else 'ok':>5}")
-    summary = payload["summary"]
-    print(f"\nchurn: {summary['throughput_retention']:.1%} of "
-          f"fault-free throughput retained under "
-          f"{summary['replacements']} crash-replace cycles "
-          f"({summary['repairs_completed']} registers re-dispersed, "
-          f"final repair lag {summary['repair_lag_final']}); "
-          f"unrepaired fleet "
-          f"{'lost liveness' if summary['norepair_liveness_violation'] else 'fell below quorum' if summary['norepair_below_quorum'] else 'SURVIVED (unexpected)'}")
-    if args.out:
-        label = args.label if args.label != "kv" else "kv_churn"
-        path = emit_bench(label, payload, directory=Path(args.out))
-        print(f"wrote {path}")
-    return 0
-
-
-def _check_kv_churn(path) -> int:
-    """Validate a committed churn bench payload against the acceptance
-    gates (the CI pin for ``BENCH_kv_churn.json``)."""
-    import json
-
-    document = json.loads(path.read_text(encoding="utf-8"))
-    payload = document.get("data", document)
-    rows = {row["case"]: row for row in payload["rows"]}
-    summary = payload["summary"]
-    failures = []
-    for case in ("faultfree", "churn+repair", "churn-norepair"):
-        if case not in rows:
-            failures.append(f"missing case {case!r}")
-    repaired = rows.get("churn+repair")
-    if repaired is not None:
-        if not repaired["linearizable"]:
-            failures.append("repaired case is not linearizable")
-        if repaired["liveness_violation"]:
-            failures.append("repaired case lost liveness")
-        if repaired["completed"] != repaired["ops"]:
-            failures.append(
-                f"repaired case completed {repaired['completed']} of "
-                f"{repaired['ops']} operations")
-        if repaired["repair_lag_final"] != 0:
-            failures.append(
-                f"repair lag never reached zero "
-                f"({repaired['repair_lag_final']} outstanding)")
-        if not repaired.get("replacements"):
-            failures.append("repaired case replaced no members")
-    retention = summary.get("throughput_retention", 0.0)
-    if retention < 0.9:
-        failures.append(f"throughput retention {retention} < 0.9")
-    if not (summary.get("norepair_liveness_violation")
-            or summary.get("norepair_below_quorum")):
-        failures.append(
-            "unrepaired storm neither lost liveness nor fell below "
-            "quorum — the comparison proves nothing")
-    if failures:
-        print(f"churn check FAILED for {path}:")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print(f"churn check ok: {retention:.1%} throughput retained over "
-          f"{summary['replacements']} replacements, unrepaired fleet "
-          f"degraded as expected ({path})")
-    return 0
-
-
 def _cmd_repair(args: argparse.Namespace) -> int:
     """Operator view of one churn scenario: run the storm with repair
     attached and render the monitor dashboard's repair plane."""
+    from repro.kv.bench import run_kv_case
     from repro.obs.export import health_dashboard
     from repro.obs.health import HealthMonitor
-    from repro.repair.bench import churn_storm_plan, run_kv_churn_case
+    from repro.repair.bench import (
+        CHURN_CASE,
+        churn_columns,
+        churn_storm_plan,
+    )
 
     sessions, keys, ops = ((2, 4, 32) if args.smoke
                            else (args.sessions, args.keys, args.ops))
@@ -454,80 +257,78 @@ def _cmd_repair(args: argparse.Namespace) -> int:
                             stagger=args.stagger,
                             replace_after=args.replace_after)
     monitor = HealthMonitor(bucket_ticks=args.bucket_ticks)
-    row = run_kv_churn_case(
-        num_shards=args.shards, n=args.n, t=args.t, sessions=sessions,
-        keys=keys, ops=ops, write_ratio=0.5, seed=args.seed,
-        value_size=64, plan=plan, repair=True, case="churn+repair",
-        batch_size=args.batch, monitor=monitor)
+    row, cluster = run_kv_case(
+        args.shards, n=args.n, t=args.t, sessions=sessions, keys=keys,
+        ops=ops, seed=args.seed, plan=plan, batch_size=args.batch,
+        monitor=monitor, **CHURN_CASE)
+    repair = churn_columns("churn+repair", cluster, stalled=False)
     print(f"deployment n={args.n} t={args.t} shards={args.shards}: "
-          f"{row['replacements']} members replaced, "
-          f"{row['repairs_completed']} registers re-dispersed "
-          f"({row['repairs_failed']} failed, "
-          f"{row['repair_retries']} retries), "
-          f"final repair lag {row['repair_lag_final']}")
-    print(f"workload: {row['completed']}/{ops} ops completed in "
-          f"{row['ticks']} ticks "
-          f"({'linearizable' if row['linearizable'] else 'LINEARIZABILITY FAILURE'}), "
-          f"sessions at epoch {row['session_epochs']}")
+          f"{repair['replacements']} members replaced, "
+          f"{repair['repairs_completed']} registers re-dispersed "
+          f"({repair['repairs_failed']} failed, "
+          f"{repair['repair_retries']} retries), "
+          f"final repair lag {repair['repair_lag_final']}")
+    print(f"workload: {row.completed}/{ops} ops completed in "
+          f"{row.ticks} ticks "
+          f"({'linearizable' if row.linearizable else 'LINEARIZABILITY FAILURE'}), "
+          f"sessions at epoch {repair['session_epochs']}")
     print()
     print(health_dashboard(monitor))
     return 0
 
 
 def _cmd_kv_bench(args: argparse.Namespace) -> int:
-    from repro.kv.bench import run_kv_bench
+    import json
+    from pathlib import Path
+
+    from repro.experiments.common import render_table
+    from repro.kv.bench import (
+        MD_COMPARE,
+        READHEAVY,
+        SWEEP,
+        check_comparison,
+        run_comparison,
+    )
     from repro.obs.bench import emit_bench
+    from repro.repair.bench import CHURN
 
     if args.md_compare:
-        return _cmd_kv_md_compare(args)
-    if args.churn:
-        return _cmd_kv_churn(args)
-    if args.readheavy or args.check:
-        return _cmd_kv_readheavy(args)
-    if args.smoke:
-        shard_counts = [1, 2]
-        overrides = {"sessions": 2, "keys": 8, "ops": 24,
-                     "value_size": 32}
+        comparison = MD_COMPARE
+    elif args.churn:
+        comparison = CHURN
+    elif args.readheavy or args.check:
+        comparison = READHEAVY
     else:
-        shard_counts = [int(token) for token
-                        in args.shards.split(",") if token.strip()]
-        overrides = {"sessions": args.sessions, "keys": args.keys,
-                     "ops": args.ops, "value_size": args.value_size}
-    chaos_plan = None if args.no_chaos else args.plan
-    payload = run_kv_bench(
-        shard_counts, n=args.n, t=args.t, protocol=args.protocol,
-        write_ratio=args.write_ratio, distribution=args.distribution,
-        zipf_exponent=args.zipf_exponent, seed=args.seed,
-        chaos_plan=chaos_plan, shard_k=args.shard_k,
-        shift_every=args.shift_every, cache_size=args.cache,
-        lease_ticks=args.lease_ticks, **overrides)
-    cached = args.cache > 0
-    cache_cols = (f" {'rd/tick':>8} {'lease':>6} {'reval':>6} {'fb':>4}"
-                  if cached else "")
-    print(f"{'shards':>6} {'plan':<10} {'ops/tick':>9} {'ticks':>7} "
-          f"{'batch':>6} {'retries':>7} {'bp':>4} {'lin':>4} "
-          f"{'md B':>9} {'data B':>9} {'rd data B':>9}" + cache_cols)
-    for row in payload["rows"]:
-        extra = (f" {row['reads_per_tick']:>8.4f} {row['lease_hits']:>6} "
-                 f"{row['revalidations']:>6} "
-                 f"{row['revalidate_fallbacks']:>4}" if cached else "")
-        print(f"{row['shards']:>6} {row['plan'] or '-':<10} "
-              f"{row['ops_per_tick']:>9.4f} {row['ticks']:>7} "
-              f"{row['batch_factor']:>6.2f} {row['retries']:>7} "
-              f"{row['backpressure_hits']:>4} "
-              f"{'ok' if row['linearizable'] else 'FAIL':>4} "
-              f"{row['metadata_bytes']:>9} {row['data_bytes']:>9} "
-              f"{row['read_data_bytes']:>9}" + extra)
-    fault_free = [row for row in payload["rows"] if row["plan"] is None]
-    if len(fault_free) >= 2:
-        first, last = fault_free[0], fault_free[-1]
-        if first["ops_per_tick"] > 0:
-            gain = last["ops_per_tick"] / first["ops_per_tick"]
-            print(f"\nscaling {first['shards']} -> {last['shards']} "
-                  f"shards: {gain:.2f}x ops/tick")
+        comparison = SWEEP
+    if args.check:
+        document = json.loads(Path(args.check).read_text(encoding="utf-8"))
+        failures = check_comparison(comparison,
+                                    document.get("data", document))
+        if failures:
+            print(f"{comparison.label} check FAILED for {args.check}:")
+            for failure in failures:
+                print(f"  {failure}")
+            return 1
+        print(f"{comparison.label} check ok: every acceptance gate "
+              f"holds ({args.check})")
+        return 0
+    # Shape flags default to "not given" (argparse.SUPPRESS), so only
+    # explicit ones override what the comparison pins.
+    pinned = {**comparison.shape, **comparison.settings}
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in pinned}
+    if args.no_chaos and "chaos_plan" in pinned:
+        overrides["chaos_plan"] = None
+    payload = run_comparison(comparison, overrides, smoke=args.smoke)
+    print(render_table(comparison.table, [
+        [row.get(name, "-") for name in comparison.table]
+        for row in payload["rows"]]))
+    summary = payload.get("summary", [])
+    for entry in summary if isinstance(summary, list) else [summary]:
+        print("  ".join(f"{name}={value}"
+                        for name, value in entry.items()))
     if args.out:
-        from pathlib import Path
-        path = emit_bench(args.label, payload,
+        path = emit_bench(args.label or comparison.label, payload,
                           directory=Path(args.out))
         print(f"wrote {path}")
     return 0
@@ -690,7 +491,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                      "value_size": 32} if args.smoke else {}
         row, _ = run_kv_case(args.shards, n=args.n, t=args.t,
                              protocol=args.protocol, seed=args.seed,
-                             plan_name=plan_name, monitor=monitor,
+                             plan=plan_name, monitor=monitor,
                              cache_size=args.cache,
                              lease_ticks=args.lease_ticks, **overrides)
         print(f"source=kv-bench protocol={args.protocol} "
@@ -876,82 +677,85 @@ def build_parser() -> argparse.ArgumentParser:
                             "--check fails (percent; default 25)")
     bench.set_defaults(handler=_cmd_bench)
 
+    # Shape flags carry no default (argparse.SUPPRESS leaves them off
+    # the namespace), so each comparison keeps its pinned value unless
+    # the flag is given; the sweep's values are the ones quoted below.
     kv_bench = commands.add_parser(
-        "kv-bench", help="sharded key-value load harness: sweep shard "
-                         "counts under Zipf/uniform workloads, check "
-                         "per-key linearizability, emit BENCH rows")
-    kv_bench.add_argument("--shards", default="1,4,16", metavar="LIST",
-                          help="comma-separated shard counts to sweep "
-                               "(default: 1,4,16)")
-    kv_bench.add_argument("--protocol", default="atomic",
-                          choices=sorted(PROTOCOLS))
-    kv_bench.add_argument("--n", type=int, default=4)
-    kv_bench.add_argument("--t", type=int, default=1)
-    kv_bench.add_argument("--sessions", type=int, default=4)
-    kv_bench.add_argument("--keys", type=int, default=32)
-    kv_bench.add_argument("--ops", type=int, default=96)
-    kv_bench.add_argument("--write-ratio", type=float, default=0.5)
-    kv_bench.add_argument("--distribution", default="zipf",
-                          choices=list(DISTRIBUTIONS))
-    kv_bench.add_argument("--zipf-exponent", type=float, default=1.1)
+        "kv-bench", argument_default=argparse.SUPPRESS,
+        help="sharded key-value load harness: sweep shard counts under "
+             "Zipf/uniform workloads (or run one of the committed "
+             "comparisons), check per-key linearizability, emit BENCH "
+             "rows; a shape flag overrides the selected comparison's "
+             "pinned value where it has one and is ignored otherwise")
+    kv_bench.add_argument(
+        "--shards", metavar="LIST",
+        type=lambda text: [int(token) for token in text.split(",")
+                           if token.strip()],
+        help="comma-separated shard counts to sweep (sweep: 1,4,16)")
+    kv_bench.add_argument("--protocol", choices=sorted(PROTOCOLS),
+                          help="(sweep: atomic)")
+    kv_bench.add_argument("--n", type=int, help="(sweep: 4)")
+    kv_bench.add_argument("--t", type=int, help="(sweep: 1)")
+    kv_bench.add_argument("--sessions", type=int, help="(sweep: 4)")
+    kv_bench.add_argument("--keys", type=int, help="(sweep: 32)")
+    kv_bench.add_argument("--ops", type=int, help="(sweep: 96)")
+    kv_bench.add_argument("--write-ratio", type=float,
+                          help="(sweep: 0.5)")
+    kv_bench.add_argument("--distribution", choices=list(DISTRIBUTIONS),
+                          help="(sweep: zipf)")
+    kv_bench.add_argument("--zipf-exponent", type=float,
+                          help="(sweep: 1.1)")
     kv_bench.add_argument("--shift-every", type=int,
-                          default=DEFAULT_SHIFT_EVERY,
                           help="ops between hot-set rotations under "
-                               "--distribution zipf-shift")
-    kv_bench.add_argument("--shard-k", type=int, default=None,
+                               "--distribution zipf-shift "
+                               f"(default: {DEFAULT_SHIFT_EVERY})")
+    kv_bench.add_argument("--shard-k", type=int,
                           help="per-shard erasure threshold k (default: "
                                "protocol default; atomic_md picks t+1)")
-    kv_bench.add_argument("--value-size", type=int, default=64)
-    kv_bench.add_argument("--seed", type=int, default=0)
-    kv_bench.add_argument("--plan", default="delays",
+    kv_bench.add_argument("--value-size", type=int, help="(sweep: 64)")
+    kv_bench.add_argument("--seed", type=int, help="(default: 0)")
+    kv_bench.add_argument("--plan", dest="chaos_plan",
                           help="builtin chaos plan for the extra fault "
-                               "case at the largest shard count "
-                               "(default: delays)")
+                               "case (sweep: at the largest shard "
+                               "count; default: delays)")
     kv_bench.add_argument("--no-chaos", action="store_true",
-                          help="skip the chaos case")
-    kv_bench.add_argument("--smoke", action="store_true",
-                          help="tier-1 smoke: n=4, shards 1,2, small "
-                               "workload")
+                          default=False, help="skip the chaos case")
+    kv_bench.add_argument("--cache", dest="cache_size", type=int,
+                          metavar="ENTRIES",
+                          help="per-session read-cache capacity (sweep: "
+                               "0, session caching off)")
+    kv_bench.add_argument("--lease-ticks", type=int, metavar="TICKS",
+                          help="read-lease window in simulator ticks "
+                               "(sweep: 0, revalidation-only cache)")
+    kv_bench.add_argument("--smoke", action="store_true", default=False,
+                          help="tier-1 smoke: the selected comparison "
+                               "on a small workload (sweep: shards 1,2)")
     kv_bench.add_argument("--md-compare", action="store_true",
+                          default=False,
                           help="head-to-head atomic_ns vs atomic_md at "
                                "n=4/t=1 and n=7/t=2 plus a Byzantine "
                                "corrupt-block case (the "
-                               "BENCH_kv_md.json payload); --shards/"
-                               "--protocol/--plan are ignored")
-    kv_bench.add_argument("--cache", type=int, default=0,
-                          metavar="ENTRIES",
-                          help="per-session read-cache capacity; 0 "
-                               "(default) disables session caching")
-    kv_bench.add_argument("--lease-ticks", type=int, default=0,
-                          metavar="TICKS",
-                          help="read-lease window in simulator ticks "
-                               "(0 keeps the cache revalidation-only)")
+                               "BENCH_kv_md.json payload)")
     kv_bench.add_argument("--readheavy", action="store_true",
+                          default=False,
                           help="cached vs uncached atomic_md on one "
                                "read-heavy Zipf workload plus chaos "
                                "and Byzantine-metadata cases (the "
-                               "BENCH_kv_readheavy.json payload); "
-                               "--shards/--protocol/--plan are ignored")
-    kv_bench.add_argument("--churn", action="store_true",
+                               "BENCH_kv_readheavy.json payload)")
+    kv_bench.add_argument("--churn", action="store_true", default=False,
                           help="crash -> repair -> re-crash storm at "
                                "n=7/t=2: fault-free vs repaired vs "
                                "unrepaired fleet (the "
-                               "BENCH_kv_churn.json payload); "
-                               "--shards/--protocol/--plan/--n/--t are "
-                               "ignored")
+                               "BENCH_kv_churn.json payload)")
     kv_bench.add_argument("--check", metavar="FILE", default=None,
-                          help="validate a committed bench payload "
-                               "against its acceptance gates and exit "
-                               "non-zero on failure: with --churn a "
-                               "BENCH_kv_churn.json (>=90%% throughput "
-                               "retention, repair lag pinned to zero, "
-                               "unrepaired fleet degraded), otherwise "
-                               "a BENCH_kv_readheavy.json (>5x read "
-                               "throughput, every case linearizable, "
-                               "forged-meta fallbacks)")
-    kv_bench.add_argument("--label", default="kv",
+                          help="hold a written bench payload to the "
+                               "selected comparison's acceptance gates "
+                               "(--readheavy when none is selected) "
+                               "and exit non-zero on failure")
+    kv_bench.add_argument("--label", default=None,
                           help="bench name: output file is "
-                               "BENCH_<label>.json")
+                               "BENCH_<label>.json (default: kv, "
+                               "kv_md, kv_readheavy or kv_churn)")
     kv_bench.add_argument("--out", metavar="DIR", default=None,
                           help="directory for the BENCH_<label>.json "
                                "file (default: print only)")
@@ -998,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "protocols, check atomicity and wait-freedom, "
                       "shrink and serialize failures")
     chaos.add_argument("--protocols", nargs="*", default=None,
-                       metavar="NAME",
+                       metavar="NAME", choices=sorted(PROTOCOLS),
                        help="protocols to sweep (default: atomic "
                             "atomic_ns martin)")
     chaos.add_argument("--plans", nargs="*", default=None, metavar="PLAN",
@@ -1094,9 +898,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code (2, like a usage
+    error, for a deployment or plan the configuration checks reject —
+    ``goodson`` at n=4/t=1, say)."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigurationError as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -48,6 +48,20 @@ PROTOCOLS = {
     "no_listeners": (NoListenersServer, NoListenersClient),
 }
 
+
+def default_k(protocol: str, t: int, k: Optional[int] = None
+              ) -> Optional[int]:
+    """The erasure threshold ``protocol`` deploys with: an explicit
+    ``k`` as given, else ``t + 1`` for ``atomic_md`` — it reads blocks
+    from ``k`` servers under ``n - t`` metadata quorums, which needs
+    ``k <= n - 2t`` — and ``None`` (the config's own ``n - t``) for
+    every other protocol.
+    """
+    if k is None and protocol == "atomic_md":
+        return t + 1
+    return k
+
+
 ProcessFactory = Callable[[PartyId, SystemConfig], Process]
 
 

@@ -58,7 +58,16 @@ class LivenessError(SimulationError):
 
     Raised by test harnesses that require every invoked operation to
     terminate (the wait-freedom property of Definition 1).
+
+    ``stats`` carries the counters the raising loop had accumulated
+    when it stalled — :func:`repro.kv.cluster.drive` sets it to the
+    dictionary it would have returned — so a harness can still report
+    them; ``None`` where no loop was counting.
     """
+
+    def __init__(self, *args, stats=None):
+        super().__init__(*args)
+        self.stats = stats
 
 
 class BackpressureError(SimulationError):

@@ -20,9 +20,17 @@ Two trigger clocks are supported:
   globally even while a server receives nothing, so crash/recovery
   windows compose predictably with delay and partition holds that
   starve the crashed server of traffic.
+
+:func:`fail_stop` derives the crashing variant of any register server
+class; :func:`fault_overrides` turns a chaos plan's crashes and
+Byzantine entries into the server factories a cluster builder takes —
+the register campaign and the kv runner both wire faults through it.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable, Dict, Optional
 
 from repro.baselines.martin import MartinServer
 from repro.common.errors import ConfigurationError
@@ -114,51 +122,85 @@ class _FailStopMixin:
         super().receive(message)
 
 
-class FailStopServer(_FailStopMixin, AtomicServer):
-    """Protocol Atomic server that crashes after N deliveries."""
-
-    def __init__(self, pid: PartyId, config: SystemConfig,
-                 initial_value: bytes = b"", crash_after: int = 0,
-                 recover_after=None, trigger: str = "messages"):
-        super().__init__(pid, config, initial_value)
-        self._init_failstop(crash_after, recover_after=recover_after,
-                            trigger=trigger)
+#: ``fail_stop`` results, so a class has one variant however often it
+#: is asked for (``isinstance`` checks and the aliases below agree).
+_VARIANTS: Dict[type, type] = {}
 
 
-class FailStopNSServer(_FailStopMixin, AtomicNSServer):
-    """Protocol AtomicNS server that crashes after N deliveries."""
-
-    def __init__(self, pid: PartyId, config: SystemConfig,
-                 initial_value: bytes = b"", crash_after: int = 0,
-                 recover_after=None, trigger: str = "messages"):
-        super().__init__(pid, config, initial_value)
-        self._init_failstop(crash_after, recover_after=recover_after,
-                            trigger=trigger)
-
-
-class FailStopMdServer(_FailStopMixin, AtomicMdServer):
-    """Protocol AtomicMd server that crashes after N deliveries.
-
-    Crashing an AtomicMd server downs both of its planes at once: it
-    stops joining metadata quorums *and* stops serving blocks, so
-    readers that had counted it among their ``k`` data-plane targets
-    must escalate to another agreeing server.
+def fail_stop(server_cls: type) -> type:
+    """The fail-stop variant of ``server_cls``: :class:`_FailStopMixin`
+    over any register server constructed as ``(pid, config,
+    initial_value=b"")`` — every one in :data:`repro.cluster.PROTOCOLS`,
+    so a protocol is crashable by construction.  Memoized:
+    ``fail_stop(AtomicMdServer) is FailStopMdServer``.
     """
+    variant = _VARIANTS.get(server_cls)
+    if variant is None:
+        def __init__(self, pid: PartyId, config: SystemConfig,
+                     initial_value: bytes = b"", crash_after: int = 0,
+                     recover_after=None, trigger: str = "messages"):
+            server_cls.__init__(self, pid, config, initial_value)
+            self._init_failstop(crash_after, recover_after=recover_after,
+                                trigger=trigger)
 
-    def __init__(self, pid: PartyId, config: SystemConfig,
-                 initial_value: bytes = b"", crash_after: int = 0,
-                 recover_after=None, trigger: str = "messages"):
-        super().__init__(pid, config, initial_value)
-        self._init_failstop(crash_after, recover_after=recover_after,
-                            trigger=trigger)
+        variant = _VARIANTS[server_cls] = type(
+            "FailStop" + server_cls.__name__.removeprefix("Atomic"),
+            (_FailStopMixin, server_cls),
+            {"__init__": __init__, "__module__": __name__,
+             "__doc__": f"``{server_cls.__name__}`` that behaves "
+                        "honestly until its crash point, then goes "
+                        "silent (see :func:`fail_stop`)."})
+    return variant
 
 
-class FailStopMartinServer(_FailStopMixin, MartinServer):
-    """SBQ-L server that crashes after N deliveries."""
+#: Protocol Atomic server that crashes after N deliveries.
+FailStopServer = fail_stop(AtomicServer)
+#: Protocol AtomicNS server that crashes after N deliveries.
+FailStopNSServer = fail_stop(AtomicNSServer)
+#: Protocol AtomicMd server that crashes after N deliveries.  Crashing
+#: it downs both of its planes at once: it stops joining metadata
+#: quorums *and* stops serving blocks, so readers that had counted it
+#: among their ``k`` data-plane targets must escalate to another
+#: agreeing server.
+FailStopMdServer = fail_stop(AtomicMdServer)
+#: SBQ-L server that crashes after N deliveries.
+FailStopMartinServer = fail_stop(MartinServer)
 
-    def __init__(self, pid: PartyId, config: SystemConfig,
-                 initial_value: bytes = b"", crash_after: int = 0,
-                 recover_after=None, trigger: str = "messages"):
-        super().__init__(pid, config, initial_value)
-        self._init_failstop(crash_after, recover_after=recover_after,
-                            trigger=trigger)
+
+def fault_overrides(plan, server_cls: type, kv_hosts=None
+                    ) -> Optional[Dict[int, Callable]]:
+    """Server factories implementing ``plan``'s crashes and Byzantine
+    behaviours: the one route by which a
+    :class:`~repro.chaos.plan.FaultPlan`'s code-level faults reach a
+    deployment (message-level ones go through the injector).
+
+    With ``kv_hosts=None`` the result suits
+    :func:`repro.cluster.build_cluster`: a crashing server is
+    ``fail_stop(server_cls)``, a Byzantine one its behaviour's class.
+    With ``kv_hosts=(KvServer, FailStopKvServer)`` it suits
+    :func:`repro.kv.cluster.build_kv_cluster`, where the failure unit
+    is the *host* and takes the class it runs per shard as
+    ``server_cls=``.  A behaviour deviates from one honest class (the
+    registered ones from ``AtomicMdServer``) and may only replace that
+    class.  Returns ``None`` when the plan replaces no server.
+    """
+    host_cls, failstop_host_cls = kv_hosts or (None, None)
+    crashing = (fail_stop(server_cls) if kv_hosts is None
+                else partial(failstop_host_cls, server_cls=server_cls))
+    overrides: Dict[int, Callable] = {}
+    for crash in plan.crashes:
+        overrides[crash.server] = partial(
+            crashing, crash_after=crash.after,
+            recover_after=crash.recover_after, trigger=crash.trigger)
+    for entry in plan.byzantine:
+        behaviour_cls = entry.server_class()
+        if not issubclass(behaviour_cls, server_cls):
+            raise ConfigurationError(
+                f"byzantine behaviour {entry.behaviour!r} "
+                f"({behaviour_cls.__name__}) is not a "
+                f"{server_cls.__name__}: plan {plan.name!r} cannot run "
+                f"against this protocol")
+        overrides[entry.server] = (
+            behaviour_cls if kv_hosts is None
+            else partial(host_cls, server_cls=behaviour_cls))
+    return overrides or None

@@ -16,10 +16,11 @@ scales them out to a key-value store without touching protocol code:
   operation queues with write coalescing, bounded in-flight admission
   (:class:`~repro.common.errors.BackpressureError` on overflow), and
   bounded retries for operations stranded by chaos faults;
-* a **load harness** (:mod:`repro.kv.bench`, ``repro kv-bench``) sweeps
-  shard counts under seeded Zipf/uniform workloads and optional fault
-  plans, checks every key's history with the linearizability checker,
-  and emits ``BENCH_*.json`` rows with per-phase latency attribution.
+* a **load harness** (:mod:`repro.kv.bench`, ``repro kv-bench``) runs
+  cases — shard counts under seeded Zipf/uniform workloads and optional
+  fault plans — checks every key's history with the linearizability
+  checker, and emits ``BENCH_*.json`` rows with per-phase latency
+  attribution; the committed comparisons are entries of one table.
 
 See ``docs/SCALING.md`` for the design rationale.
 """
@@ -27,7 +28,7 @@ See ``docs/SCALING.md`` for the design rationale.
 from repro.kv.bench import (
     KvBenchRow,
     check_kv_histories,
-    run_kv_bench,
+    run_comparison,
     run_kv_case,
     session_history,
 )
@@ -59,7 +60,7 @@ __all__ = [
     "build_kv_cluster",
     "check_kv_histories",
     "drive",
-    "run_kv_bench",
+    "run_comparison",
     "run_kv_case",
     "session_history",
     "validate_key",

@@ -1,8 +1,9 @@
 """End-to-end load harness for the kv plane (``repro kv-bench``).
 
-One benchmark *case* runs a seeded Zipf/uniform multi-key workload
-against a kv deployment with a given shard count, optionally under a
-builtin chaos plan, and reports:
+One benchmark *case* (:func:`run_kv_case`) runs a seeded Zipf/uniform
+multi-key workload against a kv deployment with a given shard count —
+optionally under a chaos plan, with a Byzantine server, with session
+caches, with the repair plane attached — and reports:
 
 * **throughput** — completed operations per logical tick.  A tick is
   one simulator delivery, so ops/tick directly measures how densely the
@@ -19,14 +20,29 @@ builtin chaos plan, and reports:
   which is the column the ``atomic_md`` metadata/data separation is
   judged on.
 
-A *bench* sweeps shard counts (and one chaos case) and emits a
-``BENCH_*.json`` payload via :func:`repro.obs.emit_bench`.
+A *comparison* (:class:`Comparison`) is a named set of cases over one
+pinned workload, with the summary, acceptance gates and table that go
+with it: :data:`SWEEP`, :data:`MD_COMPARE` and :data:`READHEAVY` live
+here, the churn storm in :mod:`repro.repair.bench`.
+:func:`run_comparison` runs one into the payload
+:func:`repro.obs.emit_bench` writes as ``BENCH_*.json``;
+:func:`check_comparison` holds such a payload to the gates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.linearizability import (
     KIND_READ,
@@ -36,12 +52,12 @@ from repro.analysis.linearizability import (
 )
 from repro.chaos.library import builtin_plan
 from repro.chaos.injector import FaultInjector
-from repro.chaos.plan import FaultPlan
-from repro.cluster import PROTOCOLS
-from repro.common.errors import ConfigurationError
+from repro.chaos.plan import ByzantineSpec, FaultPlan
+from repro.cluster import PROTOCOLS, default_k
+from repro.common.errors import LivenessError
 from repro.config import SystemConfig
 from repro.core.atomic_md import MSG_BLOCK_MISS, MSG_GET_BLOCK
-from repro.faults.byzantine_servers import BYZANTINE_BEHAVIOURS
+from repro.faults.failstop import fault_overrides
 from repro.kv.cluster import (
     FailStopKvServer,
     KvCluster,
@@ -52,7 +68,6 @@ from repro.kv.cluster import (
 from repro.kv.directory import KvDirectory
 from repro.kv.envelope import KV_TAG
 from repro.kv.session import KvSession
-from repro.net.schedulers import RandomScheduler, Scheduler
 from repro.obs import (
     PlaneTraffic,
     TraceRecorder,
@@ -64,16 +79,8 @@ from repro.workloads.kv import DEFAULT_SHIFT_EVERY, kv_workload
 #: Prefix distinguishing kv operation spans from other traffic.
 _KV_SPAN_PREFIX = "kv.s"
 
-#: Byzantine cases ``run_kv_case(byzantine=...)`` accepts: one fleet
-#: server serves corrupted blocks / claims universal misses (data
-#: plane, forcing read escalation) or answers cache revalidation with
-#: stale / forged-inflated metadata (metadata plane — stale replies
-#: cannot defeat the quorum maximum, forged ones only force the
-#: session's full-read fallback).  The canonical registry lives in
-#: :mod:`repro.faults.byzantine_servers`, where chaos
-#: :class:`~repro.chaos.plan.ByzantineSpec` entries resolve the same
-#: names; this alias keeps the historical import path working.
-BYZANTINE_MD_SERVERS = BYZANTINE_BEHAVIOURS
+#: Row columns serialized rounded, and to how many digits.
+_ROUNDED = {"ops_per_tick": 6, "batch_factor": 3, "reads_per_tick": 6}
 
 
 @dataclass
@@ -132,63 +139,39 @@ class KvBenchRow:
 
     def to_json(self) -> Dict[str, Any]:
         """The row as a plain JSON-serializable dictionary."""
-        return {
-            "shards": self.shards, "protocol": self.protocol,
-            "plan": self.plan, "sessions": self.sessions,
-            "keys": self.keys, "ops": self.ops,
-            "completed": self.completed, "ticks": self.ticks,
-            "ops_per_tick": round(self.ops_per_tick, 6),
-            "envelopes": self.envelopes,
-            "inner_messages": self.inner_messages,
-            "wire_bytes": self.wire_bytes,
-            "batch_factor": round(self.batch_factor, 3),
-            "retries": self.retries,
-            "backpressure_hits": self.backpressure_hits,
-            "coalesced": self.coalesced,
-            "keys_checked": self.keys_checked,
-            "linearizable": self.linearizable,
-            "metadata_bytes": self.metadata_bytes,
-            "data_bytes": self.data_bytes,
-            "read_metadata_bytes": self.read_metadata_bytes,
-            "read_data_bytes": self.read_data_bytes,
-            "reads_completed": self.reads_completed,
-            "block_fetches": self.block_fetches,
-            "block_misses": self.block_misses,
-            "verify_failures": self.verify_failures,
-            "cache_size": self.cache_size,
-            "lease_ticks": self.lease_ticks,
-            "reads_per_tick": round(self.reads_per_tick, 6),
-            "lease_hits": self.lease_hits,
-            "revalidations": self.revalidations,
-            "revalidate_hits": self.revalidate_hits,
-            "revalidate_fallbacks": self.revalidate_fallbacks,
-            "phase_ticks": {name: self.phase_ticks[name]
-                            for name in sorted(self.phase_ticks)},
-        }
+        doc = {spec.name: getattr(self, spec.name)
+               for spec in fields(self)}
+        for name, digits in _ROUNDED.items():
+            doc[name] = round(doc[name], digits)
+        doc["phase_ticks"] = {name: self.phase_ticks[name]
+                              for name in sorted(self.phase_ticks)}
+        return doc
 
 
-def _chaos_overrides(plan: FaultPlan, server_cls) -> Optional[Dict]:
-    if not plan.crashes and not plan.byzantine:
-        return None
-    overrides = {}
-    for crash in plan.crashes:
-        overrides[crash.server] = (
-            lambda pid, directory, _crash=crash: FailStopKvServer(
-                pid, directory, server_cls=server_cls,
-                crash_after=_crash.after,
-                recover_after=_crash.recover_after,
-                trigger=_crash.trigger))
-    for entry in plan.byzantine:
-        overrides[entry.server] = (
-            lambda pid, directory, _cls=entry.server_class(): KvServer(
-                pid, directory, server_cls=_cls))
-    return overrides
+def _case_plan(plan: Union[None, str, FaultPlan],
+               byzantine: Optional[str], n: int, t: int,
+               seed: int) -> Optional[FaultPlan]:
+    """The validated plan one case runs under (``None``: fault-free).
 
-
-def _scheduler_for(plan: Optional[FaultPlan], seed: int) -> Scheduler:
-    if plan is not None and plan.scheduler is not None:
-        return plan.scheduler.build(seed)
-    return RandomScheduler(seed)
+    A builtin name is scaled to the deployment; ``byzantine`` joins the
+    plan as a :class:`~repro.chaos.plan.ByzantineSpec` on server ``n``
+    — the conventional faulty designate of the builtin plans — so
+    crashes and Byzantine behaviours are validated together and reach
+    the cluster by one route.
+    """
+    if isinstance(plan, str):
+        plan = builtin_plan(plan, n, t, seed=seed)
+    if byzantine is not None:
+        label = f"byz-{byzantine}"
+        base = FaultPlan(seed=seed) if plan is None else plan
+        plan = replace(
+            base, name=label if plan is None else f"{plan.name}+{label}",
+            faulty=base.faulty + (n,),
+            byzantine=base.byzantine + (
+                ByzantineSpec(server=n, behaviour=byzantine),))
+    if plan is not None:
+        plan.validate(n, t)
+    return plan
 
 
 def session_history(sessions: Sequence[KvSession]
@@ -245,7 +228,8 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
                 keys: int = 32, ops: int = 96,
                 write_ratio: float = 0.5, distribution: str = "zipf",
                 zipf_exponent: float = 1.1, seed: int = 0,
-                value_size: int = 64, plan_name: Optional[str] = None,
+                value_size: int = 64,
+                plan: Union[None, str, FaultPlan] = None,
                 max_queue: int = 32, max_inflight_per_shard: int = 1,
                 max_attempts: int = 4, monitor=None,
                 shard_k: Optional[int] = None,
@@ -253,30 +237,40 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
                 shift_every: int = DEFAULT_SHIFT_EVERY,
                 byzantine: Optional[str] = None,
                 cache_size: int = 0, lease_ticks: int = 0,
-                invoke_probability: float = 0.25
+                invoke_probability: float = 0.25,
+                batch_size: Optional[int] = None
                 ) -> Tuple[KvBenchRow, KvCluster]:
     """Run one kv-bench case and return ``(row, cluster)``.
 
-    ``plan_name`` selects a builtin chaos plan (validated against
-    ``n``/``t``); ``None`` runs fault-free.  ``monitor`` (a
-    :class:`repro.obs.health.HealthMonitor`) takes the run's single
-    tracer slot when given — its wrapped recorder feeds the row's
-    traffic/phase columns and its per-shard series feed ``repro
-    monitor``.
+    The one place a kv deployment is built, faulted, instrumented,
+    driven and measured: ``kv-bench`` and its comparisons, ``repro
+    repair`` and ``repro monitor --source kv-bench`` all call it.
+
+    ``plan`` is the case's faults: a builtin chaos plan's name (scaled
+    to ``n``/``t``), a :class:`~repro.chaos.plan.FaultPlan`, or ``None``
+    for a fault-free run.  ``byzantine`` (``atomic_md`` only) makes the
+    last fleet server run one of
+    :data:`~repro.faults.byzantine_servers.BYZANTINE_BEHAVIOURS` — a
+    within-budget Byzantine data plane (corrupted blocks or universal
+    misses) forces every read touching it to escalate past its first
+    ``k`` fetch targets; stale or forged metadata attacks cache
+    revalidation.  It travels inside the plan, so a plan that also
+    crashes that server, or already spends the budget ``t``, is
+    rejected instead of one fault masking the other.  The row's
+    ``plan`` column reads the plan's name (``byz-<name>`` for a
+    Byzantine-only case), so the case never counts as fault-free.
+
+    ``monitor`` (a :class:`repro.obs.health.HealthMonitor`) takes the
+    run's single tracer slot when given — its wrapped recorder feeds
+    the row's traffic/phase columns and its per-shard series feed
+    ``repro monitor``.
 
     ``protocol_overrides`` pins individual shards to other protocols
     (``{shard_id: name}``); ``shard_k`` pins every shard's erasure
     threshold.  When any shard runs ``atomic_md`` and ``shard_k`` is
-    unset, ``k = t + 1`` is chosen automatically — the metadata/data
-    separation requires ``k <= n - 2t``, and ``t + 1`` is valid for
-    every protocol, so mixed-protocol deployments stay comparable.
-
-    ``byzantine`` (``atomic_md`` only) makes the last fleet server run
-    one of :data:`BYZANTINE_MD_SERVERS` — a within-budget Byzantine
-    data plane (corrupted blocks or universal misses) that forces every
-    read touching it to escalate past its first ``k`` fetch targets.
-    The row's ``plan`` column reads ``byz-<name>`` so the case never
-    counts as fault-free.
+    unset, ``k = t + 1`` is chosen automatically
+    (:func:`repro.cluster.default_k`) — ``t + 1`` is valid for every
+    protocol, so mixed-protocol deployments stay comparable.
 
     ``cache_size``/``lease_ticks`` enable session-cached reads with
     metadata-only revalidation and local lease serving (see
@@ -284,41 +278,32 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
     uncached schedules byte-identical.  ``invoke_probability`` is the
     drive loop's per-step submission density (how aggressively the
     closed-loop clients push while the network is busy).
+
+    ``batch_size`` attaches the repair plane with that many concurrent
+    repair rounds (:func:`repro.repair.attach_repair`; the coordinator
+    is ``cluster.repair``); ``None`` leaves it off.
+
+    When the drive loop loses liveness the case is still finished —
+    what completed is checked atomic, the row built from the counters
+    the loop had reached — and the
+    :class:`~repro.common.errors.LivenessError` is re-raised carrying
+    ``row`` and ``cluster``: a caller that *expects* the stall (the
+    unrepaired churn storm) reports it, everyone else fails as before.
     """
     overrides_by_shard = dict(protocol_overrides or {})
-    if shard_k is None and (
-            protocol == "atomic_md"
-            or "atomic_md" in overrides_by_shard.values()):
-        shard_k = t + 1
+    for name in (protocol, *overrides_by_shard.values()):
+        shard_k = default_k(name, t, shard_k)
     fleet = SystemConfig(n=n, t=t, seed=seed)
     directory = KvDirectory(fleet, num_shards, shard_k=shard_k,
                             protocol_overrides=overrides_by_shard)
-    plan = None
-    overrides = None
-    if plan_name is not None:
-        plan = builtin_plan(plan_name, n, t, seed=seed)
-        plan.validate(n, t)
-        overrides = _chaos_overrides(plan, PROTOCOLS[protocol][0])
-    if byzantine is not None:
-        if protocol != "atomic_md":
-            raise ConfigurationError(
-                f"byzantine={byzantine!r} requires protocol "
-                f"'atomic_md', got {protocol!r}")
-        byz_cls = BYZANTINE_MD_SERVERS.get(byzantine)
-        if byz_cls is None:
-            raise ConfigurationError(
-                f"unknown byzantine case {byzantine!r}; choose from "
-                f"{sorted(BYZANTINE_MD_SERVERS)}")
-        overrides = dict(overrides or {})
-        # The last fleet server is the conventional faulty designate
-        # (matching the builtin chaos plans); a crash override for the
-        # same index would mask the Byzantine behaviour, so it wins.
-        overrides[n] = (lambda pid, directory: KvServer(
-            pid, directory, server_cls=byz_cls))
+    plan = _case_plan(plan, byzantine, n, t, seed)
     cluster = build_kv_cluster(
         directory, protocol=protocol, num_sessions=sessions,
-        scheduler=_scheduler_for(plan, seed),
-        server_overrides=overrides, max_queue=max_queue,
+        scheduler=(plan or FaultPlan()).build_scheduler(seed),
+        server_overrides=None if plan is None else fault_overrides(
+            plan, PROTOCOLS[protocol][0],
+            kv_hosts=(KvServer, FailStopKvServer)),
+        max_queue=max_queue,
         max_inflight_per_shard=max_inflight_per_shard,
         max_attempts=max_attempts, cache_size=cache_size,
         lease_ticks=lease_ticks)
@@ -328,25 +313,35 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
         recorder = TraceRecorder().attach(cluster.simulator)
     if plan is not None:
         cluster.simulator.attach_injector(FaultInjector(plan))
+    if batch_size is not None:
+        # Imported here: repro.repair builds on repro.kv.cluster, whose
+        # package imports this module.
+        from repro.repair.coordinator import attach_repair
+        attach_repair(cluster, plan=plan, batch_size=batch_size,
+                      monitor=monitor)
     workload = kv_workload(
         num_sessions=sessions, num_keys=keys, ops=ops,
         write_ratio=write_ratio, distribution=distribution,
         zipf_exponent=zipf_exponent, seed=seed, value_size=value_size,
         shift_every=shift_every)
-    stats = drive(cluster, workload, seed=seed,
-                  invoke_probability=invoke_probability)
+    stall = None
+    try:
+        stats = drive(cluster, workload, seed=seed,
+                      invoke_probability=invoke_probability)
+    except LivenessError as error:
+        if error.stats is None:
+            raise  # a protocol's own liveness failure, not a drive stall
+        stall, stats = error, error.stats
     if monitor is not None:
         monitor.finalize()
-    case_label = plan_name
-    if byzantine is not None:
-        byz_label = f"byz-{byzantine}"
-        case_label = (byz_label if plan_name is None
-                      else f"{plan_name}+{byz_label}")
     row = collect_kv_row(recorder, cluster, stats,
                          num_shards=num_shards, protocol=protocol,
-                         plan_label=case_label, sessions=sessions,
-                         keys=keys, ops=ops, cache_size=cache_size,
-                         lease_ticks=lease_ticks)
+                         plan_label=None if plan is None else plan.name,
+                         sessions=sessions, keys=keys, ops=ops,
+                         cache_size=cache_size, lease_ticks=lease_ticks)
+    if stall is not None:
+        stall.row, stall.cluster = row, cluster
+        raise stall
     return row, cluster
 
 
@@ -358,13 +353,12 @@ def collect_kv_row(recorder: TraceRecorder, cluster: KvCluster,
                    ) -> KvBenchRow:
     """Measure a driven kv cluster into a :class:`KvBenchRow`.
 
-    Shared by :func:`run_kv_case` and the churn harness
-    (:mod:`repro.repair.bench`), which drives its own cluster — with a
-    repair coordinator attached and liveness failures tolerated — but
-    must report the same columns.  Per-key linearizability of whatever
-    history *did* complete is always checked (it raises on violation),
-    so even a run that lost liveness proves its completed operations
-    atomic.
+    ``stats`` is what :func:`~repro.kv.cluster.drive` returned — or,
+    for a run that stalled, what its
+    :class:`~repro.common.errors.LivenessError` carried.  Per-key
+    linearizability of whatever history *did* complete is always
+    checked (it raises on violation), so even a run that lost liveness
+    proves its completed operations atomic.
     """
     keys_checked = check_kv_histories(cluster.sessions)
     coalesced = reads_completed = 0
@@ -428,108 +422,161 @@ def collect_kv_row(recorder: TraceRecorder, cluster: KvCluster,
         phase_ticks=_phase_attribution(recorder))
 
 
-def run_kv_bench(shard_counts: Sequence[int], n: int = 4, t: int = 1,
-                 protocol: str = "atomic", sessions: int = 4,
-                 keys: int = 32, ops: int = 96,
-                 write_ratio: float = 0.5, distribution: str = "zipf",
-                 zipf_exponent: float = 1.1, seed: int = 0,
-                 value_size: int = 64,
-                 chaos_plan: Optional[str] = "delays",
-                 shard_k: Optional[int] = None,
-                 shift_every: int = DEFAULT_SHIFT_EVERY,
-                 cache_size: int = 0, lease_ticks: int = 0
-                 ) -> Dict[str, Any]:
-    """Sweep shard counts (plus one chaos case) and build the payload.
+# -- comparisons ----------------------------------------------------------------
 
-    The chaos case reuses the largest shard count under ``chaos_plan``
-    so one sweep demonstrates both scaling and fault recovery; pass
-    ``chaos_plan=None`` to skip it.
+
+def _case_column(label: str, cluster: KvCluster,
+                 stalled: bool) -> Dict[str, Any]:
+    return {"case": label}
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """A named set of kv cases over one pinned workload: everything a
+    committed ``BENCH_kv_*.json`` needs — how to run it, shrink it,
+    summarize it, gate it and print it — as one table entry.
+
+    ``shape`` holds the :func:`run_kv_case` arguments every case shares
+    and ``settings`` what only ``cases`` reads; together they are the
+    document's ``config`` block, each entry overridable per run.
     """
-    rows: List[KvBenchRow] = []
-    for shards in shard_counts:
-        row, _cluster = run_kv_case(
-            shards, n=n, t=t, protocol=protocol, sessions=sessions,
-            keys=keys, ops=ops, write_ratio=write_ratio,
-            distribution=distribution, zipf_exponent=zipf_exponent,
-            seed=seed, value_size=value_size, shard_k=shard_k,
-            shift_every=shift_every, cache_size=cache_size,
-            lease_ticks=lease_ticks)
-        rows.append(row)
-    if chaos_plan is not None and shard_counts:
-        row, _cluster = run_kv_case(
-            max(shard_counts), n=n, t=t, protocol=protocol,
-            sessions=sessions, keys=keys, ops=ops,
-            write_ratio=write_ratio, distribution=distribution,
-            zipf_exponent=zipf_exponent, seed=seed,
-            value_size=value_size, plan_name=chaos_plan,
-            shard_k=shard_k, shift_every=shift_every,
-            cache_size=cache_size, lease_ticks=lease_ticks)
-        rows.append(row)
-    return {
-        "config": {"n": n, "t": t, "protocol": protocol,
-                   "sessions": sessions, "keys": keys, "ops": ops,
-                   "write_ratio": write_ratio,
-                   "distribution": distribution,
-                   "zipf_exponent": zipf_exponent, "seed": seed,
-                   "value_size": value_size, "chaos_plan": chaos_plan,
-                   "shard_k": shard_k, "shift_every": shift_every,
-                   "cache_size": cache_size, "lease_ticks": lease_ticks},
-        "rows": [row.to_json() for row in rows],
-    }
+
+    #: default ``BENCH_<label>.json`` name
+    label: str
+    shape: Dict[str, Any]
+    settings: Dict[str, Any]
+    #: config overrides of the ``--smoke`` profile
+    smoke: Dict[str, Any]
+    #: ``config -> [(case label, run_kv_case overrides)]``
+    cases: Callable[[Dict[str, Any]], List[Tuple[str, Dict[str, Any]]]]
+    #: row columns to print, in order
+    table: Sequence[str]
+    #: ``payload -> {acceptance gate: whether the payload meets it}``,
+    #: when the document backs a claim
+    gates: Optional[Callable[[Dict[str, Any]], Dict[str, bool]]] = None
+    #: ``(config, rows) -> summary block``, when the document has one
+    summary: Optional[Callable[[Dict[str, Any], List[Dict[str, Any]]],
+                               Any]] = None
+    #: ``(label, cluster, stalled) -> columns`` put in front of the
+    #: :class:`KvBenchRow` ones
+    columns: Optional[Callable[[str, KvCluster, bool],
+                               Dict[str, Any]]] = None
+    #: cases that may lose liveness; anywhere else a stall propagates
+    may_stall: FrozenSet[str] = frozenset()
 
 
-def run_kv_md_comparison(deployments: Sequence[Tuple[int, int]] = (
-                             (4, 1), (7, 2)),
-                         num_shards: int = 4, sessions: int = 4,
-                         keys: int = 32, ops: int = 96,
-                         write_ratio: float = 0.1,
-                         distribution: str = "zipf-shift",
-                         zipf_exponent: float = 1.1, seed: int = 0,
-                         value_size: int = 64,
-                         shift_every: int = DEFAULT_SHIFT_EVERY,
-                         byzantine: Optional[str] = "corrupt-block"
-                         ) -> Dict[str, Any]:
-    """Head-to-head ``atomic_ns`` vs ``atomic_md`` on one workload.
+def run_comparison(comparison: Comparison,
+                   overrides: Optional[Dict[str, Any]] = None,
+                   smoke: bool = False) -> Dict[str, Any]:
+    """Run every case of ``comparison`` and build its payload.
 
-    The payload behind ``benchmarks/BENCH_kv_md.json``: for each
-    ``(n, t)`` deployment both protocols run the *same* read-mostly
-    drifting-hot-set workload at their canonical erasure thresholds
-    (``k = n - t`` for atomic_ns, ``k = t + 1`` for atomic_md), and the
-    summary reports the read-attributed data-plane byte ratio — the
-    number the metadata/data separation is judged on.  A final
-    ``byzantine`` case re-runs atomic_md at the largest deployment with
-    one corrupt-data-plane server, pinning that reads escalate (and
-    still linearize) when their first ``k`` fetch targets misbehave.
+    The config is the pinned shape and settings, shrunk by the smoke
+    profile when asked, then by ``overrides``.  A custom
+    :class:`~repro.chaos.plan.FaultPlan` a case runs under is recorded
+    whole as ``config["plan"]`` — builtin plans are settings already,
+    by name.
     """
+    config = {**comparison.shape, **comparison.settings,
+              **(comparison.smoke if smoke else {}), **(overrides or {})}
+    shape = {name: config[name] for name in comparison.shape}
     rows: List[Dict[str, Any]] = []
-    for n, t in deployments:
-        for protocol in ("atomic_ns", "atomic_md"):
-            row, _cluster = run_kv_case(
-                num_shards, n=n, t=t, protocol=protocol,
-                sessions=sessions, keys=keys, ops=ops,
-                write_ratio=write_ratio, distribution=distribution,
-                zipf_exponent=zipf_exponent, seed=seed,
-                value_size=value_size, shift_every=shift_every)
-            rows.append({"n": n, "t": t, **row.to_json()})
-    if byzantine is not None:
-        n, t = deployments[-1]
-        row, _cluster = run_kv_case(
-            num_shards, n=n, t=t, protocol="atomic_md",
-            sessions=sessions, keys=keys, ops=ops,
-            write_ratio=write_ratio, distribution=distribution,
-            zipf_exponent=zipf_exponent, seed=seed,
-            value_size=value_size, shift_every=shift_every,
-            byzantine=byzantine)
-        rows.append({"n": n, "t": t, **row.to_json()})
+    for label, case in comparison.cases(config):
+        stalled = False
+        try:
+            row, cluster = run_kv_case(**{**shape, **case})
+        except LivenessError as stall:
+            if label not in comparison.may_stall:
+                raise
+            row, cluster, stalled = stall.row, stall.cluster, True
+        if isinstance(case.get("plan"), FaultPlan):
+            config["plan"] = case["plan"].to_json()
+        leading = (comparison.columns(label, cluster, stalled)
+                   if comparison.columns is not None else {})
+        rows.append({**leading, **row.to_json()})
+    payload = {"config": config, "rows": rows}
+    if comparison.summary is not None:
+        payload["summary"] = comparison.summary(config, rows)
+    return payload
+
+
+def check_comparison(comparison: Comparison,
+                     payload: Dict[str, Any]) -> List[str]:
+    """The acceptance gates ``payload`` fails (none: the document
+    supports its claim); a document too incomplete to judge fails."""
+    try:
+        gates = comparison.gates(payload) if comparison.gates else {}
+    except (KeyError, IndexError) as error:
+        return [f"document lacks {error.args[0]!r}"]
+    return [gate for gate, met in gates.items() if not met]
+
+
+def _fault_free(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
+    return [row for row in payload["rows"] if row["plan"] is None]
+
+
+def _all_linearizable(payload: Dict[str, Any]) -> bool:
+    return all(row["linearizable"] for row in payload["rows"])
+
+
+def _sweep_cases(config):
+    cases = [(f"shards={shards}", {"num_shards": shards})
+             for shards in config["shards"]]
+    if config["chaos_plan"] is not None and config["shards"]:
+        # the chaos case reuses the largest shard count, so one sweep
+        # shows both scaling and fault recovery
+        cases.append(("chaos", {"num_shards": max(config["shards"]),
+                                "plan": config["chaos_plan"]}))
+    return cases
+
+
+#: The shard sweep plus one chaos case (``repro kv-bench``; the
+#: committed ``benchmarks/BENCH_kv_baseline.json``).
+SWEEP = Comparison(
+    label="kv",
+    shape={"n": 4, "t": 1, "protocol": "atomic", "sessions": 4,
+           "keys": 32, "ops": 96, "write_ratio": 0.5,
+           "distribution": "zipf", "zipf_exponent": 1.1, "seed": 0,
+           "value_size": 64, "shard_k": None,
+           "shift_every": DEFAULT_SHIFT_EVERY, "cache_size": 0,
+           "lease_ticks": 0},
+    settings={"shards": [1, 4, 16], "chaos_plan": "delays"},
+    smoke={"shards": [1, 2], "sessions": 2, "keys": 8, "ops": 24,
+           "value_size": 32},
+    cases=_sweep_cases,
+    table=("shards", "plan", "ops_per_tick", "ticks", "batch_factor",
+           "retries", "backpressure_hits", "linearizable",
+           "metadata_bytes", "data_bytes", "read_data_bytes",
+           "reads_per_tick", "lease_hits", "revalidations",
+           "revalidate_fallbacks"))
+
+
+def _md_cases(config):
+    cases = [(f"n{n}t{t}:{protocol}",
+              {"n": n, "t": t, "protocol": protocol})
+             for n, t in config["deployments"]
+             for protocol in ("atomic_ns", "atomic_md")]
+    if config["byzantine"] is not None:
+        n, t = config["deployments"][-1]
+        cases.append(("byzantine",
+                      {"n": n, "t": t, "protocol": "atomic_md",
+                       "byzantine": config["byzantine"]}))
+    return cases
+
+
+def _md_columns(label, cluster, stalled):
+    fleet = cluster.directory.fleet_config
+    return {"n": fleet.n, "t": fleet.t}
+
+
+def _md_summary(config, rows):
     summary = []
-    for n, t in deployments:
-        pair = {}
-        for row in rows:
-            if (row["n"], row["t"]) == (n, t) and "byz" not in (
-                    row["plan"] or ""):
-                pair[row["protocol"]] = row
-        ns_bytes = pair["atomic_ns"]["read_data_bytes"]
-        md_bytes = pair["atomic_md"]["read_data_bytes"]
+    for n, t in config["deployments"]:
+        read_bytes = {row["protocol"]: row["read_data_bytes"]
+                      for row in rows
+                      if (row["n"], row["t"]) == (n, t)
+                      and "byz" not in (row["plan"] or "")}
+        ns_bytes = read_bytes["atomic_ns"]
+        md_bytes = read_bytes["atomic_md"]
         summary.append({
             "n": n, "t": t,
             "read_data_bytes_atomic_ns": ns_bytes,
@@ -537,85 +584,132 @@ def run_kv_md_comparison(deployments: Sequence[Tuple[int, int]] = (
             "read_data_bytes_ratio": round(
                 ns_bytes / md_bytes, 3) if md_bytes else 0.0,
         })
+    return summary
+
+
+def _md_gates(p):
+    largest = p["summary"][-1]
     return {
-        "config": {"deployments": [list(pair) for pair in deployments],
-                   "num_shards": num_shards, "sessions": sessions,
-                   "keys": keys, "ops": ops, "write_ratio": write_ratio,
-                   "distribution": distribution,
-                   "zipf_exponent": zipf_exponent, "seed": seed,
-                   "value_size": value_size,
-                   "shift_every": shift_every, "byzantine": byzantine},
-        "rows": rows,
-        "summary": summary,
+        "every row linearizable": _all_linearizable(p),
+        "a summary entry per configured deployment":
+            [[entry["n"], entry["t"]] for entry in p["summary"]]
+            == p["config"]["deployments"],
+        "reads move data-plane bytes under both protocols":
+            all(entry["read_data_bytes_atomic_ns"] > 0
+                and entry["read_data_bytes_atomic_md"] > 0
+                for entry in p["summary"]),
+        "atomic_md reads move >= 2x fewer data-plane bytes at the "
+        "largest deployment":
+            largest["read_data_bytes_atomic_ns"]
+            >= 2 * largest["read_data_bytes_atomic_md"],
+        "a Byzantine case whose corrupt blocks failed verification":
+            any(row["verify_failures"] > 0 for row in p["rows"]
+                if (row["plan"] or "").startswith("byz-")),
+        "every fault-free atomic_md row fetched blocks":
+            all(row["block_fetches"] > 0 for row in _fault_free(p)
+                if row["protocol"] == "atomic_md"),
     }
 
 
-def run_kv_readheavy_comparison(n: int = 4, t: int = 1,
-                                num_shards: int = 4, sessions: int = 4,
-                                keys: int = 8, ops: int = 576,
-                                write_ratio: float = 0.1,
-                                distribution: str = "zipf",
-                                zipf_exponent: float = 1.5,
-                                seed: int = 0, value_size: int = 64,
-                                cache_size: int = 32,
-                                lease_ticks: int = 128,
-                                invoke_probability: float = 1.0,
-                                chaos_plan: str = "delays"
-                                ) -> Dict[str, Any]:
-    """Cached vs uncached ``atomic_md`` on one read-heavy workload.
+#: Head-to-head ``atomic_ns`` vs ``atomic_md`` (``kv-bench
+#: --md-compare``; ``benchmarks/BENCH_kv_md.json``): for each ``(n, t)``
+#: deployment both protocols run the *same* read-mostly
+#: drifting-hot-set workload at their canonical erasure thresholds
+#: (``k = n - t`` for atomic_ns, ``k = t + 1`` for atomic_md), and the
+#: summary reports the read-attributed data-plane byte ratio — the
+#: number the metadata/data separation is judged on.  A final
+#: ``byzantine`` case re-runs atomic_md at the largest deployment with
+#: one corrupt-data-plane server, pinning that reads escalate (and
+#: still linearize) when their first ``k`` fetch targets misbehave.
+MD_COMPARE = Comparison(
+    label="kv_md",
+    shape={"num_shards": 4, "sessions": 4, "keys": 32, "ops": 96,
+           "write_ratio": 0.1, "distribution": "zipf-shift",
+           "zipf_exponent": 1.1, "seed": 0, "value_size": 64,
+           "shift_every": DEFAULT_SHIFT_EVERY},
+    settings={"deployments": [[4, 1], [7, 2]],
+              "byzantine": "corrupt-block"},
+    smoke={"sessions": 2, "keys": 8, "ops": 24, "value_size": 32},
+    cases=_md_cases, columns=_md_columns, summary=_md_summary,
+    table=("n", "t", "protocol", "plan", "ops_per_tick", "linearizable",
+           "read_metadata_bytes", "read_data_bytes", "block_fetches",
+           "block_misses", "verify_failures"),
+    gates=_md_gates)
 
-    The payload behind ``benchmarks/BENCH_kv_readheavy.json``: the same
-    90/10 Zipf workload runs once uncached and once with session-cached
-    reads and leases; the summary reports the read-throughput ratio
-    (``reads_per_tick`` cached over uncached) — the number the session
-    cache is judged on.  Three adversarial cases re-run the cached
-    configuration under the ``chaos_plan`` builtin and with one
-    Byzantine metadata server per flavour (``stale-meta`` understates
-    at revalidation and is outvoted by the quorum maximum;
-    ``forged-meta`` inflates and only forces the full-read fallback).
-    Every row's per-key histories pass ``check_atomicity`` — the cache
-    trades wire traffic for bookkeeping, never consistency.
-    """
-    common: Dict[str, Any] = {
-        "n": n, "t": t, "protocol": "atomic_md", "sessions": sessions,
-        "keys": keys, "ops": ops, "write_ratio": write_ratio,
-        "distribution": distribution, "zipf_exponent": zipf_exponent,
-        "seed": seed, "value_size": value_size,
-        "invoke_probability": invoke_probability,
-    }
-    cached: Dict[str, Any] = {"cache_size": cache_size,
-                              "lease_ticks": lease_ticks}
-    rows: List[Dict[str, Any]] = []
-    cases = [
+
+def _readheavy_cases(config):
+    cached = {"cache_size": config["cache_size"],
+              "lease_ticks": config["lease_ticks"]}
+    return [
         ("uncached", {}),
-        ("cached", dict(cached)),
-        ("cached+chaos", dict(cached, plan_name=chaos_plan)),
-        ("cached+byz-stale", dict(cached, byzantine="stale-meta")),
-        ("cached+byz-forged", dict(cached, byzantine="forged-meta")),
+        ("cached", cached),
+        ("cached+chaos", {**cached, "plan": config["chaos_plan"]}),
+        ("cached+byz-stale", {**cached, "byzantine": "stale-meta"}),
+        ("cached+byz-forged", {**cached, "byzantine": "forged-meta"}),
     ]
-    by_case: Dict[str, KvBenchRow] = {}
-    for case, extra in cases:
-        row, _cluster = run_kv_case(num_shards, **common, **extra)
-        by_case[case] = row
-        rows.append({"case": case, **row.to_json()})
-    base = by_case["uncached"].reads_per_tick
-    boosted = by_case["cached"].reads_per_tick
-    summary = {
-        "reads_per_tick_uncached": round(base, 6),
-        "reads_per_tick_cached": round(boosted, 6),
+
+
+def _readheavy_summary(config, rows):
+    by_case = {row["case"]: row for row in rows}
+    base = by_case["uncached"]["reads_per_tick"]
+    boosted = by_case["cached"]["reads_per_tick"]
+    return {
+        "reads_per_tick_uncached": base,
+        "reads_per_tick_cached": boosted,
         "read_throughput_ratio": round(boosted / base, 3) if base
         else 0.0,
         "all_linearizable": all(row["linearizable"] for row in rows),
-        "lease_hits_cached": by_case["cached"].lease_hits,
-        "revalidations_cached": by_case["cached"].revalidations,
-        "fallbacks_forged": by_case["cached+byz-forged"]
-        .revalidate_fallbacks,
+        "lease_hits_cached": by_case["cached"]["lease_hits"],
+        "revalidations_cached": by_case["cached"]["revalidations"],
+        "fallbacks_forged": by_case["cached+byz-forged"][
+            "revalidate_fallbacks"],
     }
+
+
+def _readheavy_gates(p):
+    cases = {row["case"]: row for row in p["rows"]}
+    summary = p["summary"]
     return {
-        "config": {**common, "num_shards": num_shards,
-                   "cache_size": cache_size,
-                   "lease_ticks": lease_ticks,
-                   "chaos_plan": chaos_plan},
-        "rows": rows,
-        "summary": summary,
+        "exactly the five cases": set(cases) == {
+            "uncached", "cached", "cached+chaos", "cached+byz-stale",
+            "cached+byz-forged"},
+        "every case linearizable":
+            _all_linearizable(p) and summary["all_linearizable"] is True,
+        "read throughput ratio > 5.0":
+            summary["read_throughput_ratio"] > 5.0,
+        "the cached case served lease hits":
+            summary["lease_hits_cached"] > 0,
+        "the cached case revalidated successfully":
+            cases["cached"]["revalidate_hits"] > 0,
+        "the forged-metadata case fell back to full reads":
+            cases["cached+byz-forged"]["revalidate_fallbacks"] > 0,
     }
+
+
+#: Cached vs uncached ``atomic_md`` on one read-heavy workload
+#: (``kv-bench --readheavy``; ``benchmarks/BENCH_kv_readheavy.json``):
+#: the same 90/10 Zipf workload runs once uncached and once with
+#: session-cached reads and leases; the summary reports the
+#: read-throughput ratio (``reads_per_tick`` cached over uncached) — the
+#: number the session cache is judged on.  Three adversarial cases
+#: re-run the cached configuration under the ``chaos_plan`` builtin and
+#: with one Byzantine metadata server per flavour (``stale-meta``
+#: understates at revalidation and is outvoted by the quorum maximum;
+#: ``forged-meta`` inflates and only forces the full-read fallback).
+#: Every row's per-key histories pass ``check_atomicity`` — the cache
+#: trades wire traffic for bookkeeping, never consistency.
+READHEAVY = Comparison(
+    label="kv_readheavy",
+    shape={"n": 4, "t": 1, "protocol": "atomic_md", "num_shards": 4,
+           "sessions": 4, "keys": 8, "ops": 576, "write_ratio": 0.1,
+           "distribution": "zipf", "zipf_exponent": 1.5, "seed": 0,
+           "value_size": 64, "invoke_probability": 1.0},
+    settings={"cache_size": 32, "lease_ticks": 128,
+              "chaos_plan": "delays"},
+    smoke={"sessions": 2, "keys": 4, "ops": 48, "value_size": 32},
+    cases=_readheavy_cases, columns=_case_column,
+    summary=_readheavy_summary,
+    table=("case", "reads_per_tick", "ticks", "linearizable",
+           "lease_hits", "revalidations", "revalidate_hits",
+           "revalidate_fallbacks"),
+    gates=_readheavy_gates)

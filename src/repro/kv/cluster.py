@@ -164,7 +164,8 @@ def drive(cluster: KvCluster, operations: Sequence[KvOp], seed: int = 0,
     session queue counts a backpressure hit and the operation waits.
     When the network quiesces with operations still in flight, sessions
     spend their retry budgets; exhaustion raises
-    :class:`LivenessError`.
+    :class:`LivenessError`, whose ``stats`` is the dictionary a
+    completed run would have returned.
     """
     rng = random.Random(seed)
     queue: List[KvOp] = list(operations)
@@ -212,7 +213,13 @@ def drive(cluster: KvCluster, operations: Sequence[KvOp], seed: int = 0,
                 pending = sum(session.inflight for session in sessions)
                 raise LivenessError(
                     f"kv drive stalled: {pending} operations in flight, "
-                    "retry budget exhausted, network quiescent")
+                    "retry budget exhausted, network quiescent",
+                    stats=_drive_result(stats, sessions))
+    return _drive_result(stats, sessions)
+
+
+def _drive_result(stats: DriveStats,
+                  sessions: Sequence[KvSession]) -> Dict[str, int]:
     stats.completed = sum(
         1 for session in sessions for handle in session.handles
         if handle.done)

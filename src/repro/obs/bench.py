@@ -201,16 +201,13 @@ def run_micro_benchmarks(quick: bool = False) -> List[BenchRow]:
 
 def _macro_case(n: int, seed: int, value_size: int,
                 protocol: str = "atomic") -> BenchRow:
-    from repro.cluster import build_cluster
+    from repro.cluster import build_cluster, default_k
     from repro.config import SystemConfig
     from repro.net.schedulers import RandomScheduler
     from repro.workloads.generator import random_workload, run_workload
 
     t = (n - 1) // 3
-    # atomic_md requires k <= n - 2t; every other protocol takes the
-    # config default (n - t).
-    k = t + 1 if protocol == "atomic_md" else None
-    config = SystemConfig(n=n, t=t, k=k, seed=seed)
+    config = SystemConfig(n=n, t=t, k=default_k(protocol, t), seed=seed)
     cluster = build_cluster(config, protocol=protocol, num_clients=2,
                             scheduler=RandomScheduler(seed))
     operations = random_workload(2, writes=3, reads=3, seed=seed,

@@ -15,8 +15,9 @@ the next crash lands.  Three cases run the same seeded workload:
   pinned back to zero;
 * ``churn-norepair`` — the same storm with repair off: the third
   permanent crash leaves ``n - (t + 1) < n - t`` servers alive, below
-  every quorum, and the run loses liveness (caught and reported, with
-  whatever history *did* complete still checked atomic).
+  every quorum, and the run loses liveness (the one case declared
+  ``may_stall``: reported, with whatever history *did* complete still
+  checked atomic).
 
 The summary's headline is ``throughput_retention``: repaired ops/tick
 over fault-free ops/tick — the fraction of fault-free throughput the
@@ -25,23 +26,11 @@ fleet keeps while absorbing a full churn storm in the background.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Tuple
 
-from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import CrashSpec, FaultPlan
-from repro.cluster import PROTOCOLS
-from repro.common.errors import LivenessError
-from repro.config import SystemConfig
-from repro.kv.bench import (
-    _chaos_overrides,
-    _scheduler_for,
-    collect_kv_row,
-)
-from repro.kv.cluster import build_kv_cluster, drive
-from repro.kv.directory import KvDirectory
-from repro.obs import TraceRecorder
-from repro.repair.coordinator import attach_repair
-from repro.workloads.kv import kv_workload
+from repro.kv.bench import Comparison
+from repro.kv.cluster import KvCluster
 
 
 def churn_storm_plan(n: int, t: int, seed: int = 0,
@@ -68,78 +57,30 @@ def churn_storm_plan(n: int, t: int, seed: int = 0,
                      crashes=crashes, exceeds_t=len(servers) > t)
 
 
-def _alive_servers(cluster) -> int:
+def _alive_servers(cluster: KvCluster) -> int:
     """Fleet members currently able to answer (replacements count;
     crashed fail-stop hosts do not)."""
     return sum(1 for host in cluster.servers
                if not getattr(host, "crashed", False))
 
 
-def run_kv_churn_case(num_shards: int, n: int, t: int, sessions: int,
-                      keys: int, ops: int, write_ratio: float,
-                      seed: int, value_size: int,
-                      plan: Optional[FaultPlan], repair: bool,
-                      case: str, batch_size: int = 2,
-                      monitor=None, max_attempts: int = 6
-                      ) -> Dict[str, Any]:
-    """Run one churn case and return its row (a superset of
-    :class:`~repro.kv.bench.KvBenchRow`'s columns).
-
-    A :class:`~repro.common.errors.LivenessError` from the drive loop
-    is caught and reported as ``liveness_violation`` — for the
-    unrepaired storm that *is* the measurement.  The completed portion
-    of the history is still checked linearizable either way.
-    """
-    fleet = SystemConfig(n=n, t=t, seed=seed)
-    directory = KvDirectory(fleet, num_shards, shard_k=t + 1)
-    overrides = None
-    if plan is not None:
-        plan.validate(n, t)
-        overrides = _chaos_overrides(plan, PROTOCOLS["atomic_md"][0])
-    cluster = build_kv_cluster(
-        directory, protocol="atomic_md", num_sessions=sessions,
-        scheduler=_scheduler_for(plan, seed),
-        server_overrides=overrides, max_attempts=max_attempts)
-    if monitor is not None:
-        recorder = monitor.attach(cluster.simulator).recorder
-    else:
-        recorder = TraceRecorder().attach(cluster.simulator)
-    if plan is not None:
-        cluster.simulator.attach_injector(FaultInjector(plan))
-    coordinator = None
-    if repair:
-        coordinator = attach_repair(cluster, plan=plan,
-                                    batch_size=batch_size,
-                                    monitor=monitor)
-    workload = kv_workload(num_sessions=sessions, num_keys=keys,
-                           ops=ops, write_ratio=write_ratio, seed=seed,
-                           value_size=value_size)
-    liveness_violation = False
-    try:
-        stats = drive(cluster, workload, seed=seed)
-    except LivenessError:
-        liveness_violation = True
-        completed = sum(1 for session in cluster.sessions
-                        for handle in session.handles if handle.done)
-        stats = {"completed": completed, "retries": 0,
-                 "backpressure_hits": 0}
-    if monitor is not None:
-        monitor.finalize()
-    row = collect_kv_row(
-        recorder, cluster, stats, num_shards=num_shards,
-        protocol="atomic_md",
-        plan_label=None if plan is None else plan.name,
-        sessions=sessions, keys=keys, ops=ops)
-    extra: Dict[str, Any] = {
-        "case": case,
-        "liveness_violation": liveness_violation,
+def churn_columns(label: str, cluster: KvCluster,
+                  stalled: bool) -> Dict[str, Any]:
+    """What a churn row reports beyond the
+    :class:`~repro.kv.bench.KvBenchRow` columns: whether the run lost
+    liveness (for the unrepaired storm that *is* the measurement), who
+    survived, and — with the repair plane attached — what it did."""
+    columns: Dict[str, Any] = {
+        "case": label,
+        "liveness_violation": stalled,
         "alive_servers": _alive_servers(cluster),
-        "quorum": fleet.quorum,
+        "quorum": cluster.directory.fleet_config.quorum,
         "session_epochs": sorted(
             {session.epoch for session in cluster.sessions}),
     }
+    coordinator = cluster.repair
     if coordinator is not None:
-        extra.update({
+        columns.update({
             "replacements": coordinator.stats.replacements,
             "repairs_completed": coordinator.stats.completed,
             "repairs_failed": coordinator.stats.failed,
@@ -148,51 +89,42 @@ def run_kv_churn_case(num_shards: int, n: int, t: int, sessions: int,
             "repair_lag_final": coordinator.lag,
             "repair_lag_series": coordinator.stats.lag_samples,
         })
-    return {**extra, **row.to_json()}
+    return columns
 
 
-def run_kv_churn_comparison(n: int = 7, t: int = 2,
-                            num_shards: int = 2, sessions: int = 4,
-                            keys: int = 8, ops: int = 160,
-                            write_ratio: float = 0.5, seed: int = 0,
-                            value_size: int = 64,
-                            first_crash: int = 40, stagger: int = 120,
-                            replace_after: int = 40,
-                            batch_size: int = 2) -> Dict[str, Any]:
-    """Fault-free vs churn-with-repair vs churn-without on one workload.
+#: What every churn case pins beyond its workload: repair only covers
+#: ``atomic_md``, and the session retry budget is the one the committed
+#: document was measured with (the unrepaired case spends all of it).
+CHURN_CASE = {"protocol": "atomic_md", "max_attempts": 6}
 
-    The storm crashes ``t + 1`` servers, so the unrepaired fleet ends
-    with ``n - t - 1`` members — one short of every quorum — while the
-    repaired fleet is made whole again after each crash.  The summary
-    pins the acceptance claims: repaired throughput retention against
-    the fault-free baseline, repaired repair-lag driven back to zero,
-    and the unrepaired run's liveness violation (or, if it squeaked
-    through, its below-quorum survivor count).
-    """
-    plan = churn_storm_plan(n, t, seed=seed, first_crash=first_crash,
-                            stagger=stagger,
-                            replace_after=replace_after)
-    common = dict(num_shards=num_shards, n=n, t=t, sessions=sessions,
-                  keys=keys, ops=ops, write_ratio=write_ratio,
-                  seed=seed, value_size=value_size)
-    rows: List[Dict[str, Any]] = [
-        run_kv_churn_case(plan=None, repair=False, case="faultfree",
-                          **common),
-        run_kv_churn_case(plan=plan, repair=True, case="churn+repair",
-                          batch_size=batch_size, **common),
-        run_kv_churn_case(plan=plan, repair=False,
-                          case="churn-norepair", **common),
+
+def _churn_cases(config: Dict[str, Any]
+                 ) -> List[Tuple[str, Dict[str, Any]]]:
+    plan = churn_storm_plan(
+        config["n"], config["t"], seed=config["seed"],
+        first_crash=config["first_crash"], stagger=config["stagger"],
+        replace_after=config["replace_after"])
+    return [
+        ("faultfree", CHURN_CASE),
+        ("churn+repair", {**CHURN_CASE, "plan": plan,
+                          "batch_size": config["batch_size"]}),
+        ("churn-norepair", {**CHURN_CASE, "plan": plan}),
     ]
+
+
+def _churn_summary(config: Dict[str, Any],
+                   rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     by_case = {row["case"]: row for row in rows}
     base = by_case["faultfree"]["ops_per_tick"]
     repaired = by_case["churn+repair"]
     norepair = by_case["churn-norepair"]
-    summary = {
+    return {
         "ops_per_tick_faultfree": base,
         "ops_per_tick_repaired": repaired["ops_per_tick"],
         "throughput_retention": round(
             repaired["ops_per_tick"] / base, 3) if base else 0.0,
-        "repaired_completed_all": repaired["completed"] == ops,
+        "repaired_completed_all":
+            repaired["completed"] == config["ops"],
         "repaired_linearizable": repaired["linearizable"],
         "repair_lag_final": repaired["repair_lag_final"],
         "replacements": repaired["replacements"],
@@ -201,11 +133,48 @@ def run_kv_churn_comparison(n: int = 7, t: int = 2,
         "norepair_below_quorum":
             norepair["alive_servers"] < norepair["quorum"],
     }
+
+
+def _churn_gates(p: Dict[str, Any]) -> Dict[str, bool]:
+    cases = {row["case"]: row for row in p["rows"]}
+    summary, config = p["summary"], p["config"]
+    repaired = cases["churn+repair"]
     return {
-        "config": {**common, "first_crash": first_crash,
-                   "stagger": stagger, "replace_after": replace_after,
-                   "batch_size": batch_size,
-                   "plan": plan.to_json()},
-        "rows": rows,
-        "summary": summary,
+        "exactly the three cases": set(cases) == {
+            "faultfree", "churn+repair", "churn-norepair"},
+        "the repaired case is linearizable": repaired["linearizable"],
+        "the repaired case kept liveness":
+            not repaired["liveness_violation"],
+        "the repaired case completed every operation":
+            repaired["completed"] == repaired["ops"] == config["ops"],
+        "repair lag reached zero": repaired["repair_lag_final"] == 0,
+        "the repaired case replaced members and re-dispersed "
+        "registers":
+            repaired["replacements"] > 0
+            and repaired["repairs_completed"] > 0,
+        "throughput retention >= 0.9":
+            summary["throughput_retention"] >= 0.9,
+        "at least t + 1 replacements":
+            summary["replacements"] >= config["t"] + 1,
+        "the unrepaired storm lost liveness or fell below quorum":
+            bool(summary["norepair_liveness_violation"]
+                 or summary["norepair_below_quorum"]),
     }
+
+
+#: The three cases described at the top of this module (``kv-bench
+#: --churn``; ``benchmarks/BENCH_kv_churn.json``); the gates are the
+#: acceptance claims the committed document backs.
+CHURN = Comparison(
+    label="kv_churn",
+    shape={"num_shards": 2, "n": 7, "t": 2, "sessions": 4, "keys": 8,
+           "ops": 160, "write_ratio": 0.5, "seed": 0, "value_size": 64},
+    settings={"first_crash": 40, "stagger": 120, "replace_after": 40,
+              "batch_size": 2},
+    smoke={"sessions": 2, "keys": 4, "ops": 48, "first_crash": 20,
+           "stagger": 80, "replace_after": 30},
+    cases=_churn_cases, columns=churn_columns, summary=_churn_summary,
+    table=("case", "ops_per_tick", "completed", "ticks", "linearizable",
+           "alive_servers", "replacements", "repairs_completed",
+           "repair_lag_final", "liveness_violation"),
+    gates=_churn_gates, may_stall=frozenset({"churn-norepair"}))

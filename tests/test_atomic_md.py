@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.history import HistoryRecorder
-from repro.chaos.campaign import FAILSTOP_SERVERS, RunSpec, execute_run
+from repro.chaos.campaign import RunSpec, execute_run
 from repro.chaos.library import BUILTIN_PLANS, builtin_plan
 from repro.cluster import PROTOCOLS, build_cluster
 from repro.common.errors import ConfigurationError
@@ -51,7 +51,7 @@ from repro.faults.byzantine_servers import (
     CorruptBlockMdServer,
     MissingBlockMdServer,
 )
-from repro.faults.failstop import FailStopMdServer
+from repro.faults.failstop import FailStopMdServer, fail_stop
 from repro.kv import KvDirectory, run_kv_case
 from repro.kv.envelope import MSG_KV_BATCH
 from repro.lint.config import LintConfig
@@ -102,7 +102,7 @@ def test_initial_value_propagates():
 
 def test_registered_in_protocol_table():
     assert "atomic_md" in PROTOCOLS
-    assert FAILSTOP_SERVERS["atomic_md"] is FailStopMdServer
+    assert fail_stop(PROTOCOLS["atomic_md"][0]) is FailStopMdServer
 
 
 def test_sequential_writes_increment_by_one():
@@ -431,6 +431,35 @@ def test_mixed_protocol_kv_deployment_linearizes():
 def test_kv_case_rejects_byzantine_for_other_protocols():
     with pytest.raises(ConfigurationError):
         run_kv_case(2, protocol="atomic", byzantine="corrupt-block")
+
+
+def test_kv_case_rejects_a_plan_that_collides_with_its_byzantine_server():
+    """``byzantine=`` travels inside the plan, so ``FaultPlan.validate``
+    sees both faults: the Byzantine override used to win silently over
+    a crash of the same server, and a crash elsewhere used to push the
+    run past ``t`` unnoticed."""
+    from repro.chaos.plan import CrashSpec, FaultPlan
+    with pytest.raises(ConfigurationError,
+                       match="both crashes and runs a byzantine"):
+        run_kv_case(2, protocol="atomic_md", plan="crash",
+                    byzantine="corrupt-block")
+    elsewhere = FaultPlan(name="crash-p1", faulty=(1,),
+                          crashes=(CrashSpec(server=1, after=5),))
+    with pytest.raises(ConfigurationError,
+                       match="designates 2 faulty servers"):
+        run_kv_case(2, protocol="atomic_md", plan=elsewhere,
+                    byzantine="corrupt-block")
+    with pytest.raises(ConfigurationError,
+                       match="unknown byzantine behaviour"):
+        run_kv_case(2, protocol="atomic_md", byzantine="no-such")
+
+
+def test_kv_case_md_byzantine_composes_with_a_within_budget_plan():
+    row, _ = run_kv_case(2, protocol="atomic_md", sessions=2, keys=8,
+                         ops=24, write_ratio=0.1, seed=0, plan="delays",
+                         byzantine="corrupt-block")
+    assert row.linearizable and row.completed == 24
+    assert row.plan == "delays+byz-corrupt-block"
 
 
 def test_kv_case_md_byzantine_row_escalates_and_linearizes():

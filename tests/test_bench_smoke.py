@@ -6,20 +6,37 @@ variants use tiny iteration counts — the point is that every benchmark
 *runs* and emits well-formed rows, not that the numbers mean anything.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.cli import main
+from repro.common.errors import LivenessError
+from repro.kv.bench import (
+    MD_COMPARE,
+    READHEAVY,
+    check_comparison,
+    run_comparison,
+)
 from repro.obs.bench import (
     BenchRow,
     compare_rows,
     run_macro_benchmarks,
     run_micro_benchmarks,
 )
+from repro.repair.bench import CHURN
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _committed(label):
+    return json.loads((REPO_ROOT / "benchmarks" /
+                       f"BENCH_{label}.json").read_text())["data"]
 
 
 def test_quick_micro_benchmarks_emit_rows():
@@ -153,27 +170,9 @@ def test_checked_in_kv_md_comparison_meets_acceptance_gates():
     move >= 2x fewer data-plane bytes than ``atomic_ns`` at n=7/t=2,
     every sampled key linearizes, and the Byzantine corrupt-block case
     actually exercised read escalation (verification failures > 0)."""
-    document = json.loads(
-        (REPO_ROOT / "benchmarks" / "BENCH_kv_md.json").read_text())
-    rows = document["data"]["rows"]
-    assert all(row["linearizable"] for row in rows)
-    summary = {(entry["n"], entry["t"]): entry
-               for entry in document["data"]["summary"]}
-    for deployment in ((4, 1), (7, 2)):
-        entry = summary[deployment]
-        assert entry["read_data_bytes_atomic_ns"] > 0
-        assert entry["read_data_bytes_atomic_md"] > 0
-    big = summary[(7, 2)]
-    assert (big["read_data_bytes_atomic_ns"]
-            >= 2 * big["read_data_bytes_atomic_md"])
-    byzantine = [row for row in rows
-                 if row["plan"] and row["plan"].startswith("byz-")]
-    assert byzantine, "comparison must include a Byzantine chaos case"
-    assert any(row["verify_failures"] > 0 for row in byzantine)
-    fault_free_md = [row for row in rows
-                     if row["protocol"] == "atomic_md"
-                     and row["plan"] is None]
-    assert all(row["block_fetches"] > 0 for row in fault_free_md)
+    data = _committed("kv_md")
+    assert data["config"]["deployments"] == [[4, 1], [7, 2]]
+    assert check_comparison(MD_COMPARE, data) == []
 
 
 def test_cli_kv_bench_smoke_with_session_cache(tmp_path):
@@ -204,20 +203,31 @@ def test_checked_in_kv_readheavy_meets_acceptance_gates():
     Zipf mix over uncached ``atomic_md``, every row linearizes —
     including the chaos and Byzantine-metadata cases — and the
     forged-metadata attacker only ever forces full-read fallbacks."""
-    document = json.loads(
-        (REPO_ROOT / "benchmarks" /
-         "BENCH_kv_readheavy.json").read_text())
-    data = document["data"]
-    cases = {row["case"]: row for row in data["rows"]}
-    assert set(cases) == {"uncached", "cached", "cached+chaos",
-                          "cached+byz-stale", "cached+byz-forged"}
-    assert all(row["linearizable"] for row in cases.values())
-    summary = data["summary"]
-    assert summary["all_linearizable"] is True
-    assert summary["read_throughput_ratio"] > 5.0
-    assert summary["lease_hits_cached"] > 0
-    assert cases["cached"]["revalidate_hits"] > 0
-    assert cases["cached+byz-forged"]["revalidate_fallbacks"] > 0
+    assert check_comparison(READHEAVY, _committed("kv_readheavy")) == []
+
+
+def test_gate_checker_names_what_a_document_fails():
+    """The one checker behind ``--check`` and the tests above: a
+    document that misses its claim fails by gate, one that lost a case
+    fails every gate that needs it."""
+    data = _committed("kv_readheavy")
+    data["summary"]["read_throughput_ratio"] = 4.9
+    data["rows"][1]["linearizable"] = False
+    assert check_comparison(READHEAVY, data) == [
+        "every case linearizable", "read throughput ratio > 5.0"]
+    data["rows"] = [row for row in data["rows"]
+                    if row["case"] != "cached"]
+    assert check_comparison(READHEAVY, data) == ["document lacks 'cached'"]
+
+
+def test_cli_kv_bench_check_exits_nonzero_on_a_failed_gate(tmp_path,
+                                                           capsys):
+    document = {"bench": "kv_churn", "data": _committed("kv_churn")}
+    document["data"]["summary"]["throughput_retention"] = 0.5
+    path = tmp_path / "BENCH_kv_churn.json"
+    path.write_text(json.dumps(document))
+    assert main(["kv-bench", "--churn", "--check", str(path)]) == 1
+    assert "throughput retention >= 0.9" in capsys.readouterr().out
 
 
 def test_cli_kv_bench_check_pins_the_committed_readheavy_document():
@@ -299,22 +309,24 @@ def test_checked_in_kv_churn_meets_acceptance_gates():
     finishes every operation linearizably at >= 90% of fault-free
     throughput with repair lag pinned back to zero, while the identical
     unrepaired storm loses liveness (or ends below quorum)."""
-    document = json.loads(
-        (REPO_ROOT / "benchmarks" / "BENCH_kv_churn.json").read_text())
-    data = document["data"]
-    cases = {row["case"]: row for row in data["rows"]}
-    assert set(cases) == {"faultfree", "churn+repair", "churn-norepair"}
-    repaired = cases["churn+repair"]
-    assert repaired["linearizable"]
-    assert not repaired["liveness_violation"]
-    assert repaired["completed"] == data["config"]["ops"]
-    assert repaired["repair_lag_final"] == 0
-    assert repaired["repairs_completed"] > 0
-    summary = data["summary"]
-    assert summary["throughput_retention"] >= 0.9
-    assert summary["replacements"] >= data["config"]["t"] + 1
-    assert (summary["norepair_liveness_violation"]
-            or summary["norepair_below_quorum"])
+    assert check_comparison(CHURN, _committed("kv_churn")) == []
+
+
+def test_checked_in_kv_churn_stalled_row_keeps_its_retry_counts():
+    """The unrepaired storm's row reports what ``drive`` had counted
+    when it stalled, not the zeros a dropped ``DriveStats`` left."""
+    stalled = {row["case"]: row
+               for row in _committed("kv_churn")["rows"]}["churn-norepair"]
+    assert stalled["liveness_violation"]
+    assert (stalled["retries"], stalled["backpressure_hits"]) == (25, 63)
+
+
+def test_a_stall_the_comparison_did_not_declare_still_fails():
+    """Only ``churn-norepair`` may lose liveness; the same stall in a
+    case that did not declare it propagates, as it always has."""
+    strict = dataclasses.replace(CHURN, may_stall=frozenset())
+    with pytest.raises(LivenessError, match="kv drive stalled"):
+        run_comparison(strict, smoke=True)
 
 
 def test_cli_kv_bench_check_pins_the_committed_churn_document():
@@ -328,3 +340,63 @@ def test_cli_kv_bench_check_pins_the_committed_churn_document():
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert result.returncode == 0, (result.stdout, result.stderr)
     assert "churn check ok" in result.stdout
+
+
+@pytest.mark.parametrize("flags, label", [
+    ((), "kv_baseline"), (("--md-compare",), "kv_md"),
+    (("--readheavy",), "kv_readheavy"), (("--churn",), "kv_churn"),
+], ids=["sweep", "md-compare", "readheavy", "churn"])
+def test_committed_kv_documents_regenerate_byte_for_byte(
+        flags, label, tmp_path):
+    """Each committed kv document is exactly what its table entry
+    produces with no shape flag given — config, every row column and
+    the summary, to the byte (``--md-compare`` used to inherit the
+    sweep's ``--write-ratio 0.5 --distribution zipf`` defaults and
+    write a different document)."""
+    assert main(["kv-bench", *flags, "--label", label,
+                 "--out", str(tmp_path)]) == 0
+    name = f"BENCH_{label}.json"
+    assert (tmp_path / name).read_bytes() == \
+        (REPO_ROOT / "benchmarks" / name).read_bytes()
+
+
+@pytest.mark.parametrize("selector, label, cases", [
+    ((), "kv", 3), (("--md-compare",), "kv_md", 5),
+    (("--readheavy",), "kv_readheavy", 5), (("--churn",), "kv_churn", 3),
+], ids=["sweep", "md-compare", "readheavy", "churn"])
+def test_cli_kv_bench_smoke_runs_every_comparison_in_process(
+        selector, label, cases, tmp_path, capsys):
+    """``kv-bench --smoke`` runs each table entry end to end: every
+    case produces a linearizable row, the table and the summary are
+    printed, the document lands under the entry's own label."""
+    assert main(["kv-bench", "--smoke", *selector,
+                 "--out", str(tmp_path)]) == 0
+    data = json.loads(
+        (tmp_path / f"BENCH_{label}.json").read_text())["data"]
+    assert len(data["rows"]) == cases
+    assert all(row["linearizable"] for row in data["rows"])
+    out = capsys.readouterr().out
+    assert "linearizable" in out.splitlines()[0]
+    assert len(out.splitlines()) >= 2 + cases
+
+
+def test_cli_repair_smoke_runs_in_process(capsys):
+    assert main(["repair", "--smoke"]) == 0
+    out = capsys.readouterr().out
+    assert "3 members replaced" in out and "final repair lag 0" in out
+    assert "32/32 ops completed" in out and "(linearizable)" in out
+    assert "== repair ==" in out
+
+
+def test_explicit_shape_flags_override_a_pinned_comparison(tmp_path):
+    """A shape flag changes a comparison only when given: ``--seed 3
+    --keys 6`` reach the read-heavy cases, everything else stays
+    pinned."""
+    assert main(["kv-bench", "--readheavy", "--smoke", "--seed", "3",
+                 "--keys", "6", "--out", str(tmp_path)]) == 0
+    config = json.loads(
+        (tmp_path / "BENCH_kv_readheavy.json").read_text()
+    )["data"]["config"]
+    pinned = {**READHEAVY.shape, **READHEAVY.settings,
+              **READHEAVY.smoke}
+    assert config == {**pinned, "seed": 3, "keys": 6}

@@ -29,6 +29,7 @@ from repro.chaos import (
     CrashSpec,
     PartitionSpec,
     RunSpec,
+    build_chaos_cluster,
     builtin_plan,
     campaign_report,
     execute_run,
@@ -37,11 +38,12 @@ from repro.chaos import (
     shrink_plan,
     sweep,
 )
-from repro.cluster import build_cluster
+from repro.cluster import PROTOCOLS, build_cluster
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.ids import server_id
 from repro.common.serialization import encode
 from repro.config import SystemConfig
+from repro.faults.failstop import fail_stop
 from repro.net import message as message_module
 from repro.net.message import Message
 from repro.net.schedulers import RandomScheduler
@@ -350,6 +352,55 @@ def test_campaign_within_bound_is_clean():
     assert report["by_status"] == {STATUS_OK: len(results)}
 
 
+#: The ``n > 4t`` baselines; every other protocol claims ``n > 3t``.
+_NEEDS_N_GT_4T = {"bazzi_ding", "goodson", "phalanx"}
+
+
+@pytest.mark.parametrize("plan_name", ["crash", "crash-recover"])
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_every_protocol_rides_out_a_crash_at_its_resilience_bound(
+        protocol, plan_name):
+    """The paper's comparison made executable on the crash axis: each
+    of the nine protocols, deployed with the fewest servers its own
+    bound admits for ``t = 1``, stays atomic and wait-free when one
+    server fail-stops (permanently, or transiently with a backlog
+    replay) — five of them had no fail-stop variant before
+    ``fail_stop`` derived one from the protocol's own server class."""
+    n = 5 if protocol in _NEEDS_N_GT_4T else 4
+    spec = RunSpec(protocol=protocol, n=n, t=1,
+                   plan=builtin_plan(plan_name, n, 1, seed=0))
+    cluster, _injector = build_chaos_cluster(spec)
+    crashing = cluster.servers[-1]
+    assert type(crashing) is fail_stop(PROTOCOLS[protocol][0])
+    assert all(type(server) is PROTOCOLS[protocol][0]
+               for server in cluster.servers[:-1])
+    result = execute_run(spec)
+    assert result.status == STATUS_OK, result.detail
+
+
+def test_fail_stop_is_memoized_and_keeps_the_public_aliases():
+    from repro.core.atomic_ns import AtomicNSServer
+    from repro.faults.failstop import FailStopNSServer
+    variant = fail_stop(AtomicNSServer)
+    assert variant is fail_stop(AtomicNSServer) is FailStopNSServer
+    assert issubclass(variant, AtomicNSServer) and variant.__doc__
+    with pytest.raises(ConfigurationError):
+        variant(server_id(1), SystemConfig(n=4, t=1), trigger="clock")
+
+
+def test_byzantine_behaviour_must_match_the_protocol_under_test():
+    """Registered behaviours deviate from ``AtomicMdServer``; a plan
+    carrying one cannot run against another protocol on either plane."""
+    from repro.chaos.plan import ByzantineSpec
+    plan = FaultPlan(name="byz", faulty=(4,), byzantine=(
+        ByzantineSpec(server=4, behaviour="corrupt-block"),))
+    with pytest.raises(ConfigurationError, match="is not a AtomicServer"):
+        build_chaos_cluster(RunSpec(protocol="atomic", plan=plan))
+    cluster, _ = build_chaos_cluster(RunSpec(protocol="atomic_md",
+                                             plan=plan))
+    assert type(cluster.servers[3]) is plan.byzantine[0].server_class()
+
+
 def test_boundary_probe_finds_violation_and_reproduces(tmp_path):
     """The negative control: crashing t+1 servers in an n=3t+1
     deployment models n=3t, where the paper proves storage impossible —
@@ -467,3 +518,33 @@ def test_cli_chaos_boundary_replay_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["chaos", "--replay", str(reproducer)]) == 0
     assert "bit-for-bit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--protocols", "goodson", "--plans", "crash"],
+    ["monitor", "--source", "simulate", "--protocol", "goodson",
+     "--plan", "crash"],
+], ids=["chaos", "monitor-simulate"])
+def test_cli_reports_a_rejected_deployment_without_a_traceback(
+        argv, capsys):
+    """``goodson`` needs n > 4t: at the default n=4/t=1 the CLI says so
+    and exits 2, as it does for an unknown plan."""
+    from repro.cli import main
+    assert main(argv) == 2
+    assert "requires n > 4t" in capsys.readouterr().err
+
+
+def test_cli_chaos_crashes_the_n_gt_4t_baselines(capsys):
+    from repro.cli import main
+    assert main(["chaos", "--protocols", "goodson", "phalanx",
+                 "bazzi_ding", "--n", "5", "--plans", "crash",
+                 "crash-recover"]) == 0
+    assert "6 runs: {'ok': 6}" in capsys.readouterr().out
+
+
+def test_cli_chaos_protocols_are_validated_by_the_parser(capsys):
+    from repro.cli import main
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", "--protocols", "paxos"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'paxos'" in capsys.readouterr().err

@@ -160,7 +160,7 @@ def test_crashed_kv_server_stands_out_at_any_shard_count(shards):
     plan = builtin_plan("crash", 4, 1, seed=0)
     crashed = f"P{plan.crashes[0].server}"
     monitor = HealthMonitor()
-    _, cluster = run_kv_case(shards, n=4, t=1, ops=96, plan_name="crash",
+    _, cluster = run_kv_case(shards, n=4, t=1, ops=96, plan="crash",
                              monitor=monitor)
     scores = monitor.suspicion_scores()
     honest = max(score for server, score in scores.items()

@@ -20,16 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.history import HistoryRecorder
 from repro.chaos import FaultInjector, FaultPlan, FaultRule
-from repro.cluster import build_cluster
+from repro.cluster import PROTOCOLS as PROTOCOL_CLASSES, build_cluster
 from repro.common.errors import SimulationError
 from repro.common.ids import client_id, server_id
 from repro.config import SystemConfig
 from repro.faults.byzantine_servers import CrashServer
-from repro.faults.failstop import (
-    FailStopMdServer,
-    FailStopNSServer,
-    FailStopServer,
-)
+from repro.faults.failstop import fail_stop
 from repro.kv import KvDirectory, build_kv_cluster, check_kv_histories, drive
 from repro.net.inbox import Inbox
 from repro.net.message import Message
@@ -426,10 +422,6 @@ def test_delivery_cost_does_not_grow_with_operations_served(
 
 # -- flood bound --------------------------------------------------------------------
 
-_FAILSTOP = {"atomic": FailStopServer, "atomic_ns": FailStopNSServer,
-             "atomic_md": FailStopMdServer}
-
-
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_duplicate_flood_leaves_honest_inboxes_bounded_by_open_operations(
         protocol):
@@ -444,8 +436,8 @@ def test_duplicate_flood_leaves_honest_inboxes_bounded_by_open_operations(
         config, protocol=protocol, num_clients=3,
         scheduler=RandomScheduler(4),
         server_overrides={
-            6: lambda pid, cfg: _FAILSTOP[protocol](pid, cfg,
-                                                    crash_after=9)})
+            6: lambda pid, cfg: fail_stop(
+                PROTOCOL_CLASSES[protocol][0])(pid, cfg, crash_after=9)})
     plan = FaultPlan(name="duplicate-flood", seed=4, faulty=(n,),
                      rules=(FaultRule(kind="duplicate", party=n,
                                       limit=10 ** 6),))

@@ -467,7 +467,7 @@ def test_sessions_are_isolated_but_share_the_store():
 
 def test_kv_run_under_builtin_chaos_plan_stays_linearizable():
     row, cluster = run_kv_case(4, sessions=2, keys=8, ops=24,
-                               plan_name="drops", seed=2)
+                               plan="drops", seed=2)
     assert row.linearizable
     assert row.completed == 24
     assert row.keys_checked >= 4
@@ -477,7 +477,7 @@ def test_kv_run_under_builtin_chaos_plan_stays_linearizable():
 
 def test_kv_crash_recover_plan_downs_a_whole_host():
     row, cluster = run_kv_case(4, sessions=2, keys=8, ops=24,
-                               plan_name="crash-recover", seed=1)
+                               plan="crash-recover", seed=1)
     assert row.linearizable
     assert row.completed == 24
 

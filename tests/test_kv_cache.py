@@ -194,7 +194,7 @@ def test_get_joins_a_still_queued_write_and_returns_its_value():
 def test_cached_run_under_chaos_drops_stays_linearizable():
     row, cluster = run_kv_case(4, protocol="atomic_md", sessions=2,
                                keys=8, ops=24, write_ratio=0.1,
-                               plan_name="drops", seed=2, cache_size=8,
+                               plan="drops", seed=2, cache_size=8,
                                lease_ticks=64)
     assert row.linearizable
     assert row.completed == 24

@@ -13,6 +13,7 @@ and the committed baseline (``benchmarks/LINT_baseline.json``) must
 round-trip — baselined findings pass, new findings fail.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -22,6 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.lint import run_lint
+from repro.lint.astutil import terminal_name
+from repro.lint.engine import discover
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -105,3 +108,30 @@ def test_baseline_gate_fails_on_new_finding(tmp_path):
                               "--baseline", str(BASELINE))
     assert result.returncode == 1
     assert "det-wallclock" in result.stdout
+
+
+def _call_sites(callee):
+    """``module.function`` of every call of ``callee`` under
+    ``src/repro``, by AST (the linter's own project loader)."""
+    sites = []
+    for module in discover([SRC]):
+        for scope in ast.walk(module.tree):
+            if not isinstance(scope, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) \
+                        and terminal_name(node.func) == callee:
+                    sites.append(f"{module.dotted}.{scope.name}")
+    return sorted(sites)
+
+
+def test_one_runner_builds_kv_deployments_and_wires_their_faults():
+    """The harness ratchet: one function under ``src/repro`` builds a
+    kv deployment, and a ``FaultInjector`` is constructed at one
+    kv-plane and one register-plane site.  A second runner (or a third
+    way to turn a plan into faults) has to show up here first."""
+    assert _call_sites("build_kv_cluster") == ["repro.kv.bench.run_kv_case"]
+    assert _call_sites("FaultInjector") == [
+        "repro.chaos.campaign.build_chaos_cluster",
+        "repro.kv.bench.run_kv_case"]

@@ -540,7 +540,7 @@ def test_index_equals_scan_under_chaos(plan_name):
     messages are recorded when released, so send order is not id
     order.  The index follows recording order either way."""
     _, cluster = run_kv_case(4, n=4, t=1, ops=48, seed=1,
-                             plan_name=plan_name)
+                             plan=plan_name)
     recorder = cluster.simulator.obs
     assert any(event.kind == EVENT_CHAOS
                for event in cluster.simulator.event_log)

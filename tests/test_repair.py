@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, LivenessError
 from repro.common.serialization import encode
 from repro.config import SystemConfig
 from repro.core.timestamps import INITIAL_TIMESTAMP
@@ -38,6 +38,7 @@ from repro.kv import (
     build_kv_cluster,
     check_kv_histories,
     drive,
+    run_kv_case,
 )
 from repro.lint import run_lint
 from repro.lint.config import LintConfig
@@ -47,7 +48,11 @@ from repro.repair import (
     next_generation,
     replace_member,
 )
-from repro.repair.bench import churn_storm_plan, run_kv_churn_case
+from repro.repair.bench import (
+    CHURN_CASE,
+    churn_columns,
+    churn_storm_plan,
+)
 from repro.workloads.kv import KvOp
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -305,23 +310,64 @@ def test_repaired_fleet_survives_a_storm_the_unrepaired_fleet_cannot():
     repair lag driven back to zero, while the identical unrepaired run
     loses liveness (or ends below quorum)."""
     common = dict(num_shards=2, n=7, t=2, sessions=2, keys=4, ops=48,
-                  write_ratio=0.5, seed=0, value_size=32)
+                  write_ratio=0.5, seed=0, value_size=32, **CHURN_CASE)
     plan = churn_storm_plan(7, 2, first_crash=20, stagger=80,
                             replace_after=30)
-    repaired = run_kv_churn_case(plan=plan, repair=True,
-                                 case="churn+repair", **common)
-    assert not repaired["liveness_violation"]
-    assert repaired["completed"] == common["ops"]
-    assert repaired["linearizable"]
+    row, cluster = run_kv_case(plan=plan, batch_size=2, **common)
+    repaired = churn_columns("churn+repair", cluster, stalled=False)
+    assert row.completed == common["ops"]
+    assert row.linearizable
     assert repaired["replacements"] == 3
     assert repaired["repair_lag_final"] == 0
     assert repaired["repairs_completed"] > 0
     assert repaired["alive_servers"] == 7  # made whole again
     assert repaired["session_epochs"] == [3]
-    norepair = run_kv_churn_case(plan=plan, repair=False,
-                                 case="churn-norepair", **common)
-    assert (norepair["liveness_violation"]
-            or norepair["alive_servers"] < norepair["quorum"])
+    with pytest.raises(LivenessError) as stall:
+        run_kv_case(plan=plan, **common)
+    norepair = churn_columns("churn-norepair", stall.value.cluster,
+                             stalled=True)
+    assert norepair["liveness_violation"]
+    assert norepair["alive_servers"] < norepair["quorum"]
+    assert "replacements" not in norepair  # no repair plane attached
+
+
+def test_a_stalled_case_reports_the_retries_it_spent():
+    """Regression: ``drive`` used to drop its counters when it raised,
+    so a stalled row claimed zero retries and zero backpressure hits.
+    The error now carries the statistics ``drive`` would have returned
+    and the runner builds the finished row from them."""
+    plan = churn_storm_plan(7, 2, first_crash=20, stagger=80,
+                            replace_after=30)
+    with pytest.raises(LivenessError) as stall:
+        run_kv_case(2, n=7, t=2, sessions=2, keys=4, ops=48, seed=0,
+                    value_size=32, plan=plan, **CHURN_CASE)
+    stats, row = stall.value.stats, stall.value.row
+    assert set(stats) == {"steps", "submitted", "completed",
+                          "backpressure_hits", "retries",
+                          "retry_rounds"}
+    assert stats["retries"] > 0 and stats["retry_rounds"] > 0
+    assert stats["completed"] < stats["submitted"] <= 48
+    assert (row.retries, row.backpressure_hits, row.completed) == (
+        stats["retries"], stats["backpressure_hits"],
+        stats["completed"])
+    assert row.linearizable  # what did complete is still atomic
+
+
+def test_churn_case_with_session_cache_and_leases_linearizes():
+    """The lease x epoch-bump x repair interleaving the churn harness
+    could not express: cached, leased sessions ride out the storm."""
+    plan = churn_storm_plan(7, 2, first_crash=20, stagger=80,
+                            replace_after=30)
+    row, cluster = run_kv_case(
+        2, n=7, t=2, sessions=2, keys=2, ops=96, seed=0, value_size=32,
+        write_ratio=0.1, plan=plan, batch_size=2, cache_size=4,
+        lease_ticks=64, **CHURN_CASE)
+    assert row.completed == 96 and row.linearizable
+    assert (row.cache_size, row.lease_ticks) == (4, 64)
+    assert row.lease_hits > 0
+    assert {session.epoch for session in cluster.sessions} == {3}
+    assert cluster.repair.stats.replacements == 3
+    assert cluster.repair.lag == 0
 
 
 # -- hygiene ------------------------------------------------------------------

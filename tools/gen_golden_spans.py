@@ -28,17 +28,20 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.cluster import build_cluster  # noqa: E402
+from repro.cluster import build_cluster, default_k  # noqa: E402
 from repro.config import SystemConfig  # noqa: E402
 from repro.kv.bench import run_kv_case  # noqa: E402
 from repro.net.schedulers import RandomScheduler  # noqa: E402
 from repro.obs import (  # noqa: E402
-    HealthMonitor,
     TraceRecorder,
     build_spans,
     operation_plane_traffic,
 )
-from repro.repair.bench import churn_storm_plan, run_kv_churn_case  # noqa: E402
+from repro.repair.bench import (  # noqa: E402
+    CHURN_CASE,
+    churn_columns,
+    churn_storm_plan,
+)
 from repro.workloads.generator import random_workload, run_workload  # noqa: E402
 
 FIXTURE = REPO / "tests" / "fixtures" / "golden_spans.json"
@@ -64,10 +67,9 @@ def span_json(span) -> dict:
 
 
 def _run_register(spec: dict):
-    t = spec["t"]
     config = SystemConfig(
-        n=spec["n"], t=t, seed=spec["seed"],
-        k=t + 1 if spec["protocol"] == "atomic_md" else None)
+        n=spec["n"], t=spec["t"], seed=spec["seed"],
+        k=default_k(spec["protocol"], spec["t"]))
     cluster = build_cluster(config, protocol=spec["protocol"],
                             num_clients=spec["clients"],
                             scheduler=RandomScheduler(spec["seed"]))
@@ -90,21 +92,19 @@ def _run_kv(spec: dict):
 
 
 def _run_churn(spec: dict):
-    # The churn harness keeps its recorder to itself; a health monitor
-    # is the supported way to hand one in (and it puts the wrapped-
-    # recorder path under the same pin).
-    monitor = HealthMonitor()
     plan = churn_storm_plan(spec["n"], spec["t"], seed=spec["seed"],
                             first_crash=spec["first_crash"],
                             stagger=spec["stagger"],
                             replace_after=spec["replace_after"])
-    row = run_kv_churn_case(
+    row, cluster = run_kv_case(
         spec["shards"], n=spec["n"], t=spec["t"],
         sessions=spec["sessions"], keys=spec["keys"], ops=spec["ops"],
         write_ratio=spec["write_ratio"], seed=spec["seed"],
-        value_size=spec["value_size"], plan=plan, repair=True,
-        case="churn+repair", monitor=monitor)
-    return monitor.recorder, row
+        value_size=spec["value_size"], plan=plan, batch_size=2,
+        **CHURN_CASE)
+    return cluster.simulator.obs, {
+        **churn_columns("churn+repair", cluster, stalled=False),
+        **row.to_json()}
 
 
 _RUNNERS = {"register": _run_register, "kv": _run_kv, "churn": _run_churn}
