@@ -14,8 +14,15 @@ Run from the repo root::
 
     PYTHONPATH=src python tools/gen_golden_spans.py
 
+Beside each digest set the fixture pins ``shape_sha256``: the same span
+tree, planes and row with every byte-valued field (``message_bytes``, the
+plane byte totals, the ``*_bytes`` row columns) dropped.  A change that
+resizes a payload but sends the same messages in the same order moves
+``spans/planes/row_sha256`` and leaves ``shape_sha256`` alone, which is
+what makes a byte-only re-pin provable.
+
 Only regenerate when an attribution change is *intended* (a new phase, a
-new row column); note the reason in the commit message.
+new row column, a resized payload); note the reason in the commit message.
 """
 
 from __future__ import annotations
@@ -51,6 +58,16 @@ def _digest(value) -> str:
     blob = json.dumps(value, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def _shape(value):
+    """``value`` with every ``*bytes`` key dropped, at any depth."""
+    if isinstance(value, dict):
+        return {key: _shape(item) for key, item in value.items()
+                if not key.endswith("bytes")}
+    if isinstance(value, list):
+        return [_shape(item) for item in value]
+    return value
 
 
 def span_json(span) -> dict:
@@ -122,6 +139,7 @@ def run_case(spec: dict) -> dict:
         "spans": len(spans),
         "spans_sha256": _digest(spans),
         "planes_sha256": _digest(planes),
+        "shape_sha256": _digest(_shape([spans, planes, row])),
     }
     if row is not None:
         record["row_sha256"] = _digest(row)
