@@ -133,6 +133,41 @@ class ComplexityModel:
             storage_per_server=base.storage_per_server + self.sig_size,
             non_skipping=True, byzantine_clients=True)
 
+    def atomic_md(self, versions: int = 1) -> Prediction:
+        """Protocol AtomicMd: blocks point-to-point, ``(ts, H(D))``
+        r-broadcast, ``k``-server reads; ``versions`` retained at rest.
+
+        Not part of :meth:`all_protocols` (the paper's comparison
+        table): crash-only clients, and it needs ``k <= n - 2t``.
+        """
+        n, k = self.n, self.k
+        if k > n - 2 * self.t:
+            raise ConfigurationError("atomic_md requires k <= n - 2t")
+        rbc_messages = n + 2 * n * n
+        metadata = self.commitment_size + self.ts_size   # one md-meta
+        # get-ts/ts/ack: 3n.  md-store: n.  RBC of (ts, H(D)).
+        write_messages = 3 * n + n + rbc_messages
+        write_bytes = (
+            n * self._block_with_proof()                      # md-store
+            + rbc_messages * (self.ts_size + self.hash_size)  # rbc
+            + 3 * n * self.ts_size                            # get-ts/ts/ack
+            + self.listeners * n * metadata)
+        # md-read/md-meta/md-read-complete: 3n.  k get-block + k block.
+        read_messages = 3 * n + 2 * k
+        read_bytes = (
+            n * metadata
+            + k * (self.block_size + self.witness_size + self.ts_size)
+            + (2 * n + k) * self.ts_size)
+        storage = metadata + versions * (
+            self.block_size + self.witness_size + self.ts_size)
+        return Prediction(
+            protocol="atomic_md", resilience="n > 3t",
+            storage_blowup=n * self.block_size / self.value_size,
+            write_messages=write_messages, write_bytes=write_bytes,
+            read_messages=read_messages, read_bytes=read_bytes,
+            storage_per_server=storage, non_skipping=False,
+            byzantine_clients=False)
+
     # -- baselines ---------------------------------------------------------------
 
     def martin(self) -> Prediction:

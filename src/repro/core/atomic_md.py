@@ -3,11 +3,17 @@
 A fast-path variant of Protocol Atomic in the spirit of MDStore
 (*Erasure-Coded Byzantine Storage with Separate Metadata*) and
 PoWerStore's metadata-only rounds: the **metadata plane** (timestamps
-and cross-checksums — tiny messages) runs at full ``n - t`` quorums,
-while the **data plane** (erasure-coded blocks) is pushed point-to-point
-on writes and fetched from only ``k`` servers on reads, with
-verified-against-metadata escalation to further servers when a block
-fails verification or a queried server reports a miss.
+and cross-checksums) runs at full ``n - t`` quorums, while the **data
+plane** (erasure-coded blocks) is pushed point-to-point on writes and
+fetched from only ``k`` servers on reads, with verified-against-metadata
+escalation to further servers when a block fails verification or a
+queried server reports a miss.  "Metadata" does not mean small: the
+cross-checksum ``D`` is ``n`` hashes, so at 64-byte values and n = 7 an
+``md-meta`` is 362 bytes on the wire against a 115-byte ``md-block``.
+The protocol therefore states ``D`` as few times as it can — once per
+server on the write path (beside the block, in ``md-store``), once per
+``md-meta`` on the read path, once per register at rest — and lets the
+``O(n^2)`` broadcast traffic name it by its hash.
 
 Write (client ``C_i``, value ``F``, operation identifier ``oid``):
   1. query all servers for their timestamps (``md-get-ts``), take the
@@ -16,18 +22,31 @@ Write (client ``C_i``, value ``F``, operation identifier ``oid``):
      send each server *only its own* block ``[D, F_j, w_j]``
      (``md-store`` — data plane, ``O(n)`` block messages instead of
      AVID's ``O(n^2)`` echo traffic);
-  3. r-broadcast the pair ``(ts, D)`` (tag ``ID|rbc.oid`` — metadata
-     plane), binding every honest server to one timestamp *and* one
-     cross-checksum for this write;
+  3. r-broadcast the pair ``(ts, H(D))`` (tag ``ID|rbc.oid`` — metadata
+     plane; ``H(D)`` is the commitment scheme's ``digest``), binding
+     every honest server to one timestamp *and* one cross-checksum for
+     this write in ``n + 2n^2`` constant-size messages;
   4. wait for ``n - t`` ``md-ack`` messages.
 
-Server ``P_j`` joins the r-delivered ``(ts, D)`` with a block that
-*verified against* ``D`` from the same writer, then adopts
-``[D, F_j, ts + 1, oid]`` if it exceeds the stored TIMESTAMP, forwards
-**metadata only** (``md-meta``) to registered listeners, acks, and
-outputs ``write-accepted``.  Accepted versions are retained in a bounded
-per-register history so readers can fetch blocks for a timestamp that
-was current when the metadata quorum formed.
+Server ``P_j`` joins the r-delivered ``(ts, h)`` with the ``md-store``
+of the same writer whose block *verified against* a ``D`` with
+``H(D) = h`` (the digest is computed once, when the block verifies),
+then adopts ``[D, F_j, ts + 1, oid]`` if it exceeds the stored
+TIMESTAMP, forwards **metadata only** (``md-meta``) to registered
+listeners, acks, and outputs ``write-accepted``.  A writer whose halves
+disagree never takes effect.  The binding argument is Protocol Atomic's
+with one more hop: by Bracha agreement all honest servers r-deliver the
+same ``(ts, h)``, each accepts only a block that verified against a
+``D`` hashing to ``h``, and by collision resistance that is one ``D`` —
+the binding that broadcasting the vector itself would give.
+
+Accepted versions are retained in a bounded per-register history —
+TIMESTAMP → block and witness — so readers can fetch blocks for a
+timestamp that was current when the metadata quorum formed.  ``D`` is
+kept once per register, for the adopted version: that is the only one
+``md-meta`` replies ever state, and a reader verifies any block it
+fetches against the ``D`` its metadata quorum agreed on, never against
+the serving server's copy.
 
 Read (client ``C_i``, operation identifier ``oid``):
   1. send ``md-read`` to all servers; collect ``md-meta`` replies until
@@ -71,6 +90,7 @@ from repro.core.register import (
     RegisterClientBase,
 )
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
+from repro.crypto.hashing import DIGEST_SIZE
 from repro.net.message import Message
 from repro.net.process import Process, WaitState
 
@@ -125,23 +145,27 @@ def validate_md_config(config: SystemConfig) -> SystemConfig:
 
 @dataclass
 class _MdRegisterState:
-    """Global variables of one AtomicMd register at one server."""
+    """Global variables of one AtomicMd register at one server.
 
+    The adopted version is ``commitment``, ``timestamp`` and
+    ``history[timestamp]``; its block and witness live nowhere else.
+    """
+
+    #: cross-checksum of the adopted version — the only ``D`` at rest
     commitment: Any
-    block: bytes
-    witness: Any
     timestamp: Timestamp
     listeners: ListenerSet = field(default_factory=ListenerSet)
-    #: accepted versions by TIMESTAMP (insertion == acceptance order),
-    #: bounded by the server's ``history_limit``; always contains the
-    #: currently adopted version.
-    history: Dict[Timestamp, Tuple[Any, bytes, Any]] = \
+    #: ``(block, witness)`` of accepted versions by TIMESTAMP (insertion
+    #: == acceptance order), bounded by the server's ``history_limit``;
+    #: always contains the currently adopted version.
+    history: Dict[Timestamp, Tuple[bytes, Any]] = \
         field(default_factory=dict)
     # Join state for in-flight writes, per origin (see Protocol Atomic:
     # a write fires only when one party owns both halves).
     pending_meta: Dict[str, Dict[PartyId, Any]] = field(default_factory=dict)
-    pending_store: Dict[str, Dict[PartyId, Tuple[Any, bytes, Any]]] = \
-        field(default_factory=dict)
+    #: verified ``md-store`` halves: ``(H(D), D, block, witness)``
+    pending_store: Dict[str, Dict[PartyId, Tuple[bytes, Any, bytes, Any]]] \
+        = field(default_factory=dict)
     accepted: Set[str] = field(default_factory=set)
 
 
@@ -189,10 +213,9 @@ class AtomicMdServer(Process):
                                        witnesses[index - 1])
             commitment, block, witness = self._initial_state
             state = _MdRegisterState(
-                commitment=commitment, block=block, witness=witness,
-                timestamp=INITIAL_TIMESTAMP,
+                commitment=commitment, timestamp=INITIAL_TIMESTAMP,
                 listeners=ListenerSet(capacity=self._max_listeners))
-            state.history[INITIAL_TIMESTAMP] = (commitment, block, witness)
+            state.history[INITIAL_TIMESTAMP] = (block, witness)
             self._registers[tag] = state
         return self._registers[tag]
 
@@ -265,8 +288,11 @@ class AtomicMdServer(Process):
                                            message.sender)
             return
         state = self.register_state(message.tag)
-        state.pending_store.setdefault(oid, {}).setdefault(
-            message.sender, (commitment, block, witness))
+        senders = state.pending_store.setdefault(oid, {})
+        if message.sender not in senders:
+            senders[message.sender] = (
+                self.config.commitment_scheme.digest(commitment),
+                commitment, block, witness)
         self._try_join(message.tag, oid)
 
     def _on_get_block(self, message: Message) -> None:
@@ -278,15 +304,20 @@ class AtomicMdServer(Process):
         oid, timestamp = message.payload
         if not isinstance(oid, str) or not isinstance(timestamp, Timestamp):
             return
-        state = self.register_state(message.tag)
-        entry = state.history.get(timestamp)
+        entry = self.register_state(message.tag).history.get(timestamp)
         if entry is None:
             self.send(message.sender, message.tag, MSG_BLOCK_MISS, oid,
                       timestamp)
             return
-        _, block, witness = entry
-        self.send(message.sender, message.tag, MSG_BLOCK, oid, timestamp,
-                  block, witness)
+        self._serve_block(message.sender, message.tag, oid, timestamp,
+                          *entry)
+
+    def _serve_block(self, reader: PartyId, tag: str, oid: str,
+                     timestamp: Timestamp, block: bytes,
+                     witness: Any) -> None:
+        """Answer an ``md-get-block`` for a retained version (the one
+        step a Byzantine data plane replaces)."""
+        self.send(reader, tag, MSG_BLOCK, oid, timestamp, block, witness)
 
     def _on_repair(self, message: Message) -> None:
         """Ingest a re-dispersed block from the repair plane.
@@ -320,11 +351,9 @@ class AtomicMdServer(Process):
                                            message.sender)
             return
         state = self.register_state(message.tag)
-        self._remember(state, timestamp, commitment, block, witness)
+        self._remember(state, timestamp, block, witness)
         if state.timestamp < timestamp:
             state.commitment = commitment
-            state.block = block
-            state.witness = witness
             state.timestamp = timestamp
             for listener_oid, listener in state.listeners.below(timestamp):
                 self.send(listener, message.tag, MSG_META, listener_oid,
@@ -346,7 +375,7 @@ class AtomicMdServer(Process):
 
     def _try_join(self, register_tag: str, oid: str) -> None:
         """Fire the write once some party owns both halves *and* the
-        broadcast cross-checksum matches the one its block verified
+        broadcast digest names the cross-checksum its block verified
         against (a writer whose halves disagree never takes effect)."""
         state = self.register_state(register_tag)
         if oid in state.accepted:
@@ -357,10 +386,12 @@ class AtomicMdServer(Process):
                 continue
             if not isinstance(meta, tuple) or len(meta) != 2:
                 continue  # Byzantine writer broadcast garbage
-            ts, commitment = meta
+            ts, digest = meta
             if not isinstance(ts, int) or ts < 0:
                 continue
-            if encode(commitment) != encode(stored[0]):
+            if not isinstance(digest, bytes) or len(digest) != DIGEST_SIZE:
+                continue
+            if digest != stored[0]:
                 continue  # halves disagree: never accept
             state.accepted.add(oid)
             self._accept_write(register_tag, oid, writer,
@@ -371,14 +402,12 @@ class AtomicMdServer(Process):
                       timestamp: Timestamp, state: _MdRegisterState) -> None:
         """Adopt the version if newer, record it in the history, notify
         listeners with metadata only, ack, take effect."""
-        commitment, block, witness = state.pending_store[oid][writer]
+        _, commitment, block, witness = state.pending_store[oid][writer]
         state.pending_store.pop(oid, None)
         state.pending_meta.pop(oid, None)
-        self._remember(state, timestamp, commitment, block, witness)
+        self._remember(state, timestamp, block, witness)
         if state.timestamp < timestamp:
             state.commitment = commitment
-            state.block = block
-            state.witness = witness
             state.timestamp = timestamp
         for listener_oid, listener in state.listeners.below(timestamp):
             self.send(listener, register_tag, MSG_META, listener_oid,
@@ -387,10 +416,10 @@ class AtomicMdServer(Process):
         self.output(register_tag, "write-accepted", oid, timestamp)
 
     def _remember(self, state: _MdRegisterState, timestamp: Timestamp,
-                  commitment: Any, block: bytes, witness: Any) -> None:
+                  block: bytes, witness: Any) -> None:
         """Retain an accepted version; evict the oldest-accepted entry
         beyond the bound, never the currently adopted one."""
-        state.history[timestamp] = (commitment, block, witness)
+        state.history[timestamp] = (block, witness)
         while len(state.history) > self.history_limit:
             for old in state.history:
                 if old != state.timestamp and old != timestamp:
@@ -402,14 +431,14 @@ class AtomicMdServer(Process):
     # -- measurements -------------------------------------------------------
 
     def register_storage_bytes(self, tag: str) -> int:
-        """Storage complexity of one register: current version, bounded
-        history, and the listener set."""
+        """Storage complexity of one register: the adopted version's
+        cross-checksum and TIMESTAMP, every retained version's
+        ``(TIMESTAMP, block, witness)``, and the listener set — each
+        byte at rest counted once."""
         state = self.register_state(tag)
-        total = encoded_size((state.commitment, state.block, state.witness,
-                              state.timestamp))
-        for timestamp, (commitment, block, witness) in \
-                state.history.items():
-            total += encoded_size((timestamp, commitment, block, witness))
+        total = encoded_size((state.commitment, state.timestamp))
+        for timestamp, entry in state.history.items():
+            total += encoded_size((timestamp, *entry))
         total += state.listeners.storage_bytes()
         return total
 
@@ -454,8 +483,10 @@ class AtomicMdClient(RegisterClientBase):
             index = server.index
             self.send(server, tag, MSG_STORE, oid, commitment,
                       blocks[index - 1], witnesses[index - 1])
-        # Metadata plane: bind every honest server to one (ts, D) pair.
-        r_broadcast(self, rbc_tag(tag, oid), (ts, commitment))
+        # Metadata plane: bind every honest server to one (ts, H(D))
+        # pair — they hold D itself from the md-store above.
+        r_broadcast(self, rbc_tag(tag, oid),
+                    (ts, self.config.commitment_scheme.digest(commitment)))
         yield self.condition_quorum(
             tag, MSG_ACK, self.config.quorum, oid=oid,
             where=lambda m: m.sender.is_server and len(m.payload) == 1)

@@ -10,7 +10,9 @@ register protocols are agnostic and experiments can compare them.
 A commitment must be a hashable, canonically-serializable value (it is used
 to group quorum messages); a *witness* is per-block data a verifier needs
 besides the block itself (empty for hash vectors, an inclusion proof for
-Merkle trees).
+Merkle trees).  A commitment's *digest* is its constant-size name: parties
+that already hold ``D`` agree on it by agreeing on ``digest(D)``, the same
+trade Section 2.3 makes when it replaces cross-checksums by hashes of them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.serialization import encode
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.merkle import MerkleProof, MerkleTree, verify_merkle_proof
 
@@ -45,6 +48,12 @@ class CommitmentScheme:
         indexes servers) committed block.  Never raises on bad input."""
         raise NotImplementedError
 
+    def digest(self, commitment: Commitment) -> bytes:
+        """The ``DIGEST_SIZE``-byte name of a commitment some block has
+        *verified* against: collision resistance binds whoever accepts
+        the digest to the one commitment that hashes to it."""
+        raise NotImplementedError
+
 
 class VectorCommitment(CommitmentScheme):
     """The paper's hash vector ``D = [H(F_1), ..., H(F_n)]``.
@@ -68,6 +77,11 @@ class VectorCommitment(CommitmentScheme):
         if not 1 <= index <= self.n or not isinstance(block, bytes):
             return False
         return commitment[index - 1] == hash_bytes(block)
+
+    def digest(self, commitment: Commitment) -> bytes:
+        # Hash of the canonical (length-framed) encoding of ``D``, so no
+        # two vectors share a preimage across entry boundaries.
+        return hash_bytes(encode(commitment))
 
 
 class MerkleCommitment(CommitmentScheme):
@@ -97,6 +111,9 @@ class MerkleCommitment(CommitmentScheme):
         if witness.index != index - 1 or witness.leaf_count != self.n:
             return False
         return verify_merkle_proof(commitment, block, witness)
+
+    def digest(self, commitment: Commitment) -> bytes:
+        return commitment  # the root already is a hash of everything
 
 
 def make_commitment_scheme(name: str, n: int) -> CommitmentScheme:

@@ -17,7 +17,6 @@ from repro.common.ids import PartyId
 from repro.config import SystemConfig
 from repro.core.atomic import MSG_VALUE, AtomicServer, _RegisterState
 from repro.core.atomic_md import (
-    MSG_BLOCK,
     MSG_BLOCK_MISS,
     MSG_VALID,
     AtomicMdServer,
@@ -136,22 +135,12 @@ class CorruptBlockMdServer(AtomicMdServer):
     still terminate with the correct value.
     """
 
-    def _on_get_block(self, message: Message) -> None:
-        if len(message.payload) != 2:
-            return
-        oid, timestamp = message.payload
-        if not isinstance(oid, str) or not isinstance(timestamp, Timestamp):
-            return
-        state = self.register_state(message.tag)
-        entry = state.history.get(timestamp)
-        if entry is None:
-            self.send(message.sender, message.tag, MSG_BLOCK_MISS, oid,
-                      timestamp)
-            return
-        _, block, witness = entry
+    def _serve_block(self, reader: PartyId, tag: str, oid: str,
+                     timestamp: Timestamp, block: bytes,
+                     witness: Any) -> None:
         corrupted = bytes(byte ^ 0xFF for byte in block) or b"\x00"
-        self.send(message.sender, message.tag, MSG_BLOCK, oid, timestamp,
-                  corrupted, witness)
+        super()._serve_block(reader, tag, oid, timestamp, corrupted,
+                             witness)
 
 
 class MissingBlockMdServer(AtomicMdServer):
@@ -162,14 +151,10 @@ class MissingBlockMdServer(AtomicMdServer):
     escalation path rather than the verification-failure path.
     """
 
-    def _on_get_block(self, message: Message) -> None:
-        if len(message.payload) != 2:
-            return
-        oid, timestamp = message.payload
-        if not isinstance(oid, str) or not isinstance(timestamp, Timestamp):
-            return
-        self.send(message.sender, message.tag, MSG_BLOCK_MISS, oid,
-                  timestamp)
+    def _serve_block(self, reader: PartyId, tag: str, oid: str,
+                     timestamp: Timestamp, block: bytes,
+                     witness: Any) -> None:
+        self.send(reader, tag, MSG_BLOCK_MISS, oid, timestamp)
 
 
 class StaleMetadataMdServer(AtomicMdServer):

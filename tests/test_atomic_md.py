@@ -11,6 +11,13 @@ The load-bearing guarantees tested here:
 * **Data-plane shape** — a write pushes exactly ``n`` point-to-point
   blocks (no AVID echo storm); a fault-free read fetches blocks from
   exactly ``k`` servers.
+* **The join** — servers pair the r-delivered ``(ts, H(D))`` with the
+  ``md-store`` whose verified ``D`` hashes to it: a writer whose halves
+  disagree never takes effect, malformed pairs are ignored, and the
+  broadcast's wire size no longer depends on ``n``.
+* **One ``D`` per register at rest** — a retained version costs its
+  block, witness and TIMESTAMP; a read of a version that is no longer
+  the adopted one still decodes.
 * **Escalation** — a Byzantine data plane (corrupted blocks, universal
   misses) forces reads past their first ``k`` fetch targets; reads
   still return the correct value and the verification-failure /
@@ -30,23 +37,29 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.history import HistoryRecorder
+from repro.broadcast.reliable import MSG_ECHO, r_broadcast
 from repro.chaos.campaign import RunSpec, execute_run
 from repro.chaos.library import BUILTIN_PLANS, builtin_plan
 from repro.cluster import PROTOCOLS, build_cluster
 from repro.common.errors import ConfigurationError
+from repro.common.serialization import encoded_size
 from repro.config import SystemConfig
+from repro.core import atomic_md
 from repro.core.atomic_md import (
     DATA_PLANE_TYPES,
     MESSAGE_TYPES,
+    MSG_ACK,
     MSG_BLOCK,
     MSG_BLOCK_MISS,
     MSG_GET_BLOCK,
+    MSG_META,
     MSG_STORE,
     MSG_VALID,
     MSG_VALIDATE,
     validate_md_config,
 )
-from repro.core.timestamps import Timestamp
+from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
+from repro.crypto.hashing import DIGEST_SIZE
 from repro.faults.byzantine_servers import (
     CorruptBlockMdServer,
     MissingBlockMdServer,
@@ -55,7 +68,7 @@ from repro.faults.failstop import FailStopMdServer, fail_stop
 from repro.kv import KvDirectory, run_kv_case
 from repro.kv.envelope import MSG_KV_BATCH
 from repro.lint.config import LintConfig
-from repro.net.schedulers import RandomScheduler
+from repro.net.schedulers import RandomScheduler, Scheduler
 from repro.obs.planes import (
     DATA_PLANE_MTYPES,
     TRANSPORT_MTYPES,
@@ -204,6 +217,192 @@ def test_repeated_reads_of_a_register_each_fetch_exactly_k_blocks(seed):
         fetched = metrics.messages_by_mtype("reg")[MSG_GET_BLOCK] - before
         assert fetched == cluster.config.k, f"read {index}"
     assert MSG_BLOCK_MISS not in metrics.messages_by_mtype("reg")
+
+
+# -- the join: (ts, H(D)) meets the verified md-store -------------------------
+
+def _commitment_of(cluster, value):
+    blocks = cluster.config.coder.encode(value)
+    return cluster.config.commitment_scheme.commit(blocks)[0]
+
+
+def _broadcast_instead(monkeypatch, forge):
+    """Make every writer r-broadcast ``forge(ts, digest)`` in place of
+    the honest ``(ts, digest)`` — its ``md-store`` half stays honest."""
+    def forged(process, tag, value):
+        return r_broadcast(process, tag, forge(*value))
+    monkeypatch.setattr(atomic_md, "r_broadcast", forged)
+
+
+def _assert_write_never_took_effect(cluster, handle):
+    cluster.run()  # to quiescence: nothing raises, nothing is left
+    assert not handle.done
+    counts = cluster.simulator.metrics.messages_by_mtype("reg")
+    assert counts[MSG_STORE] == cluster.config.n  # both halves arrived
+    assert MSG_ACK not in counts
+    for server in cluster.servers:
+        state = server.register_state("reg")
+        assert handle.oid not in state.accepted
+        assert state.timestamp == INITIAL_TIMESTAMP
+        assert list(state.history) == [INITIAL_TIMESTAMP]
+
+
+def test_honest_write_takes_effect_at_every_server_under_its_digest():
+    cluster = _cluster(n=7, t=2, seed=5, clients=1)
+    cluster.write(1, "reg", "w1", b"bound by a digest")
+    cluster.run()
+    commitment = _commitment_of(cluster, b"bound by a digest")
+    for server in cluster.servers:
+        state = server.register_state("reg")
+        assert state.timestamp == Timestamp(1, "w1")
+        assert state.commitment == commitment
+        assert "w1" in state.accepted
+        assert not state.pending_store and not state.pending_meta
+
+
+def test_merkle_deployment_joins_on_the_root_itself():
+    """``digest`` of a Merkle root is the root: the broadcast pair is
+    what it always was, and the write/read path is unchanged."""
+    config = SystemConfig(n=4, t=1, k=2, commitment="merkle")
+    cluster = build_cluster(config, protocol="atomic_md", num_clients=2,
+                            scheduler=RandomScheduler(1))
+    cluster.write(1, "reg", "w1", b"under a hash tree")
+    assert cluster.read(2, "reg", "r1").result == b"under a hash tree"
+    cluster.run()
+    root = _commitment_of(cluster, b"under a hash tree")
+    assert all(server.register_state("reg").commitment == root
+               for server in cluster.servers)
+
+
+def test_writer_whose_halves_disagree_is_never_accepted(monkeypatch):
+    """Blocks stored under ``D1``, ``digest(D2)`` r-broadcast: every
+    server holds both halves, none joins them, the write never ends."""
+    cluster = _cluster(clients=1)
+    other = cluster.config.commitment_scheme.digest(
+        _commitment_of(cluster, b"some other value"))
+    _broadcast_instead(monkeypatch, lambda ts, digest: (ts, other))
+    handle = cluster.client(1).invoke_write("reg", "w1", b"the value")
+    _assert_write_never_took_effect(cluster, handle)
+
+
+@pytest.mark.parametrize("forge", [
+    pytest.param(lambda ts, digest, commitment: (ts, commitment),
+                 id="full-vector"),
+    pytest.param(lambda ts, digest, commitment: (ts, digest.hex()),
+                 id="not-bytes"),
+    pytest.param(lambda ts, digest, commitment: (ts, digest[:-1]),
+                 id="short"),
+    pytest.param(lambda ts, digest, commitment: (ts, digest + b"\x00"),
+                 id="long"),
+    pytest.param(lambda ts, digest, commitment: (-1, digest),
+                 id="negative-ts"),
+    pytest.param(lambda ts, digest, commitment: (ts, digest, digest),
+                 id="not-a-pair"),
+])
+def test_malformed_broadcast_pairs_are_ignored(monkeypatch, forge):
+    cluster = _cluster(clients=1)
+    commitment = _commitment_of(cluster, b"the value")
+    _broadcast_instead(
+        monkeypatch, lambda ts, digest: forge(ts, digest, commitment))
+    handle = cluster.client(1).invoke_write("reg", "w1", b"the value")
+    _assert_write_never_took_effect(cluster, handle)
+
+
+def _wire_sizes(n, t):
+    """``mtype -> distinct wire sizes`` over one write at ``(n, t)``,
+    ``k`` held at 2 so block sizes are equal across deployments."""
+    config = SystemConfig(n=n, t=t, k=2, seed=0)
+    cluster = build_cluster(config, protocol="atomic_md", num_clients=1,
+                            scheduler=RandomScheduler(0))
+    recorder = TraceRecorder().attach(cluster.simulator)
+    cluster.write(1, "reg", "w1", b"x" * 64)
+    cluster.run()
+    sizes = {}
+    for record in recorder.messages.values():
+        sizes.setdefault(record.mtype, set()).add(record.wire_bytes)
+    return sizes
+
+
+def test_broadcast_wire_size_is_independent_of_n():
+    """The ``O(n^2)`` messages carry ``(ts, H(D))``: constant in ``n``.
+    ``D`` itself travels once per server, beside the block."""
+    at4, at7, at10 = (_wire_sizes(n, t) for n, t in ((4, 1), (7, 2), (10, 3)))
+    assert at4[MSG_ECHO] == at7[MSG_ECHO] == at10[MSG_ECHO]
+    (echo,), (store4,), (store7,), (store10,) = (
+        at4[MSG_ECHO], at4[MSG_STORE], at7[MSG_STORE], at10[MSG_STORE])
+    per_server = encoded_size(b"h" * DIGEST_SIZE)
+    assert store7 - store4 == store10 - store7 == 3 * per_server
+    assert echo < store4
+
+
+def test_a_retained_version_costs_its_block_not_a_cross_checksum():
+    """At rest: one ``D`` per register, ``(TIMESTAMP, block, witness)``
+    per retained version — under 120 bytes each at 64-byte values."""
+    cluster = _cluster(n=7, t=2, clients=1)
+    server = cluster.server(1)
+    sizes = []
+    for index in range(6):  # well inside the history bound
+        cluster.write(1, "reg", f"w{index}", bytes([index]) * 64)
+        cluster.run()
+        sizes.append(server.register_storage_bytes("reg"))
+    growth = {after - before for before, after in zip(sizes, sizes[1:])}
+    assert len(growth) == 1 and 64 // 3 < growth.pop() < 120
+    state = server.register_state("reg")
+    one_d = encoded_size(state.commitment)
+    assert one_d > 7 * DIGEST_SIZE
+    versions = len(state.history)
+    assert versions == 7  # initial + six writes, adopted one included
+    assert one_d < sizes[-1] < one_d + versions * 120
+
+
+class _HoldBack(Scheduler):
+    """FIFO, except that messages matching ``held`` wait until nothing
+    else is pending (then oldest first)."""
+
+    def __init__(self, held):
+        self.held = held
+
+    def choose(self, pending):
+        for index, message in enumerate(pending):
+            if not self.held(message):
+                return index
+        return 0
+
+
+def test_read_of_a_superseded_version_fetches_verifies_and_decodes():
+    """The metadata quorum forms on version 1; before any block request
+    is delivered a newer write is adopted everywhere.  Servers serve
+    version 1 from the history (they no longer hold its ``D``) and the
+    reader verifies against the ``D`` its ``md-meta`` quorum carried."""
+    first = Timestamp(1, "w1")
+
+    def held(message):
+        return message.mtype == MSG_GET_BLOCK or (
+            message.mtype == MSG_META and message.payload[2] != first)
+
+    config = SystemConfig(n=4, t=1, k=2)
+    cluster = build_cluster(config, protocol="atomic_md", num_clients=2,
+                            scheduler=_HoldBack(held))
+    recorder = TraceRecorder().attach(cluster.simulator)
+    cluster.write(1, "reg", "w1", b"first version")
+    cluster.run()
+    read = cluster.client(2).invoke_read("reg", "r1")
+    metrics = cluster.simulator.metrics
+    cluster.simulator.run_until(
+        lambda: metrics.messages_by_mtype("reg").get(MSG_GET_BLOCK, 0) > 0)
+    assert not read.done
+    cluster.write(1, "reg", "w2", b"second version")
+    cluster.simulator.run_until(lambda: all(
+        server.register_state("reg").timestamp == Timestamp(2, "w2")
+        for server in cluster.servers))
+    assert not read.done
+    cluster.run()
+    assert read.result == b"first version"
+    assert read.timestamp == first
+    counts = metrics.messages_by_mtype("reg")
+    assert counts[MSG_BLOCK] >= config.k and MSG_BLOCK_MISS not in counts
+    assert not any(name.startswith("verify.failed.by[")
+                   for name in recorder.registry.snapshot())
 
 
 # -- metadata-only revalidation -----------------------------------------------

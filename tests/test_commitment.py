@@ -10,6 +10,7 @@ from repro.crypto.commitment import (
     VectorCommitment,
     make_commitment_scheme,
 )
+from repro.crypto.hashing import DIGEST_SIZE
 
 SCHEMES = [VectorCommitment, MerkleCommitment]
 SCHEME_IDS = ["vector", "merkle"]
@@ -76,6 +77,30 @@ def test_commitment_is_serializable(scheme_cls):
     scheme = scheme_cls(4)
     commitment, witnesses = scheme.commit(_blocks(4))
     encode((commitment, witnesses))  # must not raise
+
+
+@pytest.mark.parametrize("scheme_cls", SCHEMES, ids=SCHEME_IDS)
+def test_digest_is_a_constant_size_name_of_the_commitment(scheme_cls):
+    scheme = scheme_cls(5)
+    first, _ = scheme.commit(_blocks(5, salt=0))
+    second, _ = scheme.commit(_blocks(5, salt=9))
+    assert isinstance(scheme.digest(first), bytes)
+    assert len(scheme.digest(first)) == DIGEST_SIZE
+    assert scheme.digest(first) == scheme.digest(scheme.commit(
+        _blocks(5, salt=0))[0])
+    assert scheme.digest(first) != scheme.digest(second)
+
+
+def test_vector_digest_frames_its_entries():
+    """Moving bytes across an entry boundary changes the digest."""
+    scheme = VectorCommitment(2)
+    assert scheme.digest((b"ab", b"c")) != scheme.digest((b"a", b"bc"))
+
+
+def test_merkle_root_is_its_own_digest():
+    scheme = MerkleCommitment(5)
+    commitment, _ = scheme.commit(_blocks(5))
+    assert scheme.digest(commitment) is commitment
 
 
 def test_vector_commitment_shape():
