@@ -23,7 +23,6 @@ from repro.chaos.campaign import (
     STATUS_OK,
     STATUS_STALLED,
     STATUS_VIOLATION,
-    build_chaos_cluster,
     campaign_report,
     execute_run,
     load_reproducer,
@@ -57,7 +56,6 @@ __all__ = [
     "STATUS_VIOLATION",
     "SchedulerSpec",
     "ShrinkResult",
-    "build_chaos_cluster",
     "builtin_plan",
     "campaign_report",
     "execute_run",

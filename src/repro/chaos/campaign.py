@@ -27,19 +27,11 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.injector import FaultInjector
 from repro.chaos.library import builtin_plan
 from repro.chaos.plan import FaultPlan
-from repro.cluster import PROTOCOLS, Cluster, build_cluster, default_k
-from repro.common.errors import (
-    AtomicityViolation,
-    ConfigurationError,
-    SimulationError,
-)
-from repro.config import SystemConfig
+from repro.cluster import Cluster, run_register_case
+from repro.common.errors import AtomicityViolation, SimulationError
 from repro.analysis.history import HistoryRecorder
-from repro.faults.failstop import fault_overrides
-from repro.workloads.generator import random_workload, run_workload
 
 TAG = "reg"
 
@@ -63,10 +55,6 @@ class RunSpec:
     #: erasure threshold, or ``None`` for the protocol's default
     #: (``atomic_md`` resolves to ``t + 1`` — it requires ``k <= n - 2t``)
     k: Optional[int] = None
-
-    def resolved_k(self) -> Optional[int]:
-        """The erasure threshold this run deploys with."""
-        return default_k(self.protocol, self.t, self.k)
 
     def to_json(self) -> Dict[str, Any]:
         """The spec as a plain JSON-serializable dictionary."""
@@ -112,36 +100,13 @@ class RunResult:
                 "expected": self.expected}
 
 
-def build_chaos_cluster(spec: RunSpec) -> Tuple[Cluster, FaultInjector]:
-    """A cluster wired for one chaos run: seeded scheduler (the plan's
-    adversarial one when present, random otherwise), the plan's crashing
-    and Byzantine servers substituted
-    (:func:`~repro.faults.failstop.fault_overrides`), fault injector
-    attached."""
-    if spec.protocol not in PROTOCOLS:
-        raise ConfigurationError(
-            f"unknown protocol {spec.protocol!r}; choose from "
-            f"{sorted(PROTOCOLS)}")
-    spec.plan.validate(spec.n, spec.t)
-    config = SystemConfig(n=spec.n, t=spec.t, k=spec.resolved_k(),
-                          seed=spec.seed)
-    cluster = build_cluster(
-        config, protocol=spec.protocol, num_clients=spec.clients,
-        scheduler=spec.plan.build_scheduler(spec.seed),
-        server_overrides=fault_overrides(
-            spec.plan, PROTOCOLS[spec.protocol][0]))
-    injector = FaultInjector(spec.plan)
-    cluster.simulator.attach_injector(injector)
-    return cluster, injector
-
-
 def _event_log_digest(cluster: Cluster) -> str:
     lines = [repr(event) for event in cluster.simulator.event_log]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _fault_counts(injector: FaultInjector) -> Dict[str, int]:
-    snapshot = injector.instruments.snapshot()
+def _fault_counts(cluster: Cluster) -> Dict[str, int]:
+    snapshot = cluster.simulator.chaos.instruments.snapshot()
     return {name: summary["value"]
             for name, summary in snapshot.items()
             if summary.get("type") == "counter"}
@@ -161,20 +126,17 @@ def execute_run(spec: RunSpec, monitor=None) -> RunResult:
     every exit path, so ``repro monitor`` can score server health and
     SLO burn over exactly the run the campaign classified.
     """
-    cluster, injector = build_chaos_cluster(spec)
-    if monitor is not None:
-        monitor.attach(cluster.simulator)
-    operations = random_workload(spec.clients, writes=spec.writes,
-                                 reads=spec.reads, seed=spec.seed)
     try:
-        handles = run_workload(cluster, TAG, operations, seed=spec.seed,
-                               require_done=False)
+        handles, cluster = run_register_case(
+            spec.protocol, spec.n, spec.t, k=spec.k, clients=spec.clients,
+            writes=spec.writes, reads=spec.reads, seed=spec.seed,
+            plan=spec.plan, tracer=monitor, require_done=False)
     except SimulationError as exc:
         return RunResult(spec=spec, status=STATUS_STALLED,
                          detail=f"run did not quiesce: {exc}",
-                         steps=cluster.simulator.time,
-                         digest=_event_log_digest(cluster),
-                         faults=_fault_counts(injector))
+                         steps=exc.cluster.simulator.time,
+                         digest=_event_log_digest(exc.cluster),
+                         faults=_fault_counts(exc.cluster))
     finally:
         if monitor is not None:
             monitor.finalize()
@@ -197,7 +159,7 @@ def execute_run(spec: RunSpec, monitor=None) -> RunResult:
     return RunResult(spec=spec, status=status, detail=detail,
                      steps=cluster.simulator.time,
                      digest=_event_log_digest(cluster),
-                     faults=_fault_counts(injector))
+                     faults=_fault_counts(cluster))
 
 
 def sweep(protocols: Sequence[str], plan_names: Sequence[str],

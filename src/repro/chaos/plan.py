@@ -36,7 +36,7 @@ RULE_KINDS = ("drop", "duplicate", "corrupt", "delay")
 
 #: Adversarial scheduler families a plan can compose with
 #: (see :func:`repro.net.schedulers.make_scheduler`).
-SCHEDULER_NAMES = ("random", "slow-parties", "partition")
+SCHEDULER_NAMES = ("random", "fifo", "slow-parties", "partition")
 
 #: Fail-stop trigger clocks (see :mod:`repro.faults.failstop`).
 CRASH_TRIGGERS = ("messages", "decisions")
@@ -47,10 +47,10 @@ class SchedulerSpec:
     """An adversarial scheduler swept alongside the plan's faults.
 
     Schedulers re-order (never suppress) deliveries, so they need no
-    Byzantine budget: ``slow_servers`` starves the named servers'
-    deliveries to last place, and a ``partition`` scheduler deprioritises
-    cross-``group`` traffic until ``heal_after`` scheduling decisions
-    have passed.  Both preserve eventual delivery, keeping run
+    Byzantine budget: ``fifo`` delivers in send order, ``slow_servers``
+    starves the named servers' deliveries to last place, and a
+    ``partition`` scheduler deprioritises cross-``group`` traffic until
+    ``heal_after`` scheduling decisions have passed.  All preserve eventual delivery, keeping run
     completeness intact — which is why a scheduler entry is legal even
     in plans with an empty faulty set.
     """
@@ -99,7 +99,7 @@ class SchedulerSpec:
                 "partition", seed=seed,
                 group={server_id(index) for index in self.group},
                 heal_after=self.heal_after)
-        return make_scheduler("random", seed=seed)
+        return make_scheduler(self.name, seed=seed)
 
     def to_json(self) -> Dict[str, Any]:
         """The spec as a plain JSON-serializable dictionary."""

@@ -39,10 +39,8 @@ from repro.analysis.trace import (
     operation_summary,
     traffic_summary,
 )
-from repro.cluster import PROTOCOLS, build_cluster, default_k
+from repro.cluster import PROTOCOLS, run_register_case
 from repro.common.errors import ConfigurationError
-from repro.config import SystemConfig
-from repro.net.schedulers import RandomScheduler
 from repro.obs import (
     BENCH_ENV,
     TraceRecorder,
@@ -51,7 +49,6 @@ from repro.obs import (
     operation_breakdown_lines,
     text_report,
 )
-from repro.workloads.generator import random_workload, run_workload
 from repro.workloads.kv import DEFAULT_SHIFT_EVERY, DISTRIBUTIONS
 
 _EXPERIMENTS = {
@@ -74,20 +71,13 @@ _EXPERIMENTS = {
 
 
 def _traced_run(args: argparse.Namespace) -> tuple:
-    """Build a cluster with a tracer attached, run the random workload,
-    and return ``(cluster, recorder)``."""
-    config = SystemConfig(n=args.n, t=args.t,
-                          k=default_k(args.protocol, args.t, args.k),
-                          commitment=args.commitment, seed=args.seed)
-    cluster = build_cluster(config, protocol=args.protocol,
-                            num_clients=args.clients,
-                            scheduler=RandomScheduler(args.seed))
+    """Run the traced random workload; returns ``(cluster, recorder)``."""
     recorder = TraceRecorder()
-    recorder.attach(cluster.simulator)
-    operations = random_workload(args.clients, writes=args.writes,
-                                 reads=args.reads, seed=args.seed,
-                                 value_size=args.value_size)
-    run_workload(cluster, "reg", operations, seed=args.seed)
+    _, cluster = run_register_case(
+        args.protocol, args.n, args.t, k=args.k, clients=args.clients,
+        writes=args.writes, reads=args.reads, seed=args.seed,
+        value_size=args.value_size, commitment=args.commitment,
+        tracer=recorder)
     return cluster, recorder
 
 

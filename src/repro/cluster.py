@@ -4,20 +4,25 @@ Wires a :class:`~repro.net.simulator.Simulator` with ``n`` register servers
 and any number of clients for a chosen protocol, optionally replacing some
 servers or clients with Byzantine variants from :mod:`repro.faults` (or any
 compatible process).  This is the entry point examples, tests, and the
-experiment harness all share.
+experiment harness all share; :func:`run_register_case` is the register
+plane's one runner on top of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.abc_register import AbcRegisterClient, AbcRegisterServer
 from repro.baselines.bazzi_ding import BazziDingClient, BazziDingServer
 from repro.baselines.goodson import GoodsonClient, GoodsonServer
 from repro.baselines.martin import MartinClient, MartinServer
 from repro.baselines.phalanx import PhalanxClient, PhalanxServer
-from repro.common.errors import ConfigurationError, LivenessError
+from repro.common.errors import (
+    ConfigurationError,
+    LivenessError,
+    SimulationError,
+)
 from repro.common.ids import PartyId, client_id, server_id
 from repro.config import SystemConfig
 from repro.core.atomic import AtomicClient, AtomicServer
@@ -26,7 +31,7 @@ from repro.core.atomic_ns import AtomicNSClient, AtomicNSServer
 from repro.core.no_listeners import NoListenersClient, NoListenersServer
 from repro.core.register import OperationHandle
 from repro.net.process import Process
-from repro.net.schedulers import Scheduler
+from repro.net.schedulers import RandomScheduler, Scheduler
 from repro.net.simulator import Simulator
 
 #: protocol name -> (server class, client class)
@@ -47,6 +52,16 @@ PROTOCOLS = {
     # (reads retry; wait-freedom is lost under concurrency).
     "no_listeners": (NoListenersServer, NoListenersClient),
 }
+
+
+def protocol_classes(protocol: str) -> Tuple[type, type]:
+    """``protocol``'s ``(server class, client class)``; the one place an
+    unknown protocol name is rejected."""
+    if protocol not in PROTOCOLS:
+        raise ConfigurationError(
+            f"unknown protocol {protocol!r}; choose from "
+            f"{sorted(PROTOCOLS)}")
+    return PROTOCOLS[protocol]
 
 
 def default_k(protocol: str, t: int, k: Optional[int] = None
@@ -133,11 +148,7 @@ def build_cluster(
     experimenter's responsibility to keep within ``config.t`` when honest
     behaviour is expected.
     """
-    if protocol not in PROTOCOLS:
-        raise ConfigurationError(
-            f"unknown protocol {protocol!r}; choose from "
-            f"{sorted(PROTOCOLS)}")
-    server_cls, client_cls = PROTOCOLS[protocol]
+    server_cls, client_cls = protocol_classes(protocol)
     simulator = Simulator(scheduler=scheduler)
     server_overrides = server_overrides or {}
     client_overrides = client_overrides or {}
@@ -162,3 +173,61 @@ def build_cluster(
 
     return Cluster(config=config, simulator=simulator, servers=servers,
                    clients=clients, protocol=protocol)
+
+
+def run_register_case(protocol: str, n: int, t: int,
+                      k: Optional[int] = None, clients: int = 2,
+                      writes: int = 3, reads: int = 3, seed: int = 0,
+                      value_size: int = 64, commitment: str = "vector",
+                      plan=None, tracer=None,
+                      record_deliveries: bool = False,
+                      require_done: bool = True
+                      ) -> Tuple[Dict[str, OperationHandle], Cluster]:
+    """Run one seeded register workload and return ``(handles, cluster)``.
+
+    The register plane's one runner (``repro simulate`` / ``trace``, the
+    chaos campaign, the macro bench, the golden fixtures): config (``k``
+    through :func:`default_k`), cluster, scheduler, faults, tracer and
+    :func:`~repro.workloads.generator.random_workload` on tag ``"reg"``,
+    all seeded by ``seed``.  ``plan`` (a
+    :class:`~repro.chaos.plan.FaultPlan`) is validated and supplies the
+    scheduler, the crashing and Byzantine servers
+    (:func:`~repro.faults.failstop.fault_overrides`) and an attached
+    :class:`~repro.chaos.injector.FaultInjector`; ``None`` runs
+    fault-free under :class:`~repro.net.schedulers.RandomScheduler`.
+    ``tracer`` is anything with ``attach(simulator)``;
+    ``record_deliveries`` logs every delivery, not only inputs and
+    outputs.  A :class:`~repro.common.errors.SimulationError` from the
+    drive (a stall under ``require_done``, a run that never quiesces)
+    is re-raised carrying ``cluster``, as
+    :func:`repro.kv.bench.run_kv_case` does.
+    """
+    # Imported here: the chaos, fault and workload layers build on this
+    # module.
+    from repro.chaos.injector import FaultInjector
+    from repro.faults.failstop import fault_overrides
+    from repro.workloads.generator import random_workload, run_workload
+
+    scheduler, overrides = RandomScheduler(seed), None
+    if plan is not None:
+        plan.validate(n, t)
+        scheduler = plan.build_scheduler(seed)
+        overrides = fault_overrides(plan, protocol_classes(protocol)[0])
+    config = SystemConfig(n=n, t=t, k=default_k(protocol, t, k),
+                          commitment=commitment, seed=seed)
+    cluster = build_cluster(config, protocol=protocol, num_clients=clients,
+                            scheduler=scheduler, server_overrides=overrides)
+    cluster.simulator._record_deliveries = record_deliveries
+    if tracer is not None:
+        tracer.attach(cluster.simulator)
+    if plan is not None:
+        cluster.simulator.attach_injector(FaultInjector(plan))
+    operations = random_workload(clients, writes=writes, reads=reads,
+                                 seed=seed, value_size=value_size)
+    try:
+        handles = run_workload(cluster, "reg", operations, seed=seed,
+                               require_done=require_done)
+    except SimulationError as error:
+        error.cluster = cluster
+        raise
+    return handles, cluster

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.history import HistoryRecorder
-from repro.cluster import build_cluster
-from repro.common.ids import server_id
-from repro.config import SystemConfig
+from repro.chaos.plan import FaultPlan, SchedulerSpec
+from repro.cluster import run_register_case
 from repro.experiments.common import render_table
-from repro.net.schedulers import make_scheduler
-from repro.workloads.generator import random_workload, run_workload
 
 TAG = "reg"
 
@@ -42,29 +39,15 @@ class SensitivityRow:
     load_imbalance: float
 
 
-#: The sweep as declarative factory configs (name, kwargs) — everything
-#: an experiment config file can express is reachable through
-#: :func:`repro.net.schedulers.make_scheduler`.
-SCHEDULER_CONFIGS = [
-    ("fifo", "fifo", {}),
-    ("random", "random", {}),
-    ("starve-P1", "slow-parties", {"slow_parties": [1]}),
-    ("partition-heals", "partition",
-     {"group": [1, 2], "heal_after": 300}),
-]
-
-
-def _schedulers(seed: int) -> List:
-    built = []
-    for label, kind, params in SCHEDULER_CONFIGS:
-        kwargs = dict(params)
-        if "slow_parties" in kwargs:
-            kwargs["slow_parties"] = {server_id(j)
-                                      for j in kwargs["slow_parties"]}
-        if "group" in kwargs:
-            kwargs["group"] = {server_id(j) for j in kwargs["group"]}
-        built.append((label, make_scheduler(kind, seed=seed, **kwargs)))
-    return built
+#: The sweep: each row label with the scheduler it runs under, as the
+#: same :class:`~repro.chaos.plan.SchedulerSpec` a chaos plan carries.
+SCHEDULERS = (
+    ("fifo", SchedulerSpec(name="fifo")),
+    ("random", SchedulerSpec(name="random")),
+    ("starve-P1", SchedulerSpec(name="slow-parties", slow_servers=(1,))),
+    ("partition-heals", SchedulerSpec(name="partition", group=(1, 2),
+                                      heal_after=300)),
+)
 
 
 def run(protocol: str = "atomic_ns", n: int = 4, t: int = 1,
@@ -72,13 +55,10 @@ def run(protocol: str = "atomic_ns", n: int = 4, t: int = 1,
         ) -> List[SensitivityRow]:
     """Execute the experiment sweep; returns structured result rows."""
     rows = []
-    for name, scheduler in _schedulers(seed):
-        config = SystemConfig(n=n, t=t, seed=seed)
-        cluster = build_cluster(config, protocol=protocol, num_clients=3,
-                                scheduler=scheduler)
-        operations = random_workload(3, writes=writes, reads=reads,
-                                     seed=seed)
-        handles = run_workload(cluster, TAG, operations, seed=seed)
+    for name, scheduler in SCHEDULERS:
+        handles, cluster = run_register_case(
+            protocol, n, t, clients=3, writes=writes, reads=reads,
+            seed=seed, plan=FaultPlan(name=name, scheduler=scheduler))
         atomic = True
         try:
             HistoryRecorder(cluster, TAG).check()

@@ -53,7 +53,7 @@ from repro.analysis.linearizability import (
 from repro.chaos.library import builtin_plan
 from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import ByzantineSpec, FaultPlan
-from repro.cluster import PROTOCOLS, default_k
+from repro.cluster import default_k, protocol_classes
 from repro.common.errors import LivenessError
 from repro.config import SystemConfig
 from repro.core.atomic_md import MSG_BLOCK_MISS, MSG_GET_BLOCK
@@ -301,7 +301,7 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
         directory, protocol=protocol, num_sessions=sessions,
         scheduler=(plan or FaultPlan()).build_scheduler(seed),
         server_overrides=None if plan is None else fault_overrides(
-            plan, PROTOCOLS[protocol][0],
+            plan, protocol_classes(protocol)[0],
             kv_hosts=(KvServer, FailStopKvServer)),
         max_queue=max_queue,
         max_inflight_per_shard=max_inflight_per_shard,

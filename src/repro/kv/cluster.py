@@ -15,10 +15,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.cluster import PROTOCOLS
+from repro.cluster import protocol_classes
 from repro.common.errors import (
     BackpressureError,
-    ConfigurationError,
     LivenessError,
     SimulationError,
 )
@@ -111,11 +110,7 @@ def build_kv_cluster(directory: KvDirectory, protocol: str = "atomic",
     ``cache_size``/``lease_ticks`` configure every session's read cache
     (see :mod:`repro.kv.session_cache`; both default off).
     """
-    if protocol not in PROTOCOLS:
-        raise ConfigurationError(
-            f"unknown protocol {protocol!r}; "
-            f"choose from {sorted(PROTOCOLS)}")
-    server_cls, client_cls = PROTOCOLS[protocol]
+    server_cls, client_cls = protocol_classes(protocol)
     overrides = server_overrides or {}
     simulator = Simulator(scheduler=scheduler)
     servers: List[KvServer] = []

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.common.errors import ConfigurationError
 from repro.common.ids import PartyId, server_id
 from repro.core.atomic import AtomicClient, AtomicServer
 from repro.core.register import RegisterClientBase
@@ -47,18 +46,14 @@ def _shard_classes(spec: ShardSpec) -> Optional[Tuple[type, type]]:
     """The (server, client) classes a shard's ``protocol`` override
     names, or ``None`` when the shard follows the cluster default.
 
-    Resolved lazily against :data:`repro.cluster.PROTOCOLS` (imported
-    here, not at module scope: the cluster facade is a higher layer).
+    Resolved lazily through :func:`repro.cluster.protocol_classes`
+    (imported here, not at module scope: the cluster facade is a higher
+    layer).
     """
     if spec.protocol is None:
         return None
-    from repro.cluster import PROTOCOLS
-    classes = PROTOCOLS.get(spec.protocol)
-    if classes is None:
-        raise ConfigurationError(
-            f"shard {spec.shard_id} names unknown protocol "
-            f"{spec.protocol!r}; choose from {sorted(PROTOCOLS)}")
-    return classes
+    from repro.cluster import protocol_classes
+    return protocol_classes(spec.protocol)
 
 
 class ShardBus:

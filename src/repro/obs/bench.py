@@ -201,24 +201,18 @@ def run_micro_benchmarks(quick: bool = False) -> List[BenchRow]:
 
 def _macro_case(n: int, seed: int, value_size: int,
                 protocol: str = "atomic") -> BenchRow:
-    from repro.cluster import build_cluster, default_k
-    from repro.config import SystemConfig
-    from repro.net.schedulers import RandomScheduler
-    from repro.workloads.generator import random_workload, run_workload
+    from repro.cluster import run_register_case
 
     t = (n - 1) // 3
-    config = SystemConfig(n=n, t=t, k=default_k(protocol, t), seed=seed)
-    cluster = build_cluster(config, protocol=protocol, num_clients=2,
-                            scheduler=RandomScheduler(seed))
-    operations = random_workload(2, writes=3, reads=3, seed=seed,
-                                 value_size=value_size)
     start = wall_seconds()
-    run_workload(cluster, "reg", operations, seed=seed)
+    _, cluster = run_register_case(protocol, n, t, seed=seed,
+                                   value_size=value_size)
     elapsed = wall_seconds() - start
     metrics = cluster.simulator.metrics
     return BenchRow(
         name=f"macro.{protocol}_rw",
-        params={"n": n, "t": t, "k": config.k, "writes": 3, "reads": 3,
+        params={"n": n, "t": t, "k": cluster.config.k, "writes": 3,
+                "reads": 3,
                 "value_bytes": value_size,
                 "messages": metrics.total_messages,
                 "message_bytes": metrics.total_bytes},

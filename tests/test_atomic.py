@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.history import HistoryRecorder
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, run_register_case
 from repro.common.errors import ProtocolError
 from repro.config import SystemConfig
 from repro.core.timestamps import Timestamp
@@ -146,9 +146,8 @@ def test_ack_output_action():
 
 def test_concurrent_workload_atomic():
     for seed in range(6):
-        cluster = _cluster(seed=seed, clients=3)
-        operations = random_workload(3, writes=5, reads=5, seed=seed)
-        run_workload(cluster, "reg", operations, seed=seed)
+        _, cluster = run_register_case("atomic", 4, 1, clients=3,
+                                       writes=5, reads=5, seed=seed)
         HistoryRecorder(cluster, "reg").check()
 
 

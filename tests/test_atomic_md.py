@@ -40,7 +40,7 @@ from repro.analysis.history import HistoryRecorder
 from repro.broadcast.reliable import MSG_ECHO, r_broadcast
 from repro.chaos.campaign import RunSpec, execute_run
 from repro.chaos.library import BUILTIN_PLANS, builtin_plan
-from repro.cluster import PROTOCOLS, build_cluster
+from repro.cluster import PROTOCOLS, build_cluster, run_register_case
 from repro.common.errors import ConfigurationError
 from repro.common.serialization import encoded_size
 from repro.config import SystemConfig
@@ -128,9 +128,8 @@ def test_sequential_writes_increment_by_one():
 
 def test_concurrent_workload_atomic():
     for seed in range(5):
-        cluster = _cluster(seed=seed, clients=3)
-        operations = random_workload(3, writes=4, reads=5, seed=seed)
-        run_workload(cluster, "reg", operations, seed=seed)
+        _, cluster = run_register_case("atomic_md", 4, 1, clients=3,
+                                       writes=4, reads=5, seed=seed)
         HistoryRecorder(cluster, "reg").check()
 
 
@@ -163,12 +162,16 @@ def test_validate_md_config_accepts_the_bound_exactly():
 
 
 def test_runspec_resolves_k_for_atomic_md_only():
+    """A spec leaves ``k`` unset; the runner deploys ``t + 1`` for
+    ``atomic_md`` and the config's own ``n - t`` for the rest."""
     plan = builtin_plan("none", 4, 1)
-    md = RunSpec(protocol="atomic_md", plan=plan)
-    assert md.resolved_k() == 2
-    assert RunSpec(protocol="atomic", plan=plan).resolved_k() is None
-    pinned = RunSpec(protocol="atomic_md", plan=plan, k=2)
-    assert pinned.resolved_k() == 2
+    assert RunSpec(protocol="atomic_md", plan=plan).k is None
+    assert execute_run(RunSpec(protocol="atomic_md", plan=plan)).expected
+    _, md = run_register_case("atomic_md", 4, 1, writes=0, reads=0)
+    _, pinned = run_register_case("atomic_md", 4, 1, k=2, writes=0,
+                                  reads=0)
+    _, atomic = run_register_case("atomic", 4, 1, writes=0, reads=0)
+    assert (md.config.k, pinned.config.k, atomic.config.k) == (2, 2, 3)
 
 
 def test_runspec_k_roundtrips_through_json():

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.analysis.history import HistoryRecorder
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, run_register_case
 from repro.config import SystemConfig
 from repro.core.atomic_ns import timestamp_signature_valid
 from repro.core.timestamps import Timestamp
 from repro.crypto.threshold import ThresholdSignature
 from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import random_workload, run_workload
 
 
 def _cluster(n=4, t=1, seed=0, clients=2, backend="ideal"):
@@ -89,9 +88,8 @@ def test_concurrent_writers_may_share_ts_value():
 
 def test_concurrent_workload_atomic():
     for seed in range(5):
-        cluster = _cluster(seed=seed, clients=3)
-        operations = random_workload(3, writes=4, reads=5, seed=seed)
-        run_workload(cluster, "reg", operations, seed=seed)
+        _, cluster = run_register_case("atomic_ns", 4, 1, clients=3,
+                                       writes=4, reads=5, seed=seed)
         HistoryRecorder(cluster, "reg").check()
 
 

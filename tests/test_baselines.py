@@ -3,18 +3,14 @@
 import pytest
 
 from repro.analysis.history import HistoryRecorder
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, run_register_case
 from repro.common.errors import ConfigurationError
 from repro.config import SystemConfig
 from repro.core.timestamps import Timestamp
 from repro.faults.byzantine_clients import PoisonousGoodsonWriter
 from repro.faults.byzantine_servers import MartinInflatorServer
 from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import (
-    make_values,
-    random_workload,
-    run_workload,
-)
+from repro.workloads.generator import make_values
 
 TAG = "reg"
 
@@ -44,9 +40,8 @@ def test_martin_full_replication_storage():
 
 def test_martin_concurrent_atomicity():
     for seed in range(4):
-        cluster = _cluster("martin", 4, 1, seed=seed, clients=3)
-        operations = random_workload(3, writes=4, reads=4, seed=seed)
-        run_workload(cluster, TAG, operations, seed=seed)
+        _, cluster = run_register_case("martin", 4, 1, clients=3,
+                                       writes=4, reads=4, seed=seed)
         HistoryRecorder(cluster, TAG).check()
 
 
@@ -94,9 +89,8 @@ def test_bazzi_ding_write_read():
 
 def test_bazzi_ding_concurrent_atomicity():
     for seed in range(3):
-        cluster = _cluster("bazzi_ding", 5, 1, seed=seed, clients=3)
-        operations = random_workload(3, writes=3, reads=4, seed=seed)
-        run_workload(cluster, TAG, operations, seed=seed)
+        _, cluster = run_register_case("bazzi_ding", 5, 1, clients=3,
+                                       writes=3, reads=4, seed=seed)
         HistoryRecorder(cluster, TAG).check()
 
 
@@ -145,9 +139,8 @@ def test_goodson_versions_accumulate():
 
 def test_goodson_concurrent_atomicity():
     for seed in range(3):
-        cluster = _cluster("goodson", 5, 1, seed=seed, clients=3)
-        operations = random_workload(3, writes=3, reads=3, seed=seed)
-        run_workload(cluster, TAG, operations, seed=seed)
+        _, cluster = run_register_case("goodson", 5, 1, clients=3,
+                                       writes=3, reads=3, seed=seed)
         HistoryRecorder(cluster, TAG).check()
 
 

@@ -29,7 +29,6 @@ from repro.chaos import (
     CrashSpec,
     PartitionSpec,
     RunSpec,
-    build_chaos_cluster,
     builtin_plan,
     campaign_report,
     execute_run,
@@ -38,16 +37,18 @@ from repro.chaos import (
     shrink_plan,
     sweep,
 )
-from repro.cluster import PROTOCOLS, build_cluster
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.cluster import PROTOCOLS, run_register_case
+from repro.common.errors import (
+    ConfigurationError,
+    LivenessError,
+    SimulationError,
+)
 from repro.common.ids import server_id
 from repro.common.serialization import encode
 from repro.config import SystemConfig
 from repro.faults.failstop import fail_stop
 from repro.net import message as message_module
 from repro.net.message import Message
-from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import random_workload, run_workload
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -168,6 +169,18 @@ def test_scheduler_spec_validation():
         SchedulerSpec(name="partition", group=(1,)).validate()  # no heal
     with pytest.raises(ConfigurationError):
         SchedulerSpec(name="lifo").validate()
+
+
+def test_fifo_scheduler_spec_validates_round_trips_and_builds():
+    from repro.chaos import SchedulerSpec
+    from repro.net.schedulers import FifoScheduler
+    spec = SchedulerSpec(name="fifo")
+    plan = FaultPlan(name="sched", scheduler=spec)
+    plan.validate(4, 1)
+    assert FaultPlan.from_json(plan.to_json()) == plan
+    assert FaultPlan.from_json(json.loads(json.dumps(plan.to_json()))) \
+        == plan
+    assert isinstance(spec.build(seed=3), FifoScheduler)
     with pytest.raises(ConfigurationError):
         FaultPlan(scheduler=SchedulerSpec(
             name="slow-parties", slow_servers=(9,))).validate(4, 1)
@@ -201,18 +214,14 @@ def test_empty_plan_is_byte_identical_to_no_injector():
     import sys
     sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
     try:
-        from gen_golden_schedules import run_case
+        from gen_golden_schedules import empty_plan, run_case
     finally:
         sys.path.pop(0)
     document = json.loads(
         (FIXTURES / "golden_schedules.json").read_text())
-
-    def attach_empty(cluster):
-        cluster.simulator.attach_injector(
-            FaultInjector(FaultPlan(name="none")))
-
     for record in document["cases"]:
-        replayed = run_case(dict(record["spec"]), prepare=attach_empty)
+        spec = dict(record["spec"])
+        replayed = run_case(spec, plan=empty_plan(spec))
         assert replayed["sha256"] == record["sha256"], \
             f"case {record['spec']['name']} diverged with an " \
             f"empty-plan injector attached"
@@ -241,22 +250,20 @@ def test_different_plan_seed_changes_injected_schedule():
 
 # -- injector mechanics ---------------------------------------------------------
 
-def _chaos_cluster(plan, seed=0, protocol="atomic_ns"):
-    config = SystemConfig(n=4, t=1, seed=seed)
-    cluster = build_cluster(config, protocol=protocol, num_clients=2,
-                            scheduler=RandomScheduler(seed))
-    injector = FaultInjector(plan)
-    cluster.simulator.attach_injector(injector)
-    return cluster, injector
+def _chaos_cluster(plan):
+    """An idle deployment with ``plan``'s injector attached."""
+    _, cluster = run_register_case("atomic_ns", 4, 1, writes=0, reads=0,
+                                   plan=plan)
+    return cluster, cluster.simulator.chaos
 
 
 def test_drops_are_recorded_and_counted():
     plan = FaultPlan(name="d", faulty=(4,),
                      rules=(FaultRule(kind="drop", party=4, limit=3),))
-    cluster, injector = _chaos_cluster(plan)
-    operations = random_workload(2, writes=2, reads=2, seed=0)
-    run_workload(cluster, TAG, operations, seed=0)
-    counter = injector.instruments.counter("chaos.injected[drop]")
+    _, cluster = run_register_case("atomic_ns", 4, 1, writes=2, reads=2,
+                                   plan=plan)
+    counter = cluster.simulator.chaos.instruments.counter(
+        "chaos.injected[drop]")
     assert counter.value == 3  # the budget is exhausted, then honored
     chaos_events = [event for event in cluster.simulator.event_log
                     if event.kind == "chaos"]
@@ -267,10 +274,9 @@ def test_duplicates_get_fresh_message_ids():
     plan = FaultPlan(name="d", faulty=(4,),
                      rules=(FaultRule(kind="duplicate", party=4,
                                       limit=2),))
-    cluster, injector = _chaos_cluster(plan)
-    operations = random_workload(2, writes=2, reads=2, seed=0)
-    run_workload(cluster, TAG, operations, seed=0)
-    assert injector.instruments.counter(
+    _, cluster = run_register_case("atomic_ns", 4, 1, writes=2, reads=2,
+                                   plan=plan)
+    assert cluster.simulator.chaos.instruments.counter(
         "chaos.injected[duplicate]").value == 2
 
 
@@ -303,10 +309,9 @@ def test_delayed_messages_are_eventually_released():
     plan = FaultPlan(name="d", faulty=(4,),
                      rules=(FaultRule(kind="delay", party=4, limit=4,
                                       delay=30),))
-    cluster, injector = _chaos_cluster(plan)
-    operations = random_workload(2, writes=2, reads=2, seed=0)
-    handles = run_workload(cluster, TAG, operations, seed=0)
-    assert all(handle.done for handle in handles.values())
+    _, cluster = run_register_case("atomic_ns", 4, 1, writes=2, reads=2,
+                                   plan=plan)
+    injector = cluster.simulator.chaos
     assert injector.held_count == 0  # nothing held at quiescence
     released = sum(
         injector.instruments.counter(f"chaos.released[{reason}]").value
@@ -318,10 +323,9 @@ def test_delayed_messages_are_eventually_released():
 def test_partition_heals_and_releases_in_order():
     plan = FaultPlan(name="p",
                      partition=PartitionSpec(group=(1,), heal_at=25))
-    cluster, injector = _chaos_cluster(plan)
-    operations = random_workload(2, writes=2, reads=2, seed=0)
-    handles = run_workload(cluster, TAG, operations, seed=0)
-    assert all(handle.done for handle in handles.values())
+    _, cluster = run_register_case("atomic_ns", 4, 1, writes=2, reads=2,
+                                   plan=plan)
+    injector = cluster.simulator.chaos
     assert injector.held_count == 0
     held = injector.instruments.counter(
         "chaos.injected[partition-hold]").value
@@ -369,7 +373,7 @@ def test_every_protocol_rides_out_a_crash_at_its_resilience_bound(
     n = 5 if protocol in _NEEDS_N_GT_4T else 4
     spec = RunSpec(protocol=protocol, n=n, t=1,
                    plan=builtin_plan(plan_name, n, 1, seed=0))
-    cluster, _injector = build_chaos_cluster(spec)
+    _, cluster = run_register_case(protocol, n, 1, plan=spec.plan)
     crashing = cluster.servers[-1]
     assert type(crashing) is fail_stop(PROTOCOLS[protocol][0])
     assert all(type(server) is PROTOCOLS[protocol][0]
@@ -395,9 +399,8 @@ def test_byzantine_behaviour_must_match_the_protocol_under_test():
     plan = FaultPlan(name="byz", faulty=(4,), byzantine=(
         ByzantineSpec(server=4, behaviour="corrupt-block"),))
     with pytest.raises(ConfigurationError, match="is not a AtomicServer"):
-        build_chaos_cluster(RunSpec(protocol="atomic", plan=plan))
-    cluster, _ = build_chaos_cluster(RunSpec(protocol="atomic_md",
-                                             plan=plan))
+        run_register_case("atomic", 4, 1, plan=plan)
+    _, cluster = run_register_case("atomic_md", 4, 1, plan=plan)
     assert type(cluster.servers[3]) is plan.byzantine[0].server_class()
 
 
@@ -421,6 +424,21 @@ def test_boundary_probe_finds_violation_and_reproduces(tmp_path):
     assert faithful
     assert replayed.status == STATUS_STALLED
     assert replayed.digest == shrunk.result.digest
+
+
+def test_stalled_register_case_carries_its_cluster():
+    """Past the bound the runner raises the stall with the cluster
+    attached, and the campaign still classifies the same run
+    ``stalled`` with the event-log digest it always had."""
+    plan = builtin_plan("boundary", 4, 1, seed=0)
+    with pytest.raises(LivenessError) as stall:
+        run_register_case("atomic_ns", 4, 1, plan=plan)
+    assert stall.value.cluster.simulator.time == 42
+    result = execute_run(RunSpec(protocol="atomic_ns", plan=plan))
+    assert result.status == STATUS_STALLED
+    assert (result.steps, result.digest) == (42, "af25ccf330eed3fa41b6"
+                                             "ccde4043ee7531bb8cf8f2"
+                                             "d06b8e456e01b76e63a30c")
 
 
 def test_shrink_removes_irrelevant_components():

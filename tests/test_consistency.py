@@ -114,16 +114,10 @@ def test_unknown_kind_rejected():
 def test_atomic_protocol_histories_are_regular_too():
     """Sanity: the hierarchy holds on real runs."""
     from repro.analysis.history import HistoryRecorder
-    from repro.cluster import build_cluster
-    from repro.config import SystemConfig
-    from repro.net.schedulers import RandomScheduler
-    from repro.workloads.generator import random_workload, run_workload
+    from repro.cluster import run_register_case
 
-    cluster = build_cluster(SystemConfig(n=4, t=1), protocol="atomic",
-                            num_clients=3,
-                            scheduler=RandomScheduler(3))
-    operations = random_workload(3, writes=4, reads=4, seed=3)
-    run_workload(cluster, "reg", operations, seed=3)
+    _, cluster = run_register_case("atomic", 4, 1, clients=3, writes=4,
+                                   reads=4, seed=3)
     history = HistoryRecorder(cluster, "reg").operations()
     check_regularity(history)
     check_safety(history)

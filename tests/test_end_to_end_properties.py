@@ -11,7 +11,7 @@ exactly reproducible from its seed.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.history import HistoryRecorder
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, run_register_case
 from repro.config import SystemConfig
 from repro.faults.byzantine_servers import (
     CrashServer,
@@ -37,13 +37,8 @@ SLOW = settings(max_examples=25, deadline=None,
 )
 def test_random_workloads_linearize(protocol, seed, writes, reads,
                                     clients):
-    config = SystemConfig(n=4, t=1, seed=seed)
-    cluster = build_cluster(config, protocol=protocol,
-                            num_clients=clients,
-                            scheduler=RandomScheduler(seed))
-    operations = random_workload(clients, writes=writes, reads=reads,
-                                 seed=seed)
-    run_workload(cluster, TAG, operations, seed=seed)
+    _, cluster = run_register_case(protocol, 4, 1, clients=clients,
+                                   writes=writes, reads=reads, seed=seed)
     HistoryRecorder(cluster, TAG).check()
 
 
@@ -82,12 +77,8 @@ def test_byzantine_server_never_breaks_invariants(seed, fault,
     value_size=st.integers(min_value=16, max_value=600),
 )
 def test_every_k_and_value_size(seed, k, value_size):
-    config = SystemConfig(n=4, t=1, k=k, seed=seed)
-    cluster = build_cluster(config, protocol="atomic", num_clients=2,
-                            scheduler=RandomScheduler(seed))
-    operations = random_workload(2, writes=2, reads=2, seed=seed,
-                                 value_size=value_size)
-    run_workload(cluster, TAG, operations, seed=seed)
+    _, cluster = run_register_case("atomic", 4, 1, k=k, writes=2, reads=2,
+                                   seed=seed, value_size=value_size)
     HistoryRecorder(cluster, TAG).check()
 
 
@@ -98,9 +89,6 @@ def test_every_k_and_value_size(seed, k, value_size):
 )
 def test_baselines_linearize_with_honest_clients(protocol, seed):
     n = 4 if protocol == "martin" else 5
-    config = SystemConfig(n=n, t=1, seed=seed)
-    cluster = build_cluster(config, protocol=protocol, num_clients=2,
-                            scheduler=RandomScheduler(seed))
-    operations = random_workload(2, writes=2, reads=3, seed=seed)
-    run_workload(cluster, TAG, operations, seed=seed)
+    _, cluster = run_register_case(protocol, n, 1, writes=2, reads=3,
+                                   seed=seed)
     HistoryRecorder(cluster, TAG).check()

@@ -4,32 +4,34 @@ on *when* a tolerated server dies."""
 import pytest
 
 from repro.analysis.history import HistoryRecorder
-from repro.cluster import build_cluster
+from repro.chaos import CrashSpec, FaultPlan
+from repro.cluster import run_register_case
 from repro.config import SystemConfig
 from repro.faults.failstop import (
     FailStopMartinServer,
     FailStopNSServer,
     FailStopServer,
 )
-from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import random_workload, run_workload
+from repro.net.message import EVENT_DELIVER
 
 TAG = "reg"
 
 
-def _run_with_crash_point(protocol, server_cls, crash_after, seed=0,
-                          before_run=None):
-    config = SystemConfig(n=4, t=1, seed=seed)
-    cluster = build_cluster(
-        config, protocol=protocol, num_clients=2,
-        scheduler=RandomScheduler(seed),
-        server_overrides={
-            2: lambda pid, cfg: server_cls(pid, cfg,
-                                           crash_after=crash_after)})
-    if before_run is not None:
-        before_run(cluster)
-    operations = random_workload(2, writes=2, reads=2, seed=seed)
-    run_workload(cluster, TAG, operations, seed=seed)
+def _crash_run(protocol, crash_after, seed=0, record_deliveries=False,
+               **crash):
+    """The seeded workload with server 2 fail-stopping after
+    ``crash_after`` deliveries (``crash``: further ``CrashSpec``
+    fields)."""
+    plan = FaultPlan(name="crash", faulty=(2,), crashes=(
+        CrashSpec(server=2, after=crash_after, **crash),))
+    _, cluster = run_register_case(protocol, 4, 1, writes=2, reads=2,
+                                   seed=seed, plan=plan,
+                                   record_deliveries=record_deliveries)
+    return cluster
+
+
+def _run_with_crash_point(protocol, crash_after, seed=0, **kwargs):
+    cluster = _crash_run(protocol, crash_after, seed=seed, **kwargs)
     honest = [server.pid for index, server
               in enumerate(cluster.servers, start=1) if index != 2]
     HistoryRecorder(cluster, TAG, honest_servers=honest).check()
@@ -37,68 +39,50 @@ def _run_with_crash_point(protocol, server_cls, crash_after, seed=0,
 
 
 def test_crash_at_time_zero():
-    cluster = _run_with_crash_point("atomic", FailStopServer, 0)
+    cluster = _run_with_crash_point("atomic", 0)
+    assert type(cluster.server(2)) is FailStopServer
     assert cluster.server(2).crashed
 
 
 @pytest.mark.parametrize("crash_after", [1, 3, 7, 15, 40, 100])
 def test_atomic_survives_every_crash_point(crash_after):
-    _run_with_crash_point("atomic", FailStopServer, crash_after)
+    _run_with_crash_point("atomic", crash_after)
 
 
 @pytest.mark.parametrize("crash_after", [1, 5, 20, 60])
 def test_atomic_ns_survives_every_crash_point(crash_after):
-    _run_with_crash_point("atomic_ns", FailStopNSServer, crash_after)
+    _run_with_crash_point("atomic_ns", crash_after)
 
 
 @pytest.mark.parametrize("crash_after", [1, 4, 12])
 def test_martin_survives_every_crash_point(crash_after):
-    _run_with_crash_point("martin", FailStopMartinServer, crash_after)
+    _run_with_crash_point("martin", crash_after)
 
 
 def test_dense_crash_point_sweep():
     """Walk the crash point across the whole first write of a run —
     mid-echo, mid-ready, mid-share — liveness holds at each."""
     for crash_after in range(0, 30, 2):
-        _run_with_crash_point("atomic_ns", FailStopNSServer, crash_after,
-                              seed=crash_after)
+        _run_with_crash_point("atomic_ns", crash_after, seed=crash_after)
 
 
 def test_server_that_never_crashes_counts_as_honest():
-    cluster = _run_with_crash_point("atomic", FailStopServer, 10 ** 9)
+    cluster = _run_with_crash_point("atomic", 10 ** 9)
     assert not cluster.server(2).crashed
 
 
-def test_crashed_server_is_delivered_to_but_ignores(log_deliveries):
-    logs = []
-    cluster = _run_with_crash_point(
-        "atomic", FailStopServer, 1,
-        before_run=lambda c: logs.append(log_deliveries(c.simulator)))
+def test_crashed_server_is_delivered_to_but_ignores():
+    cluster = _run_with_crash_point("atomic", 1, record_deliveries=True)
     server = cluster.server(2)
     assert server.crashed
     # deliveries continued (the model always delivers) ...
-    assert sum(1 for message in logs[0]
-               if message.recipient == server.pid) > 1
+    assert sum(1 for event in cluster.simulator.event_log
+               if event.kind == EVENT_DELIVER
+               and event.party == server.pid) > 1
     # ... but only the one before the crash point was processed, and a
     # host that is down for good keeps nothing
     assert server._delivered == 1
     assert len(server.inbox) == 0
-
-
-def _run_with_recovery(protocol, server_cls, crash_after, recover_after,
-                       seed=0):
-    config = SystemConfig(n=4, t=1, seed=seed)
-    cluster = build_cluster(
-        config, protocol=protocol, num_clients=2,
-        scheduler=RandomScheduler(seed),
-        server_overrides={
-            2: lambda pid, cfg: server_cls(
-                pid, cfg, crash_after=crash_after,
-                recover_after=recover_after)})
-    operations = random_workload(2, writes=2, reads=2, seed=seed)
-    run_workload(cluster, TAG, operations, seed=seed)
-    HistoryRecorder(cluster, TAG).check()
-    return cluster
 
 
 @pytest.mark.parametrize("protocol,server_cls,recover_after", [
@@ -109,10 +93,10 @@ def _run_with_recovery(protocol, server_cls, crash_after, recover_after,
 def test_crash_then_recover_rejoins(protocol, server_cls, recover_after):
     """A transiently crashed server replays its down-time backlog and
     rejoins; the run stays atomic and wait-free throughout."""
-    cluster = _run_with_recovery(protocol, server_cls,
-                                 crash_after=5,
-                                 recover_after=recover_after)
+    cluster = _crash_run(protocol, 5, recover_after=recover_after)
+    HistoryRecorder(cluster, TAG).check()
     server = cluster.server(2)
+    assert type(server) is server_cls
     assert server.recovered
     assert not server.crashed
     # The backlog really was replayed: deliveries counted past both the
@@ -123,15 +107,7 @@ def test_crash_then_recover_rejoins(protocol, server_cls, recover_after):
 def test_recovery_requires_enough_traffic():
     """A server whose down window outlasts the run never recovers (the
     permanent-crash behaviour is the limit case)."""
-    config = SystemConfig(n=4, t=1, seed=0)
-    cluster = build_cluster(
-        config, protocol="atomic_ns", num_clients=2,
-        scheduler=RandomScheduler(0),
-        server_overrides={
-            2: lambda pid, cfg: FailStopNSServer(
-                pid, cfg, crash_after=1, recover_after=10 ** 9)})
-    operations = random_workload(2, writes=2, reads=2, seed=0)
-    run_workload(cluster, TAG, operations, seed=0)
+    cluster = _crash_run("atomic_ns", 1, recover_after=10 ** 9)
     server = cluster.server(2)
     assert server.crashed and not server.recovered
 
@@ -151,15 +127,7 @@ def test_decision_trigger_crashes_on_the_global_clock():
     scheduling clock, not the server's own delivery count — the server
     goes down at the appointed time even if it was starved of traffic,
     and liveness still holds."""
-    config = SystemConfig(n=4, t=1, seed=0)
-    cluster = build_cluster(
-        config, protocol="atomic", num_clients=2,
-        scheduler=RandomScheduler(0),
-        server_overrides={
-            2: lambda pid, cfg: FailStopServer(
-                pid, cfg, crash_after=20, trigger="decisions")})
-    operations = random_workload(2, writes=2, reads=2, seed=0)
-    run_workload(cluster, TAG, operations, seed=0)
+    cluster = _crash_run("atomic", 20, trigger="decisions")
     server = cluster.server(2)
     assert server.crashed
     # Decision clock ran ahead of the delivery count: the server
@@ -171,23 +139,15 @@ def test_decision_trigger_crashes_on_the_global_clock():
 
 
 def test_decision_trigger_recovery_window_is_global_too():
-    config = SystemConfig(n=4, t=1, seed=1)
-    cluster = build_cluster(
-        config, protocol="atomic_ns", num_clients=2,
-        scheduler=RandomScheduler(1),
-        server_overrides={
-            2: lambda pid, cfg: FailStopNSServer(
-                pid, cfg, crash_after=5, recover_after=30,
-                trigger="decisions")})
-    operations = random_workload(2, writes=2, reads=2, seed=1)
-    run_workload(cluster, TAG, operations, seed=1)
+    cluster = _crash_run("atomic_ns", 5, seed=1, recover_after=30,
+                         trigger="decisions")
     server = cluster.server(2)
     assert server.recovered and not server.crashed
     HistoryRecorder(cluster, TAG).check()
 
 
 def test_decision_trigger_crash_spec_round_trips_in_campaigns():
-    from repro.chaos import CrashSpec, FaultPlan, RunSpec, execute_run
+    from repro.chaos import RunSpec, execute_run
     plan = FaultPlan(
         name="decision-crash", seed=0, faulty=(4,),
         crashes=(CrashSpec(server=4, after=10, trigger="decisions"),))

@@ -126,12 +126,39 @@ def _call_sites(callee):
     return sorted(sites)
 
 
+def _raise_sites(fragment):
+    """``module.function`` of every ``raise`` under ``src/repro`` whose
+    message text contains ``fragment``."""
+    sites = set()
+    for module in discover([SRC]):
+        for scope in ast.walk(module.tree):
+            if not isinstance(scope, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Raise) and any(
+                        isinstance(part, ast.Constant)
+                        and isinstance(part.value, str)
+                        and fragment in part.value
+                        for part in ast.walk(node)):
+                    sites.add(f"{module.dotted}.{scope.name}")
+    return sorted(sites)
+
+
 def test_one_runner_builds_kv_deployments_and_wires_their_faults():
-    """The harness ratchet: one function under ``src/repro`` builds a
-    kv deployment, and a ``FaultInjector`` is constructed at one
-    kv-plane and one register-plane site.  A second runner (or a third
-    way to turn a plan into faults) has to show up here first."""
+    """The harness ratchet: one runner per plane.  One function under
+    ``src/repro`` builds a kv deployment, one drives the register
+    plane's random workload (experiments with bespoke overrides or
+    invocation density aside), a ``FaultInjector`` is constructed only
+    in those two runners, and one function rejects an unknown protocol.
+    A second runner (or a third way to turn a plan into faults) has to
+    show up here first."""
+    runner = "repro.cluster.run_register_case"
     assert _call_sites("build_kv_cluster") == ["repro.kv.bench.run_kv_case"]
+    for callee in ("random_workload", "run_workload"):
+        assert [site for site in _call_sites(callee)
+                if not site.startswith("repro.experiments.")] == [runner]
     assert _call_sites("FaultInjector") == [
-        "repro.chaos.campaign.build_chaos_cluster",
-        "repro.kv.bench.run_kv_case"]
+        runner, "repro.kv.bench.run_kv_case"]
+    assert _raise_sites("unknown protocol") == [
+        "repro.cluster.protocol_classes"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.history import HistoryRecorder
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, run_register_case
 from repro.common.errors import LivenessError
 from repro.config import SystemConfig
 from repro.net.schedulers import RandomScheduler
@@ -43,9 +43,8 @@ def test_servers_keep_no_listener_state():
 def test_concurrent_histories_still_linearize():
     """Safety is untouched by the ablation — only wait-freedom is."""
     for seed in range(5):
-        cluster = _cluster(seed=seed, clients=3)
-        operations = random_workload(3, writes=3, reads=4, seed=seed)
-        run_workload(cluster, TAG, operations, seed=seed)
+        _, cluster = run_register_case("no_listeners", 4, 1, clients=3,
+                                       writes=3, reads=4, seed=seed)
         HistoryRecorder(cluster, TAG).check()
 
 

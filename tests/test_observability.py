@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.analysis.trace import match_operations
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, run_register_case
 from repro.common.errors import SimulationError
 from repro.common.ids import TAG_SEP, client_id, server_id
 from repro.config import SystemConfig
@@ -39,7 +39,6 @@ from repro.obs import (
     wall_seconds,
 )
 from repro.obs.clock import WallTimer
-from repro.workloads.generator import random_workload, run_workload
 
 
 @pytest.fixture
@@ -487,13 +486,8 @@ def _assert_index_equals_scan(recorder, min_operations=1):
 
 @pytest.mark.parametrize("protocol", ["atomic", "atomic_ns", "atomic_md"])
 def test_index_equals_scan_on_register_runs(protocol):
-    config = SystemConfig(n=4, t=1,
-                          k=2 if protocol == "atomic_md" else None)
-    cluster = build_cluster(config, protocol=protocol, num_clients=2,
-                            scheduler=RandomScheduler(3))
-    recorder = TraceRecorder().attach(cluster.simulator)
-    run_workload(cluster, "reg",
-                 random_workload(2, writes=3, reads=3, seed=3), seed=3)
+    recorder = TraceRecorder()
+    _, cluster = run_register_case(protocol, 4, 1, seed=3, tracer=recorder)
     cluster.client(1).invoke_write("reg", "w-open", b"never finishes")
     for _ in range(6):  # a few deliveries only: the write stays open
         cluster.simulator.step()

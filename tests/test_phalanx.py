@@ -5,12 +5,11 @@ import pytest
 
 from repro.analysis.consistency import check_regularity, check_safety
 from repro.analysis.history import HistoryRecorder
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, run_register_case
 from repro.common.errors import ConfigurationError
 from repro.config import SystemConfig
 from repro.faults.byzantine_servers import CrashServer
 from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import random_workload, run_workload
 
 TAG = "reg"
 
@@ -83,9 +82,8 @@ def test_concurrent_histories_are_safe():
     required to hold)."""
     atomic_failures = 0
     for seed in range(8):
-        cluster = _cluster(seed=seed, clients=3)
-        operations = random_workload(3, writes=4, reads=4, seed=seed)
-        run_workload(cluster, TAG, operations, seed=seed)
+        _, cluster = run_register_case("phalanx", 5, 1, clients=3,
+                                       writes=4, reads=4, seed=seed)
         history = HistoryRecorder(cluster, TAG).operations()
         check_safety(history)  # must always hold
         try:

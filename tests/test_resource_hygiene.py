@@ -1,20 +1,16 @@
 """Resource hygiene: no leaked threads or buffers after complete runs."""
 
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, run_register_case
 from repro.config import SystemConfig
 from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import random_workload, run_workload
 
 TAG = "reg"
 
 
 def _drained_cluster(protocol="atomic_ns", seed=0):
     n = 5 if protocol in ("goodson", "bazzi_ding") else 4
-    cluster = build_cluster(SystemConfig(n=n, t=1, seed=seed),
-                            protocol=protocol, num_clients=3,
-                            scheduler=RandomScheduler(seed))
-    operations = random_workload(3, writes=4, reads=4, seed=seed)
-    run_workload(cluster, TAG, operations, seed=seed)
+    _, cluster = run_register_case(protocol, n, 1, clients=3, writes=4,
+                                   reads=4, seed=seed)
     cluster.run()
     return cluster
 

@@ -4,7 +4,7 @@ listener capacity."""
 import pytest
 
 from repro.analysis import make_register_invariant
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, run_register_case
 from repro.common.errors import ProtocolError
 from repro.common.ids import client_id, server_id
 from repro.config import SystemConfig
@@ -79,12 +79,10 @@ def test_partition_heals():
 
 def test_partitioned_concurrent_workload_linearizes():
     from repro.analysis.history import HistoryRecorder
-    scheduler = PartitionScheduler({server_id(1), server_id(3)},
-                                   heal_after=200, seed=4)
-    cluster = build_cluster(SystemConfig(n=4, t=1), protocol="atomic_ns",
-                            num_clients=2, scheduler=scheduler)
-    operations = random_workload(2, writes=3, reads=3, seed=4)
-    run_workload(cluster, TAG, operations, seed=4)
+    from repro.chaos import FaultPlan, SchedulerSpec
+    plan = FaultPlan(name="partition", scheduler=SchedulerSpec(
+        name="partition", group=(1, 3), heal_after=200))
+    _, cluster = run_register_case("atomic_ns", 4, 1, seed=4, plan=plan)
     HistoryRecorder(cluster, TAG).check()
 
 

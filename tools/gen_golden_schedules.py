@@ -11,6 +11,9 @@ Run from the repo root::
 
     PYTHONPATH=src python tools/gen_golden_schedules.py
 
+``--check`` regenerates in memory and exits 1, writing nothing, when
+any record differs from the committed fixture.
+
 Only regenerate when a schedule change is *intended* (e.g. a new scheduler
 feature that legitimately alters delivery order); note the reason in the
 commit message.
@@ -18,6 +21,7 @@ commit message.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -26,51 +30,37 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.cluster import build_cluster  # noqa: E402
-from repro.common.ids import server_id  # noqa: E402
-from repro.config import SystemConfig  # noqa: E402
-from repro.net.schedulers import (  # noqa: E402
-    FifoScheduler,
-    RandomScheduler,
-    SlowPartiesScheduler,
-)
-from repro.workloads.generator import random_workload, run_workload  # noqa: E402
+from repro.chaos import FaultPlan, SchedulerSpec  # noqa: E402
+from repro.cluster import run_register_case  # noqa: E402
 
 FIXTURE = REPO / "tests" / "fixtures" / "golden_schedules.json"
 
 
-def _make_scheduler(spec: dict):
-    kind = spec["scheduler"]
-    if kind == "fifo":
-        return FifoScheduler()
-    if kind == "random":
-        return RandomScheduler(spec["scheduler_seed"])
-    if kind == "slow-parties":
-        victims = [server_id(j) for j in spec["slow_servers"]]
-        return SlowPartiesScheduler(victims, seed=spec["scheduler_seed"])
-    raise ValueError(f"unknown scheduler spec {kind!r}")
+def empty_plan(spec: dict) -> FaultPlan:
+    """A fault-free plan carrying the case's scheduler (seeded, like
+    the workload, by ``seed``; every case pins ``scheduler_seed`` to the
+    same value)."""
+    return FaultPlan(name="none", scheduler=SchedulerSpec(
+        name=spec["scheduler"],
+        slow_servers=tuple(spec.get("slow_servers", ()))))
 
 
-def run_case(spec: dict, prepare=None) -> dict:
+def run_case(spec: dict, plan=None) -> dict:
     """Run one seeded workload and return its canonical schedule record.
 
-    ``prepare(cluster)``, when given, runs after the cluster is built and
-    before the workload starts — the chaos determinism tests use it to
-    attach an empty-plan fault injector and prove the interposition hook
-    is byte-identical to no hook at all.
+    ``plan`` defaults to :func:`empty_plan` for every case not under the
+    runner's own random scheduler, so random cases run with no fault
+    injector at all; the chaos determinism tests pass ``empty_plan``
+    explicitly to prove the injector is byte-identical to no injector.
     """
-    config = SystemConfig(n=spec["n"], t=spec["t"], seed=spec["seed"])
-    cluster = build_cluster(config, protocol=spec["protocol"],
-                            num_clients=spec["clients"],
-                            scheduler=_make_scheduler(spec))
+    if plan is None and spec["scheduler"] != "random":
+        plan = empty_plan(spec)
     # Log every delivery, not just input/output actions: the golden digest
     # must pin the exact delivery order, not merely its observable effects.
-    cluster.simulator._record_deliveries = True
-    if prepare is not None:
-        prepare(cluster)
-    operations = random_workload(spec["clients"], writes=spec["writes"],
-                                 reads=spec["reads"], seed=spec["seed"])
-    run_workload(cluster, "reg", operations, seed=spec["seed"])
+    _, cluster = run_register_case(
+        spec["protocol"], spec["n"], spec["t"], clients=spec["clients"],
+        writes=spec["writes"], reads=spec["reads"], seed=spec["seed"],
+        plan=plan, record_deliveries=True)
     lines = [repr(event) for event in cluster.simulator.event_log]
     blob = "\n".join(lines).encode()
     return {
@@ -97,7 +87,12 @@ CASES = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed fixture; "
+                             "write nothing")
+    args = parser.parse_args(argv)
     records = [run_case(dict(spec)) for spec in CASES]
     document = {
         "comment": "golden schedule digests; regenerate with "
@@ -105,11 +100,17 @@ def main() -> int:
                    "change is intended",
         "cases": records,
     }
-    FIXTURE.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     for record in records:
         print(f"{record['spec']['name']:>20}: {record['events']:5d} events "
               f"{record['sha256'][:16]}")
+    if args.check:
+        if text != FIXTURE.read_text(encoding="utf-8"):
+            print(f"{FIXTURE} is out of date")
+            return 1
+        print(f"{FIXTURE} unchanged")
+        return 0
+    FIXTURE.write_text(text, encoding="utf-8")
     print(f"wrote {FIXTURE}")
     return 0
 

@@ -21,12 +21,16 @@ resizes a payload but sends the same messages in the same order moves
 ``spans/planes/row_sha256`` and leaves ``shape_sha256`` alone, which is
 what makes a byte-only re-pin provable.
 
+``--check`` regenerates in memory and exits 1, writing nothing, when
+any record differs from the committed fixture.
+
 Only regenerate when an attribution change is *intended* (a new phase, a
 new row column, a resized payload); note the reason in the commit message.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -35,10 +39,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.cluster import build_cluster, default_k  # noqa: E402
-from repro.config import SystemConfig  # noqa: E402
+from repro.cluster import run_register_case  # noqa: E402
 from repro.kv.bench import run_kv_case  # noqa: E402
-from repro.net.schedulers import RandomScheduler  # noqa: E402
 from repro.obs import (  # noqa: E402
     TraceRecorder,
     build_spans,
@@ -49,7 +51,6 @@ from repro.repair.bench import (  # noqa: E402
     churn_columns,
     churn_storm_plan,
 )
-from repro.workloads.generator import random_workload, run_workload  # noqa: E402
 
 FIXTURE = REPO / "tests" / "fixtures" / "golden_spans.json"
 
@@ -84,16 +85,11 @@ def span_json(span) -> dict:
 
 
 def _run_register(spec: dict):
-    config = SystemConfig(
-        n=spec["n"], t=spec["t"], seed=spec["seed"],
-        k=default_k(spec["protocol"], spec["t"]))
-    cluster = build_cluster(config, protocol=spec["protocol"],
-                            num_clients=spec["clients"],
-                            scheduler=RandomScheduler(spec["seed"]))
-    recorder = TraceRecorder().attach(cluster.simulator)
-    operations = random_workload(spec["clients"], writes=spec["writes"],
-                                 reads=spec["reads"], seed=spec["seed"])
-    run_workload(cluster, "reg", operations, seed=spec["seed"])
+    recorder = TraceRecorder()
+    run_register_case(spec["protocol"], spec["n"], spec["t"],
+                      clients=spec["clients"], writes=spec["writes"],
+                      reads=spec["reads"], seed=spec["seed"],
+                      tracer=recorder)
     return recorder, None
 
 
@@ -168,7 +164,12 @@ CASES = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed fixture; "
+                             "write nothing")
+    args = parser.parse_args(argv)
     records = [run_case(dict(spec)) for spec in CASES]
     document = {
         "comment": "golden attribution digests; regenerate with "
@@ -176,11 +177,17 @@ def main() -> int:
                    "change is intended",
         "cases": records,
     }
-    FIXTURE.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     for record in records:
         print(f"{record['spec']['name']:>24}: {record['records']:6d} records "
               f"{record['spans']:4d} spans {record['spans_sha256'][:16]}")
+    if args.check:
+        if text != FIXTURE.read_text(encoding="utf-8"):
+            print(f"{FIXTURE} is out of date")
+            return 1
+        print(f"{FIXTURE} unchanged")
+        return 0
+    FIXTURE.write_text(text, encoding="utf-8")
     print(f"wrote {FIXTURE}")
     return 0
 
