@@ -3,6 +3,11 @@ dispersal, and end-to-end register operations in the simulator.
 
 These quantify the simulation's own costs — useful when sizing larger
 experiments — and the relative cost of the two commitment schemes.
+
+The ``ErasureCoder`` cases repeat one input, so after their first round
+they time the coder's value memo, which is what a protocol's repeated
+encodes and decodes of one value cost.  The ``ReedSolomonCode`` cases
+time the GF(2^8) kernels beneath it, which keep no value memo.
 """
 
 import os
@@ -13,19 +18,35 @@ from repro.cluster import build_cluster
 from repro.config import SystemConfig
 from repro.crypto.commitment import MerkleCommitment, VectorCommitment
 from repro.erasure.coder import ErasureCoder
+from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.net.schedulers import RandomScheduler
 
 VALUE_64K = os.urandom(64 * 1024)
 
+#: ``(n, k, 0-based decode subset)``: each subset mixes systematic and
+#: parity blocks, so a decode solves for the missing data blocks.
+KERNEL_SHAPES = [(7, 5, (2, 3, 4, 5, 6)), (16, 6, (0, 1, 2, 13, 14, 15))]
+
+
+def _data_blocks(k):
+    """``VALUE_64K`` zero-padded and cut into ``k`` equal data blocks."""
+    length = -(-len(VALUE_64K) // k)
+    padded = VALUE_64K.ljust(length * k, b"\0")
+    return [padded[i * length:(i + 1) * length] for i in range(k)]
+
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_bench_erasure_encode_64k(benchmark, k):
+    """Times an encode-memo hit after the first round;
+    ``test_bench_rs_encode_blocks_64k`` times the kernel."""
     coder = ErasureCoder(7, k)
     blocks = benchmark(lambda: coder.encode(VALUE_64K))
     assert len(blocks) == 7
 
 
 def test_bench_erasure_decode_parity_path(benchmark):
+    """Times a decode-memo hit after the first round;
+    ``test_bench_rs_decode_blocks_64k`` times the kernel."""
     coder = ErasureCoder(7, 5)
     blocks = coder.encode(VALUE_64K)
     pairs = [(j, blocks[j - 1]) for j in (3, 4, 5, 6, 7)]  # needs inversion
@@ -39,6 +60,29 @@ def test_bench_erasure_decode_systematic_path(benchmark):
     pairs = [(j, blocks[j - 1]) for j in (1, 2, 3, 4, 5)]  # fast path
     value = benchmark(lambda: coder.decode(pairs))
     assert value == VALUE_64K
+
+
+@pytest.mark.parametrize("n, k", [shape[:2] for shape in KERNEL_SHAPES],
+                         ids=["n7k5", "n16k6"])
+def test_bench_rs_encode_blocks_64k(benchmark, n, k):
+    """The parity rows' matrix-vector product over 64 KiB of data."""
+    code = ReedSolomonCode(n, k)
+    data = _data_blocks(k)
+    blocks = benchmark(lambda: code.encode_blocks(data))
+    assert blocks[:k] == data and len(blocks) == n
+
+
+@pytest.mark.parametrize("n, k, subset", KERNEL_SHAPES,
+                         ids=["n7k5", "n16k6"])
+def test_bench_rs_decode_blocks_64k(benchmark, n, k, subset):
+    """The solve for the missing data blocks.  Its decode plan is keyed
+    by the index subset, so every round after the first reuses the
+    inverted matrix and times the matrix-vector product."""
+    code = ReedSolomonCode(n, k)
+    data = _data_blocks(k)
+    encoded = code.encode_blocks(data)
+    supplied = {index: encoded[index] for index in subset}
+    assert benchmark(lambda: code.decode_blocks(supplied)) == data
 
 
 def test_bench_erasure_gf65536_encode(benchmark):

@@ -15,10 +15,6 @@ Usage::
     python -m repro.cli lint src/repro --format json
     python -m repro.cli lint src/repro --sarif out.sarif \
         --baseline benchmarks/LINT_baseline.json
-    python -m repro.cli bench --label mine --out benchmarks \
-        --compare benchmarks/BENCH_baseline_perf.json
-    python -m repro.cli bench --quick --compare \
-        benchmarks/BENCH_baseline_perf.json --check --tolerance 30
     python -m repro.cli monitor --source simulate --plan delays
     python -m repro.cli monitor --source chaos --seeds 2 \
         --out benchmarks --label health_baseline
@@ -152,79 +148,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             f"repro.experiments.{_EXPERIMENTS[name]}")
         print(f"\n=== {name.upper()} " + "=" * 40)
         module.main()
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-
-    from repro.obs.bench import (
-        compare_rows,
-        emit_bench,
-        regressions,
-        run_lint_benchmarks,
-        run_macro_benchmarks,
-        run_micro_benchmarks,
-    )
-
-    if args.check and not args.compare:
-        print("--check requires --compare BASELINE", file=sys.stderr)
-        return 2
-
-    suites = []
-    if args.suite in ("micro", "all"):
-        suites.append(("micro", run_micro_benchmarks))
-    if args.suite in ("macro", "all"):
-        suites.append(("macro", run_macro_benchmarks))
-    if args.suite in ("lint", "all"):
-        suites.append(("lint", run_lint_benchmarks))
-    rows = []
-    for _, runner in suites:
-        rows.extend(runner(quick=args.quick))
-    print(f"{'benchmark':<28} {'iters':>6} {'total s':>9} {'per-iter':>12}")
-    for row in rows:
-        print(f"{row.name:<28} {row.iterations:>6} {row.seconds:>9.4f} "
-              f"{row.per_iteration_us:>10.1f}us")
-    payload = {
-        "label": args.label,
-        "quick": bool(args.quick),
-        "rows": [dataclasses.asdict(row) for row in rows],
-    }
-    if args.compare:
-        with open(args.compare, encoding="utf-8") as stream:
-            baseline_doc = json.load(stream)
-        baseline_rows = baseline_doc["data"]["rows"]
-        comparisons = compare_rows(baseline_rows,
-                                   payload["rows"])
-        payload["baseline_label"] = baseline_doc["data"].get("label")
-        payload["speedups"] = comparisons
-        print(f"\n{'benchmark':<28} {'baseline':>12} {'after':>12} "
-              f"{'speedup':>8}")
-        for record in comparisons:
-            speedup = record["speedup"]
-            print(f"{record['name']:<28} "
-                  f"{record['baseline_us']:>10.1f}us "
-                  f"{record['after_us']:>10.1f}us "
-                  f"{speedup:>7.2f}x" if speedup else
-                  f"{record['name']:<28} (no after timing)")
-    if args.out:
-        from pathlib import Path
-        path = emit_bench(args.label, payload, directory=Path(args.out))
-        print(f"\nwrote {path}")
-    if args.compare and args.check:
-        flagged = regressions(comparisons, args.tolerance)
-        if flagged:
-            print(f"\nREGRESSION: {len(flagged)} benchmark(s) beyond "
-                  f"{args.tolerance:g}% of baseline:")
-            for record in flagged:
-                print(f"  {record['name']:<28} "
-                      f"{record['baseline_us']:>10.1f}us -> "
-                      f"{record['after_us']:>10.1f}us "
-                      f"({record['regression_pct']:+g}%)")
-            return 1
-        print(f"\nperf check ok: no benchmark regressed beyond "
-              f"{args.tolerance:g}% of baseline")
     return 0
 
 
@@ -636,36 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="emit machine-readable BENCH_*.json "
                                   "files into DIR")
     experiments.set_defaults(handler=_cmd_experiments)
-
-    bench = commands.add_parser(
-        "bench", help="run micro/macro performance benchmarks and emit "
-                      "machine-readable BENCH_*.json rows")
-    bench.add_argument("--suite", default="all",
-                       choices=["micro", "macro", "lint", "all"],
-                       help="micro: data-plane kernels; macro: "
-                            "end-to-end Atomic workloads; lint: "
-                            "static-analysis wall time (cold + cached)")
-    bench.add_argument("--quick", action="store_true",
-                       help="smoke mode: few iterations, smallest "
-                            "cluster only")
-    bench.add_argument("--label", default="perf",
-                       help="bench name: output file is "
-                            "BENCH_<label>.json")
-    bench.add_argument("--out", metavar="DIR", default=None,
-                       help="directory for the BENCH_<label>.json file "
-                            "(default: print only)")
-    bench.add_argument("--compare", metavar="FILE", default=None,
-                       help="baseline BENCH_*.json to compute speedups "
-                            "against (embedded in the output)")
-    bench.add_argument("--check", action="store_true",
-                       help="with --compare: exit non-zero if any "
-                            "benchmark regressed beyond --tolerance "
-                            "(the CI perf gate)")
-    bench.add_argument("--tolerance", type=float, default=25.0,
-                       metavar="PCT",
-                       help="allowed slowdown vs baseline before "
-                            "--check fails (percent; default 25)")
-    bench.set_defaults(handler=_cmd_bench)
 
     # Shape flags carry no default (argparse.SUPPRESS leaves them off
     # the namespace), so each comparison keeps its pinned value unless

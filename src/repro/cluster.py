@@ -186,7 +186,7 @@ def run_register_case(protocol: str, n: int, t: int,
     """Run one seeded register workload and return ``(handles, cluster)``.
 
     The register plane's one runner (``repro simulate`` / ``trace``, the
-    chaos campaign, the macro bench, the golden fixtures): config (``k``
+    chaos campaign, F11, the golden fixtures): config (``k``
     through :func:`default_k`), cluster, scheduler, faults, tracer and
     :func:`~repro.workloads.generator.random_workload` on tag ``"reg"``,
     all seeded by ``seed``.  ``plan`` (a

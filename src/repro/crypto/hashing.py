@@ -12,16 +12,10 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Sequence
 
-from repro.common.lru import LruCache, memoize_unary
+from repro.common.lru import memoize_unary
 
 #: Digest size in bytes of the library hash function.
 DIGEST_SIZE = 32
-
-#: Cross-checksums memoized by block-vector content: Disperse hashes the
-#: same ``n``-block vector once per server, and readers re-derive it per
-#: quorum.  Deterministic insertion-ordered LRU (see
-#: :mod:`repro.common.lru`); unhashable inputs bypass the cache.
-_VECTOR_CACHE = LruCache(capacity=256)
 
 #: Digest size in bits (the paper's ``|H|``).
 DIGEST_BITS = DIGEST_SIZE * 8
@@ -58,19 +52,8 @@ def hash_vector(blocks: Sequence[bytes]) -> list[bytes]:
 
     This is the cross-checksum the Disperse protocol broadcasts so that
     readers can validate individual erasure-code blocks.
-
-    Results are memoized by content; a fresh list is returned per call so
-    callers may mutate it freely.
     """
-    key = tuple(blocks)
-    try:
-        cached = _VECTOR_CACHE.get(key)
-    except TypeError:  # mutable blocks (e.g. bytearray): compute directly
-        return [hash_bytes(block) for block in blocks]
-    if cached is None:
-        cached = tuple(hash_bytes(block) for block in blocks)
-        _VECTOR_CACHE.put(key, cached)
-    return list(cached)
+    return [hash_bytes(block) for block in blocks]
 
 
 def hash_int(value: int) -> bytes:

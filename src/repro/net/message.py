@@ -14,16 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.common.ids import PartyId
-from repro.common.lru import LruCache
 from repro.common.serialization import encoded_size
-
-#: Wire sizes memoized by message *content* ``(tag, mtype, payload)``.
-#: Broadcast-style protocols send the same payload to all ``n`` servers,
-#: so of the ``n`` messages of a round only the first pays the size walk
-#: of the canonical grammar; the rest hit this cache.  Keys are compared
-#: by value (never by ``id``), so the cache is deterministic; unhashable
-#: payloads (e.g. containing lists) simply bypass it.
-_WIRE_SIZE_CACHE = LruCache(capacity=512)
 
 
 def content_wire_size(tag: str, mtype: str, payload: Tuple[Any, ...]) -> int:
@@ -32,16 +23,12 @@ def content_wire_size(tag: str, mtype: str, payload: Tuple[Any, ...]) -> int:
     Shared by :meth:`Message.wire_size`, by broadcast senders, which
     compute the size once and stamp it onto all ``n`` copies, and by the
     kv envelope, which sizes each entry from the size of its content.
+
+    Not memoized by content: a value-keyed memo answers for Python
+    equality, and ``True == 1``, so a payload would be sized by its
+    equal-but-differently-encoding twin.
     """
-    content = (tag, mtype, payload)
-    try:
-        size = _WIRE_SIZE_CACHE.get(content)
-    except TypeError:  # unhashable payload: size it uncached
-        return encoded_size(content)
-    if size is None:
-        size = encoded_size(content)
-        _WIRE_SIZE_CACHE.put(content, size)
-    return size
+    return encoded_size((tag, mtype, payload))
 
 
 class Message:
@@ -125,9 +112,8 @@ class Message:
         complexity (bit length of messages associated to an instance).
 
         The size is computed once per message (the metrics and tracing
-        planes both ask for it) and shared across messages with equal
-        content via a value-keyed cache; senders that already know it
-        stamp it at enqueue time instead.
+        planes both ask for it); senders that already know it stamp it
+        at enqueue time instead.
         """
         size = self._wire_size
         if size is None:

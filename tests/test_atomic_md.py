@@ -10,7 +10,8 @@ The load-bearing guarantees tested here:
   resolves ``k = t + 1`` automatically for ``atomic_md`` specs.
 * **Data-plane shape** — a write pushes exactly ``n`` point-to-point
   blocks (no AVID echo storm); a fault-free read fetches blocks from
-  exactly ``k`` servers.
+  exactly ``k`` servers; a seeded 4 KiB workload moves at most half the
+  wire bytes ``atomic`` moves.
 * **The join** — servers pair the r-delivered ``(ts, H(D))`` with the
   ``md-store`` whose verified ``D`` hashes to it: a writer whose halves
   disagree never takes effect, malformed pairs are ignored, and the
@@ -336,6 +337,19 @@ def test_broadcast_wire_size_is_independent_of_n():
     per_server = encoded_size(b"h" * DIGEST_SIZE)
     assert store7 - store4 == store10 - store7 == 3 * per_server
     assert echo < store4
+
+
+@pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
+def test_same_workload_moves_at_most_half_the_bytes_of_atomic(n, t):
+    """The deterministic communication-complexity gate: one seeded
+    4 KiB register workload moves at least 2x fewer wire bytes under
+    the metadata/data separation than under full AVID dispersal."""
+    total = {}
+    for protocol in ("atomic", "atomic_md"):
+        _, cluster = run_register_case(protocol, n, t, seed=n,
+                                       value_size=4096)
+        total[protocol] = cluster.simulator.metrics.total_bytes
+    assert 2 * total["atomic_md"] <= total["atomic"]
 
 
 def test_a_retained_version_costs_its_block_not_a_cross_checksum():

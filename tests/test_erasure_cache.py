@@ -144,7 +144,7 @@ def test_hash_bytes_memo_is_content_keyed():
         assert hash_bytes(bytes(data)) == hashlib.sha256(data).digest()
 
 
-def test_hash_vector_memo_returns_fresh_lists():
+def test_hash_vector_returns_fresh_lists():
     blocks = [b"a" * 10, b"b" * 10, b"c" * 10]
     first = hash_vector(blocks)
     assert first == [hash_bytes(b) for b in blocks]
@@ -152,7 +152,7 @@ def test_hash_vector_memo_returns_fresh_lists():
     assert hash_vector(blocks) == [hash_bytes(b) for b in blocks]
 
 
-def test_hash_vector_unhashable_blocks_bypass_cache():
+def test_hash_vector_accepts_bytearray_blocks():
     blocks = [bytearray(b"xyz"), bytearray(b"pqr")]
     assert hash_vector(blocks) == [hash_bytes(bytes(b)) for b in blocks]
 

@@ -41,6 +41,11 @@ def test_unhashable_payloads_are_sized_uncached():
     content = ("reg", "ping", ([1, 2], b"x"))
     assert content_wire_size(*content) == len(encode(content))
     assert _msg(payload=content[2]).wire_size() == len(encode(content))
+    # ``True == 1`` but they encode to 1 and 6 bytes: sizing the one
+    # must never answer for its equal twin.
+    for twin in ((1,), (True,), (1,)):
+        assert content_wire_size("reg", "m", twin) == \
+            len(encode(("reg", "m", twin)))
 
 
 def test_type_error_inside_sizing_is_not_mistaken_for_unhashable(
