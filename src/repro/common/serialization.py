@@ -268,6 +268,13 @@ def encoded_size(value: Any) -> int:
     return _size(value)
 
 
+def int_size(value: int) -> int:
+    """``encoded_size`` of an exact ``int``, by arithmetic alone: its
+    header plus its two's-complement bytes (the int branch of the walk,
+    for callers that size known ints per message)."""
+    return _PREFIX_SIZE + (value.bit_length() + 8) // 8
+
+
 def composite_size(kind: type, parts_size: int) -> int:
     """Encoded size of a ``kind`` — ``tuple`` or a registered wire
     type — whose items or fields encode to ``parts_size`` bytes in

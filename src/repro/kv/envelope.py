@@ -10,16 +10,22 @@ lets shard count translate into aggregate ops/tick.
 :class:`KvEntry` is a registered wire type so envelopes round-trip
 through the canonical encoding like every other payload (chaos
 corruption, wire-size accounting, and reproducer digests all see real
-bytes).  Entries carry their own causal identity (``msg_id``, ``depth``,
-``cause_id``, allocated from the *fleet* simulator at send time) so the
-observability plane records inner sends/deliveries exactly like
-unbatched traffic.
+bytes).  An entry carries exactly what the receiving host cannot derive
+from the channel and the directory: its shard, its inner content, and
+its causal identity (``msg_id``, ``depth``, ``cause_id``, allocated from
+the *fleet* simulator at send time, so the observability plane records
+inner sends/deliveries exactly like unbatched traffic).  Sender and
+recipient are not on the wire, just as a plain ``Message`` is not
+charged for them: the recipient is the inner process the receiving host
+runs for the shard, and the sender is the envelope's channel-
+authenticated fleet sender mapped through the shard's placement.
 
 Envelope sizes are composed, not measured: an entry's size follows from
 the size of the inner message content it wraps (which the sender has
-already computed, once for all ``n`` copies of a broadcast) plus its few
-routing fields, and an envelope's size from the sum of its entries' —
-so counting a ``kv-batch``'s bytes never serializes or re-walks it.
+already computed, once for all ``n`` copies of a broadcast), a per-shard
+constant and its three stamps, and an envelope's size from the sum of
+its entries' — so counting a ``kv-batch``'s bytes never serializes or
+re-walks it.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.common.ids import PartyId
 from repro.common.serialization import (
     composite_size,
     encoded_size,
+    int_size,
     register_wire_type,
 )
 
@@ -45,20 +51,20 @@ MSG_KV_BATCH = "kv-batch"
 class KvEntry:
     """One inner protocol message riding inside a kv envelope.
 
-    ``sender``/``recipient`` are *shard-local* identities (see
-    :class:`repro.kv.directory.ShardSpec`); the hosting fleet parties are
-    recovered from the shard placement at unwrap time.  ``msg_id`` is
-    allocated from the fleet simulator when the entry is buffered, so
-    inner message identities are globally unique — protocol ``where``
+    No addresses: the receiving host derives the shard-local sender and
+    recipient (see :class:`repro.kv.directory.ShardSpec`) from the
+    envelope's channel sender and ``shard``.  ``msg_id`` is allocated
+    from the fleet simulator when the entry is buffered, so inner
+    message identities are globally unique — protocol ``where``
     predicates memoize validity by ``msg_id`` and must never see two
-    different messages share one.
+    different messages share one.  The three stamps stay on the wire
+    because the receiver cannot derive them: the entries of one
+    envelope come from different inner activations.
     """
 
     shard: int
     tag: str
     mtype: str
-    sender: PartyId
-    recipient: PartyId
     payload: Tuple[Any, ...]
     msg_id: int
     depth: int
@@ -69,34 +75,46 @@ class KvEntry:
 
         Envelopes cross the (potentially adversarial) network, so hosts
         validate field types before reconstructing an inner message.
+        Integers must be exact ``int``: ``True == 1``, but a ``bool``
+        encodes as ``T``, not as the shard or stamp it would pass for.
         """
-        return (isinstance(self.shard, int)
+        cause_id = self.cause_id
+        return (type(self.shard) is int
                 and isinstance(self.tag, str)
                 and isinstance(self.mtype, str)
-                and isinstance(self.sender, PartyId)
-                and isinstance(self.recipient, PartyId)
                 and isinstance(self.payload, tuple)
-                and isinstance(self.msg_id, int)
-                and isinstance(self.depth, int)
-                and (self.cause_id is None or isinstance(self.cause_id, int)))
+                and type(self.msg_id) is int
+                and type(self.depth) is int
+                and (cause_id is None or type(cause_id) is int))
 
 
 # Encoded sizes add up — a tuple or wire type is a header plus its
-# parts — which is all the two functions below rely on.
+# parts — which is all the functions below rely on.
 
-#: What a :class:`KvEntry` adds to its routing fields and its content
-#: when each of the two is sized as a tuple: its own header, less theirs.
-_ENTRY_OVERHEAD = composite_size(KvEntry, 0) - 2 * composite_size(tuple, 0)
+#: What a :class:`KvEntry` adds to its content sized as a tuple: its own
+#: header, less the tuple's.
+_ENTRY_HEADER = composite_size(KvEntry, 0) - composite_size(tuple, 0)
+_NONE_SIZE = encoded_size(None)
 #: ``content_wire_size`` of an envelope with no entries.
 _EMPTY_BATCH_SIZE = encoded_size((KV_TAG, MSG_KV_BATCH, ((),)))
 
 
-def entry_wire_size(entry: KvEntry, content_size: int) -> int:
-    """Encoded size of ``entry``, given ``content_size``: the
+def entry_base_size(shard: int) -> int:
+    """The part of an entry's size that is constant per shard: its
+    header and its shard id (a :class:`~repro.kv.mux.ShardBus` computes
+    it once)."""
+    return _ENTRY_HEADER + encoded_size(shard)
+
+
+def entry_wire_size(base_size: int, content_size: int, msg_id: int,
+                    depth: int, cause_id: Optional[int]) -> int:
+    """Encoded size of a :class:`KvEntry` with these stamps, given its
+    shard's ``entry_base_size`` and ``content_size``: the
     ``content_wire_size`` of the ``(tag, mtype, payload)`` it wraps."""
-    return _ENTRY_OVERHEAD + content_size + encoded_size(
-        (entry.shard, entry.sender, entry.recipient, entry.msg_id,
-         entry.depth, entry.cause_id))
+    size = base_size + content_size + int_size(msg_id) + int_size(depth)
+    if cause_id is None:
+        return size + _NONE_SIZE
+    return size + int_size(cause_id)
 
 
 def batch_wire_size(entries_size: int) -> int:

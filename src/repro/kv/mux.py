@@ -14,9 +14,13 @@ actually talk to is a :class:`ShardBus`: a duck-typed facade that
 The host (:class:`KvServer` / :class:`KvClientHost`) flushes its buffer
 once per activation as one ``kv-batch`` envelope per fleet destination,
 so a single simulator delivery — one logical tick — carries every inner
-message the activation produced.  Unwrapping validates each entry's
-shard-local sender against the envelope's channel-authenticated fleet
-sender before dispatching it to the inner process.
+message the activation produced.  Entries carry no addresses:
+unwrapping derives each entry's recipient (the inner process this host
+runs for the entry's shard) and its shard-local sender (the envelope's
+channel-authenticated fleet sender, mapped through the shard's
+placement — a fleet server becomes its local ``P_j``, a client stays
+itself), and drops an entry whose fleet sender is a server outside the
+shard's placement before any shard state materialises for it.
 
 Byzantine *hosts* are out of scope for this layer (chaos plans exercise
 crashes, drops, delays, and partitions); a corrupted host could forge
@@ -36,6 +40,7 @@ from repro.kv.envelope import (
     MSG_KV_BATCH,
     KvEntry,
     batch_wire_size,
+    entry_base_size,
     entry_wire_size,
 )
 from repro.net.message import Message, content_wire_size
@@ -64,19 +69,26 @@ class ShardBus:
     ``time``, ``obs``, ``record_input``/``record_output``.
     """
 
-    __slots__ = ("host", "spec", "inner", "_server_pids", "_fleet_pids")
+    __slots__ = ("host", "spec", "inner", "_server_pids", "_fleet_pids",
+                 "_local_pids", "_entry_base_size")
 
     def __init__(self, host: "_KvMuxProcess", spec: ShardSpec) -> None:
         self.host = host
         self.spec = spec
         self.inner: Optional[Process] = None
-        # Both are read on every inner send and delivery, so they are
-        # built once: identities are validated, hashed dataclasses.
+        # These are read on every inner send and delivery, so they are
+        # built once: identities are validated, hashed dataclasses.  The
+        # reverse table is keyed by fleet index, so mapping a delivery's
+        # sender compares ints, never identities.
         self._server_pids = tuple(server_id(local)
                                   for local in range(1, spec.config.n + 1))
         self._fleet_pids = {
             local_pid: server_id(spec.fleet_server_index(local_pid.index))
             for local_pid in self._server_pids}
+        self._local_pids = {
+            fleet_pid.index: local_pid
+            for local_pid, fleet_pid in self._fleet_pids.items()}
+        self._entry_base_size = entry_base_size(spec.shard_id)
 
     def attach(self, inner: Process) -> Process:
         """Bind ``inner`` to this bus and return it."""
@@ -114,6 +126,13 @@ class ShardBus:
             return self._fleet_pids[local_pid]
         return local_pid
 
+    def local_pid(self, fleet_pid: PartyId) -> Optional[PartyId]:
+        """Map a fleet party to its shard-local identity, or ``None``
+        for a fleet server outside this shard's placement."""
+        if fleet_pid.is_server:
+            return self._local_pids.get(fleet_pid.index)
+        return fleet_pid
+
     def enqueue(self, sender: PartyId, recipient: PartyId, tag: str,
                 mtype: str, payload: Tuple[Any, ...],
                 wire_size: Optional[int] = None) -> None:
@@ -142,15 +161,16 @@ class ShardBus:
         if wire_size is None:
             wire_size = content_wire_size(tag, mtype, payload)
         entry = KvEntry(shard=self.spec.shard_id, tag=tag, mtype=mtype,
-                        sender=sender, recipient=recipient, payload=payload,
-                        msg_id=msg_id, depth=depth, cause_id=cause_id)
-        host._kv_buffer(self.fleet_pid(recipient), entry,
-                        entry_wire_size(entry, wire_size))
+                        payload=payload, msg_id=msg_id, depth=depth,
+                        cause_id=cause_id)
+        fleet_recipient = self.fleet_pid(recipient)
+        host._kv_buffer(fleet_recipient, entry, entry_wire_size(
+            self._entry_base_size, wire_size, msg_id, depth, cause_id))
         observer = simulator.obs
         if observer is not None:
             observer.on_send(
                 Message(tag=tag, mtype=mtype, sender=host.pid,
-                        recipient=self.fleet_pid(recipient),
+                        recipient=fleet_recipient,
                         payload=payload, msg_id=msg_id, depth=depth,
                         cause_id=cause_id, wire_size=wire_size),
                 simulator.time, pending=simulator.pending_count)
@@ -177,7 +197,7 @@ class _ShardObserver:
     tracer scores per-server signals against the *fleet* roster, so the
     suspect of a failed verification is translated on the way out —
     like ``sender``/``recipient`` in :meth:`ShardBus.enqueue` and
-    ``_deliver_entry``.  ``on_quorum``'s ``party`` deliberately stays
+    ``_on_kv_batch``.  ``on_quorum``'s ``party`` deliberately stays
     shard-local: it only labels span annotations (committed outputs
     that must stay byte-identical) and matches clients, whose
     identities are fleet-wide anyway.
@@ -260,39 +280,38 @@ class _KvMuxProcess(Process):
         payload = message.payload
         if len(payload) != 1 or not isinstance(payload[0], tuple):
             return
-        for entry in payload[0]:
-            if isinstance(entry, KvEntry) and entry.well_formed():
-                self._deliver_entry(message.sender, entry)
-
-    def _deliver_entry(self, fleet_sender: PartyId, entry: KvEntry) -> None:
-        resolved = self._kv_inner_for(entry)
-        if resolved is None:
-            return
-        inner, bus = resolved
-        if entry.recipient != inner.pid:
-            return  # misrouted: not the shard-local identity hosted here
-        if bus.fleet_pid(entry.sender) != fleet_sender:
-            return  # shard-local sender does not match the channel sender
-        inner_message = Message(
-            tag=entry.tag, mtype=entry.mtype, sender=entry.sender,
-            recipient=entry.recipient, payload=entry.payload,
-            msg_id=entry.msg_id, depth=entry.depth, cause_id=entry.cause_id)
+        fleet_sender = message.sender
         simulator = self._require_simulator()
         observer = simulator.obs
-        if observer is not None:
-            # the tracer's view of the same delivery, in fleet identities
-            observer.on_deliver(
-                Message(tag=entry.tag, mtype=entry.mtype,
-                        sender=fleet_sender, recipient=self.pid,
-                        payload=entry.payload, msg_id=entry.msg_id,
-                        depth=entry.depth, cause_id=entry.cause_id),
-                simulator.time, inbox_depth=len(inner.inbox),
-                pending=simulator.pending_count)
-        inner.receive(inner_message)
+        for entry in payload[0]:
+            if not (isinstance(entry, KvEntry) and entry.well_formed()):
+                continue
+            resolved = self._kv_inner_for(entry.shard, fleet_sender)
+            if resolved is None:
+                continue
+            inner, bus = resolved
+            sender = bus.local_pid(fleet_sender)
+            if sender is None:
+                continue  # a fleet server outside the shard's placement
+            if observer is not None:
+                # the tracer's view of the delivery, in fleet identities
+                observer.on_deliver(
+                    Message(tag=entry.tag, mtype=entry.mtype,
+                            sender=fleet_sender, recipient=self.pid,
+                            payload=entry.payload, msg_id=entry.msg_id,
+                            depth=entry.depth, cause_id=entry.cause_id),
+                    simulator.time, inbox_depth=len(inner.inbox),
+                    pending=simulator.pending_count)
+            inner.receive(Message(
+                tag=entry.tag, mtype=entry.mtype, sender=sender,
+                recipient=inner.pid, payload=entry.payload,
+                msg_id=entry.msg_id, depth=entry.depth,
+                cause_id=entry.cause_id))
 
-    def _kv_inner_for(
-            self, entry: KvEntry) -> Optional[Tuple[Process, ShardBus]]:
-        """Resolve the inner (process, bus) an entry addresses."""
+    def _kv_inner_for(self, shard_id: int, fleet_sender: PartyId
+                      ) -> Optional[Tuple[Process, ShardBus]]:
+        """Resolve the inner (process, bus) an entry of ``shard_id`` from
+        ``fleet_sender`` addresses, or ``None`` to drop it."""
         raise NotImplementedError
 
 
@@ -324,18 +343,19 @@ class KvServer(_KvMuxProcess):
         """Shard ids this host has materialised state for."""
         return list(self._inner_servers)
 
-    def _kv_inner_for(
-            self, entry: KvEntry) -> Optional[Tuple[Process, ShardBus]]:
-        shard_id = entry.shard
-        if not 0 <= shard_id < self.directory.num_shards:
-            return None
+    def _kv_inner_for(self, shard_id: int, fleet_sender: PartyId
+                      ) -> Optional[Tuple[Process, ShardBus]]:
         resolved = self._inner_servers.get(shard_id)
         if resolved is None:
+            if not 0 <= shard_id < self.directory.num_shards:
+                return None
             spec = self.directory.shard(shard_id)
             local = spec.local_server_index(self.pid.index)
             if local is None:
                 return None  # this fleet server does not serve the shard
             bus = ShardBus(self, spec)
+            if bus.local_pid(fleet_sender) is None:
+                return None  # never a sender in this shard: keep nothing
             classes = _shard_classes(spec)
             server_cls = self._server_cls if classes is None else classes[0]
             inner = server_cls(server_id(local), spec.config,
@@ -391,7 +411,7 @@ class KvClientHost(_KvMuxProcess):
             self._inner_clients[shard_id] = resolved
         return resolved[0]
 
-    def _kv_inner_for(
-            self, entry: KvEntry) -> Optional[Tuple[Process, ShardBus]]:
+    def _kv_inner_for(self, shard_id: int, fleet_sender: PartyId
+                      ) -> Optional[Tuple[Process, ShardBus]]:
         # Replies can only address shards this client has invoked on.
-        return self._inner_clients.get(entry.shard)
+        return self._inner_clients.get(shard_id)

@@ -28,9 +28,10 @@ import pytest
 from repro.chaos import FaultInjector, FaultPlan, FaultRule, builtin_plan
 from repro.common import serialization
 from repro.common.errors import BackpressureError, ConfigurationError
-from repro.common.ids import client_id, server_id
-from repro.common.serialization import decode, encode
+from repro.common.ids import PartyId, client_id, server_id
+from repro.common.serialization import decode, encode, encoded_size
 from repro.config import SystemConfig
+from repro.core.atomic import AtomicClient, AtomicServer
 from repro.kv import (
     KV_TAG,
     MSG_KV_BATCH,
@@ -43,6 +44,8 @@ from repro.kv import (
     drive,
     run_kv_case,
 )
+from repro.kv.envelope import entry_base_size, entry_wire_size
+from repro.net.message import Message, content_wire_size
 from repro.net.schedulers import RandomScheduler
 from repro.obs import TraceRecorder
 from repro.repair.reconfig import next_generation
@@ -99,7 +102,6 @@ def test_directory_rejects_invalid_shapes_and_keys():
 
 def test_kv_entry_roundtrips_through_canonical_encoding():
     entry = KvEntry(shard=3, tag="kv.s3.k001", mtype="w-ts-q",
-                    sender=client_id(1), recipient=server_id(2),
                     payload=("oid", b"value", 7), msg_id=42, depth=2,
                     cause_id=41)
     batch = ("kv", "kv-batch", ((entry,),))
@@ -228,6 +230,181 @@ def test_shard_bus_maps_local_identities_through_one_shared_table():
     assert bus.fleet_pid(client_id(3)) == client_id(3)
     with pytest.raises(KeyError):
         bus.fleet_pid(server_id(5))  # not a server of this shard
+    # ... and back, by fleet index, to the roster's own objects
+    for local_pid in bus.server_pids:
+        assert bus.local_pid(bus.fleet_pid(local_pid)) is local_pid
+    assert bus.local_pid(client_id(3)) == client_id(3)
+    for outside in (1, 2, 7):  # placement is (3, 4, 5, 6)
+        assert bus.local_pid(server_id(outside)) is None
+
+
+def test_an_entry_costs_53_bytes_beyond_its_content():
+    """An entry carries its shard and three stamps, not the 92 bytes of
+    two ``PartyId``s: 53 bytes on top of its content at a 3-byte
+    ``msg_id`` (it was 145 with the addresses)."""
+    entry = KvEntry(shard=3, tag="kv.s3.k001", mtype="w-ts-q",
+                    payload=("oid", b"value"), msg_id=70_000, depth=4,
+                    cause_id=69_999)
+    content = content_wire_size(entry.tag, entry.mtype, entry.payload)
+    assert encoded_size(entry) - content == 53
+    assert len(encode(entry)) - content == 53
+
+
+@pytest.mark.parametrize("shard", [0, 3, 127, 128, 40_000])
+def test_entry_wire_size_composes_the_encoded_size(shard):
+    base = entry_base_size(shard)
+    for msg_id, depth, cause_id in [(0, 0, None), (1, 1, 0),
+                                    (127, 128, 255), (2 ** 23, 300, None),
+                                    (2 ** 40, 2 ** 15, 2 ** 40 - 1)]:
+        entry = KvEntry(shard=shard, tag="kv.s1.k", mtype="m",
+                        payload=(b"x" * 9, 7), msg_id=msg_id, depth=depth,
+                        cause_id=cause_id)
+        content = content_wire_size(entry.tag, entry.mtype, entry.payload)
+        assert entry_wire_size(base, content, msg_id, depth, cause_id) \
+            == len(encode(entry))
+
+
+@pytest.mark.parametrize("field", ["shard", "msg_id", "depth", "cause_id"])
+def test_well_formed_rejects_bools_posing_as_ints(field):
+    """``True == 1``, but it encodes as ``T``: an entry with
+    ``shard=True`` must not be routed to shard 1."""
+    fields = dict(shard=1, tag="kv.s1.k", mtype="m", payload=(), msg_id=5,
+                  depth=1, cause_id=4)
+    assert KvEntry(**fields).well_formed()
+    fields[field] = True
+    entry = KvEntry(**fields)
+    assert not entry.well_formed()
+    assert getattr(decode(encode(entry)), field) is True
+
+
+# -- unwrap: derived addresses, and every rejection -----------------------------
+
+# Seven servers, three shards of four: placements (1, 2, 3, 4),
+# (2, 3, 4, 5) and (3, 4, 5, 6), so P3 serves all three, P1 only shard 0,
+# P6 only shard 2, and P7 none.
+_SUBSET = dict(fleet_config=SystemConfig(n=7, t=1), num_shards=3,
+               shard_n=4)
+
+
+@pytest.fixture
+def inner_deliveries(monkeypatch):
+    """Every message an inner register process receives, as
+    ``(process pid, message)``; the inner processes do nothing else."""
+    delivered = []
+
+    def record(process, message):
+        delivered.append((process.pid, message))
+
+    for cls in (AtomicServer, AtomicClient):
+        monkeypatch.setattr(cls, "receive", record)
+    return delivered
+
+
+def _probe(shard, msg_id, depth=1):
+    return KvEntry(shard=shard, tag=f"kv.s{shard}.probe", mtype="probe",
+                   payload=("oid",), msg_id=msg_id, depth=depth)
+
+
+def _deliver(host, sender, payload):
+    simulator = host.simulator
+    host.receive(Message(tag=KV_TAG, mtype=MSG_KV_BATCH, sender=sender,
+                         recipient=host.pid, payload=payload,
+                         msg_id=simulator._fresh_msg_id(), depth=1))
+
+
+def _deliver_batch(host, sender, entries):
+    _deliver(host, sender, (entries,))
+
+
+def test_unwrap_derives_sender_and_recipient_from_channel_and_placement(
+        inner_deliveries):
+    cluster = build_kv_cluster(KvDirectory(**_SUBSET), num_sessions=1)
+    server = cluster.servers[2]  # P3
+    _deliver_batch(server, server_id(5), (_probe(1, 901), _probe(2, 902)))
+    _deliver_batch(server, client_id(1), (_probe(0, 903),))
+    assert [(pid, message.msg_id, message.sender, message.recipient)
+            for pid, message in inner_deliveries] == [
+        # shard 1 sits on (2, 3, 4, 5): P5 is its P4, P3 its P2
+        (server_id(2), 901, server_id(4), server_id(2)),
+        # shard 2 sits on (3, 4, 5, 6): P5 is its P3, P3 its P1
+        (server_id(1), 902, server_id(3), server_id(1)),
+        # a client keeps its identity in every shard
+        (server_id(3), 903, client_id(1), server_id(3)),
+    ]
+    entry = _probe(1, 901)
+    message = inner_deliveries[0][1]
+    assert (message.tag, message.mtype, message.payload, message.depth,
+            message.cause_id) == (entry.tag, entry.mtype, entry.payload,
+                                  entry.depth, entry.cause_id)
+
+
+def test_unwrap_drops_every_entry_it_cannot_route_and_keeps_the_rest(
+        inner_deliveries):
+    """Each rejection the unwrap makes, inside a batch whose valid
+    entries are still delivered: nothing raises, no rejected entry
+    reaches an inner process, and a peer that is never a legitimate
+    sender for a shard materialises none of its state."""
+    cluster = build_kv_cluster(KvDirectory(**_SUBSET), num_sessions=1)
+    p1, p3 = cluster.servers[0], cluster.servers[2]
+    p6 = server_id(6)  # placed in shard 2 only
+    _deliver_batch(p3, p6, (
+        _probe(0, 1),                    # P6 is outside shard 0's placement
+        _probe(2, 2),                    # valid
+        _probe(3, 3), _probe(-1, 4),     # out of range
+        _probe(True, 5),                 # a bool is not shard 1
+        _probe(2, 6, depth=True),        # nor a stamp
+        42, ("kv.s2.probe", "probe"),    # not entries
+        _probe(2, 7),                    # valid
+    ))
+    assert p3.active_shards == [2]  # shard 0 was never built for P6
+    # P3 has built shard 2, whose placement P1 is not in.
+    _deliver_batch(p3, server_id(1), (_probe(2, 16),))
+    _deliver_batch(p1, client_id(1), (
+        _probe(1, 8),                    # P1 does not serve shard 1
+        _probe(0, 9),                    # valid
+    ))
+    assert p1.active_shards == [0]
+    # The client host invoked on shard 0 only.
+    host = cluster.sessions[0].host
+    host.inner_client(0)
+    _deliver_batch(host, server_id(2), (
+        _probe(1, 10),                   # never invoked
+        _probe(0, 11),                   # valid: P2 is shard 0's P2
+    ))
+    _deliver_batch(host, server_id(7), (_probe(0, 12),))  # P7 is in none
+    assert [(pid, message.msg_id) for pid, message in inner_deliveries] == [
+        (server_id(1), 2), (server_id(1), 7), (server_id(1), 9),
+        (client_id(1), 11)]
+    # Malformed batches are dropped whole.
+    for payload in ((), ((_probe(2, 13),), ()), ([_probe(2, 14)],),
+                    (_probe(2, 15),), ("entries",)):
+        _deliver(p3, p6, payload)
+    assert len(inner_deliveries) == 4
+    assert p3.active_shards == [2] and p1.active_shards == [0]
+
+
+def test_unwrapping_a_batch_compares_no_party_identities(
+        monkeypatch, inner_deliveries):
+    """The per-entry path maps the channel sender by fleet index: no
+    ``PartyId.__eq__`` call however many entries a batch carries."""
+    cluster = build_kv_cluster(KvDirectory(**_SUBSET), num_sessions=1)
+    server = cluster.servers[2]
+    entries = tuple(_probe(shard, 100 + shard) for shard in range(3))
+    _deliver_batch(server, server_id(4), entries)  # materialise all three
+    compared = []
+    real_eq = PartyId.__eq__
+
+    def counting_eq(self, other):
+        compared.append((self, other))
+        return real_eq(self, other)
+
+    monkeypatch.setattr(PartyId, "__eq__", counting_eq)
+    batch = tuple(_probe(shard, 200 + index)
+                  for index, shard in enumerate((0, 1, 2) * 4))
+    _deliver_batch(server, server_id(4), batch)
+    _deliver_batch(server, client_id(1), batch)
+    assert len(inner_deliveries) == 3 + 2 * len(batch)
+    assert compared == []
 
 
 # -- sessions -----------------------------------------------------------------

@@ -142,8 +142,8 @@ def _containers(children):
     payloads = st.lists(children, max_size=4).map(tuple)
     entries = st.builds(
         KvEntry, shard=st.integers(0, 99), tag=st.text(max_size=8),
-        mtype=st.text(max_size=8), sender=party_ids, recipient=party_ids,
-        payload=payloads, msg_id=st.integers(0, 2 ** 33),
+        mtype=st.text(max_size=8), payload=payloads,
+        msg_id=st.integers(0, 2 ** 33),
         depth=st.integers(0, 300),
         cause_id=st.none() | st.integers(0, 2 ** 33))
     return (st.lists(children, max_size=4) | payloads
