@@ -7,7 +7,8 @@ experiments — and the relative cost of the two commitment schemes.
 The ``ErasureCoder`` cases repeat one input, so after their first round
 they time the coder's value memo, which is what a protocol's repeated
 encodes and decodes of one value cost.  The ``ReedSolomonCode`` cases
-time the GF(2^8) kernels beneath it, which keep no value memo.
+time the kernels beneath it, which keep no value memo: GF(2^8) at
+``n <= 255`` and GF(2^16) at ``n300k5``.
 """
 
 import os
@@ -25,7 +26,9 @@ VALUE_64K = os.urandom(64 * 1024)
 
 #: ``(n, k, 0-based decode subset)``: each subset mixes systematic and
 #: parity blocks, so a decode solves for the missing data blocks.
-KERNEL_SHAPES = [(7, 5, (2, 3, 4, 5, 6)), (16, 6, (0, 1, 2, 13, 14, 15))]
+KERNEL_SHAPES = [(7, 5, (2, 3, 4, 5, 6)), (16, 6, (0, 1, 2, 13, 14, 15)),
+                 (300, 5, (0, 1, 297, 298, 299))]
+KERNEL_IDS = ["n7k5", "n16k6", "n300k5"]
 
 
 def _data_blocks(k):
@@ -63,7 +66,7 @@ def test_bench_erasure_decode_systematic_path(benchmark):
 
 
 @pytest.mark.parametrize("n, k", [shape[:2] for shape in KERNEL_SHAPES],
-                         ids=["n7k5", "n16k6"])
+                         ids=KERNEL_IDS)
 def test_bench_rs_encode_blocks_64k(benchmark, n, k):
     """The parity rows' matrix-vector product over 64 KiB of data."""
     code = ReedSolomonCode(n, k)
@@ -72,8 +75,7 @@ def test_bench_rs_encode_blocks_64k(benchmark, n, k):
     assert blocks[:k] == data and len(blocks) == n
 
 
-@pytest.mark.parametrize("n, k, subset", KERNEL_SHAPES,
-                         ids=["n7k5", "n16k6"])
+@pytest.mark.parametrize("n, k, subset", KERNEL_SHAPES, ids=KERNEL_IDS)
 def test_bench_rs_decode_blocks_64k(benchmark, n, k, subset):
     """The solve for the missing data blocks.  Its decode plan is keyed
     by the index subset, so every round after the first reuses the
@@ -83,13 +85,6 @@ def test_bench_rs_decode_blocks_64k(benchmark, n, k, subset):
     encoded = code.encode_blocks(data)
     supplied = {index: encoded[index] for index in subset}
     assert benchmark(lambda: code.decode_blocks(supplied)) == data
-
-
-def test_bench_erasure_gf65536_encode(benchmark):
-    """Large-cluster field: (40, 28) over GF(2^16)."""
-    coder = ErasureCoder(40, 28, field="gf65536")
-    blocks = benchmark(lambda: coder.encode(VALUE_64K))
-    assert len(blocks) == 40
 
 
 @pytest.mark.parametrize("scheme_cls", [VectorCommitment, MerkleCommitment],

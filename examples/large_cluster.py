@@ -5,8 +5,8 @@ message complexity is visible (measured live), erasure coding keeps the
 storage blow-up near 1.5 while replication would pay 22x, and the whole
 write still completes in the same 7 message rounds as at n = 4.
 
-(The erasure substrate itself scales much further: GF(2^16) Reed-Solomon
-supports clusters beyond 255 servers — see ``ErasureCoder(field=...)``.)
+(The erasure substrate itself scales much further: past 255 servers
+``ErasureCoder`` switches to GF(2^16) Reed-Solomon, up to 65535.)
 
 Run:  python examples/large_cluster.py
 """

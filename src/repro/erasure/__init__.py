@@ -1,8 +1,9 @@
-"""Information dispersal substrate: GF(2^8) Reed–Solomon erasure coding.
+"""Information dispersal substrate: Reed–Solomon erasure coding.
 
 Implements the ``(n, k)``-erasure code of Section 2.3 of the paper: any
 ``k`` of the ``n`` encoded blocks reconstruct the value, and each block has
-roughly ``|F| / k`` bytes.
+roughly ``|F| / k`` bytes.  One systematic Reed–Solomon code over GF(2^8)
+(``n <= 255``) or GF(2^16) (``n <= 65535``), the field chosen by ``n``.
 """
 
 from repro.erasure.coder import ErasureCoder

@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, Tuple
 from repro.common.errors import ConfigurationError, DecodingError
 from repro.common.lru import LruCache
 from repro.erasure.reed_solomon import ReedSolomonCode
-from repro.erasure.reed_solomon16 import ReedSolomonCode16
 
 _LENGTH_HEADER = 8
 
@@ -44,24 +43,11 @@ class ErasureCoder:
     This is the object the register protocols hold; ``k <= n - t`` is the
     paper's constraint so that the blocks held by honest servers always
     suffice to reconstruct (Theorem 2 allows any ``1 <= k <= n - t``).
-
-    ``field`` selects the symbol field: ``"gf256"`` (n <= 255),
-    ``"gf65536"`` (n <= 65535), or ``"auto"`` (default — the smallest
-    field that fits ``n``).
+    The symbol field follows from ``n`` (see :class:`ReedSolomonCode`).
     """
 
-    def __init__(self, n: int, k: int, field: str = "auto"):
-        if field == "auto":
-            field = "gf256" if n <= 255 else "gf65536"
-        if field == "gf256":
-            self._code = ReedSolomonCode(n, k)
-            self._symbol_bytes = 1
-        elif field == "gf65536":
-            self._code = ReedSolomonCode16(n, k)
-            self._symbol_bytes = 2
-        else:
-            raise ConfigurationError(f"unknown erasure field {field!r}")
-        self.field = field
+    def __init__(self, n: int, k: int):
+        self._code = ReedSolomonCode(n, k)
         self._encode_memo = LruCache(_MEMO_CAPACITY)
         self._decode_memo = LruCache(_MEMO_CAPACITY)
 
@@ -78,10 +64,8 @@ class ErasureCoder:
         padded = value_length + _LENGTH_HEADER
         length = (padded + self.k - 1) // self.k
         # Round up to whole symbols (2 bytes in GF(2^16)).
-        remainder = length % self._symbol_bytes
-        if remainder:
-            length += self._symbol_bytes - remainder
-        return length
+        symbol_bytes = self._code.field.symbol_bytes
+        return -(-length // symbol_bytes) * symbol_bytes
 
     def encode(self, value: bytes) -> List[bytes]:
         """Encode ``value`` into ``n`` blocks, any ``k`` of which decode."""

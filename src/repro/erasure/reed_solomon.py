@@ -1,14 +1,14 @@
-"""Systematic ``(n, k)`` Reed–Solomon erasure code over GF(2^8).
+"""Systematic ``(n, k)`` Reed–Solomon erasure code over GF(2^8) or GF(2^16).
 
 This is the ``(n, k)``-erasure code ``C`` of Section 2.3: ``encode``
 produces ``n`` blocks of ``|F| / k`` bytes each, and ``decode``
 reconstructs the value from *any* ``k`` blocks with their indices.
 
-Construction: take the ``n x k`` Vandermonde matrix and right-multiply by
-the inverse of its top ``k x k`` square, yielding a systematic generator
+Construction: take the ``n x k`` Vandermonde matrix over
+:func:`~repro.erasure.field.field_for` ``(n)`` and right-multiply by the
+inverse of its top ``k x k`` square, yielding a systematic generator
 matrix (identity on top) in which every ``k``-row subset is invertible.
-Bulk block arithmetic is vectorized with numpy lookup tables; a pure-Python
-path is kept for environments without numpy and as a cross-check in tests.
+Block arithmetic is :meth:`~repro.erasure.field.GaloisField.matvec`.
 
 Hot-path design (the decode kernel dominates the F1/F2/F3 sweeps):
 
@@ -24,38 +24,16 @@ Hot-path design (the decode kernel dominates the F1/F2/F3 sweeps):
   inversion (not ``k x k``) composed with the parity coefficients into a
   single ``m x k`` matrix, so the per-decode matvec work drops from
   ``k^2`` to ``m * k`` coefficient-block products.
-* **Batched matvec.**  One call computes every output row: the blocks
-  are joined into a single ``(k, L)`` uint8 view and each coefficient
-  applies as one table gather (``np.take``), with 0/1 coefficients
-  short-circuited to skips/XORs.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, DecodingError
 from repro.common.lru import LruCache
-from repro.erasure import gf256
-from repro.erasure.gf256 import (
-    Matrix,
-    matrix_invert,
-    matrix_multiply,
-    vandermonde_matrix,
-)
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
-if _np is not None:
-    # _MUL_TABLE[a, b] == gf_mul(a, b); rows are used as coefficient LUTs.
-    _MUL_TABLE = _np.zeros((256, 256), dtype=_np.uint8)
-    for _a in range(256):
-        for _b in range(256):
-            _MUL_TABLE[_a, _b] = gf256.gf_mul(_a, _b)
+from repro.erasure.field import Matrix, field_for
 
 #: Decode plans cached per code instance: chosen k-subsets recur
 #: constantly across sweeps, and 128 distinct subsets comfortably covers
@@ -63,7 +41,7 @@ if _np is not None:
 _PLAN_CACHE_CAPACITY = 128
 
 
-class _DecodePlan:
+class _DecodePlan(NamedTuple):
     """Compiled decoder for one chosen index tuple.
 
     ``known`` are the chosen systematic indices (data rows supplied
@@ -73,16 +51,9 @@ class _DecodePlan:
     rows).  ``matrix`` is ``None`` for the all-systematic plan.
     """
 
-    __slots__ = ("chosen", "known", "missing", "matrix", "matrix_np")
-
-    def __init__(self, chosen: Tuple[int, ...], known: Tuple[int, ...],
-                 missing: Tuple[int, ...], matrix: Optional[Matrix],
-                 matrix_np) -> None:
-        self.chosen = chosen
-        self.known = known
-        self.missing = missing
-        self.matrix = matrix
-        self.matrix_np = matrix_np
+    known: Tuple[int, ...]
+    missing: Tuple[int, ...]
+    matrix: Optional[Matrix]
 
 
 def _as_bytes(block) -> bytes:
@@ -99,7 +70,8 @@ class ReedSolomonCode:
     Parameters
     ----------
     n:
-        Total number of blocks (at most 255).
+        Total number of blocks (at most 65535; beyond 255, symbols are
+        2 bytes, so block lengths must be even).
     k:
         Number of blocks sufficient for reconstruction (``1 <= k <= n``).
     use_numpy:
@@ -109,14 +81,17 @@ class ReedSolomonCode:
     def __init__(self, n: int, k: int, use_numpy: bool = True):
         if not 1 <= k <= n:
             raise ConfigurationError(f"require 1 <= k <= n, got n={n} k={k}")
-        if n > 255:
-            raise ConfigurationError("GF(2^8) Reed-Solomon supports n <= 255")
+        self.field = field = field_for(n)
+        if n > field.order - 1:
+            raise ConfigurationError(
+                f"{field} Reed-Solomon supports n <= {field.order - 1}")
         self.n = n
         self.k = k
-        self._use_numpy = bool(use_numpy and _np is not None)
-        vandermonde = vandermonde_matrix(n, k)
-        top_inverse = matrix_invert([row[:] for row in vandermonde[:k]])
-        self._generator: Matrix = matrix_multiply(vandermonde, top_inverse)
+        self._use_numpy = use_numpy
+        vandermonde = field.vandermonde_matrix(n, k)
+        top_inverse = field.matrix_invert([row[:] for row in vandermonde[:k]])
+        self._generator: Matrix = field.matrix_multiply(vandermonde,
+                                                        top_inverse)
         #: Parity rows only (rows ``k..n-1``): the systematic top rows
         #: are the identity, so encoding never multiplies by them.
         self._parity_rows: Matrix = [row[:] for row in self._generator[k:]]
@@ -139,10 +114,14 @@ class ReedSolomonCode:
         lengths = {len(block) for block in data_blocks}
         if len(lengths) != 1:
             raise ConfigurationError("data blocks must have equal length")
+        if lengths.pop() % self.field.symbol_bytes:
+            raise ConfigurationError(
+                f"{self.field} blocks must have even byte length")
         data = [_as_bytes(block) for block in data_blocks]
         # Systematic fast path: the first k output blocks *are* the data;
         # only the parity rows need arithmetic.
-        return data + self._matvec(self._parity_rows, data)
+        return data + self.field.matvec(self._parity_rows, data,
+                                        self._use_numpy)
 
     # -- decoding ---------------------------------------------------------
 
@@ -164,24 +143,27 @@ class ReedSolomonCode:
         lengths = {len(blocks[index]) for index in chosen}
         if len(lengths) != 1:
             raise DecodingError("blocks must have equal length")
+        if lengths.pop() % self.field.symbol_bytes:
+            raise DecodingError(f"{self.field} blocks must have even length")
         return tuple(chosen)
 
     def _build_plan(self, chosen: Tuple[int, ...]) -> _DecodePlan:
-        """Compile the solve for one index subset (see class docstring)."""
+        """Compile the solve for one index subset (see module docstring)."""
         k = self.k
         known = tuple(index for index in chosen if index < k)
         if len(known) == k:
-            return _DecodePlan(chosen, known, (), None, None)
+            return _DecodePlan(known, (), None)
         parity = [index for index in chosen if index >= k]
         present = set(known)
         missing = tuple(j for j in range(k) if j not in present)
         generator = self._generator
+        field = self.field
         # Solve B x = rhs where B is the parity coefficients over the
         # missing columns; every k-row subset of the generator is
         # invertible, and with unit rows eliminated that reduces to B.
         b_matrix = [[generator[p][j] for j in missing] for p in parity]
         try:
-            b_inverse = matrix_invert(b_matrix)
+            b_inverse = field.matrix_invert(b_matrix)
         except ValueError as exc:  # pragma: no cover - cannot happen for RS
             raise DecodingError(str(exc)) from exc
         # Compose into one m x k matrix over the supplied blocks
@@ -194,14 +176,11 @@ class ReedSolomonCode:
             for j in known:
                 acc = 0
                 for x in range(m):
-                    acc ^= gf256.gf_mul(b_inverse[r][x],
-                                        generator[parity[x]][j])
+                    acc ^= field.mul(b_inverse[r][x], generator[parity[x]][j])
                 row.append(acc)
             row.extend(b_inverse[r])
             matrix.append(row)
-        matrix_np = _np.array(matrix, dtype=_np.uint8) \
-            if self._use_numpy else None
-        return _DecodePlan(chosen, known, missing, matrix, matrix_np)
+        return _DecodePlan(known, missing, matrix)
 
     def decode_blocks(self, blocks: Dict[int, bytes]) -> List[bytes]:
         """Recover the ``k`` data blocks from ``{index: block}`` pairs.
@@ -213,79 +192,14 @@ class ReedSolomonCode:
         chosen = self._choose_indices(blocks)
         plan = self._plan_cache.get_or_compute(
             chosen, lambda: self._build_plan(chosen))
+        supplied = [_as_bytes(blocks[index]) for index in chosen]
         if not plan.missing:
             # All-systematic fast path: the data blocks are present.
-            return [_as_bytes(blocks[index]) for index in chosen]
-        supplied = [_as_bytes(blocks[index]) for index in chosen]
-        solved = self._matvec(plan.matrix, supplied,
-                              matrix_np=plan.matrix_np)
+            return supplied
+        solved = self.field.matvec(plan.matrix, supplied, self._use_numpy)
         out: List[bytes] = [b""] * self.k
         for position, index in enumerate(plan.known):
             out[index] = supplied[position]
         for position, index in enumerate(plan.missing):
             out[index] = solved[position]
-        return out
-
-    def reconstruct_all(self, blocks: Dict[int, bytes]) -> List[bytes]:
-        """Recover all ``n`` blocks (data + parity) from any ``k``.
-
-        When every one of the ``n`` blocks is supplied there is nothing
-        to reconstruct: the blocks are returned as given (protocols
-        validate block integrity against the cross-checksum before
-        reconstructing, so a full set is a consistent codeword).
-        """
-        if len(blocks) >= self.n and all(
-                index in blocks for index in range(self.n)):
-            return [_as_bytes(blocks[index]) for index in range(self.n)]
-        return self.encode_blocks(self.decode_blocks(blocks))
-
-    # -- block arithmetic ---------------------------------------------------
-
-    def _matvec(self, matrix: Matrix, blocks: Sequence[bytes],
-                matrix_np=None) -> List[bytes]:
-        """Multiply ``matrix`` by the column vector of byte blocks.
-
-        All output rows are produced in one call over a single ``(k, L)``
-        view of the blocks; each nonzero coefficient is one table gather
-        (0 skips, 1 XORs the block directly).
-        """
-        if not matrix:
-            return []
-        if self._use_numpy:
-            return self._matvec_numpy(matrix, blocks)
-        length = len(blocks[0])
-        out = []
-        for row in matrix:
-            accumulator = [0] * length
-            for coefficient, block in zip(row, blocks):
-                if coefficient == 0:
-                    continue
-                product = gf256.mul_row(coefficient, block)
-                accumulator = [a ^ p for a, p in zip(accumulator, product)]
-            out.append(bytes(accumulator))
-        return out
-
-    def _matvec_numpy(self, matrix: Matrix,
-                      blocks: Sequence[bytes]) -> List[bytes]:
-        data = _np.frombuffer(b"".join(blocks), dtype=_np.uint8)
-        data = data.reshape(len(blocks), -1)
-        out = []
-        for row in matrix:
-            accumulator = None
-            for j, coefficient in enumerate(row):
-                if coefficient == 0:
-                    continue
-                if coefficient == 1:
-                    term = data[j]
-                else:
-                    term = _np.take(_MUL_TABLE[coefficient], data[j])
-                if accumulator is None:
-                    # First term: own a mutable buffer (a bare data[j]
-                    # view must not be XORed into).
-                    accumulator = term.copy() if coefficient == 1 else term
-                else:
-                    accumulator ^= term
-            if accumulator is None:
-                accumulator = _np.zeros(data.shape[1], dtype=_np.uint8)
-            out.append(accumulator.tobytes())
         return out

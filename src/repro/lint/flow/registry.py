@@ -116,8 +116,7 @@ SEND_SINKS: Dict[str, int] = {
 
 #: Erasure-decode sinks: feeding unverified blocks to the decoder is
 #: exactly the poisonous-write vector of the paper's Section 5.
-DECODE_SINKS: Tuple[str, ...] = ("decode", "decode_blocks",
-                                 "reconstruct_all")
+DECODE_SINKS: Tuple[str, ...] = ("decode", "decode_blocks")
 
 #: Operation-completion sinks: values returned to the register's
 #: clients must have passed the cross-checksum / commitment check.

@@ -162,3 +162,28 @@ def test_one_runner_builds_kv_deployments_and_wires_their_faults():
         runner, "repro.kv.bench.run_kv_case"]
     assert _raise_sites("unknown protocol") == [
         "repro.cluster.protocol_classes"]
+
+
+def test_one_field_class_and_one_reed_solomon_code():
+    """The erasure ratchet: one field class holds the block kernels and
+    one class decodes.  Under ``src/repro`` only ``repro.erasure.field``
+    imports numpy, and exactly one class defines ``decode_blocks``.  A
+    second kernel stack (or a second code) has to show up here first."""
+    numpy_importers = set()
+    decoders = []
+    for module in discover([SRC]):
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                imported = []
+            if any(name.split(".")[0] == "numpy" for name in imported):
+                numpy_importers.add(module.dotted)
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef)
+                    and item.name == "decode_blocks" for item in node.body):
+                decoders.append(f"{module.dotted}.{node.name}")
+    assert numpy_importers == {"repro.erasure.field"}
+    assert decoders == ["repro.erasure.reed_solomon.ReedSolomonCode"]
