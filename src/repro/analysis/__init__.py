@@ -7,7 +7,10 @@ from repro.analysis.consistency import (
     check_safety,
 )
 from repro.analysis.history import HistoryRecorder
-from repro.analysis.invariants import make_register_invariant
+from repro.analysis.invariants import (
+    install_commit_invariant,
+    make_register_invariant,
+)
 from repro.analysis.linearizability import (
     INITIAL_WRITE_OID,
     HistoryOp,
@@ -21,6 +24,7 @@ __all__ = [
     "check_regularity",
     "check_safety",
     "HistoryRecorder",
+    "install_commit_invariant",
     "make_register_invariant",
     "INITIAL_WRITE_OID",
     "HistoryOp",

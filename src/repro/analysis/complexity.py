@@ -11,7 +11,8 @@ match, constants approximately.
 
 Conventions: ``F`` value size in bytes, ``H`` hash size, ``S`` threshold
 signature/share size, ``L`` bound on concurrent listeners.  A write's cost
-includes its Disperse and reliable-broadcast sub-instances.
+includes its Disperse and reliable-broadcast sub-instances (AtomicMd
+has neither: its write is a two-phase store/commit, ``6n`` messages).
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ class ComplexityModel:
             non_skipping=True, byzantine_clients=True)
 
     def atomic_md(self, versions: int = 1) -> Prediction:
-        """Protocol AtomicMd: blocks point-to-point, ``(ts, H(D))``
-        r-broadcast, ``k``-server reads; ``versions`` retained at rest.
+        """Protocol AtomicMd: two-phase write (blocks point-to-point with
+        a lock ``H(ts, N)``, then an ``(ts, H(D), N)`` commit), ``k``-server
+        reads; ``versions`` retained at rest.
 
         Not part of :meth:`all_protocols` (the paper's comparison
         table): crash-only clients, and it needs ``k <= n - 2t``.
@@ -143,14 +145,14 @@ class ComplexityModel:
         n, k = self.n, self.k
         if k > n - 2 * self.t:
             raise ConfigurationError("atomic_md requires k <= n - 2t")
-        rbc_messages = n + 2 * n * n
-        metadata = self.commitment_size + self.ts_size   # one md-meta
-        # get-ts/ts/ack: 3n.  md-store: n.  RBC of (ts, H(D)).
-        write_messages = 3 * n + n + rbc_messages
+        # one md-meta: D, TIMESTAMP and the proof of writing N
+        metadata = self.commitment_size + self.ts_size + self.hash_size
+        # get-ts/ts, store/stored, commit/ack: n each.
+        write_messages = 6 * n
         write_bytes = (
-            n * self._block_with_proof()                      # md-store
-            + rbc_messages * (self.ts_size + self.hash_size)  # rbc
-            + 3 * n * self.ts_size                            # get-ts/ts/ack
+            n * (self._block_with_proof() + self.hash_size)   # md-store
+            + n * (self.ts_size + 2 * self.hash_size)         # md-commit
+            + 4 * n * self.ts_size                 # get-ts/ts/stored/ack
             + self.listeners * n * metadata)
         # md-read/md-meta/md-read-complete: 3n.  k get-block + k block.
         read_messages = 3 * n + 2 * k

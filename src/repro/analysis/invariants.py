@@ -11,7 +11,10 @@ the lemmas of Section 3.3:
 * **monotonicity**: an honest server's stored TIMESTAMP never decreases;
 * **commitment uniqueness** (Lemma 5 basis): all ``write-accepted``
   events for one operation identifier agree, and servers holding equal
-  TIMESTAMPS hold equal commitments.
+  TIMESTAMPS hold equal commitments;
+* **committed adoption** (AtomicMd, :func:`install_commit_invariant`):
+  no honest server adopts or retains a version its writer did not
+  commit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 from repro.common.errors import ProtocolError
 from repro.common.ids import PartyId
 from repro.common.serialization import encode
-from repro.core.timestamps import Timestamp
+from repro.core.atomic_md import MSG_COMMIT, MSG_STORE
+from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
+from repro.net.message import Message
 from repro.net.simulator import Simulator
 
 
@@ -96,3 +101,65 @@ def make_register_invariant(tag: str,
                         f"with different commitments")
 
     return check
+
+
+def install_commit_invariant(simulator: Simulator, tag: str,
+                             honest_servers: Optional[Iterable[PartyId]]
+                             = None) -> None:
+    """Check, after every delivery, that no honest AtomicMd server
+    adopts or retains a version no writer committed.
+
+    A version's *writer* is the client that sent its ``md-store``; the
+    writer commits ``Timestamp(ts + 1, oid)`` by sending ``md-commit
+    (oid, ts, H(D), N)`` itself.  Every TIMESTAMP an honest server holds
+    in its history (initial value aside) must be one its writer
+    committed, and the adopted one must carry the committed ``H(D)``.
+    Relayed commits (reader write-back) are not evidence: they are what
+    the invariant is about.  Installs a send observer and an invariant
+    on ``simulator``; one call per run.
+    """
+    honest: Optional[Set[PartyId]] = \
+        set(honest_servers) if honest_servers is not None else None
+    writers: Dict[str, PartyId] = {}
+    committed: Dict[Tuple[str, int], Set[bytes]] = {}
+
+    def observe(message: Message) -> None:
+        if message.tag != tag or message.sender.is_server \
+                or not message.payload:
+            return
+        oid = message.payload[0]
+        if message.mtype == MSG_STORE:
+            writers.setdefault(oid, message.sender)
+        elif (message.mtype == MSG_COMMIT and len(message.payload) == 4
+              and writers.get(oid) == message.sender):
+            _, ts, digest, _ = message.payload
+            committed.setdefault((oid, ts), set()).add(digest)
+
+    def check(simulator: Simulator) -> None:
+        for process in simulator.processes:
+            if not process.pid.is_server:
+                continue
+            if honest is not None and process.pid not in honest:
+                continue
+            probe = getattr(process, "register_state", None)
+            if probe is None:
+                continue
+            state = probe(tag)
+            for timestamp in state.history:
+                if timestamp != INITIAL_TIMESTAMP and \
+                        (timestamp.oid, timestamp.ts - 1) not in committed:
+                    raise ProtocolError(
+                        f"{process.pid} accepted {timestamp}, which no "
+                        f"writer committed")
+            if state.timestamp == INITIAL_TIMESTAMP:
+                continue
+            digest = process.config.commitment_scheme.digest(
+                state.commitment)
+            if digest not in committed[(state.timestamp.oid,
+                                        state.timestamp.ts - 1)]:
+                raise ProtocolError(
+                    f"{process.pid} adopted {state.timestamp} under a "
+                    f"cross-checksum its writer did not commit")
+
+    simulator.add_send_observer(observe)
+    simulator.add_invariant(check)

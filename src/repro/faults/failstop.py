@@ -95,6 +95,13 @@ class _FailStopMixin:
             return self._decision_clock() >= self._crash_after
         return self._delivered >= self._crash_after
 
+    def hold_crash(self, until: int) -> None:
+        """Move a crash that has not happened yet to ``until`` on its
+        trigger clock (the repair plane holds a churn storm's next crash
+        while the fleet is still degraded from the last one)."""
+        if not self.crashed and self._crash_after < until:
+            self._crash_after = until
+
     @property
     def recovered(self) -> bool:
         """Whether a transient crash has already healed."""

@@ -136,6 +136,7 @@ class Simulator:
         self._next_msg_id = 0
         self._record_deliveries = record_deliveries
         self._output_observers: List[OutputObserver] = []
+        self._send_observers: List[Callable[[Message], None]] = []
         self._invariants: List[Callable[["Simulator"], None]] = []
         #: attached tracer (duck-typed; see
         #: :class:`repro.obs.recorder.TraceRecorder`).  ``None`` keeps the
@@ -279,6 +280,8 @@ class Simulator:
         if self.obs is not None:
             self.obs.on_send(message, self.time,
                              pending=len(self._pending))
+        for observer in self._send_observers:
+            observer(message)
 
     def _fresh_msg_id(self) -> int:
         """Allocate a message identifier (used by the chaos plane for
@@ -352,6 +355,17 @@ class Simulator:
         """Subscribe to output actions (used by clients' operation handles
         and by history recorders)."""
         self._output_observers.append(observer)
+
+    def add_send_observer(self,
+                          observer: Callable[[Message], None]) -> None:
+        """Subscribe to every message as it enters the network (after
+        fault injection, so a dropped message is never observed).
+
+        For invariants that need to know what was *sent* — e.g. which
+        commits a writer issued — rather than what a party holds; like
+        a tracer it must not feed back into the schedule.
+        """
+        self._send_observers.append(observer)
 
     def add_invariant(self, check: Callable[["Simulator"], None]) -> None:
         """Register a global invariant, re-checked after every delivery.

@@ -64,6 +64,7 @@ from repro.obs.spans import (
     KIND_PHASE,
     PHASE_BLOCK_FETCH,
     PHASE_BLOCK_PUSH,
+    PHASE_COMMIT,
     PHASE_DISPERSE,
     PHASE_LOCAL,
     PHASE_QUORUM_WAIT,
@@ -124,6 +125,7 @@ __all__ = [
     "KIND_PHASE",
     "PHASE_BLOCK_FETCH",
     "PHASE_BLOCK_PUSH",
+    "PHASE_COMMIT",
     "PHASE_DISPERSE",
     "PHASE_LOCAL",
     "PHASE_QUORUM_WAIT",

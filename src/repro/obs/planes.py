@@ -12,8 +12,8 @@ separation removes).
 
 Classification is by message type: the block-carrying types of each
 substrate are the data plane, every other protocol message (timestamp
-queries, metadata replies, acks, reliable-broadcast gossip of ``(ts,
-D)`` pairs) is metadata.  Transport envelopes (``kv-batch``) are
+queries, metadata replies, acks, reliable-broadcast gossip of
+timestamps, AtomicMd's store-acks and commits) is metadata.  Transport envelopes (``kv-batch``) are
 excluded entirely — their inner messages are traced individually, so
 counting the envelope too would double-book every byte.
 """

@@ -7,7 +7,9 @@ action) with **phase spans** nested inside, derived from the hierarchical
 tag scheme and the message types:
 
 * traffic on sub-instance tags ``ID|disp.oid`` / ``ID|rbc.oid`` becomes
-  the write's *disperse* / *rbc* phases;
+  the write's *disperse* / *rbc* phases; AtomicMd's ``md-commit`` (its
+  replacement for the broadcast, a reader's write-back included) is the
+  *commit* phase;
 * ``get-ts``/``ts`` traffic on the register tag is the *ts-query* phase,
   ``ack`` traffic the *quorum-wait* phase, and ``read`` / ``value`` /
   ``read-complete`` traffic the *retrieve* phase; AtomicNS's ``share``
@@ -43,6 +45,7 @@ PHASE_RETRIEVE = "retrieve"
 PHASE_SIG_ROUND = "sig-round"
 PHASE_BLOCK_PUSH = "block-push"
 PHASE_BLOCK_FETCH = "block-fetch"
+PHASE_COMMIT = "commit"
 PHASE_LOCAL = "local"
 
 #: register-tag message types -> phase
@@ -64,6 +67,8 @@ _MTYPE_PHASES = {
     "md-meta": PHASE_RETRIEVE,
     "md-read-complete": PHASE_RETRIEVE,
     "md-store": PHASE_BLOCK_PUSH,
+    "md-stored": PHASE_BLOCK_PUSH,
+    "md-commit": PHASE_COMMIT,
     "md-get-block": PHASE_BLOCK_FETCH,
     "md-block": PHASE_BLOCK_FETCH,
     "md-block-miss": PHASE_BLOCK_FETCH,

@@ -13,7 +13,10 @@ Work arrives three ways:
   with ``replace_after`` set names the decision-clock point at which
   the crashed member is swapped for an amnesiac newcomer
   (:func:`repro.repair.reconfig.replace_member`); every AtomicMd
-  register placed on it is then queued for repair.
+  register placed on it is then queued for repair.  Such a crash does
+  not fire while the fleet is degraded — repair outstanding, or another
+  scheduled member down and not yet replaced — so a storm never has
+  more than one member crashed or unrepaired at a time.
 * **operator trigger** — :meth:`~RepairCoordinator.request_repair`
   queues re-dispersal toward a named server without replacing it (a
   recovered-but-lossy member).
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.chaos.plan import FaultPlan
 from repro.common.errors import ConfigurationError
@@ -68,6 +71,10 @@ class _Replacement:
 
     server: int
     due: int
+    replace_after: int
+    #: the fail-stop host whose ``decisions``-triggered crash this swap
+    #: follows, held while the fleet is degraded (``None``: not held)
+    host: Optional[Any] = None
     done: bool = False
 
 
@@ -153,17 +160,23 @@ class RepairCoordinator:
     def schedule_from_plan(self, plan: FaultPlan) -> int:
         """Register every ``replace_after`` crash in ``plan``.
 
-        Each such spec swaps its server at decision point
-        ``after + replace_after`` (the same clock the fail-stop wrapper
-        crashes on).  Returns the number of replacements scheduled.
+        Each such spec swaps its server ``replace_after`` decisions
+        after its crash (the same clock the fail-stop wrapper crashes
+        on): at ``after + replace_after`` unless the crash was held.
+        Returns the number of replacements scheduled.
         """
         added = 0
         for crash in plan.crashes:
             if crash.replace_after is None:
                 continue
+            host = self.cluster.servers[crash.server - 1]
+            held = crash.trigger == "decisions" \
+                and hasattr(host, "hold_crash")
             self._scheduled.append(_Replacement(
                 server=crash.server,
-                due=crash.after + crash.replace_after))
+                due=crash.after + crash.replace_after,
+                replace_after=crash.replace_after,
+                host=host if held else None))
             added += 1
         self._scheduled.sort(key=lambda entry: (entry.due, entry.server))
         return added
@@ -250,22 +263,56 @@ class RepairCoordinator:
                 and all(entry.done for entry in self._scheduled))
 
     def pump(self) -> int:
-        """Fire due replacements, reap done rounds, admit queued ones."""
+        """Fire due replacements, reap done rounds, admit queued ones,
+        then hold the storm's next crash if the fleet is degraded."""
         progress = self._fire_replacements()
         progress += self._reap()
         progress += self._admit()
         if progress:
             self.host.kv_flush()
             self._record_lag()
+        self._hold_crashes()
         return progress
+
+    def _degraded(self) -> bool:
+        """Repair is outstanding, or a scheduled member is down and not
+        yet replaced."""
+        return self.lag > 0 or any(
+            not entry.done and entry.host is not None
+            and entry.host.crashed for entry in self._scheduled)
+
+    def _hold_crashes(self) -> None:
+        """Keep a crash that has not fired from firing at the next
+        decision while the fleet is degraded, and all but the earliest
+        while it is whole, moving each replacement with its crash: the
+        drive loop delivers at most one message between two pumps, so a
+        hold two decisions ahead is never overtaken."""
+        waiting = [entry for entry in self._scheduled
+                   if not entry.done and entry.host is not None
+                   and not entry.host.crashed]
+        if not self._degraded():
+            waiting = waiting[1:]  # one crash at a time: the earliest
+        if not waiting:
+            return
+        until = self._decision_clock() + 2
+        for entry in waiting:
+            entry.host.hold_crash(until)
+            entry.due = max(entry.due, until + entry.replace_after)
 
     def _fire_replacements(self, force: bool = False) -> int:
         clock = self._decision_clock()
         fired = 0
+        # A forced swap of a member still up opens a gap of its own, so
+        # it waits for the fleet to be whole, like the crash it stands in
+        # for; the swap of a member already down closes one.
+        whole = not self._degraded()
         for entry in self._scheduled:
             if entry.done:
                 continue
             if not force and clock < entry.due:
+                continue
+            if force and not whole and not (entry.host is not None
+                                            and entry.host.crashed):
                 continue
             self._replace(entry.server)
             entry.done = True
@@ -308,6 +355,14 @@ class RepairCoordinator:
         return done
 
     def _admit(self) -> int:
+        """Start queued rounds, once every session has drained onto the
+        newest generation: a write admitted before the swap may have
+        stored its block only at the member that crashed, and a repair
+        that read before it completed would re-disperse the older
+        version."""
+        epoch = self.cluster.directory.epoch
+        if any(session.epoch != epoch for session in self.cluster.sessions):
+            return 0
         admitted = 0
         while self._pending and len(self._inflight) < self.batch_size:
             task = self._pending.popleft()

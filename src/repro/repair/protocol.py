@@ -6,9 +6,10 @@ protocol's metadata quorum and verified ``k``-block fetch (reusing
 :meth:`~repro.core.atomic_md.AtomicMdClient._read_condition`, including
 its escalation past misses and corrupted blocks), decodes the value,
 re-encodes it, and pushes the *target server's own* block back under
-the version's original TIMESTAMP via ``md-repair``.  The server accepts
-exactly as it would an ``md-store``/r-deliver join — block verified
-against the carried cross-checksum — and acks with ``md-repair-ack``.
+the version's original TIMESTAMP and proof of writing via
+``md-repair``.  The server accepts exactly as it would an
+``md-store``/``md-commit`` join — block verified against the carried
+cross-checksum — and acks with ``md-repair-ack``.
 
 Repair is **not** a register operation of Definition 1: it never enters
 operation histories and never mints a TIMESTAMP.  Atomicity is
@@ -66,7 +67,7 @@ class RepairClient(AtomicMdClient):
     def _repair_thread(self, handle: OperationHandle, target_index: int):
         tag, oid = handle.tag, handle.oid
         self.send_to_servers(tag, MSG_READ, oid)
-        timestamp, commitment, pairs = \
+        timestamp, commitment, proof, pairs = \
             yield self._read_condition(tag, oid)
         self.send_to_servers(tag, MSG_READ_COMPLETE, oid)
         value = self.config.coder.decode(pairs[: self.config.k])
@@ -83,7 +84,8 @@ class RepairClient(AtomicMdClient):
             return
         target = server_id(target_index)
         self.send(target, tag, MSG_REPAIR, oid, timestamp, commitment,
-                  blocks[target_index - 1], witnesses[target_index - 1])
+                  blocks[target_index - 1], witnesses[target_index - 1],
+                  proof)
         # Not a quorum: repair targets exactly one (trusted-to-be-fresh)
         # server, so a single matching ack from *that* sender completes.
         yield self.condition_quorum(

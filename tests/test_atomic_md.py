@@ -12,10 +12,17 @@ The load-bearing guarantees tested here:
   blocks (no AVID echo storm); a fault-free read fetches blocks from
   exactly ``k`` servers; a seeded 4 KiB workload moves at most half the
   wire bytes ``atomic`` moves.
-* **The join** — servers pair the r-delivered ``(ts, H(D))`` with the
-  ``md-store`` whose verified ``D`` hashes to it: a writer whose halves
-  disagree never takes effect, malformed pairs are ignored, and the
-  broadcast's wire size no longer depends on ``n``.
+* **The two-phase write** — ``6n`` messages, no broadcast: servers
+  pair an ``md-commit (ts, H(D), N)`` with the acked ``md-store`` whose
+  verified ``D`` hashes to it and whose lock ``H(ts, N)`` it opens; a
+  writer whose halves disagree never takes effect, malformed commits
+  are ignored before any state is written, and the commit's wire size
+  does not depend on ``n``.
+* **Crash-only writers** — a writer that crashes after its stores and
+  ``j < n - t`` commits leaves readers wait-free (reader write-back)
+  and the run linearizable under every builtin chaos plan and every
+  Byzantine md server; commits invented or replayed by a server change
+  nothing; no honest server adopts a version no writer committed.
 * **One ``D`` per register at rest** — a retained version costs its
   block, witness and TIMESTAMP; a read of a version that is no longer
   the adopted one still decodes.
@@ -37,35 +44,43 @@ from pathlib import Path
 
 import pytest
 
+from functools import partial
+
 from repro.analysis.history import HistoryRecorder
-from repro.broadcast.reliable import MSG_ECHO, r_broadcast
+from repro.analysis.invariants import install_commit_invariant
 from repro.chaos.campaign import RunSpec, execute_run
+from repro.chaos.injector import FaultInjector
 from repro.chaos.library import BUILTIN_PLANS, builtin_plan
+from repro.chaos.plan import ByzantineSpec, CrashSpec, FaultPlan, FaultRule
 from repro.cluster import PROTOCOLS, build_cluster, run_register_case
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.serialization import encoded_size
 from repro.config import SystemConfig
-from repro.core import atomic_md
 from repro.core.atomic_md import (
     DATA_PLANE_TYPES,
     MESSAGE_TYPES,
     MSG_ACK,
     MSG_BLOCK,
     MSG_BLOCK_MISS,
+    MSG_COMMIT,
     MSG_GET_BLOCK,
     MSG_META,
     MSG_STORE,
+    MSG_STORED,
     MSG_VALID,
     MSG_VALIDATE,
+    AtomicMdClient,
+    AtomicMdServer,
     validate_md_config,
 )
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
-from repro.crypto.hashing import DIGEST_SIZE
+from repro.crypto.hashing import DIGEST_SIZE, hash_bytes
 from repro.faults.byzantine_servers import (
+    BYZANTINE_BEHAVIOURS,
     CorruptBlockMdServer,
     MissingBlockMdServer,
 )
-from repro.faults.failstop import FailStopMdServer, fail_stop
+from repro.faults.failstop import FailStopMdServer, fail_stop, fault_overrides
 from repro.kv import KvDirectory, run_kv_case
 from repro.kv.envelope import MSG_KV_BATCH
 from repro.lint.config import LintConfig
@@ -79,6 +94,7 @@ from repro.obs.planes import (
     plane_traffic,
 )
 from repro.obs.recorder import TraceRecorder
+from repro.obs.spans import PHASE_BLOCK_PUSH, PHASE_COMMIT, classify_phase
 from repro.workloads.generator import random_workload, run_workload
 from repro.workloads.kv import kv_workload
 
@@ -187,13 +203,15 @@ def test_runspec_k_roundtrips_through_json():
 # -- data-plane shape ---------------------------------------------------------
 
 def test_write_pushes_exactly_n_blocks():
-    """The O(n) data plane: one ``md-store`` per server, no echoes."""
+    """The O(n) data plane: one ``md-store`` per server, no echoes — and
+    the rest of the write is ``n`` of each of the other five types, no
+    broadcast."""
     cluster = _cluster(clients=1)
     cluster.write(1, "reg", "w1", b"x" * 64)
     cluster.run()
     counts = cluster.simulator.metrics.messages_by_mtype("reg")
-    assert counts.get(MSG_STORE, 0) == 4
-    assert not any(mtype.startswith("avid-") for mtype in counts)
+    assert counts == {mtype: 4 for mtype in (
+        "md-get-ts", "md-ts", MSG_STORE, MSG_STORED, MSG_COMMIT, MSG_ACK)}
 
 
 def test_fault_free_read_fetches_exactly_k_blocks():
@@ -223,26 +241,32 @@ def test_repeated_reads_of_a_register_each_fetch_exactly_k_blocks(seed):
     assert MSG_BLOCK_MISS not in metrics.messages_by_mtype("reg")
 
 
-# -- the join: (ts, H(D)) meets the verified md-store -------------------------
+# -- the join: the commit meets the verified md-store -------------------------
 
 def _commitment_of(cluster, value):
     blocks = cluster.config.coder.encode(value)
     return cluster.config.commitment_scheme.commit(blocks)[0]
 
 
-def _broadcast_instead(monkeypatch, forge):
-    """Make every writer r-broadcast ``forge(ts, digest)`` in place of
-    the honest ``(ts, digest)`` — its ``md-store`` half stays honest."""
-    def forged(process, tag, value):
-        return r_broadcast(process, tag, forge(*value))
-    monkeypatch.setattr(atomic_md, "r_broadcast", forged)
+def _commit_instead(monkeypatch, forge):
+    """Make every writer commit ``forge(ts, digest)`` in place of the
+    honest ``(ts, digest)`` — its ``md-store`` half and its proof of
+    writing stay honest."""
+    send = AtomicMdClient.send_to_servers
+
+    def forged(self, tag, mtype, *payload):
+        if mtype == MSG_COMMIT:
+            oid, ts, digest, proof = payload
+            payload = (oid, *forge(ts, digest), proof)
+        return send(self, tag, mtype, *payload)
+    monkeypatch.setattr(AtomicMdClient, "send_to_servers", forged)
 
 
 def _assert_write_never_took_effect(cluster, handle):
     cluster.run()  # to quiescence: nothing raises, nothing is left
     assert not handle.done
     counts = cluster.simulator.metrics.messages_by_mtype("reg")
-    assert counts[MSG_STORE] == cluster.config.n  # both halves arrived
+    assert counts[MSG_STORE] == counts[MSG_COMMIT] == cluster.config.n
     assert MSG_ACK not in counts
     for server in cluster.servers:
         state = server.register_state("reg")
@@ -265,8 +289,8 @@ def test_honest_write_takes_effect_at_every_server_under_its_digest():
 
 
 def test_merkle_deployment_joins_on_the_root_itself():
-    """``digest`` of a Merkle root is the root: the broadcast pair is
-    what it always was, and the write/read path is unchanged."""
+    """``digest`` of a Merkle root is the root: the commit names it
+    directly, and the write/read path is unchanged."""
     config = SystemConfig(n=4, t=1, k=2, commitment="merkle")
     cluster = build_cluster(config, protocol="atomic_md", num_clients=2,
                             scheduler=RandomScheduler(1))
@@ -279,12 +303,12 @@ def test_merkle_deployment_joins_on_the_root_itself():
 
 
 def test_writer_whose_halves_disagree_is_never_accepted(monkeypatch):
-    """Blocks stored under ``D1``, ``digest(D2)`` r-broadcast: every
+    """Blocks stored under ``D1``, ``digest(D2)`` committed: every
     server holds both halves, none joins them, the write never ends."""
     cluster = _cluster(clients=1)
     other = cluster.config.commitment_scheme.digest(
         _commitment_of(cluster, b"some other value"))
-    _broadcast_instead(monkeypatch, lambda ts, digest: (ts, other))
+    _commit_instead(monkeypatch, lambda ts, digest: (ts, other))
     handle = cluster.client(1).invoke_write("reg", "w1", b"the value")
     _assert_write_never_took_effect(cluster, handle)
 
@@ -304,12 +328,41 @@ def test_writer_whose_halves_disagree_is_never_accepted(monkeypatch):
                  id="not-a-pair"),
 ])
 def test_malformed_broadcast_pairs_are_ignored(monkeypatch, forge):
+    """The ``(ts, H(D))`` pair a write used to r-broadcast now travels
+    in its ``md-commit``: a malformed one is dropped before any join
+    state is written."""
     cluster = _cluster(clients=1)
     commitment = _commitment_of(cluster, b"the value")
-    _broadcast_instead(
+    _commit_instead(
         monkeypatch, lambda ts, digest: forge(ts, digest, commitment))
     handle = cluster.client(1).invoke_write("reg", "w1", b"the value")
     _assert_write_never_took_effect(cluster, handle)
+    assert not any(server.register_state("reg").pending_meta
+                   for server in cluster.servers)
+
+
+def test_a_commit_for_an_accepted_write_leaves_no_join_state():
+    """A late copy of a commit (a reader's write-back, a duplicated
+    message) for a write a server already accepted is dropped before
+    it touches join state, and so is a late copy of its store."""
+    cluster = _cluster(clients=2)
+    cluster.write(1, "reg", "w1", b"v1")
+    cluster.run()
+    writer = cluster.client(1)
+    state = cluster.server(1).register_state("reg")
+    ts, proof = state.timestamp.ts - 1, state.proof
+    digest = cluster.config.commitment_scheme.digest(state.commitment)
+    cluster.client(2).send_to_servers("reg", MSG_COMMIT, "w1", ts, digest,
+                                      proof)
+    blocks = cluster.config.coder.encode(b"v1")
+    commitment, witnesses = cluster.config.commitment_scheme.commit(blocks)
+    writer.send(cluster.server(1).pid, "reg", MSG_STORE, "w1", commitment,
+                blocks[0], witnesses[0], b"l" * DIGEST_SIZE)
+    cluster.run()
+    for server in cluster.servers:
+        state = server.register_state("reg")
+        assert not state.pending_meta and not state.pending_store
+        assert state.timestamp == Timestamp(1, "w1")
 
 
 def _wire_sizes(n, t):
@@ -327,16 +380,17 @@ def _wire_sizes(n, t):
     return sizes
 
 
-def test_broadcast_wire_size_is_independent_of_n():
-    """The ``O(n^2)`` messages carry ``(ts, H(D))``: constant in ``n``.
-    ``D`` itself travels once per server, beside the block."""
+def test_commit_wire_size_is_independent_of_n():
+    """The commit carries ``(ts, H(D), N)``: constant in ``n``.  ``D``
+    itself travels once per server, beside the block."""
     at4, at7, at10 = (_wire_sizes(n, t) for n, t in ((4, 1), (7, 2), (10, 3)))
-    assert at4[MSG_ECHO] == at7[MSG_ECHO] == at10[MSG_ECHO]
-    (echo,), (store4,), (store7,), (store10,) = (
-        at4[MSG_ECHO], at4[MSG_STORE], at7[MSG_STORE], at10[MSG_STORE])
+    assert at4[MSG_COMMIT] == at7[MSG_COMMIT] == at10[MSG_COMMIT]
+    (commit,), (store4,), (store7,), (store10,) = (
+        at4[MSG_COMMIT], at4[MSG_STORE], at7[MSG_STORE], at10[MSG_STORE])
     per_server = encoded_size(b"h" * DIGEST_SIZE)
     assert store7 - store4 == store10 - store7 == 3 * per_server
-    assert echo < store4
+    assert commit < store4
+    assert not any(mtype.startswith("rbc-") for mtype in at10)
 
 
 @pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
@@ -475,23 +529,36 @@ def test_corrupt_block_server_forces_escalation():
         assert not failures
 
 
+def _block_failures(recorder):
+    summary = recorder.registry.snapshot().get(
+        f"verify.failed.by[{MSG_BLOCK}]")
+    return 0 if summary is None else summary["value"]
+
+
 def test_every_read_escalates_when_corrupt_server_is_always_queried():
-    """At n=4/t=1 with k=2 and *two* reads from different clients, at
-    least one hits the corrupt server with high probability across
-    seeds; sweep a few to pin the escalation path deterministically."""
-    escalated = 0
-    for seed in range(4):
-        cluster = _cluster(
-            seed=seed,
-            server_overrides={
-                4: lambda pid, cfg: CorruptBlockMdServer(pid, cfg)})
-        recorder = TraceRecorder().attach(cluster.simulator)
-        cluster.write(1, "reg", "w1", b"sweep value")
-        assert cluster.read(2, "reg", "r1").result == b"sweep value"
-        snapshot = recorder.registry.snapshot()
-        escalated += any(name.startswith("verify.failed.by[")
-                         for name in snapshot)
-    assert escalated > 0
+    """By construction, not by seed: P4 serves corrupted blocks and the
+    scheduler delivers its ``md-meta`` before any other server's, so P4
+    is the first member of every read's agreeing group and one of its
+    ``k`` fetch targets.  Every read fails one verification, escalates
+    to one more server, and returns the written value."""
+    def held(message):
+        return message.mtype == MSG_META and message.sender.index != 4
+
+    config = SystemConfig(n=4, t=1, k=2)
+    cluster = build_cluster(config, protocol="atomic_md", num_clients=3,
+                            scheduler=_HoldBack(held),
+                            server_overrides={4: CorruptBlockMdServer})
+    recorder = TraceRecorder().attach(cluster.simulator)
+    metrics = cluster.simulator.metrics
+    cluster.write(1, "reg", "w1", b"sweep value")
+    for client in (2, 3):
+        failures = _block_failures(recorder)
+        fetches = metrics.messages_by_mtype("reg").get(MSG_GET_BLOCK, 0)
+        read = cluster.read(client, "reg", f"r{client}")
+        assert read.result == b"sweep value"
+        assert _block_failures(recorder) == failures + 1
+        assert metrics.messages_by_mtype("reg")[MSG_GET_BLOCK] \
+            == fetches + config.k + 1
 
 
 def test_missing_block_server_triggers_miss_escalation():
@@ -523,6 +590,253 @@ def test_reads_linearize_with_byzantine_data_plane_at_n7():
     HistoryRecorder(cluster, "reg",
                     honest_servers=[cluster.server(j).pid
                                     for j in range(1, 6)]).check()
+
+
+# -- crash-only writers: the two-phase boundary ------------------------------
+
+class _CrashingWriter(AtomicMdClient):
+    """Stores at every server, commits only to ``commit_to`` (server
+    indices), then crashes: it neither sends nor reads anything more."""
+
+    def __init__(self, pid, config, commit_to=()):
+        super().__init__(pid, config)
+        self.commit_to = commit_to
+        self.crashed = False
+
+    def send_to_servers(self, tag, mtype, *payload):
+        if mtype != MSG_COMMIT:
+            return super().send_to_servers(tag, mtype, *payload)
+        for server in self.simulator.server_pids:
+            if server.index in self.commit_to:
+                self.send(server, tag, mtype, *payload)
+        self.crashed = True
+
+    def receive(self, message):
+        if not self.crashed:
+            super().receive(message)
+
+
+def _plan(name, n=4, t=1):
+    if name.startswith("byz-"):
+        return FaultPlan(name=name, faulty=(n,), byzantine=(
+            ByzantineSpec(server=n, behaviour=name[len("byz-"):]),))
+    return builtin_plan(name, n, t)
+
+
+def _crashed_write_run(plan, commit_to, server_overrides=None):
+    """At n=4/t=1: a completed write ``w0``, then a writer that crashes
+    after its stores and the commits in ``commit_to`` concurrently with
+    a read, then one more read once the network is quiet.  Both reads
+    must complete (see :func:`_read_to_completion`), the history (the
+    crashed write counted iff some honest server accepted it) must be
+    atomic, and no honest server may ever hold a version no writer
+    committed."""
+    plan.validate(4, 1)
+    overrides = {**(fault_overrides(plan, AtomicMdServer) or {}),
+                 **(server_overrides or {})}
+    cluster = build_cluster(
+        SystemConfig(n=4, t=1, k=2), protocol="atomic_md", num_clients=3,
+        scheduler=plan.build_scheduler(0), server_overrides=overrides,
+        client_overrides={1: partial(_CrashingWriter,
+                                     commit_to=commit_to)})
+    cluster.simulator.attach_injector(FaultInjector(plan))
+    honest = [server.pid for server in cluster.servers
+              if server.pid.index not in plan.faulty
+              and server.pid.index not in overrides]
+    install_commit_invariant(cluster.simulator, "reg", honest)
+    history = HistoryRecorder(cluster, "reg", honest_servers=honest)
+    cluster.write(2, "reg", "w0", b"committed first")
+    cluster.client(1).invoke_write("reg", "w1", b"crashed writer")
+    history.record_byzantine_write("w1", b"crashed writer")
+    _read_to_completion(cluster, 2, "r1")
+    after = _read_to_completion(cluster, 3, "r2")
+    history.check(require_done=False)
+    return cluster, after
+
+
+def _read_to_completion(cluster, client, oid):
+    """A read, retried once under a fresh oid if the network quiesces
+    first — what a kv session does.  The one stall a retry is for is
+    the fetch-target boundary pinned below; a split the write-back did
+    not close would stall the retry too."""
+    read = cluster.client(client).invoke_read("reg", oid)
+    cluster.run()
+    if not read.done:
+        read = cluster.client(client).invoke_read("reg", oid + "-retry")
+        cluster.run()
+    assert read.done
+    return read
+
+
+@pytest.mark.parametrize("commits", range(3))
+@pytest.mark.parametrize("plan_name", [
+    *(name for name in BUILTIN_PLANS if name != "boundary"),
+    *(f"byz-{name}" for name in sorted(BYZANTINE_BEHAVIOURS))])
+def test_writer_crashing_between_commits_leaves_reads_wait_free(
+        plan_name, commits):
+    """``j = 0 .. n - t - 1`` commits at n=4/t=1, under every builtin
+    chaos plan within the bound and every Byzantine md server."""
+    _crashed_write_run(_plan(plan_name), tuple(range(1, commits + 1)))
+
+
+def test_write_back_needs_one_report_when_t_servers_are_silent():
+    """The case a ``t + 1``-report write-back cannot close: P4 is silent
+    from the start and the writer crashed after committing to P1 alone,
+    so no ``n - t`` servers agree on either version and only one reports
+    the new one.  The reader relays P1's commit — its proof of writing
+    cannot be forged, so one report is evidence enough — and P2, P3
+    adopt the version they already hold the store of."""
+    plan = FaultPlan(name="silent-p4", faulty=(4,),
+                     crashes=(CrashSpec(server=4, after=0),))
+    cluster, after = _crashed_write_run(plan, commit_to=(1,))
+    assert after.result == b"crashed writer"
+    assert all(server.register_state("reg").timestamp.oid == "w1"
+               for server in cluster.servers[:3])
+    counts = cluster.simulator.metrics.messages_by_mtype("reg")
+    assert counts[MSG_COMMIT] > 1  # the writer itself sent one
+
+
+class _CommitForger(AtomicMdServer):
+    """Invents a commit for every store it receives (each timestamp it
+    could guess, the right digest, a made-up proof) and replays every
+    commit a client sends it, to every server."""
+
+    def _on_store(self, message):
+        super()._on_store(message)
+        oid, commitment = message.payload[:2]
+        digest = self.config.commitment_scheme.digest(commitment)
+        for ts in range(3):
+            self.send_to_servers(message.tag, MSG_COMMIT, oid, ts, digest,
+                                 hash_bytes(b"guessed proof"))
+
+    def _on_commit(self, message):
+        super()._on_commit(message)
+        if not message.sender.is_server:
+            self.send_to_servers(message.tag, MSG_COMMIT, *message.payload)
+
+
+@pytest.mark.parametrize("commit_to", [(), (4,)], ids=["none", "forger"])
+def test_commits_invented_or_replayed_by_a_server_change_nothing(commit_to):
+    """The writer crashes after committing to P4 only (or to nobody):
+    the honest servers end exactly as they do beside an honest P4 —
+    ``w0`` adopted, no join state for ``w1``.  Then readers still
+    complete and the history is atomic."""
+    states = []
+    for server_cls in (AtomicMdServer, _CommitForger):
+        cluster = build_cluster(
+            SystemConfig(n=4, t=1, k=2), protocol="atomic_md",
+            num_clients=2, scheduler=RandomScheduler(0),
+            server_overrides={4: server_cls},
+            client_overrides={1: partial(_CrashingWriter,
+                                         commit_to=commit_to)})
+        cluster.write(2, "reg", "w0", b"committed first")
+        cluster.client(1).invoke_write("reg", "w1", b"crashed writer")
+        cluster.run()
+        states.append([
+            (state.timestamp, dict(state.pending_meta), state.accepted)
+            for state in (server.register_state("reg")
+                          for server in cluster.servers[:3])])
+    assert states[0] == states[1]
+    assert all(timestamp.oid == "w0" and not pending
+               for timestamp, pending, _ in states[1])
+    _crashed_write_run(builtin_plan("none", 4, 1), commit_to,
+                       server_overrides={4: _CommitForger})
+
+
+def test_a_fetch_target_that_crashes_after_its_metadata_stalls_the_read():
+    """Boundary of the ``k``-server read, unchanged by the two-phase
+    write: escalation follows a failed block or an ``md-block-miss``,
+    never silence, so a server that answers ``md-read`` and then crashes
+    before serving its block stalls a read that chose it as a fetch
+    target.  A fresh read (a kv session's retry) forms its group without
+    the crashed server and completes."""
+    def held(message):
+        return message.mtype == MSG_META and message.sender.index != 4
+
+    config = SystemConfig(n=4, t=1, k=2)
+    # P4 handles md-get-ts, md-store, md-commit and md-read, then crashes
+    cluster = build_cluster(
+        config, protocol="atomic_md", num_clients=2,
+        scheduler=_HoldBack(held),
+        server_overrides={4: partial(FailStopMdServer, crash_after=4)})
+    cluster.write(1, "reg", "w1", b"value")
+    read = cluster.client(2).invoke_read("reg", "r1")
+    cluster.run()
+    assert cluster.server(4).crashed and not read.done
+    assert cluster.read(2, "reg", "r1-retry").result == b"value"
+
+
+def test_a_relayed_commit_must_open_the_stores_lock():
+    """Any client may relay a commit, so the lock is what binds it: a
+    guessed proof, or the writer's proof moved to another timestamp,
+    is buffered and never joins; the writer's own ``(ts, N)`` does."""
+    cluster = _cluster(clients=2, client_overrides={1: _CrashingWriter})
+    writer = cluster.client(1)
+    handle = writer.invoke_write("reg", "w1", b"never committed")
+    cluster.run()
+    relay = cluster.client(2)
+    digest = cluster.config.commitment_scheme.digest(
+        _commitment_of(cluster, b"never committed"))
+    proof = writer._proof_of_writing("reg", "w1")
+    for ts, candidate in ((0, hash_bytes(b"guess")), (5, proof)):
+        relay.send_to_servers("reg", MSG_COMMIT, "w1", ts, digest, candidate)
+        cluster.run()
+        assert all(server.register_state("reg").timestamp
+                   == INITIAL_TIMESTAMP for server in cluster.servers)
+    relay.send_to_servers("reg", MSG_COMMIT, "w1", 0, digest, proof)
+    cluster.run()
+    assert all(server.register_state("reg").timestamp == Timestamp(1, "w1")
+               for server in cluster.servers)
+    assert not handle.done  # the writer crashed; its write took effect
+
+
+def test_a_server_whose_store_never_arrives_never_adopts_the_write():
+    """Boundary, the same as with the broadcast it replaced (where the
+    half that arrived was the r-delivered pair): P1 never receives its
+    ``md-store``.  It keeps the commit in join state and never adopts
+    that version; the write completes on the other ``n - 1 >= n - t``
+    servers and reads return it.  A later write moves P1 forward; the
+    orphaned commit stays buffered (one entry per such write)."""
+    plan = FaultPlan(name="lost-store", faulty=(1,), rules=(
+        FaultRule(kind="drop", party=1, mtype=MSG_STORE, limit=1),))
+    plan.validate(4, 1)
+    cluster = _cluster(clients=2)
+    cluster.simulator.attach_injector(FaultInjector(plan))
+    install_commit_invariant(cluster.simulator, "reg",
+                             [server.pid for server in cluster.servers])
+    first = cluster.write(1, "reg", "w1", b"v1")
+    cluster.run()
+    p1 = cluster.server(1).register_state("reg")
+    assert p1.timestamp == INITIAL_TIMESTAMP
+    assert list(p1.pending_meta) == ["w1"] and not p1.pending_store
+    assert all(server.register_state("reg").timestamp == first.timestamp
+               for server in cluster.servers[1:])
+    assert cluster.read(2, "reg", "r1").result == b"v1"
+    second = cluster.write(1, "reg", "w2", b"v2")
+    cluster.run()
+    assert p1.timestamp == second.timestamp
+    assert list(p1.pending_meta) == ["w1"]
+
+
+def test_commit_invariant_catches_an_uncommitted_adoption():
+    """The invariant itself: a server that adopts on the store alone is
+    reported at the delivery that does it."""
+    class StoreAdopter(AtomicMdServer):
+        def _on_store(self, message):
+            super()._on_store(message)
+            oid = message.payload[0]
+            state = self.register_state(message.tag)
+            if oid in state.pending_store and oid not in state.accepted:
+                state.accepted.add(oid)
+                writer = next(iter(state.pending_store[oid]))
+                self._accept_write(message.tag, oid, writer,
+                                   Timestamp(1, oid), b"", state)
+
+    cluster = _cluster(server_overrides={1: StoreAdopter})
+    install_commit_invariant(cluster.simulator, "reg",
+                             [server.pid for server in cluster.servers])
+    with pytest.raises(ProtocolError, match="no writer committed"):
+        cluster.write(1, "reg", "w1", b"v1")
 
 
 # -- chaos battery ------------------------------------------------------------
@@ -580,6 +894,13 @@ def test_plane_classification_of_md_message_types():
     for mtype in MESSAGE_TYPES:
         expected = "data" if mtype in DATA_PLANE_TYPES else "metadata"
         assert plane_of_mtype(mtype) == expected
+
+
+def test_two_phase_write_types_are_metadata_with_their_own_phases():
+    assert plane_of_mtype(MSG_STORED) == plane_of_mtype(MSG_COMMIT) \
+        == "metadata"
+    assert classify_phase("reg", MSG_STORED, "reg") == PHASE_BLOCK_PUSH
+    assert classify_phase("reg", MSG_COMMIT, "reg") == PHASE_COMMIT
 
 
 def test_transport_envelope_literal_stays_in_sync():

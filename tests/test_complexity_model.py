@@ -109,15 +109,16 @@ def test_atomic_md_needs_k_within_the_honest_part_of_a_quorum():
     ComplexityModel(n=7, t=2, k=3).atomic_md()
 
 
-def test_atomic_md_broadcast_term_is_independent_of_commitment_size():
-    """The ``n + 2n^2`` rbc messages carry ``(ts, H(D))``: swapping the
-    commitment scheme moves only the ``n`` ``md-store`` messages."""
+def test_atomic_md_commit_term_is_independent_of_commitment_size():
+    """The ``n`` commits carry ``(ts, H(D), N)``: swapping the commitment
+    scheme moves only the ``n`` ``md-store`` messages.  No ``n^2``
+    term: a write is ``6n`` messages."""
     vector = ComplexityModel(n=10, t=3, k=4, commitment="vector")
     merkle = ComplexityModel(n=10, t=3, k=4, commitment="merkle")
     assert vector.commitment_size != merkle.commitment_size
     assert vector.atomic_md().write_bytes - merkle.atomic_md().write_bytes \
         == 10 * (vector._block_with_proof() - merkle._block_with_proof())
-    assert vector.atomic_md().write_messages == 4 * 10 + 10 + 2 * 100
+    assert vector.atomic_md().write_messages == 6 * 10
 
 
 def test_atomic_md_storage_is_one_commitment_plus_linear_versions():
@@ -125,7 +126,9 @@ def test_atomic_md_storage_is_one_commitment_plus_linear_versions():
     one, two, five = (model.atomic_md(versions=v).storage_per_server
                       for v in (1, 2, 5))
     assert five - two == 3 * (two - one)
-    assert one - (two - one) == model.commitment_size + model.ts_size
+    # at rest once per register: D, its TIMESTAMP and its proof N
+    assert one - (two - one) == model.commitment_size + model.ts_size \
+        + model.hash_size
 
 
 def test_measured_atomic_md_write_bytes_follow_the_models_growth():
@@ -150,3 +153,24 @@ def test_measured_atomic_md_write_bytes_follow_the_models_growth():
         growth = measured[index] / measured[0]
         assert growth == pytest.approx(predicted[index] / predicted[0],
                                        rel=0.1)
+
+
+def test_measured_atomic_md_write_messages_are_six_n():
+    """One isolated write at n = 4 / 7 / 10: exactly the predicted
+    ``6n`` messages — linear in ``n``, no broadcast left."""
+    from repro.cluster import build_cluster
+    from repro.config import SystemConfig
+    from repro.net.schedulers import RandomScheduler
+
+    measured = []
+    for n, t in ((4, 1), (7, 2), (10, 3)):
+        cluster = build_cluster(SystemConfig(n=n, t=t, k=t + 1),
+                                protocol="atomic_md",
+                                scheduler=RandomScheduler(n))
+        cluster.write(1, "reg", "w1", b"x" * 64)
+        cluster.run()
+        messages = cluster.simulator.metrics.total_messages
+        assert messages == ComplexityModel(
+            n=n, t=t, k=t + 1).atomic_md().write_messages == 6 * n
+        measured.append(messages)
+    assert measured[2] - measured[1] == measured[1] - measured[0]

@@ -467,7 +467,9 @@ def test_duplicate_flood_leaves_honest_inboxes_bounded_by_open_operations(
                  random_workload(3, writes=writes, reads=9, seed=4),
                  seed=4, invoke_probability=0.3)
     injected = cluster.simulator.chaos.instruments.snapshot()
-    assert injected["chaos.injected[duplicate]"]["value"] > 200
+    # atomic_md writes without a broadcast, so P7 sees fewer messages
+    floor = 100 if protocol == "atomic_md" else 200
+    assert injected["chaos.injected[duplicate]"]["value"] > floor
     assert cluster.server(6).crashed
     assert max(peak.values()) > 0  # the bound was exercised, not vacuous
     assert all(len(process.inbox) == 0

@@ -32,6 +32,7 @@ import pytest
 from repro.common.errors import ConfigurationError, LivenessError
 from repro.common.serialization import encode
 from repro.config import SystemConfig
+from repro.core.atomic_md import AtomicMdServer
 from repro.core.timestamps import INITIAL_TIMESTAMP
 from repro.kv import (
     KvDirectory,
@@ -261,6 +262,41 @@ def test_repair_refuses_to_launder_a_poisonous_write():
     assert coordinator.stats.completed == 0
 
 
+def test_repair_waits_for_the_drain_so_the_replacement_is_not_stale():
+    """P1 is down from the start, so a write admitted before its swap
+    stores its block at P2..P4 only.  Had the repair read while that
+    write was still committing, it would re-disperse the older version
+    and leave the replacement stale for good; the coordinator admits it
+    only once the session has drained onto the new generation."""
+    from repro.kv import FailStopKvServer
+
+    directory = KvDirectory(FLEET, 1, shard_k=2)
+    cluster = build_kv_cluster(
+        directory, protocol="atomic_md", num_sessions=1,
+        server_overrides={1: lambda pid, generation: FailStopKvServer(
+            pid, generation, server_cls=AtomicMdServer, crash_after=0)})
+    session = cluster.session(1)
+    session.put("k001", b"v1")
+    cluster.settle()
+    _drain(cluster)
+    tag = cluster.directory.register_tag("k001")
+    session.put("k001", b"v2")
+    session.pump()
+    survivors = [host.inner_server(0) for host in cluster.servers[1:]]
+    cluster.simulator.run_until(lambda: all(
+        server.register_state(tag).pending_store for server in survivors))
+    replace_member(cluster, 1)
+    coordinator = attach_repair(cluster)
+    assert coordinator.request_repair(1) == 1
+    cluster.settle()
+    _drain(cluster)
+    assert coordinator.stats.completed == 1
+    timestamps = {host.inner_server(0).register_state(tag).timestamp
+                  for host in cluster.servers}
+    assert len(timestamps) == 1 and timestamps.pop().ts == 2
+    check_kv_histories([session])
+
+
 def test_coordinator_rejects_degenerate_budgets():
     cluster = _md_cluster()
     with pytest.raises(ConfigurationError):
@@ -328,6 +364,87 @@ def test_repaired_fleet_survives_a_storm_the_unrepaired_fleet_cannot():
     assert norepair["liveness_violation"]
     assert norepair["alive_servers"] < norepair["quorum"]
     assert "replacements" not in norepair  # no repair plane attached
+
+
+def _members_down(cluster):
+    """Per register, the placement members that are crashed or replaced
+    and not yet repaired."""
+    unrepaired = {(task.shard_id, task.tag, task.target_index)
+                  for task in (*cluster.repair._pending,
+                               *cluster.repair._inflight)}
+    down = {}
+    for spec in cluster.directory.shards:
+        tags = set()
+        for host in cluster.servers:
+            tags.update(getattr(host.inner_server(spec.shard_id),
+                                "_registers", ()))
+        for tag in tags:
+            down[tag] = sum(
+                1 for local, fleet in enumerate(spec.placement, start=1)
+                if getattr(cluster.servers[fleet - 1], "crashed", False)
+                or (spec.shard_id, tag, local) in unrepaired)
+    return down
+
+
+def test_churn_storm_never_has_more_than_t_members_down_per_register():
+    """``churn_storm_plan`` promises one member missing at a time; the
+    repair plane keeps it by holding the next crash while repair is
+    outstanding.  Checked after every delivery of the churn smoke."""
+    from repro.chaos.injector import FaultInjector
+    from repro.faults.failstop import fault_overrides
+    from repro.kv import FailStopKvServer, KvServer
+    from repro.repair.bench import CHURN
+    from repro.workloads.kv import kv_workload
+
+    config = {**CHURN.shape, **CHURN.settings, **CHURN.smoke}
+    n, t, seed = config["n"], config["t"], config["seed"]
+    plan = churn_storm_plan(n, t, seed=seed,
+                            first_crash=config["first_crash"],
+                            stagger=config["stagger"],
+                            replace_after=config["replace_after"])
+    directory = KvDirectory(SystemConfig(n=n, t=t), config["num_shards"],
+                            shard_k=t + 1)
+    cluster = build_kv_cluster(
+        directory, protocol="atomic_md", num_sessions=config["sessions"],
+        scheduler=plan.build_scheduler(seed),
+        server_overrides=fault_overrides(
+            plan, AtomicMdServer, kv_hosts=(KvServer, FailStopKvServer)),
+        max_attempts=CHURN_CASE["max_attempts"])
+    cluster.simulator.attach_injector(FaultInjector(plan))
+    attach_repair(cluster, plan=plan, batch_size=config["batch_size"])
+    peak = {}
+
+    def within_t(simulator):
+        for tag, down in _members_down(cluster).items():
+            assert down <= t, (tag, down, simulator.time)
+            peak[tag] = max(peak.get(tag, 0), down)
+
+    cluster.simulator.add_invariant(within_t)
+    workload = kv_workload(
+        num_sessions=config["sessions"], num_keys=config["keys"],
+        ops=config["ops"], write_ratio=config["write_ratio"],
+        distribution="zipf", seed=seed, value_size=config["value_size"])
+    stats = drive(cluster, workload, seed=seed)
+    assert stats["completed"] == config["ops"]
+    check_kv_histories(cluster.sessions)
+    assert cluster.repair.stats.replacements == t + 1
+    assert max(peak.values()) == 1  # one member down at a time
+
+
+@pytest.mark.parametrize(
+    "case", json.loads((REPO_ROOT / "tests" / "fixtures" /
+                        "churn_storm_replays.json").read_text())["cases"],
+    ids=lambda case: f"seed{case['seed']}")
+def test_kvperf_churn_seeds_that_used_to_stall_complete(case):
+    """kvperf's ``churn_repair`` on the seeds it leaves out (43, 54):
+    with the storm held inside the fault model both complete."""
+    kv_case = case["kv_case"]
+    plan = churn_storm_plan(kv_case["n"], kv_case["t"], kv_case["seed"])
+    row, cluster = run_kv_case(plan=plan, batch_size=case["batch_size"],
+                               **kv_case)
+    assert row.completed == kv_case["ops"] and row.linearizable
+    assert cluster.repair.stats.replacements == kv_case["t"] + 1
+    assert cluster.repair.lag == 0
 
 
 def test_a_stalled_case_reports_the_retries_it_spent():
