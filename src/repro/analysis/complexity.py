@@ -134,10 +134,11 @@ class ComplexityModel:
             storage_per_server=base.storage_per_server + self.sig_size,
             non_skipping=True, byzantine_clients=True)
 
-    def atomic_md(self, versions: int = 1) -> Prediction:
+    def atomic_md(self) -> Prediction:
         """Protocol AtomicMd: two-phase write (blocks point-to-point with
-        a lock ``H(ts, N)``, then an ``(ts, H(D), N)`` commit), ``k``-server
-        reads; ``versions`` retained at rest.
+        a lock ``H(ts, N)``, then an ``(ts, H(D), N)`` commit), reads in
+        one round trip whose replies carry each server's block; one
+        version at rest.
 
         Not part of :meth:`all_protocols` (the paper's comparison
         table): crash-only clients, and it needs ``k <= n - 2t``.
@@ -145,7 +146,7 @@ class ComplexityModel:
         n, k = self.n, self.k
         if k > n - 2 * self.t:
             raise ConfigurationError("atomic_md requires k <= n - 2t")
-        # one md-meta: D, TIMESTAMP and the proof of writing N
+        # D, TIMESTAMP and the proof of writing N
         metadata = self.commitment_size + self.ts_size + self.hash_size
         # get-ts/ts, store/stored, commit/ack: n each.
         write_messages = 6 * n
@@ -153,15 +154,14 @@ class ComplexityModel:
             n * (self._block_with_proof() + self.hash_size)   # md-store
             + n * (self.ts_size + 2 * self.hash_size)         # md-commit
             + 4 * n * self.ts_size                 # get-ts/ts/stored/ack
-            + self.listeners * n * metadata)
-        # md-read/md-meta/md-read-complete: 3n.  k get-block + k block.
-        read_messages = 3 * n + 2 * k
-        read_bytes = (
-            n * metadata
-            + k * (self.block_size + self.witness_size + self.ts_size)
-            + (2 * n + k) * self.ts_size)
-        storage = metadata + versions * (
-            self.block_size + self.witness_size + self.ts_size)
+            + self.listeners * n * (
+                metadata + self.block_size + self.witness_size))
+        # md-read/md-meta/md-read-complete: n each; every md-meta carries
+        # its sender's block and witness.
+        read_messages = 3 * n
+        read_bytes = n * (metadata + self.block_size + self.witness_size) \
+            + 2 * n * self.ts_size
+        storage = metadata + self.block_size + self.witness_size
         return Prediction(
             protocol="atomic_md", resilience="n > 3t",
             storage_blowup=n * self.block_size / self.value_size,

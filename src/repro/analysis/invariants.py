@@ -13,8 +13,8 @@ the lemmas of Section 3.3:
   events for one operation identifier agree, and servers holding equal
   TIMESTAMPS hold equal commitments;
 * **committed adoption** (AtomicMd, :func:`install_commit_invariant`):
-  no honest server adopts or retains a version its writer did not
-  commit.
+  no honest server adopts a version its writer did not commit, and the
+  block it keeps verifies against the adopted cross-checksum.
 """
 
 from __future__ import annotations
@@ -106,17 +106,18 @@ def make_register_invariant(tag: str,
 def install_commit_invariant(simulator: Simulator, tag: str,
                              honest_servers: Optional[Iterable[PartyId]]
                              = None) -> None:
-    """Check, after every delivery, that no honest AtomicMd server
-    adopts or retains a version no writer committed.
+    """Check, after every delivery, that every honest AtomicMd server
+    holds a version its writer committed, and its own block of it.
 
     A version's *writer* is the client that sent its ``md-store``; the
     writer commits ``Timestamp(ts + 1, oid)`` by sending ``md-commit
-    (oid, ts, H(D), N)`` itself.  Every TIMESTAMP an honest server holds
-    in its history (initial value aside) must be one its writer
-    committed, and the adopted one must carry the committed ``H(D)``.
-    Relayed commits (reader write-back) are not evidence: they are what
-    the invariant is about.  Installs a send observer and an invariant
-    on ``simulator``; one call per run.
+    (oid, ts, H(D), N)`` itself.  The TIMESTAMP an honest server adopted
+    (initial value aside) must be one its writer committed, under the
+    committed ``H(D)``, and the block it keeps must verify against that
+    ``D`` at the server's own index — it is the block every read reply
+    carries.  Relayed commits (reader write-back) are not evidence: they
+    are what the invariant is about.  Installs a send observer and an
+    invariant on ``simulator``; one call per run.
     """
     honest: Optional[Set[PartyId]] = \
         set(honest_servers) if honest_servers is not None else None
@@ -145,18 +146,21 @@ def install_commit_invariant(simulator: Simulator, tag: str,
             if probe is None:
                 continue
             state = probe(tag)
-            for timestamp in state.history:
-                if timestamp != INITIAL_TIMESTAMP and \
-                        (timestamp.oid, timestamp.ts - 1) not in committed:
-                    raise ProtocolError(
-                        f"{process.pid} accepted {timestamp}, which no "
-                        f"writer committed")
+            scheme = process.config.commitment_scheme
+            if not scheme.verify(state.commitment, process.pid.index,
+                                 state.block, state.witness):
+                raise ProtocolError(
+                    f"{process.pid} holds a block of {state.timestamp} "
+                    f"that does not verify against its D")
             if state.timestamp == INITIAL_TIMESTAMP:
                 continue
-            digest = process.config.commitment_scheme.digest(
-                state.commitment)
-            if digest not in committed[(state.timestamp.oid,
-                                        state.timestamp.ts - 1)]:
+            digests = committed.get((state.timestamp.oid,
+                                     state.timestamp.ts - 1))
+            if digests is None:
+                raise ProtocolError(
+                    f"{process.pid} adopted {state.timestamp}, which no "
+                    f"writer committed")
+            if scheme.digest(state.commitment) not in digests:
                 raise ProtocolError(
                     f"{process.pid} adopted {state.timestamp} under a "
                     f"cross-checksum its writer did not commit")

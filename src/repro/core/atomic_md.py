@@ -1,20 +1,17 @@
-"""Protocol AtomicMd — metadata/data separation with k-server reads.
+"""Protocol AtomicMd — metadata/data separation with one-round-trip reads.
 
 A fast-path variant of Protocol Atomic in the spirit of MDStore
 (*Erasure-Coded Byzantine Storage with Separate Metadata*) and
-PoWerStore (*Proofs of Writing for Efficient and Robust Storage*): the
-**metadata plane** (timestamps and cross-checksums) runs at full
-``n - t`` quorums, while the **data plane** (erasure-coded blocks) is
-pushed point-to-point on writes and fetched from only ``k`` servers on
-reads, with verified-against-metadata escalation to further servers
-when a block fails verification or a queried server reports a miss.
-"Metadata" does not mean small: the cross-checksum ``D`` is ``n``
-hashes, so at 64-byte values and n = 7 an ``md-meta`` is 378 bytes on
-the wire against a 115-byte ``md-block``.  The protocol therefore
-states ``D`` as few times as it can — once per server on the write path
-(beside the block, in ``md-store``), once per ``md-meta`` on the read
-path, once per register at rest — and names it by its hash ``H(D)``
-everywhere else.
+PoWerStore (*Proofs of Writing for Efficient and Robust Storage*): a
+write pushes each server only its own erasure-coded block,
+point-to-point, and commits with a constant-size proof of writing in
+place of a reliable broadcast; a read is Protocol Atomic's single round
+trip, each reply carrying the version's metadata and the replying
+server's own block.  The cross-checksum ``D`` is ``n`` hashes, so the
+protocol states it as few times as it can — once per server on the
+write path (beside the block, in ``md-store``), once per ``md-meta`` on
+the read path, once per register at rest — and names it by its hash
+``H(D)`` everywhere else.
 
 Write (client ``C_i``, value ``F``, operation identifier ``oid``) —
 PoWerStore's two-phase write, ``6n`` messages:
@@ -35,36 +32,32 @@ Server ``P_j`` joins a commit with a verified ``md-store`` of the same
 operation when the commit's ``H(D)`` names the cross-checksum the block
 verified against (the digest is computed once, when the block verifies)
 *and* its ``(ts, N)`` opens the store's lock; it then adopts ``[D, F_j,
-ts + 1, oid]`` if that exceeds the stored TIMESTAMP, forwards **metadata
-only** (``md-meta``) to registered listeners, acks the writer, and
-outputs ``write-accepted``.  A writer whose halves disagree never takes
-effect; a commit sent by a server is ignored; a commit for an operation
-already accepted is dropped.  Clients are crash-only and every honest
-client sends one ``D`` and one lock to all servers, so two honest
-servers that adopt one TIMESTAMP adopt one ``D`` (collision
-resistance) — the binding Protocol Atomic buys with a reliable
-broadcast, here without one.
+w_j, ts + 1, N]`` if that exceeds the stored TIMESTAMP, forwards the
+version with its own block (``md-meta``) to registered listeners, acks
+the writer, and outputs ``write-accepted``.  A writer whose halves
+disagree never takes effect; a commit sent by a server is ignored; a
+commit for an operation already accepted is dropped.  Clients are
+crash-only and every honest client sends one ``D`` and one lock to all
+servers, so two honest servers that adopt one TIMESTAMP adopt one ``D``
+(collision resistance) — the binding Protocol Atomic buys with a
+reliable broadcast, here without one.
 
-Accepted versions are retained in a bounded per-register history —
-TIMESTAMP → block and witness — so readers can fetch blocks for a
-timestamp that was current when the metadata quorum formed.  ``D`` and
-``N`` are kept once per register, for the adopted version: that is the
-only one ``md-meta`` replies ever state, and a reader verifies any block
-it fetches against the ``D`` its metadata quorum agreed on, never
-against the serving server's copy.
+At rest a server keeps one version per register: the adopted ``D``,
+TIMESTAMP and proof ``N``, with its own block and witness.  No older
+version is kept, because no reader ever asks for one: every block a
+read decodes arrived inside the ``md-meta`` that vouched for it.
 
-Read (client ``C_i``, operation identifier ``oid``):
-  1. send ``md-read`` to all servers; collect ``md-meta (D, TIMESTAMP,
-     N)`` replies until ``n - t`` distinct servers agree on one
-     (metadata plane — no blocks on the wire);
-  2. request blocks (``md-get-block``) from ``k`` of the agreeing
-     servers (data plane); verify each ``md-block`` against ``D``;
-  3. **escalate**: a block that fails verification, or an ``md-block-miss``
-     (the server evicted that version), triggers a request to the next
-     agreeing server — including servers that joined the agreeing group
-     after the quorum formed;
-  4. on ``k`` verified blocks: decode, send ``md-read-complete``,
-     return.
+Read (client ``C_i``, operation identifier ``oid``) — ``3n`` messages:
+  1. send ``md-read`` to all servers; each answers, and forwards every
+     newer version it later accepts, with ``md-meta (D, TIMESTAMP, N,
+     F_j, w_j)``;
+  2. group the replies by ``(D, TIMESTAMP, N)``; once a group has
+     ``n - t`` members, verify its members' blocks against that ``D``
+     at each sender's index, in arrival order, until ``k`` verify (a
+     block that fails is reported; a reply without a block counts
+     toward agreement only).  Among several such groups the largest
+     TIMESTAMP goes first;
+  3. decode the ``k`` blocks, send ``md-read-complete``, return.
   **Write-back.**  A writer that crashes between its commits can leave
   honest servers split between the committed version and an older one
   with no ``n - t`` agreeing on either.  Once ``n - t`` servers have
@@ -88,8 +81,11 @@ Guarantees, each argued where it lives:
   ``n - t`` servers, so any ``n - t`` agreeing metadata quorum
   intersects it in an honest server (Lemma 3); only a committed version
   is ever adopted by an honest server (the lock), so a quorum-agreed
-  TIMESTAMP names a real write (Lemma 6); wait-freedom is the
-  write-back above plus Protocol Atomic's listener argument.
+  TIMESTAMP names a real write (Lemma 6).  An agreeing group holds at
+  least ``n - 2t >= k`` honest blocks, so a read decodes as soon as a
+  group agrees — there is no second round whose target could crash —
+  and a group agrees by the write-back above plus Protocol Atomic's
+  listener argument.
 * **Leases**: :meth:`AtomicMdClient.invoke_validate` takes the maximum
   TIMESTAMP over ``n - t`` replies — at least that of every write that
   completed before the round, because a completed write holds ``n - t``
@@ -109,7 +105,7 @@ alongside, not in place of, Protocol Atomic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import PartyId
@@ -134,9 +130,6 @@ MSG_COMMIT = "md-commit"
 MSG_ACK = "md-ack"
 MSG_READ = "md-read"
 MSG_META = "md-meta"
-MSG_GET_BLOCK = "md-get-block"
-MSG_BLOCK = "md-block"
-MSG_BLOCK_MISS = "md-block-miss"
 MSG_READ_COMPLETE = "md-read-complete"
 MSG_VALIDATE = "md-validate"
 MSG_VALID = "md-valid"
@@ -146,18 +139,15 @@ MSG_REPAIR_ACK = "md-repair-ack"
 #: every wire message type of AtomicMd, for observability tooling
 #: (per-mtype instruments, phase classification, plane attribution)
 MESSAGE_TYPES = (MSG_GET_TS, MSG_TS, MSG_STORE, MSG_STORED, MSG_COMMIT,
-                 MSG_ACK, MSG_READ, MSG_META, MSG_GET_BLOCK, MSG_BLOCK,
-                 MSG_BLOCK_MISS, MSG_READ_COMPLETE, MSG_VALIDATE,
-                 MSG_VALID, MSG_REPAIR, MSG_REPAIR_ACK)
+                 MSG_ACK, MSG_READ, MSG_META, MSG_READ_COMPLETE,
+                 MSG_VALIDATE, MSG_VALID, MSG_REPAIR, MSG_REPAIR_ACK)
 
 #: message types that carry erasure-coded blocks (the data plane); the
 #: remaining AtomicMd traffic is timestamps, digests and cross-checksums.
-#: ``md-repair`` re-disperses a reconstructed block to one server, so
-#: it rides the data plane like the write path's ``md-store``.
-DATA_PLANE_TYPES = (MSG_STORE, MSG_BLOCK, MSG_REPAIR)
-
-#: accepted versions retained per register for late block fetches.
-DEFAULT_HISTORY_LIMIT = 16
+#: An ``md-meta`` carries its sender's block, and ``md-repair``
+#: re-disperses a reconstructed block to one server, like the write
+#: path's ``md-store``.
+DATA_PLANE_TYPES = (MSG_STORE, MSG_META, MSG_REPAIR)
 
 #: proof of writing of the initial value, which no writer committed
 NO_PROOF = b""
@@ -167,9 +157,9 @@ def validate_md_config(config: SystemConfig) -> SystemConfig:
     """Check the AtomicMd resilience requirement ``k <= n - 2t``.
 
     An agreeing metadata quorum has ``n - t`` members of which up to
-    ``t`` are Byzantine, so only ``n - 2t`` block fetches are guaranteed
-    to be served honestly; a coder needing more than that could stall
-    reads.  Deployment-shape validation, not a quorum wait.
+    ``t`` are Byzantine, so only ``n - 2t`` of its blocks are guaranteed
+    to verify; a coder needing more than that could stall reads.
+    Deployment-shape validation, not a quorum wait.
     """
     honest_in_quorum = config.quorum - config.t
     if config.k > honest_in_quorum:
@@ -198,22 +188,20 @@ def _is_digest(value: Any) -> bool:
 class _MdRegisterState:
     """Global variables of one AtomicMd register at one server.
 
-    The adopted version is ``commitment``, ``timestamp``, ``proof`` and
-    ``history[timestamp]``; its block and witness live nowhere else.
+    The adopted version is ``commitment``, ``timestamp``, ``proof``,
+    ``block`` and ``witness``: the one version a server keeps.
     """
 
     #: cross-checksum of the adopted version — the only ``D`` at rest
     commitment: Any
     timestamp: Timestamp
+    #: this server's own block of the adopted version, and its witness
+    block: bytes
+    witness: Any
     #: proof of writing ``N`` of the adopted version, restated in every
     #: ``md-meta`` so a reader can relay its commit
     proof: bytes = NO_PROOF
     listeners: ListenerSet = field(default_factory=ListenerSet)
-    #: ``(block, witness)`` of accepted versions by TIMESTAMP (insertion
-    #: == acceptance order), bounded by the server's ``history_limit``;
-    #: always contains the currently adopted version.
-    history: Dict[Timestamp, Tuple[bytes, Any]] = \
-        field(default_factory=dict)
     #: well-formed ``md-commit`` payloads ``(ts, H(D), N)`` not yet
     #: joined, by oid (insertion-ordered sets)
     pending_meta: Dict[str, Dict[Tuple[int, bytes, bytes], None]] = \
@@ -231,28 +219,25 @@ class AtomicMdServer(Process):
 
     Like :class:`~repro.core.atomic.AtomicServer`, one server process
     simulates any number of registers keyed by tag.  The differences are
-    the data plane (blocks arrive point-to-point via ``md-store`` and
-    are served on demand via ``md-get-block``), the two-phase write
-    (``md-commit`` in place of a reliable broadcast), and listener
-    forwarding, which carries metadata only.
+    the data plane (blocks arrive point-to-point via ``md-store``), the
+    two-phase write (``md-commit`` in place of a reliable broadcast),
+    and the read reply, which states ``D`` beside this server's block
+    alone.
     """
 
     def __init__(self, pid: PartyId, config: SystemConfig,
                  initial_value: bytes = b"",
-                 max_listeners: Optional[int] = None,
-                 history_limit: int = DEFAULT_HISTORY_LIMIT):
+                 max_listeners: Optional[int] = None):
         super().__init__(pid)
         self.config = validate_md_config(config)
         self._initial_value = initial_value
         self._initial_state: Optional[Tuple[Any, bytes, Any]] = None
         self._max_listeners = max_listeners
-        self.history_limit = max(1, history_limit)
         self._registers: Dict[str, _MdRegisterState] = {}
         self.on(MSG_GET_TS, self._on_get_ts)
         self.on(MSG_STORE, self._on_store)
         self.on(MSG_COMMIT, self._on_commit)
         self.on(MSG_READ, self._on_read)
-        self.on(MSG_GET_BLOCK, self._on_get_block)
         self.on(MSG_READ_COMPLETE, self._on_read_complete)
         self.on(MSG_VALIDATE, self._on_validate)
         self.on(MSG_REPAIR, self._on_repair)
@@ -270,14 +255,13 @@ class AtomicMdServer(Process):
                 self._initial_state = (commitment, blocks[index - 1],
                                        witnesses[index - 1])
             commitment, block, witness = self._initial_state
-            state = _MdRegisterState(
+            self._registers[tag] = _MdRegisterState(
                 commitment=commitment, timestamp=INITIAL_TIMESTAMP,
+                block=block, witness=witness,
                 listeners=ListenerSet(capacity=self._max_listeners))
-            state.history[INITIAL_TIMESTAMP] = (block, witness)
-            self._registers[tag] = state
         return self._registers[tag]
 
-    # -- metadata plane: timestamps and read metadata ----------------------
+    # -- metadata plane: timestamps and revalidation -----------------------
 
     def _on_get_ts(self, message: Message) -> None:
         if len(message.payload) != 1:
@@ -289,19 +273,6 @@ class AtomicMdServer(Process):
         self.send(message.sender, message.tag, MSG_TS, oid,
                   state.timestamp.ts)
 
-    def _on_read(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return
-        state = self.register_state(message.tag)
-        if state.listeners.knows(oid):
-            return  # duplicate read or already completed: stay silent
-        state.listeners.add(oid, state.timestamp, message.sender)
-        self.send(message.sender, message.tag, MSG_META, oid,
-                  state.commitment, state.timestamp, state.proof)
-
     def _on_validate(self, message: Message) -> None:
         """Answer a metadata-only revalidation probe with the *full*
         current TIMESTAMP.
@@ -311,7 +282,7 @@ class AtomicMdServer(Process):
         two concurrent writes can share the integer while naming
         different values, so a cache revalidated on the bare integer
         could confirm the wrong one.  Stateless and side-effect free —
-        no listener registration, nothing adopted.
+        no listener registration, nothing adopted, no block.
         """
         if len(message.payload) != 1:
             return
@@ -322,6 +293,22 @@ class AtomicMdServer(Process):
         self.send(message.sender, message.tag, MSG_VALID, oid,
                   state.timestamp)
 
+    # -- read path: one reply per version, block inline ---------------------
+
+    def _on_read(self, message: Message) -> None:
+        if len(message.payload) != 1:
+            return
+        (oid,) = message.payload
+        if not isinstance(oid, str):
+            return
+        state = self.register_state(message.tag)
+        if state.listeners.knows(oid):
+            return  # duplicate read or already completed: stay silent
+        state.listeners.add(oid, state.timestamp, message.sender)
+        self._send_meta(message.sender, message.tag, oid, state.commitment,
+                        state.timestamp, state.proof, state.block,
+                        state.witness)
+
     def _on_read_complete(self, message: Message) -> None:
         if len(message.payload) != 1:
             return
@@ -330,7 +317,23 @@ class AtomicMdServer(Process):
             return
         self.register_state(message.tag).listeners.retire(oid)
 
-    # -- data plane: block ingest and on-demand serving --------------------
+    def _send_meta(self, reader: PartyId, tag: str, oid: str,
+                   commitment: Any, timestamp: Timestamp, proof: bytes,
+                   block: bytes, witness: Any) -> None:
+        """Send one version's metadata with this server's own block and
+        witness of it — the read reply and every listener forward (the
+        one step a Byzantine data plane replaces)."""
+        self.send(reader, tag, MSG_META, oid, commitment, timestamp, proof,
+                  block, witness)
+
+    def _forward(self, tag: str, state: _MdRegisterState,
+                 version: Tuple[Any, Timestamp, bytes, bytes, Any]) -> None:
+        """Forward an accepted ``(D, TIMESTAMP, N, block, witness)`` to
+        every listener registered below its TIMESTAMP."""
+        for listener_oid, listener in state.listeners.below(version[1]):
+            self._send_meta(listener, tag, listener_oid, *version)
+
+    # -- data plane: block ingest -------------------------------------------
 
     def _on_store(self, message: Message) -> None:
         """Ingest this server's own block of a write, verified against
@@ -360,30 +363,6 @@ class AtomicMdServer(Process):
         self.send(message.sender, message.tag, MSG_STORED, oid)
         self._try_join(message.tag, oid)
 
-    def _on_get_block(self, message: Message) -> None:
-        """Serve the stored block of one accepted version, or report a
-        miss (the version was evicted from the bounded history) so the
-        reader escalates to another agreeing server."""
-        if len(message.payload) != 2:
-            return
-        oid, timestamp = message.payload
-        if not isinstance(oid, str) or not isinstance(timestamp, Timestamp):
-            return
-        entry = self.register_state(message.tag).history.get(timestamp)
-        if entry is None:
-            self.send(message.sender, message.tag, MSG_BLOCK_MISS, oid,
-                      timestamp)
-            return
-        self._serve_block(message.sender, message.tag, oid, timestamp,
-                          *entry)
-
-    def _serve_block(self, reader: PartyId, tag: str, oid: str,
-                     timestamp: Timestamp, block: bytes,
-                     witness: Any) -> None:
-        """Answer an ``md-get-block`` for a retained version (the one
-        step a Byzantine data plane replaces)."""
-        self.send(reader, tag, MSG_BLOCK, oid, timestamp, block, witness)
-
     def _on_repair(self, message: Message) -> None:
         """Ingest a re-dispersed block from the repair plane.
 
@@ -400,10 +379,10 @@ class AtomicMdServer(Process):
         docs/ROBUSTNESS.md for why repair authority stays with the
         trusted operator plane).
 
-        The version is retained in the history and adopted if newer
-        than the stored one (a replacement server starts amnesiac at
-        the initial TIMESTAMP, so adoption is the common case);
-        listeners hear metadata only, as with any accepted write.
+        The version is adopted if newer than the stored one (a
+        replacement server starts amnesiac at the initial TIMESTAMP, so
+        adoption is the common case) and forwarded to listeners, as with
+        any accepted write.
         """
         if len(message.payload) != 6 or message.sender.is_server:
             return  # repair is client-plane traffic, like md-store
@@ -418,14 +397,11 @@ class AtomicMdServer(Process):
                                            message.sender)
             return
         state = self.register_state(message.tag)
-        self._remember(state, timestamp, block, witness)
         if state.timestamp < timestamp:
-            state.commitment = commitment
-            state.timestamp = timestamp
-            state.proof = proof
-            for listener_oid, listener in state.listeners.below(timestamp):
-                self.send(listener, message.tag, MSG_META, listener_oid,
-                          commitment, timestamp, proof)
+            version = (commitment, timestamp, proof, block, witness)
+            (state.commitment, state.timestamp, state.proof, state.block,
+             state.witness) = version
+            self._forward(message.tag, state, version)
         self.send(message.sender, message.tag, MSG_REPAIR_ACK, oid,
                   timestamp)
         self.output(message.tag, "repair-accepted", oid, timestamp)
@@ -476,49 +452,28 @@ class AtomicMdServer(Process):
     def _accept_write(self, register_tag: str, oid: str, writer: PartyId,
                       timestamp: Timestamp, proof: bytes,
                       state: _MdRegisterState) -> None:
-        """Adopt the version if newer, record it in the history, notify
-        listeners with metadata only, ack, take effect."""
-        _, _, commitment, block, witness = state.pending_store[oid][writer]
-        state.pending_store.pop(oid, None)
+        """Adopt the version if newer, forward it with this server's
+        block to listeners, ack, take effect."""
+        _, _, commitment, block, witness = state.pending_store.pop(oid)[writer]
         state.pending_meta.pop(oid, None)
-        self._remember(state, timestamp, block, witness)
+        version = (commitment, timestamp, proof, block, witness)
         if state.timestamp < timestamp:
-            state.commitment = commitment
-            state.timestamp = timestamp
-            state.proof = proof
-        for listener_oid, listener in state.listeners.below(timestamp):
-            self.send(listener, register_tag, MSG_META, listener_oid,
-                      commitment, timestamp, proof)
+            (state.commitment, state.timestamp, state.proof, state.block,
+             state.witness) = version
+        self._forward(register_tag, state, version)
         self.send(writer, register_tag, MSG_ACK, oid)
         self.output(register_tag, "write-accepted", oid, timestamp)
-
-    def _remember(self, state: _MdRegisterState, timestamp: Timestamp,
-                  block: bytes, witness: Any) -> None:
-        """Retain an accepted version; evict the oldest-accepted entry
-        beyond the bound, never the currently adopted one."""
-        state.history[timestamp] = (block, witness)
-        while len(state.history) > self.history_limit:
-            for old in state.history:
-                if old != state.timestamp and old != timestamp:
-                    del state.history[old]
-                    break
-            else:
-                return  # nothing evictable (limit of 1)
 
     # -- measurements -------------------------------------------------------
 
     def register_storage_bytes(self, tag: str) -> int:
         """Storage complexity of one register: the adopted version's
-        cross-checksum, TIMESTAMP and proof, every retained version's
-        ``(TIMESTAMP, block, witness)``, and the listener set — each
-        byte at rest counted once."""
+        cross-checksum, TIMESTAMP, proof, block and witness, and the
+        listener set — each byte at rest counted once."""
         state = self.register_state(tag)
-        total = encoded_size((state.commitment, state.timestamp,
-                              state.proof))
-        for timestamp, entry in state.history.items():
-            total += encoded_size((timestamp, *entry))
-        total += state.listeners.storage_bytes()
-        return total
+        return encoded_size((state.commitment, state.timestamp, state.proof,
+                             state.block, state.witness)) \
+            + state.listeners.storage_bytes()
 
     def storage_bytes(self) -> int:
         """All register state."""
@@ -530,8 +485,8 @@ class AtomicMdClient(RegisterClientBase):
     """Client ``C_i`` of Protocol AtomicMd.
 
     Writes run one timestamp round, ``n`` point-to-point block pushes
-    and one commit round; reads run one metadata quorum plus ``k``
-    block fetches with escalation.  Requires ``k <= n - 2t`` (see
+    and one commit round; reads run one round trip whose replies carry
+    the servers' blocks.  Requires ``k <= n - 2t`` (see
     :func:`validate_md_config`).
     """
 
@@ -629,23 +584,22 @@ class AtomicMdClient(RegisterClientBase):
         self.send_to_servers(tag, MSG_READ, oid)
         timestamp, _, _, pairs = yield self._read_condition(tag, oid)
         self.send_to_servers(tag, MSG_READ_COMPLETE, oid)
-        value = self.config.coder.decode(pairs[: self.config.k])
+        value = self.config.coder.decode(pairs)
         self._finish_read(handle, value, timestamp)
 
     def _read_condition(self, tag: str, oid: str):
-        """Condition: a metadata quorum agrees on one ``(D, TIMESTAMP,
-        N)`` *and* ``k`` verified blocks for it have arrived; returns
-        ``(TIMESTAMP, D, N, [(index, block), ...])``.
+        """Condition: ``n - t`` servers agree on one ``(D, TIMESTAMP,
+        N)`` *and* ``k`` of their inline blocks verify against that
+        ``D``; returns ``(TIMESTAMP, D, N, [(index, block)] * k)``.
 
-        The closure drives the data plane itself: once a quorum group
-        forms it requests blocks from ``k`` of the agreeing servers, and
-        each failed verification or ``md-block-miss`` escalates to the
-        next agreeing server (requests are memoized per server, so
-        re-evaluation is idempotent).  If a group stalls with its whole
-        pool exhausted, the group with the next-largest TIMESTAMP that
-        reaches quorum takes over — returning any quorum-agreed version
-        preserves atomicity exactly as in Protocol Atomic.  While no
-        group agrees it writes back commits (see the module docstring).
+        An agreeing group's blocks are verified in arrival order, each
+        ``md-meta`` at most once, until ``k`` verify: a corrupted block
+        is reported once however often the condition is re-evaluated,
+        and a reply without a block is an omission, not a failure.  An
+        agreeing group holds at least ``n - 2t >= k`` honest blocks, so
+        the first group to agree decodes; when several agree the
+        largest TIMESTAMP goes first.  While no group agrees it writes
+        back commits (see the module docstring).
         """
         scheme = self.config.commitment_scheme
         quorum = self.config.quorum
@@ -653,9 +607,8 @@ class AtomicMdClient(RegisterClientBase):
         meta_memo: Dict[int, bool] = {}
         #: per valid ``md-meta``: the encoding of its (D, TIMESTAMP, N)
         group_memo: Dict[int, bytes] = {}
-        block_memo: Dict[Tuple[int, bytes], bool] = {}
-        #: per target key: servers already asked for this version's block
-        queried: Dict[bytes, Set[PartyId]] = {}
+        #: per evaluated ``md-meta``: whether its block verified
+        block_memo: Dict[int, bool] = {}
         #: group keys whose commit was already written back
         relayed: Set[bytes] = set()
 
@@ -664,31 +617,24 @@ class AtomicMdClient(RegisterClientBase):
             if cached is None:
                 payload = message.payload
                 cached = (message.sender.is_server
-                          and len(payload) == 4
+                          and len(payload) == 6
                           and isinstance(payload[2], Timestamp)
                           and isinstance(payload[3], bytes))
                 meta_memo[message.msg_id] = cached
             return cached
 
-        def block_valid(message: Message, key: bytes, commitment: Any,
-                        timestamp: Timestamp) -> bool:
-            cached = block_memo.get((message.msg_id, key))
+        def block_valid(message: Message) -> bool:
+            cached = block_memo.get(message.msg_id)
             if cached is None:
-                payload = message.payload
-                well_formed = (message.sender.is_server
-                               and len(payload) == 4
-                               and payload[1] == timestamp
-                               and isinstance(payload[2], bytes))
-                cached = well_formed and scheme.verify(
-                    commitment, message.sender.index, payload[2],
-                    payload[3])
-                if well_formed and not cached:
-                    # A shape-correct block failing the cross-checksum
-                    # can only come from a Byzantine server; memoized so
-                    # the report fires once per (message, target).
-                    self.note_verification_failure(tag, MSG_BLOCK,
+                _, commitment, _, _, block, witness = message.payload
+                cached = scheme.verify(commitment, message.sender.index,
+                                       block, witness)
+                if not cached and isinstance(block, bytes):
+                    # A block failing the cross-checksum its own group
+                    # agreed on can only come from a Byzantine server.
+                    self.note_verification_failure(tag, MSG_META,
                                                    message.sender)
-                block_memo[(message.msg_id, key)] = cached
+                block_memo[message.msg_id] = cached
             return cached
 
         def write_back(groups: Dict[bytes, Dict[PartyId, Message]]) -> None:
@@ -709,7 +655,8 @@ class AtomicMdClient(RegisterClientBase):
                     continue
                 relayed.add(key)
                 group = groups[key]
-                _, commitment, _, proof = next(iter(group.values())).payload
+                _, commitment, _, proof = \
+                    next(iter(group.values())).payload[:4]
                 for server in self._require_simulator().server_pids:
                     if server not in group:
                         self.send(server, tag, MSG_COMMIT, timestamp.oid,
@@ -717,66 +664,33 @@ class AtomicMdClient(RegisterClientBase):
                                   proof)
 
         def check():
-            candidates = self.inbox.messages(tag, MSG_META,
-                                             where=meta_valid, oid=oid)
             groups: Dict[bytes, Dict[PartyId, Message]] = {}
-            for message in candidates:
+            for message in self.inbox.messages(tag, MSG_META,
+                                               where=meta_valid, oid=oid):
                 key = group_memo.get(message.msg_id)
                 if key is None:
                     key = group_memo[message.msg_id] = encode(
-                        message.payload[1:])
+                        message.payload[1:4])
                 groups.setdefault(key, {}).setdefault(message.sender,
                                                       message)
-            agreed = [(key, group) for key, group in groups.items()
+            agreed = [group for group in groups.values()
                       if len(group) >= quorum]
             if not agreed:
                 write_back(groups)
                 return None
-            # Largest TIMESTAMP first: under churn the freshest agreed
-            # version has the best block availability.
-            agreed.sort(key=lambda item: next(
-                iter(item[1].values())).payload[2], reverse=True)
-            # This read's replies only: an earlier read of the register
-            # has its own buckets, so its blocks cannot be mistaken for
-            # failed answers to this one's requests.
-            fetches = self.inbox.messages(tag, MSG_BLOCK, oid=oid)
-            misses = self.inbox.messages(tag, MSG_BLOCK_MISS, oid=oid)
-            for key, group in agreed:
-                first = next(iter(group.values()))
-                _, commitment, timestamp, proof = first.payload
-                verified: Dict[PartyId, Message] = {}
-                for message in fetches:
-                    if message.sender not in verified and block_valid(
-                            message, key, commitment, timestamp):
-                        verified[message.sender] = message
-                if len(verified) >= k:
-                    pairs = [(message.sender.index, message.payload[2])
-                             for message in verified.values()]
-                    return (timestamp, commitment, proof, pairs)
-                # Escalation: keep exactly enough outstanding requests
-                # to cover the shortfall, drawing from agreeing servers
-                # (the pool grows as listener forwards arrive).
-                asked = queried.setdefault(key, set())
-                failed = {message.sender for message in misses
-                          if len(message.payload) == 2
-                          and message.payload[1] == timestamp}
-                failed.update(
-                    message.sender for message in fetches
-                    if message.sender in asked
-                    and message.sender not in verified
-                    and not block_valid(message, key, commitment,
-                                        timestamp))
-                outstanding = len(asked - failed) - len(verified)
-                needed = k - len(verified)
-                for server in group:
-                    if outstanding >= needed:
-                        break
-                    if server in asked:
-                        continue
-                    asked.add(server)
-                    outstanding += 1
-                    self.send(server, tag, MSG_GET_BLOCK, oid, timestamp)
+            agreed.sort(key=lambda group: next(iter(group.values()))
+                        .payload[2], reverse=True)
+            for group in agreed:
+                verified: List[Message] = []
+                for message in group.values():
+                    if block_valid(message):
+                        verified.append(message)
+                        if len(verified) == k:
+                            _, commitment, timestamp, proof = \
+                                message.payload[:4]
+                            return (timestamp, commitment, proof,
+                                    [(member.sender.index, member.payload[4])
+                                     for member in verified])
             return None
 
-        return WaitState(check, (tag, MSG_META, oid), (tag, MSG_BLOCK, oid),
-                         (tag, MSG_BLOCK_MISS, oid))
+        return WaitState(check, (tag, MSG_META, oid))

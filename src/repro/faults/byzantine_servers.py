@@ -16,11 +16,7 @@ from repro.baselines.martin import MartinServer
 from repro.common.ids import PartyId
 from repro.config import SystemConfig
 from repro.core.atomic import MSG_VALUE, AtomicServer, _RegisterState
-from repro.core.atomic_md import (
-    MSG_BLOCK_MISS,
-    MSG_VALID,
-    AtomicMdServer,
-)
+from repro.core.atomic_md import MSG_VALID, AtomicMdServer
 from repro.core.atomic_ns import AtomicNSServer
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.net.message import Message
@@ -128,33 +124,36 @@ class CorruptBlockMdServer(AtomicMdServer):
     """AtomicMd server whose data plane serves corrupted blocks.
 
     Metadata behaviour stays honest (it joins quorums and keeps reads
-    live), but every ``md-get-block`` answer flips the block's bytes, so
-    the reader's verification against the quorum-agreed cross-checksum
-    fails and the read must escalate to another agreeing server.  With
-    ``k <= n - 2t`` honest servers inside every agreeing quorum, reads
-    still terminate with the correct value.
+    live), but every ``md-meta`` it sends carries its block with the
+    bytes flipped, so the reader's verification against the
+    quorum-agreed cross-checksum fails and the read takes another
+    agreeing server's block instead.  With ``k <= n - 2t`` honest
+    servers inside every agreeing quorum, reads still return the
+    correct value.
     """
 
-    def _serve_block(self, reader: PartyId, tag: str, oid: str,
-                     timestamp: Timestamp, block: bytes,
-                     witness: Any) -> None:
+    def _send_meta(self, reader: PartyId, tag: str, oid: str,
+                   commitment: Any, timestamp: Timestamp, proof: bytes,
+                   block: bytes, witness: Any) -> None:
         corrupted = bytes(byte ^ 0xFF for byte in block) or b"\x00"
-        super()._serve_block(reader, tag, oid, timestamp, corrupted,
-                             witness)
+        super()._send_meta(reader, tag, oid, commitment, timestamp, proof,
+                           corrupted, witness)
 
 
 class MissingBlockMdServer(AtomicMdServer):
-    """AtomicMd server that claims every block was evicted.
+    """AtomicMd server that never sends its block.
 
-    Pure omission on the data plane: each ``md-get-block`` is answered
-    with ``md-block-miss``, exercising the reader's miss-triggered
-    escalation path rather than the verification-failure path.
+    Pure omission on the data plane: every ``md-meta`` carries honest
+    metadata and no block, so it counts toward the reader's agreeing
+    quorum but never toward the ``k`` blocks a read decodes, and it is
+    no verification failure.
     """
 
-    def _serve_block(self, reader: PartyId, tag: str, oid: str,
-                     timestamp: Timestamp, block: bytes,
-                     witness: Any) -> None:
-        self.send(reader, tag, MSG_BLOCK_MISS, oid, timestamp)
+    def _send_meta(self, reader: PartyId, tag: str, oid: str,
+                   commitment: Any, timestamp: Timestamp, proof: bytes,
+                   block: bytes, witness: Any) -> None:
+        super()._send_meta(reader, tag, oid, commitment, timestamp, proof,
+                           None, None)
 
 
 class StaleMetadataMdServer(AtomicMdServer):

@@ -166,9 +166,8 @@ FailStopServer = fail_stop(AtomicServer)
 FailStopNSServer = fail_stop(AtomicNSServer)
 #: Protocol AtomicMd server that crashes after N deliveries.  Crashing
 #: it downs both of its planes at once: it stops joining metadata
-#: quorums *and* stops serving blocks, so readers that had counted it
-#: among their ``k`` data-plane targets must escalate to another
-#: agreeing server.
+#: quorums, and no block of its reaches a reader after its last
+#: ``md-meta``.
 FailStopMdServer = fail_stop(AtomicMdServer)
 #: SBQ-L server that crashes after N deliveries.
 FailStopMartinServer = fail_stop(MartinServer)

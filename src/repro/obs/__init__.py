@@ -62,7 +62,6 @@ from repro.obs.timeseries import Digest, Series, TimeSeriesStore
 from repro.obs.spans import (
     KIND_OPERATION,
     KIND_PHASE,
-    PHASE_BLOCK_FETCH,
     PHASE_BLOCK_PUSH,
     PHASE_COMMIT,
     PHASE_DISPERSE,
@@ -123,7 +122,6 @@ __all__ = [
     "plane_traffic",
     "KIND_OPERATION",
     "KIND_PHASE",
-    "PHASE_BLOCK_FETCH",
     "PHASE_BLOCK_PUSH",
     "PHASE_COMMIT",
     "PHASE_DISPERSE",

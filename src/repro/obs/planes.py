@@ -11,11 +11,13 @@ split per run and per operation — for every protocol, not just AtomicMd
 separation removes).
 
 Classification is by message type: the block-carrying types of each
-substrate are the data plane, every other protocol message (timestamp
-queries, metadata replies, acks, reliable-broadcast gossip of
-timestamps, AtomicMd's store-acks and commits) is metadata.  Transport envelopes (``kv-batch``) are
-excluded entirely — their inner messages are traced individually, so
-counting the envelope too would double-book every byte.
+substrate are the data plane — a reply that carries a block beside its
+metadata included — and every other protocol message (timestamp
+queries, acks, reliable-broadcast gossip of timestamps, AtomicMd's
+store-acks, commits and revalidation replies) is metadata.  Transport
+envelopes (``kv-batch``) are excluded entirely — their inner messages
+are traced individually, so counting the envelope too would
+double-book every byte.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ PLANE_DATA = "data"
 
 #: Block-carrying message types across all protocols: the AVID dispersal
 #: substrate (send/echo/ready/retrieve all move blocks), AtomicMd's
-#: point-to-point store and on-demand block serving, the classic read
-#: reply ``value`` (commitment + block + witness), and the unauthenticated
-#: baselines' ``store`` writes.
+#: point-to-point store, read reply ``md-meta`` and repair, the classic
+#: read reply ``value`` (commitment + block + witness), and the
+#: unauthenticated baselines' ``store`` writes.
 DATA_PLANE_MTYPES: FrozenSet[str] = frozenset(
     (*_AVID_TYPES, *_MD_DATA_TYPES, "value", "store"))
 

@@ -44,7 +44,6 @@ PHASE_QUORUM_WAIT = "quorum-wait"
 PHASE_RETRIEVE = "retrieve"
 PHASE_SIG_ROUND = "sig-round"
 PHASE_BLOCK_PUSH = "block-push"
-PHASE_BLOCK_FETCH = "block-fetch"
 PHASE_COMMIT = "commit"
 PHASE_LOCAL = "local"
 
@@ -57,9 +56,9 @@ _MTYPE_PHASES = {
     "value": PHASE_RETRIEVE,
     "read-complete": PHASE_RETRIEVE,
     "share": PHASE_SIG_ROUND,
-    # AtomicMd (metadata/data separation): the metadata plane maps onto
-    # the classic phases, the data plane gets its own pair so critical-
-    # path attribution can price block movement separately.
+    # AtomicMd (metadata/data separation): the read is the classic
+    # one-round retrieve; the write's point-to-point block push and its
+    # commit get phases of their own.
     "md-get-ts": PHASE_TS_QUERY,
     "md-ts": PHASE_TS_QUERY,
     "md-ack": PHASE_QUORUM_WAIT,
@@ -69,9 +68,6 @@ _MTYPE_PHASES = {
     "md-store": PHASE_BLOCK_PUSH,
     "md-stored": PHASE_BLOCK_PUSH,
     "md-commit": PHASE_COMMIT,
-    "md-get-block": PHASE_BLOCK_FETCH,
-    "md-block": PHASE_BLOCK_FETCH,
-    "md-block-miss": PHASE_BLOCK_FETCH,
 }
 
 #: sub-protocol substrate message types -> phase (from the substrates'

@@ -2,10 +2,11 @@
 
 A *repair* restores the redundancy of one register at one server
 without advancing logical time.  The repair client runs the read
-protocol's metadata quorum and verified ``k``-block fetch (reusing
-:meth:`~repro.core.atomic_md.AtomicMdClient._read_condition`, including
-its escalation past misses and corrupted blocks), decodes the value,
-re-encodes it, and pushes the *target server's own* block back under
+protocol's round trip — an agreeing quorum and ``k`` of its inline
+blocks verified (reusing
+:meth:`~repro.core.atomic_md.AtomicMdClient._read_condition`, which
+skips missing and corrupted blocks) — decodes the value, re-encodes
+it, and pushes the *target server's own* block back under
 the version's original TIMESTAMP and proof of writing via
 ``md-repair``.  The server accepts exactly as it would an
 ``md-store``/``md-commit`` join — block verified against the carried
@@ -70,7 +71,7 @@ class RepairClient(AtomicMdClient):
         timestamp, commitment, proof, pairs = \
             yield self._read_condition(tag, oid)
         self.send_to_servers(tag, MSG_READ_COMPLETE, oid)
-        value = self.config.coder.decode(pairs[: self.config.k])
+        value = self.config.coder.decode(pairs)
         blocks = self.config.coder.encode(value)
         recommit, witnesses = \
             self.config.commitment_scheme.commit(blocks)

@@ -1,4 +1,4 @@
-"""Protocol AtomicMd: metadata/data separation with k-server reads.
+"""Protocol AtomicMd: metadata/data separation with one-round-trip reads.
 
 The load-bearing guarantees tested here:
 
@@ -9,9 +9,10 @@ The load-bearing guarantees tested here:
   (the default ``k = n - t`` is rejected), and the chaos campaign
   resolves ``k = t + 1`` automatically for ``atomic_md`` specs.
 * **Data-plane shape** — a write pushes exactly ``n`` point-to-point
-  blocks (no AVID echo storm); a fault-free read fetches blocks from
-  exactly ``k`` servers; a seeded 4 KiB workload moves at most half the
-  wire bytes ``atomic`` moves.
+  blocks (no AVID echo storm); a fault-free read is one round trip
+  whose ``n`` replies carry ``n`` blocks, of which it verifies and
+  decodes exactly ``k``; a seeded 4 KiB workload moves at most half
+  the wire bytes ``atomic`` moves.
 * **The two-phase write** — ``6n`` messages, no broadcast: servers
   pair an ``md-commit (ts, H(D), N)`` with the acked ``md-store`` whose
   verified ``D`` hashes to it and whose lock ``H(ts, N)`` it opens; a
@@ -23,13 +24,16 @@ The load-bearing guarantees tested here:
   and the run linearizable under every builtin chaos plan and every
   Byzantine md server; commits invented or replayed by a server change
   nothing; no honest server adopts a version no writer committed.
-* **One ``D`` per register at rest** — a retained version costs its
-  block, witness and TIMESTAMP; a read of a version that is no longer
-  the adopted one still decodes.
-* **Escalation** — a Byzantine data plane (corrupted blocks, universal
-  misses) forces reads past their first ``k`` fetch targets; reads
-  still return the correct value and the verification-failure /
-  block-miss telemetry records the attack.
+* **One version per register at rest** — ``D``, TIMESTAMP, proof,
+  block and witness of the adopted version, nothing older; a read of a
+  version no server holds any more still decodes, from the blocks its
+  replies carried.
+* **Wait-free by construction** — a server that crashes right after
+  its reply, or ``t`` of them, stalls no read and needs no retry.
+* **Escalation** — a Byzantine data plane (corrupted blocks, missing
+  blocks) makes reads take further agreeing servers' blocks; reads
+  still return the correct value, and each corrupt block a read
+  evaluates is one verification failure.
 * **Chaos battery** — every builtin fault plan yields the model's
   expected outcome, including the beyond-the-bound ``boundary`` plan.
 * **Schedule preservation** — loading and exercising ``atomic_md``
@@ -60,11 +64,10 @@ from repro.core.atomic_md import (
     DATA_PLANE_TYPES,
     MESSAGE_TYPES,
     MSG_ACK,
-    MSG_BLOCK,
-    MSG_BLOCK_MISS,
     MSG_COMMIT,
-    MSG_GET_BLOCK,
     MSG_META,
+    MSG_READ,
+    MSG_READ_COMPLETE,
     MSG_STORE,
     MSG_STORED,
     MSG_VALID,
@@ -151,16 +154,25 @@ def test_concurrent_workload_atomic():
 
 
 def test_accepted_history_is_bounded():
-    """Servers retain a bounded version history for late block fetches;
-    the currently adopted version is never evicted."""
+    """The history at rest is one version, however many writes: the
+    adopted ``D``, TIMESTAMP and proof with this server's own block of
+    it, which verifies and decodes to the last value written."""
     cluster = _cluster(clients=1)
-    limit = cluster.server(1).history_limit
-    for index in range(limit + 4):
-        cluster.write(1, "reg", f"w{index}", b"v%d" % index)
+    sizes = set()
+    for index in range(20):
+        cluster.write(1, "reg", f"w{index:02d}", b"v%02d" % index)
+        cluster.run()
+        sizes.add(cluster.server(1).register_storage_bytes("reg"))
+    assert len(sizes) == 1
+    scheme = cluster.config.commitment_scheme
+    pairs = []
     for server in cluster.servers:
         state = server.register_state("reg")
-        assert len(state.history) <= limit
-        assert state.timestamp in state.history
+        assert state.timestamp == Timestamp(20, "w19")
+        assert scheme.verify(state.commitment, server.pid.index,
+                             state.block, state.witness)
+        pairs.append((server.pid.index, state.block))
+    assert cluster.config.coder.decode(pairs[:cluster.config.k]) == b"v19"
 
 
 # -- resilience shape ---------------------------------------------------------
@@ -214,31 +226,60 @@ def test_write_pushes_exactly_n_blocks():
         "md-get-ts", "md-ts", MSG_STORE, MSG_STORED, MSG_COMMIT, MSG_ACK)}
 
 
-def test_fault_free_read_fetches_exactly_k_blocks():
-    cluster = _cluster()
+def _count_verifies(monkeypatch, cluster):
+    """Count commitment verifications, which only servers' ``md-store``
+    and readers' ``md-meta`` checks perform."""
+    calls = [0]
+    scheme = cluster.config.commitment_scheme
+    verify = scheme.verify
+
+    def counted(*args):
+        calls[0] += 1
+        return verify(*args)
+    monkeypatch.setattr(scheme, "verify", counted)
+    return calls
+
+
+def test_fault_free_read_fetches_exactly_k_blocks(monkeypatch):
+    """The blocks arrive inline: every ``md-meta`` carries its sender's
+    block, so a read sends no second request.  Of the ``n`` blocks the
+    reader receives it takes, verifies and decodes exactly ``k``."""
+    cluster = _cluster(clients=2)
     cluster.write(1, "reg", "w1", b"y" * 64)
-    cluster.read(2, "reg", "r1")
+    cluster.run()
+    verifies = _count_verifies(monkeypatch, cluster)
+    before = dict(cluster.simulator.metrics.messages_by_mtype("reg"))
+    assert cluster.read(2, "reg", "r1").result == b"y" * 64
+    cluster.run()
     counts = cluster.simulator.metrics.messages_by_mtype("reg")
-    assert counts.get(MSG_GET_BLOCK, 0) == cluster.config.k
-    assert counts.get(MSG_BLOCK, 0) == cluster.config.k
+    sent = {mtype: counts[mtype] - before.get(mtype, 0) for mtype in counts
+            if counts[mtype] != before.get(mtype, 0)}
+    n = cluster.config.n
+    assert sent == {MSG_READ: n, MSG_META: n, MSG_READ_COMPLETE: n}
+    assert verifies[0] == cluster.config.k
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_repeated_reads_of_a_register_each_fetch_exactly_k_blocks(seed):
-    """Regression: the reader used to take the ``md-block`` replies of
-    its *earlier* reads of the register — still in its buffer, under
-    their own oids — for failed answers to this read's requests, and
-    escalated to servers it never needed."""
+def test_repeated_reads_of_a_register_each_fetch_exactly_k_blocks(
+        seed, monkeypatch):
+    """Regression: the reader used to take the block replies of its
+    *earlier* reads of the register — still in its buffer, under their
+    own oids — for answers to this read.  Each read takes exactly ``k``
+    blocks out of its own ``md-meta`` replies, verifies those and no
+    more, and completes in one round trip."""
     cluster = _cluster(n=7, t=2, seed=seed)
     cluster.write(1, "reg", "w1", b"z" * 64)
+    cluster.run()
+    verifies = _count_verifies(monkeypatch, cluster)
     metrics = cluster.simulator.metrics
     for index in range(3):
-        before = metrics.messages_by_mtype("reg").get(MSG_GET_BLOCK, 0)
+        verifies[0] = 0
         assert cluster.read(2, "reg", f"r{index}").result == b"z" * 64
         cluster.run()
-        fetched = metrics.messages_by_mtype("reg")[MSG_GET_BLOCK] - before
-        assert fetched == cluster.config.k, f"read {index}"
-    assert MSG_BLOCK_MISS not in metrics.messages_by_mtype("reg")
+        assert verifies[0] == cluster.config.k, f"read {index}"
+    assert set(metrics.messages_by_mtype("reg")) == {
+        "md-get-ts", "md-ts", MSG_STORE, MSG_STORED, MSG_COMMIT, MSG_ACK,
+        MSG_READ, MSG_META, MSG_READ_COMPLETE}
 
 
 # -- the join: the commit meets the verified md-store -------------------------
@@ -272,7 +313,8 @@ def _assert_write_never_took_effect(cluster, handle):
         state = server.register_state("reg")
         assert handle.oid not in state.accepted
         assert state.timestamp == INITIAL_TIMESTAMP
-        assert list(state.history) == [INITIAL_TIMESTAMP]
+        assert state.block == cluster.config.coder.encode(b"")[
+            server.pid.index - 1]
 
 
 def test_honest_write_takes_effect_at_every_server_under_its_digest():
@@ -407,23 +449,21 @@ def test_same_workload_moves_at_most_half_the_bytes_of_atomic(n, t):
 
 
 def test_a_retained_version_costs_its_block_not_a_cross_checksum():
-    """At rest: one ``D`` per register, ``(TIMESTAMP, block, witness)``
-    per retained version — under 120 bytes each at 64-byte values."""
+    """At rest: one ``D`` per register and the one version it names —
+    block, witness, TIMESTAMP and proof, under 128 bytes beside ``D`` at
+    64-byte values.  A write replaces the version; nothing accumulates."""
     cluster = _cluster(n=7, t=2, clients=1)
     server = cluster.server(1)
     sizes = []
-    for index in range(6):  # well inside the history bound
+    for index in range(6):
         cluster.write(1, "reg", f"w{index}", bytes([index]) * 64)
         cluster.run()
         sizes.append(server.register_storage_bytes("reg"))
-    growth = {after - before for before, after in zip(sizes, sizes[1:])}
-    assert len(growth) == 1 and 64 // 3 < growth.pop() < 120
+    assert len(set(sizes)) == 1
     state = server.register_state("reg")
     one_d = encoded_size(state.commitment)
     assert one_d > 7 * DIGEST_SIZE
-    versions = len(state.history)
-    assert versions == 7  # initial + six writes, adopted one included
-    assert one_d < sizes[-1] < one_d + versions * 120
+    assert 64 // 3 < len(state.block) and one_d < sizes[-1] < one_d + 128
 
 
 class _HoldBack(Scheduler):
@@ -441,15 +481,14 @@ class _HoldBack(Scheduler):
 
 
 def test_read_of_a_superseded_version_fetches_verifies_and_decodes():
-    """The metadata quorum forms on version 1; before any block request
-    is delivered a newer write is adopted everywhere.  Servers serve
-    version 1 from the history (they no longer hold its ``D``) and the
-    reader verifies against the ``D`` its ``md-meta`` quorum carried."""
+    """Every server answers the read with version 1; before any reply
+    is delivered a newer write is adopted everywhere, so no server holds
+    version 1 any more.  The read still decodes it, from the blocks its
+    replies carried, each verified against the ``D`` they agreed on."""
     first = Timestamp(1, "w1")
 
     def held(message):
-        return message.mtype == MSG_GET_BLOCK or (
-            message.mtype == MSG_META and message.payload[2] != first)
+        return message.mtype == MSG_META
 
     config = SystemConfig(n=4, t=1, k=2)
     cluster = build_cluster(config, protocol="atomic_md", num_clients=2,
@@ -458,10 +497,9 @@ def test_read_of_a_superseded_version_fetches_verifies_and_decodes():
     cluster.write(1, "reg", "w1", b"first version")
     cluster.run()
     read = cluster.client(2).invoke_read("reg", "r1")
-    metrics = cluster.simulator.metrics
-    cluster.simulator.run_until(
-        lambda: metrics.messages_by_mtype("reg").get(MSG_GET_BLOCK, 0) > 0)
-    assert not read.done
+    cluster.simulator.run_until(lambda: all(
+        server.register_state("reg").listeners.knows("r1")
+        for server in cluster.servers))
     cluster.write(1, "reg", "w2", b"second version")
     cluster.simulator.run_until(lambda: all(
         server.register_state("reg").timestamp == Timestamp(2, "w2")
@@ -470,8 +508,6 @@ def test_read_of_a_superseded_version_fetches_verifies_and_decodes():
     cluster.run()
     assert read.result == b"first version"
     assert read.timestamp == first
-    counts = metrics.messages_by_mtype("reg")
-    assert counts[MSG_BLOCK] >= config.k and MSG_BLOCK_MISS not in counts
     assert not any(name.startswith("verify.failed.by[")
                    for name in recorder.registry.snapshot())
 
@@ -502,45 +538,45 @@ def test_validate_round_reports_the_freshest_quorum_timestamp():
     counts = cluster.simulator.metrics.messages_by_mtype("reg")
     assert counts.get(MSG_VALIDATE, 0) == cluster.config.n
     assert counts.get(MSG_VALID, 0) >= cluster.config.quorum
-    assert counts.get(MSG_GET_BLOCK, 0) == 0  # metadata plane only
+    assert MSG_META not in counts  # metadata plane only: no block moves
 
 
 # -- Byzantine data plane: escalation -----------------------------------------
 
 def test_corrupt_block_server_forces_escalation():
-    """A server serving corrupted blocks fails reader-side verification;
-    the read escalates to further agreeing servers and still returns
-    the correct value, with the failure recorded for the health plane."""
-    cluster = _cluster(
-        seed=1,
-        server_overrides={1: lambda pid, cfg: CorruptBlockMdServer(pid, cfg)})
-    recorder = TraceRecorder().attach(cluster.simulator)
-    cluster.write(1, "reg", "w1", b"still intact")
-    assert cluster.read(2, "reg", "r1").result == b"still intact"
-    counts = cluster.simulator.metrics.messages_by_mtype("reg")
-    failures = {name: summary["value"]
-                for name, summary in recorder.registry.snapshot().items()
-                if name.startswith("verify.failed.by[")}
-    if counts.get(MSG_GET_BLOCK, 0) > cluster.config.k:
-        # the corrupt server was among the first k targets: escalation
-        assert failures.get(f"verify.failed.by[{MSG_BLOCK}]", 0) > 0
-    else:
-        # the first k targets were honest — nothing to escalate past
-        assert not failures
+    """A server sending corrupted blocks fails reader-side verification
+    whenever the reader evaluates its block; the read then takes a
+    further agreeing server's block and still returns the correct
+    value.  Every failure is recorded once, against ``md-meta``."""
+    recorded = 0
+    for seed in range(4):
+        cluster = _cluster(seed=seed,
+                           server_overrides={1: CorruptBlockMdServer})
+        recorder = TraceRecorder().attach(cluster.simulator)
+        cluster.write(1, "reg", "w1", b"still intact")
+        assert cluster.read(2, "reg", "r1").result == b"still intact"
+        failures = {name: summary["value"]
+                    for name, summary in recorder.registry.snapshot().items()
+                    if name.startswith("verify.failed.by[")}
+        assert set(failures) <= {f"verify.failed.by[{MSG_META}]"}
+        assert sum(failures.values()) <= 1  # one read, one corrupt block
+        recorded += sum(failures.values())
+    assert recorded > 0
 
 
 def _block_failures(recorder):
     summary = recorder.registry.snapshot().get(
-        f"verify.failed.by[{MSG_BLOCK}]")
+        f"verify.failed.by[{MSG_META}]")
     return 0 if summary is None else summary["value"]
 
 
 def test_every_read_escalates_when_corrupt_server_is_always_queried():
-    """By construction, not by seed: P4 serves corrupted blocks and the
+    """By construction, not by seed: P4 sends corrupted blocks and the
     scheduler delivers its ``md-meta`` before any other server's, so P4
-    is the first member of every read's agreeing group and one of its
-    ``k`` fetch targets.  Every read fails one verification, escalates
-    to one more server, and returns the written value."""
+    is the first member of every read's agreeing group and its block is
+    the first one evaluated.  Every read fails exactly that one
+    verification, takes the next two members' blocks, and returns the
+    written value."""
     def held(message):
         return message.mtype == MSG_META and message.sender.index != 4
 
@@ -553,28 +589,32 @@ def test_every_read_escalates_when_corrupt_server_is_always_queried():
     cluster.write(1, "reg", "w1", b"sweep value")
     for client in (2, 3):
         failures = _block_failures(recorder)
-        fetches = metrics.messages_by_mtype("reg").get(MSG_GET_BLOCK, 0)
+        replies = metrics.messages_by_mtype("reg").get(MSG_META, 0)
         read = cluster.read(client, "reg", f"r{client}")
         assert read.result == b"sweep value"
         assert _block_failures(recorder) == failures + 1
-        assert metrics.messages_by_mtype("reg")[MSG_GET_BLOCK] \
-            == fetches + config.k + 1
+        cluster.run()
+        assert metrics.messages_by_mtype("reg")[MSG_META] \
+            == replies + config.n
 
 
 def test_missing_block_server_triggers_miss_escalation():
-    """Universal ``md-block-miss`` replies exercise the miss-triggered
-    escalation path; reads terminate via the honest servers."""
-    hit = 0
+    """P2's replies carry metadata and no block: they count toward the
+    agreeing quorum, never toward the ``k`` blocks, and are omission,
+    not verification failures.  Reads decode from the honest servers'
+    blocks, whatever the arrival order."""
     for seed in range(4):
-        cluster = _cluster(
-            seed=seed,
-            server_overrides={
-                2: lambda pid, cfg: MissingBlockMdServer(pid, cfg)})
+        cluster = _cluster(seed=seed,
+                           server_overrides={2: MissingBlockMdServer})
+        recorder = TraceRecorder().attach(cluster.simulator)
         cluster.write(1, "reg", "w1", b"served elsewhere")
         assert cluster.read(2, "reg", "r1").result == b"served elsewhere"
-        counts = cluster.simulator.metrics.messages_by_mtype("reg")
-        hit += counts.get(MSG_BLOCK_MISS, 0)
-    assert hit > 0
+        blockless = [record for record in recorder.messages.values()
+                     if record.mtype == MSG_META
+                     and record.sender.index == 2]
+        assert blockless
+        assert not any(name.startswith("verify.failed.by[")
+                       for name in recorder.registry.snapshot())
 
 
 def test_reads_linearize_with_byzantine_data_plane_at_n7():
@@ -627,10 +667,9 @@ def _crashed_write_run(plan, commit_to, server_overrides=None):
     """At n=4/t=1: a completed write ``w0``, then a writer that crashes
     after its stores and the commits in ``commit_to`` concurrently with
     a read, then one more read once the network is quiet.  Both reads
-    must complete (see :func:`_read_to_completion`), the history (the
-    crashed write counted iff some honest server accepted it) must be
-    atomic, and no honest server may ever hold a version no writer
-    committed."""
+    must complete without a retry, the history (the crashed write
+    counted iff some honest server accepted it) must be atomic, and no
+    honest server may ever hold a version no writer committed."""
     plan.validate(4, 1)
     overrides = {**(fault_overrides(plan, AtomicMdServer) or {}),
                  **(server_overrides or {})}
@@ -655,15 +694,10 @@ def _crashed_write_run(plan, commit_to, server_overrides=None):
 
 
 def _read_to_completion(cluster, client, oid):
-    """A read, retried once under a fresh oid if the network quiesces
-    first — what a kv session does.  The one stall a retry is for is
-    the fetch-target boundary pinned below; a split the write-back did
-    not close would stall the retry too."""
+    """A read, run until the network quiesces: it must have completed
+    — no retry, no second request, no fetch target left to wait for."""
     read = cluster.client(client).invoke_read("reg", oid)
     cluster.run()
-    if not read.done:
-        read = cluster.client(client).invoke_read("reg", oid + "-retry")
-        cluster.run()
     assert read.done
     return read
 
@@ -743,13 +777,11 @@ def test_commits_invented_or_replayed_by_a_server_change_nothing(commit_to):
                        server_overrides={4: _CommitForger})
 
 
-def test_a_fetch_target_that_crashes_after_its_metadata_stalls_the_read():
-    """Boundary of the ``k``-server read, unchanged by the two-phase
-    write: escalation follows a failed block or an ``md-block-miss``,
-    never silence, so a server that answers ``md-read`` and then crashes
-    before serving its block stalls a read that chose it as a fetch
-    target.  A fresh read (a kv session's retry) forms its group without
-    the crashed server and completes."""
+def test_a_server_that_crashes_after_its_metadata_does_not_stall_the_read():
+    """What used to be the boundary of the two-round read: P4 answers
+    ``md-read`` first and then crashes.  A fetch target that crashed
+    before serving its block stalled that read; now P4's block arrived
+    with its metadata, so the read completes without a retry."""
     def held(message):
         return message.mtype == MSG_META and message.sender.index != 4
 
@@ -762,8 +794,37 @@ def test_a_fetch_target_that_crashes_after_its_metadata_stalls_the_read():
     cluster.write(1, "reg", "w1", b"value")
     read = cluster.client(2).invoke_read("reg", "r1")
     cluster.run()
-    assert cluster.server(4).crashed and not read.done
-    assert cluster.read(2, "reg", "r1-retry").result == b"value"
+    assert cluster.server(4).crashed
+    assert read.done and read.result == b"value"
+
+
+@pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
+def test_t_servers_crashing_after_their_replies_leave_reads_wait_free(n, t):
+    """The worst case of the same boundary: the ``t`` servers whose
+    replies the reader sees first crash right after sending them, so
+    the agreeing group is formed with them and no later message of
+    theirs ever arrives.  Every read completes without a retry."""
+    crashing = set(range(n - t + 1, n + 1))
+
+    def held(message):
+        return message.mtype == MSG_META \
+            and message.sender.index not in crashing
+
+    # each handles md-get-ts, md-store, md-commit and md-read, then
+    # crashes
+    cluster = build_cluster(
+        SystemConfig(n=n, t=t, k=t + 1), protocol="atomic_md",
+        num_clients=2, scheduler=_HoldBack(held),
+        server_overrides={index: partial(FailStopMdServer, crash_after=4)
+                          for index in crashing})
+    install_commit_invariant(cluster.simulator, "reg",
+                             [cluster.server(j).pid
+                              for j in range(1, n - t + 1)])
+    cluster.write(1, "reg", "w1", b"value")
+    read = _read_to_completion(cluster, 2, "r1")
+    assert all(cluster.server(index).crashed for index in crashing)
+    assert read.result == b"value"
+    assert _read_to_completion(cluster, 1, "r2").result == b"value"
 
 
 def test_a_relayed_commit_must_open_the_stores_lock():
@@ -836,6 +897,24 @@ def test_commit_invariant_catches_an_uncommitted_adoption():
     install_commit_invariant(cluster.simulator, "reg",
                              [server.pid for server in cluster.servers])
     with pytest.raises(ProtocolError, match="no writer committed"):
+        cluster.write(1, "reg", "w1", b"v1")
+
+
+def test_commit_invariant_catches_a_kept_block_that_does_not_verify():
+    """The invariant's data half: a server that adopts a committed
+    version but keeps a block other than its own — the block its read
+    replies would carry — is reported at the delivery that does it."""
+    class BlockMangler(AtomicMdServer):
+        def _accept_write(self, register_tag, oid, writer, timestamp, proof,
+                          state):
+            super()._accept_write(register_tag, oid, writer, timestamp,
+                                  proof, state)
+            state.block = bytes(byte ^ 0xFF for byte in state.block)
+
+    cluster = _cluster(server_overrides={1: BlockMangler})
+    install_commit_invariant(cluster.simulator, "reg",
+                             [server.pid for server in cluster.servers])
+    with pytest.raises(ProtocolError, match="does not verify"):
         cluster.write(1, "reg", "w1", b"v1")
 
 
@@ -912,7 +991,7 @@ def test_transport_envelope_literal_stays_in_sync():
 def test_plane_traffic_excludes_transport_envelopes():
     traffic = PlaneTraffic()
     traffic.observe(MSG_STORE, 100)
-    traffic.observe("md-meta", 10)
+    traffic.observe(MSG_COMMIT, 10)
     traffic.observe(MSG_KV_BATCH, 10_000)
     assert traffic.data_bytes == 100
     assert traffic.metadata_bytes == 10
@@ -920,19 +999,23 @@ def test_plane_traffic_excludes_transport_envelopes():
     assert traffic.to_json()["data_messages"] == 1
 
 
-def test_run_level_plane_split_shows_k_server_reads():
-    """Per-operation attribution: a read's data plane (k block fetches)
-    moves fewer bytes than a write's (n block pushes)."""
+def test_run_level_plane_split_shows_one_round_trip_reads():
+    """Per-operation attribution: a read's data plane is its ``n``
+    ``md-meta`` replies, one block each, as a write's is its ``n``
+    ``md-store`` pushes; its metadata plane is ``md-read`` and
+    ``md-read-complete`` alone — no block request."""
     cluster = _cluster()
     recorder = TraceRecorder().attach(cluster.simulator)
     cluster.write(1, "reg", "w1", b"z" * 256)
     cluster.read(2, "reg", "r1")
+    cluster.run()
     totals = plane_traffic(recorder)
     assert totals.data_bytes > 0 and totals.metadata_bytes > 0
     per_op = operation_plane_traffic(recorder)
-    assert per_op["write"].data_messages == cluster.config.n
-    assert per_op["read"].data_messages == cluster.config.k
-    assert per_op["read"].data_bytes < per_op["write"].data_bytes
+    n = cluster.config.n
+    assert per_op["write"].data_messages == per_op["read"].data_messages \
+        == n
+    assert per_op["read"].metadata_messages == 2 * n
 
 
 # -- kv plane integration -----------------------------------------------------

@@ -121,14 +121,50 @@ def test_atomic_md_commit_term_is_independent_of_commitment_size():
     assert vector.atomic_md().write_messages == 6 * 10
 
 
-def test_atomic_md_storage_is_one_commitment_plus_linear_versions():
-    model = ComplexityModel(n=7, t=2, k=3, value_size=64)
-    one, two, five = (model.atomic_md(versions=v).storage_per_server
-                      for v in (1, 2, 5))
-    assert five - two == 3 * (two - one)
-    # at rest once per register: D, its TIMESTAMP and its proof N
-    assert one - (two - one) == model.commitment_size + model.ts_size \
-        + model.hash_size
+def test_atomic_md_storage_is_one_commitment_and_one_version():
+    """At rest once per register: ``D``, its TIMESTAMP and proof ``N``,
+    and this server's block and witness of that version — nothing that
+    grows with the writes, and each read reply carries the same."""
+    for commitment in ("vector", "merkle"):
+        model = ComplexityModel(n=7, t=2, k=3, value_size=64,
+                                commitment=commitment)
+        prediction = model.atomic_md()
+        assert prediction.storage_per_server == model.commitment_size \
+            + model.ts_size + model.hash_size + model.block_size \
+            + model.witness_size
+        assert prediction.read_bytes == 7 * prediction.storage_per_server \
+            + 2 * 7 * model.ts_size
+
+
+def test_measured_atomic_md_read_is_one_round_trip_of_three_n():
+    """One isolated fault-free read at n = 4 / 7 / 10, every server
+    answering: exactly the predicted ``3n`` messages, and the reader
+    sends ``md-read-complete`` on the first replies' delivery — one
+    round trip, no block request in between."""
+    from repro.cluster import build_cluster
+    from repro.config import SystemConfig
+    from repro.net.schedulers import FifoScheduler
+    from repro.obs.recorder import TraceRecorder
+
+    for n, t in ((4, 1), (7, 2), (10, 3)):
+        cluster = build_cluster(SystemConfig(n=n, t=t, k=t + 1),
+                                protocol="atomic_md", num_clients=2,
+                                scheduler=FifoScheduler())
+        cluster.write(1, "reg", "w1", b"x" * 64)
+        cluster.run()
+        before = cluster.simulator.metrics.total_messages
+        recorder = TraceRecorder().attach(cluster.simulator)
+        assert cluster.read(2, "reg", "r1").result == b"x" * 64
+        cluster.run()
+        messages = cluster.simulator.metrics.total_messages - before
+        assert messages == ComplexityModel(
+            n=n, t=t, k=t + 1).atomic_md().read_messages == 3 * n
+        depths = {(record.mtype, record.depth)
+                  for record in recorder.messages.values()}
+        # md-read at depth 1, the md-meta replies at 2, and the
+        # completion caused by a reply's delivery at 3
+        assert depths == {("md-read", 1), ("md-meta", 2),
+                          ("md-read-complete", 3)}
 
 
 def test_measured_atomic_md_write_bytes_follow_the_models_growth():

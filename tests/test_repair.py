@@ -222,8 +222,8 @@ def test_repair_restores_the_replacements_block_at_original_timestamp():
     # round re-disperses, it does not mint logical time.
     assert repaired.timestamp == expected.timestamp
     assert encode(repaired.commitment) == encode(expected.commitment)
-    assert repaired.history[repaired.timestamp] \
-        == expected.history[expected.timestamp]
+    assert (repaired.block, repaired.witness) \
+        == (expected.block, expected.witness)
     # Repair never enters the operation history.
     assert all(handle.kind in ("read", "write")
                for handle in session.handles)
@@ -253,8 +253,8 @@ def test_repair_refuses_to_launder_a_poisonous_write():
         state = host.inner_server(0).register_state(tag)
         state.timestamp = timestamp
         state.commitment = commitment
-        state.history[timestamp] = (blocks[local - 1],
-                                    witnesses[local - 1])
+        state.block = blocks[local - 1]
+        state.witness = witnesses[local - 1]
     coordinator = attach_repair(cluster)
     assert coordinator.request_repair(1) == 1
     cluster.settle()
