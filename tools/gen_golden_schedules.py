@@ -11,8 +11,15 @@ Run from the repo root::
 
     PYTHONPATH=src python tools/gen_golden_schedules.py
 
+Beside ``sha256`` each case pins ``order_sha256``: the same digest over
+``(time, party, kind, tag, action)`` with every payload dropped.  A change
+that resizes payloads but delivers the same messages to the same parties
+in the same order moves ``sha256`` and leaves ``order_sha256`` alone,
+which is what makes a payload-only re-pin provable.
+
 ``--check`` regenerates in memory and exits 1, writing nothing, when
-any record differs from the committed fixture.
+any record differs from the committed fixture, and names each case and
+field that moved.
 
 Only regenerate when a schedule change is *intended* (e.g. a new scheduler
 feature that legitimately alters delivery order); note the reason in the
@@ -61,15 +68,40 @@ def run_case(spec: dict, plan=None) -> dict:
         spec["protocol"], spec["n"], spec["t"], clients=spec["clients"],
         writes=spec["writes"], reads=spec["reads"], seed=spec["seed"],
         plan=plan, record_deliveries=True)
-    lines = [repr(event) for event in cluster.simulator.event_log]
-    blob = "\n".join(lines).encode()
+    events = cluster.simulator.event_log
+    lines = [repr(event) for event in events]
+    order = [repr((event.time, event.party, event.kind, event.tag,
+                   event.action)) for event in events]
     return {
         "spec": spec,
         "events": len(lines),
-        "sha256": hashlib.sha256(blob).hexdigest(),
+        "sha256": _digest(lines),
+        "order_sha256": _digest(order),
         "head": lines[:2],
         "tail": lines[-2:],
     }
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def moved_fields(records, committed) -> list:
+    """``"case: field"`` for every pinned field that differs between
+    fresh ``records`` and the ``committed`` ones (a case is matched by
+    name; a case on one side only moves as a whole)."""
+    pinned = {case["spec"]["name"]: case for case in committed}
+    moved = []
+    for record in records:
+        name = record["spec"]["name"]
+        old = pinned.pop(name, None)
+        if old is None:
+            moved.append(f"{name}: new case")
+            continue
+        moved.extend(f"{name}: {key}" for key in sorted(record)
+                     if record[key] != old.get(key))
+    moved.extend(f"{name}: case removed" for name in pinned)
+    return moved
 
 
 CASES = [
@@ -105,7 +137,11 @@ def main(argv=None) -> int:
         print(f"{record['spec']['name']:>20}: {record['events']:5d} events "
               f"{record['sha256'][:16]}")
     if args.check:
-        if text != FIXTURE.read_text(encoding="utf-8"):
+        committed = FIXTURE.read_text(encoding="utf-8")
+        if text != committed:
+            for field in moved_fields(records,
+                                      json.loads(committed)["cases"]):
+                print(f"moved: {field}")
             print(f"{FIXTURE} is out of date")
             return 1
         print(f"{FIXTURE} unchanged")
