@@ -89,23 +89,33 @@ class ComplexityModel:
     def _block_with_proof(self) -> int:
         return self.block_size + self.commitment_size + self.witness_size
 
+    def _disperse_bytes(self) -> int:
+        """Fault-free Protocol Disperse, which sends no server what it
+        holds: each echo to its own sender, and each ready to the
+        ``n - t`` servers whose echoes made up its sender's quorum, names
+        ``H(D)`` and carries no block."""
+        n, t, block = self.n, self.t, self._block_with_proof()
+        return (n * block                                        # send
+                + n * (n - 1) * block + n * self.hash_size       # echo
+                + n * (n - t) * self.hash_size + n * t * block)  # ready
+
     # -- this paper's protocols ------------------------------------------------
 
     def atomic(self) -> Prediction:
         """Protocol Atomic: Disperse + reliable broadcast per write."""
         n = self.n
+        block = self._block_with_proof()
         # get-ts/ts/ack: 3n.  Disperse: n sends + n^2 echoes + n^2 readys.
         # RBC of the timestamp: n + 2 n^2 small messages.
         write_messages = 3 * n + (n + 2 * n * n) + (n + 2 * n * n)
         write_bytes = (
-            n * self._block_with_proof()                  # avid-send
-            + 2 * n * n * self._block_with_proof()        # echo + ready
+            self._disperse_bytes()
             + (n + 2 * n * n) * self.ts_size              # rbc of ts
             + 2 * n * self.ts_size                        # get-ts/ts
             + n * self.ts_size                            # acks
-            + self.listeners * n * self._block_with_proof())
+            + self.listeners * n * block)
         read_messages = 3 * n
-        read_bytes = n * (self._block_with_proof() + self.ts_size) \
+        read_bytes = n * (block + self.ts_size) \
             + 2 * n * self.ts_size
         storage = self.block_size + self.commitment_size \
             + self.witness_size + self.ts_size

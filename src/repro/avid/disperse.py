@@ -17,24 +17,35 @@ negligible probability):
   completes; if *any* honest server completes, all honest servers
   eventually complete (*agreement*), whatever the client does.
 
-Protocol shape (echo/ready a la Bracha, with blocks riding along):
+Protocol shape (echo/ready a la Bracha, with blocks riding along only
+where they are missing):
 
 1. The client encodes ``F``, commits to the blocks, and sends
    ``(send, D, F_j, w_j)`` to each ``P_j``.
-2. On a valid ``send``, ``P_j`` sends ``(echo, D, i, F_j, w_j)`` to all
-   servers (one echo per instance, binding ``P_j`` to one commitment).
+2. On a valid ``send``, ``P_j`` sends ``(echo, D, i, F_j, w_j)`` to every
+   other server (one echo per instance, binding ``P_j`` to one
+   commitment).  Its echo to itself is ``(echo, H(D), i)``: it counts
+   with the block ``P_j`` stored on ``send``.
 3. On ``n - t`` valid echoes for the same ``(D, i)``, a server decodes a
    candidate value from ``k`` blocks, re-encodes it, and checks the fresh
    commitment equals ``D`` (the *verifiability* check).  Only then does it
    send ``ready``.  On ``t + 1`` readys it sends ``ready`` without the
    check (Bracha amplification — some honest server has checked).
-4. A ``ready`` from a server that holds the full re-encoded vector is
-   *personalized*: the copy sent to ``P_i`` carries ``P_i``'s block and
-   witness.  This lets servers that never received a valid ``send`` (a
-   Byzantine client may withhold them) obtain their block, which makes the
-   agreement property hold for every ``k <= n - t``.
+4. A ``ready`` carries neither ``D`` nor a block its recipient provably
+   holds.  A server whose valid echo the sender has recorded echoed only
+   after a valid ``send``, so its copy is ``(ready, H(D), i)``.  Every
+   other copy names ``D`` and, from a server that holds the full
+   re-encoded vector, is *personalized*: the copy sent to ``P_i`` carries
+   ``P_i``'s block and witness.  This lets servers that never received a
+   valid ``send`` (a Byzantine client may withhold them) obtain their
+   block, which makes the agreement property hold for every ``k <= n - t``.
 5. On ``2t + 1`` readys for ``(D, i)`` and possession of a valid own
    block, the server completes.
+
+A server keys its sessions by ``(H(D), i)``.  A message naming ``D`` may
+open a session; one naming ``H(D)`` only finds one, and is dropped if the
+session is unknown.  With Merkle commitments ``H(D)`` is the root ``D``
+itself, so there only the blocks move bytes.
 
 With ``k <= n - t`` and blocks of ``|F| / k`` bytes, the dispersal's
 communication is ``O(n |F|)`` plus ``O(n^3 |H|)`` with hash vectors or
@@ -47,9 +58,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.common.ids import PartyId
-from repro.common.serialization import encode, encoded_size
+from repro.common.serialization import encode
 from repro.config import SystemConfig
-from repro.net.message import Message
+from repro.net.message import Message, content_wire_size
 from repro.net.process import Process
 
 MSG_SEND = "avid-send"
@@ -84,6 +95,7 @@ class _KeyState:
     """Per-(commitment, client) state within one dispersal instance."""
 
     commitment: Any = None
+    digest: bytes = b""
     client: Optional[PartyId] = None
     echo_blocks: Dict[int, Tuple[bytes, Any]] = field(default_factory=dict)
     ready_senders: Set[PartyId] = field(default_factory=set)
@@ -107,7 +119,8 @@ class _Instance:
     echoed: Set[PartyId] = field(default_factory=set)
     ready_sent: Set[PartyId] = field(default_factory=set)
     completed: Set[PartyId] = field(default_factory=set)
-    keys: Dict[bytes, _KeyState] = field(default_factory=dict)
+    keys: Dict[Tuple[bytes, PartyId], _KeyState] = field(
+        default_factory=dict)
 
 
 class AvidServer:
@@ -147,11 +160,14 @@ class AvidServer:
 
     def _key_state(self, instance: _Instance, commitment: Any,
                    client: PartyId) -> _KeyState:
-        key = encode((commitment, client))
-        if key not in instance.keys:
-            instance.keys[key] = _KeyState(commitment=commitment,
-                                           client=client)
-        return instance.keys[key]
+        """The session a message naming ``D`` belongs to, opened if new."""
+        digest = self._config.commitment_scheme.digest(commitment)
+        key = (digest, client)
+        state = instance.keys.get(key)
+        if state is None:
+            state = instance.keys[key] = _KeyState(
+                commitment=commitment, digest=digest, client=client)
+        return state
 
     # -- handlers --------------------------------------------------------------
 
@@ -176,51 +192,84 @@ class AvidServer:
         state = self._key_state(instance, commitment, origin)
         if state.own_block is None:
             state.own_block = (block, witness)
-        self._process.send_to_servers(message.tag, MSG_ECHO, commitment,
-                                      origin, block, witness)
-        # Our own echo comes back through the network like everyone else's.
+        # Our own echo comes back through the network like everyone
+        # else's, but names H(D): we hold D and the block already.  The
+        # copies go out in server order, as a broadcast's would.
+        process = self._process
+        tag = message.tag
+        size = content_wire_size(tag, MSG_ECHO,
+                                 (commitment, origin, block, witness))
+        for server in process.simulator.server_pids:
+            if server == process.pid:
+                process.send(server, tag, MSG_ECHO, state.digest, origin,
+                             None, None)
+            else:
+                process.send(server, tag, MSG_ECHO, commitment, origin,
+                             block, witness, wire_size=size)
 
     def _on_echo(self, message: Message) -> None:
-        """Record a valid echo — it carries the echoer's own block."""
+        """Record a valid echo — it carries the echoer's own block, except
+        our own, which names ``H(D)`` and stands for the block we stored
+        on ``send``."""
         if not message.sender.is_server or len(message.payload) != 4:
             return
-        commitment, client, block, witness = message.payload
+        name, client, block, witness = message.payload
         if not isinstance(client, PartyId) or client.is_server:
             return
         instance = self._instance(message.tag)
         if client in instance.completed:
             return
         sender_index = message.sender.index
-        scheme = self._config.commitment_scheme
-        if not scheme.verify(commitment, sender_index, block, witness):
-            return
-        state = self._key_state(instance, commitment, client)
+        if block is None:
+            if message.sender != self._process.pid or \
+                    not isinstance(name, bytes):
+                return
+            state = instance.keys.get((name, client))
+            if state is None or state.own_block is None:
+                return
+            echoed = state.own_block
+        else:
+            scheme = self._config.commitment_scheme
+            if not scheme.verify(name, sender_index, block, witness):
+                return
+            state = self._key_state(instance, name, client)
+            echoed = (block, witness)
         if sender_index not in state.echo_blocks:
-            state.echo_blocks[sender_index] = (block, witness)
+            state.echo_blocks[sender_index] = echoed
         self._progress(message.tag, instance, state)
 
     def _on_ready(self, message: Message) -> None:
-        """Record a ready; harvest our own block if it is personalized."""
+        """Record a ready; harvest our own block if it is personalized.
+
+        A ready that names ``H(D)`` counts only toward a session this
+        server has opened."""
         if not message.sender.is_server or len(message.payload) != 4:
             return
-        commitment, client, my_block, my_witness = message.payload
+        name, client, my_block, my_witness = message.payload
         if not isinstance(client, PartyId) or client.is_server:
             return
         instance = self._instance(message.tag)
         if client in instance.completed:
             return
-        # Ready amplification must buffer the (commitment, client) key
-        # before this server can verify anything: its own block may only
-        # arrive with a later personalized ready.  The buffered state is
-        # bounded per key and every block in it is commitment-verified
-        # before use, so unverified commitments can waste one _KeyState
-        # slot but never reach a decode.
-        # lint: disable=taint-unverified-sink
-        state = self._key_state(instance, commitment, client)
+        scheme = self._config.commitment_scheme
+        if scheme.is_commitment(name):
+            # Ready amplification must buffer the (commitment, client)
+            # key before this server can verify anything: its own block
+            # may only arrive with a later personalized ready.  The
+            # buffered state is bounded per key and every block in it is
+            # commitment-verified before use, so unverified commitments
+            # can waste one _KeyState slot but never reach a decode.
+            # lint: disable=taint-unverified-sink
+            state = self._key_state(instance, name, client)
+        elif isinstance(name, bytes):
+            state = instance.keys.get((name, client))
+            if state is None:
+                return
+        else:
+            return
         state.ready_senders.add(message.sender)
         if state.own_block is None and my_block is not None:
-            scheme = self._config.commitment_scheme
-            if scheme.verify(commitment, self._my_index, my_block,
+            if scheme.verify(state.commitment, self._my_index, my_block,
                              my_witness):
                 state.own_block = (my_block, my_witness)
         self._progress(message.tag, instance, state)
@@ -293,11 +342,18 @@ class AvidServer:
 
     def _send_ready(self, tag: str, instance: _Instance,
                     state: _KeyState) -> None:
+        """Send ready to every server, carrying nothing it holds: a
+        server whose valid echo we recorded has ``D`` and its block."""
         instance.ready_sent.add(state.client)
         for server in self._process.simulator.server_pids:
+            index = server.index
+            if index in state.echo_blocks:
+                self._process.send(server, tag, MSG_READY, state.digest,
+                                   state.client, None, None)
+                continue
             if state.all_blocks is not None:
-                block = state.all_blocks[server.index - 1]
-                witness = state.all_witnesses[server.index - 1]
+                block = state.all_blocks[index - 1]
+                witness = state.all_witnesses[index - 1]
             else:
                 block, witness = None, None
             self._process.send(server, tag, MSG_READY, state.commitment,

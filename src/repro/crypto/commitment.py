@@ -54,6 +54,11 @@ class CommitmentScheme:
         the digest to the one commitment that hashes to it."""
         raise NotImplementedError
 
+    def is_commitment(self, value: Any) -> bool:
+        """Whether ``value`` has a commitment's shape (no block checked):
+        what tells a message naming ``D`` from one naming its digest."""
+        raise NotImplementedError
+
 
 class VectorCommitment(CommitmentScheme):
     """The paper's hash vector ``D = [H(F_1), ..., H(F_n)]``.
@@ -72,7 +77,7 @@ class VectorCommitment(CommitmentScheme):
 
     def verify(self, commitment: Commitment, index: int, block: bytes,
                witness: Witness) -> bool:
-        if not isinstance(commitment, tuple) or len(commitment) != self.n:
+        if not self.is_commitment(commitment):
             return False
         if not 1 <= index <= self.n or not isinstance(block, bytes):
             return False
@@ -82,6 +87,9 @@ class VectorCommitment(CommitmentScheme):
         # Hash of the canonical (length-framed) encoding of ``D``, so no
         # two vectors share a preimage across entry boundaries.
         return hash_bytes(encode(commitment))
+
+    def is_commitment(self, value: Any) -> bool:
+        return isinstance(value, tuple) and len(value) == self.n
 
 
 class MerkleCommitment(CommitmentScheme):
@@ -102,7 +110,8 @@ class MerkleCommitment(CommitmentScheme):
 
     def verify(self, commitment: Commitment, index: int, block: bytes,
                witness: Witness) -> bool:
-        if not isinstance(commitment, bytes) or not isinstance(block, bytes):
+        if not self.is_commitment(commitment) or \
+                not isinstance(block, bytes):
             return False
         if not isinstance(witness, MerkleProof):
             return False
@@ -114,6 +123,10 @@ class MerkleCommitment(CommitmentScheme):
 
     def digest(self, commitment: Commitment) -> bytes:
         return commitment  # the root already is a hash of everything
+
+    def is_commitment(self, value: Any) -> bool:
+        # The root is its own digest, so a name that is one is the other.
+        return isinstance(value, bytes)
 
 
 def make_commitment_scheme(name: str, n: int) -> CommitmentScheme:

@@ -2,12 +2,22 @@
 
 import pytest
 
-from repro.avid.disperse import MSG_SEND, AvidServer, disperse
+from repro.avid.disperse import (
+    MSG_ECHO,
+    MSG_READY,
+    MSG_SEND,
+    AvidServer,
+    disperse,
+)
 from repro.common.ids import client_id, server_id
 from repro.common.serialization import encode
 from repro.config import SystemConfig
 from repro.net.process import Process
-from repro.net.schedulers import PriorityScheduler, RandomScheduler
+from repro.net.schedulers import (
+    FifoScheduler,
+    PriorityScheduler,
+    RandomScheduler,
+)
 from repro.net.simulator import Simulator
 
 
@@ -47,6 +57,26 @@ def _network(n=4, t=1, k=None, seed=0, commitment="vector", crashed=0,
 
 def _honest(servers):
     return [s for s in servers if isinstance(s, AvidHost)]
+
+
+def _sent(simulator, servers, mtype):
+    """``(message, echoers, consistent)`` for every ``mtype`` message an
+    honest server sends: the indices whose echoes its sender had recorded
+    at that moment, and the verdict of its verifiability check."""
+    sent = []
+
+    def observe(message):
+        if message.mtype != mtype or not message.sender.is_server:
+            return
+        sender = servers[message.sender.index - 1]
+        if not isinstance(sender, AvidHost):
+            return
+        (state,) = sender.avid._instances[message.tag].keys.values()
+        sent.append((message, frozenset(state.echo_blocks),
+                     state.consistent))
+
+    simulator.add_send_observer(observe)
+    return sent
 
 
 def _decode_from_completions(config, servers, tag):
@@ -103,24 +133,30 @@ def test_many_schedules():
 
 
 def test_withheld_sends_still_complete_everywhere():
-    """Agreement: the client sends valid blocks to only t+1 servers; if
-    any honest server completes, all must (personalized readys carry the
-    missing blocks)."""
-    for seed in range(8):
-        simulator, servers, client, config = _network(seed=seed)
-        value = b"partially distributed"
-        blocks = config.coder.encode(value)
-        commitment, witnesses = config.commitment_scheme.commit(blocks)
-        # Valid sends only to the first 3 (= n - t) servers; the echo
-        # quorum can be met, the last server never gets its send.
-        for index in (1, 2, 3):
-            client.send(server_id(index), "d", MSG_SEND, commitment,
-                        blocks[index - 1], witnesses[index - 1])
-        simulator.run()
-        completed = [s for s in _honest(servers) if "d" in s.completions]
-        assert len(completed) in (0, len(_honest(servers))), seed
-        if completed:
+    """Agreement: the client sends valid blocks to only n - t servers.
+    Every honest server completes, and each one it withheld from is sent
+    its block in a personalized ready."""
+    for n, t in ((4, 1), (7, 2)):
+        withheld = range(n - t + 1, n + 1)
+        for seed in range(16):
+            simulator, servers, client, config = _network(n=n, t=t,
+                                                          seed=seed)
+            readys = _sent(simulator, servers, MSG_READY)
+            value = b"partially distributed"
+            blocks = config.coder.encode(value)
+            commitment, witnesses = config.commitment_scheme.commit(blocks)
+            # The echo quorum can be met; the last t servers never get
+            # their send.
+            for index in range(1, n - t + 1):
+                client.send(server_id(index), "d", MSG_SEND, commitment,
+                            blocks[index - 1], witnesses[index - 1])
+            simulator.run()
+            assert all("d" in s.completions for s in servers), (n, seed)
             assert _decode_from_completions(config, servers, "d") == value
+            for index in withheld:
+                carried = {message.payload[2] for message, _, _ in readys
+                           if message.recipient.index == index}
+                assert blocks[index - 1] in carried, (n, seed, index)
 
 
 def test_inconsistent_encoding_never_completes():
@@ -216,3 +252,116 @@ def test_storage_released_after_completion():
     simulator.run()
     for server in _honest(servers):
         assert server.avid.storage_bytes() == 0
+
+
+# -- nothing is sent to a server that already holds it ------------------------
+
+@pytest.mark.parametrize("commitment", ["vector", "merkle"])
+def test_ready_to_a_server_that_echoed_names_the_digest_only(commitment):
+    """A ready to a server whose valid echo its sender recorded carries
+    ``H(D)`` and no block; every other ready carries ``D``.  Under FIFO
+    every server readies on the echoes of P1..P(n-t), which gives the
+    model's split: n(n - t) digest-only readys, n t personalized."""
+    for scheduler in [FifoScheduler()] + [RandomScheduler(s)
+                                          for s in range(6)]:
+        simulator, servers, client, config = _network(
+            commitment=commitment, scheduler=scheduler)
+        readys = _sent(simulator, servers, MSG_READY)
+        disperse(client, "d", bytes(range(200)), config)
+        simulator.run()
+        assert all("d" in s.completions for s in servers)
+        dispersed = servers[0].completions["d"][0]
+        digest = config.commitment_scheme.digest(dispersed)
+        for message, echoers, _ in readys:
+            name, who, block, witness = message.payload
+            assert who == client.pid
+            if message.recipient.index in echoers:
+                assert (name, block, witness) == (digest, None, None)
+            else:
+                assert encode(name) == encode(dispersed)
+        if isinstance(scheduler, FifoScheduler):
+            n, t = config.n, config.t
+            digest_only = [message for message, echoers, _ in readys
+                           if message.recipient.index in echoers]
+            assert len(readys) == n * n
+            assert len(digest_only) == n * (n - t)
+            assert all(message.payload[2] is not None
+                       for message, echoers, _ in readys
+                       if message.recipient.index not in echoers)
+
+
+@pytest.mark.parametrize("commitment", ["vector", "merkle"])
+def test_own_echo_is_blockless_and_counts_toward_quorum_and_check(
+        commitment):
+    """With P1 crashed the three live echoes, each server's own among
+    them, are the whole ``n - t`` quorum and the ``k = 3`` blocks the
+    verifiability check decodes."""
+    simulator, servers, client, config = _network(
+        crashed=1, commitment=commitment, scheduler=FifoScheduler())
+    echoes = _sent(simulator, servers, MSG_ECHO)
+    readys = _sent(simulator, servers, MSG_READY)
+    disperse(client, "d", b"counted once, sent never", config)
+    simulator.run()
+    assert all("d" in s.completions for s in _honest(servers))
+    digest = config.commitment_scheme.digest(
+        servers[1].completions["d"][0])
+    own = [message for message, _, _ in echoes
+           if message.sender == message.recipient]
+    assert len(own) == 3
+    assert all(message.payload == (digest, client.pid, None, None)
+               for message in own)
+    first_ready = {}
+    for message, echoers, consistent in readys:
+        first_ready.setdefault(message.sender.index, (echoers, consistent))
+    assert first_ready == {j: (frozenset({2, 3, 4}), True)
+                           for j in (2, 3, 4)}
+
+
+@pytest.mark.parametrize("commitment", ["vector", "merkle"])
+def test_digest_named_messages_for_an_unknown_session_open_none(
+        commitment):
+    """Only a message naming ``D`` opens a session.  In Merkle mode the
+    root is both ``D`` and ``H(D)``, so a blockless ready naming it opens
+    one, as a ready amplifier's ``D``-named ready must."""
+    simulator, servers, client, config = _network(
+        crashed=1, commitment=commitment)
+    scheme = config.commitment_scheme
+    unknown, _ = scheme.commit(config.coder.encode(b"never dispersed"))
+    digest = scheme.digest(unknown)
+    byzantine = servers[0]
+    byzantine.send_to_servers("d", MSG_ECHO, digest, client.pid, None,
+                              None)
+    byzantine.send_to_servers("d", MSG_READY, digest, client.pid, None,
+                              None)
+    for server in _honest(servers):
+        server.send(server.pid, "d", MSG_ECHO, digest, client.pid, None,
+                    None)
+    simulator.run()
+    for server in _honest(servers):
+        keys = server.avid._instances["d"].keys
+        if commitment == "vector":
+            assert keys == {}
+        else:
+            assert list(keys) == [(digest, client.pid)]
+            assert keys[(digest, client.pid)].echo_blocks == {}
+
+
+@pytest.mark.parametrize("commitment", ["vector", "merkle"])
+def test_blockless_echo_from_another_server_never_counts(commitment):
+    """Only P2 gets its send, so nothing completes and every recorded
+    echo stays visible: P2's alone, whatever P1 sends without a block."""
+    simulator, servers, client, config = _network(
+        crashed=1, commitment=commitment, scheduler=FifoScheduler())
+    scheme = config.commitment_scheme
+    blocks = config.coder.encode(b"one send only")
+    commitment_value, witnesses = scheme.commit(blocks)
+    client.send(server_id(2), "d", MSG_SEND, commitment_value, blocks[1],
+                witnesses[1])
+    byzantine = servers[0]
+    for name in (scheme.digest(commitment_value), commitment_value):
+        byzantine.send_to_servers("d", MSG_ECHO, name, client.pid, None,
+                                  None)
+    simulator.run()
+    for server in _honest(servers):
+        (state,) = server.avid._instances["d"].keys.values()
+        assert set(state.echo_blocks) == {2}

@@ -210,3 +210,28 @@ def test_measured_atomic_md_write_messages_are_six_n():
             n=n, t=t, k=t + 1).atomic_md().write_messages == 6 * n
         measured.append(messages)
     assert measured[2] - measured[1] == measured[1] - measured[0]
+
+
+@pytest.mark.parametrize("commitment", ["vector", "merkle"])
+def test_measured_disperse_bytes_match_the_fault_free_terms(commitment):
+    """One isolated FIFO write of 16 KiB on Protocol Atomic: the bytes of
+    ``avid-send/echo/ready`` are the model's Disperse terms — every echo
+    to its own sender and the ``n - t`` readys to a quorum's echoers
+    carry ``H(D)`` alone — plus the per-message framing it omits."""
+    from repro.avid.disperse import MESSAGE_TYPES
+    from repro.cluster import build_cluster
+    from repro.config import SystemConfig
+    from repro.net.schedulers import FifoScheduler
+
+    for n, t in ((4, 1), (7, 2), (10, 3)):
+        cluster = build_cluster(SystemConfig(n=n, t=t, commitment=commitment),
+                                protocol="atomic", scheduler=FifoScheduler())
+        sizes = []
+        cluster.simulator.add_send_observer(
+            lambda message: message.mtype in MESSAGE_TYPES
+            and sizes.append(message.wire_size()))
+        cluster.write(1, "reg", "w1", b"x" * 16384)
+        cluster.run()
+        model = ComplexityModel(n=n, t=t, value_size=16384,
+                                commitment=commitment)
+        assert 1.0 < sum(sizes) / model._disperse_bytes() < 1.1
