@@ -19,6 +19,7 @@ the lemmas of Section 3.3:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.common.errors import ProtocolError
@@ -116,15 +117,15 @@ def install_commit_invariant(simulator: Simulator, tag: str,
     committed ``H(D)``, and the block it keeps must verify against that
     ``D`` at the server's own index — it is the block every read reply
     carries.  Relayed commits (reader write-back) are not evidence: they
-    are what the invariant is about.  Installs a send observer and an
-    invariant on ``simulator``; one call per run.
+    are what the invariant is about.  Installs an observer of sends
+    and an invariant on ``simulator``; one call per run.
     """
     honest: Optional[Set[PartyId]] = \
         set(honest_servers) if honest_servers is not None else None
     writers: Dict[str, PartyId] = {}
     committed: Dict[Tuple[str, int], Set[bytes]] = {}
 
-    def observe(message: Message) -> None:
+    def on_send(message: Message, time: int, pending: int = 0) -> None:
         if message.tag != tag or message.sender.is_server \
                 or not message.payload:
             return
@@ -165,5 +166,5 @@ def install_commit_invariant(simulator: Simulator, tag: str,
                     f"{process.pid} adopted {state.timestamp} under a "
                     f"cross-checksum its writer did not commit")
 
-    simulator.add_send_observer(observe)
+    simulator.add_observer(SimpleNamespace(on_send=on_send))
     simulator.add_invariant(check)

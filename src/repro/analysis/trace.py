@@ -54,43 +54,64 @@ def format_timeline(events: Sequence[LocalEvent],
     return "\n".join(lines) if lines else "(no matching events)"
 
 
-def match_operations(events: Sequence[LocalEvent]) -> Tuple[
-        List[Tuple[LocalEvent, LocalEvent]], List[LocalEvent],
-        List[LocalEvent]]:
-    """Pair operation invocations with their completing output actions.
+class OperationMatcher:
+    """Pairs operation invocations with their completing output actions
+    as the events arrive, one :meth:`feed` at a time.
 
     A completion (``ack`` for writes, ``read`` for reads) is matched to
     the *most recent still-open* invocation with the same tag, operation
     identifier, client, and kind — so a reused operation key closes its
     invocations LIFO instead of silently overwriting earlier ones.
+    :func:`match_operations` is this matcher run over a whole log.
+    """
+
+    def __init__(self) -> None:
+        self._open_by_key: Dict[Tuple, List[LocalEvent]] = {}
+        #: completions that found no open invocation (e.g. a truncated
+        #: event log), in arrival order
+        self.unmatched: List[LocalEvent] = []
+
+    def feed(self, event: LocalEvent
+             ) -> Optional[Tuple[LocalEvent, LocalEvent]]:
+        """Take one event; returns ``(invocation, completion)`` when it
+        completes an open operation, else ``None``."""
+        oid = event.payload[0] if event.payload else None
+        if event.kind == EVENT_INPUT and event.action in ("write", "read"):
+            key = (event.tag, oid, event.party, event.action)
+            self._open_by_key.setdefault(key, []).append(event)
+        elif event.kind == EVENT_OUTPUT \
+                and event.action in COMPLETION_ACTIONS:
+            key = (event.tag, oid, event.party,
+                   COMPLETION_ACTIONS[event.action])
+            stack = self._open_by_key.get(key)
+            if stack:
+                return stack.pop(), event
+            self.unmatched.append(event)
+        return None
+
+    def open_invocations(self) -> List[LocalEvent]:
+        """Invocations not yet completed, in invocation order."""
+        still_open = [invocation
+                      for stack in self._open_by_key.values()
+                      for invocation in stack]
+        still_open.sort(key=lambda e: e.time)
+        return still_open
+
+
+def match_operations(events: Sequence[LocalEvent]) -> Tuple[
+        List[Tuple[LocalEvent, LocalEvent]], List[LocalEvent],
+        List[LocalEvent]]:
+    """Pair operation invocations with their completing output actions
+    (the :class:`OperationMatcher` rule, over a whole log).
 
     Returns ``(pairs, unmatched_completions, open_invocations)``:
     matched pairs in completion order, completions with no open
     invocation (e.g. a truncated event log), and invocations that never
     completed, in invocation order.
     """
-    open_by_key: Dict[Tuple, List[LocalEvent]] = {}
-    pairs: List[Tuple[LocalEvent, LocalEvent]] = []
-    unmatched: List[LocalEvent] = []
-    for event in events:
-        oid = event.payload[0] if event.payload else None
-        if event.kind == EVENT_INPUT and event.action in ("write", "read"):
-            key = (event.tag, oid, event.party, event.action)
-            open_by_key.setdefault(key, []).append(event)
-        elif event.kind == EVENT_OUTPUT \
-                and event.action in COMPLETION_ACTIONS:
-            key = (event.tag, oid, event.party,
-                   COMPLETION_ACTIONS[event.action])
-            stack = open_by_key.get(key)
-            if stack:
-                pairs.append((stack.pop(), event))
-            else:
-                unmatched.append(event)
-    open_invocations = [invocation
-                        for stack in open_by_key.values()
-                        for invocation in stack]
-    open_invocations.sort(key=lambda e: e.time)
-    return pairs, unmatched, open_invocations
+    matcher = OperationMatcher()
+    pairs = [pair for pair in map(matcher.feed, events) if pair is not None]
+    return pairs, matcher.unmatched, matcher.open_invocations()
 
 
 def operation_summary(events: Sequence[LocalEvent]) -> str:

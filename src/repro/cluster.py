@@ -217,7 +217,7 @@ def run_register_case(protocol: str, n: int, t: int,
                           commitment=commitment, seed=seed)
     cluster = build_cluster(config, protocol=protocol, num_clients=clients,
                             scheduler=scheduler, server_overrides=overrides)
-    cluster.simulator._record_deliveries = record_deliveries
+    cluster.simulator.record_deliveries = record_deliveries
     if tracer is not None:
         tracer.attach(cluster.simulator)
     if plan is not None:

@@ -259,10 +259,10 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
     ``plan`` column reads the plan's name (``byz-<name>`` for a
     Byzantine-only case), so the case never counts as fault-free.
 
-    ``monitor`` (a :class:`repro.obs.health.HealthMonitor`) takes the
-    run's single tracer slot when given — its wrapped recorder feeds
-    the row's traffic/phase columns and its per-shard series feed
-    ``repro monitor``.
+    ``monitor`` (a :class:`repro.obs.health.HealthMonitor`) attaches
+    with its recorder when given — that recorder then feeds the row's
+    traffic/phase columns and the monitor's per-shard series feed
+    ``repro monitor``; otherwise a fresh recorder does.
 
     ``protocol_overrides`` pins individual shards to other protocols
     (``{shard_id: name}``); ``shard_k`` pins every shard's erasure

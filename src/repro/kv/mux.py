@@ -7,8 +7,10 @@ actually talk to is a :class:`ShardBus`: a duck-typed facade that
 
 * allocates real, globally-unique ``msg_id``s for every inner send (the
   protocols memoize message validity by id),
-* reports the fleet simulator's logical clock and observability hook,
-* presents the *shard-local* server roster, and
+* reports the fleet simulator's logical clock,
+* presents the *shard-local* server roster,
+* forwards inner actions and reports to the fleet simulator in *fleet*
+  identities, and
 * buffers outgoing inner messages on the host instead of enqueuing them.
 
 The host (:class:`KvServer` / :class:`KvClientHost`) flushes its buffer
@@ -66,7 +68,8 @@ class ShardBus:
 
     Implements exactly the surface :class:`repro.net.process.Process`
     and the register protocols consume: ``enqueue``, ``server_pids``,
-    ``time``, ``obs``, ``record_input``/``record_output``.
+    ``time``, ``record_input``/``record_output`` and
+    ``notify_quorum``/``notify_verify_fail``.
     """
 
     __slots__ = ("host", "spec", "inner", "_server_pids", "_fleet_pids",
@@ -104,17 +107,6 @@ class ShardBus:
         return self.host._require_simulator().time
 
     @property
-    def obs(self):
-        """The fleet simulator's observability hook as this shard's
-        inner process sees it (or ``None``): see :class:`_ShardObserver`.
-        """
-        simulator = self.host.simulator
-        observer = None if simulator is None else simulator.obs
-        if observer is not None:
-            observer = _ShardObserver(observer, self)
-        return observer
-
-    @property
     def server_pids(self) -> Sequence[PartyId]:
         """The shard-local server roster ``P_1 .. P_shard_n`` (shared,
         immutable: inner protocols only iterate it)."""
@@ -139,17 +131,17 @@ class ShardBus:
         """Buffer an inner send on the host for the next envelope flush.
 
         The entry gets a fresh ``msg_id`` from the fleet simulator and
-        the sending inner process's causal stamps, and is announced to
-        the tracer immediately — mirroring ``Simulator.enqueue`` so
-        traces of batched and unbatched runs have the same shape.  The
-        tracer sees *fleet* identities (the host, and the recipient's
-        host): shard ``s`` places local ``P_j`` on a rotated fleet
-        server, and per-server health signals are scored against the
-        fleet roster.
+        the sending inner process's causal stamps, and is reported to
+        the ``on_send`` observers immediately — mirroring
+        ``Simulator.enqueue`` so traces of batched and unbatched runs
+        have the same shape.  Observers see *fleet* identities (the
+        host, and the recipient's host): shard ``s`` places local
+        ``P_j`` on a rotated fleet server, and per-server health
+        signals are scored against the fleet roster.
 
         ``wire_size`` is the inner content's size when the sender knows
         it (broadcasts); it sizes the entry for the envelope's byte
-        count and is stamped on the message the tracer sees.
+        count and is stamped on the message observers see.
         """
         host = self.host
         simulator = host._require_simulator()
@@ -166,14 +158,12 @@ class ShardBus:
         fleet_recipient = self.fleet_pid(recipient)
         host._kv_buffer(fleet_recipient, entry, entry_wire_size(
             self._entry_base_size, wire_size, msg_id, depth, cause_id))
-        observer = simulator.obs
-        if observer is not None:
-            observer.on_send(
+        if simulator.observes("on_send"):
+            simulator.report_send(
                 Message(tag=tag, mtype=mtype, sender=host.pid,
                         recipient=fleet_recipient,
                         payload=payload, msg_id=msg_id, depth=depth,
-                        cause_id=cause_id, wire_size=wire_size),
-                simulator.time, pending=simulator.pending_count)
+                        cause_id=cause_id, wire_size=wire_size))
 
     def record_output(self, party: PartyId, tag: str, action: str,
                       payload: Tuple[Any, ...]) -> None:
@@ -189,33 +179,23 @@ class ShardBus:
         host._require_simulator().record_input(host.pid, tag, action,
                                                payload)
 
+    def notify_quorum(self, party: PartyId, tag: str, mtype: str,
+                      threshold: int, quorum: Sequence[Message],
+                      releasing_msg_id: Optional[int]) -> None:
+        """Forward a quorum release.  ``party`` deliberately stays
+        shard-local: it only labels span annotations (committed outputs
+        that must stay byte-identical) and matches clients, whose
+        identities are fleet-wide anyway."""
+        self.host._require_simulator().notify_quorum(
+            party, tag, mtype, threshold, quorum, releasing_msg_id)
 
-class _ShardObserver:
-    """The fleet tracer as one shard's inner processes see it.
-
-    Inner processes name servers by *shard-local* identity, but the
-    tracer scores per-server signals against the *fleet* roster, so the
-    suspect of a failed verification is translated on the way out —
-    like ``sender``/``recipient`` in :meth:`ShardBus.enqueue` and
-    ``_on_kv_batch``.  ``on_quorum``'s ``party`` deliberately stays
-    shard-local: it only labels span annotations (committed outputs
-    that must stay byte-identical) and matches clients, whose
-    identities are fleet-wide anyway.
-    """
-
-    __slots__ = ("_observer", "_bus", "on_quorum")
-
-    def __init__(self, observer, bus: ShardBus) -> None:
-        self._observer = observer
-        self._bus = bus
-        self.on_quorum = observer.on_quorum
-
-    def on_verify_fail(self, party: PartyId, suspect: PartyId, tag: str,
-                       mtype: str) -> None:
-        hook = getattr(self._observer, "on_verify_fail", None)
-        if hook is not None:
-            hook(self._bus.host.pid, self._bus.fleet_pid(suspect), tag,
-                 mtype)
+    def notify_verify_fail(self, party: PartyId, suspect: PartyId,
+                           tag: str, mtype: str) -> None:
+        """Forward a failed check as the host seeing it from the fleet
+        server hosting ``suspect``: per-server signals are scored
+        against the fleet roster."""
+        self.host._require_simulator().notify_verify_fail(
+            self.host.pid, self.fleet_pid(suspect), tag, mtype)
 
 
 class _KvMuxProcess(Process):
@@ -282,7 +262,7 @@ class _KvMuxProcess(Process):
             return
         fleet_sender = message.sender
         simulator = self._require_simulator()
-        observer = simulator.obs
+        observed = simulator.observes("on_deliver")
         for entry in payload[0]:
             if not (isinstance(entry, KvEntry) and entry.well_formed()):
                 continue
@@ -293,15 +273,14 @@ class _KvMuxProcess(Process):
             sender = bus.local_pid(fleet_sender)
             if sender is None:
                 continue  # a fleet server outside the shard's placement
-            if observer is not None:
-                # the tracer's view of the delivery, in fleet identities
-                observer.on_deliver(
+            if observed:
+                # the observers' view of the delivery, in fleet identities
+                simulator.report_deliver(
                     Message(tag=entry.tag, mtype=entry.mtype,
                             sender=fleet_sender, recipient=self.pid,
                             payload=entry.payload, msg_id=entry.msg_id,
                             depth=entry.depth, cause_id=entry.cause_id),
-                    simulator.time, inbox_depth=len(inner.inbox),
-                    pending=simulator.pending_count)
+                    len(inner.inbox))
             inner.receive(Message(
                 tag=entry.tag, mtype=entry.mtype, sender=sender,
                 recipient=inner.pid, payload=entry.payload,

@@ -290,17 +290,8 @@ class KvSession:
         return self.host._require_simulator().time
 
     def _count(self, label: str) -> None:
-        """Mirror one cache decision into the run's obs registry."""
-        simulator = self.host.simulator
-        observer = None if simulator is None else simulator.obs
-        if observer is None:
-            return
-        registry = getattr(observer, "registry", None)
-        if registry is None:
-            recorder = getattr(observer, "recorder", None)
-            registry = None if recorder is None else recorder.registry
-        if registry is not None:
-            registry.counter(f"kv.cache[{label}]").inc()
+        """Report one cache decision to the simulator's observers."""
+        self.host._require_simulator().count(f"kv.cache[{label}]")
 
     # -- progress ----------------------------------------------------------
 

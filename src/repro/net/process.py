@@ -266,7 +266,7 @@ class Process:
     def note_verification_failure(self, tag: str, mtype: str,
                                   suspect: "PartyId") -> None:
         """Report a failed cryptographic check on traffic from ``suspect``
-        to an attached tracer.
+        to the simulator's observers.
 
         Measurement-only: no event is logged and the clock does not
         tick, so instrumented protocols keep byte-identical schedules.
@@ -274,12 +274,8 @@ class Process:
         fails is the strongest per-server Byzantine signal the health
         plane consumes — honest servers never produce one.
         """
-        observer = getattr(self.simulator, "obs", None)
-        if observer is None:
-            return
-        hook = getattr(observer, "on_verify_fail", None)
-        if hook is not None:
-            hook(self.pid, suspect, tag, mtype)
+        if self.simulator is not None:
+            self.simulator.notify_verify_fail(self.pid, suspect, tag, mtype)
 
     # -- wait-state condition builders ------------------------------------------
 
@@ -290,8 +286,8 @@ class Process:
         earliest matching message of each sender.  ``oid`` restricts the
         wait to one operation's bucket (see :class:`WaitState`).
 
-        When a tracer is attached to the simulator (:mod:`repro.obs`),
-        the first satisfaction is reported as a quorum release carrying
+        The first satisfaction is reported to the simulator's
+        observers (:mod:`repro.obs`) as a quorum release carrying
         the arrival that tipped the threshold — the ``(n - t)``-th
         message the wait state was actually blocked on.
         """
@@ -303,24 +299,14 @@ class Process:
             if len(matching) >= count:
                 if not released:
                     released = True
-                    self._notify_quorum_release(tag, mtype, count, matching)
+                    if self.simulator is not None:
+                        self.simulator.notify_quorum(
+                            self.pid, tag, mtype, count, matching,
+                            self.activation_msg_id)
                 return matching
             return None
 
         return WaitState(check, (tag, mtype, oid))
-
-    def _notify_quorum_release(self, tag: str, mtype: str, count: int,
-                               matching: List[Message]) -> None:
-        """Report a satisfied quorum condition to an attached tracer."""
-        simulator = self.simulator
-        observer = getattr(simulator, "obs", None)
-        if observer is None:
-            return
-        observer.on_quorum(
-            time=simulator.time, party=self.pid, tag=tag, mtype=mtype,
-            threshold=count,
-            quorum_msg_ids=tuple(m.msg_id for m in matching),
-            releasing_msg_id=self.activation_msg_id)
 
     def condition_message(self, tag: str, mtype: str,
                           where: Optional[Callable[[Message], bool]] = None,

@@ -17,7 +17,8 @@ experiments cap explicitly).
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.common.errors import LivenessError, SimulationError
 from repro.common.ids import PartyId
@@ -33,7 +34,11 @@ from repro.net.metrics import Metrics
 from repro.net.process import Process
 from repro.net.schedulers import FifoScheduler, Scheduler
 
-OutputObserver = Callable[[LocalEvent], None]
+#: The callbacks an observer may define, in the order
+#: :meth:`Simulator.add_observer` looks them up.
+OBSERVER_HOOKS = ("on_send", "on_deliver", "on_input", "on_output",
+                  "on_quorum", "on_verify_fail", "on_chaos", "on_tick",
+                  "on_count")
 
 
 class PendingBag:
@@ -121,7 +126,8 @@ class Simulator:
         reorderings.
     record_deliveries:
         Also log every message delivery in the event log (memory-heavy;
-        off by default — input/output actions are always logged).
+        off by default — input/output actions are always logged); also
+        a public attribute, set before the run.
     """
 
     def __init__(self, scheduler: Optional[Scheduler] = None,
@@ -134,41 +140,47 @@ class Simulator:
         self._server_pids: List[PartyId] = []
         self._pending = PendingBag()
         self._next_msg_id = 0
-        self._record_deliveries = record_deliveries
-        self._output_observers: List[OutputObserver] = []
-        self._send_observers: List[Callable[[Message], None]] = []
+        self.record_deliveries = record_deliveries
         self._invariants: List[Callable[["Simulator"], None]] = []
-        #: attached tracer (duck-typed; see
-        #: :class:`repro.obs.recorder.TraceRecorder`).  ``None`` keeps the
-        #: hot path free of tracing overhead.
-        self.obs = None
-        # Optional tracer hooks, resolved once at attach time so the
-        # delivery loop pays a single None-check when they are absent.
-        self._obs_on_tick = None
-        self._obs_on_chaos = None
+        self._observers: List[Any] = []
+        # Each hook's bound callbacks in attach order: with nothing
+        # attached every report is a loop over an empty list.
+        self._hooks: Dict[str, List[Callable[..., None]]] = {
+            name: [] for name in OBSERVER_HOOKS}
         #: attached fault injector (duck-typed; see
         #: :class:`repro.chaos.injector.FaultInjector`).  ``None`` keeps
         #: the hot path free of interposition overhead; an injector with
         #: an empty plan is byte-identical to no injector at all.
         self.chaos = None
 
-    def attach_tracer(self, recorder) -> None:
-        """Attach a tracing recorder (one per run).
+    def add_observer(self, observer: Any) -> None:
+        """Attach an observer beside those already attached.
 
-        The recorder receives ``on_send`` / ``on_deliver`` /
-        ``on_input`` / ``on_output`` / ``on_quorum`` callbacks; see
-        :mod:`repro.obs.recorder` for the reference implementation.
-        Recorders may additionally implement ``on_tick(time)`` (called
-        after every delivery — the windowed-rollup flush hook) and
-        ``on_chaos(event)`` (called for every injected-fault event);
-        both are measurement-only and must not feed back into the
-        schedule.
+        Binds whichever of :data:`OBSERVER_HOOKS` ``observer`` defines;
+        every report reaches the observers in attach order.  See
+        :class:`repro.obs.recorder.TraceRecorder` for the signatures;
+        ``on_chaos(event)`` sees each injected fault and
+        ``on_tick(time)`` runs after each delivery's invariants.
+        Observers are measurement-only: they must not feed back into
+        the schedule.  The same object attaches once.
         """
-        if self.obs is not None:
-            raise SimulationError("a tracer is already attached")
-        self.obs = recorder
-        self._obs_on_tick = getattr(recorder, "on_tick", None)
-        self._obs_on_chaos = getattr(recorder, "on_chaos", None)
+        if any(attached is observer for attached in self._observers):
+            raise SimulationError("this observer is already attached")
+        self._observers.append(observer)
+        for name, hooks in self._hooks.items():
+            hook = getattr(observer, name, None)
+            if hook is not None:
+                hooks.append(hook)
+
+    @property
+    def observers(self) -> Tuple[Any, ...]:
+        """The attached observers, in attach order."""
+        return tuple(self._observers)
+
+    def observes(self, hook: str) -> bool:
+        """Whether an attached observer defines ``hook`` (lets a
+        reporter skip building what only observers would read)."""
+        return bool(self._hooks[hook])
 
     def attach_injector(self, injector) -> None:
         """Attach a fault injector (one per run; attach before the run).
@@ -277,11 +289,20 @@ class Simulator:
         self._pending.append(message)
         self.scheduler.note_enqueue(message)
         self.metrics.record(message)
-        if self.obs is not None:
-            self.obs.on_send(message, self.time,
-                             pending=len(self._pending))
-        for observer in self._send_observers:
-            observer(message)
+        self.report_send(message)
+
+    def report_send(self, message: Message) -> None:
+        """Report a message entering the network to the ``on_send``
+        observers; the kv plane reports its envelope entries here."""
+        for hook in self._hooks["on_send"]:
+            hook(message, self.time, pending=len(self._pending))
+
+    def report_deliver(self, message: Message, inbox_depth: int) -> None:
+        """Report a delivery to the ``on_deliver`` observers; the kv
+        plane reports its envelope entries here."""
+        for hook in self._hooks["on_deliver"]:
+            hook(message, self.time, inbox_depth=inbox_depth,
+                 pending=len(self._pending))
 
     def _fresh_msg_id(self) -> int:
         """Allocate a message identifier (used by the chaos plane for
@@ -320,20 +341,18 @@ class Simulator:
         event = LocalEvent(self._tick(), party, EVENT_INPUT, tag, action,
                            payload, cause_id=self._activation_cause(party))
         self.event_log.append(event)
-        if self.obs is not None:
-            self.obs.on_input(event)
+        for hook in self._hooks["on_input"]:
+            hook(event)
         return event
 
     def record_output(self, party: PartyId, tag: str, action: str,
                       payload: Tuple[Any, ...]) -> LocalEvent:
-        """Log an output action and notify output observers."""
+        """Log an output action ``(tag, out, action, ...)`` at a party."""
         event = LocalEvent(self._tick(), party, EVENT_OUTPUT, tag, action,
                            payload, cause_id=self._activation_cause(party))
         self.event_log.append(event)
-        if self.obs is not None:
-            self.obs.on_output(event)
-        for observer in self._output_observers:
-            observer(event)
+        for hook in self._hooks["on_output"]:
+            hook(event)
         return event
 
     def record_chaos(self, party: PartyId, tag: str, action: str,
@@ -347,25 +366,40 @@ class Simulator:
         event = LocalEvent(self._tick(), party, EVENT_CHAOS, tag, action,
                            payload)
         self.event_log.append(event)
-        if self._obs_on_chaos is not None:
-            self._obs_on_chaos(event)
+        for hook in self._hooks["on_chaos"]:
+            hook(event)
         return event
 
-    def add_output_observer(self, observer: OutputObserver) -> None:
-        """Subscribe to output actions (used by clients' operation handles
-        and by history recorders)."""
-        self._output_observers.append(observer)
+    # -- measurement-only reports ----------------------------------------------
+    # Parties report here (or to a ``ShardBus`` in front of it), never to
+    # an observer; no report logs an event or ticks the clock.
 
-    def add_send_observer(self,
-                          observer: Callable[[Message], None]) -> None:
-        """Subscribe to every message as it enters the network (after
-        fault injection, so a dropped message is never observed).
+    def notify_quorum(self, party: PartyId, tag: str, mtype: str,
+                      threshold: int, quorum: Sequence[Message],
+                      releasing_msg_id: Optional[int]) -> None:
+        """Report a ``condition_quorum`` wait state at ``party``
+        crossing ``threshold`` on ``quorum`` while processing
+        ``releasing_msg_id``."""
+        hooks = self._hooks["on_quorum"]
+        if not hooks:
+            return
+        quorum_msg_ids = tuple(message.msg_id for message in quorum)
+        for hook in hooks:
+            hook(time=self.time, party=party, tag=tag, mtype=mtype,
+                 threshold=threshold, quorum_msg_ids=quorum_msg_ids,
+                 releasing_msg_id=releasing_msg_id)
 
-        For invariants that need to know what was *sent* — e.g. which
-        commits a writer issued — rather than what a party holds; like
-        a tracer it must not feed back into the schedule.
-        """
-        self._send_observers.append(observer)
+    def notify_verify_fail(self, party: PartyId, suspect: PartyId,
+                           tag: str, mtype: str) -> None:
+        """Report a failed cryptographic check at ``party`` on traffic
+        from ``suspect``."""
+        for hook in self._hooks["on_verify_fail"]:
+            hook(party, suspect, tag, mtype)
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to the observers' counter ``name``."""
+        for hook in self._hooks["on_count"]:
+            hook(name, amount)
 
     def add_invariant(self, check: Callable[["Simulator"], None]) -> None:
         """Register a global invariant, re-checked after every delivery.
@@ -395,21 +429,19 @@ class Simulator:
         message = self._pending.pop(index)
         self.scheduler.note_pop(message)
         self._tick()
-        if self._record_deliveries:
+        if self.record_deliveries:
             self.event_log.append(LocalEvent(
                 self.time, message.recipient, EVENT_DELIVER, message.tag,
                 message.mtype, message.payload,
                 cause_id=message.cause_id))
-        if self.obs is not None:
-            self.obs.on_deliver(
-                message, self.time,
-                inbox_depth=len(self._processes[message.recipient].inbox),
-                pending=len(self._pending))
-        self._processes[message.recipient].receive(message)
+        recipient = self._processes[message.recipient]
+        if self._hooks["on_deliver"]:
+            self.report_deliver(message, len(recipient.inbox))
+        recipient.receive(message)
         for check in self._invariants:
             check(self)
-        if self._obs_on_tick is not None:
-            self._obs_on_tick(self.time)
+        for hook in self._hooks["on_tick"]:
+            hook(self.time)
         return True
 
     def run(self, max_steps: int = 1_000_000) -> int:

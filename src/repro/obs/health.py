@@ -4,9 +4,9 @@ The protocols tolerate ``t < n/3`` Byzantine servers, but tolerating a
 fault is not the same as *noticing* one: an operator wants to know which
 servers are drifting toward the fault budget while reads still succeed.
 :class:`HealthMonitor` is the runtime layer that answers this.  It is a
-tracer — attach it where a :class:`~repro.obs.recorder.TraceRecorder`
-would go — that wraps a recorder (keeping the full causal trace) while
-additionally folding every callback into:
+simulator observer that attaches side by side with its own
+:class:`~repro.obs.recorder.TraceRecorder` (keeping the full causal
+trace) and folds every callback into:
 
 * **windowed time-series** (:mod:`repro.obs.timeseries`): bucketed
   throughput/latency/in-flight rollups, per op type and per kv shard;
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.trace import OperationMatcher
 from repro.common.ids import PartyId
 from repro.net.message import LocalEvent, Message
 from repro.obs.planes import (
@@ -55,10 +56,6 @@ from repro.obs.slo import (
     default_slos,
 )
 from repro.obs.timeseries import TimeSeriesStore
-
-#: completion output action -> the invocation input action it terminates
-#: (mirrors :data:`repro.analysis.trace.COMPLETION_ACTIONS`)
-_COMPLETIONS = {"ack": "write", "read": "read"}
 
 #: Default blend of suspicion components.  Verification failures are the
 #: strongest signal (cryptographically attributable), silence and missed
@@ -90,15 +87,16 @@ def shard_of_tag(tag: str) -> Optional[int]:
 
 
 class HealthMonitor:
-    """Tracer that scores server health and rolls telemetry into
+    """Observer that scores server health and rolls telemetry into
     windowed series; attach with :meth:`attach` before the run.
 
     Parameters
     ----------
     recorder:
-        The :class:`TraceRecorder` to wrap (one is created when
-        omitted); its full causal trace stays available as
-        ``monitor.recorder`` for span/critical-path analysis.
+        The :class:`TraceRecorder` :meth:`attach` attaches beside the
+        monitor (one is created when omitted); its full causal trace
+        stays available as ``monitor.recorder`` for span/critical-path
+        analysis.
     bucket_ticks / max_buckets:
         Time-series geometry (see :mod:`repro.obs.timeseries`).
     slos:
@@ -133,8 +131,8 @@ class HealthMonitor:
         self._chaos_hits: Dict[PartyId, int] = {}
         self._quorum_present: Dict[PartyId, int] = {}
         self._quorum_missed: Dict[PartyId, int] = {}
-        # -- operation lifecycle (LIFO per key, as match_operations) --
-        self._open_ops: Dict[Tuple, List[LocalEvent]] = {}
+        # -- operation lifecycle --------------------------------------
+        self._operations = OperationMatcher()
         # oid -> (op kind, tag); feeds replication-skew classification
         self._op_meta: Dict[str, Tuple[str, str]] = {}
         # oid -> {server: first delivery time of the op's traffic}
@@ -146,9 +144,10 @@ class HealthMonitor:
     # -- attachment ----------------------------------------------------------
 
     def attach(self, simulator) -> "HealthMonitor":
-        """Attach to a simulator (single tracer slot); returns ``self``
-        for chaining."""
-        simulator.attach_tracer(self)
+        """Attach the recorder, then the monitor, to a simulator as two
+        observers side by side; returns ``self`` for chaining."""
+        self.recorder.attach(simulator)
+        simulator.add_observer(self)
         self._simulator = simulator
         return self
 
@@ -163,14 +162,12 @@ class HealthMonitor:
     def bucket_ticks(self) -> int:
         return self.store.bucket_ticks
 
-    # -- tracer callbacks ----------------------------------------------------
+    # -- observer callbacks --------------------------------------------------
 
     def on_send(self, message: Message, time: int,
                 pending: int = 0) -> None:
         """Count the send per server/mtype, split its bytes by wire
-        plane, and sample the in-flight gauge (forwards to the wrapped
-        recorder first)."""
-        self.recorder.on_send(message, time, pending=pending)
+        plane, and sample the in-flight gauge."""
         sender = message.sender
         if sender.is_server:
             self._sends[sender] = self._sends.get(sender, 0) + 1
@@ -189,9 +186,6 @@ class HealthMonitor:
                    inbox_depth: int = 0, pending: int = 0) -> None:
         """Roll the delivery into the series and note each server's
         first sight of an operation's traffic (replication skew)."""
-        self.recorder.on_deliver(message, time,
-                                 inbox_depth=inbox_depth,
-                                 pending=pending)
         self.store.counter("net.delivered").record(time)
         self.store.gauge("net.in_flight").record(time, pending)
         if message.recipient.is_server and message.payload \
@@ -204,11 +198,9 @@ class HealthMonitor:
     def on_input(self, event: LocalEvent) -> None:
         """Open an operation: start its lifecycle tracking and count
         the invocation."""
-        self.recorder.on_input(event)
+        self._operations.feed(event)
         if event.action in ("write", "read"):
             oid = event.payload[0] if event.payload else None
-            key = (event.tag, oid, event.party, event.action)
-            self._open_ops.setdefault(key, []).append(event)
             if isinstance(oid, str):
                 self._op_meta[oid] = (event.action, event.tag)
                 self._op_delivery.setdefault(oid, {})
@@ -216,26 +208,18 @@ class HealthMonitor:
                 f"ops.invoked[{event.action}]").record(event.time)
 
     def on_output(self, event: LocalEvent) -> None:
-        """Close the matching invocation (LIFO per key) and classify
-        the completed operation against the SLOs."""
-        self.recorder.on_output(event)
-        kind = _COMPLETIONS.get(event.action)
-        if kind is None:
-            return
-        oid = event.payload[0] if event.payload else None
-        stack = self._open_ops.get((event.tag, oid, event.party, kind))
-        if not stack:
-            return
-        invocation = stack.pop()
-        self._complete(invocation, event, kind)
+        """Close the matching invocation (:class:`OperationMatcher`)
+        and classify the completed operation against the SLOs."""
+        pair = self._operations.feed(event)
+        if pair is not None:
+            self._complete(*pair)
 
     def on_quorum(self, time: int, party: PartyId, tag: str, mtype: str,
                   threshold: int, quorum_msg_ids: Tuple[int, ...],
                   releasing_msg_id: Optional[int]) -> None:
         """Mark each roster server present in or absent from the
-        released quorum (the missed-participation signal)."""
-        self.recorder.on_quorum(time, party, tag, mtype, threshold,
-                                quorum_msg_ids, releasing_msg_id)
+        released quorum (the missed-participation signal; reads the
+        records of the recorder attached before it)."""
         messages = self.recorder.messages
         participants = set()
         for msg_id in quorum_msg_ids:
@@ -256,7 +240,6 @@ class HealthMonitor:
                        mtype: str) -> None:
         """Charge a failed commitment/signature check to the suspect
         — the strongest (cryptographically attributable) signal."""
-        self.recorder.on_verify_fail(party, suspect, tag, mtype)
         self._verify_fails[suspect] = \
             self._verify_fails.get(suspect, 0) + 1
         time = self._simulator.time if self._simulator is not None \
@@ -280,8 +263,9 @@ class HealthMonitor:
 
     # -- operation accounting ------------------------------------------------
 
-    def _complete(self, invocation: LocalEvent, completion: LocalEvent,
-                  kind: str) -> None:
+    def _complete(self, invocation: LocalEvent,
+                  completion: LocalEvent) -> None:
+        kind = invocation.action
         latency = completion.time - invocation.time
         time = completion.time
         self.ops_completed += 1
@@ -312,11 +296,7 @@ class HealthMonitor:
         if self._finalized:
             return
         self._finalized = True
-        open_invocations = [invocation
-                            for stack in self._open_ops.values()
-                            for invocation in stack]
-        open_invocations.sort(key=lambda event: event.time)
-        for invocation in open_invocations:
+        for invocation in self._operations.open_invocations():
             self.ops_abandoned += 1
             kind = invocation.action
             shard = shard_of_tag(invocation.tag)

@@ -1,8 +1,9 @@
 """Trace recorder: the causal record of one simulation run.
 
 A :class:`TraceRecorder` attaches to a
-:class:`~repro.net.simulator.Simulator` and captures, as the run
-executes:
+:class:`~repro.net.simulator.Simulator` as one of its observers
+(:meth:`~repro.net.simulator.Simulator.add_observer`; others may watch
+the same run side by side) and captures, as the run executes:
 
 * a :class:`MessageRecord` per sent message — send/deliver logical
   times, wire size, causal depth, and the ``cause_id`` happens-before
@@ -12,7 +13,8 @@ executes:
   ``condition_quorum`` wait state over its threshold;
 * built-in instruments (:mod:`repro.obs.instruments`): in-flight
   message gauge, per-party inbox depth, per-message-type wire-size
-  histograms, rounds-per-quorum.
+  histograms, rounds-per-quorum, and every counter the run reports
+  (``kv.cache[...]``, ``repair.*``).
 
 The cause links form a DAG over the whole run (message → message that
 activated its sender); :mod:`repro.obs.critical_path` walks it backward
@@ -191,9 +193,9 @@ class TraceRecorder:
 
     def attach(self, simulator) -> "TraceRecorder":
         """Attach to a simulator (see
-        :meth:`~repro.net.simulator.Simulator.attach_tracer`); returns
+        :meth:`~repro.net.simulator.Simulator.add_observer`); returns
         ``self`` for chaining."""
-        simulator.attach_tracer(self)
+        simulator.add_observer(self)
         return self
 
     # -- simulator callbacks ------------------------------------------------
@@ -278,6 +280,10 @@ class TraceRecorder:
         :meth:`repro.net.process.Process.note_verification_failure`)."""
         self.registry.counter(f"verify.failed[{suspect}]").inc()
         self.registry.counter(f"verify.failed.by[{mtype}]").inc()
+
+    def on_count(self, name: str, amount: int) -> None:
+        """Add ``amount`` to the counter ``name``."""
+        self.registry.counter(name).inc(amount)
 
     def on_quorum(self, time: int, party: PartyId, tag: str, mtype: str,
                   threshold: int, quorum_msg_ids: Tuple[int, ...],

@@ -134,16 +134,8 @@ class RepairCoordinator:
         return simulator.time
 
     def _count(self, label: str, value: int = 1) -> None:
-        """Mirror one repair event into the run's obs registry."""
-        observer = self.cluster.simulator.obs
-        if observer is None:
-            return
-        registry = getattr(observer, "registry", None)
-        if registry is None:
-            recorder = getattr(observer, "recorder", None)
-            registry = None if recorder is None else recorder.registry
-        if registry is not None:
-            registry.counter(f"repair.{label}").inc(value)
+        """Report one repair event to the simulator's observers."""
+        self.cluster.simulator.count(f"repair.{label}", value)
 
     def _record_lag(self) -> None:
         """Sample the repair backlog (pending + in flight) now."""

@@ -1,5 +1,7 @@
 """Protocol Disperse (AVID): termination, agreement, verifiability."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.avid.disperse import (
@@ -65,7 +67,7 @@ def _sent(simulator, servers, mtype):
     at that moment, and the verdict of its verifiability check."""
     sent = []
 
-    def observe(message):
+    def on_send(message, time, pending=0):
         if message.mtype != mtype or not message.sender.is_server:
             return
         sender = servers[message.sender.index - 1]
@@ -75,7 +77,7 @@ def _sent(simulator, servers, mtype):
         sent.append((message, frozenset(state.echo_blocks),
                      state.consistent))
 
-    simulator.add_send_observer(observe)
+    simulator.add_observer(SimpleNamespace(on_send=on_send))
     return sent
 
 

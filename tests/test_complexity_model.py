@@ -1,5 +1,7 @@
 """Analytic complexity model: shapes and internal consistency."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.complexity import ComplexityModel
@@ -227,9 +229,9 @@ def test_measured_disperse_bytes_match_the_fault_free_terms(commitment):
         cluster = build_cluster(SystemConfig(n=n, t=t, commitment=commitment),
                                 protocol="atomic", scheduler=FifoScheduler())
         sizes = []
-        cluster.simulator.add_send_observer(
-            lambda message: message.mtype in MESSAGE_TYPES
-            and sizes.append(message.wire_size()))
+        cluster.simulator.add_observer(SimpleNamespace(
+            on_send=lambda message, time, pending: message.mtype
+            in MESSAGE_TYPES and sizes.append(message.wire_size())))
         cluster.write(1, "reg", "w1", b"x" * 16384)
         cluster.run()
         model = ComplexityModel(n=n, t=t, value_size=16384,

@@ -25,6 +25,7 @@ import pytest
 from repro.lint import run_lint
 from repro.lint.astutil import terminal_name
 from repro.lint.engine import discover
+from repro.net.simulator import OBSERVER_HOOKS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -187,3 +188,35 @@ def test_one_field_class_and_one_reed_solomon_code():
                 decoders.append(f"{module.dotted}.{node.name}")
     assert numpy_importers == {"repro.erasure.field"}
     assert decoders == ["repro.erasure.reed_solomon.ReedSolomonCode"]
+
+
+def test_observers_are_reached_only_through_the_simulator():
+    """The observation ratchet: one path from a run to its observers.
+    Under ``src/repro`` nothing reads an ``obs`` attribute, directly or
+    by ``getattr``, and an observer hook (``on_send`` ...
+    ``on_count``) is called, or looked up by name, only in
+    ``repro.net.simulator``: processes, kv sessions and the repair
+    coordinator report to their simulator, and the kv mux reports its
+    inner traffic through ``Simulator.report_send``/``report_deliver``.
+    """
+    obs_reads, hook_calls = [], []
+    for module in discover([SRC]):
+        for node in ast.walk(module.tree):
+            site = f"{module.dotted}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute) and node.attr == "obs":
+                obs_reads.append(site)
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in OBSERVER_HOOKS:
+                hook_calls.append(site)
+            if terminal_name(node.func) == "getattr" \
+                    and len(node.args) >= 2 \
+                    and isinstance(node.args[1], ast.Constant):
+                if node.args[1].value == "obs":
+                    obs_reads.append(site)
+                if node.args[1].value in OBSERVER_HOOKS:
+                    hook_calls.append(site)
+    assert obs_reads == []
+    assert [site for site in hook_calls
+            if not site.startswith("repro.net.simulator:")] == []

@@ -5,13 +5,24 @@ import json
 
 import pytest
 
-from repro.analysis.trace import match_operations
+from repro.analysis.invariants import install_commit_invariant
+from repro.analysis.trace import (
+    COMPLETION_ACTIONS,
+    OperationMatcher,
+    match_operations,
+)
 from repro.cluster import build_cluster, run_register_case
-from repro.common.errors import SimulationError
+from repro.common.errors import LivenessError, SimulationError
 from repro.common.ids import TAG_SEP, client_id, server_id
 from repro.config import SystemConfig
 from repro.kv.bench import run_kv_case
-from repro.net.message import EVENT_CHAOS, EVENT_OUTPUT, Message
+from repro.net.message import (
+    EVENT_CHAOS,
+    EVENT_INPUT,
+    EVENT_OUTPUT,
+    LocalEvent,
+    Message,
+)
 from repro.net.schedulers import FifoScheduler, RandomScheduler
 from repro.obs import (
     KIND_OPERATION,
@@ -39,6 +50,7 @@ from repro.obs import (
     wall_seconds,
 )
 from repro.obs.clock import WallTimer
+from repro.repair.bench import CHURN_CASE, churn_storm_plan
 
 
 @pytest.fixture
@@ -89,16 +101,17 @@ def test_causal_chain_handles_missing_and_none():
         recorder.record(12345)
 
 
-def test_attach_twice_rejected(traced_cluster):
-    cluster, _, _, _ = traced_cluster
+def test_same_observer_attaches_once(traced_cluster):
+    cluster, recorder, _, _ = traced_cluster
     with pytest.raises(SimulationError):
-        TraceRecorder().attach(cluster.simulator)
+        recorder.attach(cluster.simulator)
+    assert cluster.simulator.observers == (recorder,)
 
 
 def test_untraced_simulator_pays_nothing():
     cluster = build_cluster(SystemConfig(n=4, t=1), protocol="atomic",
                             num_clients=1, scheduler=FifoScheduler())
-    assert cluster.simulator.obs is None
+    assert cluster.simulator.observers == ()
     cluster.write(1, "reg", "w1", b"value")
     cluster.run()  # no tracer attached: nothing recorded, nothing broken
 
@@ -447,6 +460,44 @@ def _scan_releases(recorder, tag, oid, client, open_time, close_time):
     return bound
 
 
+def _scan_match_operations(events):
+    """The whole-log matcher the streaming one replaced: LIFO per
+    ``(tag, oid, client, kind)``."""
+    open_by_key, pairs, unmatched = {}, [], []
+    for event in events:
+        oid = event.payload[0] if event.payload else None
+        if event.kind == EVENT_INPUT and event.action in ("write", "read"):
+            open_by_key.setdefault(
+                (event.tag, oid, event.party, event.action), []).append(event)
+        elif event.kind == EVENT_OUTPUT \
+                and event.action in COMPLETION_ACTIONS:
+            stack = open_by_key.get((event.tag, oid, event.party,
+                                     COMPLETION_ACTIONS[event.action]))
+            if stack:
+                pairs.append((stack.pop(), event))
+            else:
+                unmatched.append(event)
+    still_open = sorted((invocation for stack in open_by_key.values()
+                         for invocation in stack), key=lambda e: e.time)
+    return pairs, unmatched, still_open
+
+
+def _assert_matchers_agree(events):
+    """The streaming matcher, fed one event at a time, and
+    ``match_operations`` both equal the whole-log scan."""
+    reference = _scan_match_operations(events)
+    matcher = OperationMatcher()
+    pairs = []
+    for event in events:
+        pair = matcher.feed(event)
+        if pair is not None:
+            pairs.append(pair)
+    assert (pairs, matcher.unmatched, matcher.open_invocations()) \
+        == reference
+    assert match_operations(events) == reference
+    return reference
+
+
 def _scan_accepted_by(recorder, tag, oid):
     return [event.party for event in recorder.events
             if event.kind == EVENT_OUTPUT
@@ -457,7 +508,7 @@ def _scan_accepted_by(recorder, tag, oid):
 def _assert_index_equals_scan(recorder, min_operations=1):
     """Every indexed per-operation query equals its full-scan
     reference, for every completed *and* still-open operation."""
-    matched = match_operations(recorder.events)
+    matched = _assert_matchers_agree(recorder.events)
     assert recorder.operations() == matched
     pairs, _, still_open = matched
     end_of_run = max((event.time for event in recorder.events), default=0)
@@ -502,7 +553,7 @@ def test_index_equals_scan_on_register_runs(protocol):
 
 def test_index_equals_scan_on_a_sharded_kv_run():
     _, cluster = run_kv_case(4, n=4, t=1, ops=48, seed=3)
-    recorder = cluster.simulator.obs
+    (recorder,) = cluster.simulator.observers
     operations = _assert_index_equals_scan(recorder, min_operations=40)
     assert len({start.tag for start, _ in operations}) > 4
 
@@ -535,12 +586,85 @@ def test_index_equals_scan_under_chaos(plan_name):
     order.  The index follows recording order either way."""
     _, cluster = run_kv_case(4, n=4, t=1, ops=48, seed=1,
                              plan=plan_name)
-    recorder = cluster.simulator.obs
+    (recorder,) = cluster.simulator.observers
     assert any(event.kind == EVENT_CHAOS
                for event in cluster.simulator.event_log)
     if plan_name == "delays":
         assert list(recorder.messages) != sorted(recorder.messages)
     _assert_index_equals_scan(recorder, min_operations=40)
+
+
+def test_index_equals_scan_on_a_stalled_kv_run_with_retries():
+    """The unrepaired churn storm stalls after its sessions retried:
+    retried and never-completed operations both reach the matchers."""
+    plan = churn_storm_plan(7, 2, first_crash=20, stagger=80,
+                            replace_after=30)
+    with pytest.raises(LivenessError) as stall:
+        run_kv_case(2, n=7, t=2, sessions=2, keys=4, ops=48, seed=0,
+                    value_size=32, plan=plan, **CHURN_CASE)
+    assert stall.value.stats["retries"] > 0
+    (recorder,) = stall.value.cluster.simulator.observers
+    _assert_index_equals_scan(recorder, min_operations=30)
+    assert recorder.operations()[2]  # operations the stall left open
+
+
+def test_matchers_close_a_reused_key_lifo():
+    """A reused operation key closes its invocations LIFO; a completion
+    with nothing open is unmatched, not dropped."""
+    client = client_id(1)
+
+    def event(time, kind, action, oid="w1"):
+        return LocalEvent(time, client, kind, "reg", action, (oid,))
+
+    first = event(1, EVENT_INPUT, "write")
+    second = event(2, EVENT_INPUT, "write")
+    ack = event(3, EVENT_OUTPUT, "ack")
+    stray = event(4, EVENT_OUTPUT, "read", oid="r9")
+    read = event(5, EVENT_INPUT, "read", oid="r1")
+    assert _assert_matchers_agree([first, second, ack, stray, read]) \
+        == ([(second, ack)], [stray], [first, read])
+
+
+def _watched_md_case(monitor):
+    """One cached ``atomic_md`` kv case with a Byzantine data plane
+    (verification failures, cache counters, quorum releases)."""
+    return run_kv_case(2, n=4, t=1, protocol="atomic_md", ops=48,
+                       write_ratio=0.25, seed=4, byzantine="corrupt-block",
+                       cache_size=2, lease_ticks=32, monitor=monitor)
+
+
+class _MonitorWithNeighbours(HealthMonitor):
+    """A monitor whose ``attach`` also attaches a plain recorder and the
+    commit invariant, so the kv runner drives all of them at once."""
+
+    def attach(self, simulator):
+        super().attach(simulator)
+        self.neighbour = TraceRecorder().attach(simulator)
+        install_commit_invariant(simulator, "kv.s0.k0")
+        return self
+
+
+def test_observers_attach_side_by_side():
+    """A monitor, a second recorder and an invariant's send observer
+    watch one run together; each sees what it would see alone."""
+    monitor = _MonitorWithNeighbours()
+    row, cluster = _watched_md_case(monitor)
+    observers = cluster.simulator.observers
+    assert observers[:3] == (monitor.recorder, monitor, monitor.neighbour)
+    assert len(observers) == 4  # the invariant's send observer
+    assert row.verify_failures > 0
+    mine, theirs = monitor.recorder, monitor.neighbour
+    assert mine.messages == theirs.messages
+    assert mine.events == theirs.events
+    assert mine.quorum_releases == theirs.quorum_releases
+    snapshot = mine.registry.snapshot()
+    assert snapshot == theirs.registry.snapshot()
+    assert any(name.startswith("kv.cache[") for name in snapshot)
+    assert any(name.startswith("verify.failed[") for name in snapshot)
+    alone = HealthMonitor()
+    _watched_md_case(alone)
+    assert monitor.snapshot() == alone.snapshot()
+    assert snapshot == alone.recorder.registry.snapshot()
 
 
 def _hand_recorder():

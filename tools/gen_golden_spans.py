@@ -101,7 +101,8 @@ def _run_kv(spec: dict):
         write_ratio=spec["write_ratio"], seed=spec["seed"],
         cache_size=spec.get("cache_size", 0),
         lease_ticks=spec.get("lease_ticks", 0))
-    return cluster.simulator.obs, row.to_json()
+    (recorder,) = cluster.simulator.observers
+    return recorder, row.to_json()
 
 
 def _run_churn(spec: dict):
@@ -115,7 +116,8 @@ def _run_churn(spec: dict):
         write_ratio=spec["write_ratio"], seed=spec["seed"],
         value_size=spec["value_size"], plan=plan, batch_size=2,
         **CHURN_CASE)
-    return cluster.simulator.obs, {
+    (recorder,) = cluster.simulator.observers
+    return recorder, {
         **churn_columns("churn+repair", cluster, stalled=False),
         **row.to_json()}
 
