@@ -3,6 +3,8 @@ dispersal, and end-to-end register operations in the simulator.
 
 These quantify the simulation's own costs — useful when sizing larger
 experiments — and the relative cost of the two commitment schemes.
+``test_bench_kv_envelope_round_trip`` times the kv mux alone: wrapping,
+buffering and unwrapping inner messages, per entry, below kvperf.
 
 The ``ErasureCoder`` cases repeat one input, so after their first round
 they time the coder's value memo, which is what a protocol's repeated
@@ -16,10 +18,13 @@ import os
 import pytest
 
 from repro.cluster import build_cluster
+from repro.common.ids import server_id
 from repro.config import SystemConfig
+from repro.core.atomic import AtomicServer
 from repro.crypto.commitment import MerkleCommitment, VectorCommitment
 from repro.erasure.coder import ErasureCoder
 from repro.erasure.reed_solomon import ReedSolomonCode
+from repro.kv import KvDirectory, ShardBus, build_kv_cluster
 from repro.net.schedulers import RandomScheduler
 
 VALUE_64K = os.urandom(64 * 1024)
@@ -127,3 +132,32 @@ def test_bench_end_to_end_read(benchmark):
 
     handle = benchmark(read_once)
     assert handle.result == value
+
+
+def test_bench_kv_envelope_round_trip(benchmark):
+    """64 inner sends buffered on a server host, flushed as one
+    ``kv-batch`` and unwrapped by a client host into a no-op handler:
+    the mux's wrap, buffer and unwrap, per entry, and no protocol."""
+    directory = KvDirectory(SystemConfig(n=4, t=1), 1)
+    cluster = build_kv_cluster(directory, num_sessions=1)
+    server, client = cluster.servers[0], cluster.sessions[0].host
+    spec = directory.shard(0)
+    sender = ShardBus(server, spec).attach(
+        AtomicServer(server_id(1), spec.config))
+    delivered = [0]
+
+    def consume(message):
+        delivered[0] += 1
+
+    client.inner_client(0).on("probe", consume)
+    tag, value = directory.register_tag("k001"), b"v" * 16
+
+    def round_trip():
+        for index in range(64):
+            sender.send(client.pid, tag, "probe", value, index)
+        server.kv_flush()
+        cluster.simulator.step()
+
+    benchmark(round_trip)
+    assert delivered[0] > 0 and delivered[0] % 64 == 0
+    assert cluster.simulator.pending_count == 0

@@ -195,7 +195,7 @@ class FaultInjector:
                        sender=message.sender,
                        recipient=message.recipient,
                        payload=message.payload,
-                       msg_id=self._simulator._fresh_msg_id(),
+                       msg_id=self._simulator.fresh_msg_id(),
                        depth=message.depth, cause_id=message.cause_id,
                        wire_size=message.wire_size())
 

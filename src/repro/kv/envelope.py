@@ -25,7 +25,8 @@ the size of the inner message content it wraps (which the sender has
 already computed, once for all ``n`` copies of a broadcast), a per-shard
 constant and its three stamps, and an envelope's size from the sum of
 its entries' — so counting a ``kv-batch``'s bytes never serializes or
-re-walks it.
+re-walks it.  :meth:`repro.kv.mux.ShardBus.enqueue` does that
+arithmetic inline, once per inner send, from the constants below.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ MSG_KV_BATCH = "kv-batch"
 
 
 @register_wire_type
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class KvEntry:
     """One inner protocol message riding inside a kv envelope.
 
@@ -60,6 +61,9 @@ class KvEntry:
     different messages share one.  The three stamps stay on the wire
     because the receiver cannot derive them: the entries of one
     envelope come from different inner activations.
+
+    Built per inner send, so slotted and not frozen, like ``Message``
+    (no ``object.__setattr__`` per field); immutable by convention.
     """
 
     shard: int
@@ -89,32 +93,24 @@ class KvEntry:
 
 
 # Encoded sizes add up — a tuple or wire type is a header plus its
-# parts — which is all the functions below rely on.
+# parts — which is all the constants below rely on.
 
 #: What a :class:`KvEntry` adds to its content sized as a tuple: its own
 #: header, less the tuple's.
 _ENTRY_HEADER = composite_size(KvEntry, 0) - composite_size(tuple, 0)
-_NONE_SIZE = encoded_size(None)
+#: ``int_size(v)`` less ``v``'s bytes, ``(v.bit_length() + 8) // 8``.
+INT_HEADER_SIZE = int_size(0) - 1
+NONE_SIZE = encoded_size(None)
 #: ``content_wire_size`` of an envelope with no entries.
 _EMPTY_BATCH_SIZE = encoded_size((KV_TAG, MSG_KV_BATCH, ((),)))
 
 
 def entry_base_size(shard: int) -> int:
     """The part of an entry's size that is constant per shard: its
-    header and its shard id (a :class:`~repro.kv.mux.ShardBus` computes
-    it once)."""
-    return _ENTRY_HEADER + encoded_size(shard)
-
-
-def entry_wire_size(base_size: int, content_size: int, msg_id: int,
-                    depth: int, cause_id: Optional[int]) -> int:
-    """Encoded size of a :class:`KvEntry` with these stamps, given its
-    shard's ``entry_base_size`` and ``content_size``: the
-    ``content_wire_size`` of the ``(tag, mtype, payload)`` it wraps."""
-    size = base_size + content_size + int_size(msg_id) + int_size(depth)
-    if cause_id is None:
-        return size + _NONE_SIZE
-    return size + int_size(cause_id)
+    header, shard id and two int headers.  Add the content's size, the
+    bytes of ``msg_id`` and ``depth``, and ``NONE_SIZE`` or a header and
+    the bytes of ``cause_id`` (``ShardBus.enqueue`` does)."""
+    return _ENTRY_HEADER + encoded_size(shard) + 2 * INT_HEADER_SIZE
 
 
 def batch_wire_size(entries_size: int) -> int:

@@ -38,12 +38,13 @@ from repro.core.atomic import AtomicClient, AtomicServer
 from repro.core.register import RegisterClientBase
 from repro.kv.directory import KvDirectory, ShardSpec
 from repro.kv.envelope import (
+    INT_HEADER_SIZE,
     KV_TAG,
     MSG_KV_BATCH,
+    NONE_SIZE,
     KvEntry,
     batch_wire_size,
     entry_base_size,
-    entry_wire_size,
 )
 from repro.net.message import Message, content_wire_size
 from repro.net.process import Process
@@ -130,14 +131,13 @@ class ShardBus:
                 wire_size: Optional[int] = None) -> None:
         """Buffer an inner send on the host for the next envelope flush.
 
-        The entry gets a fresh ``msg_id`` from the fleet simulator and
-        the sending inner process's causal stamps, and is reported to
-        the ``on_send`` observers immediately — mirroring
-        ``Simulator.enqueue`` so traces of batched and unbatched runs
-        have the same shape.  Observers see *fleet* identities (the
-        host, and the recipient's host): shard ``s`` places local
-        ``P_j`` on a rotated fleet server, and per-server health
-        signals are scored against the fleet roster.
+        One ``KvEntry`` per send — a fresh fleet ``msg_id``, the sending
+        inner process's causal stamps — sized by arithmetic into its
+        destination's buffer slot.  A listening ``on_send`` observer sees
+        it at once as a ``Message`` in *fleet* identities (the host, and
+        the recipient's host), mirroring ``Simulator.enqueue`` so traces
+        of batched and unbatched runs have the same shape and per-server
+        health signals are scored against the fleet roster.
 
         ``wire_size`` is the inner content's size when the sender knows
         it (broadcasts); it sizes the entry for the envelope's byte
@@ -148,22 +148,30 @@ class ShardBus:
         inner = self.inner
         depth = inner.activation_depth + 1
         cause_id = inner.activation_msg_id
-        msg_id = simulator._fresh_msg_id()
-        payload = tuple(payload)
+        msg_id = simulator.fresh_msg_id()
+        if payload.__class__ is not tuple:
+            payload = tuple(payload)
         if wire_size is None:
             wire_size = content_wire_size(tag, mtype, payload)
-        entry = KvEntry(shard=self.spec.shard_id, tag=tag, mtype=mtype,
-                        payload=payload, msg_id=msg_id, depth=depth,
-                        cause_id=cause_id)
-        fleet_recipient = self.fleet_pid(recipient)
-        host._kv_buffer(fleet_recipient, entry, entry_wire_size(
-            self._entry_base_size, wire_size, msg_id, depth, cause_id))
+        # the entry's encoded size, by ``entry_base_size``'s arithmetic
+        size = (self._entry_base_size + wire_size
+                + (msg_id.bit_length() + 8) // 8
+                + (depth.bit_length() + 8) // 8
+                + (NONE_SIZE if cause_id is None else
+                   INT_HEADER_SIZE + (cause_id.bit_length() + 8) // 8))
+        entry = KvEntry(self.spec.shard_id, tag, mtype, payload, msg_id,
+                        depth, cause_id)
+        fleet_recipient = (self._fleet_pids[recipient]
+                           if recipient.is_server else recipient)
+        slot = host._kv_outbound.get(fleet_recipient)
+        if slot is None:
+            slot = host._kv_outbound[fleet_recipient] = [[], 0]
+        slot[0].append(entry)
+        slot[1] += size
         if simulator.observes("on_send"):
             simulator.report_send(
-                Message(tag=tag, mtype=mtype, sender=host.pid,
-                        recipient=fleet_recipient,
-                        payload=payload, msg_id=msg_id, depth=depth,
-                        cause_id=cause_id, wire_size=wire_size))
+                Message(tag, mtype, host.pid, fleet_recipient, payload,
+                        msg_id, depth, cause_id, wire_size))
 
     def record_output(self, party: PartyId, tag: str, action: str,
                       payload: Tuple[Any, ...]) -> None:
@@ -208,18 +216,12 @@ class _KvMuxProcess(Process):
     def __init__(self, pid: PartyId, directory: KvDirectory) -> None:
         super().__init__(pid)
         self.directory = directory
-        self._kv_outbound: Dict[PartyId, List[KvEntry]] = {}
-        #: encoded size of each destination's buffered entries, summed
-        self._kv_outbound_size: Dict[PartyId, int] = {}
+        #: destination -> [buffered entries, their encoded sizes summed],
+        #: filled by :meth:`ShardBus.enqueue`
+        self._kv_outbound: Dict[PartyId, List[Any]] = {}
         self.on(MSG_KV_BATCH, self._on_kv_batch)
 
-    # -- outbound: buffer + flush ------------------------------------------
-
-    def _kv_buffer(self, fleet_recipient: PartyId, entry: KvEntry,
-                   entry_size: int) -> None:
-        self._kv_outbound.setdefault(fleet_recipient, []).append(entry)
-        sizes = self._kv_outbound_size
-        sizes[fleet_recipient] = sizes.get(fleet_recipient, 0) + entry_size
+    # -- outbound: flush ----------------------------------------------------
 
     def kv_flush(self) -> None:
         """Send every buffered inner message, one envelope per destination.
@@ -231,11 +233,10 @@ class _KvMuxProcess(Process):
         """
         if not self._kv_outbound:
             return
-        outbound, sizes = self._kv_outbound, self._kv_outbound_size
-        self._kv_outbound, self._kv_outbound_size = {}, {}
-        for recipient, entries in outbound.items():
+        outbound, self._kv_outbound = self._kv_outbound, {}
+        for recipient, (entries, size) in outbound.items():
             self.send(recipient, KV_TAG, MSG_KV_BATCH, tuple(entries),
-                      wire_size=batch_wire_size(sizes[recipient]))
+                      wire_size=batch_wire_size(size))
 
     def receive(self, message: Message) -> None:
         """Deliver, then flush inner sends within the same activation.
@@ -263,29 +264,33 @@ class _KvMuxProcess(Process):
         fleet_sender = message.sender
         simulator = self._require_simulator()
         observed = simulator.observes("on_deliver")
+        # ``inner`` and the local ``sender`` are resolved once per run of
+        # same-shard entries; a drop ends the run.
+        shard = None
         for entry in payload[0]:
             if not (isinstance(entry, KvEntry) and entry.well_formed()):
+                shard = None
                 continue
-            resolved = self._kv_inner_for(entry.shard, fleet_sender)
-            if resolved is None:
-                continue
-            inner, bus = resolved
-            sender = bus.local_pid(fleet_sender)
-            if sender is None:
-                continue  # a fleet server outside the shard's placement
+            if entry.shard != shard:
+                shard = None
+                resolved = self._kv_inner_for(entry.shard, fleet_sender)
+                if resolved is None:
+                    continue
+                inner, bus = resolved
+                sender = bus.local_pid(fleet_sender)
+                if sender is None:
+                    continue  # a fleet server outside the shard's placement
+                shard, recipient = entry.shard, inner.pid
             if observed:
                 # the observers' view of the delivery, in fleet identities
                 simulator.report_deliver(
-                    Message(tag=entry.tag, mtype=entry.mtype,
-                            sender=fleet_sender, recipient=self.pid,
-                            payload=entry.payload, msg_id=entry.msg_id,
-                            depth=entry.depth, cause_id=entry.cause_id),
+                    Message(entry.tag, entry.mtype, fleet_sender, self.pid,
+                            entry.payload, entry.msg_id, entry.depth,
+                            entry.cause_id),
                     len(inner.inbox))
-            inner.receive(Message(
-                tag=entry.tag, mtype=entry.mtype, sender=sender,
-                recipient=inner.pid, payload=entry.payload,
-                msg_id=entry.msg_id, depth=entry.depth,
-                cause_id=entry.cause_id))
+            inner.receive(Message(entry.tag, entry.mtype, sender, recipient,
+                                  entry.payload, entry.msg_id, entry.depth,
+                                  entry.cause_id))
 
     def _kv_inner_for(self, shard_id: int, fleet_sender: PartyId
                       ) -> Optional[Tuple[Process, ShardBus]]:

@@ -273,10 +273,8 @@ class Simulator:
             cause_id = sender_process.activation_msg_id
         else:
             depth, cause_id = 1, None
-        message = Message(tag=tag, mtype=mtype, sender=sender,
-                          recipient=recipient, payload=payload,
-                          msg_id=self._next_msg_id, depth=depth,
-                          cause_id=cause_id, wire_size=wire_size)
+        message = Message(tag, mtype, sender, recipient, payload,
+                          self._next_msg_id, depth, cause_id, wire_size)
         self._next_msg_id += 1
         if self.chaos is not None:
             for actual in self.chaos.intercept_enqueue(message):
@@ -304,9 +302,9 @@ class Simulator:
             hook(message, self.time, inbox_depth=inbox_depth,
                  pending=len(self._pending))
 
-    def _fresh_msg_id(self) -> int:
-        """Allocate a message identifier (used by the chaos plane for
-        duplicate copies, which must stay distinguishable in traces)."""
+    def fresh_msg_id(self) -> int:
+        """Allocate a message identifier outside :meth:`enqueue`: a kv
+        inner send's, or a chaos duplicate's (distinct in traces)."""
         msg_id = self._next_msg_id
         self._next_msg_id += 1
         return msg_id

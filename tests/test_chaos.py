@@ -291,7 +291,7 @@ def test_duplicate_carries_the_original_wire_size(monkeypatch):
 
     def fresh():
         return Message(*content[:2], server_id(4), server_id(1),
-                       content[2], cluster.simulator._fresh_msg_id())
+                       content[2], cluster.simulator.fresh_msg_id())
 
     original, copy = injector.intercept_enqueue(fresh())
     assert copy.msg_id != original.msg_id

@@ -19,9 +19,11 @@ The load-bearing guarantees tested here:
   loaded (golden-schedule regression).
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,7 +46,7 @@ from repro.kv import (
     drive,
     run_kv_case,
 )
-from repro.kv.envelope import entry_base_size, entry_wire_size
+from repro.kv.directory import ShardSpec
 from repro.net.message import Message, content_wire_size
 from repro.net.schedulers import RandomScheduler
 from repro.obs import TraceRecorder
@@ -216,6 +218,61 @@ def test_untraced_drive_serializes_no_envelope(monkeypatch):
     assert not [value for value in encoded if is_kv_content(value)]
 
 
+def _count_allocations(monkeypatch, traced):
+    """Drive the same small kv run and count what it constructs:
+    ``Message``s (envelopes apart), ``KvEntry``s, the entries the
+    envelopes carry and the inner deliveries."""
+    counts = dict(envelopes=0, messages=0, entries=0, sent=0, delivered=0)
+    real_message_init, real_entry_init = Message.__init__, KvEntry.__init__
+
+    def counting_message_init(self, *args, **kwargs):
+        real_message_init(self, *args, **kwargs)
+        if self.mtype == MSG_KV_BATCH:
+            counts["envelopes"] += 1
+            counts["sent"] += len(self.payload[0])
+        else:
+            counts["messages"] += 1
+
+    def counting_entry_init(self, *args, **kwargs):
+        counts["entries"] += 1
+        real_entry_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Message, "__init__", counting_message_init)
+    monkeypatch.setattr(KvEntry, "__init__", counting_entry_init)
+    for cls in (AtomicServer, AtomicClient):
+        def counting_receive(process, message, _real=cls.receive):
+            counts["delivered"] += 1
+            _real(process, message)
+        monkeypatch.setattr(cls, "receive", counting_receive)
+    cluster = _small_kv_cluster("atomic", seed=7)
+    if traced:
+        TraceRecorder().attach(cluster.simulator)
+    drive(cluster, kv_workload(num_sessions=2, num_keys=4, ops=12, seed=7),
+          seed=7)
+    monkeypatch.undo()
+    assert counts["envelopes"] == cluster.simulator.metrics.total_messages
+    return counts
+
+
+def test_the_mux_allocates_one_entry_per_send_and_one_message_per_delivery(
+        monkeypatch):
+    """Untraced, an inner send costs one ``KvEntry`` and no ``Message``;
+    an inner delivery one ``Message``.  An attached observer adds its
+    fleet-identity view of each: one ``Message`` per inner send and one
+    per inner delivery."""
+    untraced = _count_allocations(monkeypatch, traced=False)
+    assert untraced["sent"] > 0 and untraced["delivered"] > 0
+    assert untraced["entries"] == untraced["sent"]
+    assert untraced["messages"] == untraced["delivered"]
+    traced = _count_allocations(monkeypatch, traced=True)
+    assert {name: traced[name] for name in
+            ("envelopes", "entries", "sent", "delivered")} == {
+        name: untraced[name] for name in
+        ("envelopes", "entries", "sent", "delivered")}
+    assert traced["messages"] - untraced["messages"] == (
+        untraced["sent"] + untraced["delivered"])
+
+
 def test_shard_bus_maps_local_identities_through_one_shared_table():
     directory = KvDirectory(SystemConfig(n=7, t=1), 3, shard_n=4)
     cluster = build_kv_cluster(directory, num_sessions=1)
@@ -252,16 +309,59 @@ def test_an_entry_costs_53_bytes_beyond_its_content():
 
 @pytest.mark.parametrize("shard", [0, 3, 127, 128, 40_000])
 def test_entry_wire_size_composes_the_encoded_size(shard):
-    base = entry_base_size(shard)
-    for msg_id, depth, cause_id in [(0, 0, None), (1, 1, 0),
+    """``ShardBus.enqueue`` sizes each entry it buffers by arithmetic,
+    at every byte-length boundary of the shard and the three stamps."""
+    host = build_kv_cluster(KvDirectory(FLEET, 1), num_sessions=1).servers[0]
+    bus = ShardBus(host, ShardSpec(shard, (1, 2, 3, 4), FLEET))
+    for msg_id, depth, cause_id in [(0, 1, None), (1, 1, 0),
                                     (127, 128, 255), (2 ** 23, 300, None),
                                     (2 ** 40, 2 ** 15, 2 ** 40 - 1)]:
-        entry = KvEntry(shard=shard, tag="kv.s1.k", mtype="m",
-                        payload=(b"x" * 9, 7), msg_id=msg_id, depth=depth,
-                        cause_id=cause_id)
-        content = content_wire_size(entry.tag, entry.mtype, entry.payload)
-        assert entry_wire_size(base, content, msg_id, depth, cause_id) \
-            == len(encode(entry))
+        host.simulator.fresh_msg_id = lambda: msg_id
+        bus.inner = SimpleNamespace(activation_depth=depth - 1,
+                                    activation_msg_id=cause_id)
+        bus.enqueue(server_id(1), server_id(2), "kv.s1.k", "m",
+                    (b"x" * 9, 7))
+        ((entries, size),) = host._kv_outbound.values()
+        host._kv_outbound.clear()
+        assert entries == [KvEntry(shard=shard, tag="kv.s1.k", mtype="m",
+                                   payload=(b"x" * 9, 7), msg_id=msg_id,
+                                   depth=depth, cause_id=cause_id)]
+        assert size == len(encode(entries[0]))
+
+
+#: Fixed entries whose shard ids and stamps sit on byte-length
+#: boundaries, ``cause_id`` absent and set, with the SHA-256 of each
+#: one's canonical encoding: a field reordered, retyped or renamed, or
+#: the class renamed, moves them.
+_PINNED_ENTRIES = [
+    ((0, 0, 1, None),
+     "f19e1a827eaa545d96cf241a392a77a8b2e292bd54d96f5aedea6ef599fa2fca"),
+    ((127, 127, 127, 126),
+     "48ccf0be3771f903ca5371b8fb807087ef15d9aadd51643fed2d966974c07681"),
+    ((128, 128, 128, None),
+     "b66888374739c0dcc207581b1066c42bf967ee2c69b1ecad2152fd086070d15c"),
+    ((32_767, 2 ** 15 - 1, 2 ** 15, 2 ** 15 - 1),
+     "2b28a53541a668fe33c0e07bd864e38405bb2ebaea6da2d037dbfeb1c19b383a"),
+    ((32_768, 2 ** 23, 300, 2 ** 23 - 1),
+     "999be8fad7d2b270ba46ed2a7604254cc64277380668b09067ff5dcdad7d4808"),
+]
+#: SHA-256 of the ``kv-batch`` payload ``(entries,)`` carrying all five.
+_PINNED_ENVELOPE = (
+    "fa49f6d4cd747caafe97d932fb3254436647c335158fbab76bdc21026a3f6121")
+
+
+def _pinned_entry(shard, msg_id, depth, cause_id):
+    return KvEntry(shard=shard, tag=f"kv.s{shard}.k007", mtype="w-echo",
+                   payload=(b"\x00\xff" * 3, 7, None, True, ("oid", -1)),
+                   msg_id=msg_id, depth=depth, cause_id=cause_id)
+
+
+def test_kv_wire_format_is_pinned():
+    entries = tuple(_pinned_entry(*fields) for fields, _ in _PINNED_ENTRIES)
+    assert [hashlib.sha256(encode(entry)).hexdigest()
+            for entry in entries] == [digest for _, digest in _PINNED_ENTRIES]
+    assert hashlib.sha256(encode((entries,))).hexdigest() == _PINNED_ENVELOPE
+    assert decode(encode((entries,))) == (entries,)
 
 
 @pytest.mark.parametrize("field", ["shard", "msg_id", "depth", "cause_id"])
@@ -309,7 +409,7 @@ def _deliver(host, sender, payload):
     simulator = host.simulator
     host.receive(Message(tag=KV_TAG, mtype=MSG_KV_BATCH, sender=sender,
                          recipient=host.pid, payload=payload,
-                         msg_id=simulator._fresh_msg_id(), depth=1))
+                         msg_id=simulator.fresh_msg_id(), depth=1))
 
 
 def _deliver_batch(host, sender, entries):
@@ -381,6 +481,61 @@ def test_unwrap_drops_every_entry_it_cannot_route_and_keeps_the_rest(
         _deliver(p3, p6, payload)
     assert len(inner_deliveries) == 4
     assert p3.active_shards == [2] and p1.active_shards == [0]
+    # Interleaved shards: the unwrap resolves once per run of one shard,
+    # and no resolution may outlive its run — across a shard change or a
+    # dropped entry, even one of the same shard.
+    directory = KvDirectory(**_SUBSET)
+    host.inner_client(2)
+    for recipient, sender, entries, delivered in (
+            # P5 is in shards 1 and 2, not 0; P3 in all three
+            (p3, server_id(5), (
+                _probe(1, 20), _probe(2, 21), _probe(1, 22),
+                _probe(1, 23, depth=True),  # malformed, in shard 1's run
+                _probe(1, 24),
+                _probe(0, 25), _probe(0, 26),  # P5 is outside shard 0
+                _probe(1, 27), _probe(True, 28), _probe(2, 29)),
+             [20, 21, 22, 24, 27, 29]),
+            # the client host invoked on shards 0 and 2, not 1
+            (host, server_id(3), (
+                _probe(0, 30), _probe(2, 31), _probe(0, 32), 42,
+                _probe(1, 33), _probe(1, 34),  # never invoked
+                _probe(0, 35), _probe(True, 36), _probe(2, 37)),
+             [30, 31, 32, 35, 37])):
+        del inner_deliveries[:]
+        _deliver_batch(recipient, sender, entries)
+        assert [(pid, message.msg_id, message.sender, message.recipient)
+                for pid, message in inner_deliveries] == list(
+            _per_entry_rule(directory, recipient, sender, entries, (0, 2)))
+        assert [message.msg_id for _, message in inner_deliveries] \
+            == delivered
+    assert p3.active_shards == [2, 1]  # still no shard 0 for P5
+
+
+def _per_entry_rule(directory, host, fleet_sender, entries, invoked):
+    """``(inner pid, msg_id, local sender, recipient)`` of each entry of
+    a batch that ``host`` delivers, resolved entry by entry from the
+    directory and, for a client host, the shards it ``invoked`` on."""
+    for entry in entries:
+        if not (isinstance(entry, KvEntry) and entry.well_formed()
+                and 0 <= entry.shard < directory.num_shards):
+            continue
+        spec = directory.shard(entry.shard)
+        if host.pid.is_server:
+            local = spec.local_server_index(host.pid.index)
+            if local is None:
+                continue
+            recipient = server_id(local)
+        elif entry.shard in invoked:
+            recipient = host.pid
+        else:
+            continue
+        sender = fleet_sender
+        if sender.is_server:
+            local = spec.local_server_index(sender.index)
+            if local is None:
+                continue
+            sender = server_id(local)
+        yield recipient, entry.msg_id, sender, recipient
 
 
 def test_unwrapping_a_batch_compares_no_party_identities(
