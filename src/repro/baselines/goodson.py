@@ -116,6 +116,8 @@ class GoodsonServer(Process):
         if len(message.payload) != 1:
             return
         (oid,) = message.payload
+        if not isinstance(oid, str):
+            return  # byzantine oid: never echo unverified objects back
         state = self.register_state(message.tag)
         self.send(message.sender, message.tag, MSG_TS, oid,
                   state.latest().ts)

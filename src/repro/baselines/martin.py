@@ -82,9 +82,16 @@ class MartinServer(Process):
         if len(message.payload) != 1:
             return
         (oid,) = message.payload
+        if not isinstance(oid, str):
+            return  # byzantine oid: never echo unverified objects back
         state = self.register_state(message.tag)
         self.send(message.sender, message.tag, MSG_TS, oid,
-                  state.timestamp.ts)
+                  *self._ts_reply(state))
+
+    def _ts_reply(self, state: _ReplicaState) -> Tuple[Any, ...]:
+        """Payload appended to the ``ts`` reply after the oid: the bare
+        timestamp."""
+        return (state.timestamp.ts,)
 
     def _on_store(self, message: Message) -> None:
         if len(message.payload) != 3:

@@ -296,12 +296,15 @@ class ByzantineSpec:
     """One server running a registered Byzantine behaviour.
 
     ``behaviour`` names an entry in
-    :data:`repro.faults.byzantine_servers.BYZANTINE_BEHAVIOURS` — an
-    AtomicMd server subclass that deviates from the honest code while
-    holding only its own key material and channels.  Unlike message
-    rules (which mangle traffic in flight), a behaviour replaces the
-    party's *code*, so campaigns can sweep malicious members — corrupt
-    or withheld blocks, stale or forged metadata — alongside crashes.
+    :data:`repro.faults.byzantine_servers.BYZANTINE_BEHAVIOURS` — a
+    deviation from the honest code of the protocol under test, holding
+    only the party's own key material and channels
+    (:func:`repro.faults.byzantine_servers.byzantine` derives the class
+    for that protocol's server).  Unlike message rules (which mangle
+    traffic in flight), a behaviour replaces the party's *code*, so
+    campaigns can sweep malicious members — inflated timestamps,
+    equivocating or stale reads, corrupt or withheld blocks, stale or
+    forged metadata — alongside crashes.
     """
 
     server: int
@@ -318,11 +321,6 @@ class ByzantineSpec:
             raise ConfigurationError(
                 f"unknown byzantine behaviour {self.behaviour!r}; choose "
                 f"from {tuple(sorted(BYZANTINE_BEHAVIOURS))}")
-
-    def server_class(self):
-        """The registered server subclass implementing the behaviour."""
-        from repro.faults.byzantine_servers import BYZANTINE_BEHAVIOURS
-        return BYZANTINE_BEHAVIOURS[self.behaviour]
 
     def to_json(self) -> Dict[str, Any]:
         """The spec as a plain JSON-serializable dictionary."""
@@ -496,31 +494,6 @@ class FaultPlan:
         )
 
     # -- shrink support ------------------------------------------------------
-
-    def without_rule(self, index: int) -> "FaultPlan":
-        """A copy with rule ``index`` removed (used by the shrinker)."""
-        rules = self.rules[:index] + self.rules[index + 1:]
-        return replace(self, rules=rules)
-
-    def without_crash(self, index: int) -> "FaultPlan":
-        """A copy with crash ``index`` removed (used by the shrinker)."""
-        crashes = self.crashes[:index] + self.crashes[index + 1:]
-        return replace(self, crashes=crashes)
-
-    def without_partition(self) -> "FaultPlan":
-        """A copy with the partition removed (used by the shrinker)."""
-        return replace(self, partition=None)
-
-    def without_byzantine(self, index: int) -> "FaultPlan":
-        """A copy with byzantine entry ``index`` removed (used by the
-        shrinker)."""
-        byzantine = self.byzantine[:index] + self.byzantine[index + 1:]
-        return replace(self, byzantine=byzantine)
-
-    def without_scheduler(self) -> "FaultPlan":
-        """A copy with the scheduler entry removed (used by the
-        shrinker)."""
-        return replace(self, scheduler=None)
 
     def with_rule(self, index: int, rule: FaultRule) -> "FaultPlan":
         """A copy with rule ``index`` replaced (used by the shrinker to

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
 from repro.analysis.history import HistoryRecorder
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, protocol_classes
 from repro.common.errors import (
     AtomicityViolation,
     ConfigurationError,
@@ -31,12 +31,7 @@ from repro.common.errors import (
 )
 from repro.config import SystemConfig
 from repro.experiments.common import render_table
-from repro.faults.byzantine_servers import (
-    CrashServer,
-    EquivocatingReaderServer,
-    InflatorNSServer,
-    InflatorServer,
-)
+from repro.faults.byzantine_servers import CrashServer, byzantine
 from repro.net.schedulers import RandomScheduler
 from repro.workloads.generator import random_workload, run_workload
 
@@ -67,12 +62,10 @@ def _fault_factories(protocol: str, faulty: int, t: int) -> List[Callable]:
     Atomic-style server state get crash faults only.
     """
     if faulty > t or protocol not in ("atomic", "atomic_ns"):
-        return [lambda pid, cfg: CrashServer(pid, cfg)]
-    inflator = InflatorNSServer if protocol == "atomic_ns" \
-        else InflatorServer
-    return [lambda pid, cfg: CrashServer(pid, cfg),
-            lambda pid, cfg: EquivocatingReaderServer(pid, cfg),
-            lambda pid, cfg: inflator(pid, cfg)]
+        return [CrashServer]
+    server_cls = protocol_classes(protocol)[0]
+    return [CrashServer, byzantine(server_cls, "equivocate-read"),
+            byzantine(server_cls, "inflate-ts")]
 
 
 def _classify(protocol: str, n: int, t: int, faulty: int,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, protocol_classes
 from repro.config import SystemConfig
 from repro.core.timestamps import Timestamp
 from repro.experiments.common import render_table
@@ -32,11 +32,7 @@ from repro.faults.byzantine_clients import (
     SkippingWriter,
     SplitBrainMartinWriter,
 )
-from repro.faults.byzantine_servers import (
-    InflatorNSServer,
-    InflatorServer,
-    MartinInflatorServer,
-)
+from repro.faults.byzantine_servers import byzantine
 from repro.net.schedulers import RandomScheduler
 from repro.workloads.generator import make_values
 
@@ -98,24 +94,16 @@ def run(t: int = 1, honest_writes: int = 5, seed: int = 0
         cluster.run()
 
     # -- corrupted servers inflating their ts replies -----------------------
-    server_attacks = [
-        ("server-inflation", "atomic", 3 * t + 1,
-         lambda pid, cfg: InflatorServer(pid, cfg)),
-        ("server-inflation", "atomic_ns", 3 * t + 1,
-         lambda pid, cfg: InflatorNSServer(pid, cfg)),
-        ("server-inflation", "martin", 3 * t + 1,
-         lambda pid, cfg: MartinInflatorServer(pid, cfg)),
-        ("server-inflation", "bazzi_ding", 4 * t + 1,
-         lambda pid, cfg: MartinInflatorServer(pid, cfg)),
-    ]
-    for scenario, protocol, n, factory in server_attacks:
+    for protocol, n in (("atomic", 3 * t + 1), ("atomic_ns", 3 * t + 1),
+                        ("martin", 3 * t + 1), ("bazzi_ding", 4 * t + 1)):
         config = SystemConfig(n=n, t=t, seed=seed)
-        overrides = {index: factory for index in range(1, t + 1)}
+        inflator = byzantine(protocol_classes(protocol)[0], "inflate-ts")
+        overrides = {index: inflator for index in range(1, t + 1)}
         cluster = build_cluster(config, protocol=protocol, num_clients=1,
                                 scheduler=RandomScheduler(seed),
                                 server_overrides=overrides)
         honest_load(cluster)
-        outcomes.append(_outcome(scenario, protocol, cluster))
+        outcomes.append(_outcome("server-inflation", protocol, cluster))
 
     # -- corrupted client broadcasting a huge timestamp -----------------------
     for protocol in ("atomic", "atomic_ns"):

@@ -2,6 +2,9 @@
 
 Inject these into clusters via ``build_cluster(..., server_overrides=...,
 client_overrides=...)`` to exercise the resilience claims of the paper.
+Every faulty server class is derived from an honest one by
+:func:`derive`: :func:`fail_stop` for crashes, :func:`byzantine` for the
+named behaviours a chaos plan can select.
 """
 
 from repro.faults.byzantine_clients import (
@@ -19,8 +22,10 @@ from repro.faults.failstop import (
     FailStopMartinServer,
     FailStopNSServer,
     FailStopServer,
+    fail_stop,
 )
 from repro.faults.byzantine_servers import (
+    BYZANTINE_BEHAVIOURS,
     INFLATION,
     AvidSpammerServer,
     CrashServer,
@@ -29,7 +34,9 @@ from repro.faults.byzantine_servers import (
     InflatorServer,
     MartinInflatorServer,
     StaleReaderServer,
+    byzantine,
 )
+from repro.faults.variants import derive
 
 __all__ = [
     "SKIP_TARGET",
@@ -44,6 +51,8 @@ __all__ = [
     "FailStopMartinServer",
     "FailStopNSServer",
     "FailStopServer",
+    "fail_stop",
+    "BYZANTINE_BEHAVIOURS",
     "INFLATION",
     "AvidSpammerServer",
     "CrashServer",
@@ -52,4 +61,6 @@ __all__ = [
     "InflatorServer",
     "MartinInflatorServer",
     "StaleReaderServer",
+    "byzantine",
+    "derive",
 ]

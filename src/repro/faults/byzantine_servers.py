@@ -1,24 +1,28 @@
 """Byzantine server behaviours.
 
 Corrupted servers run arbitrary code but hold only their own key material
-and channels — modeled here as subclasses of the honest server classes (a
-corrupted party starts from the honest code and deviates).  Up to ``t`` of
-these can be injected into a cluster via ``server_overrides``; Theorem 2
-says every experiment below must leave liveness and atomicity intact.
+and channels — modeled here as behaviour mixins in front of the honest
+server classes (a corrupted party starts from the honest code and
+deviates), derived by :func:`byzantine`.  Up to ``t`` of these can be
+injected into a cluster via ``server_overrides`` or a chaos plan's
+``byzantine`` entries; Theorem 2 says every experiment below must leave
+liveness and atomicity intact.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.baselines.martin import MartinServer
+from repro.common.errors import ConfigurationError
 from repro.common.ids import PartyId
 from repro.config import SystemConfig
-from repro.core.atomic import MSG_VALUE, AtomicServer, _RegisterState
+from repro.core.atomic import MSG_VALUE, AtomicServer
 from repro.core.atomic_md import MSG_VALID, AtomicMdServer
 from repro.core.atomic_ns import AtomicNSServer
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
+from repro.faults.variants import derive
 from repro.net.message import Message
 from repro.net.process import Process
 
@@ -39,44 +43,24 @@ class CrashServer(Process):
         pass  # delivered, never read
 
 
-class InflatorServer(AtomicServer):
-    """Protocol Atomic server that reports absurdly large timestamps.
+class Inflator:
+    """Reports absurdly large timestamps in its ``ts`` replies.
 
-    Against Protocol Atomic this *succeeds* in making honest writers skip
-    timestamp values (the attack motivating Section 3.4): the writer takes
-    the maximum of its replies and one lying server controls the maximum.
+    Against Protocol Atomic and SBQ-L this *succeeds* in making honest
+    writers skip timestamp values (the attack motivating Section 3.4):
+    the writer takes the maximum of its replies and one lying server
+    controls the maximum.  Against AtomicNS the rest of the honest reply
+    — the stored threshold signature — goes out unchanged; it verifies
+    only for the stored timestamp, so honest writers discard the reply
+    and non-skipping holds.
     """
 
-    def _ts_reply(self, state: _RegisterState) -> Tuple[Any, ...]:
-        return (state.timestamp.ts + INFLATION,)
+    def _ts_reply(self, state: Any) -> Tuple[Any, ...]:
+        ts, *rest = super()._ts_reply(state)
+        return (ts + INFLATION, *rest)
 
 
-class InflatorNSServer(AtomicNSServer):
-    """Protocol AtomicNS server attempting the same inflation.
-
-    It cannot forge a threshold signature on the inflated value, so it
-    replays its stored signature — which verifies only for the stored
-    timestamp, so honest writers discard the reply and non-skipping holds.
-    """
-
-    def _ts_reply(self, state: _RegisterState) -> Tuple[Any, ...]:
-        return (state.timestamp.ts + INFLATION, state.signature)
-
-
-class MartinInflatorServer(MartinServer):
-    """SBQ-L server reporting inflated timestamps (always succeeds —
-    there is no authentication to stop it)."""
-
-    def _on_get_ts(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        state = self.register_state(message.tag)
-        self.send(message.sender, message.tag, "ts", oid,
-                  state.timestamp.ts + INFLATION)
-
-
-class EquivocatingReaderServer(AtomicServer):
+class EquivocatingReader:
     """Serves garbage ``value`` messages to readers: corrupted blocks under
     the real commitment and fabricated commitments with huge timestamps.
 
@@ -98,7 +82,7 @@ class EquivocatingReaderServer(AtomicServer):
                   state.commitment, state.block, state.witness, bogus)
 
 
-class StaleReaderServer(AtomicServer):
+class StaleReader:
     """Answers reads with the initial value forever (stale replies).
 
     A single stale server cannot form a quorum group, so readers still
@@ -120,7 +104,38 @@ class StaleReaderServer(AtomicServer):
                   INITIAL_TIMESTAMP)
 
 
-class CorruptBlockMdServer(AtomicMdServer):
+class AvidSpammer:
+    """On top of otherwise-honest behaviour, floods the dispersal substrate
+    with invalid echoes and readys, once for every instance it hears about.
+
+    Tests robustness of the AVID quorum logic: invalid blocks are dropped
+    at verification, and ``2t + 1`` readys for a fabricated commitment can
+    never be reached with only ``t`` spammers."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._rng = random.Random(self.pid.index)
+        self._spammed = set()
+        self.on("avid-send", self._spam)
+        self.on("avid-echo", self._spam)
+
+    def _spam(self, message: Message) -> None:
+        if message.tag in self._spammed:
+            return  # its own fake echoes come back too: spam only once
+        self._spammed.add(message.tag)
+        garbage = bytes(self._rng.getrandbits(8) for _ in range(8))
+        fake_commitment = tuple(
+            bytes(self._rng.getrandbits(8) for _ in range(32))
+            for _ in range(self.config.n))
+        client = message.payload[1] if len(message.payload) > 1 and \
+            isinstance(message.payload[1], PartyId) else self.pid
+        self.send_to_servers(message.tag, "avid-echo", fake_commitment,
+                             client, garbage, None)
+        self.send_to_servers(message.tag, "avid-ready", fake_commitment,
+                             client, garbage, None)
+
+
+class CorruptBlock:
     """AtomicMd server whose data plane serves corrupted blocks.
 
     Metadata behaviour stays honest (it joins quorums and keeps reads
@@ -140,7 +155,7 @@ class CorruptBlockMdServer(AtomicMdServer):
                            corrupted, witness)
 
 
-class MissingBlockMdServer(AtomicMdServer):
+class MissingBlock:
     """AtomicMd server that never sends its block.
 
     Pure omission on the data plane: every ``md-meta`` carries honest
@@ -156,7 +171,7 @@ class MissingBlockMdServer(AtomicMdServer):
                            None, None)
 
 
-class StaleMetadataMdServer(AtomicMdServer):
+class StaleMetadata:
     """AtomicMd server answering revalidation probes with the initial
     TIMESTAMP forever (stale metadata).
 
@@ -179,7 +194,7 @@ class StaleMetadataMdServer(AtomicMdServer):
                   INITIAL_TIMESTAMP)
 
 
-class ForgedMetadataMdServer(AtomicMdServer):
+class ForgedMetadata:
     """AtomicMd server forging an inflated TIMESTAMP at revalidation.
 
     The lie *raises* the quorum maximum above the cached TIMESTAMP, so
@@ -201,43 +216,50 @@ class ForgedMetadataMdServer(AtomicMdServer):
         self.send(message.sender, message.tag, MSG_VALID, oid, forged)
 
 
-#: ``FaultPlan``-selectable Byzantine behaviours for the metadata/data
-#: separated protocol (the kv plane's default).  Keys are the names a
-#: :class:`repro.chaos.plan.ByzantineSpec` (and ``kv-bench
-#: --byzantine``) accepts; values are AtomicMd server subclasses that
-#: deviate from the honest code.  Churn campaigns use this registry to
-#: sweep malicious — not just crashed — members.
-BYZANTINE_BEHAVIOURS = {
-    "corrupt-block": CorruptBlockMdServer,
-    "missing-block": MissingBlockMdServer,
-    "stale-meta": StaleMetadataMdServer,
-    "forged-meta": ForgedMetadataMdServer,
+#: The Byzantine behaviours a :class:`repro.chaos.plan.ByzantineSpec`
+#: names: ``name -> (mixin, honest classes it deviates from)``.  A
+#: behaviour applies to a server class that subclasses one of them
+#: (:func:`byzantine`); churn campaigns sweep malicious — not just
+#: crashed — members through this table.
+BYZANTINE_BEHAVIOURS: Dict[str, Tuple[type, Tuple[type, ...]]] = {
+    "inflate-ts": (Inflator, (AtomicServer, MartinServer)),
+    "equivocate-read": (EquivocatingReader, (AtomicServer,)),
+    "stale-read": (StaleReader, (AtomicServer,)),
+    "avid-spam": (AvidSpammer, (AtomicServer,)),
+    "corrupt-block": (CorruptBlock, (AtomicMdServer,)),
+    "missing-block": (MissingBlock, (AtomicMdServer,)),
+    "stale-meta": (StaleMetadata, (AtomicMdServer,)),
+    "forged-meta": (ForgedMetadata, (AtomicMdServer,)),
 }
 
 
-class AvidSpammerServer(AtomicServer):
-    """On top of otherwise-honest behaviour, floods the dispersal substrate
-    with invalid echoes and readys for every instance it hears about.
+def byzantine(server_cls: type, behaviour: str) -> type:
+    """``server_cls`` running the named Byzantine ``behaviour``:
+    the behaviour's mixin in front of the honest class, derived once
+    (:func:`~repro.faults.variants.derive`).  Raises
+    :class:`ConfigurationError` for an unknown behaviour or a class it
+    does not deviate from."""
+    if behaviour not in BYZANTINE_BEHAVIOURS:
+        raise ConfigurationError(
+            f"unknown byzantine behaviour {behaviour!r}; choose "
+            f"from {tuple(sorted(BYZANTINE_BEHAVIOURS))}")
+    mixin, deviates_from = BYZANTINE_BEHAVIOURS[behaviour]
+    if not issubclass(server_cls, deviates_from):
+        raise ConfigurationError(
+            f"byzantine behaviour {behaviour!r} deviates from "
+            f"{' or '.join(cls.__name__ for cls in deviates_from)}, "
+            f"not {server_cls.__name__}")
+    return derive(mixin, server_cls,
+                  mixin.__name__ + server_cls.__name__.removeprefix("Atomic"))
 
-    Tests robustness of the AVID quorum logic: invalid blocks are dropped
-    at verification, and ``2t + 1`` readys for a fabricated commitment can
-    never be reached with only ``t`` spammers."""
 
-    def __init__(self, pid: PartyId, config: SystemConfig,
-                 initial_value: bytes = b""):
-        super().__init__(pid, config, initial_value)
-        self._rng = random.Random(pid.index)
-        self.on("avid-send", self._spam)
-        self.on("avid-echo", self._spam)
-
-    def _spam(self, message: Message) -> None:
-        garbage = bytes(self._rng.getrandbits(8) for _ in range(8))
-        fake_commitment = tuple(
-            bytes(self._rng.getrandbits(8) for _ in range(32))
-            for _ in range(self.config.n))
-        client = message.payload[1] if len(message.payload) > 1 and \
-            isinstance(message.payload[1], PartyId) else self.pid
-        self.send_to_servers(message.tag, "avid-echo", fake_commitment,
-                             client, garbage, None)
-        self.send_to_servers(message.tag, "avid-ready", fake_commitment,
-                             client, garbage, None)
+InflatorServer = byzantine(AtomicServer, "inflate-ts")
+InflatorNSServer = byzantine(AtomicNSServer, "inflate-ts")
+MartinInflatorServer = byzantine(MartinServer, "inflate-ts")
+EquivocatingReaderServer = byzantine(AtomicServer, "equivocate-read")
+StaleReaderServer = byzantine(AtomicServer, "stale-read")
+AvidSpammerServer = byzantine(AtomicServer, "avid-spam")
+CorruptBlockMdServer = byzantine(AtomicMdServer, "corrupt-block")
+MissingBlockMdServer = byzantine(AtomicMdServer, "missing-block")
+StaleMetadataMdServer = byzantine(AtomicMdServer, "stale-meta")
+ForgedMetadataMdServer = byzantine(AtomicMdServer, "forged-meta")

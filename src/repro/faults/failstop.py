@@ -21,10 +21,11 @@ Two trigger clocks are supported:
   windows compose predictably with delay and partition holds that
   starve the crashed server of traffic.
 
-:func:`fail_stop` derives the crashing variant of any register server
-class; :func:`fault_overrides` turns a chaos plan's crashes and
-Byzantine entries into the server factories a cluster builder takes —
-the register campaign and the kv runner both wire faults through it.
+:func:`fail_stop` derives the crashing variant of any server class (a
+register server or a kv host); :func:`fault_overrides` turns a chaos
+plan's crashes and Byzantine entries into the server factories a
+cluster builder takes — the register campaign and the kv runner both
+wire faults through it.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from typing import Callable, Dict, Optional
 
 from repro.baselines.martin import MartinServer
 from repro.common.errors import ConfigurationError
-from repro.common.ids import PartyId
-from repro.config import SystemConfig
 from repro.core.atomic import AtomicServer
 from repro.core.atomic_md import AtomicMdServer
 from repro.core.atomic_ns import AtomicNSServer
+from repro.faults.byzantine_servers import byzantine
+from repro.faults.variants import derive
 from repro.net.message import Message
 
 #: Valid values for the fail-stop trigger clock.
@@ -63,9 +64,9 @@ class _FailStopMixin:
     keeps the historical permanently-crashed behaviour.
     """
 
-    def _init_failstop(self, crash_after: int,
-                       recover_after=None,
-                       trigger: str = "messages") -> None:
+    def __init__(self, *args, crash_after: int = 0, recover_after=None,
+                 trigger: str = "messages", **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if trigger not in TRIGGERS:
             raise ConfigurationError(
                 f"unknown fail-stop trigger {trigger!r}; "
@@ -129,84 +130,57 @@ class _FailStopMixin:
         super().receive(message)
 
 
-#: ``fail_stop`` results, so a class has one variant however often it
-#: is asked for (``isinstance`` checks and the aliases below agree).
-_VARIANTS: Dict[type, type] = {}
-
-
 def fail_stop(server_cls: type) -> type:
     """The fail-stop variant of ``server_cls``: :class:`_FailStopMixin`
-    over any register server constructed as ``(pid, config,
-    initial_value=b"")`` — every one in :data:`repro.cluster.PROTOCOLS`,
-    so a protocol is crashable by construction.  Memoized:
+    in front of any server class — every register server in
+    :data:`repro.cluster.PROTOCOLS`, so a protocol is crashable by
+    construction, and the kv host ``KvServer``, whose crash downs
+    every shard it serves.  The variant takes the honest constructor's
+    arguments plus ``crash_after``, ``recover_after`` and ``trigger``.
+    Memoized (:func:`~repro.faults.variants.derive`):
     ``fail_stop(AtomicMdServer) is FailStopMdServer``.
     """
-    variant = _VARIANTS.get(server_cls)
-    if variant is None:
-        def __init__(self, pid: PartyId, config: SystemConfig,
-                     initial_value: bytes = b"", crash_after: int = 0,
-                     recover_after=None, trigger: str = "messages"):
-            server_cls.__init__(self, pid, config, initial_value)
-            self._init_failstop(crash_after, recover_after=recover_after,
-                                trigger=trigger)
-
-        variant = _VARIANTS[server_cls] = type(
-            "FailStop" + server_cls.__name__.removeprefix("Atomic"),
-            (_FailStopMixin, server_cls),
-            {"__init__": __init__, "__module__": __name__,
-             "__doc__": f"``{server_cls.__name__}`` that behaves "
-                        "honestly until its crash point, then goes "
-                        "silent (see :func:`fail_stop`)."})
-    return variant
+    return derive(_FailStopMixin, server_cls,
+                  "FailStop" + server_cls.__name__.removeprefix("Atomic"))
 
 
-#: Protocol Atomic server that crashes after N deliveries.
 FailStopServer = fail_stop(AtomicServer)
-#: Protocol AtomicNS server that crashes after N deliveries.
 FailStopNSServer = fail_stop(AtomicNSServer)
-#: Protocol AtomicMd server that crashes after N deliveries.  Crashing
-#: it downs both of its planes at once: it stops joining metadata
-#: quorums, and no block of its reaches a reader after its last
-#: ``md-meta``.
+#: Crashing an AtomicMd server downs both of its planes at once: it
+#: stops joining metadata quorums, and no block of its reaches a reader
+#: after its last ``md-meta``.
 FailStopMdServer = fail_stop(AtomicMdServer)
-#: SBQ-L server that crashes after N deliveries.
 FailStopMartinServer = fail_stop(MartinServer)
 
 
-def fault_overrides(plan, server_cls: type, kv_hosts=None
+def fault_overrides(plan, server_cls: type, host: Optional[type] = None
                     ) -> Optional[Dict[int, Callable]]:
     """Server factories implementing ``plan``'s crashes and Byzantine
     behaviours: the one route by which a
     :class:`~repro.chaos.plan.FaultPlan`'s code-level faults reach a
     deployment (message-level ones go through the injector).
 
-    With ``kv_hosts=None`` the result suits
+    With ``host=None`` the result suits
     :func:`repro.cluster.build_cluster`: a crashing server is
-    ``fail_stop(server_cls)``, a Byzantine one its behaviour's class.
-    With ``kv_hosts=(KvServer, FailStopKvServer)`` it suits
-    :func:`repro.kv.cluster.build_kv_cluster`, where the failure unit
-    is the *host* and takes the class it runs per shard as
-    ``server_cls=``.  A behaviour deviates from one honest class (the
-    registered ones from ``AtomicMdServer``) and may only replace that
-    class.  Returns ``None`` when the plan replaces no server.
+    ``fail_stop(server_cls)``, a Byzantine one
+    ``byzantine(server_cls, behaviour)``.  With ``host=KvServer`` it
+    suits :func:`repro.kv.cluster.build_kv_cluster`, where the failure
+    unit is the host: a crash derives ``fail_stop(host)``, a behaviour
+    runs in an honest host as the class it serves per shard.  A
+    behaviour that does not deviate from ``server_cls`` raises
+    :class:`ConfigurationError`.  Returns ``None`` when the plan
+    replaces no server.
     """
-    host_cls, failstop_host_cls = kv_hosts or (None, None)
-    crashing = (fail_stop(server_cls) if kv_hosts is None
-                else partial(failstop_host_cls, server_cls=server_cls))
+    hosted = {} if host is None else {"server_cls": server_cls}
     overrides: Dict[int, Callable] = {}
     for crash in plan.crashes:
         overrides[crash.server] = partial(
-            crashing, crash_after=crash.after,
-            recover_after=crash.recover_after, trigger=crash.trigger)
+            fail_stop(host or server_cls), crash_after=crash.after,
+            recover_after=crash.recover_after, trigger=crash.trigger,
+            **hosted)
     for entry in plan.byzantine:
-        behaviour_cls = entry.server_class()
-        if not issubclass(behaviour_cls, server_cls):
-            raise ConfigurationError(
-                f"byzantine behaviour {entry.behaviour!r} "
-                f"({behaviour_cls.__name__}) is not a "
-                f"{server_cls.__name__}: plan {plan.name!r} cannot run "
-                f"against this protocol")
+        behaving = byzantine(server_cls, entry.behaviour)
         overrides[entry.server] = (
-            behaviour_cls if kv_hosts is None
-            else partial(host_cls, server_cls=behaviour_cls))
+            behaving if host is None
+            else partial(host, server_cls=behaving))
     return overrides or None

@@ -56,7 +56,6 @@ from repro.common.errors import LivenessError
 from repro.config import SystemConfig
 from repro.faults.failstop import fault_overrides
 from repro.kv.cluster import (
-    FailStopKvServer,
     KvCluster,
     KvServer,
     build_kv_cluster,
@@ -229,8 +228,7 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
                 zipf_exponent: float = 1.1, seed: int = 0,
                 value_size: int = 64,
                 plan: Union[None, str, FaultPlan] = None,
-                max_queue: int = 32, max_inflight_per_shard: int = 1,
-                max_attempts: int = 4, monitor=None,
+                max_queue: int = 32, max_attempts: int = 4, monitor=None,
                 shard_k: Optional[int] = None,
                 protocol_overrides: Optional[Dict[int, str]] = None,
                 shift_every: int = DEFAULT_SHIFT_EVERY,
@@ -247,9 +245,10 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
 
     ``plan`` is the case's faults: a builtin chaos plan's name (scaled
     to ``n``/``t``), a :class:`~repro.chaos.plan.FaultPlan`, or ``None``
-    for a fault-free run.  ``byzantine`` (``atomic_md`` only) makes the
-    last fleet server run one of
-    :data:`~repro.faults.byzantine_servers.BYZANTINE_BEHAVIOURS` — a
+    for a fault-free run.  ``byzantine`` makes the last fleet server
+    run one of
+    :data:`~repro.faults.byzantine_servers.BYZANTINE_BEHAVIOURS` that
+    deviates from ``protocol``'s server.  On ``atomic_md`` a
     within-budget Byzantine data plane (corrupted or missing blocks)
     makes every read that evaluates its block take another agreeing
     server's instead; stale or forged metadata attacks cache
@@ -300,12 +299,9 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
         directory, protocol=protocol, num_sessions=sessions,
         scheduler=(plan or FaultPlan()).build_scheduler(seed),
         server_overrides=None if plan is None else fault_overrides(
-            plan, protocol_classes(protocol)[0],
-            kv_hosts=(KvServer, FailStopKvServer)),
-        max_queue=max_queue,
-        max_inflight_per_shard=max_inflight_per_shard,
-        max_attempts=max_attempts, cache_size=cache_size,
-        lease_ticks=lease_ticks)
+            plan, protocol_classes(protocol)[0], host=KvServer),
+        max_queue=max_queue, max_attempts=max_attempts,
+        cache_size=cache_size, lease_ticks=lease_ticks)
     if monitor is not None:
         recorder = monitor.attach(cluster.simulator).recorder
     else:

@@ -22,7 +22,7 @@ from repro.common.errors import (
     SimulationError,
 )
 from repro.common.ids import PartyId, client_id, server_id
-from repro.faults.failstop import _FailStopMixin
+from repro.faults.failstop import fail_stop
 from repro.kv.directory import KvDirectory
 from repro.kv.mux import KvClientHost, KvServer
 from repro.kv.session import KvSession
@@ -34,24 +34,11 @@ from repro.workloads.kv import KvOp
 KvServerFactory = Callable[[PartyId, KvDirectory], KvServer]
 
 
-class FailStopKvServer(_FailStopMixin, KvServer):
-    """A kv server host that fail-stops after ``crash_after`` deliveries.
-
-    Crashing the *host* downs every shard it serves at once — the
-    realistic failure unit (a machine, not a register).  Supports the
-    same transient-recovery and trigger-clock options as the register
-    fail-stop wrappers.
-    """
-
-    def __init__(self, pid: PartyId, directory: KvDirectory,
-                 server_cls=None, initial_value: bytes = b"",
-                 crash_after: int = 0, recover_after=None,
-                 trigger: str = "messages"):
-        kwargs = {} if server_cls is None else {"server_cls": server_cls}
-        super().__init__(pid, directory, initial_value=initial_value,
-                         **kwargs)
-        self._init_failstop(crash_after, recover_after=recover_after,
-                            trigger=trigger)
+#: A kv host that fail-stops: crashing the *host* downs every shard it
+#: serves at once — the realistic failure unit (a machine, not a
+#: register).  Built as ``FailStopKvServer(pid, directory,
+#: server_cls=..., crash_after=..., recover_after=..., trigger=...)``.
+FailStopKvServer = fail_stop(KvServer)
 
 
 @dataclass
@@ -96,7 +83,6 @@ def build_kv_cluster(directory: KvDirectory, protocol: str = "atomic",
                      server_overrides: Optional[
                          Dict[int, KvServerFactory]] = None,
                      max_queue: int = 32,
-                     max_inflight_per_shard: int = 1,
                      max_attempts: int = 4,
                      cache_size: int = 0,
                      lease_ticks: int = 0) -> KvCluster:
@@ -131,7 +117,6 @@ def build_kv_cluster(directory: KvDirectory, protocol: str = "atomic",
         simulator.add_process(client_host)
         sessions.append(KvSession(
             client_host, directory, index=index, max_queue=max_queue,
-            max_inflight_per_shard=max_inflight_per_shard,
             max_attempts=max_attempts, cache_size=cache_size,
             lease_ticks=lease_ticks))
     return KvCluster(directory=directory, simulator=simulator,

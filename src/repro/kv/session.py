@@ -150,20 +150,19 @@ class KvSession:
 
     def __init__(self, host: KvClientHost, directory: KvDirectory,
                  index: int, max_queue: int = 32,
-                 max_inflight_per_shard: int = 1,
                  max_attempts: int = 4, cache_size: int = 0,
                  lease_ticks: int = 0) -> None:
         self.host = host
         self.directory = directory
         self.index = index
         self.max_queue = max_queue
-        self.max_inflight_per_shard = max_inflight_per_shard
         self.max_attempts = max_attempts
         self.cache = SessionCache(cache_size, lease_ticks)
         #: every handle ever issued, in submission order (history source).
         self.handles: List[KvOpHandle] = []
         self._queue: Deque[_QueuedOp] = deque()
-        self._inflight: Dict[int, List[_InFlight]] = {}
+        #: the admitted operation of each shard (at most one).
+        self._inflight: Dict[int, _InFlight] = {}
         self._coalescible: Dict[str, _QueuedOp] = {}
         #: still-queued read per key that later gets may join (cache on).
         self._shareable: Dict[str, _QueuedOp] = {}
@@ -356,39 +355,31 @@ class KvSession:
 
     def _reap(self) -> int:
         changed = 0
-        for shard in list(self._inflight):
-            remaining = []
-            for entry in self._inflight[shard]:
-                done = [attempt for attempt in entry.attempts
-                        if attempt.done]
-                if not done:
-                    remaining.append(entry)
+        for shard, entry in list(self._inflight.items()):
+            done = [attempt for attempt in entry.attempts if attempt.done]
+            if not done:
+                continue
+            if entry.op.cached is not None:
+                winner = done[0]
+                if winner.timestamp != entry.op.cached.timestamp:
+                    # The quorum maximum names a newer write: the cached
+                    # pair is superseded.  Fall back to a full read
+                    # under a fresh oid; the entry stays in flight until
+                    # that read completes.
+                    self._fallback_full_read(entry)
+                    changed += 1
                     continue
-                if entry.op.cached is not None:
-                    winner = done[0]
-                    if winner.timestamp != entry.op.cached.timestamp:
-                        # The quorum maximum names a newer write: the
-                        # cached pair is superseded.  Fall back to a
-                        # full read under a fresh oid; the entry stays
-                        # in flight until that read completes.
-                        self._fallback_full_read(entry)
-                        changed += 1
-                        remaining.append(entry)
-                        continue
-                    value = entry.op.cached.value
-                    served = "revalidate"
-                else:
-                    winner = self._pick_winner(entry.op.kind, done)
-                    # Reads joined to a write return the written value.
-                    value = (winner.result if entry.op.kind == KIND_READ
-                             else entry.op.value)
-                    served = None
-                self._complete_entry(entry, winner, value, served)
-                changed += 1
-            if remaining:
-                self._inflight[shard] = remaining
+                value = entry.op.cached.value
+                served = "revalidate"
             else:
-                del self._inflight[shard]
+                winner = self._pick_winner(entry.op.kind, done)
+                # Reads joined to a write return the written value.
+                value = (winner.result if entry.op.kind == KIND_READ
+                         else entry.op.value)
+                served = None
+            self._complete_entry(entry, winner, value, served)
+            changed += 1
+            del self._inflight[shard]
         return changed
 
     @staticmethod
@@ -474,7 +465,8 @@ class KvSession:
         # simulator (one delivery = one tick) this batch density, not
         # concurrency itself, is what converts shard count into
         # throughput.  Admitting into a half-done generation would
-        # stagger the convoy and dissolve the batches.
+        # stagger the convoy and dissolve the batches.  A generation
+        # admits one operation per shard; the rest wait for the next.
         if self._pending_directory is not None:
             return 0  # reconfiguration drain: nothing admits until the
             # old generation's in-flight operations have completed
@@ -486,8 +478,7 @@ class KvSession:
             op = self._queue.popleft()
             if op.kind == KIND_READ and self._serve_from_lease(op):
                 admitted += 1
-            elif len(self._inflight.get(op.shard, ())) \
-                    < self.max_inflight_per_shard:
+            elif op.shard not in self._inflight:
                 self._invoke(op)
                 admitted += 1
             else:
@@ -540,7 +531,7 @@ class KvSession:
         entry = _InFlight(op=op, oid=oid, tag=tag, attempts=[attempt])
         for handle in op.handles:
             handle.attempts = entry.attempts_made
-        self._inflight.setdefault(op.shard, []).append(entry)
+        self._inflight[op.shard] = entry
         if self._coalescible.get(op.key) is op:
             del self._coalescible[op.key]  # in flight: window closed
         if self._shareable.get(op.key) is op:
@@ -558,30 +549,27 @@ class KvSession:
         """
         self._touched = True
         retried = 0
-        for shard, entries in self._inflight.items():
-            client = None
-            for entry in entries:
-                if any(attempt.done for attempt in entry.attempts):
-                    continue
-                if entry.attempts_made >= self.max_attempts:
-                    continue
-                if client is None:
-                    client = self.host.inner_client(shard)
-                oid = f"{entry.oid}.a{entry.attempts_made}"
-                if entry.op.kind == KIND_WRITE:
-                    attempt = client.invoke_write(entry.tag, oid,
-                                                  entry.op.value)
-                elif entry.op.cached is not None:
-                    self.cache.stats["revalidations"] += 1
-                    self._count("revalidate")
-                    attempt = client.invoke_validate(entry.tag, oid)
-                else:
-                    attempt = client.invoke_read(entry.tag, oid)
-                entry.attempts.append(attempt)
-                entry.attempts_made += 1
-                for handle in entry.op.handles:
-                    handle.attempts = entry.attempts_made
-                retried += 1
+        for shard, entry in self._inflight.items():
+            if any(attempt.done for attempt in entry.attempts):
+                continue
+            if entry.attempts_made >= self.max_attempts:
+                continue
+            client = self.host.inner_client(shard)
+            oid = f"{entry.oid}.a{entry.attempts_made}"
+            if entry.op.kind == KIND_WRITE:
+                attempt = client.invoke_write(entry.tag, oid,
+                                              entry.op.value)
+            elif entry.op.cached is not None:
+                self.cache.stats["revalidations"] += 1
+                self._count("revalidate")
+                attempt = client.invoke_validate(entry.tag, oid)
+            else:
+                attempt = client.invoke_read(entry.tag, oid)
+            entry.attempts.append(attempt)
+            entry.attempts_made += 1
+            for handle in entry.op.handles:
+                handle.attempts = entry.attempts_made
+            retried += 1
         if retried:
             self.host.kv_flush()
         return retried
@@ -601,7 +589,4 @@ class KvSession:
     @property
     def inflight(self) -> int:
         """Operations admitted but not yet completed."""
-        total = 0
-        for entries in self._inflight.values():
-            total += len(entries)
-        return total
+        return len(self._inflight)

@@ -21,6 +21,20 @@ def _cluster(protocol, n, t, seed=0, clients=2, **kwargs):
                          scheduler=RandomScheduler(seed), **kwargs)
 
 
+@pytest.mark.parametrize("protocol,n", [("martin", 4), ("goodson", 5)])
+def test_ts_query_with_a_non_str_oid_gets_no_reply(protocol, n):
+    """A Byzantine client's ``get-ts`` oid is echoed back only when it
+    is a ``str``: an arbitrary object is never sent back unverified."""
+    cluster = _cluster(protocol, n, 1, clients=1)
+    client = cluster.client(1)
+    client.send_to_servers(TAG, "get-ts", ("forged", b"\x00" * 64))
+    cluster.run()
+    assert cluster.simulator.metrics.messages_by_mtype(TAG).get("ts") is None
+    client.send_to_servers(TAG, "get-ts", "q1")
+    cluster.run()
+    assert cluster.simulator.metrics.messages_by_mtype(TAG)["ts"] == n
+
+
 # -- Martin et al. (SBQ-L) ------------------------------------------------------
 
 def test_martin_write_read():

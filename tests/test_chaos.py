@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.history import HistoryRecorder
 from repro.chaos import (
     DEFAULT_BATTERY,
     STATUS_OK,
@@ -46,6 +47,7 @@ from repro.common.errors import (
 from repro.common.ids import server_id
 from repro.common.serialization import encode
 from repro.config import SystemConfig
+from repro.faults.byzantine_servers import BYZANTINE_BEHAVIOURS, byzantine
 from repro.faults.failstop import fail_stop
 from repro.net import message as message_module
 from repro.net.message import Message
@@ -127,13 +129,10 @@ def test_churn_builtin_plan_declares_a_replacement_deadline():
     assert FaultPlan.from_json(plan.to_json()) == plan
 
 
-def test_byzantine_spec_selects_registered_behaviours():
+def test_byzantine_spec_names_a_registered_behaviour():
     from repro.chaos.plan import ByzantineSpec
-    from repro.faults.byzantine_servers import BYZANTINE_BEHAVIOURS
-    for name, server_cls in sorted(BYZANTINE_BEHAVIOURS.items()):
+    for name in sorted(BYZANTINE_BEHAVIOURS):
         spec = ByzantineSpec(server=4, behaviour=name)
-        spec.validate()
-        assert spec.server_class() is server_cls
         plan = FaultPlan(name="byz", faulty=(4,), byzantine=(spec,))
         plan.validate(n=4, t=1)
         assert FaultPlan.from_json(plan.to_json()) == plan
@@ -142,8 +141,6 @@ def test_byzantine_spec_selects_registered_behaviours():
     with pytest.raises(ConfigurationError):
         ByzantineSpec(server=0, behaviour="corrupt-block").validate()
 
-
-# -- scheduler composition ------------------------------------------------------
 
 def test_scheduler_spec_round_trips_and_builds():
     from repro.chaos import SchedulerSpec
@@ -392,16 +389,66 @@ def test_fail_stop_is_memoized_and_keeps_the_public_aliases():
         variant(server_id(1), SystemConfig(n=4, t=1), trigger="clock")
 
 
-def test_byzantine_behaviour_must_match_the_protocol_under_test():
-    """Registered behaviours deviate from ``AtomicMdServer``; a plan
-    carrying one cannot run against another protocol on either plane."""
+def test_faulty_classes_are_derived_once():
+    from repro.kv import FailStopKvServer, KvServer
+    for server_cls, _ in PROTOCOLS.values():
+        for name in BYZANTINE_BEHAVIOURS:
+            try:
+                derived = byzantine(server_cls, name)
+            except ConfigurationError:
+                continue
+            assert derived is byzantine(server_cls, name)
+            assert issubclass(derived, server_cls)
+    assert FailStopKvServer is fail_stop(KvServer)
+    assert FailStopKvServer.__name__ == "FailStopKvServer"
+
+
+@pytest.mark.parametrize("behaviour", sorted(BYZANTINE_BEHAVIOURS))
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_every_behaviour_runs_or_is_rejected_on_every_protocol(
+        protocol, behaviour):
+    """One route from a plan to a Byzantine server: on each protocol a
+    named behaviour either runs — the honest history is linearizable
+    and every operation completes — or the plan is rejected with a
+    ``ConfigurationError`` naming the behaviour and the server class,
+    on the register plane and the kv plane alike."""
+    from repro.chaos.plan import ByzantineSpec
+    from repro.kv.bench import run_kv_case
+    n = 5 if protocol in _NEEDS_N_GT_4T else 4
+    plan = FaultPlan(name="byz", faulty=(n,), byzantine=(
+        ByzantineSpec(server=n, behaviour=behaviour),))
+    server_cls = PROTOCOLS[protocol][0]
+    _, deviates_from = BYZANTINE_BEHAVIOURS[behaviour]
+    if not issubclass(server_cls, deviates_from):
+        for run in (lambda: run_register_case(protocol, n, 1, plan=plan),
+                    lambda: run_kv_case(1, n=n, protocol=protocol,
+                                        ops=8, byzantine=behaviour)):
+            with pytest.raises(ConfigurationError) as error:
+                run()
+            assert repr(behaviour) in str(error.value)
+            assert server_cls.__name__ in str(error.value)
+        return
+    handles, cluster = run_register_case(protocol, n, 1, plan=plan)
+    assert type(cluster.servers[-1]) is byzantine(server_cls, behaviour)
+    assert all(handle.done for handle in handles.values())
+    HistoryRecorder(cluster, TAG, honest_servers=[
+        server.pid for server in cluster.servers[:-1]]).check()
+
+
+def test_avid_spammer_spams_once_per_dispersal():
+    """The spammer's fake echoes reach it too; it answers each
+    dispersal instance once, so a run carrying it quiesces."""
     from repro.chaos.plan import ByzantineSpec
     plan = FaultPlan(name="byz", faulty=(4,), byzantine=(
-        ByzantineSpec(server=4, behaviour="corrupt-block"),))
-    with pytest.raises(ConfigurationError, match="is not a AtomicServer"):
-        run_register_case("atomic", 4, 1, plan=plan)
-    _, cluster = run_register_case("atomic_md", 4, 1, plan=plan)
-    assert type(cluster.servers[3]) is plan.byzantine[0].server_class()
+        ByzantineSpec(server=4, behaviour="avid-spam"),))
+    handles, cluster = run_register_case("atomic", 4, 1, plan=plan)
+    assert all(handle.done for handle in handles.values())
+    assert cluster.simulator.pending_count == 0
+    writes = [handle for handle in handles.values()
+              if handle.kind == "write"]
+    assert len(cluster.servers[3]._spammed) == len(writes) > 0
+    HistoryRecorder(cluster, TAG, honest_servers=[
+        server.pid for server in cluster.servers[:3]]).check()
 
 
 def test_boundary_probe_finds_violation_and_reproduces(tmp_path):

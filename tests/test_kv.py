@@ -583,8 +583,7 @@ def test_queued_writes_to_one_key_coalesce_last_value_wins():
 
 def test_read_ends_the_coalescing_window():
     directory = KvDirectory(FLEET, 2)
-    cluster = build_kv_cluster(directory, num_sessions=1,
-                               max_inflight_per_shard=1)
+    cluster = build_kv_cluster(directory, num_sessions=1)
     session = cluster.session(1)
     session.put("k001", b"one")
     session.get("k001")
@@ -696,7 +695,7 @@ def test_kv_latency_pins_to_the_winning_attempt_not_the_reap_tick():
     session = cluster.session(1)
     handle = session.put("k001", b"v1")
     session.pump()
-    inner = session._inflight[handle.shard][0].attempts[0]
+    inner = session._inflight[handle.shard].attempts[0]
     # Quiesce the network fully before reaping so the reap tick is
     # strictly later than the inner completion (the quorum fills before
     # the last delivery) — a pump-tick stamp would be visibly wrong.

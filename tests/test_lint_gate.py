@@ -220,3 +220,40 @@ def test_observers_are_reached_only_through_the_simulator():
     assert obs_reads == []
     assert [site for site in hook_calls
             if not site.startswith("repro.net.simulator:")] == []
+
+
+def test_faulty_servers_are_mixins_derived_in_one_place():
+    """The fault ratchet: one way to make a faulty server.  No class
+    under ``repro.faults`` subclasses an honest server class (a
+    register server of :data:`repro.cluster.PROTOCOLS` or the kv host)
+    — a fault is a mixin — and a class is built with three-argument
+    ``type(...)`` only in :func:`repro.faults.variants.derive`, which
+    ``fail_stop`` and ``byzantine`` call."""
+    import importlib
+
+    from repro.cluster import PROTOCOLS
+    from repro.kv import KvServer
+    honest = (KvServer, *(server for server, _ in PROTOCOLS.values()))
+    subclasses, derivations = [], []
+    for module in discover([SRC]):
+        if module.dotted.startswith("repro.faults."):
+            loaded = importlib.import_module(module.dotted)
+            subclasses += [
+                f"{module.dotted}.{node.name}" for node in module.tree.body
+                if isinstance(node, ast.ClassDef)
+                and issubclass(getattr(loaded, node.name), honest)]
+        scopes = [(module.dotted, module.tree)]
+        while scopes:
+            site, scope = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    scopes.append((f"{site}.{node.name}", node))
+                    continue
+                scopes.append((site, node))
+                if isinstance(node, ast.Call) \
+                        and terminal_name(node.func) == "type" \
+                        and len(node.args) == 3:
+                    derivations.append(site)
+    assert subclasses == []
+    assert derivations == ["repro.faults.variants.derive"]

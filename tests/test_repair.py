@@ -392,7 +392,7 @@ def test_churn_storm_never_has_more_than_t_members_down_per_register():
     outstanding.  Checked after every delivery of the churn smoke."""
     from repro.chaos.injector import FaultInjector
     from repro.faults.failstop import fault_overrides
-    from repro.kv import FailStopKvServer, KvServer
+    from repro.kv import KvServer
     from repro.repair.bench import CHURN
     from repro.workloads.kv import kv_workload
 
@@ -408,7 +408,7 @@ def test_churn_storm_never_has_more_than_t_members_down_per_register():
         directory, protocol="atomic_md", num_sessions=config["sessions"],
         scheduler=plan.build_scheduler(seed),
         server_overrides=fault_overrides(
-            plan, AtomicMdServer, kv_hosts=(KvServer, FailStopKvServer)),
+            plan, AtomicMdServer, host=KvServer),
         max_attempts=CHURN_CASE["max_attempts"])
     cluster.simulator.attach_injector(FaultInjector(plan))
     attach_repair(cluster, plan=plan, batch_size=config["batch_size"])
