@@ -161,3 +161,23 @@ def test_bench_kv_envelope_round_trip(benchmark):
     benchmark(round_trip)
     assert delivered[0] > 0 and delivered[0] % 64 == 0
     assert cluster.simulator.pending_count == 0
+
+
+def test_bench_party_id_lookups(benchmark):
+    """Dict gets and set membership keyed by party ids, looked up with
+    ``server_id(j)`` values made apart from the keys — the lookup every
+    quorum set, inbox and routing table does per message."""
+    keys = [server_id(j) for j in range(1, 17)]
+    table = {party: party.index for party in keys}
+    members = set(keys[::2])
+    probes = [server_id(j) for j in range(1, 17)] * 64
+
+    def lookups():
+        total = hits = 0
+        for party in probes:
+            total += table[party]
+            if party in members:
+                hits += 1
+        return total, hits
+
+    assert benchmark(lookups) == (136 * 64, 8 * 64)

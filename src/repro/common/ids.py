@@ -9,7 +9,7 @@ the write with operation identifier ``oid``).
 
 from __future__ import annotations
 
-import dataclasses
+import operator
 from dataclasses import dataclass
 
 from repro.common.serialization import register_wire_type
@@ -21,38 +21,84 @@ CLIENT = "client"
 TAG_SEP = "|"
 
 
+#: The one :class:`PartyId` per ``(kind, index)``, filled on first use.
+#: Process-wide on purpose: an entry is immutable, and the same
+#: whichever caller made it first.
+_PARTIES: dict[tuple[str, int], PartyId] = {}
+
+
 @register_wire_type
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PartyId:
     """Identity of a server or client process.
 
-    ``PartyId`` values are ordered (servers before clients, then by index),
-    hashable, and render as the paper's names ``P<j>`` / ``C<i>``.
+    ``PartyId`` values are ordered by ``(kind, index)`` — so every client
+    comes before every server, ``'client' < 'server'`` — hashable, and
+    render as the paper's names ``P<j>`` / ``C<i>``.
+
+    There is exactly one instance per ``(kind, index)``: every way of
+    making one (the constructor, :func:`server_id`/:func:`client_id`,
+    decoding, ``dataclasses.replace``, pickling and copying) returns it.
+    Equality is therefore identity and hashing is ``object``'s, both
+    done in C: party ids key nearly every per-message structure in the
+    simulator (inboxes, quorum sets, mux routing, metrics).  No schedule
+    can depend on the hash values, which differ between processes.
     """
 
     kind: str
     index: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in (SERVER, CLIENT):
-            raise ValueError(f"unknown party kind: {self.kind!r}")
-        if self.index < 1:
+    def __new__(cls, kind: str, index: int) -> PartyId:
+        try:
+            return _PARTIES[kind, index]
+        except (KeyError, TypeError):  # new, invalid or unhashable
+            pass
+        if kind not in (SERVER, CLIENT):
+            raise ValueError(f"unknown party kind: {kind!r}")
+        index = operator.index(index)  # a decoded ``True`` becomes 1
+        if index < 1:
             raise ValueError("party indices are 1-based")
-        # Derived values are precomputed eagerly: party ids key nearly
-        # every dict in the simulator (inboxes, metrics, quorum states)
-        # and handlers branch on ``is_server`` for every delivery, so
-        # these are among the hottest lookups in a run.  Safe because the
-        # instance is frozen; stored in ``__dict__`` so they stay
-        # invisible to dataclass equality/repr and the wire format.
-        # ``_hash`` equals the value the generated dataclass hash would
-        # produce.
-        memo = self.__dict__
-        memo["_hash"] = hash((self.kind, self.index))
-        memo["is_server"] = self.kind == SERVER
-        memo["is_client"] = self.kind == CLIENT
+        party = object.__new__(cls)
+        # Frozen: the fields and the kind flags (which handlers branch
+        # on per delivery) are written once, here.  The flags live in
+        # ``__dict__``, invisible to dataclass fields, repr and the wire
+        # format.
+        memo = party.__dict__
+        memo["kind"] = kind
+        memo["index"] = index
+        memo["is_server"] = kind == SERVER
+        memo["is_client"] = kind == CLIENT
+        _PARTIES[kind, index] = party
+        return party
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return PartyId, (self.kind, self.index)
+
+    def __copy__(self) -> PartyId:
+        return self
+
+    def __deepcopy__(self, memo) -> PartyId:
+        return self
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not PartyId:
+            return NotImplemented
+        return (self.kind, self.index) < (other.kind, other.index)
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is not PartyId:
+            return NotImplemented
+        return (self.kind, self.index) <= (other.kind, other.index)
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is not PartyId:
+            return NotImplemented
+        return (self.kind, self.index) > (other.kind, other.index)
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is not PartyId:
+            return NotImplemented
+        return (self.kind, self.index) >= (other.kind, other.index)
 
     def __str__(self) -> str:
         prefix = "P" if self.is_server else "C"
@@ -98,7 +144,3 @@ def parent_tag(tag: str) -> str:
     if not sep:
         raise ValueError(f"tag {tag!r} is top-level")
     return head
-
-
-# dataclasses.replace is re-exported for convenience when deriving ids.
-replace = dataclasses.replace

@@ -227,9 +227,22 @@ def _size(value: Any) -> int:
     if value is None or kind is bool:
         return 1
     if kind is tuple or kind is list:
+        # Leaf items (a commitment's n digests, a message's tag and
+        # ints) are sized here, like the primitive leaves of _cache_key:
+        # one call per nested structure, not one per item.
         total = _PREFIX_SIZE
         for item in value:
-            total += _size(item)
+            item_kind = type(item)
+            if item_kind is bytes:
+                total += _PREFIX_SIZE + len(item)
+            elif item_kind is int:
+                total += _PREFIX_SIZE + (item.bit_length() + 8) // 8
+            elif item_kind is str and item.isascii():
+                total += _PREFIX_SIZE + len(item)
+            elif item is None:
+                total += 1
+            else:
+                total += _size(item)
         return total
     layout = _WIRE_LAYOUTS.get(kind)
     if layout is None:

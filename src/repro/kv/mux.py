@@ -168,7 +168,7 @@ class ShardBus:
             slot = host._kv_outbound[fleet_recipient] = [[], 0]
         slot[0].append(entry)
         slot[1] += size
-        if simulator.observes("on_send"):
+        if host._send_hooks:
             simulator.report_send(
                 Message(tag, mtype, host.pid, fleet_recipient, payload,
                         msg_id, depth, cause_id, wire_size))
@@ -221,6 +221,14 @@ class _KvMuxProcess(Process):
         self._kv_outbound: Dict[PartyId, List[Any]] = {}
         self.on(MSG_KV_BATCH, self._on_kv_batch)
 
+    def bind(self, simulator) -> None:
+        """Attach to ``simulator`` and hold its live ``on_send`` and
+        ``on_deliver`` hook lists: the mux reports inner traffic only
+        when one is non-empty, and tests that per message."""
+        super().bind(simulator)
+        self._send_hooks = simulator.observer_hooks("on_send")
+        self._deliver_hooks = simulator.observer_hooks("on_deliver")
+
     # -- outbound: flush ----------------------------------------------------
 
     def kv_flush(self) -> None:
@@ -263,7 +271,7 @@ class _KvMuxProcess(Process):
             return
         fleet_sender = message.sender
         simulator = self._require_simulator()
-        observed = simulator.observes("on_deliver")
+        observed = self._deliver_hooks
         # ``inner`` and the local ``sender`` are resolved once per run of
         # same-shard entries; a drop ends the run.
         shard = None

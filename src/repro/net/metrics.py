@@ -25,21 +25,12 @@ from repro.net.message import Message
 
 @dataclass
 class TrafficCounter:
-    """Message count and byte volume for one exact tag."""
+    """Message count and byte volume for one exact tag (kept by
+    :meth:`Metrics.record`)."""
 
     messages: int = 0
     message_bytes: int = 0
     by_mtype: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def record(self, message: Message) -> None:
-        """Count one message against this tag."""
-        self.record_sized(message, message.wire_size())
-
-    def record_sized(self, message: Message, size: int) -> None:
-        """Count one message whose wire size the caller already knows."""
-        self.messages += 1
-        self.message_bytes += size
-        self.by_mtype[message.mtype] += 1
 
 
 class MetricsScope:
@@ -88,8 +79,14 @@ class Metrics:
 
     def record(self, message: Message) -> None:
         """Account one sent message (called by the simulator)."""
-        size = message.wire_size()
-        self._by_tag[message.tag].record_sized(message, size)
+        # Most messages reach here with a size stamped by their sender.
+        size = message._wire_size
+        if size is None:
+            size = message.wire_size()
+        counter = self._by_tag[message.tag]
+        counter.messages += 1
+        counter.message_bytes += size
+        counter.by_mtype[message.mtype] += 1
         self._sent_bytes[message.sender] += size
         self._received_bytes[message.recipient] += size
         self.total_messages += 1

@@ -124,9 +124,8 @@ class Process:
         ``wire_size`` is for senders that already know the message's
         size (see :meth:`Simulator.enqueue
         <repro.net.simulator.Simulator.enqueue>`)."""
-        self._require_simulator().enqueue(
-            sender=self.pid, recipient=recipient, tag=tag, mtype=mtype,
-            payload=payload, wire_size=wire_size)
+        self._require_simulator().enqueue(self.pid, recipient, tag, mtype,
+                                          payload, wire_size)
 
     def send_to_servers(self, tag: str, mtype: str, *payload: Any) -> None:
         """Send the same message to every server ``P_1 .. P_n``.
@@ -139,8 +138,7 @@ class Process:
         pid = self.pid
         size = content_wire_size(tag, mtype, payload)
         for server in simulator.server_pids:
-            simulator.enqueue(sender=pid, recipient=server, tag=tag,
-                              mtype=mtype, payload=payload, wire_size=size)
+            simulator.enqueue(pid, server, tag, mtype, payload, size)
 
     # -- handlers and threads ----------------------------------------------
 

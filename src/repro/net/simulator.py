@@ -177,10 +177,14 @@ class Simulator:
         """The attached observers, in attach order."""
         return tuple(self._observers)
 
-    def observes(self, hook: str) -> bool:
-        """Whether an attached observer defines ``hook`` (lets a
-        reporter skip building what only observers would read)."""
-        return bool(self._hooks[hook])
+    def observer_hooks(self, hook: str) -> Sequence[Callable[..., None]]:
+        """The live list of callbacks bound to ``hook``.
+
+        It grows in place as observers attach, so a reporter may hold
+        it from binding on and test it per report — empty means no
+        observer would read what the report builds.
+        """
+        return self._hooks[hook]
 
     def attach_injector(self, injector) -> None:
         """Attach a fault injector (one per run; attach before the run).

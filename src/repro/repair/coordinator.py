@@ -199,13 +199,14 @@ class RepairCoordinator:
             raise ConfigurationError(
                 "detect_degraded requires a HealthMonitor; construct "
                 "the coordinator with monitor=...")
-        suspects: List[int] = []
-        for server, score in sorted(
-                self.monitor.suspicion_scores().items()):
-            if score >= threshold:
-                index = int(str(server).lstrip("PC"))
-                suspects.append(index)
-                self.request_repair(index)
+        # In index order: the scores are keyed by name, and "P10"
+        # sorts before "P2".
+        suspects = sorted(
+            int(str(server).lstrip("PC"))
+            for server, score in self.monitor.suspicion_scores().items()
+            if score >= threshold)
+        for index in suspects:
+            self.request_repair(index)
         return suspects
 
     def _tasks_for_server(self, fleet_index: int) -> List[RepairTask]:

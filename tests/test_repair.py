@@ -26,6 +26,7 @@ The load-bearing guarantees tested here:
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -306,6 +307,15 @@ def test_coordinator_rejects_degenerate_budgets():
     coordinator = RepairCoordinator(cluster)
     with pytest.raises(ConfigurationError):
         coordinator.detect_degraded(0.5)  # no monitor attached
+
+
+def test_detect_degraded_queues_suspects_in_index_order():
+    """Suspicion scores are keyed by name; ``"P10"`` sorts before
+    ``"P2"`` as a string, but repairs are requested by server index."""
+    monitor = SimpleNamespace(suspicion_scores=lambda: {
+        "P2": 1.0, "P10": 1.0, "P9": 0.2})
+    coordinator = RepairCoordinator(_md_cluster(), monitor=monitor)
+    assert coordinator.detect_degraded(0.5) == [2, 10]
 
 
 def test_admission_is_rate_limited_by_batch_size():
