@@ -10,7 +10,8 @@ The ``ErasureCoder`` cases repeat one input, so after their first round
 they time the coder's value memo, which is what a protocol's repeated
 encodes and decodes of one value cost.  The ``ReedSolomonCode`` cases
 time the kernels beneath it, which keep no value memo: GF(2^8) at
-``n <= 255`` and GF(2^16) at ``n300k5``.
+``n <= 255`` and GF(2^16) at ``n300k5`` on 64 KiB values, and the kv
+workloads' regime beside them (``KV_KERNEL_SHAPES``).
 """
 
 import os
@@ -35,11 +36,18 @@ KERNEL_SHAPES = [(7, 5, (2, 3, 4, 5, 6)), (16, 6, (0, 1, 2, 13, 14, 15)),
                  (300, 5, (0, 1, 297, 298, 299))]
 KERNEL_IDS = ["n7k5", "n16k6", "n300k5"]
 
+#: ``(n, k, value bytes, decode subset)`` as the kvperf workloads run
+#: the code: 64 B values at n = 7 (``mixed_small``, ``readheavy_cached``,
+#: ``churn_repair``) and 16 KiB ones (``large_values``).
+KV_KERNEL_SHAPES = [(7, 5, 64, (2, 3, 4, 5, 6)),
+                    (7, 3, 16 * 1024, (0, 5, 6))]
+KV_KERNEL_IDS = ["n7k5-64B", "n7k3-16KiB"]
 
-def _data_blocks(k):
-    """``VALUE_64K`` zero-padded and cut into ``k`` equal data blocks."""
-    length = -(-len(VALUE_64K) // k)
-    padded = VALUE_64K.ljust(length * k, b"\0")
+
+def _data_blocks(k, value=VALUE_64K):
+    """``value`` zero-padded and cut into ``k`` equal data blocks."""
+    length = -(-len(value) // k)
+    padded = value.ljust(length * k, b"\0")
     return [padded[i * length:(i + 1) * length] for i in range(k)]
 
 
@@ -87,6 +95,28 @@ def test_bench_rs_decode_blocks_64k(benchmark, n, k, subset):
     inverted matrix and times the matrix-vector product."""
     code = ReedSolomonCode(n, k)
     data = _data_blocks(k)
+    encoded = code.encode_blocks(data)
+    supplied = {index: encoded[index] for index in subset}
+    assert benchmark(lambda: code.decode_blocks(supplied)) == data
+
+
+@pytest.mark.parametrize("n, k, size", [shape[:3] for shape in
+                                        KV_KERNEL_SHAPES], ids=KV_KERNEL_IDS)
+def test_bench_rs_encode_blocks_kv(benchmark, n, k, size):
+    """The parity product at a kv workload's value size, where a call's
+    fixed cost weighs against its arithmetic."""
+    code = ReedSolomonCode(n, k)
+    data = _data_blocks(k, VALUE_64K[:size])
+    blocks = benchmark(lambda: code.encode_blocks(data))
+    assert blocks[:k] == data and len(blocks) == n
+
+
+@pytest.mark.parametrize("n, k, size, subset", KV_KERNEL_SHAPES,
+                         ids=KV_KERNEL_IDS)
+def test_bench_rs_decode_blocks_kv(benchmark, n, k, size, subset):
+    """The cached-plan solve at a kv workload's value size."""
+    code = ReedSolomonCode(n, k)
+    data = _data_blocks(k, VALUE_64K[:size])
     encoded = code.encode_blocks(data)
     supplied = {index: encoded[index] for index in subset}
     assert benchmark(lambda: code.decode_blocks(supplied)) == data

@@ -7,16 +7,19 @@ picks GF(2^8) (primitive polynomial ``x^8 + x^4 + x^3 + x^2 + 1``) for
 are generated by 2.  Elements are Python ints in ``[0, 2^m)``; a block is
 a byte string of big-endian ``m``-bit symbols.  One :class:`GaloisField`
 class serves both widths, its tables built on first use.
+
+Block products use the standard library only.  A :class:`BlockMatrix`
+splits each block into byte planes, multiplies a plane by a constant
+with one ``bytes.translate`` through a 256-byte table, and sums a row by
+XOR-ing ``int.from_bytes`` values.  GF(2^8) shares its 256 tables
+(64 KiB) across all matrices; GF(2^16) compiles up to four tables per
+distinct coefficient into each matrix, so whatever caches the matrix
+bounds their memory.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional dependency
-    _np = None
+from typing import Dict, List, Optional, Sequence
 
 Matrix = List[List[int]]
 
@@ -39,7 +42,7 @@ class GaloisField:
         self.order = 1 << bits
         self.symbol_bytes = bits // 8
         self._tables: Optional[tuple] = None
-        self._np_tables: Optional[tuple] = None
+        self._terms: Optional[Dict[int, tuple]] = None
 
     def __repr__(self) -> str:
         return f"GF(2^{self.bits})"
@@ -161,90 +164,133 @@ class GaloisField:
 
     # -- block arithmetic ------------------------------------------------------
 
-    def matvec(self, matrix: Matrix, blocks: Sequence[bytes],
-               use_numpy: bool) -> List[bytes]:
-        """Multiply ``matrix`` by the column vector of equal-length blocks.
+    def matvec(self, matrix: Matrix, blocks: Sequence[bytes]) -> List[bytes]:
+        """Multiply ``matrix`` by the column vector of equal-length blocks:
+        one block per matrix row (see :class:`BlockMatrix`)."""
+        return BlockMatrix(self, matrix).matvec(blocks)
 
-        Returns one block per matrix row.  Coefficient 0 skips a block
-        and 1 XORs it in directly; the numpy kernel (when ``use_numpy``
-        and numpy is installed) computes the same bytes as the
-        pure-Python one.
-        """
-        if not matrix:
-            return []
-        if use_numpy and _np is not None:
-            return self._matvec_numpy(matrix, blocks)
+    def _term_cache(self) -> Dict[int, tuple]:
+        """Coefficient -> terms for one :class:`BlockMatrix`.  GF(2^8)
+        shares one full dict, 256 tables of 256 bytes built on first use;
+        GF(2^16) gets a fresh one, so its tables live and die with the
+        matrix using them."""
+        if self.bits != 8:
+            return {}
+        if self._terms is None:
+            self._terms = {c: self._coefficient_terms(c)
+                           for c in range(self.order)}
+        return self._terms
+
+    def _coefficient_terms(self, coefficient: int) -> tuple:
+        """Multiplication by ``coefficient`` as ``(p_in, p_out, table)``
+        byte-plane terms (plane 0 is a symbol's most significant byte):
+        plane ``p_out`` of ``c·x`` is the XOR of ``table[x_p_in]`` over the
+        terms targeting it.  All-zero tables are dropped and the identity
+        table is ``None``, so coefficient 1 is a bare XOR."""
+        if coefficient == 0:
+            return ()
         exp, log = self.tables()
         width = self.symbol_bytes
-        words = [[int.from_bytes(block[i:i + width], "big")
-                  for i in range(0, len(block), width)] for block in blocks]
-        out = []
+        terms = []
+        for p_in in range(width):
+            # c·x^(8·(width-1-p_in) + i): the images of plane p_in's bits.
+            base = log[coefficient] + 8 * (width - 1 - p_in)
+            products = _product_table([exp[base + i] for i in range(8)],
+                                      width)
+            for p_out in range(width):
+                table = products[width - 1 - p_out::width]
+                if table != _ZERO_TABLE:
+                    terms.append((p_in, p_out,
+                                  None if table == _IDENTITY_TABLE else table))
+        return tuple(terms)
+
+
+_ZERO_TABLE = bytes(256)
+_IDENTITY_TABLE = bytes(range(256))
+
+
+def _product_table(images: Sequence[int], width: int) -> bytes:
+    """The 256 values, ``width`` bytes each, little-endian, of the
+    GF(2)-linear map on bytes that sends bit ``i`` to ``images[i]``.
+
+    Entries ``[2^i, 2^(i+1))`` are the ones below XOR ``images[i]``, so
+    the table doubles eight times as one integer; byte ``p`` of every
+    entry is the slice ``[p::width]``.
+    """
+    broadcast = _BROADCAST[width]
+    bits = 8 * width
+    table = 0
+    for i, image in enumerate(images):
+        table |= (table ^ image * broadcast[i]) << (bits << i)
+    return table.to_bytes(256 * width, "little")
+
+
+#: ``_BROADCAST[width][i]`` has a 1 in the low byte of each of ``2^i``
+#: ``width``-byte entries: times a symbol, that symbol in every entry.
+_BROADCAST = {width: [int.from_bytes((b"\x01" + bytes(width - 1)) * (1 << i),
+                                     "little") for i in range(8)]
+              for width in (1, 2)}
+
+
+class BlockMatrix:
+    """A matrix over ``field`` compiled for products with blocks.
+
+    A block splits into ``symbol_bytes`` byte planes (``block[p::width]``);
+    multiplying a plane by a constant is one ``bytes.translate``, and a
+    row sums its terms by XOR-ing ``int.from_bytes`` values before writing
+    each output plane with one ``to_bytes``.  ``rows[i]`` holds row ``i``'s
+    ``(source plane, target plane, table)`` terms, where the source plane
+    indexes ``column * symbol_bytes + p_in``; coefficient 0 contributes no
+    term.  In GF(2^16) the tables belong to this object (up to four
+    256-byte tables per distinct coefficient), so the cache holding a
+    matrix bounds their memory.
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: GaloisField, matrix: Matrix) -> None:
+        self.field = field
+        width = field.symbol_bytes
+        cache = field._term_cache()
+        rows = []
         for row in matrix:
-            accumulator = [0] * len(words[0])
-            for coefficient, symbols in zip(row, words):
-                if coefficient == 0:
-                    continue
-                log_c = log[coefficient]
-                accumulator = [a if s == 0 else a ^ exp[log_c + log[s]]
-                               for a, s in zip(accumulator, symbols)]
-            out.append(b"".join(a.to_bytes(width, "big")
-                                for a in accumulator))
-        return out
+            terms = []
+            for column, coefficient in enumerate(row):
+                coefficient_terms = cache.get(coefficient)
+                if coefficient_terms is None:
+                    coefficient_terms = cache[coefficient] = (
+                        field._coefficient_terms(coefficient))
+                terms.extend((column * width + p_in, p_out, table)
+                             for p_in, p_out, table in coefficient_terms)
+            rows.append(terms)
+        self.rows = rows
 
-    def _matvec_numpy(self, matrix: Matrix,
-                      blocks: Sequence[bytes]) -> List[bytes]:
-        """All output rows over one ``(k, L)`` symbol view of the blocks.
-
-        An 8-bit coefficient is one gather from its row of the 256 x 256
-        product table; a 16-bit one goes through exp/log (a full 16-bit
-        product table would take 8 GiB).
-        """
-        exp, log, product_table = self._numpy_tables()
-        wire = _np.dtype(f">u{self.symbol_bytes}")
-        data = _np.frombuffer(b"".join(blocks), dtype=wire)
-        data = data.reshape(len(blocks), -1)
-        if product_table is None:
-            log_data = log[data]
-            nonzero = data != 0
+    def matvec(self, blocks: Sequence[bytes]) -> List[bytes]:
+        """One block per row: the row's combination of ``blocks``."""
+        width = self.field.symbol_bytes
+        if width == 1:
+            planes = blocks
+        else:
+            planes = [block[p::width] for block in blocks
+                      for p in range(width)]
+        size = len(planes[0]) if planes else 0
+        from_bytes = int.from_bytes
         out = []
-        for row in matrix:
-            accumulator = None
-            for j, coefficient in enumerate(row):
-                if coefficient == 0:
-                    continue
-                if coefficient == 1:
-                    term = data[j]
-                elif product_table is not None:
-                    term = _np.take(product_table[coefficient], data[j])
-                else:
-                    term = _np.where(nonzero[j],
-                                     exp[log_data[j] + log[coefficient]], 0)
-                if accumulator is None:
-                    # First term: own a mutable buffer (a bare data[j]
-                    # view must not be XORed into).
-                    accumulator = term.copy() if coefficient == 1 else term
-                else:
-                    accumulator ^= term
-            if accumulator is None:
-                accumulator = _np.zeros(data.shape[1], dtype=wire)
-            out.append(accumulator.astype(wire, copy=False).tobytes())
+        for terms in self.rows:
+            sums = [0] * width
+            for source, target, table in terms:
+                plane = planes[source]
+                sums[target] ^= from_bytes(
+                    plane if table is None else plane.translate(table),
+                    "little")
+            if width == 1:
+                out.append(sums[0].to_bytes(size, "little"))
+                continue
+            block = bytearray(size * width)
+            for p, total in enumerate(sums):
+                block[p::width] = total.to_bytes(size, "little")
+            out.append(bytes(block))
         return out
-
-    def _numpy_tables(self) -> tuple:
-        """``(exp, log, product_table)`` as numpy arrays, built on first
-        use; ``product_table`` is ``None`` beyond 8 bits."""
-        if self._np_tables is None:
-            exp_list, log_list = self.tables()
-            exp = _np.array(exp_list, dtype=_np.uint16)
-            log = _np.array(log_list, dtype=_np.intp)
-            product_table = None
-            if self.bits == 8:
-                product_table = exp[log[:, None] + log[None, :]].astype(
-                    _np.uint8)
-                product_table[0, :] = 0
-                product_table[:, 0] = 0
-            self._np_tables = (exp, log, product_table)
-        return self._np_tables
 
 
 GF256 = GaloisField(8, 0x11D)

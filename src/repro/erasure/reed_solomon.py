@@ -8,7 +8,8 @@ Construction: take the ``n x k`` Vandermonde matrix over
 :func:`~repro.erasure.field.field_for` ``(n)`` and right-multiply by the
 inverse of its top ``k x k`` square, yielding a systematic generator
 matrix (identity on top) in which every ``k``-row subset is invertible.
-Block arithmetic is :meth:`~repro.erasure.field.GaloisField.matvec`.
+Block arithmetic is a :class:`~repro.erasure.field.BlockMatrix`, each
+matrix compiled once with its translate tables.
 
 Hot-path design (the decode kernel dominates the F1/F2/F3 sweeps):
 
@@ -16,9 +17,10 @@ Hot-path design (the decode kernel dominates the F1/F2/F3 sweeps):
   the same linear algebra, and sweeps decode from the *same* few subsets
   thousands of times.  ``decode_blocks`` therefore compiles the chosen
   index tuple into a :class:`_DecodePlan` — which data rows are present,
-  which are missing, and the solve matrix mapping the supplied blocks
-  directly to the missing rows — and memoizes it in a deterministic,
-  insertion-ordered :class:`~repro.common.lru.LruCache`.
+  which are missing, and the compiled solve matrix mapping the supplied
+  blocks directly to the missing rows — and memoizes it in a
+  deterministic, insertion-ordered :class:`~repro.common.lru.LruCache`,
+  which also bounds the GF(2^16) tables the plans hold.
 * **Partial-systematic solve.**  Present data rows are returned as-is;
   only the ``m`` missing data rows are solved for, via an ``m x m``
   inversion (not ``k x k``) composed with the parity coefficients into a
@@ -33,7 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, DecodingError
 from repro.common.lru import LruCache
-from repro.erasure.field import Matrix, field_for
+from repro.erasure.field import BlockMatrix, Matrix, field_for
 
 #: Decode plans cached per code instance: chosen k-subsets recur
 #: constantly across sweeps, and 128 distinct subsets comfortably covers
@@ -46,14 +48,14 @@ class _DecodePlan(NamedTuple):
 
     ``known`` are the chosen systematic indices (data rows supplied
     directly); ``missing`` are the data rows to solve for; ``matrix`` is
-    the composed ``m x k`` solve matrix applied to the supplied blocks
-    (ordered by ascending chosen index, i.e. known rows then parity
+    the composed ``m x k`` solve matrix, compiled, applied to the supplied
+    blocks (ordered by ascending chosen index, i.e. known rows then parity
     rows).  ``matrix`` is ``None`` for the all-systematic plan.
     """
 
     known: Tuple[int, ...]
     missing: Tuple[int, ...]
-    matrix: Optional[Matrix]
+    matrix: Optional[BlockMatrix]
 
 
 def _as_bytes(block) -> bytes:
@@ -74,11 +76,9 @@ class ReedSolomonCode:
         2 bytes, so block lengths must be even).
     k:
         Number of blocks sufficient for reconstruction (``1 <= k <= n``).
-    use_numpy:
-        Vectorize block arithmetic with numpy (default when available).
     """
 
-    def __init__(self, n: int, k: int, use_numpy: bool = True):
+    def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
             raise ConfigurationError(f"require 1 <= k <= n, got n={n} k={k}")
         self.field = field = field_for(n)
@@ -87,14 +87,13 @@ class ReedSolomonCode:
                 f"{field} Reed-Solomon supports n <= {field.order - 1}")
         self.n = n
         self.k = k
-        self._use_numpy = use_numpy
         vandermonde = field.vandermonde_matrix(n, k)
         top_inverse = field.matrix_invert([row[:] for row in vandermonde[:k]])
         self._generator: Matrix = field.matrix_multiply(vandermonde,
                                                         top_inverse)
         #: Parity rows only (rows ``k..n-1``): the systematic top rows
         #: are the identity, so encoding never multiplies by them.
-        self._parity_rows: Matrix = [row[:] for row in self._generator[k:]]
+        self._parity_rows = BlockMatrix(field, self._generator[k:])
         self._plan_cache = LruCache(_PLAN_CACHE_CAPACITY)
 
     @property
@@ -120,8 +119,7 @@ class ReedSolomonCode:
         data = [_as_bytes(block) for block in data_blocks]
         # Systematic fast path: the first k output blocks *are* the data;
         # only the parity rows need arithmetic.
-        return data + self.field.matvec(self._parity_rows, data,
-                                        self._use_numpy)
+        return data + self._parity_rows.matvec(data)
 
     # -- decoding ---------------------------------------------------------
 
@@ -180,7 +178,7 @@ class ReedSolomonCode:
                 row.append(acc)
             row.extend(b_inverse[r])
             matrix.append(row)
-        return _DecodePlan(known, missing, matrix)
+        return _DecodePlan(known, missing, BlockMatrix(field, matrix))
 
     def decode_blocks(self, blocks: Dict[int, bytes]) -> List[bytes]:
         """Recover the ``k`` data blocks from ``{index: block}`` pairs.
@@ -196,7 +194,7 @@ class ReedSolomonCode:
         if not plan.missing:
             # All-systematic fast path: the data blocks are present.
             return supplied
-        solved = self.field.matvec(plan.matrix, supplied, self._use_numpy)
+        solved = plan.matrix.matvec(supplied)
         out: List[bytes] = [b""] * self.k
         for position, index in enumerate(plan.known):
             out[index] = supplied[position]

@@ -1,5 +1,6 @@
 """GF(2^16) field and the Reed-Solomon code beyond 255 blocks."""
 
+import gc
 import os
 import random
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError, DecodingError
 from repro.erasure.coder import ErasureCoder
-from repro.erasure.field import GF65536, identity_matrix
-from repro.erasure.reed_solomon import ReedSolomonCode
+from repro.erasure.field import GF65536, BlockMatrix, identity_matrix
+from repro.erasure.reed_solomon import _PLAN_CACHE_CAPACITY, ReedSolomonCode
 
 elements = st.integers(min_value=0, max_value=65535)
 nonzero = st.integers(min_value=1, max_value=65535)
@@ -134,15 +135,25 @@ def test_rs16_parameter_validation():
         ReedSolomonCode(65536, 2)
 
 
-def test_rs16_numpy_matches_python():
-    fast = ReedSolomonCode(300, 4, use_numpy=True)
-    slow = ReedSolomonCode(300, 4, use_numpy=False)
-    data = [os.urandom(20) for _ in range(4)]
-    assert fast.encode_blocks(data) == slow.encode_blocks(data)
-    blocks = fast.encode_blocks(data)
-    subset = {299: blocks[299], 256: blocks[256], 40: blocks[40],
-              2: blocks[2]}
-    assert fast.decode_blocks(subset) == slow.decode_blocks(subset)
+def test_rs16_compiled_tables_are_bounded_by_the_plan_cache():
+    """GF(2^16) translate tables live in the compiled matrices, so they
+    are bounded by the decode-plan cache (plus the parity rows) however
+    many distinct index subsets a code decodes from."""
+    def live_matrices():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects()
+                   if type(obj) is BlockMatrix and obj.field is GF65536)
+
+    before = live_matrices()
+    code = ReedSolomonCode(300, 4)
+    data = [os.urandom(8) for _ in range(4)]
+    blocks = code.encode_blocks(data)
+    for parity in range(4, 4 + _PLAN_CACHE_CAPACITY + 20):
+        chosen = (0, 1, 2, parity)
+        assert code.decode_blocks({j: blocks[j] for j in chosen}) == data
+    assert len(code._plan_cache) == _PLAN_CACHE_CAPACITY
+    assert live_matrices() - before <= _PLAN_CACHE_CAPACITY + 1
+    assert GF65536._terms is None  # and none are kept by the field
 
 
 # -- coder integration ---------------------------------------------------------------

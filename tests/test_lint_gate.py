@@ -32,13 +32,18 @@ SRC = ROOT / "src" / "repro"
 BASELINE = ROOT / "benchmarks" / "LINT_baseline.json"
 
 
-def _lint_subprocess(*arguments):
+def _src_env():
+    """The environment with this checkout's ``src`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+    return env
+
+
+def _lint_subprocess(*arguments):
     return subprocess.run(
         [sys.executable, "-m", "repro.lint", *arguments],
-        capture_output=True, text=True, cwd=ROOT, env=env)
+        capture_output=True, text=True, cwd=ROOT, env=_src_env())
 
 
 @pytest.fixture(scope="module")
@@ -166,10 +171,10 @@ def test_one_runner_builds_kv_deployments_and_wires_their_faults():
 
 
 def test_one_field_class_and_one_reed_solomon_code():
-    """The erasure ratchet: one field class holds the block kernels and
-    one class decodes.  Under ``src/repro`` only ``repro.erasure.field``
-    imports numpy, and exactly one class defines ``decode_blocks``.  A
-    second kernel stack (or a second code) has to show up here first."""
+    """The erasure ratchet: one field class holds the block kernel and
+    one class decodes.  Nothing under ``src/repro`` imports numpy, and
+    exactly one class defines ``decode_blocks``.  A second kernel stack
+    (or a second code) has to show up here first."""
     numpy_importers = set()
     decoders = []
     for module in discover([SRC]):
@@ -186,8 +191,24 @@ def test_one_field_class_and_one_reed_solomon_code():
                     isinstance(item, ast.FunctionDef)
                     and item.name == "decode_blocks" for item in node.body):
                 decoders.append(f"{module.dotted}.{node.name}")
-    assert numpy_importers == {"repro.erasure.field"}
+    assert numpy_importers == set()
     assert decoders == ["repro.erasure.reed_solomon.ReedSolomonCode"]
+
+
+def test_a_kv_run_never_loads_numpy():
+    """The footprint ratchet the AST check cannot see: a fresh
+    interpreter that runs a small kv case has not imported numpy, not
+    even through a dependency."""
+    script = ("import sys\n"
+              "from repro.kv.bench import run_kv_case\n"
+              "row, _ = run_kv_case(2, protocol='atomic', ops=24)\n"
+              "assert row.completed == row.ops, row\n"
+              "print(sorted(name for name in sys.modules\n"
+              "             if name.split('.')[0] == 'numpy'))\n")
+    result = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_observers_are_reached_only_through_the_simulator():
