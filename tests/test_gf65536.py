@@ -12,6 +12,8 @@ from repro.erasure.coder import ErasureCoder
 from repro.erasure.field import GF65536, BlockMatrix, identity_matrix
 from repro.erasure.reed_solomon import _PLAN_CACHE_CAPACITY, ReedSolomonCode
 
+from tests.gf_reference import numpy_decode, numpy_encode
+
 elements = st.integers(min_value=0, max_value=65535)
 nonzero = st.integers(min_value=1, max_value=65535)
 
@@ -133,6 +135,18 @@ def test_rs16_parameter_validation():
         ReedSolomonCode(300, 301)
     with pytest.raises(ConfigurationError):
         ReedSolomonCode(65536, 2)
+
+
+def test_rs16_numpy_matches_python():
+    """The standard-library kernel against the numpy reference beyond
+    255 blocks, where symbols are two bytes wide."""
+    code = ReedSolomonCode(300, 4)
+    data = [os.urandom(20) for _ in range(4)]
+    blocks = code.encode_blocks(data)
+    assert blocks == numpy_encode(code, data)
+    subset = {299: blocks[299], 256: blocks[256], 40: blocks[40],
+              2: blocks[2]}
+    assert code.decode_blocks(subset) == numpy_decode(code, subset) == data
 
 
 def test_rs16_compiled_tables_are_bounded_by_the_plan_cache():

@@ -11,6 +11,8 @@ from repro.common.errors import ConfigurationError, DecodingError
 from repro.erasure.field import GF256, GF65536, identity_matrix
 from repro.erasure.reed_solomon import ReedSolomonCode
 
+from tests.gf_reference import numpy_decode, numpy_encode
+
 
 def _data_blocks(k: int, length: int, seed: int = 0):
     rng = random.Random(seed)
@@ -100,6 +102,17 @@ def test_k_equals_one_is_replication():
     assert all(block == b"payload" for block in blocks)
 
 
+def test_numpy_and_pure_python_agree():
+    """The standard-library kernel against the numpy reference, which
+    multiplies by shift-and-add and shares none of its tables."""
+    code = ReedSolomonCode(7, 4)
+    data = _data_blocks(4, 32, seed=5)
+    blocks = code.encode_blocks(data)
+    assert blocks == numpy_encode(code, data)
+    subset = {6: blocks[6], 4: blocks[4], 2: blocks[2], 5: blocks[5]}
+    assert code.decode_blocks(subset) == numpy_decode(code, subset) == data
+
+
 def _scalar_matvec(field, matrix, blocks):
     """The block product one big-endian symbol at a time, by ``mul``."""
     width = field.symbol_bytes
@@ -187,13 +200,19 @@ PINNED_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("kernel", ["numpy", "python"])
 @pytest.mark.parametrize("n, k", sorted(PINNED_DIGESTS))
-def test_block_bytes_are_pinned(n, k):
+def test_block_bytes_are_pinned(n, k, kernel):
+    """``python`` is the package's kernel; ``numpy`` is the test-only
+    reference, so each digest is pinned by two unrelated computations."""
     code = ReedSolomonCode(n, k)
+    encode, decode = ((numpy_encode, numpy_decode) if kernel == "numpy"
+                      else (ReedSolomonCode.encode_blocks,
+                            ReedSolomonCode.decode_blocks))
     rng = random.Random(n * 1000 + k)
     data = [rng.randbytes(64) for _ in range(k)]
-    encoded = code.encode_blocks(data)
-    decoded = code.decode_blocks({j: encoded[j] for j in range(n - k, n)})
+    encoded = encode(code, data)
+    decoded = decode(code, {j: encoded[j] for j in range(n - k, n)})
     assert decoded == data
     digest = hashlib.sha256(b"".join(encoded) + b"".join(decoded))
     assert digest.hexdigest() == PINNED_DIGESTS[(n, k)]
