@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.chaos.plan import FaultPlan
 from repro.common.errors import SimulationError
@@ -47,13 +47,11 @@ class FaultInjector:
     ``(plan, workload)``.
     """
 
-    def __init__(self, plan: FaultPlan,
-                 instruments: Optional[Registry] = None):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
         #: Per-fault-kind counters (``chaos.injected[...]``/
         #: ``chaos.released[...]``), exported with the campaign report.
-        self.instruments = instruments if instruments is not None \
-            else Registry()
+        self.instruments = Registry()
         self._simulator = None
         self._rng = random.Random(plan.seed)
         self._budgets: List[int] = [rule.limit for rule in plan.rules]

@@ -109,7 +109,7 @@ def critical_path(recorder: TraceRecorder,
             continue  # undelivered messages cannot be causes
         phase = classify_phase(record.tag, record.mtype, span.tag)
         local_gap = record.send_time - previous
-        queue_wait = record.deliver_time - record.send_time
+        queue_wait = record.queue_wait
         hops.append(PathHop(record=record, phase=phase,
                             local_gap=local_gap, queue_wait=queue_wait))
         attribute(PHASE_LOCAL, local_gap)

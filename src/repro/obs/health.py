@@ -40,8 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.trace import OperationMatcher
-from repro.common.ids import PartyId
+from repro.common.ids import TAG_SEP, PartyId
 from repro.net.message import LocalEvent, Message
 from repro.obs.planes import (
     TRANSPORT_MTYPES,
@@ -73,6 +72,9 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
 #: at which that component reaches 0.5.
 _REBROADCAST_HALFPOINT = 8
 
+#: Live buckets each time series keeps (see :mod:`repro.obs.timeseries`).
+_MAX_BUCKETS = 512
+
 
 def shard_of_tag(tag: str) -> Optional[int]:
     """The kv shard index encoded in a register tag (``kv.s<shard>.*``),
@@ -90,15 +92,14 @@ class HealthMonitor:
     """Observer that scores server health and rolls telemetry into
     windowed series; attach with :meth:`attach` before the run.
 
+    :meth:`attach` attaches ``monitor.recorder``, its own
+    :class:`TraceRecorder`, right before it; the monitor reads the
+    operations that recorder matches.
+
     Parameters
     ----------
-    recorder:
-        The :class:`TraceRecorder` :meth:`attach` attaches beside the
-        monitor (one is created when omitted); its full causal trace
-        stays available as ``monitor.recorder`` for span/critical-path
-        analysis.
-    bucket_ticks / max_buckets:
-        Time-series geometry (see :mod:`repro.obs.timeseries`).
+    bucket_ticks:
+        Time-series bucket width (see :mod:`repro.obs.timeseries`).
     slos:
         Objectives to evaluate (:func:`repro.obs.slo.default_slos`
         when omitted).
@@ -107,14 +108,12 @@ class HealthMonitor:
         with any overrides).
     """
 
-    def __init__(self, recorder: Optional[TraceRecorder] = None,
-                 bucket_ticks: int = 32, max_buckets: int = 512,
+    def __init__(self, bucket_ticks: int = 32,
                  slos: Optional[Sequence[SloSpec]] = None,
                  weights: Optional[Dict[str, float]] = None):
-        self.recorder = recorder if recorder is not None \
-            else TraceRecorder()
+        self.recorder = TraceRecorder()
         self.store = TimeSeriesStore(bucket_ticks=bucket_ticks,
-                                     max_buckets=max_buckets)
+                                     max_buckets=_MAX_BUCKETS)
         self.slos = list(slos) if slos is not None else default_slos()
         self.trackers = [SloTracker(spec) for spec in self.slos]
         self.weights = dict(DEFAULT_WEIGHTS)
@@ -131,12 +130,11 @@ class HealthMonitor:
         self._chaos_hits: Dict[PartyId, int] = {}
         self._quorum_present: Dict[PartyId, int] = {}
         self._quorum_missed: Dict[PartyId, int] = {}
-        # -- operation lifecycle --------------------------------------
-        self._operations = OperationMatcher()
-        # oid -> (op kind, tag); feeds replication-skew classification
-        self._op_meta: Dict[str, Tuple[str, str]] = {}
-        # oid -> {server: first delivery time of the op's traffic}
-        self._op_delivery: Dict[str, Dict[PartyId, int]] = {}
+        # -- operation lifecycle, by (register tag, oid) ---------------
+        # op kind; feeds replication-skew classification
+        self._op_kind: Dict[Tuple[str, str], str] = {}
+        # {server: first delivery time of the op's traffic}
+        self._op_delivery: Dict[Tuple[str, str], Dict[PartyId, int]] = {}
         self.ops_completed = 0
         self.ops_abandoned = 0
         self._finalized = False
@@ -190,7 +188,8 @@ class HealthMonitor:
         self.store.gauge("net.in_flight").record(time, pending)
         if message.recipient.is_server and message.payload \
                 and isinstance(message.payload[0], str):
-            arrivals = self._op_delivery.get(message.payload[0])
+            arrivals = self._op_delivery.get(
+                (message.tag.partition(TAG_SEP)[0], message.payload[0]))
             if arrivals is not None \
                     and message.recipient not in arrivals:
                 arrivals[message.recipient] = time
@@ -198,21 +197,21 @@ class HealthMonitor:
     def on_input(self, event: LocalEvent) -> None:
         """Open an operation: start its lifecycle tracking and count
         the invocation."""
-        self._operations.feed(event)
         if event.action in ("write", "read"):
             oid = event.payload[0] if event.payload else None
             if isinstance(oid, str):
-                self._op_meta[oid] = (event.action, event.tag)
-                self._op_delivery.setdefault(oid, {})
+                key = (event.tag, oid)
+                self._op_kind[key] = event.action
+                self._op_delivery.setdefault(key, {})
             self.store.counter(
                 f"ops.invoked[{event.action}]").record(event.time)
 
     def on_output(self, event: LocalEvent) -> None:
-        """Close the matching invocation (:class:`OperationMatcher`)
-        and classify the completed operation against the SLOs."""
-        pair = self._operations.feed(event)
-        if pair is not None:
-            self._complete(*pair)
+        """Classify the operation ``event`` completed, if any, against
+        the SLOs (the recorder, attached first, has just matched it)."""
+        completed = self.recorder.completed
+        if completed and completed[-1][1] is event:
+            self._complete(*completed[-1])
 
     def on_quorum(self, time: int, party: PartyId, tag: str, mtype: str,
                   threshold: int, quorum_msg_ids: Tuple[int, ...],
@@ -296,7 +295,7 @@ class HealthMonitor:
         if self._finalized:
             return
         self._finalized = True
-        for invocation in self._operations.open_invocations():
+        for invocation in self.recorder.operations()[2]:
             self.ops_abandoned += 1
             kind = invocation.action
             shard = shard_of_tag(invocation.tag)
@@ -313,16 +312,16 @@ class HealthMonitor:
         median arrival) against ``replication`` specs, anchored to the
         bucket where the last arrival landed."""
         observations = []
-        for oid in sorted(self._op_delivery):
-            arrivals = sorted(self._op_delivery[oid].values())
+        for key, first_seen in self._op_delivery.items():
+            arrivals = sorted(first_seen.values())
             if len(arrivals) < 2:
                 continue
             skew = arrivals[-1] - arrivals[len(arrivals) // 2]
-            observations.append((arrivals[-1], skew, oid))
+            observations.append((arrivals[-1], skew, key))
         observations.sort()
-        for settle_time, skew, oid in observations:
-            kind, tag = self._op_meta[oid]
-            shard = shard_of_tag(tag)
+        for settle_time, skew, key in observations:
+            kind = self._op_kind[key]
+            shard = shard_of_tag(key[0])
             self.store.digest("ops.replication_skew").record(
                 settle_time, skew)
             bucket = settle_time // self.store.bucket_ticks

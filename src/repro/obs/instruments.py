@@ -94,8 +94,10 @@ class Histogram:
         return self.total / len(self.values) if self.values else 0.0
 
     def percentile(self, q: float) -> float:
-        """Exact ``q``-th percentile (``0 <= q <= 100``) by
-        nearest-rank; 0 for an empty histogram.
+        """Exact ``q``-th percentile (``0 <= q <= 100``): the sorted
+        sample at the rounded linear position ``round(q/100 * (n - 1))``
+        (Python's round-half-to-even), so ``percentile(50)`` of
+        ``1..100`` is 51; 0 for an empty histogram.
 
         The sorted view is cached across calls (windowed rollups take
         several percentiles per bucket) and invalidated by ``record``.

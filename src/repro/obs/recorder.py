@@ -8,7 +8,8 @@ the same run side by side) and captures, as the run executes:
 * a :class:`MessageRecord` per sent message — send/deliver logical
   times, wire size, causal depth, and the ``cause_id`` happens-before
   link to the delivery that activated the sender;
-* every input/output action (:class:`~repro.net.message.LocalEvent`);
+* every input/output action (:class:`~repro.net.message.LocalEvent`),
+  matching each operation as it completes (``completed``);
 * every :class:`QuorumRelease` — the exact arrival that tipped a
   ``condition_quorum`` wait state over its threshold;
 * built-in instruments (:mod:`repro.obs.instruments`): in-flight
@@ -26,13 +27,12 @@ sub-protocol spans.
 operation in every message's name (``ID|disp.oid`` is the Disperse
 instance of operation ``oid`` on register ``ID``), so the recorder
 files what it records under the operation(s) it can belong to *as it
-records it*: every message under its root tag and under each
-``(root tag, oid)`` it names, every quorum release under the keys of
-the arrival that tipped it, every ``write-accepted`` output under its
-``(tag, oid)``.  The per-operation queries (:meth:`TraceRecorder.
-operation_records`, :meth:`~TraceRecorder.operation_releases`,
-:meth:`~TraceRecorder.accepted_by`, :meth:`~TraceRecorder.
-records_under`) apply the belongs-to predicate (:func:`record_belongs`)
+records it*: every message under each ``(root tag, oid)`` it names,
+every quorum release under the keys of the arrival that tipped it,
+every ``write-accepted`` output under its ``(tag, oid)``.  The
+per-operation queries (:meth:`TraceRecorder.operation_records`,
+:meth:`~TraceRecorder.operation_releases`, :meth:`~TraceRecorder.
+accepted_by`) apply the belongs-to predicate (:func:`record_belongs`)
 to one bucket instead of the whole trace, so attributing a run costs
 O(records + operations), not their product.  The index is plain
 insertion-ordered dict/list state and a pure function of ``messages``,
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.trace import match_operations
+from repro.analysis.trace import OperationMatcher
 from repro.common.errors import SimulationError
 from repro.common.ids import TAG_SEP, PartyId
 from repro.net.message import LocalEvent, Message
@@ -55,9 +55,8 @@ from repro.obs.instruments import Counter, Gauge, Histogram, Registry
 _OperationKey = Tuple[str, str]
 #: a quorum release with its position in ``quorum_releases``
 _FiledRelease = Tuple[int, "QuorumRelease"]
-#: what ``match_operations`` returns: pairs, unmatched, open invocations
-_Matched = Tuple[List[Tuple[LocalEvent, LocalEvent]], List[LocalEvent],
-                 List[LocalEvent]]
+#: one completed operation: ``(invocation, completion)``
+_Pair = Tuple[LocalEvent, LocalEvent]
 
 
 @dataclass(slots=True)
@@ -158,18 +157,21 @@ class TraceRecorder:
     first delivery.
 
     All captured state is public: ``messages`` (by ``msg_id``, in send
-    order), ``events``, ``quorum_releases``, and the instrument
-    ``registry``.  Change it only through the ``on_*`` callbacks — they
-    keep the per-operation index (module docstring) in step with it.
+    order), ``events``, ``completed`` (``(invocation, completion)``
+    pairs, in completion order), ``quorum_releases``, and the
+    instrument ``registry``.  Change it only through the ``on_*``
+    callbacks — they keep the matcher and the per-operation index
+    (module docstring) in step with it.
     """
 
-    def __init__(self, registry: Optional[Registry] = None):
+    def __init__(self):
         self.messages: Dict[int, MessageRecord] = {}
         self.events: List[LocalEvent] = []
+        self.completed: List[_Pair] = []
         self.quorum_releases: List[QuorumRelease] = []
-        self.registry = registry or Registry()
+        self.registry = Registry()
+        self._matcher = OperationMatcher()
         # -- the per-operation index (insertion-ordered throughout) ----
-        self._records_by_root: Dict[str, List[MessageRecord]] = {}
         self._records_by_operation: Dict[_OperationKey,
                                          List[MessageRecord]] = {}
         #: releases that waited, under the keys of their tipping arrival
@@ -180,8 +182,6 @@ class TraceRecorder:
         #: ``write-accepted`` outputs, by their exact ``(tag, oid)``
         self._accepted_by_operation: Dict[Tuple[str, str],
                                           List[LocalEvent]] = {}
-        #: ``match_operations`` result and the event count it covers
-        self._matched: Tuple[int, _Matched] = (0, ([], [], []))
         # Per-event instruments, bound on first use (never here: an
         # idle recorder's registry must stay empty) so the callbacks
         # neither format a name nor search the registry per event.
@@ -263,13 +263,18 @@ class TraceRecorder:
         return gauge
 
     def on_input(self, event: LocalEvent) -> None:
-        """Record an input action."""
+        """Record an input action (an invocation opens an operation)."""
         self.events.append(event)
+        self._matcher.feed(event)
         self.registry.counter("events.input").inc()
 
     def on_output(self, event: LocalEvent) -> None:
-        """Record an output action."""
+        """Record an output action; a completion closes its operation
+        and appends it to ``completed``."""
         self.events.append(event)
+        pair = self._matcher.feed(event)
+        if pair is not None:
+            self.completed.append(pair)
         self._file_event(event)
         self.registry.counter("events.output").inc()
 
@@ -306,7 +311,6 @@ class TraceRecorder:
 
     def _file_record(self, record: MessageRecord) -> None:
         root, oids = _index_keys(record)
-        self._records_by_root.setdefault(root, []).append(record)
         for oid in oids:
             self._records_by_operation.setdefault(
                 (root, oid), []).append(record)
@@ -333,7 +337,6 @@ class TraceRecorder:
     def _reindex_messages(self) -> None:
         """Rebuild everything filed by message from ``messages`` and
         ``quorum_releases`` (after a ``msg_id`` was overwritten)."""
-        self._records_by_root = {}
         self._records_by_operation = {}
         self._releases_by_operation = {}
         self._unwaited_releases = {}
@@ -370,23 +373,14 @@ class TraceRecorder:
         chain.reverse()
         return chain
 
-    def records_under(self, tag_prefix: str) -> List[MessageRecord]:
-        """All records whose tag is ``tag_prefix`` or a sub-instance of
-        it, in send order."""
-        prefix = tag_prefix + TAG_SEP
-        return [record for record
-                in self._records_by_root.get(_root_tag(tag_prefix), ())
-                if record.tag == tag_prefix
-                or record.tag.startswith(prefix)]
-
-    def operations(self) -> _Matched:
-        """:func:`repro.analysis.trace.match_operations` over the
-        recorded events — ``(pairs, unmatched, open_invocations)`` —
-        matched once per event count, however many consumers ask."""
-        if self._matched[0] != len(self.events):
-            self._matched = (len(self.events),
-                             match_operations(self.events))
-        return self._matched[1]
+    def operations(self) -> Tuple[List[_Pair], List[LocalEvent],
+                                  List[LocalEvent]]:
+        """``(completed, unmatched, open_invocations)`` — what
+        :func:`repro.analysis.trace.match_operations` returns over
+        ``events``, kept as the events arrived."""
+        matcher = self._matcher
+        return (self.completed, matcher.unmatched,
+                matcher.open_invocations())
 
     def operation_records(self, tag: str,
                           oid: str) -> List[MessageRecord]:

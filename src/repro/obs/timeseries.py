@@ -99,8 +99,10 @@ class Digest:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """Nearest-rank ``q``-th percentile estimate (bin upper bound,
-        clamped to the exact extremes); 0 for an empty digest."""
+        """Nearest-rank ``q``-th percentile estimate: the upper bound
+        of the bin holding the sample of rank ``ceil(q/100 * count)``
+        (at least 1), clamped to the exact extremes; 0 for an empty
+        digest."""
         if not 0 <= q <= 100:
             raise SimulationError(f"percentile {q} out of range")
         if not self.count:

@@ -2,11 +2,16 @@
 deterministic dashboard renders built on top of them."""
 
 import io
+from pathlib import Path
 
 import pytest
 
 from repro.chaos.campaign import RunSpec, execute_run
 from repro.chaos.library import builtin_plan
+from repro.cli import main
+from repro.cluster import build_cluster
+from repro.config import SystemConfig
+from repro.net.schedulers import RandomScheduler
 from repro.common.errors import SimulationError
 from repro.obs import (
     DEFAULT_WEIGHTS,
@@ -20,6 +25,8 @@ from repro.obs import (
     shard_of_tag,
 )
 from repro.obs.slo import KIND_AVAILABILITY, KIND_REPLICATION
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_with_monitor(plan_name, seed=0, protocol="atomic_ns",
@@ -199,6 +206,25 @@ def test_slow_server_fires_replication_skew_alert():
     assert monitor.suspicion_scores()["P4"] > 0.2
 
 
+def test_one_oid_on_two_registers_is_two_operations():
+    """Operation identifiers are only unique per register: the same
+    oid written to two registers at once is two operations, each with
+    its own replication skew."""
+    cluster = build_cluster(SystemConfig(n=4, t=1), protocol="atomic",
+                            num_clients=2, scheduler=RandomScheduler(5))
+    monitor = HealthMonitor().attach(cluster.simulator)
+    cluster.client(1).invoke_write("left", "w1", b"left value")
+    cluster.client(2).invoke_write("right", "w1", b"right value")
+    cluster.run()
+    monitor.finalize()
+    assert monitor.ops_completed == 2
+    assert monitor.store.get("ops.replication_skew").total() == 2
+    replication = [tracker for tracker in monitor.trackers
+                   if tracker.spec.kind == KIND_REPLICATION]
+    assert replication
+    assert all(tracker.total == 2 for tracker in replication)
+
+
 def test_weights_blend_and_override():
     monitor = HealthMonitor(weights={"verify": 0.9})
     assert monitor.weights["verify"] == 0.9
@@ -263,3 +289,15 @@ def test_prometheus_export_shape():
     assert '# TYPE repro_health_suspicion gauge' in text
     assert 'repro_health_suspicion{server="P1"}' in text
     assert 'repro_slo_alert{slo="availability"} 0' in text
+
+
+def test_committed_health_baseline_regenerates_byte_for_byte(tmp_path):
+    """``benchmarks/BENCH_health_baseline.json`` is exactly what the
+    chaos-source monitor sweep writes: every score, SLO evaluation and
+    operation count, to the byte."""
+    assert main(["monitor", "--source", "chaos", "--seeds", "2",
+                 "--out", str(tmp_path), "--label",
+                 "health_baseline"]) == 0
+    name = "BENCH_health_baseline.json"
+    assert (tmp_path / name).read_bytes() == \
+        (REPO_ROOT / "benchmarks" / name).read_bytes()

@@ -243,6 +243,18 @@ def test_observers_are_reached_only_through_the_simulator():
             if not site.startswith("repro.net.simulator:")] == []
 
 
+def test_a_traced_run_matches_its_operations_once():
+    """The matcher ratchet: one operation matcher per traced run.  An
+    ``OperationMatcher`` is constructed only by the trace recorder,
+    which matches operations as they complete, and by
+    ``match_operations``, which runs the same matcher over a whole log.
+    The health monitor reads its recorder's matches; a second live
+    matcher has to show up here first."""
+    assert _call_sites("OperationMatcher") == [
+        "repro.analysis.trace.match_operations",
+        "repro.obs.recorder.__init__"]
+
+
 def test_faulty_servers_are_mixins_derived_in_one_place():
     """The fault ratchet: one way to make a faulty server.  No class
     under ``repro.faults`` subclasses an honest server class (a
