@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.faults.failstop import TRIGGERS
 
 #: Message-level fault kinds a :class:`FaultRule` can inject.
 RULE_KINDS = ("drop", "duplicate", "corrupt", "delay")
@@ -37,10 +38,6 @@ RULE_KINDS = ("drop", "duplicate", "corrupt", "delay")
 #: Adversarial scheduler families a plan can compose with
 #: (see :func:`repro.net.schedulers.make_scheduler`).
 SCHEDULER_NAMES = ("random", "fifo", "slow-parties", "partition")
-
-#: Fail-stop trigger clocks (see :mod:`repro.faults.failstop`).
-CRASH_TRIGGERS = ("messages", "decisions")
-
 
 @dataclass(frozen=True)
 class SchedulerSpec:
@@ -262,10 +259,10 @@ class CrashSpec:
                 "recover_after and replace_after are mutually exclusive: "
                 "a server either recovers with its state or is replaced "
                 "amnesiac, never both")
-        if self.trigger not in CRASH_TRIGGERS:
+        if self.trigger not in TRIGGERS:
             raise ConfigurationError(
                 f"unknown crash trigger {self.trigger!r}; choose from "
-                f"{CRASH_TRIGGERS}")
+                f"{TRIGGERS}")
 
     def to_json(self) -> Dict[str, Any]:
         """The crash spec as a plain JSON-serializable dictionary.

@@ -38,7 +38,6 @@ from repro.analysis.trace import (
 from repro.cluster import PROTOCOLS, run_register_case
 from repro.common.errors import ConfigurationError
 from repro.obs import (
-    BENCH_ENV,
     TraceRecorder,
     export_perfetto,
     export_trace_jsonl,
@@ -46,25 +45,6 @@ from repro.obs import (
     text_report,
 )
 from repro.workloads.kv import DEFAULT_SHIFT_EVERY, DISTRIBUTIONS
-
-_EXPERIMENTS = {
-    "t1": "comparison_table",
-    "t2": "complexity_table",
-    "f1": "storage_blowup",
-    "f2": "communication_sweep",
-    "f3": "message_complexity",
-    "f4": "timestamp_attack",
-    "f5": "resilience_matrix",
-    "f6": "poisonous_writes",
-    "f7": "concurrency_sweep",
-    "f8": "threshold_bench",
-    "f9": "listeners_ablation",
-    "f10": "latency_rounds",
-    "f11": "scheduler_sensitivity",
-    "f12": "broadcast_comparison",
-    "f13": "consensus_comparison",
-}
-
 
 def _traced_run(args: argparse.Namespace) -> tuple:
     """Run the traced random workload; returns ``(cluster, recorder)``."""
@@ -127,27 +107,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    if args.bench_dir:
-        os.makedirs(args.bench_dir, exist_ok=True)
-        os.environ[BENCH_ENV] = args.bench_dir
-    names = [name.lower() for name in args.names] or list(_EXPERIMENTS)
-    unknown = [name for name in names if name not in _EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {unknown}; "
-              f"choose from {sorted(_EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    if set(names) == set(_EXPERIMENTS) and not args.names:
-        from repro.experiments import run_all
-        run_all.main(["--fast"] if args.fast else [])
-        # run_all covers T1-F8; the ablation/latency extras
-        # (F9-F13) are printed separately below.
-        names = ["f9", "f10", "f11", "f12", "f13"]
-    import importlib
-    for name in names:
-        module = importlib.import_module(
-            f"repro.experiments.{_EXPERIMENTS[name]}")
-        print(f"\n=== {name.upper()} " + "=" * 40)
-        module.main()
+    from repro.experiments.battery import run_battery
+    run_battery(args.names, fast=args.fast, bench_dir=args.bench_dir)
     return 0
 
 

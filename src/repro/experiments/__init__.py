@@ -1,12 +1,13 @@
 """Experiment harness: one module per reproduced table/figure.
 
 See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for a
-captured run.  ``python -m repro.experiments.run_all`` regenerates
-everything; the individual modules (``comparison_table``,
-``complexity_table``, ``storage_blowup``, ``communication_sweep``,
-``message_complexity``, ``timestamp_attack``, ``resilience_matrix``,
-``poisonous_writes``, ``concurrency_sweep``, ``threshold_bench``) are
-importable and runnable on their own.
+captured run.  :mod:`repro.experiments.battery` lists the fifteen
+experiments (T1–T2, F1–F13) once, with their ``--fast`` overrides, and
+runs them for every route: ``repro experiments``,
+``python -m repro.experiments.run_all``, ``python -m
+repro.experiments.report`` and ``python -m repro.experiments.<module>``.
+Each harness module's ``run``/``render`` functions are importable on
+their own.
 """
 
 from repro.experiments.common import (

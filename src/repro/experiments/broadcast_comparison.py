@@ -108,10 +108,6 @@ def render(rows: List[BroadcastRow]) -> str:
               "AVID-RBC O(n|F|)")
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    print(render(run()))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F12"])

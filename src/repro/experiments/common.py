@@ -16,8 +16,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster import Cluster, build_cluster
 from repro.config import SystemConfig
 from repro.net.schedulers import RandomScheduler
-from repro.obs.bench import emit_bench  # noqa: F401  (re-export: the
-# experiments emit BENCH_*.json through this name)
 from repro.workloads.generator import make_values
 
 
@@ -45,10 +43,12 @@ class IsolatedCosts:
 
 
 def _snapshot_delta(cluster: Cluster, action) -> OperationCost:
-    with cluster.simulator.metrics.scoped() as scope:
-        action()
-    return OperationCost(messages=scope.messages,
-                         message_bytes=scope.message_bytes)
+    metrics = cluster.simulator.metrics
+    before_messages, before_bytes = metrics.snapshot()
+    action()
+    after_messages, after_bytes = metrics.snapshot()
+    return OperationCost(messages=after_messages - before_messages,
+                         message_bytes=after_bytes - before_bytes)
 
 
 def average_register_storage(cluster: Cluster, tag: str) -> float:

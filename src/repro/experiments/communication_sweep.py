@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.experiments.common import (
-    emit_bench,
     fmt_bytes,
     measure_isolated_costs,
     render_table,
@@ -97,16 +96,12 @@ def read_crossover(points: List[SweepPoint], erasure: str =
     return 0
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    points = run()
-    print(render(points))
-    crossover = read_crossover(points)
-    print(f"\nread-cost crossover (erasure beats replication): "
-          f"|F| >= {fmt_bytes(crossover) if crossover else 'never'}")
-    emit_bench("f2_communication_sweep",
-               {"points": points, "read_crossover": crossover})
+def render_crossover(crossover: int) -> str:
+    """The :func:`read_crossover` result as one printable line."""
+    return (f"read-cost crossover (erasure beats replication): "
+            f"|F| >= {fmt_bytes(crossover) if crossover else 'never'}")
 
 
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F2"])

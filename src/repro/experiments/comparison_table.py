@@ -93,10 +93,6 @@ def render(rows: List[ComparisonRow]) -> str:
     return render_table(headers, body, title=title)
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    print(render(run()))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["T1"])

@@ -89,10 +89,6 @@ def render(rows: List[ComplexityRow]) -> str:
         title="T2: AtomicNS complexity — measured vs analytic model")
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    print(render(run()))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["T2"])

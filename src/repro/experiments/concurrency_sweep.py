@@ -89,10 +89,6 @@ def render(rows: List[ConcurrencyRow]) -> str:
         title="F7: wait-freedom and atomicity under concurrency")
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    print(render(run()))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F7"])

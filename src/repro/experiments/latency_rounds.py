@@ -25,7 +25,7 @@ from typing import List, Sequence
 
 from repro.cluster import build_cluster
 from repro.config import SystemConfig
-from repro.experiments.common import emit_bench, render_table
+from repro.experiments.common import render_table
 from repro.faults.byzantine_clients import PoisonousGoodsonWriter
 from repro.net.schedulers import RandomScheduler
 from repro.workloads.generator import make_values
@@ -118,16 +118,6 @@ def render_rollback(rows: List[RollbackLatencyRow]) -> str:
               "(+2 rounds per rollback)")
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    rows = run()
-    rollback_rows = run_goodson_rollback_latency()
-    print(render(rows))
-    print()
-    print(render_rollback(rollback_rows))
-    emit_bench("f10_latency_rounds",
-               {"rows": rows, "rollback": rollback_rows})
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F10"])

@@ -14,11 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import (
-    emit_bench,
-    measure_isolated_costs,
-    render_table,
-)
+from repro.experiments.common import measure_isolated_costs, render_table
 
 PROTOCOLS = ("atomic", "atomic_ns", "martin")
 
@@ -78,12 +74,6 @@ def coefficients(rows: List[MessageRow]) -> Dict[str, List[float]]:
     return series
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    rows = run()
-    print(render(rows))
-    emit_bench("f3_message_complexity", {"rows": rows})
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F3"])

@@ -123,10 +123,6 @@ def render(rows: List[PoisonRow]) -> str:
               "(read-time rollback vs write-time verification)")
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    print(render(run()))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F6"])

@@ -12,25 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.experiments import (
-    broadcast_comparison,
-    communication_sweep,
-    comparison_table,
-    complexity_table,
-    concurrency_sweep,
-    consensus_comparison,
-    latency_rounds,
-    listeners_ablation,
-    message_complexity,
-    poisonous_writes,
-    resilience_matrix,
-    scheduler_sensitivity,
-    storage_blowup,
-    threshold_bench,
-    timestamp_attack,
-)
+from repro.experiments import battery
 
 
 def _cell(value) -> str:
@@ -71,62 +55,19 @@ def rows_to_markdown(rows: Sequence) -> str:
     return "\n".join(lines)
 
 
-def sections(fast: bool = False) -> List[Tuple[str, str, Callable]]:
-    """(experiment id, heading, thunk returning rows)."""
-    return [
-        ("T1", "Protocol comparison",
-         lambda: comparison_table.run(t=1)),
-        ("T2", "Complexity: measured vs analytic",
-         lambda: complexity_table.run(
-             ts=(1, 2) if fast else (1, 2, 3),
-             value_sizes=(1024, 16384))),
-        ("F1", "Storage blow-up vs n",
-         lambda: storage_blowup.run(ts=(1, 2) if fast else (1, 2, 3, 4))),
-        ("F2", "Communication vs value size",
-         lambda: communication_sweep.run(
-             value_sizes=(64, 4096) if fast else (64, 4096, 65536))),
-        ("F3", "Message complexity vs n",
-         lambda: message_complexity.run(
-             ts=(1, 2) if fast else (1, 2, 3, 4))),
-        ("F4", "Timestamp growth under attack",
-         lambda: timestamp_attack.run()),
-        ("F5", "Resilience matrix",
-         lambda: resilience_matrix.run(ts=(1,) if fast else (1, 2))),
-        ("F6", "Reads after poisonous writes",
-         lambda: poisonous_writes.run(
-             counts=(0, 2) if fast else (0, 1, 2, 4))),
-        ("F7", "Concurrency",
-         lambda: concurrency_sweep.run(
-             writer_counts=(1, 2) if fast else (1, 2, 3, 4))),
-        ("F8", "Threshold-signature costs",
-         lambda: threshold_bench.run(
-             group_sizes=(4,) if fast else (4, 7),
-             prime_bits=(128, 256), repeat=2)),
-        ("F9", "Listeners ablation",
-         lambda: listeners_ablation.run(
-             write_counts=(0, 4) if fast else (0, 2, 4, 8))),
-        ("F10", "Latency in message rounds",
-         lambda: latency_rounds.run()),
-        ("F11", "Scheduler sensitivity",
-         lambda: scheduler_sensitivity.run(
-             writes=2 if fast else 4, reads=2 if fast else 4)),
-        ("F12", "Large-value broadcast",
-         lambda: broadcast_comparison.run(
-             ts=(1, 2) if fast else (1, 2, 3))),
-        ("F13", "Consensus-free vs atomic-broadcast register",
-         lambda: consensus_comparison.run(ts=(1,) if fast else (1, 2))),
-    ]
-
-
 def generate(fast: bool = False) -> str:
     """Run every experiment and return the full markdown report."""
     parts = ["# Measured results", "",
              "*Generated by `python -m repro.experiments.report`.*", ""]
-    for exp_id, heading, thunk in sections(fast):
-        parts.append(f"## {exp_id} — {heading}")
-        parts.append("")
-        parts.append(rows_to_markdown(thunk()))
-        parts.append("")
+    for experiment in battery.EXPERIMENTS:
+        results, _ = battery.run_experiment(experiment, fast)
+        parts += [f"## {experiment.id} — {experiment.heading}", ""]
+        for index, step in enumerate(experiment.steps):
+            result = results[step.key]
+            if index:
+                parts += [f"### {step.key}", ""]
+            parts += [rows_to_markdown(result) if isinstance(result, list)
+                      else str(result), ""]
     return "\n".join(parts)
 
 

@@ -127,10 +127,6 @@ def render(cells: List[MatrixCell]) -> str:
               "(OK expected iff faulty <= t and protocol deployable)")
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    print(render(run()))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F5"])

@@ -1,4 +1,4 @@
-"""Run every experiment (T1-T2, F1-F8) and print the tables.
+"""Run every experiment (T1–T2, F1–F13) and print the tables.
 
 Usage::
 
@@ -6,91 +6,23 @@ Usage::
 
 ``--fast`` shrinks sweep ranges for a quick end-to-end pass.  The full run
 regenerates every table/figure indexed in DESIGN.md §3; EXPERIMENTS.md
-records one captured run next to the paper's claims.
+records one captured run next to the paper's claims.  The experiments
+and their ``--fast`` overrides are listed in
+:mod:`repro.experiments.battery`.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-import time
 
-from repro.experiments import (
-    broadcast_comparison,
-    communication_sweep,
-    comparison_table,
-    complexity_table,
-    concurrency_sweep,
-    consensus_comparison,
-    message_complexity,
-    poisonous_writes,
-    resilience_matrix,
-    storage_blowup,
-    latency_rounds,
-    listeners_ablation,
-    scheduler_sensitivity,
-    threshold_bench,
-    timestamp_attack,
-)
+from repro.experiments.battery import run_battery
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
                         help="smaller sweeps (seconds instead of minutes)")
-    args = parser.parse_args(argv)
-    fast = args.fast
-
-    sections = [
-        ("T1", lambda: comparison_table.render(comparison_table.run())),
-        ("T2", lambda: complexity_table.render(complexity_table.run(
-            ts=(1, 2) if fast else (1, 2, 3, 4),
-            value_sizes=(1024, 16384) if fast
-            else (1024, 16384, 131072)))),
-        ("F1", lambda: storage_blowup.render(storage_blowup.run(
-            ts=(1, 2, 3) if fast else (1, 2, 3, 4, 5)))),
-        ("F1b", lambda: storage_blowup.render(
-            storage_blowup.run_k_sweep(n=7 if fast else 10,
-                                       t=2 if fast else 3),
-            title="F1b: storage blow-up vs erasure threshold k")),
-        ("F2", lambda: communication_sweep.render(communication_sweep.run(
-            value_sizes=(64, 4096, 65536) if fast
-            else (64, 512, 4096, 32768, 262144)))),
-        ("F3", lambda: message_complexity.render(message_complexity.run(
-            ts=(1, 2, 3) if fast else (1, 2, 3, 4, 5)))),
-        ("F4", lambda: timestamp_attack.render(timestamp_attack.run())),
-        ("F5", lambda: resilience_matrix.render(resilience_matrix.run(
-            ts=(1,) if fast else (1, 2)))),
-        ("F6", lambda: poisonous_writes.render(poisonous_writes.run(
-            counts=(0, 1, 2, 4) if fast else (0, 1, 2, 4, 8)))),
-        ("F7", lambda: concurrency_sweep.render(concurrency_sweep.run(
-            writer_counts=(1, 2) if fast else (1, 2, 3, 4)))),
-        ("F8", lambda: threshold_bench.render(threshold_bench.run(
-            group_sizes=(4,) if fast else (4, 7, 10),
-            prime_bits=(128, 256) if fast else (128, 256, 512),
-            repeat=2 if fast else 5))),
-        ("F9", lambda: listeners_ablation.render(listeners_ablation.run(
-            write_counts=(0, 4) if fast else (0, 2, 4, 8)))),
-        ("F10", lambda: "\n\n".join((
-            latency_rounds.render(latency_rounds.run()),
-            latency_rounds.render_rollback(
-                latency_rounds.run_goodson_rollback_latency())))),
-        ("F11", lambda: scheduler_sensitivity.render(
-            scheduler_sensitivity.run(
-                writes=2 if fast else 4, reads=2 if fast else 4))),
-        ("F12", lambda: broadcast_comparison.render(
-            broadcast_comparison.run(ts=(1, 2) if fast
-                                     else (1, 2, 3, 4)))),
-        ("F13", lambda: consensus_comparison.render(
-            consensus_comparison.run(ts=(1,) if fast else (1, 2)))),
-    ]
-    for name, render in sections:
-        start = time.perf_counter()
-        table = render()
-        elapsed = time.perf_counter() - start
-        print(f"\n=== {name} ({elapsed:.1f}s) " + "=" * 40)
-        print(table)
-        sys.stdout.flush()
+    run_battery(fast=parser.parse_args(argv).fast)
 
 
 if __name__ == "__main__":

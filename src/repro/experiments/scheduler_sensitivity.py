@@ -88,10 +88,6 @@ def render(rows: List[SensitivityRow]) -> str:
               "(atomic_ns, n=4, t=1)")
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    print(render(run()))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F11"])

@@ -15,11 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.experiments.common import (
-    emit_bench,
-    measure_isolated_costs,
-    render_table,
-)
+from repro.experiments.common import measure_isolated_costs, render_table
 
 
 @dataclass
@@ -77,17 +73,12 @@ def render(rows: List[BlowupRow], title: str = "F1: storage blow-up vs n "
     return render_table(headers, body, title=title)
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    rows = run()
-    k_rows = run_k_sweep()
-    print(render(rows))
-    print()
-    print(render(k_rows,
-                 title="F1b: storage blow-up vs erasure threshold k "
-                       "(n=10, t=3)"))
-    emit_bench("f1_storage_blowup", {"rows": rows, "k_sweep": k_rows})
+def render_k_sweep(rows: List[BlowupRow]) -> str:
+    """Render :func:`run_k_sweep` rows (one ``(n, t)``) as the F1b table."""
+    return render(rows, title=f"F1b: storage blow-up vs erasure threshold k "
+                              f"(n={rows[0].n}, t={rows[0].t})")
 
 
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F1"])

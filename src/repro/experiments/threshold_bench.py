@@ -89,10 +89,6 @@ def render(costs: List[CryptoCost]) -> str:
                         title="F8: threshold-signature operation costs")
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    print(render(run()))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F8"])

@@ -159,10 +159,6 @@ def render(outcomes: List[AttackOutcome]) -> str:
                         title="F4: timestamp growth under attack")
 
 
-def main() -> None:
-    """Run the experiment at default scale and print its table(s)."""
-    print(render(run()))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.battery import run_battery
+    run_battery(["F4"])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.common.ids import TAG_SEP, PartyId
 from repro.net.message import Message
@@ -31,40 +31,6 @@ class TrafficCounter:
     messages: int = 0
     message_bytes: int = 0
     by_mtype: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-
-class MetricsScope:
-    """Context manager isolating the traffic of one code region.
-
-    Entering snapshots the metrics; exiting stores the delta on the
-    scope itself, so callers read ``scope.messages`` /
-    ``scope.message_bytes`` after the ``with`` block::
-
-        with metrics.scoped() as scope:
-            cluster.write(1, "reg", "w", value)
-            cluster.run()
-        print(scope.messages, scope.message_bytes)
-
-    This replaces manual snapshot subtraction around single operations
-    (the paper's per-instance complexity measurements).
-    """
-
-    def __init__(self, metrics: "Metrics"):
-        self._metrics = metrics
-        self._before: Optional[Tuple[int, int]] = None
-        self.messages = 0
-        self.message_bytes = 0
-
-    def __enter__(self) -> "MetricsScope":
-        self._before = self._metrics.snapshot()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        after_messages, after_bytes = self._metrics.snapshot()
-        before_messages, before_bytes = self._before
-        self.messages = after_messages - before_messages
-        self.message_bytes = after_bytes - before_bytes
-        return None
 
 
 class Metrics:
@@ -119,11 +85,6 @@ class Metrics:
         """``(total_messages, total_bytes)`` so far — subtract two
         snapshots to isolate one operation's traffic."""
         return (self.total_messages, self.total_bytes)
-
-    def scoped(self) -> MetricsScope:
-        """A :class:`MetricsScope` capturing the delta of a ``with``
-        block — the snapshot-subtraction idiom as a context manager."""
-        return MetricsScope(self)
 
     def sent_bytes(self, party: PartyId) -> int:
         """Bytes sent by one party across the whole run."""

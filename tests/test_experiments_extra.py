@@ -1,19 +1,19 @@
-"""The extension experiments (F9-F12) at reduced scale, plus CLI
-registration checks."""
+"""The extension experiments (F9-F12) at reduced scale, plus the
+battery registration check."""
 
-from repro.cli import _EXPERIMENTS
 from repro.experiments import (
     broadcast_comparison,
     latency_rounds,
     listeners_ablation,
     scheduler_sensitivity,
 )
+from repro.experiments.battery import EXPERIMENTS
 
 
 def test_all_experiments_registered_in_cli():
-    assert set(_EXPERIMENTS) == {
-        "t1", "t2", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8",
-        "f9", "f10", "f11", "f12", "f13"}
+    assert [experiment.id for experiment in EXPERIMENTS] == [
+        "T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8",
+        "F9", "F10", "F11", "F12", "F13"]
 
 
 def test_f9_listeners_ablation_small():

@@ -122,6 +122,23 @@ def test_unknown_trigger_is_rejected():
                        crash_after=1, trigger="wallclock")
 
 
+def test_plan_and_server_accept_the_same_triggers():
+    """A chaos plan's ``CrashSpec`` and the fail-stop server it builds
+    accept the same two trigger clocks and reject the same unknown
+    one."""
+    from repro.common.errors import ConfigurationError
+    from repro.common.ids import server_id
+    config = SystemConfig(n=4, t=1)
+    for trigger in ("messages", "decisions"):
+        CrashSpec(server=2, after=1, trigger=trigger).validate()
+        FailStopServer(server_id(2), config, crash_after=1, trigger=trigger)
+    with pytest.raises(ConfigurationError, match="wallclock"):
+        CrashSpec(server=2, after=1, trigger="wallclock").validate()
+    with pytest.raises(ConfigurationError, match="wallclock"):
+        FailStopServer(server_id(2), config, crash_after=1,
+                       trigger="wallclock")
+
+
 def test_decision_trigger_crashes_on_the_global_clock():
     """With ``trigger="decisions"`` the crash point reads the global
     scheduling clock, not the server's own delivery count — the server

@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from repro.experiments import report
+from repro.experiments import battery, report
 
 
 @dataclasses.dataclass
@@ -33,26 +33,26 @@ def test_rows_to_markdown_empty():
 
 
 def test_sections_cover_all_experiments():
-    ids = [exp_id for exp_id, _, _ in report.sections()]
-    assert ids == ["T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7",
-                   "F8", "F9", "F10", "F11", "F12", "F13"]
+    """The report has one section per battery entry, in order."""
+    headings = [line.split()[1]
+                for line in report.generate(fast=True).splitlines()
+                if line.startswith("## ")]
+    assert headings == ["T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6",
+                        "F7", "F8", "F9", "F10", "F11", "F12", "F13"]
 
 
 def test_single_section_generates(tmp_path):
-    exp_id, heading, thunk = report.sections(fast=True)[5]  # F4
-    table = report.rows_to_markdown(thunk())
+    results, _ = battery.run_experiment(battery.select(["F4"])[0],
+                                        fast=True)
+    table = report.rows_to_markdown(results["rows"])
     assert "non_skipping" in table
 
 
-def test_main_writes_file(tmp_path, capsys):
-    # Patch sections to one tiny experiment to keep the test fast.
-    original = report.sections
-    try:
-        report.sections = lambda fast=False: [original(True)[5]]
-        output = tmp_path / "results.md"
-        report.main(["-o", str(output)])
-        content = output.read_text()
-        assert content.startswith("# Measured results")
-        assert "## F4" in content
-    finally:
-        report.sections = original
+def test_main_writes_file(tmp_path, capsys, monkeypatch):
+    # One tiny experiment keeps the test fast.
+    monkeypatch.setattr(battery, "EXPERIMENTS", battery.select(["F4"]))
+    output = tmp_path / "results.md"
+    report.main(["-o", str(output)])
+    content = output.read_text()
+    assert content.startswith("# Measured results")
+    assert "## F4" in content
