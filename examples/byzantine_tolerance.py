@@ -12,6 +12,7 @@ Shows, in one run each, the failure modes the paper's protocols close:
 Run:  python examples/byzantine_tolerance.py
 """
 
+from repro.analysis.history import effected_writes
 from repro.cluster import build_cluster
 from repro.config import SystemConfig
 from repro.faults.byzantine_clients import (
@@ -28,13 +29,6 @@ from repro.net.schedulers import RandomScheduler
 TAG = "reg"
 
 
-def effected_writes(cluster):
-    return sorted({event.payload[0]
-                   for event in cluster.simulator.event_log
-                   if event.kind == "out"
-                   and event.action == "write-accepted"})
-
-
 def inconsistent_client_demo() -> None:
     print("1) Byzantine client storing inconsistent blocks")
     cluster = build_cluster(
@@ -47,7 +41,7 @@ def inconsistent_client_demo() -> None:
                                    [b"junk-A" * 8, b"junk-B" * 8], ts=1)
     cluster.run()
     read = cluster.read(1, TAG, "probe")
-    print(f"   effected writes: {effected_writes(cluster)} "
+    print(f"   effected writes: {sorted(effected_writes(cluster, TAG))} "
           f"(the inconsistent write never completed dispersal)")
     print(f"   read returned: {read.result!r}\n")
     assert read.result == b"clean data"

@@ -4,11 +4,16 @@ Collects the operations of Definition 1 from a simulation: terminating
 reads and writes at honest clients (from their operation handles) plus
 writes that *took effect* on behalf of Byzantine clients (witnessed by a
 ``write-accepted`` output action at at least one honest server).
+
+Every harness that judges a register run does so here, once:
+:func:`effected_writes` is Definition 1's takes-effect rule and
+:func:`run_verdict` classifies a run as ``ok``, ``stalled`` or
+``violation``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster import Cluster
 from repro.analysis.linearizability import (
@@ -17,9 +22,59 @@ from repro.analysis.linearizability import (
     HistoryOp,
     check_atomicity,
 )
-from repro.common.errors import LivenessError
+from repro.common.errors import AtomicityViolation, LivenessError
 from repro.common.ids import PartyId
 from repro.core.register import OperationHandle
+
+#: Outcomes of :func:`run_verdict`, strictly worsening.
+STATUS_OK = "ok"
+STATUS_STALLED = "stalled"
+STATUS_VIOLATION = "violation"
+
+
+def _honest(cluster: Cluster,
+            honest_servers: Optional[Iterable[PartyId]]) -> Set[PartyId]:
+    if honest_servers is None:
+        return {server.pid for server in cluster.servers}
+    return set(honest_servers)
+
+
+def effected_writes(cluster: Cluster, tag: str,
+                    honest_servers: Optional[Iterable[PartyId]] = None
+                    ) -> Set[str]:
+    """Oids of the writes on register ``tag`` that *took effect*: some
+    honest server (every server when ``honest_servers`` is ``None``)
+    output ``write-accepted`` for them — Definition 1's rule."""
+    honest = _honest(cluster, honest_servers)
+    return {event.payload[0] for event in cluster.simulator.event_log
+            if event.kind == "out" and event.action == "write-accepted"
+            and event.tag == tag and event.party in honest
+            and event.payload}
+
+
+def run_verdict(cluster: Cluster, handles: Mapping[str, OperationHandle],
+                tag: str,
+                honest_servers: Optional[Iterable[PartyId]] = None
+                ) -> Tuple[str, str]:
+    """Classify a finished run of register ``tag``: ``(status, detail)``.
+
+    Atomicity of whatever history completed is checked first, so a
+    safety violation outranks a stall; then the run is ``stalled`` if
+    any of ``handles`` (the run's operations by oid) never terminated
+    — a wait-freedom violation.  Any error other than
+    :class:`AtomicityViolation` from the checker propagates.
+    """
+    try:
+        HistoryRecorder(cluster, tag, honest_servers).check(
+            require_done=False)
+    except AtomicityViolation as exc:
+        return STATUS_VIOLATION, str(exc)
+    stuck = sorted(oid for oid, handle in handles.items()
+                   if not handle.done)
+    if stuck:
+        return STATUS_STALLED, (f"{len(stuck)}/{len(handles)} operations "
+                                f"never terminated: {', '.join(stuck)}")
+    return STATUS_OK, "atomic and wait-free"
 
 
 class HistoryRecorder:
@@ -36,9 +91,7 @@ class HistoryRecorder:
         self._cluster = cluster
         self._tag = tag
         self._byzantine_writes: Dict[str, bytes] = {}
-        if honest_servers is None:
-            honest_servers = [server.pid for server in cluster.servers]
-        self._honest_servers: Set[PartyId] = set(honest_servers)
+        self._honest_servers = _honest(cluster, honest_servers)
 
     def record_byzantine_write(self, oid: str, value: bytes) -> None:
         """Declare a write attempt by a Byzantine client (its value must
@@ -46,16 +99,6 @@ class HistoryRecorder:
         self._byzantine_writes[oid] = value
 
     # -- history construction ------------------------------------------------
-
-    def _effected_oids(self) -> Set[str]:
-        effected: Set[str] = set()
-        for event in self._cluster.simulator.event_log:
-            if (event.kind == "out" and event.action == "write-accepted"
-                    and event.tag == self._tag
-                    and event.party in self._honest_servers
-                    and event.payload):
-                effected.add(event.payload[0])
-        return effected
 
     def operations(self, require_done: bool = True) -> List[HistoryOp]:
         """The history: honest handles plus effected Byzantine writes.
@@ -79,7 +122,8 @@ class HistoryRecorder:
                             f"did not terminate")
                     continue
                 operations.append(self._from_handle(handle))
-        effected = self._effected_oids()
+        effected = effected_writes(self._cluster, self._tag,
+                                   self._honest_servers)
         for oid, value in self._byzantine_writes.items():
             if oid in effected:
                 operations.append(HistoryOp(

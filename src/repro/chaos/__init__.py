@@ -17,12 +17,14 @@ same event log, and an empty plan is byte-identical to no injector at
 all.  See ``docs/ROBUSTNESS.md`` for the fault-model rationale.
 """
 
-from repro.chaos.campaign import (
-    RunResult,
-    RunSpec,
+from repro.analysis.history import (
     STATUS_OK,
     STATUS_STALLED,
     STATUS_VIOLATION,
+)
+from repro.chaos.campaign import (
+    RunResult,
+    RunSpec,
     campaign_report,
     execute_run,
     load_reproducer,

@@ -30,14 +30,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.library import builtin_plan
 from repro.chaos.plan import FaultPlan
 from repro.cluster import Cluster, run_register_case
-from repro.common.errors import AtomicityViolation, SimulationError
-from repro.analysis.history import HistoryRecorder
+from repro.common.errors import SimulationError
+from repro.analysis.history import STATUS_OK, STATUS_STALLED, run_verdict
 
 TAG = "reg"
-
-STATUS_OK = "ok"
-STATUS_STALLED = "stalled"
-STATUS_VIOLATION = "violation"
 
 
 @dataclass(frozen=True)
@@ -116,10 +112,9 @@ def execute_run(spec: RunSpec, monitor=None) -> RunResult:
     """Execute one chaos run and classify its outcome.
 
     The workload is the standard seeded random mix; faults come only
-    from the plan.  Wait-freedom is checked first (did every honest
-    operation terminate once the network quiesced?), then atomicity of
-    whatever history did complete — a safety violation outranks a
-    stall.
+    from the plan.  :func:`~repro.analysis.history.run_verdict` judges
+    the run over the servers outside ``plan.faulty`` — a safety
+    violation outranks a stall.
 
     ``monitor`` (a :class:`repro.obs.health.HealthMonitor`) is attached
     as the run's tracer before the workload starts and finalized on
@@ -143,19 +138,7 @@ def execute_run(spec: RunSpec, monitor=None) -> RunResult:
     honest = [server.pid for index, server
               in enumerate(cluster.servers, start=1)
               if index not in set(spec.plan.faulty)]
-    status, detail = STATUS_OK, "atomic and wait-free"
-    try:
-        HistoryRecorder(cluster, TAG, honest_servers=honest).check(
-            require_done=False)
-    except AtomicityViolation as exc:
-        status, detail = STATUS_VIOLATION, str(exc)
-    if status == STATUS_OK:
-        stuck = sorted(oid for oid, handle in handles.items()
-                       if not handle.done)
-        if stuck:
-            status = STATUS_STALLED
-            detail = (f"{len(stuck)}/{len(handles)} operations never "
-                      f"terminated: {', '.join(stuck)}")
+    status, detail = run_verdict(cluster, handles, TAG, honest)
     return RunResult(spec=spec, status=status, detail=detail,
                      steps=cluster.simulator.time,
                      digest=_event_log_digest(cluster),

@@ -8,6 +8,15 @@ runs them for every route: ``repro experiments``,
 repro.experiments.report`` and ``python -m repro.experiments.<module>``.
 Each harness module's ``run``/``render`` functions are importable on
 their own.
+
+Harnesses share one measurement and one judgement.  An isolated
+operation's cost comes from
+:func:`repro.experiments.common.run_isolated_probe` (prime, isolated
+write, isolated read; T1–T2, F1–F3, F10, F13).  A register run is
+judged by :func:`repro.analysis.history.run_verdict` (F5 through
+:func:`repro.chaos.execute_run`, F7, F9, F11), and a write counts as
+taken effect by :func:`repro.analysis.history.effected_writes` (F4,
+F6).
 """
 
 from repro.experiments.common import (

@@ -4,17 +4,20 @@ Every experiment follows the same pattern: build a cluster, run a
 workload, and report *measured* message/communication/storage complexity —
 optionally next to the analytic prediction of
 :mod:`repro.analysis.complexity`.  Operation costs are isolated by
-differencing metric snapshots around a single operation, exactly matching
-the paper's per-instance complexity definitions.
+differencing metric snapshots around a single operation
+(:func:`measure_operation`), exactly matching the paper's per-instance
+complexity definitions; :func:`run_isolated_probe` is the one "prime,
+isolated write, isolated read" run every such measurement starts from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.cluster import Cluster, build_cluster
 from repro.config import SystemConfig
+from repro.core.register import OperationHandle
 from repro.net.schedulers import RandomScheduler
 from repro.workloads.generator import make_values
 
@@ -42,13 +45,28 @@ class IsolatedCosts:
     storage_blowup: float
 
 
-def _snapshot_delta(cluster: Cluster, action) -> OperationCost:
+@dataclass
+class IsolatedProbe:
+    """One isolated write and one isolated read, after a priming write."""
+
+    cluster: Cluster
+    write: OperationHandle
+    read: OperationHandle
+    write_cost: OperationCost
+    read_cost: OperationCost
+
+
+def measure_operation(cluster: Cluster, invoke: Callable[[], OperationHandle]
+                      ) -> Tuple[OperationHandle, OperationCost]:
+    """Invoke one operation and run the network to quiescence; returns
+    its handle and the traffic it caused."""
     metrics = cluster.simulator.metrics
     before_messages, before_bytes = metrics.snapshot()
-    action()
+    handle = invoke()
+    cluster.run()
     after_messages, after_bytes = metrics.snapshot()
-    return OperationCost(messages=after_messages - before_messages,
-                         message_bytes=after_bytes - before_bytes)
+    return handle, OperationCost(messages=after_messages - before_messages,
+                                 message_bytes=after_bytes - before_bytes)
 
 
 def average_register_storage(cluster: Cluster, tag: str) -> float:
@@ -61,13 +79,12 @@ def average_register_storage(cluster: Cluster, tag: str) -> float:
     return sum(totals) / len(totals) if totals else 0.0
 
 
-def measure_isolated_costs(protocol: str, n: int, t: int,
-                           k: Optional[int] = None,
-                           value_size: int = 1024, seed: int = 0,
-                           commitment: str = "vector",
-                           threshold_backend: str = "ideal"
-                           ) -> IsolatedCosts:
-    """Measure an isolated write and an isolated read.
+def run_isolated_probe(protocol: str, n: int, t: int,
+                       k: Optional[int] = None, value_size: int = 1024,
+                       seed: int = 0, commitment: str = "vector",
+                       threshold_backend: str = "ideal") -> IsolatedProbe:
+    """Run an isolated write and then an isolated read on register
+    ``"reg"`` of a one-client cluster.
 
     A priming write moves the register past its initial state first, so
     the measured operations are steady-state (the read returns a real
@@ -80,17 +97,31 @@ def measure_isolated_costs(protocol: str, n: int, t: int,
     prime, target = make_values(2, size=value_size)
     cluster.write(1, "reg", "prime", prime)
     cluster.run()
-    write_cost = _snapshot_delta(
-        cluster, lambda: (cluster.write(1, "reg", "w", target),
-                          cluster.run()))
-    read_cost = _snapshot_delta(
-        cluster, lambda: (cluster.read(1, "reg", "r"), cluster.run()))
-    storage = average_register_storage(cluster, "reg")
+    write, write_cost = measure_operation(
+        cluster, lambda: cluster.write(1, "reg", "w", target))
+    read, read_cost = measure_operation(
+        cluster, lambda: cluster.read(1, "reg", "r"))
+    return IsolatedProbe(cluster=cluster, write=write, read=read,
+                         write_cost=write_cost, read_cost=read_cost)
+
+
+def measure_isolated_costs(protocol: str, n: int, t: int,
+                           k: Optional[int] = None,
+                           value_size: int = 1024, seed: int = 0,
+                           commitment: str = "vector",
+                           threshold_backend: str = "ideal"
+                           ) -> IsolatedCosts:
+    """Costs of :func:`run_isolated_probe`'s write and read, plus the
+    register's storage per server."""
+    probe = run_isolated_probe(protocol, n, t, k=k, value_size=value_size,
+                               seed=seed, commitment=commitment,
+                               threshold_backend=threshold_backend)
+    storage = average_register_storage(probe.cluster, "reg")
     return IsolatedCosts(
-        protocol=protocol, n=n, t=t, k=config.k if protocol not in
-        ("martin", "bazzi_ding") else None,
-        value_size=value_size, write=write_cost, read=read_cost,
-        storage_per_server=storage,
+        protocol=protocol, n=n, t=t, k=probe.cluster.config.k
+        if protocol not in ("martin", "bazzi_ding") else None,
+        value_size=value_size, write=probe.write_cost,
+        read=probe.read_cost, storage_per_server=storage,
         storage_blowup=storage * n / value_size)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.analysis.history import HistoryRecorder
+from repro.analysis.history import STATUS_VIOLATION, run_verdict
 from repro.cluster import build_cluster
 from repro.config import SystemConfig
 from repro.core.atomic import MSG_VALUE
@@ -58,11 +58,7 @@ def run(writer_counts: Sequence[int] = (1, 2, 3, 4), readers: int = 4,
             for i in range(readers)]
         handles = run_workload(cluster, TAG, operations, seed=seed,
                                invoke_probability=0.05)
-        atomic = True
-        try:
-            HistoryRecorder(cluster, TAG).check()
-        except Exception:
-            atomic = False
+        status, _ = run_verdict(cluster, handles, TAG)
         # the dedicated reader is the only party ever sent a value
         value_messages = cluster.simulator.metrics.messages_by_mtype(
             TAG).get(MSG_VALUE, 0)
@@ -71,7 +67,7 @@ def run(writer_counts: Sequence[int] = (1, 2, 3, 4), readers: int = 4,
             operations=len(operations),
             all_terminated=all(handle.done
                                for handle in handles.values()),
-            atomic=atomic,
+            atomic=status != STATUS_VIOLATION,
             value_messages_per_read=value_messages / readers))
     return rows
 

@@ -20,13 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.cluster import build_cluster
-from repro.config import SystemConfig
-from repro.experiments.common import fmt_bytes, render_table
-from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import make_values
-
-TAG = "reg"
+from repro.experiments.common import (
+    fmt_bytes,
+    render_table,
+    run_isolated_probe,
+)
 
 
 @dataclass
@@ -41,32 +39,6 @@ class ConsensusRow:
     read_rounds: int
 
 
-def _measure(protocol: str, n: int, t: int, value_size: int,
-             seed: int) -> ConsensusRow:
-    config = SystemConfig(n=n, t=t, seed=seed)
-    cluster = build_cluster(config, protocol=protocol, num_clients=1,
-                            scheduler=RandomScheduler(seed))
-    prime, target = make_values(2, size=value_size)
-    cluster.write(1, TAG, "prime", prime)
-    cluster.run()
-    metrics = cluster.simulator.metrics
-    before = metrics.snapshot()
-    write = cluster.write(1, TAG, "w", target)
-    cluster.run()
-    mid = metrics.snapshot()
-    read = cluster.read(1, TAG, "r")
-    cluster.run()
-    after = metrics.snapshot()
-    return ConsensusRow(
-        protocol=protocol, n=n,
-        write_messages=mid[0] - before[0],
-        write_bytes=mid[1] - before[1],
-        write_rounds=write.latency_rounds,
-        read_messages=after[0] - mid[0],
-        read_bytes=after[1] - mid[1],
-        read_rounds=read.latency_rounds)
-
-
 def run(ts: Sequence[int] = (1, 2), value_size: int = 1024,
         seed: int = 0) -> List[ConsensusRow]:
     """Execute the experiment sweep; returns structured result rows."""
@@ -74,7 +46,16 @@ def run(ts: Sequence[int] = (1, 2), value_size: int = 1024,
     for t in ts:
         n = 3 * t + 1
         for protocol in ("atomic_ns", "abc"):
-            rows.append(_measure(protocol, n, t, value_size, seed))
+            probe = run_isolated_probe(protocol, n, t,
+                                       value_size=value_size, seed=seed)
+            rows.append(ConsensusRow(
+                protocol=protocol, n=n,
+                write_messages=probe.write_cost.messages,
+                write_bytes=probe.write_cost.message_bytes,
+                write_rounds=probe.write.latency_rounds,
+                read_messages=probe.read_cost.messages,
+                read_bytes=probe.read_cost.message_bytes,
+                read_rounds=probe.read.latency_rounds))
     return rows
 
 

@@ -23,14 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.cluster import build_cluster
-from repro.config import SystemConfig
-from repro.experiments.common import render_table
-from repro.faults.byzantine_clients import PoisonousGoodsonWriter
-from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import make_values
-
-TAG = "reg"
+from repro.experiments.common import render_table, run_isolated_probe
+from repro.experiments.poisonous_writes import poisoned_read
 
 PROTOCOLS = ("martin", "goodson", "bazzi_ding", "atomic", "atomic_ns")
 
@@ -47,22 +41,14 @@ def run(t: int = 1, seed: int = 0,
         protocols: Sequence[str] = PROTOCOLS) -> List[LatencyRow]:
     """Execute the experiment sweep; returns structured result rows."""
     rows = []
-    prime, target = make_values(2, size=256)
     for protocol in protocols:
         n = 3 * t + 1 if protocol in ("martin", "atomic", "atomic_ns") \
             else 4 * t + 1
-        config = SystemConfig(n=n, t=t, seed=seed)
-        cluster = build_cluster(config, protocol=protocol, num_clients=1,
-                                scheduler=RandomScheduler(seed))
-        cluster.write(1, TAG, "prime", prime)
-        cluster.run()
-        write = cluster.write(1, TAG, "w", target)
-        cluster.run()
-        read = cluster.read(1, TAG, "r")
-        cluster.run()
+        probe = run_isolated_probe(protocol, n, t, value_size=256,
+                                   seed=seed)
         rows.append(LatencyRow(protocol=protocol, n=n,
-                               write_rounds=write.latency_rounds,
-                               read_rounds=read.latency_rounds))
+                               write_rounds=probe.write.latency_rounds,
+                               read_rounds=probe.read.latency_rounds))
     return rows
 
 
@@ -75,27 +61,12 @@ class RollbackLatencyRow:
 def run_goodson_rollback_latency(counts: Sequence[int] = (0, 1, 2, 4),
                                  t: int = 1, seed: int = 0
                                  ) -> List[RollbackLatencyRow]:
-    """Goodson read latency grows by one round trip per stacked poison."""
-    rows = []
-    garbage = make_values(2, size=128, prefix=b"bad")
-    honest = make_values(1, size=128, prefix=b"good")[0]
-    for count in counts:
-        config = SystemConfig(n=4 * t + 1, t=t, seed=seed)
-        cluster = build_cluster(
-            config, protocol="goodson", num_clients=2,
-            scheduler=RandomScheduler(seed),
-            client_overrides={
-                2: lambda pid, cfg: PoisonousGoodsonWriter(pid, cfg)})
-        cluster.write(1, TAG, "honest", honest)
-        for index in range(count):
-            cluster.client(2).attack_write(TAG, f"p{index}", 100 + index,
-                                           garbage)
-        cluster.run()
-        read = cluster.read(1, TAG, "probe")
-        cluster.run()
-        rows.append(RollbackLatencyRow(poisonous_writes=count,
-                                       read_rounds=read.latency_rounds))
-    return rows
+    """Goodson read latency grows by one round trip per stacked poison
+    (the probe read of F6's Goodson runs)."""
+    return [RollbackLatencyRow(
+        poisonous_writes=count,
+        read_rounds=poisoned_read("goodson", count, t, seed)[1]
+        .latency_rounds) for count in counts]
 
 
 def render(rows: List[LatencyRow]) -> str:

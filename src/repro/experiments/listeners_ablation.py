@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.analysis.history import HistoryRecorder
+from repro.analysis.history import STATUS_VIOLATION, run_verdict
 from repro.cluster import build_cluster
 from repro.config import SystemConfig
 from repro.experiments.common import render_table
@@ -69,15 +69,9 @@ def run(write_counts: Sequence[int] = (0, 2, 4, 8), reads: int = 4,
                                     num_clients=reader,
                                     scheduler=RandomScheduler(seed))
             operations = _workload(writers, writes, reads, reader)
-            before = cluster.simulator.metrics.snapshot()
-            run_workload(cluster, TAG, operations, seed=seed,
-                         invoke_probability=0.05)
-            after = cluster.simulator.metrics.snapshot()
-            atomic = True
-            try:
-                HistoryRecorder(cluster, TAG).check()
-            except Exception:
-                atomic = False
+            handles = run_workload(cluster, TAG, operations, seed=seed,
+                                   invoke_probability=0.05)
+            status, _ = run_verdict(cluster, handles, TAG)
             client = cluster.client(reader)
             if variant == "no_listeners":
                 total_rounds = sum(client.read_rounds.values())
@@ -90,7 +84,7 @@ def run(write_counts: Sequence[int] = (0, 2, 4, 8), reads: int = 4,
                 variant=variant, concurrent_writes=writes, reads=reads,
                 rounds_per_read=total_rounds / reads,
                 read_messages=read_traffic / reads,
-                atomic=atomic))
+                atomic=status != STATUS_VIOLATION))
     return rows
 
 

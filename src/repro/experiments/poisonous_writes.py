@@ -17,11 +17,13 @@ whether any inconsistent write took effect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
+from repro.analysis.history import effected_writes
 from repro.cluster import build_cluster
 from repro.config import SystemConfig
-from repro.experiments.common import render_table
+from repro.core.register import OperationHandle
+from repro.experiments.common import measure_operation, render_table
 from repro.faults.byzantine_clients import (
     InconsistentDisperser,
     PoisonousGoodsonWriter,
@@ -41,73 +43,50 @@ class PoisonRow:
     poison_took_effect: bool
 
 
-def _poison_effected(cluster, oids) -> bool:
-    accepted = {event.payload[0]
-                for event in cluster.simulator.event_log
-                if event.kind == "out"
-                and event.action == "write-accepted" and event.payload}
-    return any(oid in accepted for oid in oids)
+def poisoned_read(protocol: str, count: int, t: int = 1, seed: int = 0,
+                  value_size: int = 512) -> Tuple[PoisonRow, OperationHandle]:
+    """An honest write, ``count`` poisonous writes by a Byzantine client,
+    then a probe read; returns the row and the probe read's handle.
+
+    Against ``goodson`` (``n = 4t+1``) the poison is stored and stacked
+    by increasing timestamps, so the read rolls back past each version;
+    against ``atomic_ns`` (``n = 3t+1``) the inconsistent dispersals
+    never complete and nothing is stored.
+    """
+    garbage = make_values(2, size=value_size, prefix=b"garbage")
+    honest_value = make_values(1, size=value_size, prefix=b"honest")[0]
+    goodson = protocol == "goodson"
+    config = SystemConfig(n=(4 if goodson else 3) * t + 1, t=t, seed=seed)
+    writer = PoisonousGoodsonWriter if goodson else InconsistentDisperser
+    cluster = build_cluster(config, protocol=protocol, num_clients=2,
+                            scheduler=RandomScheduler(seed),
+                            client_overrides={2: writer})
+    cluster.write(1, TAG, "honest", honest_value)
+    oids = [f"poison{index}" for index in range(count)]
+    for index, oid in enumerate(oids):
+        if goodson:
+            # Monotonically increasing timestamps stack the poison on top.
+            cluster.client(2).attack_write(TAG, oid, 100 + index, garbage)
+        else:
+            cluster.client(2).attack_write(TAG, oid, garbage, ts=index)
+    cluster.run()
+    read, cost = measure_operation(cluster,
+                                   lambda: cluster.read(1, TAG, "probe"))
+    assert read.result == honest_value
+    return PoisonRow(
+        protocol=protocol, poisonous_writes=count,
+        read_messages=cost.messages,
+        rollback_rounds=cluster.client(1).rollback_counts.get("probe", 0)
+        if goodson else 0,
+        poison_took_effect=bool(effected_writes(cluster, TAG)
+                                & set(oids))), read
 
 
 def run(counts: Sequence[int] = (0, 1, 2, 4, 8), t: int = 1,
         seed: int = 0, value_size: int = 512) -> List[PoisonRow]:
     """Execute the experiment sweep; returns structured result rows."""
-    rows = []
-    garbage = make_values(2, size=value_size, prefix=b"garbage")
-    honest_value = make_values(1, size=value_size, prefix=b"honest")[0]
-
-    for count in counts:
-        # --- Goodson et al.: poison is stored, reads roll back ------------
-        config = SystemConfig(n=4 * t + 1, t=t, seed=seed)
-        cluster = build_cluster(
-            config, protocol="goodson", num_clients=2,
-            scheduler=RandomScheduler(seed),
-            client_overrides={
-                2: lambda pid, cfg: PoisonousGoodsonWriter(pid, cfg)})
-        cluster.write(1, TAG, "honest", honest_value)
-        oids = []
-        for index in range(count):
-            oid = f"poison{index}"
-            oids.append(oid)
-            # Monotonically increasing timestamps stack the poison on top.
-            cluster.client(2).attack_write(TAG, oid, 100 + index, garbage)
-        cluster.run()
-        before = cluster.simulator.metrics.snapshot()
-        read = cluster.read(1, TAG, "probe")
-        cluster.run()
-        after = cluster.simulator.metrics.snapshot()
-        assert read.result == honest_value
-        reader = cluster.client(1)
-        rows.append(PoisonRow(
-            protocol="goodson", poisonous_writes=count,
-            read_messages=after[0] - before[0],
-            rollback_rounds=reader.rollback_counts.get("probe", 0),
-            poison_took_effect=_poison_effected(cluster, oids)))
-
-        # --- AtomicNS: poison is rejected at write time --------------------
-        config = SystemConfig(n=3 * t + 1, t=t, seed=seed)
-        cluster = build_cluster(
-            config, protocol="atomic_ns", num_clients=2,
-            scheduler=RandomScheduler(seed),
-            client_overrides={
-                2: lambda pid, cfg: InconsistentDisperser(pid, cfg)})
-        cluster.write(1, TAG, "honest", honest_value)
-        oids = []
-        for index in range(count):
-            oid = f"poison{index}"
-            oids.append(oid)
-            cluster.client(2).attack_write(TAG, oid, garbage, ts=index)
-        cluster.run()
-        before = cluster.simulator.metrics.snapshot()
-        read = cluster.read(1, TAG, "probe")
-        cluster.run()
-        after = cluster.simulator.metrics.snapshot()
-        assert read.result == honest_value
-        rows.append(PoisonRow(
-            protocol="atomic_ns", poisonous_writes=count,
-            read_messages=after[0] - before[0], rollback_rounds=0,
-            poison_took_effect=_poison_effected(cluster, oids)))
-    return rows
+    return [poisoned_read(protocol, count, t, seed, value_size)[0]
+            for count in counts for protocol in ("goodson", "atomic_ns")]
 
 
 def render(rows: List[PoisonRow]) -> str:

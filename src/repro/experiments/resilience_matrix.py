@@ -5,7 +5,9 @@ atomic whenever at most ``t < n/3`` servers misbehave; exceeding the bound
 may cost liveness.  The ``n > 4t`` baselines cannot even be deployed at
 ``n = 3t + 1``.  The matrix runs a concurrent workload against clusters
 with ``f`` faulty servers (a mix of crash, equivocation, and inflation
-faults) and classifies each cell:
+faults) — each cell one chaos run (:func:`repro.chaos.execute_run`)
+whose fault plan designates servers ``1..f`` faulty — and classifies
+each cell by the run's verdict:
 
 * ``OK``        — every operation terminated and the history linearizes;
 * ``STALLED``   — some honest operation could not terminate (liveness
@@ -19,28 +21,25 @@ faults) and classifies each cell:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import List, Sequence
 
-from repro.analysis.history import HistoryRecorder
-from repro.cluster import build_cluster, protocol_classes
-from repro.common.errors import (
-    AtomicityViolation,
-    ConfigurationError,
-    LivenessError,
-    SimulationError,
+from repro.analysis.history import (
+    STATUS_OK,
+    STATUS_STALLED,
+    STATUS_VIOLATION,
 )
-from repro.config import SystemConfig
+from repro.chaos.campaign import RunSpec, execute_run
+from repro.chaos.plan import ByzantineSpec, CrashSpec, FaultPlan
+from repro.common.errors import ConfigurationError
 from repro.experiments.common import render_table
-from repro.faults.byzantine_servers import CrashServer, byzantine
-from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import random_workload, run_workload
-
-TAG = "reg"
 
 OK = "OK"
 STALLED = "STALLED"
 VIOLATION = "VIOLATION"
 NOT_APPLICABLE = "N/A"
+
+_VERDICTS = {STATUS_OK: OK, STATUS_STALLED: STALLED,
+             STATUS_VIOLATION: VIOLATION}
 
 
 @dataclass
@@ -52,54 +51,42 @@ class MatrixCell:
     verdict: str
 
 
-def _fault_factories(protocol: str, faulty: int, t: int) -> List[Callable]:
-    """Fault mix for injected servers.
+#: The within-bound fault mix servers cycle through (``None``: crash).
+_MIX = (None, "equivocate-read", "inflate-ts")
 
-    Within the bound (``faulty <= t``) a mix of crash, equivocation, and
-    inflation faults exercises the quorum logic.  Beyond the bound the
-    adversary picks its strongest move — all crashes — which denies every
-    ``n - t`` quorum and must cost liveness.  Protocols without
-    Atomic-style server state get crash faults only.
+
+def _plan(protocol: str, t: int, faulty: int) -> FaultPlan:
+    """Servers ``1..faulty`` are faulty.
+
+    Within the bound (``faulty <= t``) they cycle through crash,
+    equivocation, and inflation faults, which exercises the quorum
+    logic.  Beyond the bound the adversary picks its strongest move —
+    all crashes — which denies every ``n - t`` quorum and must cost
+    liveness.  Protocols without Atomic-style server state get crash
+    faults only.
     """
-    if faulty > t or protocol not in ("atomic", "atomic_ns"):
-        return [CrashServer]
-    server_cls = protocol_classes(protocol)[0]
-    return [CrashServer, byzantine(server_cls, "equivocate-read"),
-            byzantine(server_cls, "inflate-ts")]
+    mixed = faulty <= t and protocol in ("atomic", "atomic_ns")
+    behaviours = {server: _MIX[(server - 1) % len(_MIX)] if mixed else None
+                  for server in range(1, faulty + 1)}
+    return FaultPlan(
+        name="resilience-matrix", faulty=tuple(behaviours),
+        crashes=tuple(CrashSpec(server=server)
+                      for server, behaviour in behaviours.items()
+                      if behaviour is None),
+        byzantine=tuple(ByzantineSpec(server=server, behaviour=behaviour)
+                        for server, behaviour in behaviours.items()
+                        if behaviour is not None),
+        exceeds_t=faulty > t)
 
 
 def _classify(protocol: str, n: int, t: int, faulty: int,
               seed: int) -> str:
+    spec = RunSpec(protocol=protocol, plan=_plan(protocol, t, faulty),
+                   n=n, t=t, seed=seed, clients=3, writes=3, reads=4)
     try:
-        config = SystemConfig(n=n, t=t, seed=seed)
-        factories = _fault_factories(protocol, faulty, t)
-        overrides = {
-            index: factories[(index - 1) % len(factories)]
-            for index in range(1, faulty + 1)
-        }
-        cluster = build_cluster(config, protocol=protocol, num_clients=3,
-                                scheduler=RandomScheduler(seed),
-                                server_overrides=overrides)
+        return _VERDICTS[execute_run(spec).status]
     except ConfigurationError:
         return NOT_APPLICABLE
-    operations = random_workload(3, writes=3, reads=4, seed=seed)
-    try:
-        # Cap the step budget: a stalled operation leaves the network
-        # quiescent with an unfinished handle, which run_workload reports
-        # as a LivenessError.
-        run_workload(cluster, TAG, operations, seed=seed,
-                     max_steps=400_000)
-    except LivenessError:
-        return STALLED
-    except SimulationError:
-        return STALLED
-    try:
-        HistoryRecorder(cluster, TAG).check()
-    except LivenessError:
-        return STALLED
-    except AtomicityViolation:
-        return VIOLATION
-    return OK
 
 
 def run(ts: Sequence[int] = (1, 2), seed: int = 0) -> List[MatrixCell]:

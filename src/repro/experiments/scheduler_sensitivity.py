@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.analysis.history import HistoryRecorder
+from repro.analysis.history import STATUS_VIOLATION, run_verdict
 from repro.chaos.plan import FaultPlan, SchedulerSpec
 from repro.cluster import run_register_case
 from repro.experiments.common import render_table
@@ -59,16 +59,12 @@ def run(protocol: str = "atomic_ns", n: int = 4, t: int = 1,
         handles, cluster = run_register_case(
             protocol, n, t, clients=3, writes=writes, reads=reads,
             seed=seed, plan=FaultPlan(name=name, scheduler=scheduler))
-        atomic = True
-        try:
-            HistoryRecorder(cluster, TAG).check()
-        except Exception:
-            atomic = False
+        status, _ = run_verdict(cluster, handles, TAG)
         metrics = cluster.simulator.metrics
         rows.append(SensitivityRow(
             scheduler=name,
             terminated=all(handle.done for handle in handles.values()),
-            atomic=atomic,
+            atomic=status != STATUS_VIOLATION,
             steps=cluster.simulator.time,
             load_imbalance=metrics.load_imbalance(
                 cluster.simulator.server_pids)))

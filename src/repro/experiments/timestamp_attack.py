@@ -21,11 +21,11 @@ timestamp is at most the number of effected writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
+from repro.analysis.history import effected_writes
 from repro.cluster import build_cluster, protocol_classes
 from repro.config import SystemConfig
-from repro.core.timestamps import Timestamp
 from repro.experiments.common import render_table
 from repro.faults.byzantine_clients import (
     ReplayingNSWriter,
@@ -48,35 +48,16 @@ class AttackOutcome:
     non_skipping: bool
 
 
-def _max_server_timestamp(cluster) -> int:
-    """Largest timestamp stored at any honest server of the cluster
-    (Byzantine overrides are skipped by attribute probing)."""
-    result = 0
-    for server in cluster.servers:
-        probe = getattr(server, "register_state", None)
-        if probe is None:
-            continue
-        state = probe(TAG)
-        timestamp = getattr(state, "timestamp", None)
-        if timestamp is None and hasattr(state, "latest"):
-            timestamp = state.latest()
-        if isinstance(timestamp, Timestamp):
-            result = max(result, timestamp.ts)
-    return result
-
-
-def _effected_writes(cluster) -> int:
-    oids = set()
-    for event in cluster.simulator.event_log:
-        if event.kind == "out" and event.action == "write-accepted" \
-                and event.payload:
-            oids.add(event.payload[0])
-    return len(oids)
-
-
-def _outcome(scenario: str, protocol: str, cluster) -> AttackOutcome:
-    effected = _effected_writes(cluster)
-    max_ts = _max_server_timestamp(cluster)
+def _outcome(scenario: str, protocol: str, cluster,
+             faulty: int = 0) -> AttackOutcome:
+    """The scenario's row; servers ``1..faulty`` are Byzantine, and
+    only the others count — for effected writes and stored timestamps
+    alike."""
+    honest = cluster.servers[faulty:]
+    effected = len(effected_writes(cluster, TAG,
+                                   [server.pid for server in honest]))
+    max_ts = max(server.register_state(TAG).timestamp.ts
+                 for server in honest)
     return AttackOutcome(scenario=scenario, protocol=protocol,
                          effected_writes=effected, max_timestamp=max_ts,
                          non_skipping=max_ts <= effected)
@@ -88,7 +69,7 @@ def run(t: int = 1, honest_writes: int = 5, seed: int = 0
     outcomes = []
     values = make_values(honest_writes + 2, size=64)
 
-    def honest_load(cluster, start: int = 0) -> None:
+    def honest_load(cluster) -> None:
         for index in range(honest_writes):
             cluster.write(1, TAG, f"hw{index}", values[index])
         cluster.run()
@@ -103,7 +84,8 @@ def run(t: int = 1, honest_writes: int = 5, seed: int = 0
                                 scheduler=RandomScheduler(seed),
                                 server_overrides=overrides)
         honest_load(cluster)
-        outcomes.append(_outcome("server-inflation", protocol, cluster))
+        outcomes.append(_outcome("server-inflation", protocol, cluster,
+                                 faulty=t))
 
     # -- corrupted client broadcasting a huge timestamp -----------------------
     for protocol in ("atomic", "atomic_ns"):

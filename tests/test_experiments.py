@@ -3,6 +3,8 @@ paper-claim at reduced scale (the benchmarks run the full versions)."""
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.core.timestamps import Timestamp
 from repro.experiments import (
     common,
     communication_sweep,
@@ -110,6 +112,37 @@ def test_f4_attack_outcomes():
     assert not by_key[("client-skipping", "bazzi_ding")].non_skipping
     assert by_key[("client-replay", "atomic_ns")].non_skipping
     assert timestamp_attack.render(outcomes)
+
+
+def test_f4_ignores_timestamps_stored_at_byzantine_servers(monkeypatch):
+    """Only honest servers' stored timestamps count: a Byzantine
+    server's, poked above every honest one once the run is over, is
+    not reported."""
+    poked = 10 ** 15
+    faulty = []
+    derive = timestamp_attack.byzantine
+
+    def tracked(server_cls, behaviour):
+        def factory(pid, config):
+            faulty.append(derive(server_cls, behaviour)(pid, config))
+            return faulty[-1]
+        return factory
+
+    run_network = Cluster.run
+
+    def run_then_poke(self, *args, **kwargs):
+        steps = run_network(self, *args, **kwargs)
+        for server in faulty:
+            server.register_state("reg").timestamp = Timestamp(poked, "x")
+        return steps
+
+    monkeypatch.setattr(timestamp_attack, "byzantine", tracked)
+    monkeypatch.setattr(Cluster, "run", run_then_poke)
+    outcomes = timestamp_attack.run(t=1, honest_writes=3)
+    inflation = [outcome for outcome in outcomes
+                 if outcome.scenario == "server-inflation"]
+    assert len(inflation) == 4 and len(faulty) == 4
+    assert all(outcome.max_timestamp < poked for outcome in inflation)
 
 
 def test_f5_matrix_boundary():

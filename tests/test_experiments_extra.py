@@ -1,8 +1,12 @@
 """The extension experiments (F9-F12) at reduced scale, plus the
-battery registration check."""
+battery registration check and how the run verdict reaches F7."""
 
+import pytest
+
+import repro.analysis.history
 from repro.experiments import (
     broadcast_comparison,
+    concurrency_sweep,
     latency_rounds,
     listeners_ablation,
     scheduler_sensitivity,
@@ -54,3 +58,15 @@ def test_f12_broadcast_comparison_small():
     assert all(row.avid_rbc_bytes < row.bracha_bytes for row in rows)
     assert rows[1].ratio > rows[0].ratio
     assert broadcast_comparison.render(rows)
+
+
+def test_a_checker_error_propagates_out_of_f7(monkeypatch):
+    """Only an atomicity violation reads as "atomic: NO"; an error
+    inside the checker is a bug and surfaces."""
+    def broken(operations, initial_value=b""):
+        raise TypeError("checker bug")
+
+    monkeypatch.setattr(repro.analysis.history, "check_atomicity", broken)
+    with pytest.raises(TypeError, match="checker bug"):
+        concurrency_sweep.run(writer_counts=(1,), readers=1,
+                              writes_per_writer=1)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.analysis.history import HistoryRecorder
+from repro.analysis.history import (
+    STATUS_OK,
+    STATUS_STALLED,
+    STATUS_VIOLATION,
+    HistoryRecorder,
+    effected_writes,
+    run_verdict,
+)
 from repro.cluster import build_cluster
 from repro.common.errors import LivenessError
 from repro.config import SystemConfig
@@ -73,3 +80,46 @@ def test_check_end_to_end_with_byzantine_write():
     order = recorder.check()
     assert read.result in (b"honest", b"evil")
     assert "skip" in order
+
+
+def _handles(cluster):
+    return {handle.oid: handle for client in cluster.clients
+            for handle in client.operations}
+
+
+def test_verdict_of_a_clean_run_is_ok():
+    cluster = _cluster()
+    cluster.write(1, TAG, "w1", b"x")
+    cluster.read(2, TAG, "r1")
+    assert run_verdict(cluster, _handles(cluster), TAG) == (
+        STATUS_OK, "atomic and wait-free")
+
+
+def test_verdict_of_an_unfinished_operation_is_stalled():
+    cluster = _cluster()
+    cluster.write(1, TAG, "w1", b"x")
+    cluster.client(2).invoke_read(TAG, "r1")  # never delivered
+    status, detail = run_verdict(cluster, _handles(cluster), TAG)
+    assert status == STATUS_STALLED
+    assert detail == "1/2 operations never terminated: r1"
+
+
+def test_verdict_violation_outranks_a_stall():
+    cluster = _cluster()
+    cluster.write(1, TAG, "w1", b"x")
+    read = cluster.read(2, TAG, "r1")
+    read.result = b"never written"
+    cluster.client(1).invoke_write(TAG, "w2", b"y")  # never delivered
+    status, _ = run_verdict(cluster, _handles(cluster), TAG)
+    assert status == STATUS_VIOLATION
+
+
+def test_effected_writes_count_only_honest_servers():
+    cluster = _cluster()
+    cluster.write(1, TAG, "w1", b"x")
+    cluster.write(1, "other", "w2", b"y")
+    cluster.run()
+    everyone = [server.pid for server in cluster.servers]
+    assert effected_writes(cluster, TAG) == {"w1"}
+    assert effected_writes(cluster, TAG, everyone[1:]) == {"w1"}
+    assert effected_writes(cluster, TAG, []) == set()

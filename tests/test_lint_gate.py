@@ -132,6 +132,24 @@ def _call_sites(callee):
     return sorted(sites)
 
 
+def _compare_sites(constant):
+    """``module.function`` of every comparison with the string
+    ``constant`` under ``src/repro``."""
+    sites = set()
+    for module in discover([SRC]):
+        for scope in ast.walk(module.tree):
+            if not isinstance(scope, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(operand, ast.Constant)
+                        and operand.value == constant
+                        for operand in (node.left, *node.comparators)):
+                    sites.add(f"{module.dotted}.{scope.name}")
+    return sorted(sites)
+
+
 def _raise_sites(fragment):
     """``module.function`` of every ``raise`` under ``src/repro`` whose
     message text contains ``fragment``."""
@@ -290,3 +308,32 @@ def test_faulty_servers_are_mixins_derived_in_one_place():
                     derivations.append(site)
     assert subclasses == []
     assert derivations == ["repro.faults.variants.derive"]
+
+
+def test_register_runs_are_judged_in_one_place():
+    """The verdict ratchet: each claim about a register run is decided
+    once.  Under ``src/repro`` an event's action is compared with
+    ``"write-accepted"`` only in the takes-effect rule
+    (``effected_writes``) and in the two incremental observers
+    (``repro.analysis.invariants``, ``repro.obs.recorder``); a
+    ``HistoryRecorder`` is built only by the run verdict and by the
+    CLI's strict simulate/trace checks; and no experiment turns an
+    error into a verdict with ``except Exception``."""
+    observers = ("repro.analysis.invariants.", "repro.obs.recorder.")
+    assert [site for site in _compare_sites("write-accepted")
+            if not site.startswith(observers)] == [
+        "repro.analysis.history.effected_writes"]
+    assert _call_sites("HistoryRecorder") == [
+        "repro.analysis.history.run_verdict",
+        "repro.cli._cmd_simulate", "repro.cli._cmd_trace"]
+    broad = []
+    for module in discover([SRC]):
+        if not module.dotted.startswith("repro.experiments."):
+            continue
+        broad += [f"{module.dotted}:{node.lineno}"
+                  for node in ast.walk(module.tree)
+                  if isinstance(node, ast.ExceptHandler)
+                  and (node.type is None
+                       or terminal_name(node.type) in ("Exception",
+                                                       "BaseException"))]
+    assert broad == []

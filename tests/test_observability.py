@@ -15,7 +15,7 @@ from repro.cluster import build_cluster, run_register_case
 from repro.common.errors import LivenessError, SimulationError
 from repro.common.ids import TAG_SEP, client_id, server_id
 from repro.config import SystemConfig
-from repro.experiments.common import _snapshot_delta
+from repro.experiments.common import measure_operation
 from repro.kv.bench import run_kv_case
 from repro.net.message import (
     EVENT_CHAOS,
@@ -319,18 +319,19 @@ def test_wall_clock_measures_and_records():
 
 def test_metrics_scoped_isolates_one_operation():
     """Two ``snapshot()``s around one operation isolate its traffic
-    (the experiments' ``_snapshot_delta``)."""
+    (the experiments' ``measure_operation``)."""
     cluster = build_cluster(SystemConfig(n=4, t=1), protocol="atomic",
                             num_clients=1, scheduler=FifoScheduler())
     cluster.write(1, "reg", "prime", b"prime")
     cluster.run()
     metrics = cluster.simulator.metrics
     before = metrics.message_complexity("reg")
-    cost = _snapshot_delta(cluster, lambda: (
-        cluster.write(1, "reg", "w", b"scoped"), cluster.run()))
+    write, cost = measure_operation(
+        cluster, lambda: cluster.write(1, "reg", "w", b"scoped"))
+    assert write.done
     assert cost.messages == metrics.message_complexity("reg") - before
     assert cost.message_bytes > 0
-    idle = _snapshot_delta(cluster, lambda: None)
+    _, idle = measure_operation(cluster, lambda: None)
     assert idle.messages == 0 and idle.message_bytes == 0
 
 
