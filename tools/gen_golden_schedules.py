@@ -38,29 +38,40 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.chaos import FaultPlan, SchedulerSpec  # noqa: E402
-from repro.cluster import run_register_case  # noqa: E402
+from repro.chaos.plan import ByzantineSpec  # noqa: E402
+from repro.cluster import PROTOCOLS, run_register_case  # noqa: E402
+from repro.faults.byzantine_servers import BYZANTINE_BEHAVIOURS  # noqa: E402
 
 FIXTURE = REPO / "tests" / "fixtures" / "golden_schedules.json"
 
 
 def empty_plan(spec: dict) -> FaultPlan:
-    """A fault-free plan carrying the case's scheduler (seeded, like
-    the workload, by ``seed``; every case pins ``scheduler_seed`` to the
-    same value)."""
-    return FaultPlan(name="none", scheduler=SchedulerSpec(
-        name=spec["scheduler"],
-        slow_servers=tuple(spec.get("slow_servers", ()))))
+    """A plan with no message rules, carrying the case's scheduler
+    (seeded, like the workload, by ``seed``; every case pins
+    ``scheduler_seed`` to the same value) and, when the case names a
+    ``byzantine`` behaviour, that behaviour at server ``n``."""
+    byzantine = ()
+    if "byzantine" in spec:
+        byzantine = (ByzantineSpec(server=spec["n"],
+                                   behaviour=spec["byzantine"]),)
+    return FaultPlan(
+        name="none", faulty=tuple(spec["n"] for _ in byzantine),
+        byzantine=byzantine, scheduler=SchedulerSpec(
+            name=spec["scheduler"],
+            slow_servers=tuple(spec.get("slow_servers", ()))))
 
 
 def run_case(spec: dict, plan=None) -> dict:
     """Run one seeded workload and return its canonical schedule record.
 
     ``plan`` defaults to :func:`empty_plan` for every case not under the
-    runner's own random scheduler, so random cases run with no fault
-    injector at all; the chaos determinism tests pass ``empty_plan``
-    explicitly to prove the injector is byte-identical to no injector.
+    runner's own random scheduler or naming a Byzantine server, so the
+    other random cases run with no fault injector at all; the chaos
+    determinism tests pass ``empty_plan`` explicitly to prove the
+    injector is byte-identical to no injector.
     """
-    if plan is None and spec["scheduler"] != "random":
+    if plan is None and (spec["scheduler"] != "random"
+                         or "byzantine" in spec):
         plan = empty_plan(spec)
     # Log every delivery, not just input/output actions: the golden digest
     # must pin the exact delivery order, not merely its observable effects.
@@ -118,6 +129,35 @@ CASES = [
      "n": 4, "t": 1, "clients": 2, "writes": 3, "reads": 3, "seed": 13},
 ]
 
+#: Protocols that need ``n > 4t``; every other case runs at ``n = 4``.
+_NEEDS_N_GT_4T = ("bazzi_ding", "goodson", "phalanx")
+
+
+def _random_case(name: str, protocol: str, seed: int, **extra) -> dict:
+    n = 5 if protocol in _NEEDS_N_GT_4T else 4
+    return {"name": name, "scheduler": "random", "scheduler_seed": seed,
+            "protocol": protocol, "n": n, "t": 1, "clients": 2,
+            "writes": 2, "reads": 2, "seed": seed, **extra}
+
+
+# One seeded random run per register server the atomic cases above do
+# not already pin.
+CASES += [_random_case(f"random_{protocol}", protocol, seed)
+          for seed, protocol in enumerate(
+              ("atomic_md", "martin", "bazzi_ding", "goodson", "phalanx",
+               "no_listeners"), start=21)]
+
+# One run per Byzantine behaviour and protocol it deviates from, the
+# behaviour at server n: nothing else pins these schedules.
+CASES += [_random_case(f"byz_{behaviour}_{protocol}", protocol, seed,
+                       byzantine=behaviour)
+          for seed, (behaviour, protocol) in enumerate(
+              ((behaviour, protocol)
+               for behaviour, (_, honest) in sorted(
+                   BYZANTINE_BEHAVIOURS.items())
+               for protocol, (server_cls, _) in sorted(PROTOCOLS.items())
+               if issubclass(server_cls, honest)), start=31)]
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -134,7 +174,7 @@ def main(argv=None) -> int:
     }
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     for record in records:
-        print(f"{record['spec']['name']:>20}: {record['events']:5d} events "
+        print(f"{record['spec']['name']:>34}: {record['events']:5d} events "
               f"{record['sha256'][:16]}")
     if args.check:
         committed = FIXTURE.read_text(encoding="utf-8")
