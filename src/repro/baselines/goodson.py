@@ -29,18 +29,21 @@ consistency depends on a correct client" — quantified in experiment F6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import PartyId
 from repro.common.serialization import encode, encoded_size
 from repro.config import SystemConfig
-from repro.core.register import OperationHandle, RegisterClientBase
+from repro.core.register import (
+    OperationHandle,
+    RegisterClientBase,
+    RegisterServerBase,
+)
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.crypto.hashing import hash_bytes
 from repro.erasure.coder import ErasureCoder
 from repro.net.message import Message
-from repro.net.process import Process
 
 MSG_GET_TS = "get-ts"
 MSG_TS = "ts"
@@ -79,48 +82,38 @@ class _VersionedState:
         default_factory=dict)
     accepted: Set[str] = field(default_factory=set)
 
-    def latest(self) -> Timestamp:
+    @property
+    def timestamp(self) -> Timestamp:
+        """The latest version's TIMESTAMP."""
         return max(self.versions)
 
 
-class GoodsonServer(Process):
+class GoodsonServer(RegisterServerBase):
     """Versioning fragment server: stores whatever writers send."""
 
     def __init__(self, pid: PartyId, config: SystemConfig,
                  initial_value: bytes = b""):
         _require_n_gt_4t(config)
-        super().__init__(pid)
-        self.config = config
+        super().__init__(pid, config, initial_value)
         self._coder = ErasureCoder(config.n, goodson_fragment_threshold(config))
-        self._initial_value = initial_value
-        self._registers: Dict[str, _VersionedState] = {}
         self.on(MSG_GET_TS, self._on_get_ts)
         self.on(MSG_STORE, self._on_store)
         self.on(MSG_READ_LATEST, self._on_read_latest)
         self.on(MSG_READ_PREV, self._on_read_prev)
 
-    def register_state(self, tag: str) -> _VersionedState:
-        """The register's version history (created lazily with the
-        initial version)."""
-        if tag not in self._registers:
-            fragments = self._coder.encode(self._initial_value)
-            state = _VersionedState()
-            state.versions[INITIAL_TIMESTAMP] = (
-                fragments[self.pid.index - 1], _cross_checksum(fragments))
-            self._registers[tag] = state
-        return self._registers[tag]
+    def _new_register(self) -> _VersionedState:
+        """A version history holding the initial version."""
+        fragments = self._coder.encode(self._initial_value)
+        state = _VersionedState()
+        state.versions[INITIAL_TIMESTAMP] = (
+            fragments[self.pid.index - 1], _cross_checksum(fragments))
+        return state
 
     # -- handlers -------------------------------------------------------------
 
-    def _on_get_ts(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return  # byzantine oid: never echo unverified objects back
-        state = self.register_state(message.tag)
-        self.send(message.sender, message.tag, MSG_TS, oid,
-                  state.latest().ts)
+    def _send_ts(self, client: PartyId, tag: str, oid: str,
+                 *reply: Any) -> None:
+        self.send(client, tag, MSG_TS, oid, *reply)
 
     def _on_store(self, message: Message) -> None:
         if len(message.payload) != 4:
@@ -144,8 +137,10 @@ class GoodsonServer(Process):
         if len(message.payload) != 2:
             return
         oid, round_no = message.payload
+        if not isinstance(oid, str) or not isinstance(round_no, int):
+            return  # byzantine query: never echo unverified objects back
         state = self.register_state(message.tag)
-        latest = state.latest()
+        latest = state.timestamp
         fragment, checksum = state.versions[latest]
         self.send(message.sender, message.tag, MSG_LATEST, oid, round_no,
                   latest, fragment, checksum)
@@ -156,8 +151,9 @@ class GoodsonServer(Process):
         if len(message.payload) != 3:
             return
         oid, round_no, bound = message.payload
-        if not isinstance(bound, Timestamp):
-            return
+        if not isinstance(oid, str) or not isinstance(round_no, int) \
+                or not isinstance(bound, Timestamp):
+            return  # byzantine query: never echo unverified objects back
         state = self.register_state(message.tag)
         older = [timestamp for timestamp in state.versions
                  if timestamp < bound]
@@ -176,11 +172,6 @@ class GoodsonServer(Process):
         return sum(encoded_size((timestamp, fragment, checksum))
                    for timestamp, (fragment, checksum)
                    in state.versions.items())
-
-    def storage_bytes(self) -> int:
-        """Total storage across all registers (all retained versions)."""
-        return sum(self.register_storage_bytes(tag)
-                   for tag in self._registers)
 
     def version_count(self, tag: str) -> int:
         """Number of versions retained for one register (grows with the

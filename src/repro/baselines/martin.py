@@ -25,16 +25,20 @@ carry the full value and the reader waits for ``n - t`` identical
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Set, Tuple
 
 from repro.common.ids import PartyId
-from repro.common.serialization import encode, encoded_size
+from repro.common.serialization import encode
 from repro.config import SystemConfig
 from repro.core.listeners import ListenerSet
-from repro.core.register import OperationHandle, RegisterClientBase
+from repro.core.register import (
+    OperationHandle,
+    RegisterClientBase,
+    RegisterServerBase,
+)
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.net.message import Message
-from repro.net.process import Process, WaitState
+from repro.net.process import WaitState
 
 MSG_GET_TS = "get-ts"
 MSG_TS = "ts"
@@ -51,47 +55,40 @@ class _ReplicaState:
 
     timestamp: Timestamp
     value: bytes
-    listeners: ListenerSet = field(default_factory=ListenerSet)
+    listeners: ListenerSet
     accepted: Set[str] = field(default_factory=set)
 
 
-class MartinServer(Process):
+class MartinServer(RegisterServerBase):
     """Replication-based register server (SBQ-L style)."""
 
     def __init__(self, pid: PartyId, config: SystemConfig,
                  initial_value: bytes = b""):
-        super().__init__(pid)
-        self.config = config
-        self._initial_value = initial_value
-        self._registers: Dict[str, _ReplicaState] = {}
+        super().__init__(pid, config, initial_value)
         self.on(MSG_GET_TS, self._on_get_ts)
         self.on(MSG_STORE, self._on_store)
         self.on(MSG_READ, self._on_read)
         self.on(MSG_READ_COMPLETE, self._on_read_complete)
 
-    def register_state(self, tag: str) -> _ReplicaState:
-        """The replica's register state (created lazily)."""
-        if tag not in self._registers:
-            self._registers[tag] = _ReplicaState(
-                timestamp=INITIAL_TIMESTAMP, value=self._initial_value)
-        return self._registers[tag]
+    def _new_register(self) -> _ReplicaState:
+        return _ReplicaState(timestamp=INITIAL_TIMESTAMP,
+                             value=self._initial_value,
+                             listeners=self._new_listeners())
 
-    # -- handlers ----------------------------------------------------------
+    def _send_ts(self, client: PartyId, tag: str, oid: str,
+                 *reply: Any) -> None:
+        self.send(client, tag, MSG_TS, oid, *reply)
 
-    def _on_get_ts(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return  # byzantine oid: never echo unverified objects back
-        state = self.register_state(message.tag)
-        self.send(message.sender, message.tag, MSG_TS, oid,
-                  *self._ts_reply(state))
+    def _version(self, state: _ReplicaState) -> Tuple[Any, ...]:
+        """``(TIMESTAMP, value)`` — replication stores everything, so this
+        is also all a register keeps at rest."""
+        return (state.timestamp, state.value)
 
-    def _ts_reply(self, state: _ReplicaState) -> Tuple[Any, ...]:
-        """Payload appended to the ``ts`` reply after the oid: the bare
-        timestamp."""
-        return (state.timestamp.ts,)
+    def _send_version(self, reader: PartyId, tag: str, oid: str,
+                      *version: Any) -> None:
+        self.send(reader, tag, MSG_VALUE, oid, *version)
+
+    # -- write path ---------------------------------------------------------
 
     def _on_store(self, message: Message) -> None:
         if len(message.payload) != 3:
@@ -102,48 +99,12 @@ class MartinServer(Process):
             return
         state = self.register_state(message.tag)
         if state.timestamp < timestamp:
-            state.timestamp = timestamp
-            state.value = value
-        for listener_oid, listener in state.listeners.below(timestamp):
-            self.send(listener, message.tag, MSG_VALUE, listener_oid,
-                      timestamp, value)
+            state.timestamp, state.value = timestamp, value
+        self._forward(message.tag, state, timestamp, (timestamp, value))
         self.send(message.sender, message.tag, MSG_ACK, oid)
         if oid not in state.accepted:
             state.accepted.add(oid)
             self.output(message.tag, "write-accepted", oid, timestamp)
-
-    def _on_read(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return
-        state = self.register_state(message.tag)
-        if not state.listeners.add(oid, state.timestamp, message.sender):
-            return
-        self.send(message.sender, message.tag, MSG_VALUE, oid,
-                  state.timestamp, state.value)
-
-    def _on_read_complete(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if isinstance(oid, str):
-            self.register_state(message.tag).listeners.retire(oid)
-
-    # -- measurements ----------------------------------------------------------
-
-    def register_storage_bytes(self, tag: str) -> int:
-        """Storage complexity of one register: the full value plus the
-        TIMESTAMP and listener entries (replication stores everything)."""
-        state = self.register_state(tag)
-        return encoded_size((state.timestamp, state.value)) \
-            + state.listeners.storage_bytes()
-
-    def storage_bytes(self) -> int:
-        """Total storage across all registers on this replica."""
-        return sum(self.register_storage_bytes(tag)
-                   for tag in self._registers)
 
 
 class MartinClient(RegisterClientBase):

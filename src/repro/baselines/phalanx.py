@@ -72,6 +72,8 @@ class PhalanxServer(MartinServer):
         if len(message.payload) != 2:
             return
         oid, round_no = message.payload
+        if not isinstance(oid, str) or not isinstance(round_no, int):
+            return  # byzantine query: never echo unverified objects back
         state = self.register_state(message.tag)
         self.send(message.sender, message.tag, MSG_VALUE_SAFE, oid,
                   round_no, state.timestamp, state.value)

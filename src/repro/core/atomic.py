@@ -32,15 +32,18 @@ from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.avid.disperse import AvidServer, disperse
 from repro.broadcast.reliable import ReliableBroadcastServer, r_broadcast
-from repro.common.errors import ProtocolError
 from repro.common.ids import TAG_SEP, PartyId, subtag
-from repro.common.serialization import encode, encoded_size
+from repro.common.serialization import encode
 from repro.config import SystemConfig
 from repro.core.listeners import ListenerSet
-from repro.core.register import OperationHandle, RegisterClientBase
+from repro.core.register import (
+    OperationHandle,
+    RegisterClientBase,
+    RegisterServerBase,
+)
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.net.message import Message
-from repro.net.process import Process, WaitState
+from repro.net.process import WaitState
 
 MSG_GET_TS = "get-ts"
 MSG_TS = "ts"
@@ -91,8 +94,8 @@ class _RegisterState:
     block: bytes
     witness: Any
     timestamp: Timestamp
+    listeners: ListenerSet
     signature: Any = None  # used by AtomicNS only
-    listeners: ListenerSet = field(default_factory=ListenerSet)
     # Join state for in-flight writes: per operation identifier, the
     # broadcast values and dispersal completions *per origin* — a write
     # is processed only when one party owns both halves, so a Byzantine
@@ -104,7 +107,7 @@ class _RegisterState:
     accepted: Set[str] = field(default_factory=set)
 
 
-class AtomicServer(Process):
+class AtomicServer(RegisterServerBase):
     """Server ``P_j`` of Protocol Atomic.
 
     One server process simulates any number of registers, each identified
@@ -116,80 +119,33 @@ class AtomicServer(Process):
     def __init__(self, pid: PartyId, config: SystemConfig,
                  initial_value: bytes = b"",
                  max_listeners: Optional[int] = None):
-        super().__init__(pid)
-        self.config = config
-        self._initial_value = initial_value
-        self._initial_state: Optional[Tuple[Any, bytes, Any]] = None
+        super().__init__(pid, config, initial_value)
         self._max_listeners = max_listeners
-        self._registers: Dict[str, _RegisterState] = {}
         self.rbc = ReliableBroadcastServer(self, config, self._on_r_deliver)
         self.avid = AvidServer(self, config, self._on_disp_complete)
         self.on(MSG_GET_TS, self._on_get_ts)
         self.on(MSG_READ, self._on_read)
         self.on(MSG_READ_COMPLETE, self._on_read_complete)
 
-    # -- register state -----------------------------------------------------
+    # -- register state and replies -------------------------------------------
 
-    def register_state(self, tag: str) -> _RegisterState:
-        """The register's global variables (created lazily)."""
-        if tag not in self._registers:
-            if self._initial_state is None:
-                blocks = self.config.coder.encode(self._initial_value)
-                commitment, witnesses = \
-                    self.config.commitment_scheme.commit(blocks)
-                index = self.pid.index
-                self._initial_state = (commitment, blocks[index - 1],
-                                       witnesses[index - 1])
-            commitment, block, witness = self._initial_state
-            self._registers[tag] = _RegisterState(
-                commitment=commitment, block=block, witness=witness,
-                timestamp=INITIAL_TIMESTAMP,
-                listeners=ListenerSet(capacity=self._max_listeners))
-        return self._registers[tag]
+    def _new_register(self) -> _RegisterState:
+        commitment, block, witness = self._initial_block()
+        return _RegisterState(
+            commitment=commitment, block=block, witness=witness,
+            timestamp=INITIAL_TIMESTAMP, listeners=self._new_listeners())
 
-    # -- client-facing handlers -------------------------------------------------
+    def _send_ts(self, client: PartyId, tag: str, oid: str,
+                 *reply: Any) -> None:
+        self.send(client, tag, MSG_TS, oid, *reply)
 
-    def _on_get_ts(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return  # byzantine oid: never echo unverified objects back
-        state = self.register_state(message.tag)
-        self.send(message.sender, message.tag, MSG_TS, oid,
-                  *self._ts_reply(state))
+    def _version(self, state: _RegisterState) -> Tuple[Any, ...]:
+        return (state.commitment, state.block, state.witness,
+                state.timestamp)
 
-    def _ts_reply(self, state: _RegisterState) -> Tuple[Any, ...]:
-        """Payload appended to the ``ts`` reply after the oid.
-
-        Protocol Atomic sends the bare timestamp; AtomicNS overrides this
-        to also send the threshold signature ``sig_c``.
-        """
-        return (state.timestamp.ts,)
-
-    def _on_read(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return
-        state = self.register_state(message.tag)
-        if state.listeners.knows(oid):
-            return  # duplicate read or already completed: stay silent
-        # At the §3.5 capacity bound the registration fails; the reader
-        # still gets one reply but no forwarding of later writes.
-        state.listeners.add(oid, state.timestamp, message.sender)
-        self.send(message.sender, message.tag, MSG_VALUE, oid,
-                  state.commitment, state.block, state.witness,
-                  state.timestamp)
-
-    def _on_read_complete(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return
-        self.register_state(message.tag).listeners.retire(oid)
+    def _send_version(self, reader: PartyId, tag: str, oid: Any,
+                      *version: Any) -> None:
+        self.send(reader, tag, MSG_VALUE, oid, *version)
 
     # -- write path: join dispersal completion with the broadcast timestamp --
 
@@ -241,40 +197,25 @@ class AtomicServer(Process):
                       signature: Any = None,
                       ack_payload: Tuple[Any, ...] = ()) -> None:
         """Adopt the value if newer, notify listeners, ack, take effect."""
-        commitment, block, witness = state.pending_disp[oid][writer]
-        client = writer
-        state.pending_disp.pop(oid, None)
+        version = (*state.pending_disp.pop(oid)[writer], timestamp)
         state.pending_ts.pop(oid, None)
         if state.timestamp < timestamp:
-            state.commitment = commitment
-            state.block = block
-            state.witness = witness
-            state.timestamp = timestamp
-            state.signature = signature
-        for listener_oid, listener in state.listeners.below(timestamp):
-            self.send(listener, register_tag, MSG_VALUE, listener_oid,
-                      commitment, block, witness, timestamp)
-        self.send(client, register_tag, MSG_ACK, oid, *ack_payload)
+            (state.commitment, state.block, state.witness, state.timestamp,
+             state.signature) = (*version, signature)
+        self._forward(register_tag, state, timestamp, version)
+        self.send(writer, register_tag, MSG_ACK, oid, *ack_payload)
         self.output(register_tag, "write-accepted", oid, timestamp)
 
     # -- measurements ----------------------------------------------------------
 
-    def register_storage_bytes(self, tag: str) -> int:
-        """Storage complexity of one register's global variables
-        (``D_c, F_c, ts_c, oid_c, sig_c`` plus the listener set)."""
-        state = self.register_state(tag)
-        total = encoded_size((state.commitment, state.block, state.witness,
-                              state.timestamp, state.signature))
-        total += state.listeners.storage_bytes()
-        return total
+    def _at_rest(self, state: _RegisterState) -> Tuple[Any, ...]:
+        """``D_c, F_c, ts_c, oid_c, sig_c``."""
+        return self._version(state) + (state.signature,)
 
     def storage_bytes(self) -> int:
         """All register state plus transient substrate buffers."""
-        total = sum(self.register_storage_bytes(tag)
-                    for tag in self._registers)
-        total += self.rbc.storage_bytes()
-        total += self.avid.storage_bytes()
-        return total
+        return super().storage_bytes() + self.rbc.storage_bytes() \
+            + self.avid.storage_bytes()
 
 
 class AtomicClient(RegisterClientBase):

@@ -109,18 +109,19 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import PartyId
-from repro.common.serialization import encode, encoded_size
+from repro.common.serialization import encode
 from repro.config import SystemConfig
 from repro.core.listeners import ListenerSet
 from repro.core.register import (
     KIND_VALIDATE,
     OperationHandle,
     RegisterClientBase,
+    RegisterServerBase,
 )
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.crypto.hashing import DIGEST_SIZE, hash_bytes, hash_many
 from repro.net.message import Message
-from repro.net.process import Process, WaitState
+from repro.net.process import WaitState
 
 MSG_GET_TS = "md-get-ts"
 MSG_TS = "md-ts"
@@ -198,10 +199,10 @@ class _MdRegisterState:
     #: this server's own block of the adopted version, and its witness
     block: bytes
     witness: Any
+    listeners: ListenerSet
     #: proof of writing ``N`` of the adopted version, restated in every
     #: ``md-meta`` so a reader can relay its commit
     proof: bytes = NO_PROOF
-    listeners: ListenerSet = field(default_factory=ListenerSet)
     #: well-formed ``md-commit`` payloads ``(ts, H(D), N)`` not yet
     #: joined, by oid (insertion-ordered sets)
     pending_meta: Dict[str, Dict[Tuple[int, bytes, bytes], None]] = \
@@ -214,7 +215,7 @@ class _MdRegisterState:
     accepted: Set[str] = field(default_factory=set)
 
 
-class AtomicMdServer(Process):
+class AtomicMdServer(RegisterServerBase):
     """Server ``P_j`` of Protocol AtomicMd.
 
     Like :class:`~repro.core.atomic.AtomicServer`, one server process
@@ -228,12 +229,8 @@ class AtomicMdServer(Process):
     def __init__(self, pid: PartyId, config: SystemConfig,
                  initial_value: bytes = b"",
                  max_listeners: Optional[int] = None):
-        super().__init__(pid)
-        self.config = validate_md_config(config)
-        self._initial_value = initial_value
-        self._initial_state: Optional[Tuple[Any, bytes, Any]] = None
+        super().__init__(pid, validate_md_config(config), initial_value)
         self._max_listeners = max_listeners
-        self._registers: Dict[str, _MdRegisterState] = {}
         self.on(MSG_GET_TS, self._on_get_ts)
         self.on(MSG_STORE, self._on_store)
         self.on(MSG_COMMIT, self._on_commit)
@@ -242,36 +239,17 @@ class AtomicMdServer(Process):
         self.on(MSG_VALIDATE, self._on_validate)
         self.on(MSG_REPAIR, self._on_repair)
 
-    # -- register state -----------------------------------------------------
-
-    def register_state(self, tag: str) -> _MdRegisterState:
-        """The register's global variables (created lazily)."""
-        if tag not in self._registers:
-            if self._initial_state is None:
-                blocks = self.config.coder.encode(self._initial_value)
-                commitment, witnesses = \
-                    self.config.commitment_scheme.commit(blocks)
-                index = self.pid.index
-                self._initial_state = (commitment, blocks[index - 1],
-                                       witnesses[index - 1])
-            commitment, block, witness = self._initial_state
-            self._registers[tag] = _MdRegisterState(
-                commitment=commitment, timestamp=INITIAL_TIMESTAMP,
-                block=block, witness=witness,
-                listeners=ListenerSet(capacity=self._max_listeners))
-        return self._registers[tag]
+    def _new_register(self) -> _MdRegisterState:
+        commitment, block, witness = self._initial_block()
+        return _MdRegisterState(
+            commitment=commitment, timestamp=INITIAL_TIMESTAMP,
+            block=block, witness=witness, listeners=self._new_listeners())
 
     # -- metadata plane: timestamps and revalidation -----------------------
 
-    def _on_get_ts(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return  # byzantine oid: never echo unverified objects back
-        state = self.register_state(message.tag)
-        self.send(message.sender, message.tag, MSG_TS, oid,
-                  state.timestamp.ts)
+    def _send_ts(self, client: PartyId, tag: str, oid: str,
+                 *reply: Any) -> None:
+        self.send(client, tag, MSG_TS, oid, *reply)
 
     def _on_validate(self, message: Message) -> None:
         """Answer a metadata-only revalidation probe with the *full*
@@ -284,54 +262,32 @@ class AtomicMdServer(Process):
         could confirm the wrong one.  Stateless and side-effect free —
         no listener registration, nothing adopted, no block.
         """
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return
-        state = self.register_state(message.tag)
-        self.send(message.sender, message.tag, MSG_VALID, oid,
-                  state.timestamp)
+        oid = self._request_oid(message)
+        if oid is not None:
+            self.send(message.sender, message.tag, MSG_VALID, oid,
+                      self._valid_reply(self.register_state(message.tag)))
+
+    def _valid_reply(self, state: _MdRegisterState) -> Timestamp:
+        """The TIMESTAMP a revalidation probe is answered with (the one
+        step a Byzantine metadata plane replaces)."""
+        return state.timestamp
 
     # -- read path: one reply per version, block inline ---------------------
 
-    def _on_read(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return
-        state = self.register_state(message.tag)
-        if state.listeners.knows(oid):
-            return  # duplicate read or already completed: stay silent
-        state.listeners.add(oid, state.timestamp, message.sender)
-        self._send_meta(message.sender, message.tag, oid, state.commitment,
-                        state.timestamp, state.proof, state.block,
-                        state.witness)
+    def _version(self, state: _MdRegisterState) -> Tuple[Any, ...]:
+        """``(D, TIMESTAMP, N, block, witness)`` — also all a register
+        keeps at rest, each byte counted once."""
+        return (state.commitment, state.timestamp, state.proof, state.block,
+                state.witness)
 
-    def _on_read_complete(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return
-        self.register_state(message.tag).listeners.retire(oid)
-
-    def _send_meta(self, reader: PartyId, tag: str, oid: str,
-                   commitment: Any, timestamp: Timestamp, proof: bytes,
-                   block: bytes, witness: Any) -> None:
+    def _send_version(self, reader: PartyId, tag: str, oid: str,
+                      commitment: Any, timestamp: Timestamp, proof: bytes,
+                      block: bytes, witness: Any) -> None:
         """Send one version's metadata with this server's own block and
         witness of it — the read reply and every listener forward (the
         one step a Byzantine data plane replaces)."""
         self.send(reader, tag, MSG_META, oid, commitment, timestamp, proof,
                   block, witness)
-
-    def _forward(self, tag: str, state: _MdRegisterState,
-                 version: Tuple[Any, Timestamp, bytes, bytes, Any]) -> None:
-        """Forward an accepted ``(D, TIMESTAMP, N, block, witness)`` to
-        every listener registered below its TIMESTAMP."""
-        for listener_oid, listener in state.listeners.below(version[1]):
-            self._send_meta(listener, tag, listener_oid, *version)
 
     # -- data plane: block ingest -------------------------------------------
 
@@ -401,7 +357,7 @@ class AtomicMdServer(Process):
             version = (commitment, timestamp, proof, block, witness)
             (state.commitment, state.timestamp, state.proof, state.block,
              state.witness) = version
-            self._forward(message.tag, state, version)
+            self._forward(message.tag, state, timestamp, version)
         self.send(message.sender, message.tag, MSG_REPAIR_ACK, oid,
                   timestamp)
         self.output(message.tag, "repair-accepted", oid, timestamp)
@@ -460,26 +416,9 @@ class AtomicMdServer(Process):
         if state.timestamp < timestamp:
             (state.commitment, state.timestamp, state.proof, state.block,
              state.witness) = version
-        self._forward(register_tag, state, version)
+        self._forward(register_tag, state, timestamp, version)
         self.send(writer, register_tag, MSG_ACK, oid)
         self.output(register_tag, "write-accepted", oid, timestamp)
-
-    # -- measurements -------------------------------------------------------
-
-    def register_storage_bytes(self, tag: str) -> int:
-        """Storage complexity of one register: the adopted version's
-        cross-checksum, TIMESTAMP, proof, block and witness, and the
-        listener set — each byte at rest counted once."""
-        state = self.register_state(tag)
-        return encoded_size((state.commitment, state.timestamp, state.proof,
-                             state.block, state.witness)) \
-            + state.listeners.storage_bytes()
-
-    def storage_bytes(self) -> int:
-        """All register state."""
-        return sum(self.register_storage_bytes(tag)
-                   for tag in self._registers)
-
 
 class AtomicMdClient(RegisterClientBase):
     """Client ``C_i`` of Protocol AtomicMd.

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Dict, Tuple
 
 from repro.common.ids import PartyId
-from repro.config import SystemConfig
 from repro.core.atomic import AtomicClient, AtomicServer, _RegisterState
 from repro.core.timestamps import Timestamp
 from repro.crypto.threshold import (
@@ -64,6 +63,7 @@ class AtomicNSServer(AtomicServer):
     """
 
     def _ts_reply(self, state: _RegisterState) -> Tuple[Any, ...]:
+        """The timestamp and its threshold signature ``sig_c``."""
         return (state.timestamp.ts, state.signature)
 
     def _process_write(self, register_tag: str, oid: str,

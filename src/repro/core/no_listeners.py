@@ -53,10 +53,8 @@ class NoListenersServer(AtomicServer):
         oid, round_no = message.payload
         if not isinstance(oid, str) or not isinstance(round_no, int):
             return  # byzantine query: never echo unverified objects back
-        state = self.register_state(message.tag)
-        self.send(message.sender, message.tag, MSG_VALUE,
-                  (oid, round_no), state.commitment, state.block,
-                  state.witness, state.timestamp)
+        self._send_version(message.sender, message.tag, (oid, round_no),
+                           *self._version(self.register_state(message.tag)))
 
 
 class NoListenersClient(AtomicClient):

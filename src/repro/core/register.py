@@ -1,4 +1,4 @@
-"""Client-side register operations and their observable handles.
+"""Register operations, their observable handles, and the server skeleton.
 
 Definition 1 of the paper specifies the interface of an atomic register
 simulation protocol: clients invoke *write* and *read* operations named by
@@ -6,16 +6,23 @@ unique operation identifiers; operations terminate by generating output
 actions, and servers signal accepted writes with ``write-accepted`` output
 actions.  :class:`OperationHandle` captures one operation's lifecycle so
 harnesses can build histories and check atomicity.
+:class:`RegisterServerBase` is the server side every quorum register
+shares: lazy per-register state, the ``(oid,)`` request check, and the
+listener read path of Figures 1-2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.common.ids import PartyId
+from repro.common.serialization import encoded_size
 from repro.config import SystemConfig
+from repro.core.listeners import ListenerSet
+from repro.core.timestamps import Timestamp
+from repro.net.message import Message
 from repro.net.process import Process
 
 KIND_WRITE = "write"
@@ -151,3 +158,128 @@ class RegisterClientBase(Process):
 
     def _read_thread(self, handle: OperationHandle):
         raise NotImplementedError
+
+
+class RegisterServerBase(Process):
+    """Shared skeleton of the quorum register servers (Figures 1-2).
+
+    One server process simulates any number of registers, each created
+    on first use from the shared ``initial_value`` (the paper's
+    initializing write of ``F_init``).  The base answers ``get-ts``,
+    registers a reader as a listener and replies, retires it on
+    ``read-complete``, and forwards each newer version to the listeners
+    below it.  A protocol registers these handlers under its own message
+    types and supplies ``_new_register()``, the replies ``_send_ts`` and
+    ``_send_version`` (the read reply and every listener forward) and
+    ``_version(state)``, the adopted version as a reply carries it.
+    Byzantine behaviours override the hooks ``_ts_reply``, ``_listen``
+    and ``_read_reply`` rather than whole handlers.
+    """
+
+    #: the ``|L|`` bound of Section 3.5 (``None``: unbounded)
+    _max_listeners: Optional[int] = None
+
+    def __init__(self, pid: PartyId, config: SystemConfig,
+                 initial_value: bytes = b""):
+        super().__init__(pid)
+        self.config = config
+        self._initial_value = initial_value
+        self._initial_state: Optional[Tuple[Any, bytes, Any]] = None
+        self._registers: Dict[str, Any] = {}
+
+    # -- register state -----------------------------------------------------
+
+    def register_state(self, tag: str) -> Any:
+        """The register's global variables (created lazily)."""
+        if tag not in self._registers:
+            self._registers[tag] = self._new_register()
+        return self._registers[tag]
+
+    def _new_listeners(self) -> ListenerSet:
+        """The empty listener set ``L`` of a new register."""
+        return ListenerSet(capacity=self._max_listeners)
+
+    def _initial_block(self) -> Tuple[Any, bytes, Any]:
+        """``(D, F_j, w_j)`` of the initial value: its cross-checksum and
+        this server's block and witness, encoded and committed once per
+        server."""
+        if self._initial_state is None:
+            blocks = self.config.coder.encode(self._initial_value)
+            commitment, witnesses = \
+                self.config.commitment_scheme.commit(blocks)
+            index = self.pid.index
+            self._initial_state = (commitment, blocks[index - 1],
+                                     witnesses[index - 1])
+        return self._initial_state
+
+    # -- client-facing handlers ---------------------------------------------
+
+    def _request_oid(self, message: Message) -> Optional[str]:
+        """The oid of a well-formed ``(oid,)`` request, else ``None``."""
+        if len(message.payload) != 1:
+            return None
+        (oid,) = message.payload
+        if not isinstance(oid, str):
+            return None  # byzantine oid: never echo unverified objects back
+        return oid
+
+    def _on_get_ts(self, message: Message) -> None:
+        oid = self._request_oid(message)
+        if oid is not None:
+            self._send_ts(message.sender, message.tag, oid,
+                          *self._ts_reply(self.register_state(message.tag)))
+
+    def _ts_reply(self, state: Any) -> Tuple[Any, ...]:
+        """Payload of the timestamp reply after the oid: the bare
+        timestamp."""
+        return (state.timestamp.ts,)
+
+    def _on_read(self, message: Message) -> None:
+        oid = self._request_oid(message)
+        if oid is None:
+            return
+        state = self.register_state(message.tag)
+        if self._listen(state, oid, message.sender):
+            self._read_reply(message.sender, message.tag, oid, state)
+
+    def _listen(self, state: Any, oid: str, reader: PartyId) -> bool:
+        """Register ``reader`` as a listener; whether to reply at all."""
+        if state.listeners.knows(oid):
+            return False  # duplicate read or already completed: stay silent
+        # At the §3.5 capacity bound the registration fails; the reader
+        # still gets one reply but no forwarding of later writes.
+        state.listeners.add(oid, state.timestamp, reader)
+        return True
+
+    def _read_reply(self, reader: PartyId, tag: str, oid: str,
+                    state: Any) -> None:
+        self._send_version(reader, tag, oid, *self._version(state))
+
+    def _on_read_complete(self, message: Message) -> None:
+        oid = self._request_oid(message)
+        if oid is not None:
+            self.register_state(message.tag).listeners.retire(oid)
+
+    def _forward(self, tag: str, state: Any, timestamp: Timestamp,
+                 version: Tuple[Any, ...]) -> None:
+        """Send an accepted ``version`` with TIMESTAMP ``timestamp`` to
+        every listener registered below it."""
+        for listener_oid, listener in state.listeners.below(timestamp):
+            self._send_version(listener, tag, listener_oid, *version)
+
+    # -- measurements -------------------------------------------------------
+
+    def _at_rest(self, state: Any) -> Tuple[Any, ...]:
+        return self._version(state)
+
+    def register_storage_bytes(self, tag: str) -> int:
+        """Storage complexity of one register: what it keeps at rest
+        plus the listener set."""
+        state = self.register_state(tag)
+        return encoded_size(self._at_rest(state)) \
+            + state.listeners.storage_bytes()
+
+    def storage_bytes(self) -> int:
+        """All register state."""
+        return sum(self.register_storage_bytes(tag)
+                   for tag in self._registers)

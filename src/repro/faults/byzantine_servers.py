@@ -18,8 +18,8 @@ from repro.baselines.martin import MartinServer
 from repro.common.errors import ConfigurationError
 from repro.common.ids import PartyId
 from repro.config import SystemConfig
-from repro.core.atomic import MSG_VALUE, AtomicServer
-from repro.core.atomic_md import MSG_VALID, AtomicMdServer
+from repro.core.atomic import AtomicServer
+from repro.core.atomic_md import AtomicMdServer
 from repro.core.atomic_ns import AtomicNSServer
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.faults.variants import derive
@@ -68,18 +68,17 @@ class EquivocatingReader:
     terminate via the ``n - t`` honest servers.
     """
 
-    def _on_read(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        state = self.register_state(message.tag)
+    def _listen(self, state: Any, oid: str, reader: PartyId) -> bool:
+        return True  # registers no listener: answers every read request
+
+    def _read_reply(self, reader: PartyId, tag: str, oid: str,
+                    state: Any) -> None:
         corrupted = bytes(byte ^ 0xFF for byte in state.block) or b"\x00"
-        self.send(message.sender, message.tag, MSG_VALUE, oid,
-                  state.commitment, corrupted, state.witness,
-                  state.timestamp)
+        self._send_version(reader, tag, oid, state.commitment, corrupted,
+                           state.witness, state.timestamp)
         bogus = Timestamp(state.timestamp.ts + INFLATION, "bogus")
-        self.send(message.sender, message.tag, MSG_VALUE, oid,
-                  state.commitment, state.block, state.witness, bogus)
+        self._send_version(reader, tag, oid, state.commitment, state.block,
+                           state.witness, bogus)
 
 
 class StaleReader:
@@ -88,20 +87,11 @@ class StaleReader:
     A single stale server cannot form a quorum group, so readers still
     return fresh values."""
 
-    def _on_read(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        state = self.register_state(message.tag)
-        if not state.listeners.add(oid, state.timestamp, message.sender):
-            return
+    def _read_reply(self, reader: PartyId, tag: str, oid: str,
+                    state: Any) -> None:
         # Reply with whatever this server held at initialization.
-        blocks = self.config.coder.encode(b"")
-        commitment, witnesses = self.config.commitment_scheme.commit(blocks)
-        index = self.pid.index
-        self.send(message.sender, message.tag, MSG_VALUE, oid, commitment,
-                  blocks[index - 1], witnesses[index - 1],
-                  INITIAL_TIMESTAMP)
+        self._send_version(reader, tag, oid, *self._initial_block(),
+                           INITIAL_TIMESTAMP)
 
 
 class AvidSpammer:
@@ -147,12 +137,12 @@ class CorruptBlock:
     correct value.
     """
 
-    def _send_meta(self, reader: PartyId, tag: str, oid: str,
-                   commitment: Any, timestamp: Timestamp, proof: bytes,
-                   block: bytes, witness: Any) -> None:
+    def _send_version(self, reader: PartyId, tag: str, oid: str,
+                      commitment: Any, timestamp: Timestamp, proof: bytes,
+                      block: bytes, witness: Any) -> None:
         corrupted = bytes(byte ^ 0xFF for byte in block) or b"\x00"
-        super()._send_meta(reader, tag, oid, commitment, timestamp, proof,
-                           corrupted, witness)
+        super()._send_version(reader, tag, oid, commitment, timestamp,
+                              proof, corrupted, witness)
 
 
 class MissingBlock:
@@ -164,11 +154,11 @@ class MissingBlock:
     no verification failure.
     """
 
-    def _send_meta(self, reader: PartyId, tag: str, oid: str,
-                   commitment: Any, timestamp: Timestamp, proof: bytes,
-                   block: bytes, witness: Any) -> None:
-        super()._send_meta(reader, tag, oid, commitment, timestamp, proof,
-                           None, None)
+    def _send_version(self, reader: PartyId, tag: str, oid: str,
+                      commitment: Any, timestamp: Timestamp, proof: bytes,
+                      block: bytes, witness: Any) -> None:
+        super()._send_version(reader, tag, oid, commitment, timestamp,
+                              proof, None, None)
 
 
 class StaleMetadata:
@@ -184,14 +174,8 @@ class StaleMetadata:
     from the ``n - t`` honest servers with or without it.
     """
 
-    def _on_validate(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return
-        self.send(message.sender, message.tag, MSG_VALID, oid,
-                  INITIAL_TIMESTAMP)
+    def _valid_reply(self, state: Any) -> Timestamp:
+        return INITIAL_TIMESTAMP
 
 
 class ForgedMetadata:
@@ -205,15 +189,8 @@ class ForgedMetadata:
     value (the forged TIMESTAMP names no decodable version).
     """
 
-    def _on_validate(self, message: Message) -> None:
-        if len(message.payload) != 1:
-            return
-        (oid,) = message.payload
-        if not isinstance(oid, str):
-            return
-        state = self.register_state(message.tag)
-        forged = Timestamp(state.timestamp.ts + INFLATION, "forged")
-        self.send(message.sender, message.tag, MSG_VALID, oid, forged)
+    def _valid_reply(self, state: Any) -> Timestamp:
+        return Timestamp(state.timestamp.ts + INFLATION, "forged")
 
 
 #: The Byzantine behaviours a :class:`repro.chaos.plan.ByzantineSpec`

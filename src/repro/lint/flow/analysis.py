@@ -4,8 +4,9 @@ Per module, the engine
 
 1. builds a function index (module functions plus methods, keyed by
    terminal name) and discovers the *taint roots*: message handlers
-   registered via ``on(mtype, handler)`` and ``where=`` predicates —
-   their message parameter carries a Byzantine-controlled payload;
+   registered via ``on(mtype, handler)`` (also by a subclass that
+   inherits it) and ``where=`` predicates — their message parameter
+   carries a Byzantine-controlled payload;
 2. runs a statement-ordered abstract interpretation over every
    function: names are tracked through one of four taint states
    (``CLEAN``, ``CARRIER`` — a message whose ``.payload`` is tainted,
@@ -15,8 +16,9 @@ Per module, the engine
 3. cleanses names at verification guards: registered sanitizer calls,
    ``isinstance`` checks, equality pins against trusted values, and
    calls resolved (bounded depth) to *validating* helpers;
-4. follows taint through direct intra-package calls using per-parameter
-   function summaries — "does parameter ``i`` flow to a sink, and does
+4. follows taint through direct intra-package calls (``self.m(...)``
+   also up and down the class hierarchy) using per-parameter function
+   summaries — "does parameter ``i`` flow to a sink, and does
    it flow to the return value (per tuple slot)?" — bounded at
    :data:`MAX_SUMMARY_DEPTH` with a conservative fallback, so deep or
    recursive call chains degrade to "tainted" rather than silence.
@@ -35,7 +37,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.astutil import terminal_name
+from repro.lint.astutil import module_imports, terminal_name
 from repro.lint.engine import ModuleInfo, Project
 from repro.lint.findings import Finding
 from repro.lint.flow.registry import (
@@ -99,14 +101,30 @@ class FuncSummary:
     returns: Union[bool, Tuple[bool, ...]] = False
     sinks: List[Tuple[int, str]] = field(default_factory=list)
 
-    def returns_any(self) -> bool:
-        """Whether any return slot carries taint."""
-        if isinstance(self.returns, tuple):
-            return any(self.returns)
-        return bool(self.returns)
-
 
 CONSERVATIVE_SUMMARY = FuncSummary(returns=True, sinks=[])
+
+
+#: A class by ``(module dotted name, class name)``.
+ClassKey = Tuple[str, str]
+
+
+def _on_names(tree: ast.AST) -> Set[str]:
+    """Names of the functions ``on(mtype, f)`` calls register in
+    ``tree``."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and terminal_name(node.func) == "on"
+                and len(node.args) == 2):
+            name = terminal_name(node.args[1])
+            if name is not None:
+                names.add(name)
+    return names
+
+
+def _methods(cls: ast.ClassDef, name: str) -> List[ast.AST]:
+    return [item for item in cls.body
+            if isinstance(item, _FUNC_NODES) and item.name == name]
 
 
 class FlowContext:
@@ -122,8 +140,38 @@ class FlowContext:
         #: not protocol state).
         self.in_scope = in_scope if in_scope is not None \
             else (lambda dotted: True)
+        #: per module, its functions and methods by (terminal) name; its
+        #: top-level classes with their bases resolved to project classes
+        #: (an earlier class of the module, else a ``from X import Name``
+        #: binding); and the class owning each method
         self._index: Dict[str, Dict[str, List[ast.AST]]] = {}
-        self._handlers: Dict[str, Set[str]] = {}
+        self._classes: Dict[ClassKey, Tuple[ModuleInfo, ast.ClassDef,
+                                            List[ClassKey]]] = {}
+        self._owner: Dict[int, ClassKey] = {}
+        for module in project.modules:
+            index = self._index[module.dotted] = {}
+            imports = {local: (source, name) for local, source, name
+                       in module_imports(module.tree)}
+            for node in module.tree.body:
+                members = [node]
+                if isinstance(node, ast.ClassDef):
+                    key = (module.dotted, node.name)
+                    self._classes[key] = (module, node, [
+                        (module.dotted, base.id)
+                        if (module.dotted, base.id) in self._classes
+                        else imports.get(base.id)
+                        for base in node.bases if isinstance(base, ast.Name)])
+                    self._owner.update((id(item), key) for item in node.body)
+                    members = node.body
+                for item in members:
+                    if isinstance(item, _FUNC_NODES):
+                        index.setdefault(item.name, []).append(item)
+        self._handlers = {m.dotted: _on_names(m.tree) for m in project.modules}
+        for key, (_, node, _) in self._classes.items():
+            for name in _on_names(node):
+                for base in self._lineage(key, up=True):
+                    if _methods(self._classes[base][1], name):
+                        self._handlers[base[0]].add(name)
         self._summaries: Dict[Tuple[int, int], FuncSummary] = {}
         self._in_flight: Set[Tuple[int, int]] = set()
         self._validators: Dict[int, bool] = {}
@@ -137,36 +185,39 @@ class FlowContext:
         their parent — so call resolution only ever lands on functions
         reachable by name from outside.
         """
-        cached = self._index.get(module.dotted)
-        if cached is None:
-            cached = {}
-            for node in module.tree.body:
-                self._index_def(node, cached)
-                if isinstance(node, ast.ClassDef):
-                    for item in node.body:
-                        self._index_def(item, cached)
-            self._index[module.dotted] = cached
-        return cached
-
-    @staticmethod
-    def _index_def(node: ast.AST, table: Dict[str, List[ast.AST]]) -> None:
-        if isinstance(node, _FUNC_NODES):
-            table.setdefault(node.name, []).append(node)
+        return self._index.get(module.dotted, {})
 
     def handler_names(self, module: ModuleInfo) -> Set[str]:
-        """Functions registered as message handlers via ``on(mtype, f)``."""
-        cached = self._handlers.get(module.dotted)
-        if cached is None:
-            cached = set()
-            for node in ast.walk(module.tree):
-                if (isinstance(node, ast.Call)
-                        and terminal_name(node.func) == "on"
-                        and len(node.args) == 2):
-                    name = terminal_name(node.args[1])
-                    if name is not None:
-                        cached.add(name)
-            self._handlers[module.dotted] = cached
-        return cached
+        """Functions registered as message handlers via ``on(mtype, f)``
+        in this module, or in a subclass inheriting ``f`` from a class
+        of this module."""
+        return self._handlers.get(module.dotted, set())
+
+    def _lineage(self, key: ClassKey, up: bool) -> List[ClassKey]:
+        """The transitive bases (``up``) or subclasses of a class."""
+        seen: List[ClassKey] = []
+        frontier = [key]
+        while frontier:
+            current = frontier.pop()
+            for other, (_, _, bases) in self._classes.items():
+                if other not in seen and (other in self._classes[current][2]
+                                          if up else current in bases):
+                    seen.append(other)
+                    frontier.append(other)
+        return seen
+
+    def hierarchy_methods(self, func: ast.AST,
+                          name: str) -> List[Tuple[ModuleInfo, ast.AST]]:
+        """Where ``self.name(...)`` inside method ``func`` may dispatch
+        beyond its own module: ``name`` as the classes above and below
+        ``func``'s class define it in other modules."""
+        key = self._owner.get(id(func))
+        if key is None:
+            return []
+        related = self._lineage(key, True) + self._lineage(key, False)
+        return [(self._classes[other][0], item) for other in related
+                if other[0] != key[0]
+                for item in _methods(self._classes[other][1], name)]
 
     def resolve(self, module: ModuleInfo,
                 name: str) -> List[Tuple[ModuleInfo, ast.AST]]:
@@ -176,8 +227,6 @@ class FlowContext:
         own = self.functions(module).get(name)
         if own:
             return [(module, node) for node in own]
-        from repro.lint.astutil import module_imports
-
         out: List[Tuple[ModuleInfo, ast.AST]] = []
         for local, source, source_name in module_imports(module.tree):
             if local != name:
@@ -627,7 +676,7 @@ class FunctionAnalysis:
         has_taint = any(t > CLEAN for t in arg_taints)
         if not has_taint:
             return
-        resolved = self.ctx.resolve(self.module, name)
+        resolved = self._resolve_call(call, name)
         if any(self.ctx.is_validator(mod, fn) for mod, fn in resolved):
             for arg in call.args:
                 self._cleanse_expr(arg)
@@ -837,7 +886,7 @@ class FunctionAnalysis:
         any_taint = any(t > CLEAN for t in arg_taints) or \
             any(t > CLEAN for t in kw_taints.values())
 
-        resolved = self.ctx.resolve(self.module, name)
+        resolved = self._resolve_call(call, name)
         if resolved and (any_taint or receiver_taint == CLEAN):
             return self._apply_summaries(call, name, resolved, arg_taints,
                                          kw_taints, check_sinks)
@@ -847,6 +896,15 @@ class FunctionAnalysis:
         if receiver_taint == CARRIER_LIST:
             return CARRIER_LIST
         return TAINTED if any_taint else CLEAN
+
+    def _resolve_call(self, call: ast.Call,
+                      name: str) -> List[Tuple[ModuleInfo, ast.AST]]:
+        """``resolve``, and for ``self.name(...)`` ``hierarchy_methods``."""
+        resolved = self.ctx.resolve(self.module, name)
+        receiver = getattr(call.func, "value", None)
+        if isinstance(receiver, ast.Name) and receiver.id == "self":
+            resolved = resolved + self.ctx.hierarchy_methods(self.func, name)
+        return resolved
 
     def _apply_summaries(self, call: ast.Call, name: str,
                          resolved, arg_taints, kw_taints,

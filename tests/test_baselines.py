@@ -35,6 +35,28 @@ def test_ts_query_with_a_non_str_oid_gets_no_reply(protocol, n):
     assert cluster.simulator.metrics.messages_by_mtype(TAG)["ts"] == n
 
 
+@pytest.mark.parametrize("protocol,request_type,reply_type,extra", [
+    ("goodson", "read-latest", "latest", ()),
+    ("goodson", "read-prev", "prev", (Timestamp(1, "w"),)),
+    ("phalanx", "read-safe", "value-safe", ()),
+])
+def test_round_query_with_a_forged_oid_or_round_gets_no_reply(
+        protocol, request_type, reply_type, extra):
+    """A read round's ``(oid, round)`` is echoed back only when the oid
+    is a ``str`` and the round an ``int``; a well-formed query is
+    answered by every server."""
+    cluster = _cluster(protocol, 5, 1, clients=1)
+    client = cluster.client(1)
+    for forged in ((("forged", b"\x00" * 64), 1), ("r1", ["round"])):
+        client.send_to_servers(TAG, request_type, *forged, *extra)
+    cluster.run()
+    replies = cluster.simulator.metrics.messages_by_mtype(TAG)
+    assert replies.get(reply_type) is None
+    client.send_to_servers(TAG, request_type, "r1", 1, *extra)
+    cluster.run()
+    assert cluster.simulator.metrics.messages_by_mtype(TAG)[reply_type] == 5
+
+
 # -- Martin et al. (SBQ-L) ------------------------------------------------------
 
 def test_martin_write_read():

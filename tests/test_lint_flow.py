@@ -75,6 +75,16 @@ def test_taint_helper_validator_and_unknown_sanitizer():
     assert finding.severity == "warning"
 
 
+def test_taint_pack_seeds_a_handler_a_subclass_inherits():
+    """A handler defined in a base class and registered by a subclass
+    in another module still gets a Byzantine message parameter."""
+    base = FIXTURES / "taint_inherit_base.py"
+    report = run_lint([base, FIXTURES / "taint_inherit_sub.py"],
+                      only={"taint"})
+    assert locate(report, "taint-unverified-sink") == [(str(base), 13)]
+    assert taint_report("taint_inherit_base.py").findings == []
+
+
 def test_src_repro_lints_clean_under_taint_pack():
     report = run_lint([SRC], only={"taint"})
     rendered = "\n".join(f.render() for f in report.active)

@@ -337,3 +337,50 @@ def test_register_runs_are_judged_in_one_place():
                        or terminal_name(node.type) in ("Exception",
                                                        "BaseException"))]
     assert broad == []
+
+
+def test_register_servers_share_one_skeleton():
+    """The register-server ratchet: the listener read path and the
+    initial register are written once, in ``repro.core.register``.
+    Under ``src/repro`` a ``ListenerSet`` is built (called, or handed
+    over as a factory) once, in ``repro.core.register``; a
+    listener set's ``add`` / ``knows`` / ``retire`` / ``below`` — the
+    tombstones included — is called only by the base's handlers; and
+    the initial value is encoded (``encode`` of ``_initial_value`` or of
+    a constant) and committed in one function only."""
+    built, listener_calls, initial_commits = [], [], []
+    for module in discover([SRC]):
+        built += [module.dotted for call in ast.walk(module.tree)
+                  if isinstance(call, ast.Call) and any(
+                      isinstance(value, ast.Name)
+                      and value.id == "ListenerSet"
+                      for value in (call.func, *call.args, *(
+                          keyword.value for keyword in call.keywords)))]
+        for scope in ast.walk(module.tree):
+            if not isinstance(scope, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                continue
+            site = f"{module.dotted}.{scope.name}"
+            calls = [node for node in ast.walk(scope)
+                     if isinstance(node, ast.Call)]
+            for call in calls:
+                name = terminal_name(call.func)
+                if name in ("add", "knows", "retire", "below") \
+                        and isinstance(call.func, ast.Attribute) \
+                        and terminal_name(call.func.value) == "listeners":
+                    listener_calls.append(f"{site}:{name}")
+            encodes_initial = any(
+                terminal_name(call.func) == "encode" and call.args
+                and (isinstance(call.args[0], ast.Constant)
+                     or terminal_name(call.args[0]) == "_initial_value")
+                for call in calls)
+            if encodes_initial and any(terminal_name(call.func) == "commit"
+                                       for call in calls):
+                initial_commits.append(site)
+    assert built == ["repro.core.register"]
+    assert sorted(listener_calls) == [
+        "repro.core.register._forward:below",
+        "repro.core.register._listen:add",
+        "repro.core.register._listen:knows",
+        "repro.core.register._on_read_complete:retire"]
+    assert initial_commits == ["repro.core.register._initial_block"]

@@ -4,7 +4,7 @@ send anything well-typed enough to serialize)."""
 
 import pytest
 
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, default_k
 from repro.common.ids import client_id, server_id
 from repro.config import SystemConfig
 from repro.core.atomic import disp_tag, rbc_tag, _parse_subtag
@@ -166,3 +166,32 @@ def test_retired_read_oid_cannot_be_resurrected():
     attacker.send(server_id(1), TAG, "read", "r1")
     cluster.run()
     assert metrics.messages_by_mtype(TAG)["value"] == before
+
+
+@pytest.mark.parametrize("protocol,read_type,reply_type", [
+    ("atomic", "read", "value"),
+    ("atomic_ns", "read", "value"),
+    ("atomic_md", "md-read", "md-meta"),
+    ("martin", "read", "value"),
+])
+def test_a_read_oid_is_answered_once_and_never_after_completion(
+        protocol, read_type, reply_type):
+    """The listener refusal every listener protocol keeps: a duplicate
+    read before ``read-complete`` draws one reply per server, and the
+    same read replayed after it draws none."""
+    config = SystemConfig(n=4, t=1, k=default_k(protocol, 1))
+    cluster = build_cluster(
+        config, protocol=protocol, num_clients=1,
+        scheduler=RandomScheduler(0),
+        client_overrides={1: lambda pid, cfg: RawSender(pid)})
+    attacker = cluster.client(1)
+    metrics = cluster.simulator.metrics
+    attacker.send_to_servers(TAG, read_type, "r1")
+    attacker.send_to_servers(TAG, read_type, "r1")
+    cluster.run()
+    assert metrics.messages_by_mtype(TAG)[reply_type] == 4
+    complete_type = read_type + "-complete"
+    attacker.send_to_servers(TAG, complete_type, "r1")
+    attacker.send_to_servers(TAG, read_type, "r1")
+    cluster.run()
+    assert metrics.messages_by_mtype(TAG)[reply_type] == 4
