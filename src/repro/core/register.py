@@ -209,7 +209,7 @@ class RegisterServerBase(Process):
                 self.config.commitment_scheme.commit(blocks)
             index = self.pid.index
             self._initial_state = (commitment, blocks[index - 1],
-                                     witnesses[index - 1])
+                                   witnesses[index - 1])
         return self._initial_state
 
     # -- client-facing handlers ---------------------------------------------
