@@ -140,18 +140,20 @@ class FlowContext:
         #: not protocol state).
         self.in_scope = in_scope if in_scope is not None \
             else (lambda dotted: True)
-        #: per module, its functions and methods by (terminal) name; its
-        #: top-level classes with their bases resolved to project classes
-        #: (an earlier class of the module, else a ``from X import Name``
-        #: binding); and the class owning each method
+        #: per module, its functions and methods by (terminal) name and its
+        #: ``from X import Name`` bindings; top-level classes with their
+        #: bases resolved to project classes (an earlier class of the
+        #: module, else an imported one); and the class owning each method
         self._index: Dict[str, Dict[str, List[ast.AST]]] = {}
+        self._imports: Dict[str, Dict[str, Tuple[str, str]]] = {}
         self._classes: Dict[ClassKey, Tuple[ModuleInfo, ast.ClassDef,
                                             List[ClassKey]]] = {}
         self._owner: Dict[int, ClassKey] = {}
         for module in project.modules:
             index = self._index[module.dotted] = {}
-            imports = {local: (source, name) for local, source, name
-                       in module_imports(module.tree)}
+            imports = self._imports[module.dotted] = {
+                local: (source, name)
+                for local, source, name in module_imports(module.tree)}
             for node in module.tree.body:
                 members = [node]
                 if isinstance(node, ast.ClassDef):
@@ -227,16 +229,13 @@ class FlowContext:
         own = self.functions(module).get(name)
         if own:
             return [(module, node) for node in own]
-        out: List[Tuple[ModuleInfo, ast.AST]] = []
-        for local, source, source_name in module_imports(module.tree):
-            if local != name:
-                continue
-            other = self.project.by_dotted.get(source)
-            if other is None:
-                continue
-            for node in self.functions(other).get(source_name, ()):
-                out.append((other, node))
-        return out
+        source, source_name = self._imports[module.dotted].get(name,
+                                                               (None, None))
+        other = self.project.by_dotted.get(source)
+        if other is None:
+            return []
+        return [(other, node)
+                for node in self.functions(other).get(source_name, ())]
 
     # -- summaries ----------------------------------------------------------
 
