@@ -172,8 +172,8 @@ class RegisterServerBase(Process):
     types and supplies ``_new_register()``, the replies ``_send_ts`` and
     ``_send_version`` (the read reply and every listener forward) and
     ``_version(state)``, the adopted version as a reply carries it.
-    Byzantine behaviours override the hooks ``_ts_reply``, ``_listen``
-    and ``_read_reply`` rather than whole handlers.
+    Byzantine behaviours override the hooks ``_ts_reply``, ``_listen``,
+    ``_read_reply`` and ``_send_version`` rather than whole handlers.
     """
 
     #: the ``|L|`` bound of Section 3.5 (``None``: unbounded)
@@ -253,6 +253,7 @@ class RegisterServerBase(Process):
 
     def _read_reply(self, reader: PartyId, tag: str, oid: str,
                     state: Any) -> None:
+        """Answer a read with the adopted version."""
         self._send_version(reader, tag, oid, *self._version(state))
 
     def _on_read_complete(self, message: Message) -> None:

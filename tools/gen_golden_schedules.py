@@ -55,7 +55,7 @@ def empty_plan(spec: dict) -> FaultPlan:
         byzantine = (ByzantineSpec(server=spec["n"],
                                    behaviour=spec["byzantine"]),)
     return FaultPlan(
-        name="none", faulty=tuple(spec["n"] for _ in byzantine),
+        name="none", faulty=tuple(entry.server for entry in byzantine),
         byzantine=byzantine, scheduler=SchedulerSpec(
             name=spec["scheduler"],
             slow_servers=tuple(spec.get("slow_servers", ()))))
