@@ -343,21 +343,30 @@ class AvidServer:
     def _send_ready(self, tag: str, instance: _Instance,
                     state: _KeyState) -> None:
         """Send ready to every server, carrying nothing it holds: a
-        server whose valid echo we recorded has ``D`` and its block."""
+        server whose valid echo we recorded has ``D`` and its block.
+        Those copies are all the same ``(H(D), client, None, None)``,
+        sized once."""
         instance.ready_sent.add(state.client)
-        for server in self._process.simulator.server_pids:
+        process = self._process
+        digest_size = None
+        for server in process.simulator.server_pids:
             index = server.index
             if index in state.echo_blocks:
-                self._process.send(server, tag, MSG_READY, state.digest,
-                                   state.client, None, None)
+                if digest_size is None:
+                    digest_size = content_wire_size(
+                        tag, MSG_READY, (state.digest, state.client, None,
+                                         None))
+                process.send(server, tag, MSG_READY, state.digest,
+                             state.client, None, None,
+                             wire_size=digest_size)
                 continue
             if state.all_blocks is not None:
                 block = state.all_blocks[index - 1]
                 witness = state.all_witnesses[index - 1]
             else:
                 block, witness = None, None
-            self._process.send(server, tag, MSG_READY, state.commitment,
-                               state.client, block, witness)
+            process.send(server, tag, MSG_READY, state.commitment,
+                         state.client, block, witness)
 
     # -- introspection ----------------------------------------------------------
 

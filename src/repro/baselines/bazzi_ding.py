@@ -22,16 +22,9 @@ precondition) is inherited from the Martin et al. baseline.
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigurationError
 from repro.common.ids import PartyId
-from repro.config import SystemConfig
+from repro.config import SystemConfig, require_n_gt_4t
 from repro.baselines.martin import MartinClient, MartinServer
-
-
-def _require_n_gt_4t(config: SystemConfig) -> None:
-    if config.n <= 4 * config.t:
-        raise ConfigurationError(
-            f"Bazzi-Ding requires n > 4t, got n={config.n} t={config.t}")
 
 
 class BazziDingServer(MartinServer):
@@ -40,7 +33,7 @@ class BazziDingServer(MartinServer):
 
     def __init__(self, pid: PartyId, config: SystemConfig,
                  initial_value: bytes = b""):
-        _require_n_gt_4t(config)
+        require_n_gt_4t(config, "Bazzi-Ding")
         super().__init__(pid, config, initial_value)
 
 
@@ -48,7 +41,7 @@ class BazziDingClient(MartinClient):
     """Writer using the non-skipping ``(t+1)``-st-largest timestamp rule."""
 
     def __init__(self, pid: PartyId, config: SystemConfig):
-        _require_n_gt_4t(config)
+        require_n_gt_4t(config, "Bazzi-Ding")
         super().__init__(pid, config)
 
     def _choose_timestamp(self, descending_ts) -> int:

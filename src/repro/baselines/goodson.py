@@ -31,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.common.errors import ConfigurationError
 from repro.common.ids import PartyId
 from repro.common.serialization import encode, encoded_size
-from repro.config import SystemConfig
+from repro.config import SystemConfig, require_n_gt_4t
 from repro.core.register import (
     OperationHandle,
     RegisterClientBase,
@@ -62,13 +61,6 @@ def goodson_fragment_threshold(config: SystemConfig) -> int:
     return config.t + 1
 
 
-def _require_n_gt_4t(config: SystemConfig) -> None:
-    if config.n <= 4 * config.t:
-        raise ConfigurationError(
-            f"Goodson et al. requires n > 4t, got n={config.n} "
-            f"t={config.t}")
-
-
 def _cross_checksum(fragments) -> tuple:
     return tuple(hash_bytes(fragment) for fragment in fragments)
 
@@ -93,20 +85,25 @@ class GoodsonServer(RegisterServerBase):
 
     def __init__(self, pid: PartyId, config: SystemConfig,
                  initial_value: bytes = b""):
-        _require_n_gt_4t(config)
+        require_n_gt_4t(config, "Goodson et al.")
         super().__init__(pid, config, initial_value)
         self._coder = ErasureCoder(config.n, goodson_fragment_threshold(config))
+        #: this server's (fragment, cross-checksum) of the initial value
+        self._initial_version: Optional[Tuple[bytes, tuple]] = None
         self.on(MSG_GET_TS, self._on_get_ts)
         self.on(MSG_STORE, self._on_store)
         self.on(MSG_READ_LATEST, self._on_read_latest)
         self.on(MSG_READ_PREV, self._on_read_prev)
 
     def _new_register(self) -> _VersionedState:
-        """A version history holding the initial version."""
-        fragments = self._coder.encode(self._initial_value)
+        """A version history holding the initial version, encoded and
+        checksummed once per server."""
+        if self._initial_version is None:
+            fragments = self._coder.encode(self._initial_value)
+            self._initial_version = (fragments[self.pid.index - 1],
+                                     _cross_checksum(fragments))
         state = _VersionedState()
-        state.versions[INITIAL_TIMESTAMP] = (
-            fragments[self.pid.index - 1], _cross_checksum(fragments))
+        state.versions[INITIAL_TIMESTAMP] = self._initial_version
         return state
 
     # -- handlers -------------------------------------------------------------
@@ -183,7 +180,7 @@ class GoodsonClient(RegisterClientBase):
     """Client performing validation, rollback, and repair at read time."""
 
     def __init__(self, pid: PartyId, config: SystemConfig):
-        _require_n_gt_4t(config)
+        require_n_gt_4t(config, "Goodson et al.")
         super().__init__(pid, config)
         self._coder = ErasureCoder(config.n, goodson_fragment_threshold(config))
         self._round_counter = 0

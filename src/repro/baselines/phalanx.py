@@ -39,10 +39,10 @@ from repro.baselines.martin import (
     MSG_TS,
     MartinServer,
 )
-from repro.common.errors import ConfigurationError, LivenessError
+from repro.common.errors import LivenessError
 from repro.common.ids import PartyId
 from repro.common.serialization import encode
-from repro.config import SystemConfig
+from repro.config import SystemConfig, require_n_gt_4t
 from repro.core.register import OperationHandle, RegisterClientBase
 from repro.core.timestamps import Timestamp
 from repro.net.message import Message
@@ -51,20 +51,13 @@ MSG_READ_SAFE = "read-safe"
 MSG_VALUE_SAFE = "value-safe"
 
 
-def _require_n_gt_4t(config: SystemConfig) -> None:
-    if config.n <= 4 * config.t:
-        raise ConfigurationError(
-            f"Phalanx safe registers require n > 4t, got n={config.n} "
-            f"t={config.t}")
-
-
 class PhalanxServer(MartinServer):
     """Replica server: Martin-style storage, one-shot read replies, no
     listener machinery at all."""
 
     def __init__(self, pid: PartyId, config: SystemConfig,
                  initial_value: bytes = b""):
-        _require_n_gt_4t(config)
+        require_n_gt_4t(config, "Phalanx")
         super().__init__(pid, config, initial_value)
         self.on(MSG_READ_SAFE, self._on_read_safe)
 
@@ -85,7 +78,7 @@ class PhalanxClient(RegisterClientBase):
 
     def __init__(self, pid: PartyId, config: SystemConfig,
                  max_read_rounds: int = 64):
-        _require_n_gt_4t(config)
+        require_n_gt_4t(config, "Phalanx")
         super().__init__(pid, config)
         self._rounds = itertools.count(1)
         self.max_read_rounds = max_read_rounds

@@ -114,3 +114,12 @@ class SystemConfig:
                 self.threshold_backend, self.n, self.t,
                 rng=random.Random(self.seed))
         return self._threshold_scheme
+
+
+def require_n_gt_4t(config: SystemConfig, protocol: str) -> None:
+    """The ``n > 4t`` baselines' deployment precondition: raise
+    :class:`ConfigurationError` naming ``protocol`` unless
+    ``config.n > 4 * config.t``."""
+    if config.n <= 4 * config.t:
+        raise ConfigurationError(
+            f"{protocol} requires n > 4t, got n={config.n} t={config.t}")

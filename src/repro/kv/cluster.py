@@ -169,7 +169,10 @@ def drive(cluster: KvCluster, operations: Sequence[KvOp], seed: int = 0,
             raise SimulationError(
                 f"kv drive exceeded {max_steps} steps "
                 f"({remaining} operations unsubmitted)")
-        if remaining and (not simulator.undelivered_count
+        # A submission only queues an operation (a pump admits it), so
+        # it leaves this count as it was.
+        undelivered = simulator.undelivered_count
+        if remaining and (not undelivered
                           or rng.random() < invoke_probability):
             try:
                 _submit(cluster, queue[cursor])
@@ -178,7 +181,7 @@ def drive(cluster: KvCluster, operations: Sequence[KvOp], seed: int = 0,
                 progress += 1
             except BackpressureError:
                 stats.backpressure_hits += 1
-        if simulator.undelivered_count:
+        if undelivered:
             simulator.step()
         elif not progress:
             retried = 0

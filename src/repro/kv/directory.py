@@ -21,10 +21,13 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import TAG_SEP
+from repro.common.lru import LruCache
 from repro.config import SystemConfig
 
 #: Prefix of every per-key register tag (``kv.s<shard>.<key>``).
 KV_TAG_PREFIX = "kv"
+#: Keys whose shard a directory remembers (least recently used first out).
+KEY_MEMO_CAPACITY = 4096
 
 
 def validate_key(key: str) -> str:
@@ -160,6 +163,7 @@ class KvDirectory:
                 shard_id, placement, config,
                 protocol=protocol_overrides.get(shard_id)))
         self._shards: Tuple[ShardSpec, ...] = tuple(shards)
+        self._shard_of_key = LruCache(KEY_MEMO_CAPACITY)
 
     def shard(self, shard_id: int) -> ShardSpec:
         """Return the :class:`ShardSpec` for ``shard_id``."""
@@ -169,10 +173,20 @@ class KvDirectory:
         return self._shards[shard_id]
 
     def shard_of_key(self, key: str) -> int:
-        """Deterministically map ``key`` to a shard id via SHA-256."""
-        validate_key(key)
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.num_shards
+        """Deterministically map ``key`` to a shard id via SHA-256.
+
+        Memoized per key: a key is validated and hashed when first seen
+        (an invalid one raises every time and is never remembered)."""
+        # only a plain str is looked up: an unhashable key must reach
+        # ``validate_key``'s error, not the memo's ``TypeError``
+        shard_id = self._shard_of_key.get(key) if type(key) is str \
+            else None
+        if shard_id is None:
+            validate_key(key)
+            digest = hashlib.sha256(key.encode("utf-8")).digest()
+            shard_id = int.from_bytes(digest[:8], "big") % self.num_shards
+            self._shard_of_key.put(key, shard_id)
+        return shard_id
 
     def register_tag(self, key: str) -> str:
         """The register tag serving ``key`` (``kv.s<shard>.<key>``)."""

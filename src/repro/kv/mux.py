@@ -74,7 +74,7 @@ class ShardBus:
     """
 
     __slots__ = ("host", "spec", "inner", "_server_pids", "_fleet_pids",
-                 "_local_pids", "_entry_base_size")
+                 "_local_pids", "_shard_id", "_entry_base_size")
 
     def __init__(self, host: "_KvMuxProcess", spec: ShardSpec) -> None:
         self.host = host
@@ -92,6 +92,7 @@ class ShardBus:
         self._local_pids = {
             fleet_pid.index: local_pid
             for local_pid, fleet_pid in self._fleet_pids.items()}
+        self._shard_id = spec.shard_id
         self._entry_base_size = entry_base_size(spec.shard_id)
 
     def attach(self, inner: Process) -> Process:
@@ -144,7 +145,9 @@ class ShardBus:
         count and is stamped on the message observers see.
         """
         host = self.host
-        simulator = host._require_simulator()
+        simulator = host.simulator
+        if simulator is None:
+            simulator = host._require_simulator()
         inner = self.inner
         depth = inner.activation_depth + 1
         cause_id = inner.activation_msg_id
@@ -159,7 +162,7 @@ class ShardBus:
                 + (depth.bit_length() + 8) // 8
                 + (NONE_SIZE if cause_id is None else
                    INT_HEADER_SIZE + (cause_id.bit_length() + 8) // 8))
-        entry = KvEntry(self.spec.shard_id, tag, mtype, payload, msg_id,
+        entry = KvEntry(self._shard_id, tag, mtype, payload, msg_id,
                         depth, cause_id)
         fleet_recipient = (self._fleet_pids[recipient]
                            if recipient.is_server else recipient)
@@ -220,6 +223,16 @@ class _KvMuxProcess(Process):
         #: filled by :meth:`ShardBus.enqueue`
         self._kv_outbound: Dict[PartyId, List[Any]] = {}
         self.on(MSG_KV_BATCH, self._on_kv_batch)
+        #: whether a ``kv-batch`` delivery may skip ``Process.receive``
+        #: (see :meth:`receive`); a later ``on`` for it clears this
+        self._kv_direct = True
+
+    def on(self, mtype: str, handler, retain: bool = False) -> None:
+        """Register a handler; a ``kv-batch`` handler beyond the host's
+        own sends envelopes through ``Process.receive`` from then on."""
+        super().on(mtype, handler, retain)
+        if mtype == MSG_KV_BATCH:
+            self._kv_direct = False
 
     def bind(self, simulator) -> None:
         """Attach to ``simulator`` and hold its live ``on_send`` and
@@ -249,10 +262,25 @@ class _KvMuxProcess(Process):
     def receive(self, message: Message) -> None:
         """Deliver, then flush inner sends within the same activation.
 
-        ``Process.receive`` resets the activation stamps in a
-        ``finally``; the flush needs them back so envelope depth chains
-        stay causal, hence the restore-around-flush.
+        An envelope reaches :meth:`_on_kv_batch` directly, under this
+        delivery's activation stamps, when the host has nothing else
+        for it to do: no parked thread to pump and no other ``kv-batch``
+        handler.  Anything else goes through ``Process.receive``, which
+        resets the stamps in a ``finally``; the flush needs them back so
+        envelope depth chains stay causal, hence the restore-around-flush.
         """
+        if (message.mtype == MSG_KV_BATCH and self._kv_direct
+                and not self._threads):
+            self.activation_depth = message.depth
+            self.activation_msg_id = message.msg_id
+            try:
+                self._on_kv_batch(message)
+                if self._kv_outbound:
+                    self.kv_flush()
+            finally:
+                self.activation_depth = 0
+                self.activation_msg_id = None
+            return
         super().receive(message)
         if self._kv_outbound:
             self.activation_depth = message.depth
@@ -270,13 +298,12 @@ class _KvMuxProcess(Process):
         if len(payload) != 1 or not isinstance(payload[0], tuple):
             return
         fleet_sender = message.sender
-        simulator = self._require_simulator()
         observed = self._deliver_hooks
         # ``inner`` and the local ``sender`` are resolved once per run of
         # same-shard entries; a drop ends the run.
         shard = None
         for entry in payload[0]:
-            if not (isinstance(entry, KvEntry) and entry.well_formed()):
+            if not (entry.__class__ is KvEntry and entry.well_formed()):
                 shard = None
                 continue
             if entry.shard != shard:
@@ -291,7 +318,7 @@ class _KvMuxProcess(Process):
                 shard, recipient = entry.shard, inner.pid
             if observed:
                 # the observers' view of the delivery, in fleet identities
-                simulator.report_deliver(
+                self.simulator.report_deliver(
                     Message(entry.tag, entry.mtype, fleet_sender, self.pid,
                             entry.payload, entry.msg_id, entry.depth,
                             entry.cause_id),

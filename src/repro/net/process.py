@@ -124,8 +124,11 @@ class Process:
         ``wire_size`` is for senders that already know the message's
         size (see :meth:`Simulator.enqueue
         <repro.net.simulator.Simulator.enqueue>`)."""
-        self._require_simulator().enqueue(self.pid, recipient, tag, mtype,
-                                          payload, wire_size)
+        simulator = self.simulator
+        if simulator is None:
+            simulator = self._require_simulator()
+        simulator.enqueue(self.pid, recipient, tag, mtype, payload,
+                          wire_size)
 
     def send_to_servers(self, tag: str, mtype: str, *payload: Any) -> None:
         """Send the same message to every server ``P_1 .. P_n``.
@@ -159,7 +162,8 @@ class Process:
     def start_thread(self, generator: Generator) -> None:
         """Start a protocol thread, running it until its first wait state."""
         self._advance(generator, None)
-        self._pump()
+        if self._threads:
+            self._pump()
 
     def _advance(self, generator: Generator, value: Any) -> None:
         """Resume ``generator`` with ``value``; park it again if it yields."""
@@ -207,7 +211,8 @@ class Process:
                     result = handler(message)
                     if type(result) is GeneratorType:
                         self._advance(result, None)
-            self._pump(arrived)
+            if self._threads:
+                self._pump(arrived)
         finally:
             self.activation_depth = 0
             self.activation_msg_id = None

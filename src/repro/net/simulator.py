@@ -41,6 +41,15 @@ OBSERVER_HOOKS = ("on_send", "on_deliver", "on_input", "on_output",
                   "on_count")
 
 
+def _override(scheduler: Scheduler,
+              name: str) -> Optional[Callable[[Message], None]]:
+    """``scheduler``'s bound ``name`` hook, or ``None`` when it is the
+    base class's no-op."""
+    if getattr(type(scheduler), name, None) is getattr(Scheduler, name):
+        return None
+    return getattr(scheduler, name)
+
+
 class PendingBag:
     """Order-preserving indexed bag of in-flight messages.
 
@@ -147,11 +156,29 @@ class Simulator:
         # attached every report is a loop over an empty list.
         self._hooks: Dict[str, List[Callable[..., None]]] = {
             name: [] for name in OBSERVER_HOOKS}
+        # The per-envelope hooks, held live: a report is built only
+        # when one of them is non-empty.
+        self._send_hooks = self._hooks["on_send"]
+        self._deliver_hooks = self._hooks["on_deliver"]
+        self._tick_hooks = self._hooks["on_tick"]
         #: attached fault injector (duck-typed; see
         #: :class:`repro.chaos.injector.FaultInjector`).  ``None`` keeps
         #: the hot path free of interposition overhead; an injector with
         #: an empty plan is byte-identical to no injector at all.
         self.chaos = None
+
+    @property
+    def scheduler(self) -> Scheduler:
+        """The delivery-order strategy."""
+        return self._scheduler
+
+    @scheduler.setter
+    def scheduler(self, scheduler: Scheduler) -> None:
+        self._scheduler = scheduler
+        # ``note_enqueue``/``note_pop`` are no-ops unless the scheduler
+        # overrides them; one it does not is never called for them.
+        self._note_enqueue = _override(scheduler, "note_enqueue")
+        self._note_pop = _override(scheduler, "note_pop")
 
     def add_observer(self, observer: Any) -> None:
         """Attach an observer beside those already attached.
@@ -289,20 +316,22 @@ class Simulator:
     def _admit(self, message: Message) -> None:
         """Place a message into the in-flight bag (post-interception)."""
         self._pending.append(message)
-        self.scheduler.note_enqueue(message)
+        if self._note_enqueue is not None:
+            self._note_enqueue(message)
         self.metrics.record(message)
-        self.report_send(message)
+        if self._send_hooks:
+            self.report_send(message)
 
     def report_send(self, message: Message) -> None:
         """Report a message entering the network to the ``on_send``
         observers; the kv plane reports its envelope entries here."""
-        for hook in self._hooks["on_send"]:
+        for hook in self._send_hooks:
             hook(message, self.time, pending=len(self._pending))
 
     def report_deliver(self, message: Message, inbox_depth: int) -> None:
         """Report a delivery to the ``on_deliver`` observers; the kv
         plane reports its envelope entries here."""
-        for hook in self._hooks["on_deliver"]:
+        for hook in self._deliver_hooks:
             hook(message, self.time, inbox_depth=inbox_depth,
                  pending=len(self._pending))
 
@@ -423,27 +452,35 @@ class Simulator:
         """
         if self.chaos is not None:
             self.chaos.before_choose()
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return False
-        index = self.scheduler.choose(self._pending)
-        if not 0 <= index < len(self._pending):
+        index = self._scheduler.choose(pending)
+        if index < 0:  # ``pop`` would count it from the end
             raise SimulationError("scheduler chose an invalid message")
-        message = self._pending.pop(index)
-        self.scheduler.note_pop(message)
-        self._tick()
+        try:
+            message = pending.pop(index)
+        except IndexError:  # past the end
+            raise SimulationError(
+                "scheduler chose an invalid message") from None
+        if self._note_pop is not None:
+            self._note_pop(message)
+        self.time += 1
         if self.record_deliveries:
             self.event_log.append(LocalEvent(
                 self.time, message.recipient, EVENT_DELIVER, message.tag,
                 message.mtype, message.payload,
                 cause_id=message.cause_id))
         recipient = self._processes[message.recipient]
-        if self._hooks["on_deliver"]:
+        if self._deliver_hooks:
             self.report_deliver(message, len(recipient.inbox))
         recipient.receive(message)
-        for check in self._invariants:
-            check(self)
-        for hook in self._hooks["on_tick"]:
-            hook(self.time)
+        if self._invariants:
+            for check in self._invariants:
+                check(self)
+        if self._tick_hooks:
+            for hook in self._tick_hooks:
+                hook(self.time)
         return True
 
     def run(self, max_steps: int = 1_000_000) -> int:

@@ -11,9 +11,13 @@ from repro.avid.disperse import (
     AvidServer,
     disperse,
 )
+from repro.cluster import run_register_case
 from repro.common.ids import client_id, server_id
 from repro.common.serialization import encode
 from repro.config import SystemConfig
+from repro.kv import KvDirectory, build_kv_cluster, drive
+from repro.net import message as message_module
+from repro.net.message import content_wire_size
 from repro.net.process import Process
 from repro.net.schedulers import (
     FifoScheduler,
@@ -21,6 +25,8 @@ from repro.net.schedulers import (
     RandomScheduler,
 )
 from repro.net.simulator import Simulator
+from repro.obs import TraceRecorder
+from repro.workloads.kv import kv_workload
 
 
 class AvidHost(Process):
@@ -367,3 +373,73 @@ def test_blockless_echo_from_another_server_never_counts(commitment):
     for server in _honest(servers):
         (state,) = server.avid._instances["d"].keys.values()
         assert set(state.echo_blocks) == {2}
+
+
+class _ContentSpy(TraceRecorder):
+    """A recorder that also keeps what each sent message carried."""
+
+    def __init__(self):
+        super().__init__()
+        self.contents = {}
+
+    def on_send(self, message, time, pending=0):
+        self.contents[message.msg_id] = (message.tag, message.mtype,
+                                         message.payload)
+        super().on_send(message, time, pending=pending)
+
+
+def _traced_atomic_run(plane, seed):
+    spy = _ContentSpy()
+    if plane == "register":
+        run_register_case("atomic", 4, 1, seed=seed, tracer=spy)
+    else:
+        cluster = build_kv_cluster(KvDirectory(SystemConfig(n=4, t=1), 2),
+                                   num_sessions=2,
+                                   scheduler=RandomScheduler(seed))
+        spy.attach(cluster.simulator)
+        drive(cluster, kv_workload(num_sessions=2, num_keys=4, ops=12,
+                                   seed=seed), seed=seed)
+    return spy
+
+
+@pytest.mark.parametrize("plane", ["register", "kv"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_every_ready_is_stamped_with_its_exact_size(plane, seed):
+    """A ready's size is stamped by its sender, not re-derived: in a
+    traced ``atomic`` run every ``avid-ready`` record's ``wire_bytes``
+    is what its content sizes to, digest-form copies included."""
+    spy = _traced_atomic_run(plane, seed)
+    readies = [record for record in spy.messages.values()
+               if record.mtype == MSG_READY]
+    digest_form = [record for record in readies
+                   if isinstance(spy.contents[record.msg_id][2][0], bytes)]
+    assert digest_form and len(digest_form) < len(readies)
+    for record in readies:
+        assert record.wire_bytes == content_wire_size(
+            *spy.contents[record.msg_id])
+
+
+@pytest.mark.parametrize("plane", ["register", "kv"])
+def test_a_ready_sizes_its_digest_form_copies_once(plane, monkeypatch):
+    """The ``(H(D), client, None, None)`` copies of one ready are all
+    alike, so one ``_send_ready`` walks that content at most once."""
+    walks, per_ready = [], []
+    real_size = message_module.encoded_size
+
+    def counting_size(value):
+        _, mtype, payload = value
+        if mtype == MSG_READY and isinstance(payload[0], bytes):
+            walks.append(payload)
+        return real_size(value)
+
+    real_send_ready = AvidServer._send_ready
+
+    def send_ready(server, *args):
+        before = len(walks)
+        real_send_ready(server, *args)
+        per_ready.append(len(walks) - before)
+
+    monkeypatch.setattr(message_module, "encoded_size", counting_size)
+    monkeypatch.setattr(AvidServer, "_send_ready", send_ready)
+    _traced_atomic_run(plane, seed=3)
+    assert per_ready and max(per_ready) == 1

@@ -228,3 +228,27 @@ def test_goodson_storage_grows_with_history():
         cluster.write(1, TAG, f"more{index}", b"x" * 1000)
     cluster.run()
     assert cluster.server(1).register_storage_bytes(TAG) > first * 2
+
+
+def test_goodson_server_encodes_its_initial_value_once(monkeypatch):
+    """Every register a Goodson server creates starts from the same
+    initial version: its fragment and cross-checksum are computed once
+    per server, not once per register."""
+    from repro.baselines import GoodsonServer
+    from repro.common.ids import server_id
+    from repro.core.timestamps import INITIAL_TIMESTAMP
+    from repro.erasure.coder import ErasureCoder
+    encoded = []
+    real_encode = ErasureCoder.encode
+    monkeypatch.setattr(
+        ErasureCoder, "encode",
+        lambda coder, value: encoded.append(value) or real_encode(coder,
+                                                                  value))
+    server = GoodsonServer(server_id(2), SystemConfig(n=5, t=1),
+                           initial_value=b"init")
+    states = [server.register_state(f"reg{index}") for index in range(4)]
+    assert encoded == [b"init"]
+    (initial,) = {state.versions[INITIAL_TIMESTAMP] for state in states}
+    fragments = real_encode(server._coder, b"init")
+    assert initial[0] == fragments[1]
+    assert len(initial[1]) == 5

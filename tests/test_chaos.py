@@ -589,11 +589,17 @@ def test_cli_chaos_boundary_replay_round_trip(tmp_path, capsys):
     ["chaos", "--protocols", "goodson", "--plans", "crash"],
     ["monitor", "--source", "simulate", "--protocol", "goodson",
      "--plan", "crash"],
-], ids=["chaos", "monitor-simulate"])
+    *(["chaos", "--protocols", protocol, "--plans", "crash"]
+      for protocol in ("phalanx", "bazzi_ding")),
+    *(["monitor", "--source", "simulate", "--protocol", protocol,
+       "--plan", "crash"] for protocol in ("phalanx", "bazzi_ding")),
+], ids=["chaos", "monitor-simulate", "chaos-phalanx", "chaos-bazzi_ding",
+        "monitor-simulate-phalanx", "monitor-simulate-bazzi_ding"])
 def test_cli_reports_a_rejected_deployment_without_a_traceback(
         argv, capsys):
-    """``goodson`` needs n > 4t: at the default n=4/t=1 the CLI says so
-    and exits 2, as it does for an unknown plan."""
+    """The ``n > 4t`` baselines (goodson, phalanx, bazzi_ding): at the
+    default n=4/t=1 the CLI says so and exits 2, as it does for an
+    unknown plan."""
     from repro.cli import main
     assert main(argv) == 2
     assert "requires n > 4t" in capsys.readouterr().err

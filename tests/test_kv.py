@@ -48,7 +48,9 @@ from repro.kv import (
 )
 from repro.kv.directory import ShardSpec
 from repro.net.message import Message, content_wire_size
+from repro.net.process import Process
 from repro.net.schedulers import RandomScheduler
+from repro.net.simulator import Simulator
 from repro.obs import TraceRecorder
 from repro.repair.reconfig import next_generation
 from repro.workloads.kv import KvOp, key_names, kv_workload
@@ -98,6 +100,34 @@ def test_directory_rejects_invalid_shapes_and_keys():
         directory.shard_of_key("")
     with pytest.raises(ConfigurationError):
         directory.shard_of_key("bad|key")
+
+
+def test_shard_of_key_memo_answers_what_the_sha256_rule_does(monkeypatch):
+    """``shard_of_key`` remembers each key's shard: on first sight and
+    on a memo hit it answers what SHA-256 maps the key to, and a hit
+    hashes nothing.  An invalid key is refused on every call (an
+    unhashable one with the same error) and never remembered."""
+    directory = KvDirectory(FLEET, 7)
+    keys = [f"key{index:04d}" for index in range(1000)]
+    expected = [
+        int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8],
+                       "big") % 7
+        for key in keys]
+    assert [directory.shard_of_key(key) for key in keys] == expected
+    hashed = []
+    real_sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda data: hashed.append(data) or real_sha256(data))
+    assert [directory.shard_of_key(key) for key in keys] == expected
+    assert hashed == []
+    for bad in ("", "bad|key", None, 7, ["key0001"]):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                directory.shard_of_key(bad)
+    assert hashed == []
+    assert len(directory._shard_of_key) == len(keys)
+    assert "" not in directory._shard_of_key
+    assert "bad|key" not in directory._shard_of_key
 
 
 # -- wire envelope ------------------------------------------------------------
@@ -271,6 +301,83 @@ def test_the_mux_allocates_one_entry_per_send_and_one_message_per_delivery(
         ("envelopes", "entries", "sent", "delivered")}
     assert traced["messages"] - untraced["messages"] == (
         untraced["sent"] + untraced["delivered"])
+
+
+def _count_reports(monkeypatch, traced):
+    """Drive the same small kv run and count the observer reports the
+    simulator builds against the traffic they describe: messages sent
+    (envelopes and inner sends) and delivered (envelopes and inner
+    deliveries), and each ``Process._pump`` entry, by whether the
+    process had a parked thread."""
+    counts = dict(report_send=0, report_deliver=0, envelopes=0,
+                  inner_sends=0, envelope_deliveries=0, inner_deliveries=0)
+    pumps = []
+    real_send, real_deliver = Simulator.report_send, Simulator.report_deliver
+    real_step, real_enqueue = Simulator.step, ShardBus.enqueue
+    real_pump = Process._pump
+
+    def report_send(simulator, *args, **kwargs):
+        counts["report_send"] += 1
+        real_send(simulator, *args, **kwargs)
+
+    def report_deliver(simulator, *args, **kwargs):
+        counts["report_deliver"] += 1
+        real_deliver(simulator, *args, **kwargs)
+
+    def step(simulator):
+        delivered = real_step(simulator)
+        counts["envelope_deliveries"] += delivered
+        return delivered
+
+    def enqueue(bus, *args, **kwargs):
+        counts["inner_sends"] += 1
+        real_enqueue(bus, *args, **kwargs)
+
+    def pump(process, *args):
+        pumps.append((process.pid.is_server, bool(process._threads)))
+        real_pump(process, *args)
+
+    monkeypatch.setattr(Simulator, "report_send", report_send)
+    monkeypatch.setattr(Simulator, "report_deliver", report_deliver)
+    monkeypatch.setattr(Simulator, "step", step)
+    monkeypatch.setattr(ShardBus, "enqueue", enqueue)
+    monkeypatch.setattr(Process, "_pump", pump)
+    for cls in (AtomicServer, AtomicClient):
+        def counting_receive(process, message, _real=cls.receive):
+            counts["inner_deliveries"] += 1
+            _real(process, message)
+        monkeypatch.setattr(cls, "receive", counting_receive)
+    cluster = _small_kv_cluster("atomic", seed=7)
+    if traced:
+        TraceRecorder().attach(cluster.simulator)
+    drive(cluster, kv_workload(num_sessions=2, num_keys=4, ops=12, seed=7),
+          seed=7)
+    monkeypatch.undo()
+    counts["envelopes"] = cluster.simulator.metrics.total_messages
+    return counts, pumps
+
+
+def test_an_unobserved_kv_drive_builds_no_observer_report(monkeypatch):
+    """With no observer attached, no envelope or inner message is
+    reported; with a recorder, every message sent and every delivery
+    is, once.  A process with no parked thread never enters
+    ``Process._pump`` (the servers of ``atomic`` never park one)."""
+    untraced, pumps = _count_reports(monkeypatch, traced=False)
+    assert untraced["inner_sends"] > untraced["envelopes"] > 0
+    assert untraced["inner_deliveries"] > 0
+    assert untraced["report_send"] == untraced["report_deliver"] == 0
+    assert pumps and all(parked for _, parked in pumps)
+    assert not any(is_server for is_server, _ in pumps)
+    traced, _ = _count_reports(monkeypatch, traced=True)
+    assert traced["report_send"] == (traced["envelopes"]
+                                     + traced["inner_sends"])
+    assert traced["report_deliver"] == (traced["envelope_deliveries"]
+                                        + traced["inner_deliveries"])
+    # the recorder is measurement-only: the same traffic either way
+    assert {name: traced[name] for name in untraced
+            if not name.startswith("report_")} == {
+        name: untraced[name] for name in untraced
+        if not name.startswith("report_")}
 
 
 def test_shard_bus_maps_local_identities_through_one_shared_table():
