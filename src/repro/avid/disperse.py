@@ -138,8 +138,10 @@ class AvidServer:
         self._config = config
         self._complete = complete
         self._instances: Dict[str, _Instance] = {}
-        # Quorum thresholds are fixed for the lifetime of the run; caching
-        # them as plain ints keeps the per-delivery progress checks cheap.
+        # Quorum thresholds and the commitment scheme are fixed for the
+        # lifetime of the run; holding them as plain attributes keeps the
+        # per-delivery checks free of property calls.
+        self._scheme = config.commitment_scheme
         self._quorum = config.quorum
         self._ready_amplify = config.ready_amplify
         self._deliver_quorum = config.deliver_quorum
@@ -154,14 +156,15 @@ class AvidServer:
         return self._process.pid.index
 
     def _instance(self, tag: str) -> _Instance:
-        if tag not in self._instances:
-            self._instances[tag] = _Instance()
-        return self._instances[tag]
+        instance = self._instances.get(tag)
+        if instance is None:
+            instance = self._instances[tag] = _Instance()
+        return instance
 
     def _key_state(self, instance: _Instance, commitment: Any,
                    client: PartyId) -> _KeyState:
         """The session a message naming ``D`` belongs to, opened if new."""
-        digest = self._config.commitment_scheme.digest(commitment)
+        digest = self._scheme.digest(commitment)
         key = (digest, client)
         state = instance.keys.get(key)
         if state is None:
@@ -185,7 +188,7 @@ class AvidServer:
         if origin in instance.echoed or origin in instance.completed:
             return
         commitment, block, witness = message.payload
-        scheme = self._config.commitment_scheme
+        scheme = self._scheme
         if not scheme.verify(commitment, self._my_index, block, witness):
             return
         instance.echoed.add(origin)
@@ -229,7 +232,7 @@ class AvidServer:
                 return
             echoed = state.own_block
         else:
-            scheme = self._config.commitment_scheme
+            scheme = self._scheme
             if not scheme.verify(name, sender_index, block, witness):
                 return
             state = self._key_state(instance, name, client)
@@ -251,7 +254,7 @@ class AvidServer:
         instance = self._instance(message.tag)
         if client in instance.completed:
             return
-        scheme = self._config.commitment_scheme
+        scheme = self._scheme
         if scheme.is_commitment(name):
             # Ready amplification must buffer the (commitment, client)
             # key before this server can verify anything: its own block
@@ -323,7 +326,7 @@ class AvidServer:
                 for index, (block, _) in state.echo_blocks.items())
             blocks = coder.encode(candidate)
             commitment, witnesses = \
-                self._config.commitment_scheme.commit(blocks)
+                self._scheme.commit(blocks)
         except Exception:
             state.consistent = False
             return False

@@ -101,9 +101,10 @@ class ReliableBroadcastServer:
 
     def _instance(self, tag: str, origin: PartyId) -> _Instance:
         key = (tag, origin)
-        if key not in self._instances:
-            self._instances[key] = _Instance()
-        return self._instances[key]
+        instance = self._instances.get(key)
+        if instance is None:
+            instance = self._instances[key] = _Instance()
+        return instance
 
     # -- handlers -----------------------------------------------------------
 

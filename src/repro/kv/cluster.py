@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster import protocol_classes
@@ -29,6 +30,8 @@ from repro.kv.session import KvSession
 from repro.net.schedulers import Scheduler
 from repro.net.simulator import Simulator
 from repro.workloads.kv import KvOp
+
+_IDLE = attrgetter("idle")
 
 #: Factory signature for replacing a kv server host (fault injection).
 KvServerFactory = Callable[[PartyId, KvDirectory], KvServer]
@@ -153,15 +156,16 @@ def drive(cluster: KvCluster, operations: Sequence[KvOp], seed: int = 0,
     stats = DriveStats()
     simulator = cluster.simulator
     sessions = cluster.sessions
+    pumps = [session.pump for session in sessions]
     repair = cluster.repair
     while True:
         progress = 0
-        for session in sessions:
-            progress += session.pump()
+        for pump in pumps:
+            progress += pump()
         if repair is not None:
             progress += repair.pump()
         remaining = len(queue) - cursor
-        if not remaining and all(session.idle for session in sessions) \
+        if not remaining and all(map(_IDLE, sessions)) \
                 and (repair is None or repair.idle):
             break
         stats.steps += 1

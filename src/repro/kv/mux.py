@@ -222,6 +222,10 @@ class _KvMuxProcess(Process):
         #: destination -> [buffered entries, their encoded sizes summed],
         #: filled by :meth:`ShardBus.enqueue`
         self._kv_outbound: Dict[PartyId, List[Any]] = {}
+        #: fleet sender -> shard -> (inner process, shard-local sender):
+        #: each resolution an entry was delivered on, made once
+        self._kv_routes: Dict[PartyId, Dict[int, Tuple[Process,
+                                                        PartyId]]] = {}
         self.on(MSG_KV_BATCH, self._on_kv_batch)
         #: whether a ``kv-batch`` delivery may skip ``Process.receive``
         #: (see :meth:`receive`); a later ``on`` for it clears this
@@ -299,8 +303,12 @@ class _KvMuxProcess(Process):
             return
         fleet_sender = message.sender
         observed = self._deliver_hooks
-        # ``inner`` and the local ``sender`` are resolved once per run of
-        # same-shard entries; a drop ends the run.
+        routes = self._kv_routes.get(fleet_sender)
+        if routes is None:
+            routes = self._kv_routes[fleet_sender] = {}
+        # ``inner`` and the local ``sender`` are looked up once per run of
+        # same-shard entries; a drop ends the run.  Only a route that
+        # resolved is kept, so a dropped entry leaves nothing behind.
         shard = None
         for entry in payload[0]:
             if not (entry.__class__ is KvEntry and entry.well_formed()):
@@ -308,13 +316,17 @@ class _KvMuxProcess(Process):
                 continue
             if entry.shard != shard:
                 shard = None
-                resolved = self._kv_inner_for(entry.shard, fleet_sender)
-                if resolved is None:
-                    continue
-                inner, bus = resolved
-                sender = bus.local_pid(fleet_sender)
-                if sender is None:
-                    continue  # a fleet server outside the shard's placement
+                route = routes.get(entry.shard)
+                if route is None:
+                    resolved = self._kv_inner_for(entry.shard, fleet_sender)
+                    if resolved is None:
+                        continue
+                    inner, bus = resolved
+                    sender = bus.local_pid(fleet_sender)
+                    if sender is None:
+                        continue  # a fleet server outside the placement
+                    route = routes[entry.shard] = (inner, sender)
+                inner, sender = route
                 shard, recipient = entry.shard, inner.pid
             if observed:
                 # the observers' view of the delivery, in fleet identities

@@ -65,16 +65,20 @@ class WaitState:
 
 
 class _Thread:
-    """A parked protocol thread: a generator, its wait condition, and
-    the buckets the condition declared (``None``: declared nothing)."""
+    """A parked protocol thread: a generator, its wait condition's
+    callable (a :class:`WaitState`'s own check, unwrapped), and the
+    buckets the condition declared (``None``: declared nothing)."""
 
-    __slots__ = ("generator", "condition", "keys")
+    __slots__ = ("generator", "check", "keys")
 
     def __init__(self, generator: Generator, condition: Condition):
         self.generator = generator
-        self.condition = condition
-        self.keys: Optional[Tuple[WaitKey, ...]] = \
-            getattr(condition, "keys", None)
+        if type(condition) is WaitState:
+            self.check = condition.check
+            self.keys: Optional[Tuple[WaitKey, ...]] = condition.keys
+        else:
+            self.check = condition
+            self.keys = getattr(condition, "keys", None)
 
 
 class Process:
@@ -246,7 +250,7 @@ class Process:
                     if keys is not None and arrived not in keys \
                             and whole_key not in keys:
                         continue  # nothing it reads has changed
-                    result = thread.condition()
+                    result = thread.check()
                     if result:
                         self._threads.remove(thread)
                         progress = True
