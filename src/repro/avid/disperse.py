@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.common.ids import PartyId
-from repro.common.serialization import encode
+from repro.common.serialization import encode, encoded_size
 from repro.config import SystemConfig
 from repro.net.message import Message, content_wire_size
 from repro.net.process import Process
@@ -74,6 +74,16 @@ MESSAGE_TYPES = (MSG_SEND, MSG_ECHO, MSG_READY)
 #: deliver(tag, commitment, client, block, witness)
 CompleteCallback = Callable[[str, Any, PartyId, bytes, Any], None]
 
+_NONE_SIZE = encoded_size(None)
+
+
+def _with_block(plain_size: int, block: Any, witness: Any) -> int:
+    """The size of a message sized at ``plain_size`` with ``None`` in
+    the place of its block and witness, once they are filled in: the
+    encoded size of a tuple is a header plus its items' sizes."""
+    return (plain_size - 2 * _NONE_SIZE + encoded_size(block)
+            + encoded_size(witness))
+
 
 def disperse(process: Process, tag: str, value: bytes,
              config: SystemConfig) -> None:
@@ -85,9 +95,12 @@ def disperse(process: Process, tag: str, value: bytes,
     """
     blocks = config.coder.encode(value)
     commitment, witnesses = config.commitment_scheme.commit(blocks)
+    # Each copy is sized from one walk of ``D``: encoded sizes add up.
+    plain_size = content_wire_size(tag, MSG_SEND, (commitment, None, None))
     for index, server in enumerate(process.simulator.server_pids, start=1):
-        process.send(server, tag, MSG_SEND, commitment, blocks[index - 1],
-                     witnesses[index - 1])
+        block, witness = blocks[index - 1], witnesses[index - 1]
+        process.send(server, tag, MSG_SEND, commitment, block, witness,
+                     wire_size=_with_block(plain_size, block, witness))
 
 
 @dataclass
@@ -347,29 +360,35 @@ class AvidServer:
                     state: _KeyState) -> None:
         """Send ready to every server, carrying nothing it holds: a
         server whose valid echo we recorded has ``D`` and its block.
-        Those copies are all the same ``(H(D), client, None, None)``,
-        sized once."""
-        instance.ready_sent.add(state.client)
+
+        Copies are sized from at most two walks: the digest form
+        ``(H(D), client, None, None)`` once, and ``(D, client, None,
+        None)`` once, to which a personalized copy adds its block and
+        witness."""
+        client = state.client
+        instance.ready_sent.add(client)
         process = self._process
-        digest_size = None
+        digest_size = plain_size = None
         for server in process.simulator.server_pids:
             index = server.index
             if index in state.echo_blocks:
                 if digest_size is None:
                     digest_size = content_wire_size(
-                        tag, MSG_READY, (state.digest, state.client, None,
-                                         None))
-                process.send(server, tag, MSG_READY, state.digest,
-                             state.client, None, None,
-                             wire_size=digest_size)
+                        tag, MSG_READY, (state.digest, client, None, None))
+                process.send(server, tag, MSG_READY, state.digest, client,
+                             None, None, wire_size=digest_size)
                 continue
+            if plain_size is None:
+                plain_size = content_wire_size(
+                    tag, MSG_READY, (state.commitment, client, None, None))
             if state.all_blocks is not None:
                 block = state.all_blocks[index - 1]
                 witness = state.all_witnesses[index - 1]
+                size = _with_block(plain_size, block, witness)
             else:
-                block, witness = None, None
-            process.send(server, tag, MSG_READY, state.commitment,
-                         state.client, block, witness)
+                block, witness, size = None, None, plain_size
+            process.send(server, tag, MSG_READY, state.commitment, client,
+                         block, witness, wire_size=size)
 
     # -- introspection ----------------------------------------------------------
 

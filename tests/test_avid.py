@@ -388,14 +388,15 @@ class _ContentSpy(TraceRecorder):
         super().on_send(message, time, pending=pending)
 
 
-def _traced_atomic_run(plane, seed):
+def _traced_atomic_run(plane, seed, commitment="vector"):
     spy = _ContentSpy()
     if plane == "register":
-        run_register_case("atomic", 4, 1, seed=seed, tracer=spy)
+        run_register_case("atomic", 4, 1, seed=seed, commitment=commitment,
+                          tracer=spy)
     else:
-        cluster = build_kv_cluster(KvDirectory(SystemConfig(n=4, t=1), 2),
-                                   num_sessions=2,
-                                   scheduler=RandomScheduler(seed))
+        cluster = build_kv_cluster(
+            KvDirectory(SystemConfig(n=4, t=1, commitment=commitment), 2),
+            num_sessions=2, scheduler=RandomScheduler(seed))
         spy.attach(cluster.simulator)
         drive(cluster, kv_workload(num_sessions=2, num_keys=4, ops=12,
                                    seed=seed), seed=seed)
@@ -403,18 +404,24 @@ def _traced_atomic_run(plane, seed):
 
 
 @pytest.mark.parametrize("plane", ["register", "kv"])
+@pytest.mark.parametrize("commitment", ["vector", "merkle"])
 @pytest.mark.parametrize("seed", [0, 5])
-def test_every_ready_is_stamped_with_its_exact_size(plane, seed):
-    """A ready's size is stamped by its sender, not re-derived: in a
-    traced ``atomic`` run every ``avid-ready`` record's ``wire_bytes``
-    is what its content sizes to, digest-form copies included."""
-    spy = _traced_atomic_run(plane, seed)
-    readies = [record for record in spy.messages.values()
-               if record.mtype == MSG_READY]
-    digest_form = [record for record in readies
-                   if isinstance(spy.contents[record.msg_id][2][0], bytes)]
-    assert digest_form and len(digest_form) < len(readies)
-    for record in readies:
+def test_every_send_and_ready_is_stamped_with_its_exact_size(
+        plane, commitment, seed):
+    """``send`` and ``ready`` sizes are stamped by their sender, not
+    re-derived: in a traced ``atomic`` run every ``avid-send`` and
+    ``avid-ready`` record's ``wire_bytes`` is what its content sizes
+    to — digest-form, plain and personalized copies alike."""
+    spy = _traced_atomic_run(plane, seed, commitment)
+    records = [record for record in spy.messages.values()
+               if record.mtype in (MSG_SEND, MSG_READY)]
+    forms = {(record.mtype, type(spy.contents[record.msg_id][2][0]),
+              spy.contents[record.msg_id][2][-2] is None)
+             for record in records}
+    if commitment == "vector":
+        assert {(MSG_SEND, tuple, False), (MSG_READY, bytes, True),
+                (MSG_READY, tuple, False)} <= forms
+    for record in records:
         assert record.wire_bytes == content_wire_size(
             *spy.contents[record.msg_id])
 
