@@ -141,7 +141,9 @@ class Process:
         computed once, so the per-message cost is one enqueue and
         nothing downstream sizes a copy again.
         """
-        simulator = self._require_simulator()
+        simulator = self.simulator
+        if simulator is None:
+            simulator = self._require_simulator()
         pid = self.pid
         size = content_wire_size(tag, mtype, payload)
         for server in simulator.server_pids:
