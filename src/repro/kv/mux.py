@@ -47,7 +47,7 @@ from repro.kv.envelope import (
     entry_base_size,
 )
 from repro.net.message import Message, content_wire_size
-from repro.net.process import Process
+from repro.net.process import Handler, Process
 
 
 def _shard_classes(spec: ShardSpec) -> Optional[Tuple[type, type]]:
@@ -74,7 +74,7 @@ class ShardBus:
     """
 
     __slots__ = ("host", "spec", "inner", "_server_pids", "_fleet_pids",
-                 "_local_pids", "_shard_id", "_entry_base_size")
+                 "_local_pids", "_entry_base_size")
 
     def __init__(self, host: "_KvMuxProcess", spec: ShardSpec) -> None:
         self.host = host
@@ -92,7 +92,6 @@ class ShardBus:
         self._local_pids = {
             fleet_pid.index: local_pid
             for local_pid, fleet_pid in self._fleet_pids.items()}
-        self._shard_id = spec.shard_id
         self._entry_base_size = entry_base_size(spec.shard_id)
 
     def attach(self, inner: Process) -> Process:
@@ -162,7 +161,7 @@ class ShardBus:
                 + (depth.bit_length() + 8) // 8
                 + (NONE_SIZE if cause_id is None else
                    INT_HEADER_SIZE + (cause_id.bit_length() + 8) // 8))
-        entry = KvEntry(self._shard_id, tag, mtype, payload, msg_id,
+        entry = KvEntry(self.spec.shard_id, tag, mtype, payload, msg_id,
                         depth, cause_id)
         fleet_recipient = (self._fleet_pids[recipient]
                            if recipient.is_server else recipient)
@@ -209,6 +208,9 @@ class ShardBus:
             self.host.pid, self.fleet_pid(suspect), tag, mtype)
 
 
+_Route = Tuple[Process, PartyId]
+
+
 class _KvMuxProcess(Process):
     """Base for fleet parties that host per-shard inner processes.
 
@@ -224,14 +226,14 @@ class _KvMuxProcess(Process):
         self._kv_outbound: Dict[PartyId, List[Any]] = {}
         #: fleet sender -> shard -> (inner process, shard-local sender):
         #: each resolution an entry was delivered on, made once
-        self._kv_routes: Dict[PartyId, Dict[int, Tuple[Process,
-                                                        PartyId]]] = {}
+        self._kv_routes: Dict[PartyId, Dict[int, _Route]] = {}
         self.on(MSG_KV_BATCH, self._on_kv_batch)
         #: whether a ``kv-batch`` delivery may skip ``Process.receive``
         #: (see :meth:`receive`); a later ``on`` for it clears this
         self._kv_direct = True
 
-    def on(self, mtype: str, handler, retain: bool = False) -> None:
+    def on(self, mtype: str, handler: Handler,
+           retain: bool = False) -> None:
         """Register a handler; a ``kv-batch`` handler beyond the host's
         own sends envelopes through ``Process.receive`` from then on."""
         super().on(mtype, handler, retain)

@@ -475,12 +475,10 @@ class Simulator:
         if self._deliver_hooks:
             self.report_deliver(message, len(recipient.inbox))
         recipient.receive(message)
-        if self._invariants:
-            for check in self._invariants:
-                check(self)
-        if self._tick_hooks:
-            for hook in self._tick_hooks:
-                hook(self.time)
+        for check in self._invariants:
+            check(self)
+        for hook in self._tick_hooks:
+            hook(self.time)
         return True
 
     def run(self, max_steps: int = 1_000_000) -> int:
