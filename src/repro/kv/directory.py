@@ -27,7 +27,7 @@ from repro.config import SystemConfig
 #: Prefix of every per-key register tag (``kv.s<shard>.<key>``).
 KV_TAG_PREFIX = "kv"
 #: Keys whose shard a directory remembers (least recently used first out).
-KEY_MEMO_CAPACITY = 4096
+_KEY_MEMO_CAPACITY = 4096
 
 
 def validate_key(key: str) -> str:
@@ -163,7 +163,7 @@ class KvDirectory:
                 shard_id, placement, config,
                 protocol=protocol_overrides.get(shard_id)))
         self._shards: Tuple[ShardSpec, ...] = tuple(shards)
-        self._shard_of_key = LruCache(KEY_MEMO_CAPACITY)
+        self._shard_of_key = LruCache(_KEY_MEMO_CAPACITY)
 
     def shard(self, shard_id: int) -> ShardSpec:
         """Return the :class:`ShardSpec` for ``shard_id``."""
