@@ -47,7 +47,7 @@ from repro.kv.envelope import (
     entry_base_size,
 )
 from repro.net.message import Message, content_wire_size
-from repro.net.process import Handler, Process
+from repro.net.process import Process
 
 
 def _shard_classes(spec: ShardSpec) -> Optional[Tuple[type, type]]:
@@ -228,17 +228,6 @@ class _KvMuxProcess(Process):
         #: each resolution an entry was delivered on, made once
         self._kv_routes: Dict[PartyId, Dict[int, _Route]] = {}
         self.on(MSG_KV_BATCH, self._on_kv_batch)
-        #: whether a ``kv-batch`` delivery may skip ``Process.receive``
-        #: (see :meth:`receive`); a later ``on`` for it clears this
-        self._kv_direct = True
-
-    def on(self, mtype: str, handler: Handler,
-           retain: bool = False) -> None:
-        """Register a handler; a ``kv-batch`` handler beyond the host's
-        own sends envelopes through ``Process.receive`` from then on."""
-        super().on(mtype, handler, retain)
-        if mtype == MSG_KV_BATCH:
-            self._kv_direct = False
 
     def bind(self, simulator) -> None:
         """Attach to ``simulator`` and hold its live ``on_send`` and
@@ -266,36 +255,25 @@ class _KvMuxProcess(Process):
                       wire_size=batch_wire_size(size))
 
     def receive(self, message: Message) -> None:
-        """Deliver, then flush inner sends within the same activation.
+        """Deliver an envelope, then flush the inner sends it caused.
 
-        An envelope reaches :meth:`_on_kv_batch` directly, under this
-        delivery's activation stamps, when the host has nothing else
-        for it to do: no parked thread to pump and no other ``kv-batch``
-        handler.  Anything else goes through ``Process.receive``, which
-        resets the stamps in a ``finally``; the flush needs them back so
-        envelope depth chains stay causal, hence the restore-around-flush.
+        A ``kv-batch`` goes straight to :meth:`_on_kv_batch` under this
+        delivery's activation stamps, which the flush needs so envelope
+        depth chains stay causal.  A host parks no thread and handles no
+        other type, so ``Process.receive`` only buffers anything else.
         """
-        if (message.mtype == MSG_KV_BATCH and self._kv_direct
-                and not self._threads):
-            self.activation_depth = message.depth
-            self.activation_msg_id = message.msg_id
-            try:
-                self._on_kv_batch(message)
-                if self._kv_outbound:
-                    self.kv_flush()
-            finally:
-                self.activation_depth = 0
-                self.activation_msg_id = None
+        if message.mtype != MSG_KV_BATCH:
+            super().receive(message)
             return
-        super().receive(message)
-        if self._kv_outbound:
-            self.activation_depth = message.depth
-            self.activation_msg_id = message.msg_id
-            try:
+        self.activation_depth = message.depth
+        self.activation_msg_id = message.msg_id
+        try:
+            self._on_kv_batch(message)
+            if self._kv_outbound:
                 self.kv_flush()
-            finally:
-                self.activation_depth = 0
-                self.activation_msg_id = None
+        finally:
+            self.activation_depth = 0
+            self.activation_msg_id = None
 
     # -- inbound: unwrap + dispatch ----------------------------------------
 

@@ -236,8 +236,9 @@ class Process:
         calls back into the pump) are absorbed by the guard: the outermost
         pump keeps looping until quiescence, so nothing is missed and the
         parked-thread list is never mutated under a stale snapshot.
+        Callers enter only while a thread is parked.
         """
-        if self._pumping or not self._threads:
+        if self._pumping:
             return
         whole_key = None if arrived is None else arrived[:2] + (None,)
         self._pumping = True
