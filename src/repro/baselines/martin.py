@@ -112,12 +112,7 @@ class MartinClient(RegisterClientBase):
 
     def _write_thread(self, handle: OperationHandle):
         tag, oid = handle.tag, handle.oid
-        self.send_to_servers(tag, MSG_GET_TS, oid)
-        replies = yield self.condition_quorum(
-            tag, MSG_TS, self.config.quorum, oid=oid,
-            where=lambda m: (m.sender.is_server and len(m.payload) == 2
-                             and isinstance(m.payload[1], int)
-                             and m.payload[1] >= 0))
+        replies = yield from self._ts_round(tag, oid, MSG_GET_TS, MSG_TS)
         ts = self._choose_timestamp(
             sorted((m.payload[1] for m in replies), reverse=True))
         self.send_to_servers(tag, MSG_STORE, oid, Timestamp(ts + 1, oid),

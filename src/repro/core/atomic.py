@@ -241,12 +241,7 @@ class AtomicClient(RegisterClientBase):
 
     def _write_thread(self, handle: OperationHandle):
         tag, oid = handle.tag, handle.oid
-        self.send_to_servers(tag, MSG_GET_TS, oid)
-        replies = yield self.condition_quorum(
-            tag, MSG_TS, self.config.quorum, oid=oid,
-            where=lambda m: (m.sender.is_server
-                             and len(m.payload) >= 2
-                             and self._valid_ts_reply(tag, m.payload)))
+        replies = yield from self._ts_round(tag, oid, MSG_GET_TS, MSG_TS)
         broadcast_value = self._choose_broadcast_value(tag, replies)
         disperse(self, disp_tag(tag, oid), handle.value, self.config)
         r_broadcast(self, rbc_tag(tag, oid), broadcast_value)
@@ -254,11 +249,6 @@ class AtomicClient(RegisterClientBase):
             tag, MSG_ACK, self.config.quorum, oid=oid,
             where=lambda m: m.sender.is_server)
         self._finish_write(handle)
-
-    def _valid_ts_reply(self, tag: str, payload: Tuple[Any, ...]) -> bool:
-        """Protocol Atomic accepts any non-negative integer timestamp."""
-        return (len(payload) == 2 and isinstance(payload[1], int)
-                and payload[1] >= 0)
 
     def _choose_broadcast_value(self, tag: str, replies) -> Any:
         """The value to r-broadcast: the largest received timestamp."""

@@ -151,6 +151,25 @@ class RegisterClientBase(Process):
         handle.completion_cause = self.activation_msg_id
         self.inbox.retire(handle.tag, handle.oid)
 
+    # -- the timestamp round --------------------------------------------------
+
+    def _ts_round(self, tag: str, oid: str, get_ts: str, ts: str):
+        """The first phase of every write (Figure 1): send ``get_ts`` to
+        all servers and wait for ``n - t`` replies of type ``ts`` from
+        servers that pass :meth:`_valid_ts_reply`.  Run with ``yield
+        from``; returns the replies."""
+        self.send_to_servers(tag, get_ts, oid)
+        return (yield self.condition_quorum(
+            tag, ts, self.config.quorum, oid=oid,
+            where=lambda m: (m.sender.is_server
+                             and self._valid_ts_reply(tag, m.payload))))
+
+    def _valid_ts_reply(self, tag: str, payload: Tuple[Any, ...]) -> bool:
+        """The reply hook: an ``(oid, ts)`` payload with a non-negative
+        integer timestamp."""
+        return (len(payload) == 2 and isinstance(payload[1], int)
+                and payload[1] >= 0)
+
     # -- protocol threads (subclass responsibility) ---------------------------
 
     def _write_thread(self, handle: OperationHandle):

@@ -10,6 +10,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
+FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """Render ``a.b.c`` for a Name/Attribute chain, else ``None``."""
@@ -57,7 +59,7 @@ def int_constant(node: ast.AST) -> Optional[int]:
 def iter_functions(tree: ast.Module) -> Iterator[ast.AST]:
     """Every function/async-function definition in the module."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, FUNC_NODES):
             yield node
 
 
@@ -152,7 +154,7 @@ def locally_bound_names(func: ast.AST) -> Dict[str, bool]:
     d:``) as a protocol symbol."""
     bound: Dict[str, bool] = {}
     for node in ast.walk(func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, FUNC_NODES):
             args = node.args
             for arg in (args.posonlyargs + args.args + args.kwonlyargs):
                 bound[arg.arg] = True

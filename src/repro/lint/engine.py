@@ -2,8 +2,9 @@
 
 The engine parses every scanned file into a :class:`ModuleInfo`
 (AST + source + per-line waivers), bundles them into a
-:class:`Project` with cross-module constant resolution, and runs each
-registered :class:`Rule` over the project.  Rules see the whole
+:class:`Project` — the one cross-module index of functions, import
+bindings, classes and constants — and runs each registered
+:class:`Rule` over the project.  Rules see the whole
 project, so cross-module checks (wire registry, handler completeness)
 are ordinary rules rather than special cases.
 """
@@ -16,7 +17,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple
 
-from repro.lint.astutil import module_imports, module_string_constants
+from repro.lint.astutil import (
+    FUNC_NODES,
+    module_imports,
+    module_string_constants,
+    terminal_name,
+)
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, LintReport
 
@@ -69,16 +75,62 @@ class Rule(Protocol):
         ...  # pragma: no cover - protocol signature
 
 
+#: A class by ``(module dotted name, class name)``.
+ClassKey = Tuple[str, str]
+
+
 @dataclass
 class Project:
-    """All scanned modules plus cross-module constant resolution."""
+    """All scanned modules plus the one cross-module index every rule
+    pack reads.
+
+    Built once per run: per module, its functions and methods by name
+    (nested defs excluded) and its ``from X import Y as Z`` bindings;
+    every top-level class with its bases resolved to project classes
+    (an earlier class of the module, else an imported one) and the
+    class owning each method; and each module's string constants with
+    the imported ones folded in.
+    """
 
     modules: List[ModuleInfo]
     by_dotted: Dict[str, ModuleInfo] = field(default_factory=dict)
+    functions: Dict[str, Dict[str, List[ast.AST]]] = field(
+        default_factory=dict, init=False)
+    #: per module, ``Z -> (X, Y)`` for each ``from X import Y as Z``
+    imports: Dict[str, Dict[str, Tuple[str, str]]] = field(
+        default_factory=dict, init=False)
+    classes: Dict[ClassKey, Tuple[ModuleInfo, ast.ClassDef,
+                                  List[ClassKey]]] = field(
+        default_factory=dict, init=False)
+    #: ``id`` of a method's def -> the class defining it
+    owner: Dict[int, ClassKey] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         self.by_dotted = {m.dotted: m for m in self.modules}
+        for module in self.modules:
+            self._index(module)
         self._resolve_imported_constants()
+
+    def _index(self, module: ModuleInfo) -> None:
+        """Add one module's import bindings, functions and classes."""
+        imports = self.imports[module.dotted] = {
+            local: (source, name)
+            for local, source, name in module_imports(module.tree)}
+        index = self.functions[module.dotted] = {}
+        for node in module.tree.body:
+            members = [node]
+            if isinstance(node, ast.ClassDef):
+                key = (module.dotted, node.name)
+                self.classes[key] = (module, node, [
+                    (module.dotted, base.id)
+                    if (module.dotted, base.id) in self.classes
+                    else imports.get(base.id)
+                    for base in node.bases if isinstance(base, ast.Name)])
+                self.owner.update((id(item), key) for item in node.body)
+                members = node.body
+            for item in members:
+                if isinstance(item, FUNC_NODES):
+                    index.setdefault(item.name, []).append(item)
 
     def _resolve_imported_constants(self) -> None:
         """Fold ``from mod import MSG_X [as Y]`` string constants into
@@ -88,7 +140,7 @@ class Project:
         own: Dict[str, Dict[str, str]] = {
             m.dotted: dict(m.constants) for m in self.modules}
         for module in self.modules:
-            for local, source, name in module_imports(module.tree):
+            for local, (source, name) in self.imports[module.dotted].items():
                 value = own.get(source, {}).get(name)
                 if value is not None and local not in module.constants:
                     module.constants[local] = value
@@ -96,6 +148,62 @@ class Project:
     def scoped(self, pack: str, config: LintConfig) -> List[ModuleInfo]:
         """The modules a rule pack applies to under ``config``."""
         return [m for m in self.modules if config.in_scope(pack, m.dotted)]
+
+    # -- call resolution ------------------------------------------------------
+
+    def lineage(self, key: ClassKey, up: bool) -> List[ClassKey]:
+        """The transitive bases (``up``) or subclasses of a class."""
+        seen: List[ClassKey] = []
+        frontier = [key]
+        while frontier:
+            current = frontier.pop()
+            for other, (_, _, bases) in self.classes.items():
+                if other not in seen and (other in self.classes[current][2]
+                                          if up else current in bases):
+                    seen.append(other)
+                    frontier.append(other)
+        return seen
+
+    def resolve(self, module: ModuleInfo,
+                name: str) -> List[Tuple[ModuleInfo, ast.AST]]:
+        """Resolve a called name to candidate defs: the module's own
+        functions first, then explicit ``from X import name`` bindings
+        into other scanned modules."""
+        own = self.functions[module.dotted].get(name)
+        if own:
+            return [(module, node) for node in own]
+        source, source_name = self.imports[module.dotted].get(
+            name, (None, None))
+        other = self.by_dotted.get(source)
+        if other is None:
+            return []
+        return [(other, node)
+                for node in self.functions[other.dotted].get(source_name, ())]
+
+    def callees(self, module: ModuleInfo, func: ast.AST,
+                call: ast.Call) -> List[Tuple[ModuleInfo, ast.AST]]:
+        """The defs a call inside ``func`` may reach: :meth:`resolve`
+        of its name and, for ``self.name(...)`` in a method, ``name``
+        as the classes above and below the method's class define it in
+        other modules."""
+        name = terminal_name(call.func)
+        if name is None:
+            return []
+        resolved = self.resolve(module, name)
+        receiver = getattr(call.func, "value", None)
+        key = self.owner.get(id(func))
+        if key is None or not (isinstance(receiver, ast.Name)
+                               and receiver.id == "self"):
+            return resolved
+        related = self.lineage(key, True) + self.lineage(key, False)
+        return resolved + [(self.classes[other][0], item)
+                           for other in related if other[0] != key[0]
+                           for item in self.methods(other, name)]
+
+    def methods(self, key: ClassKey, name: str) -> List[ast.AST]:
+        """The defs of method ``name`` in the body of class ``key``."""
+        return [item for item in self.classes[key][1].body
+                if isinstance(item, FUNC_NODES) and item.name == name]
 
 
 def _parse_waivers(source_lines: Sequence[str]) -> Dict[int, Set[str]]:

@@ -37,7 +37,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.astutil import module_imports, terminal_name
+from repro.lint.astutil import FUNC_NODES, terminal_name
 from repro.lint.engine import ModuleInfo, Project
 from repro.lint.findings import Finding
 from repro.lint.flow.registry import (
@@ -70,8 +70,6 @@ TAINTED = 3
 #: to the conservative "returns tainted, no sink attribution" summary.
 MAX_SUMMARY_DEPTH = 3
 
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
 
 def _element_taint(taint: int) -> int:
     """Taint of one element drawn from a value of taint ``taint``."""
@@ -85,6 +83,21 @@ def _element_taint(taint: int) -> int:
 def _param_names(func: ast.AST) -> List[str]:
     args = func.args
     return [a.arg for a in args.posonlyargs + args.args]
+
+
+def _message_seeds(func: ast.AST) -> Dict[str, int]:
+    """A handler's or ``where=`` predicate's message parameter (the
+    first after ``self``), seeded as a Byzantine carrier."""
+    params = _param_names(func)
+    params = params[1:] if params[:1] == ["self"] else params
+    return {params[0]: CARRIER} if params else {}
+
+
+def _where_names(tree: ast.AST) -> Set[str]:
+    """Names passed as ``where=`` predicates in ``tree``."""
+    return {kw.value.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) for kw in node.keywords
+            if kw.arg == "where" and isinstance(kw.value, ast.Name)}
 
 
 @dataclass
@@ -105,10 +118,6 @@ class FuncSummary:
 CONSERVATIVE_SUMMARY = FuncSummary(returns=True, sinks=[])
 
 
-#: A class by ``(module dotted name, class name)``.
-ClassKey = Tuple[str, str]
-
-
 def _on_names(tree: ast.AST) -> Set[str]:
     """Names of the functions ``on(mtype, f)`` calls register in
     ``tree``."""
@@ -122,13 +131,9 @@ def _on_names(tree: ast.AST) -> Set[str]:
     return names
 
 
-def _methods(cls: ast.ClassDef, name: str) -> List[ast.AST]:
-    return [item for item in cls.body
-            if isinstance(item, _FUNC_NODES) and item.name == name]
-
-
 class FlowContext:
-    """Cross-module state shared by all per-function analyses."""
+    """Cross-module state shared by all per-function analyses; names
+    and calls resolve through the project index (:class:`Project`)."""
 
     def __init__(self, project: Project, registry: TaintRegistry,
                  in_scope=None):
@@ -140,102 +145,21 @@ class FlowContext:
         #: not protocol state).
         self.in_scope = in_scope if in_scope is not None \
             else (lambda dotted: True)
-        #: per module, its functions and methods by (terminal) name and its
-        #: ``from X import Name`` bindings; top-level classes with their
-        #: bases resolved to project classes (an earlier class of the
-        #: module, else an imported one); and the class owning each method
-        self._index: Dict[str, Dict[str, List[ast.AST]]] = {}
-        self._imports: Dict[str, Dict[str, Tuple[str, str]]] = {}
-        self._classes: Dict[ClassKey, Tuple[ModuleInfo, ast.ClassDef,
-                                            List[ClassKey]]] = {}
-        self._owner: Dict[int, ClassKey] = {}
-        for module in project.modules:
-            index = self._index[module.dotted] = {}
-            imports = self._imports[module.dotted] = {
-                local: (source, name)
-                for local, source, name in module_imports(module.tree)}
-            for node in module.tree.body:
-                members = [node]
-                if isinstance(node, ast.ClassDef):
-                    key = (module.dotted, node.name)
-                    self._classes[key] = (module, node, [
-                        (module.dotted, base.id)
-                        if (module.dotted, base.id) in self._classes
-                        else imports.get(base.id)
-                        for base in node.bases if isinstance(base, ast.Name)])
-                    self._owner.update((id(item), key) for item in node.body)
-                    members = node.body
-                for item in members:
-                    if isinstance(item, _FUNC_NODES):
-                        index.setdefault(item.name, []).append(item)
         self._handlers = {m.dotted: _on_names(m.tree) for m in project.modules}
-        for key, (_, node, _) in self._classes.items():
+        for key, (_, node, _) in project.classes.items():
             for name in _on_names(node):
-                for base in self._lineage(key, up=True):
-                    if _methods(self._classes[base][1], name):
+                for base in project.lineage(key, up=True):
+                    if project.methods(base, name):
                         self._handlers[base[0]].add(name)
         self._summaries: Dict[Tuple[int, int], FuncSummary] = {}
         self._in_flight: Set[Tuple[int, int]] = set()
         self._validators: Dict[int, bool] = {}
-
-    # -- function indexing --------------------------------------------------
-
-    def functions(self, module: ModuleInfo) -> Dict[str, List[ast.AST]]:
-        """Module functions and methods keyed by (terminal) name.
-
-        Nested defs are excluded — they are closures analyzed inline by
-        their parent — so call resolution only ever lands on functions
-        reachable by name from outside.
-        """
-        return self._index.get(module.dotted, {})
 
     def handler_names(self, module: ModuleInfo) -> Set[str]:
         """Functions registered as message handlers via ``on(mtype, f)``
         in this module, or in a subclass inheriting ``f`` from a class
         of this module."""
         return self._handlers.get(module.dotted, set())
-
-    def _lineage(self, key: ClassKey, up: bool) -> List[ClassKey]:
-        """The transitive bases (``up``) or subclasses of a class."""
-        seen: List[ClassKey] = []
-        frontier = [key]
-        while frontier:
-            current = frontier.pop()
-            for other, (_, _, bases) in self._classes.items():
-                if other not in seen and (other in self._classes[current][2]
-                                          if up else current in bases):
-                    seen.append(other)
-                    frontier.append(other)
-        return seen
-
-    def hierarchy_methods(self, func: ast.AST,
-                          name: str) -> List[Tuple[ModuleInfo, ast.AST]]:
-        """Where ``self.name(...)`` inside method ``func`` may dispatch
-        beyond its own module: ``name`` as the classes above and below
-        ``func``'s class define it in other modules."""
-        key = self._owner.get(id(func))
-        if key is None:
-            return []
-        related = self._lineage(key, True) + self._lineage(key, False)
-        return [(self._classes[other][0], item) for other in related
-                if other[0] != key[0]
-                for item in _methods(self._classes[other][1], name)]
-
-    def resolve(self, module: ModuleInfo,
-                name: str) -> List[Tuple[ModuleInfo, ast.AST]]:
-        """Resolve a called name to candidate defs: the module's own
-        functions first, then explicit ``from X import name`` bindings
-        into other scanned modules."""
-        own = self.functions(module).get(name)
-        if own:
-            return [(module, node) for node in own]
-        source, source_name = self._imports[module.dotted].get(name,
-                                                               (None, None))
-        other = self.project.by_dotted.get(source)
-        if other is None:
-            return []
-        return [(other, node)
-                for node in self.functions(other).get(source_name, ())]
 
     # -- summaries ----------------------------------------------------------
 
@@ -300,10 +224,7 @@ class FlowContext:
 
     @staticmethod
     def _param_derived_names(func: ast.AST) -> Set[str]:
-        if isinstance(func, ast.Lambda):
-            names = {a.arg for a in func.args.args}
-        else:
-            names = set(_param_names(func))
+        names = set(_param_names(func))
         body = func.body if isinstance(func.body, list) else [func.body]
         for node in body:
             for stmt in ast.walk(node):
@@ -336,7 +257,8 @@ class FlowContext:
                             touches_param(expr):
                         return True
                     if name is not None and touches_param(expr):
-                        for other, resolved in self.resolve(module, name):
+                        for other, resolved in self.project.resolve(
+                                module, name):
                             if self.is_validator(other, resolved,
                                                  depth + 1):
                                 return True
@@ -367,9 +289,7 @@ class FunctionAnalysis:
         self.env: Dict[str, int] = dict(outer_env or {})
         #: names aliasing protocol instance state (writes are sinks)
         self.state_roots: Set[str] = set(outer_roots or ()) | {"self"}
-        params = _param_names(func) if not isinstance(func, ast.Lambda) \
-            else [a.arg for a in func.args.args]
-        for param in params:
+        for param in _param_names(func):
             self.env[param] = seeds.get(param, CLEAN)
             if summary_mode:
                 # In summary mode, parameters alias caller state: a
@@ -378,6 +298,7 @@ class FunctionAnalysis:
         self.findings: List[Finding] = []
         self.sink_hits: List[Tuple[int, str]] = []
         self._returns: List[Tuple[ast.expr, int]] = []
+        #: nested defs referenced as ``where=`` predicates
         self._predicate_names: Set[str] = set()
         #: per-tuple-slot taint for names bound to multi-value returns
         #: (``parsed = self._gossip(m)`` then ``a, b, c = parsed``), so
@@ -390,7 +311,7 @@ class FunctionAnalysis:
         """Interpret the function body, populating findings/sink hits."""
         body = self.func.body
         if isinstance(body, list):
-            self._collect_predicate_names(body)
+            self._predicate_names = _where_names(self.func)
             self._process_body(body)
         else:  # Lambda
             self._eval(body)
@@ -425,17 +346,6 @@ class FunctionAnalysis:
         self.findings.append(Finding(
             rule=rule, path=self.module.display_path, line=line,
             message=message, severity=severity))
-
-    def _collect_predicate_names(self, body: Sequence[ast.stmt]) -> None:
-        """Names of nested defs referenced as ``where=`` predicates —
-        their message parameter is Byzantine-controlled."""
-        for node in body:
-            for expr in ast.walk(node):
-                if isinstance(expr, ast.Call):
-                    for kw in expr.keywords:
-                        if kw.arg == "where" and isinstance(kw.value,
-                                                           ast.Name):
-                            self._predicate_names.add(kw.value.id)
 
     # -- statements ---------------------------------------------------------
 
@@ -491,7 +401,7 @@ class FunctionAnalysis:
                 self._process_body(handler.body)
             self._process_body(stmt.orelse)
             self._process_body(stmt.finalbody)
-        elif isinstance(stmt, _FUNC_NODES):
+        elif isinstance(stmt, FUNC_NODES):
             self._process_nested(stmt)
         elif isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
@@ -531,16 +441,11 @@ class FunctionAnalysis:
     def _process_nested(self, func: ast.AST) -> None:
         """Closures run with the enclosing bindings; a nested def used
         as a ``where=`` predicate gets a Byzantine message parameter."""
-        seeds: Dict[str, int] = {}
-        if func.name in self._predicate_names or \
-                func.name in self.ctx.handler_names(self.module):
-            params = _param_names(func)
-            message_param = params[1] if params[:1] == ["self"] \
-                else (params[0] if params else None)
-            if message_param is not None:
-                seeds[message_param] = CARRIER
+        seeded = func.name in self._predicate_names or \
+            func.name in self.ctx.handler_names(self.module)
         nested = FunctionAnalysis(
-            self.ctx, self.module, func, seeds,
+            self.ctx, self.module, func,
+            _message_seeds(func) if seeded else {},
             summary_mode=self.summary_mode,
             outer_env=self.env, outer_roots=self.state_roots)
         nested.run()
@@ -675,7 +580,7 @@ class FunctionAnalysis:
         has_taint = any(t > CLEAN for t in arg_taints)
         if not has_taint:
             return
-        resolved = self._resolve_call(call, name)
+        resolved = self.ctx.project.callees(self.module, self.func, call)
         if any(self.ctx.is_validator(mod, fn) for mod, fn in resolved):
             for arg in call.args:
                 self._cleanse_expr(arg)
@@ -842,14 +747,14 @@ class FunctionAnalysis:
             local = self._local_def(name)
             if local is not None:
                 return self.ctx.is_validator(self.module, local)
-            resolved = self.ctx.resolve(self.module, name)
+            resolved = self.ctx.project.resolve(self.module, name)
             return any(self.ctx.is_validator(mod, fn)
                        for mod, fn in resolved)
         return False
 
     def _local_def(self, name: str) -> Optional[ast.AST]:
         for stmt in ast.walk(self.func):
-            if isinstance(stmt, _FUNC_NODES) and stmt.name == name:
+            if isinstance(stmt, FUNC_NODES) and stmt.name == name:
                 return stmt
         return None
 
@@ -885,7 +790,7 @@ class FunctionAnalysis:
         any_taint = any(t > CLEAN for t in arg_taints) or \
             any(t > CLEAN for t in kw_taints.values())
 
-        resolved = self._resolve_call(call, name)
+        resolved = self.ctx.project.callees(self.module, self.func, call)
         if resolved and (any_taint or receiver_taint == CLEAN):
             return self._apply_summaries(call, name, resolved, arg_taints,
                                          kw_taints, check_sinks)
@@ -895,15 +800,6 @@ class FunctionAnalysis:
         if receiver_taint == CARRIER_LIST:
             return CARRIER_LIST
         return TAINTED if any_taint else CLEAN
-
-    def _resolve_call(self, call: ast.Call,
-                      name: str) -> List[Tuple[ModuleInfo, ast.AST]]:
-        """``resolve``, and for ``self.name(...)`` ``hierarchy_methods``."""
-        resolved = self.ctx.resolve(self.module, name)
-        receiver = getattr(call.func, "value", None)
-        if isinstance(receiver, ast.Name) and receiver.id == "self":
-            resolved = resolved + self.ctx.hierarchy_methods(self.func, name)
-        return resolved
 
     def _apply_summaries(self, call: ast.Call, name: str,
                          resolved, arg_taints, kw_taints,
@@ -994,34 +890,22 @@ def analyze_module(ctx: FlowContext,
     parameter; everything else starts clean and only picks up taint
     from inbox queries, condition yields, and registered source calls.
     """
-    handler_names = ctx.handler_names(module)
-    predicate_names: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call):
-            for kw in node.keywords:
-                if kw.arg == "where" and isinstance(kw.value, ast.Name):
-                    predicate_names.add(kw.value.id)
+    seeded = ctx.handler_names(module) | _where_names(module.tree)
 
     findings: List[Finding] = []
     seen: Set[Tuple[str, int, str]] = set()
 
     def entry_functions():
         for node in module.tree.body:
-            if isinstance(node, _FUNC_NODES):
+            if isinstance(node, FUNC_NODES):
                 yield node
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, _FUNC_NODES):
+                    if isinstance(item, FUNC_NODES):
                         yield item
 
     for func in entry_functions():
-        seeds: Dict[str, int] = {}
-        if func.name in handler_names or func.name in predicate_names:
-            params = _param_names(func)
-            message_param = params[1] if params[:1] == ["self"] \
-                else (params[0] if params else None)
-            if message_param is not None:
-                seeds[message_param] = CARRIER
+        seeds = _message_seeds(func) if func.name in seeded else {}
         analysis = FunctionAnalysis(ctx, module, func, seeds)
         analysis.run()
         for finding in analysis.findings:

@@ -17,19 +17,25 @@ string.
 
 Message types resolve module-qualified: a ``MSG_SEND`` constant means
 whatever *that* module (or its explicit import) binds it to, so
-``avid-send`` and ``rbc-send`` never alias.  One level of send-wrapper
-indirection is followed: a helper whose parameter flows into the
-``mtype`` position (e.g. ``_broadcast(mtype, ...)``) contributes the
-resolved constants from its call sites.
+``avid-send`` and ``rbc-send`` never alias.  One level of wrapper
+indirection is followed on both sides: a helper whose parameter flows
+into the ``mtype`` position of a send (e.g. ``_broadcast(mtype, ...)``)
+or of a receive site (e.g. a client base's timestamp round waiting on
+``condition_quorum(tag, ts_type, ...)``) takes its message types from
+its call sites, each resolved through the constants of the caller's
+module.  Call sites resolve through the project index
+(:meth:`repro.lint.engine.Project.callees`): the caller's module, its
+imports and, for ``self.helper(...)``, the classes above and below the
+caller's class.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.astutil import str_constant, terminal_name
+from repro.lint.astutil import FUNC_NODES, str_constant, terminal_name
 from repro.lint.config import LintConfig
 from repro.lint.engine import ModuleInfo, Project
 from repro.lint.findings import Finding
@@ -53,6 +59,8 @@ _RECEIVE_MTYPE_INDEX = {
 #: Inbox query methods additionally require an ``inbox`` receiver so
 #: unrelated ``.messages(...)`` calls do not register receive sites.
 _INBOX_ONLY = {"messages", "first_per_sender", "senders", "count_distinct"}
+#: The send and receive primitives themselves are never wrappers.
+_PRIMITIVES = set(_SEND_MTYPE_INDEX) | set(_RECEIVE_MTYPE_INDEX)
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,14 @@ class _Site:
     line: int
 
 
-def _resolve_mtype(node: ast.expr,
+#: wrapper name -> ``id`` of its def -> ``(kind, index, name)`` of each
+#: parameter (``self`` excluded) that reaches a send or receive mtype
+_Wrappers = Dict[str, Dict[int, Set[Tuple[str, int, str]]]]
+#: calls with their module and the function or method containing them
+_Calls = List[Tuple[ModuleInfo, Optional[ast.AST], ast.Call]]
+
+
+def _resolve_mtype(node: Optional[ast.expr],
                    constants: Dict[str, str]) -> Optional[str]:
     literal = str_constant(node)
     if literal is not None:
@@ -101,113 +116,84 @@ class HandlerCompletenessRule:
             config: LintConfig) -> Iterable[Finding]:
         """Yield handler-completeness findings over the scoped modules."""
         scope = project.scoped(self.pack, config)
-        sends: List[_Site] = []
-        receives: List[_Site] = []
-        #: wrapper function name -> index (excluding self) of the
-        #: parameter that flows into an mtype position.
-        wrappers: Dict[str, int] = {}
-
+        sites: Dict[str, List[_Site]] = {"send": [], "receive": []}
+        wrappers: _Wrappers = {}
+        calls: _Calls = []
         for module in scope:
-            self._collect(module, sends, receives, wrappers)
-        for module in scope:
-            self._collect_wrapper_calls(module, wrappers, sends)
+            self._collect(module, sites, wrappers, calls)
+        for module, func, call in calls:
+            by_def = wrappers.get(terminal_name(call.func))
+            if not by_def:
+                continue
+            for _, callee in project.callees(module, func, call):
+                for kind, index, param in by_def.get(id(callee), ()):
+                    mtype = _resolve_mtype(_mtype_arg(call, index, param),
+                                           module.constants)
+                    if mtype is not None:
+                        sites[kind].append(
+                            _Site(mtype, module.dotted, call.lineno))
 
-        sent_types = {s.mtype for s in sends}
-        received_types = {r.mtype for r in receives}
         module_paths = {m.dotted: m.display_path for m in scope}
+        for kind, other, rule, text in (
+                ("send", "receive", RULE_UNHANDLED, "is sent here but has "
+                 "no dispatch arm or wait condition anywhere"),
+                ("receive", "send", RULE_ORPHAN, "has a receive site here "
+                 "but no process ever sends it")):
+            matched = {site.mtype for site in sites[other]}
+            for site in sites[kind]:
+                if site.mtype not in matched:
+                    yield Finding(
+                        rule=rule, path=module_paths[site.module],
+                        line=site.line,
+                        message=f"message type '{site.mtype}' {text}")
 
-        for site in sends:
-            if site.mtype not in received_types:
-                yield Finding(
-                    rule=RULE_UNHANDLED,
-                    path=module_paths[site.module],
-                    line=site.line,
-                    message=(
-                        f"message type '{site.mtype}' is sent here but "
-                        "has no dispatch arm or wait condition anywhere"))
-        for site in receives:
-            if site.mtype not in sent_types:
-                yield Finding(
-                    rule=RULE_ORPHAN,
-                    path=module_paths[site.module],
-                    line=site.line,
-                    message=(
-                        f"message type '{site.mtype}' has a receive site "
-                        "here but no process ever sends it"))
+    def _collect(self, module: ModuleInfo, sites: Dict[str, List[_Site]],
+                 wrappers: _Wrappers, calls: _Calls) -> None:
+        stack: List[ast.AST] = []
 
-    def _collect(self, module: ModuleInfo, sends: List[_Site],
-                 receives: List[_Site],
-                 wrappers: Dict[str, int]) -> None:
-        param_stack: List[Tuple[str, List[str]]] = []
+        def site(kind: str, arg: Optional[ast.expr], line: int) -> None:
+            """``arg`` names a message type at ``line``: a constant, or
+            a parameter of the enclosing helper, which is then a
+            wrapper whose call sites supply the constant."""
+            mtype = _resolve_mtype(arg, module.constants)
+            if mtype is not None:
+                sites[kind].append(_Site(mtype, module.dotted, line))
+            elif (isinstance(arg, ast.Name) and stack
+                  and stack[-1].name not in _PRIMITIVES):
+                params = _param_names(stack[-1])
+                if arg.id in params:
+                    wrappers.setdefault(stack[-1].name, {}).setdefault(
+                        id(stack[-1]), set()).add(
+                            (kind, params.index(arg.id), arg.id))
 
         def visit(node: ast.AST) -> None:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                param_stack.append((node.name, _param_names(node)))
+            if isinstance(node, FUNC_NODES):
+                stack.append(node)
                 for child in ast.iter_child_nodes(node):
                     visit(child)
-                param_stack.pop()
+                stack.pop()
                 return
             if isinstance(node, ast.Call):
-                self._visit_call(module, node, param_stack, sends,
-                                 receives, wrappers)
+                calls.append((module, stack[0] if stack else None, node))
+                fname = terminal_name(node.func)
+                if (fname in _SEND_MTYPE_INDEX
+                        and isinstance(node.func, ast.Attribute)):
+                    site("send", _mtype_arg(node, _SEND_MTYPE_INDEX[fname]),
+                         node.lineno)
+                elif fname == WAIT_STATE_CALL:
+                    # every argument after the check closure is a
+                    # ``(tag, mtype, oid)`` bucket the closure waits on
+                    for key in node.args[1:]:
+                        if isinstance(key, ast.Tuple) and len(key.elts) == 3:
+                            site("receive", key.elts[1], node.lineno)
+                elif fname in _RECEIVE_MTYPE_INDEX and (
+                        fname not in _INBOX_ONLY
+                        or (isinstance(node.func, ast.Attribute)
+                            and terminal_name(node.func.value) == "inbox")):
+                    site("receive",
+                         _mtype_arg(node, _RECEIVE_MTYPE_INDEX[fname]),
+                         node.lineno)
             for child in ast.iter_child_nodes(node):
                 visit(child)
 
         visit(module.tree)
-
-    def _visit_call(self, module: ModuleInfo, node: ast.Call,
-                    param_stack: List[Tuple[str, List[str]]],
-                    sends: List[_Site], receives: List[_Site],
-                    wrappers: Dict[str, int]) -> None:
-        fname = terminal_name(node.func)
-        if (fname in _SEND_MTYPE_INDEX
-                and isinstance(node.func, ast.Attribute)):
-            arg = _mtype_arg(node, _SEND_MTYPE_INDEX[fname])
-            if arg is None:
-                return
-            mtype = _resolve_mtype(arg, module.constants)
-            if mtype is not None:
-                sends.append(_Site(mtype, module.dotted, node.lineno))
-            elif isinstance(arg, ast.Name) and param_stack:
-                func_name, params = param_stack[-1]
-                if (arg.id in params
-                        and func_name not in _SEND_MTYPE_INDEX):
-                    wrappers[func_name] = params.index(arg.id)
-        elif fname == WAIT_STATE_CALL:
-            # every argument after the check closure is a
-            # ``(tag, mtype, oid)`` bucket the closure waits on
-            for key in node.args[1:]:
-                if isinstance(key, ast.Tuple) and len(key.elts) == 3:
-                    mtype = _resolve_mtype(key.elts[1], module.constants)
-                    if mtype is not None:
-                        receives.append(
-                            _Site(mtype, module.dotted, node.lineno))
-        elif fname in _RECEIVE_MTYPE_INDEX:
-            if fname in _INBOX_ONLY:
-                receiver = (node.func.value
-                            if isinstance(node.func, ast.Attribute)
-                            else None)
-                if receiver is None or terminal_name(receiver) != "inbox":
-                    return
-            arg = _mtype_arg(node, _RECEIVE_MTYPE_INDEX[fname])
-            if arg is None:
-                return
-            mtype = _resolve_mtype(arg, module.constants)
-            if mtype is not None:
-                receives.append(_Site(mtype, module.dotted, node.lineno))
-
-    def _collect_wrapper_calls(self, module: ModuleInfo,
-                               wrappers: Dict[str, int],
-                               sends: List[_Site]) -> None:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fname = terminal_name(node.func)
-            if fname not in wrappers:
-                continue
-            index = wrappers[fname]
-            if len(node.args) <= index:
-                continue
-            mtype = _resolve_mtype(node.args[index], module.constants)
-            if mtype is not None:
-                sends.append(_Site(mtype, module.dotted, node.lineno))

@@ -34,6 +34,7 @@ import itertools
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.astutil import (
+    FUNC_NODES,
     int_constant,
     iter_functions,
     locally_bound_names,
@@ -223,8 +224,7 @@ class QuorumArithmeticRule:
             for node in ast.walk(func):
                 if id(node) in seen:
                     continue
-                if isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)) and node is not func:
+                if isinstance(node, FUNC_NODES) and node is not func:
                     # Nested defs are visited as their own functions.
                     for inner in ast.walk(node):
                         seen.add(id(inner))

@@ -17,7 +17,7 @@ registered type nothing references is dead weight in the registry.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.astutil import (
@@ -54,7 +54,6 @@ class _Usage:
     module: str
     line: int
     context: str
-    imports: Dict[str, str] = field(default_factory=dict)
 
 
 def _decorator_terminal(decorator: ast.expr) -> Optional[str]:
@@ -89,17 +88,6 @@ def _collect_dataclasses(module: ModuleInfo) -> List[_DataclassDef]:
     return defs
 
 
-def _class_imports(module: ModuleInfo) -> Dict[str, str]:
-    """Local name -> source module for ``from X import Cls`` bindings."""
-    table: Dict[str, str] = {}
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                if alias.name != "*":
-                    table[alias.asname or alias.name] = node.module
-    return table
-
-
 def _payload_class_refs(node: ast.expr,
                         locals_table: Dict[str, ast.expr]) -> Iterator[
                             Tuple[str, ast.expr]]:
@@ -125,12 +113,11 @@ def _payload_class_refs(node: ast.expr,
 
 def _collect_usages(module: ModuleInfo) -> List[_Usage]:
     usages: List[_Usage] = []
-    imports = _class_imports(module)
 
     def add(name: str, node: ast.AST, context: str) -> None:
         usages.append(_Usage(name=name, module=module.dotted,
                              line=getattr(node, "lineno", 1),
-                             context=context, imports=imports))
+                             context=context))
 
     for func in iter_functions(module.tree):
         locals_table = single_assignment_table(func)
@@ -156,22 +143,18 @@ def _collect_usages(module: ModuleInfo) -> List[_Usage]:
     return usages
 
 
-def _reference_modules(project: Project, cls: _DataclassDef,
-                       scope: List[ModuleInfo]) -> Set[str]:
-    """Modules other than the defining one that mention the class name."""
-    refs: Set[str] = set()
-    for module in scope:
-        if module.dotted == cls.module:
-            continue
-        for node in ast.walk(module.tree):
-            if ((isinstance(node, ast.Name) and node.id == cls.name)
-                    or (isinstance(node, ast.Attribute)
-                        and node.attr == cls.name)
-                    or (isinstance(node, ast.alias)
-                        and node.name.split(".")[-1] == cls.name)):
-                refs.add(module.dotted)
-                break
-    return refs
+def _mentions(module: ModuleInfo) -> Set[str]:
+    """Every name a module mentions: names, attribute names and the
+    last part of each imported name."""
+    names: Set[str] = set()
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
 
 
 class WireRegistryRule:
@@ -197,8 +180,7 @@ class WireRegistryRule:
         module_paths = {m.dotted: m.display_path for m in scope}
 
         for usage in usages:
-            candidates = by_name.get(usage.name, [])
-            resolved = self._resolve_usage(usage, candidates)
+            resolved = self._resolve_usage(project, usage, by_name)
             if resolved is None or resolved.registered:
                 continue
             yield Finding(
@@ -206,17 +188,17 @@ class WireRegistryRule:
                 path=module_paths[usage.module],
                 line=usage.line,
                 message=(
-                    f"dataclass '{usage.name}' (defined in "
+                    f"dataclass '{resolved.name}' (defined in "
                     f"{resolved.module}) is used as a message payload "
                     "but is not registered with register_wire_type"))
 
         used_names = {u.name for u in usages}
+        mentions = {m.dotted: _mentions(m) for m in scope}
         for d in defs:
-            if not d.registered:
+            if not d.registered or d.name in used_names:
                 continue
-            if d.name in used_names:
-                continue
-            if _reference_modules(project, d, scope):
+            if any(d.name in names for dotted, names in mentions.items()
+                   if dotted != d.module):
                 continue
             yield Finding(
                 rule=RULE_DEAD,
@@ -229,19 +211,21 @@ class WireRegistryRule:
                     "registration or the class"))
 
     @staticmethod
-    def _resolve_usage(usage: _Usage,
-                       candidates: List[_DataclassDef]) -> Optional[
+    def _resolve_usage(project: Project, usage: _Usage,
+                       by_name: Dict[str, List[_DataclassDef]]) -> Optional[
                            _DataclassDef]:
-        if not candidates:
-            return None
-        for candidate in candidates:
+        """The dataclass a used name denotes: one its module defines,
+        else the one its ``from X import Y as Z`` binding names, else
+        the only dataclass of that name."""
+        for candidate in by_name.get(usage.name, []):
             if candidate.module == usage.module:
                 return candidate
-        source = usage.imports.get(usage.name)
-        if source is not None:
-            for candidate in candidates:
-                if candidate.module == source:
-                    return candidate
+        source, name = project.imports[usage.module].get(
+            usage.name, (None, usage.name))
+        candidates = by_name.get(name, [])
+        for candidate in candidates:
+            if candidate.module == source:
+                return candidate
         if len(candidates) == 1:
             return candidates[0]
         return None

@@ -23,8 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.lint import run_lint
-from repro.lint.astutil import terminal_name
-from repro.lint.engine import discover
+from repro.lint.astutil import str_constant, terminal_name
+from repro.lint.engine import Project, discover
 from repro.net.simulator import OBSERVER_HOOKS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -384,3 +384,68 @@ def test_register_servers_share_one_skeleton():
         "repro.core.register._listen:knows",
         "repro.core.register._on_read_complete:retire"]
     assert initial_commits == ["repro.core.register._initial_block"]
+
+
+def test_register_clients_share_one_timestamp_round():
+    """The register-client ratchet: the first phase of every write is
+    written once, in ``repro.core.register``.  Under ``src/repro`` no
+    ``send_to_servers`` names a get-ts type and no ``condition_quorum``
+    waits on a ts type (constants resolved as the linter resolves them,
+    imports included); one function sends and waits on types it takes
+    as parameters, ``RegisterClientBase._ts_round``; and the five
+    register clients with a timestamp round call it."""
+    from repro.baselines import goodson, martin
+    from repro.core import atomic, atomic_md
+    protocols = (atomic, atomic_md, goodson, martin)
+    named = {"send_to_servers": {p.MSG_GET_TS for p in protocols},
+             "condition_quorum": {p.MSG_TS for p in protocols}}
+    by_constant, by_parameter = [], {}
+    for module in Project(modules=discover([SRC])).modules:
+        for scope in ast.walk(module.tree):
+            if not isinstance(scope, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                continue
+            params = {arg.arg for arg in scope.args.args}
+            for node in ast.walk(scope):
+                name = isinstance(node, ast.Call) \
+                    and terminal_name(node.func)
+                if name not in named or len(node.args) < 2:
+                    continue
+                mtype = node.args[1]
+                if module.constants.get(terminal_name(mtype),
+                                        str_constant(mtype)) in named[name]:
+                    by_constant.append(f"{module.dotted}.{scope.name}")
+                elif terminal_name(mtype) in params:
+                    by_parameter.setdefault(
+                        f"{module.dotted}.{scope.name}", set()).add(name)
+    assert by_constant == []
+    assert [site for site, calls in by_parameter.items()
+            if calls == set(named)] == ["repro.core.register._ts_round"]
+    assert _call_sites("_ts_round") == [
+        "repro.baselines.goodson._write_thread",
+        "repro.baselines.martin._write_thread",
+        "repro.baselines.phalanx._write_thread",
+        "repro.core.atomic._write_thread",
+        "repro.core.atomic_md._write_thread"]
+
+
+def test_lint_packs_share_one_project_index():
+    """The lint ratchet: every pack resolves imported names through the
+    one project index.  ``module_imports`` is called only by
+    ``Project``, and under ``repro.lint`` only it and the determinism
+    pack's import check read an import alias's ``asname`` — no other
+    function can build a table of ``from X import Y as Z`` bindings."""
+    assert _call_sites("module_imports") == ["repro.lint.engine._index"]
+    readers = set()
+    for module in discover([SRC]):
+        if not module.dotted.startswith("repro.lint."):
+            continue
+        for scope in ast.walk(module.tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(isinstance(node, ast.Attribute)
+                            and node.attr == "asname"
+                            for node in ast.walk(scope)):
+                readers.add(f"{module.dotted}.{scope.name}")
+    assert sorted(readers) == [
+        "repro.lint.astutil.module_imports",
+        "repro.lint.rules.determinism._check_import_from"]

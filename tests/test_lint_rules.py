@@ -44,9 +44,14 @@ def test_quorum_pack_detects_seeded_violations():
 
 
 def test_wire_pack_detects_unregistered_payload():
-    report = run_lint([FIXTURES / "wire_violations.py"], only={"wire"})
+    # wire_alias.py imports the class as ``Body``: the alias resolves
+    # through the project's import bindings to the class it names
+    report = run_lint([FIXTURES / "wire_violations.py",
+                       FIXTURES / "wire_alias.py"], only={"wire"})
     path = str(FIXTURES / "wire_violations.py")
-    assert locate(report, "wire-unregistered") == [(path, 21), (path, 25)]
+    alias = str(FIXTURES / "wire_alias.py")
+    assert locate(report, "wire-unregistered") == [
+        (alias, 16), (path, 21), (path, 25)]
 
 
 def test_wire_pack_detects_dead_registration():
@@ -67,6 +72,39 @@ def test_handler_pack_detects_orphans_and_unhandled():
     assert locate(report, "handler-unhandled") == [(path, 19)]
     # The matched ping send/handler pair stays quiet.
     assert len(report.active) == 3
+
+
+def test_handler_pack_follows_receive_wrappers_across_the_hierarchy(
+        tmp_path):
+    """A base-class helper sends and waits on message types it takes as
+    parameters; a subclass in another module passes the constants, and
+    the handler and the reply sit in a third class.  The helper's sites
+    come from that call, so no handler finding remains — and a call
+    passing a reply type nothing sends is an orphan at the call, while
+    the same call in a class outside the hierarchy reaches no helper."""
+    wrapper = [FIXTURES / "handler_wrapper_base.py",
+               FIXTURES / "handler_wrapper_sub.py"]
+    report = run_lint(wrapper, only={"handlers"})
+    assert report.active == []
+    orphan = tmp_path / "handler_wrapper_orphan.py"
+    orphan.write_text(
+        "from handler_wrapper_base import RoundClientBase\n"
+        "\n"
+        "MSG_ASK = 'wrapped-ask'\n"
+        "MSG_UNSENT = 'wrapped-unsent'\n"
+        "\n"
+        "\n"
+        "class SilentClient(RoundClientBase):\n"
+        "    def ask(self, tag, oid):\n"
+        "        yield from self._round(tag, oid, MSG_ASK, MSG_UNSENT)\n"
+        "\n"
+        "\n"
+        "class Unrelated:\n"
+        "    def ask(self, tag, oid):\n"
+        "        yield from self._round(tag, oid, MSG_ASK, MSG_UNSENT)\n")
+    report = run_lint(wrapper + [orphan], only={"handlers"})
+    assert locate(report, "handler-orphan") == [(str(orphan), 9)]
+    assert len(report.active) == 1
 
 
 def test_waiver_comments_suppress_findings():

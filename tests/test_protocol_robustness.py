@@ -10,7 +10,8 @@ from repro.config import SystemConfig
 from repro.core.atomic import disp_tag, rbc_tag, _parse_subtag
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.net.process import Process
-from repro.net.schedulers import RandomScheduler
+from repro.net.schedulers import FifoScheduler, RandomScheduler
+from repro.obs import TraceRecorder
 
 TAG = "reg"
 
@@ -100,19 +101,47 @@ def test_forged_value_messages_ignored_by_reader():
     assert read_handle.done and read_handle.result == b"the truth"
 
 
-def test_forged_ts_replies_ignored_by_writer():
-    cluster, attacker = _cluster(protocol="atomic_ns")
+@pytest.mark.parametrize("protocol", [
+    "atomic", "atomic_ns", "atomic_md", "martin", "goodson", "phalanx",
+    "bazzi_ding"])
+def test_forged_ts_replies_ignored_by_writer(protocol, log_deliveries):
+    """Forged timestamp replies never reach the writer's ``n - t``
+    quorum.  Sent by a client they fail the server test; sent by a
+    server (a raw sender in server ``n``'s place) they fail the reply
+    filter: wrong arity, a non-int, a negative int and, on
+    ``atomic_ns``, a missing or bad signature.  FIFO delivery brings
+    every forged reply to the writer before any honest one, so a reply
+    the filter let through would be in the quorum."""
+    n = 5 if protocol in ("goodson", "phalanx", "bazzi_ding") else 4
+    config = SystemConfig(n=n, t=1, k=default_k(protocol, 1))
+    cluster = build_cluster(
+        config, protocol=protocol, num_clients=2, scheduler=FifoScheduler(),
+        server_overrides={n: lambda pid, cfg: RawSender(pid)},
+        client_overrides={2: lambda pid, cfg: RawSender(pid)})
+    recorder = TraceRecorder().attach(cluster.simulator)
+    delivered = log_deliveries(cluster.simulator)
+    ts_type = "md-ts" if protocol == "atomic_md" else "ts"
+    signature = (None,) if protocol == "atomic_ns" else ()
+    forged = [("w1", 10 ** 15, None, None), ("w1", "NaN", *signature),
+              ("w1", -5, *signature)]
+    if protocol == "atomic_ns":
+        forged += [("w1", 10 ** 15, None),        # unsigned inflation
+                   ("w1", 3, b"not-a-signature")]
     write_handle = cluster.client(1).invoke_write(TAG, "w1", b"v")
-    for payload in [
-        ("w1", 10 ** 15, None),          # unsigned inflation
-        ("w1", "NaN", None),
-        ("w1", -5, None),
-        ("w1", 3, b"not-a-signature"),
-    ]:
-        attacker.send(client_id(1), TAG, "ts", *payload)
+    attackers = (cluster.client(2), cluster.server(n))
+    for attacker in attackers:
+        for payload in forged:
+            attacker.send(client_id(1), TAG, ts_type, *payload)
     cluster.run()
     assert write_handle.done
     assert cluster.server(1).register_state(TAG).timestamp.ts == 1
+    forged_ids = {message.msg_id for message in delivered
+                  if message.mtype == ts_type and message.sender in
+                  {attacker.pid for attacker in attackers}}
+    assert len(forged_ids) == len(attackers) * len(forged)
+    [release] = [release for release in recorder.quorum_releases
+                 if release.mtype == ts_type]
+    assert not forged_ids & set(release.quorum_msg_ids)
 
 
 def test_forged_acks_do_not_complete_writes(log_deliveries):
