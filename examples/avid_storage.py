@@ -13,7 +13,7 @@ import os
 from repro import RandomScheduler, Simulator, SystemConfig
 from repro.avid import AvidStorageClient, AvidStorageNode
 from repro.common.ids import client_id, server_id
-from repro.faults.byzantine_clients import InconsistentDisperser
+from repro.net.process import Process
 
 
 def main() -> None:
@@ -23,8 +23,7 @@ def main() -> None:
              for j in range(1, 5)]
     writer = simulator.add_process(AvidStorageClient(client_id(1), config))
     reader = simulator.add_process(AvidStorageClient(client_id(2), config))
-    attacker = simulator.add_process(
-        InconsistentDisperser(client_id(3), config))
+    attacker = simulator.add_process(Process(client_id(3)))
 
     # Disperse a file: each server ends up with one erasure-code block.
     payload = os.urandom(30_000)

@@ -15,10 +15,8 @@ Run:  python examples/byzantine_tolerance.py
 from repro.analysis.history import effected_writes
 from repro.cluster import build_cluster
 from repro.config import SystemConfig
-from repro.faults.byzantine_clients import (
-    InconsistentDisperser,
-    SkippingWriter,
-)
+from repro.core.atomic_ns import AtomicNSClient
+from repro.faults.byzantine_clients import byzantine_client
 from repro.faults.byzantine_servers import (
     CrashServer,
     EquivocatingReaderServer,
@@ -35,10 +33,9 @@ def inconsistent_client_demo() -> None:
         SystemConfig(n=4, t=1), protocol="atomic_ns", num_clients=2,
         scheduler=RandomScheduler(1),
         client_overrides={
-            2: lambda pid, cfg: InconsistentDisperser(pid, cfg)})
+            2: byzantine_client(AtomicNSClient, "inconsistent-dispersal")})
     cluster.write(1, TAG, "honest", b"clean data")
-    cluster.client(2).attack_write(TAG, "dirty",
-                                   [b"junk-A" * 8, b"junk-B" * 8], ts=1)
+    cluster.client(2).invoke_write(TAG, "dirty", b"junk-A" * 8)
     cluster.run()
     read = cluster.read(1, TAG, "probe")
     print(f"   effected writes: {sorted(effected_writes(cluster, TAG))} "
@@ -52,8 +49,8 @@ def skipping_client_demo() -> None:
     cluster = build_cluster(
         SystemConfig(n=4, t=1), protocol="atomic_ns", num_clients=2,
         scheduler=RandomScheduler(2),
-        client_overrides={2: lambda pid, cfg: SkippingWriter(pid, cfg)})
-    cluster.client(2).attack_write(TAG, "skip", b"evil")
+        client_overrides={2: byzantine_client(AtomicNSClient, "skip-ts")})
+    cluster.client(2).invoke_write(TAG, "skip", b"evil")
     cluster.run()
     cluster.write(1, TAG, "honest", b"good")
     state = cluster.server(1).register_state(TAG)

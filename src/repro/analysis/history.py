@@ -24,7 +24,7 @@ from repro.analysis.linearizability import (
 )
 from repro.common.errors import AtomicityViolation, LivenessError
 from repro.common.ids import PartyId
-from repro.core.register import OperationHandle
+from repro.core.register import ByzantineClient, OperationHandle
 
 #: Outcomes of :func:`run_verdict`, strictly worsening.
 STATUS_OK = "ok"
@@ -108,12 +108,14 @@ class HistoryRecorder:
         every invoked operation must terminate once the run is complete.
         """
         operations: List[HistoryOp] = []
+        byzantine_writes = dict(self._byzantine_writes)
         for client in self._cluster.clients:
-            handles = getattr(client, "operations", None)
-            if handles is None:
-                continue  # Byzantine client: no recorded honest handles
-            for handle in handles:
+            for handle in getattr(client, "operations", ()):
                 if handle.tag != self._tag:
+                    continue
+                if isinstance(client, ByzantineClient):
+                    if handle.kind == "write":
+                        byzantine_writes[handle.oid] = handle.value
                     continue
                 if not handle.done:
                     if require_done:
@@ -124,7 +126,7 @@ class HistoryRecorder:
                 operations.append(self._from_handle(handle))
         effected = effected_writes(self._cluster, self._tag,
                                    self._honest_servers)
-        for oid, value in self._byzantine_writes.items():
+        for oid, value in byzantine_writes.items():
             if oid in effected:
                 operations.append(HistoryOp(
                     kind=KIND_WRITE, oid=oid, value=value))

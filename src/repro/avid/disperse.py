@@ -55,7 +55,7 @@ communication is ``O(n |F|)`` plus ``O(n^3 |H|)`` with hash vectors or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.ids import PartyId
 from repro.common.serialization import encode, encoded_size
@@ -93,11 +93,18 @@ def disperse(process: Process, tag: str, value: bytes,
     each server receives only its own block (plus the commitment), which is
     where the ``|F| / k`` per-server storage saving comes from.
     """
-    blocks = config.coder.encode(value)
+    send_blocks(process, tag, config.coder.encode(value), config)
+
+
+def send_blocks(process: Process, tag: str, blocks: List[bytes],
+                config: SystemConfig, reach: Optional[int] = None) -> None:
+    """Commit to ``blocks`` and send server ``P_j`` block ``j`` with its
+    witness, for the first ``reach`` servers (default: all)."""
     commitment, witnesses = config.commitment_scheme.commit(blocks)
     # Each copy is sized from one walk of ``D``: encoded sizes add up.
     plain_size = content_wire_size(tag, MSG_SEND, (commitment, None, None))
-    for index, server in enumerate(process.simulator.server_pids, start=1):
+    for index, server in enumerate(process.simulator.server_pids[:reach],
+                                   start=1):
         block, witness = blocks[index - 1], witnesses[index - 1]
         process.send(server, tag, MSG_SEND, commitment, block, witness,
                      wire_size=_with_block(plain_size, block, witness))

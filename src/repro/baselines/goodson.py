@@ -200,7 +200,7 @@ class GoodsonClient(RegisterClientBase):
     def _store_round(self, tag: str, oid: str, timestamp: Timestamp,
                      value: bytes):
         """One unvalidated fragment fan-out plus the ack quorum."""
-        fragments = self._coder.encode(value)
+        fragments = self._fragments(value)
         checksum = _cross_checksum(fragments)
         for index, server in enumerate(self.simulator.server_pids, start=1):
             self.send(server, tag, MSG_STORE, oid, timestamp,
@@ -208,6 +208,10 @@ class GoodsonClient(RegisterClientBase):
         yield self.condition_quorum(
             tag, MSG_ACK, self.config.quorum, oid=oid,
             where=lambda m: m.sender.is_server and len(m.payload) == 1)
+
+    def _fragments(self, value: bytes) -> list:
+        """The fragments a store round sends, one per server."""
+        return self._coder.encode(value)
 
     # -- read ---------------------------------------------------------------------
 

@@ -115,8 +115,7 @@ class MartinClient(RegisterClientBase):
         replies = yield from self._ts_round(tag, oid, MSG_GET_TS, MSG_TS)
         ts = self._choose_timestamp(
             sorted((m.payload[1] for m in replies), reverse=True))
-        self.send_to_servers(tag, MSG_STORE, oid, Timestamp(ts + 1, oid),
-                             handle.value)
+        self._store(tag, oid, Timestamp(ts + 1, oid), handle.value)
         yield self.condition_quorum(
             tag, MSG_ACK, self.config.quorum, oid=oid,
             where=lambda m: m.sender.is_server and len(m.payload) == 1)
@@ -126,6 +125,11 @@ class MartinClient(RegisterClientBase):
         """SBQ-L takes the maximum reply — skipping is possible because a
         single corrupted server controls the maximum."""
         return descending_ts[0]
+
+    def _store(self, tag: str, oid: str, timestamp: Timestamp,
+               value: bytes) -> None:
+        """Send the full value under ``timestamp`` to every server."""
+        self.send_to_servers(tag, MSG_STORE, oid, timestamp, value)
 
     def _read_thread(self, handle: OperationHandle):
         tag, oid = handle.tag, handle.oid

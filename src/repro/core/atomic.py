@@ -243,8 +243,8 @@ class AtomicClient(RegisterClientBase):
         tag, oid = handle.tag, handle.oid
         replies = yield from self._ts_round(tag, oid, MSG_GET_TS, MSG_TS)
         broadcast_value = self._choose_broadcast_value(tag, replies)
-        disperse(self, disp_tag(tag, oid), handle.value, self.config)
-        r_broadcast(self, rbc_tag(tag, oid), broadcast_value)
+        self._disperse(tag, oid, handle.value)
+        self._broadcast(tag, oid, broadcast_value)
         yield self.condition_quorum(
             tag, MSG_ACK, self.config.quorum, oid=oid,
             where=lambda m: m.sender.is_server)
@@ -253,6 +253,14 @@ class AtomicClient(RegisterClientBase):
     def _choose_broadcast_value(self, tag: str, replies) -> Any:
         """The value to r-broadcast: the largest received timestamp."""
         return max(message.payload[1] for message in replies)
+
+    def _disperse(self, tag: str, oid: str, value: bytes) -> None:
+        """Disperse the written value (instance ``ID|disp.oid``)."""
+        disperse(self, disp_tag(tag, oid), value, self.config)
+
+    def _broadcast(self, tag: str, oid: str, value: Any) -> None:
+        """R-broadcast the chosen value (instance ``ID|rbc.oid``)."""
+        r_broadcast(self, rbc_tag(tag, oid), value)
 
     # -- read -----------------------------------------------------------------
 

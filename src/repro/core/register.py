@@ -73,6 +73,12 @@ class OperationHandle:
         self.timestamp = timestamp
 
 
+class ByzantineClient:
+    """The mark of a corrupted client (every client attack carries it):
+    :class:`~repro.analysis.history.HistoryRecorder` admits its writes
+    only once they take effect, and never waits on its operations."""
+
+
 class RegisterClientBase(Process):
     """Shared machinery of register protocol clients.
 

@@ -20,15 +20,12 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.analysis.history import effected_writes
-from repro.cluster import build_cluster
+from repro.cluster import build_cluster, protocol_classes
 from repro.config import SystemConfig
 from repro.core.register import OperationHandle
 from repro.experiments.common import measure_operation, render_table
-from repro.faults.byzantine_clients import (
-    InconsistentDisperser,
-    PoisonousGoodsonWriter,
-)
-from repro.net.schedulers import RandomScheduler
+from repro.faults.byzantine_clients import byzantine_client
+from repro.net.schedulers import FifoScheduler, RandomScheduler
 from repro.workloads.generator import make_values
 
 TAG = "reg"
@@ -46,30 +43,32 @@ class PoisonRow:
 def poisoned_read(protocol: str, count: int, t: int = 1, seed: int = 0,
                   value_size: int = 512) -> Tuple[PoisonRow, OperationHandle]:
     """An honest write, ``count`` poisonous writes by a Byzantine client,
-    then a probe read; returns the row and the probe read's handle.
+    then a probe read under FIFO delivery; returns the row and the probe
+    read's handle.
 
     Against ``goodson`` (``n = 4t+1``) the poison is stored and stacked
     by increasing timestamps, so the read rolls back past each version;
     against ``atomic_ns`` (``n = 3t+1``) the inconsistent dispersals
     never complete and nothing is stored.
     """
-    garbage = make_values(2, size=value_size, prefix=b"garbage")
+    garbage = make_values(1, size=value_size, prefix=b"garbage")[0]
     honest_value = make_values(1, size=value_size, prefix=b"honest")[0]
     goodson = protocol == "goodson"
     config = SystemConfig(n=(4 if goodson else 3) * t + 1, t=t, seed=seed)
-    writer = PoisonousGoodsonWriter if goodson else InconsistentDisperser
+    writer = byzantine_client(protocol_classes(protocol)[1],
+                              "poison" if goodson else
+                              "inconsistent-dispersal")
     cluster = build_cluster(config, protocol=protocol, num_clients=2,
                             scheduler=RandomScheduler(seed),
                             client_overrides={2: writer})
     cluster.write(1, TAG, "honest", honest_value)
     oids = [f"poison{index}" for index in range(count)]
-    for index, oid in enumerate(oids):
-        if goodson:
-            # Monotonically increasing timestamps stack the poison on top.
-            cluster.client(2).attack_write(TAG, oid, 100 + index, garbage)
-        else:
-            cluster.client(2).attack_write(TAG, oid, garbage, ts=index)
+    for oid in oids:
+        cluster.client(2).invoke_write(TAG, oid, garbage)
     cluster.run()
+    # The probe read runs alone under FIFO delivery, so its cost is the
+    # protocol's, not that of whatever random schedule the attack left.
+    cluster.simulator.scheduler = FifoScheduler()
     read, cost = measure_operation(cluster,
                                    lambda: cluster.read(1, TAG, "probe"))
     assert read.result == honest_value

@@ -27,11 +27,7 @@ from repro.analysis.history import effected_writes
 from repro.cluster import build_cluster, protocol_classes
 from repro.config import SystemConfig
 from repro.experiments.common import render_table
-from repro.faults.byzantine_clients import (
-    ReplayingNSWriter,
-    SkippingWriter,
-    SplitBrainMartinWriter,
-)
+from repro.faults.byzantine_clients import byzantine_client
 from repro.faults.byzantine_servers import byzantine
 from repro.net.schedulers import RandomScheduler
 from repro.workloads.generator import make_values
@@ -69,6 +65,19 @@ def run(t: int = 1, honest_writes: int = 5, seed: int = 0
     outcomes = []
     values = make_values(honest_writes + 2, size=64)
 
+    def deploy(protocol: str, n: int, behaviour=None, attack=None):
+        """Servers ``1..t`` running ``behaviour`` and client 2 mounting
+        ``attack``, each if given; client 1 honest."""
+        server_cls, client_cls = protocol_classes(protocol)
+        return build_cluster(
+            SystemConfig(n=n, t=t, seed=seed), protocol=protocol,
+            num_clients=2, scheduler=RandomScheduler(seed),
+            server_overrides=dict.fromkeys(
+                range(1, t + 1), byzantine(server_cls, behaviour))
+            if behaviour else None,
+            client_overrides={2: byzantine_client(client_cls, attack)}
+            if attack else None)
+
     def honest_load(cluster) -> None:
         for index in range(honest_writes):
             cluster.write(1, TAG, f"hw{index}", values[index])
@@ -77,53 +86,26 @@ def run(t: int = 1, honest_writes: int = 5, seed: int = 0
     # -- corrupted servers inflating their ts replies -----------------------
     for protocol, n in (("atomic", 3 * t + 1), ("atomic_ns", 3 * t + 1),
                         ("martin", 3 * t + 1), ("bazzi_ding", 4 * t + 1)):
-        config = SystemConfig(n=n, t=t, seed=seed)
-        inflator = byzantine(protocol_classes(protocol)[0], "inflate-ts")
-        overrides = {index: inflator for index in range(1, t + 1)}
-        cluster = build_cluster(config, protocol=protocol, num_clients=1,
-                                scheduler=RandomScheduler(seed),
-                                server_overrides=overrides)
+        cluster = deploy(protocol, n, behaviour="inflate-ts")
         honest_load(cluster)
         outcomes.append(_outcome("server-inflation", protocol, cluster,
                                  faulty=t))
 
-    # -- corrupted client broadcasting a huge timestamp -----------------------
-    for protocol in ("atomic", "atomic_ns"):
-        config = SystemConfig(n=3 * t + 1, t=t, seed=seed)
-        cluster = build_cluster(
-            config, protocol=protocol, num_clients=2,
-            scheduler=RandomScheduler(seed),
-            client_overrides={2: lambda pid, cfg: SkippingWriter(pid, cfg)})
-        cluster.client(2).attack_write(TAG, "skip", values[honest_writes])
+    # -- corrupted client broadcasting a huge timestamp; against
+    # Bazzi-Ding (no client authentication) it stores one directly --------
+    for protocol, n, attack in (("atomic", 3 * t + 1, "skip-ts"),
+                                ("atomic_ns", 3 * t + 1, "skip-ts"),
+                                ("bazzi_ding", 4 * t + 1, "skip-store")):
+        cluster = deploy(protocol, n, attack=attack)
+        cluster.client(2).invoke_write(TAG, "skip", values[honest_writes])
         cluster.run()
         honest_load(cluster)
         outcomes.append(_outcome("client-skipping", protocol, cluster))
 
-    # -- corrupted client against Bazzi-Ding: store a huge ts directly --------
-    config = SystemConfig(n=4 * t + 1, t=t, seed=seed)
-    cluster = build_cluster(
-        config, protocol="bazzi_ding", num_clients=2,
-        scheduler=RandomScheduler(seed),
-        client_overrides={
-            2: lambda pid, cfg: SplitBrainMartinWriter(pid, cfg)})
-    cluster.client(2).attack_write(TAG, "skip", 10 ** 12,
-                                   [values[honest_writes]])
-    cluster.run()
-    honest_load(cluster)
-    outcomes.append(_outcome("client-skipping", "bazzi_ding", cluster))
-
     # -- strongest AtomicNS client attack: replay a valid [ts, sig] pair ------
-    config = SystemConfig(n=3 * t + 1, t=t, seed=seed)
-    cluster = build_cluster(
-        config, protocol="atomic_ns", num_clients=2,
-        scheduler=RandomScheduler(seed),
-        client_overrides={
-            2: lambda pid, cfg: ReplayingNSWriter(pid, cfg)})
+    cluster = deploy("atomic_ns", 3 * t + 1, attack="replay-ts")
     honest_load(cluster)
-    state = cluster.server(t + 1).register_state(TAG)
-    cluster.client(2).attack_write(TAG, "replay",
-                                   values[honest_writes + 1],
-                                   state.timestamp.ts, state.signature)
+    cluster.client(2).invoke_write(TAG, "replay", values[honest_writes + 1])
     cluster.run()
     outcomes.append(_outcome("client-replay", "atomic_ns", cluster))
     return outcomes

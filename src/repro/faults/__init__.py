@@ -2,21 +2,16 @@
 
 Inject these into clusters via ``build_cluster(..., server_overrides=...,
 client_overrides=...)`` to exercise the resilience claims of the paper.
-Every faulty server class is derived from an honest one by
-:func:`derive`: :func:`fail_stop` for crashes, :func:`byzantine` for the
-named behaviours a chaos plan can select.
+:func:`derive` is the one way a faulty server or client class is made:
+:func:`fail_stop` derives crashing servers, :func:`byzantine` the named
+server behaviours a chaos plan can select, and :func:`byzantine_client`
+the named client attacks, each on the deployment's own honest class.
 """
 
 from repro.faults.byzantine_clients import (
+    BYZANTINE_CLIENTS,
     SKIP_TARGET,
-    ByzantineClientBase,
-    EquivocatingRbcWriter,
-    HalfWriter,
-    InconsistentDisperser,
-    PoisonousGoodsonWriter,
-    ReplayingNSWriter,
-    SkippingWriter,
-    SplitBrainMartinWriter,
+    byzantine_client,
 )
 from repro.faults.failstop import (
     FailStopMartinServer,
@@ -39,15 +34,9 @@ from repro.faults.byzantine_servers import (
 from repro.faults.variants import derive
 
 __all__ = [
+    "BYZANTINE_CLIENTS",
     "SKIP_TARGET",
-    "ByzantineClientBase",
-    "EquivocatingRbcWriter",
-    "HalfWriter",
-    "InconsistentDisperser",
-    "PoisonousGoodsonWriter",
-    "ReplayingNSWriter",
-    "SkippingWriter",
-    "SplitBrainMartinWriter",
+    "byzantine_client",
     "FailStopMartinServer",
     "FailStopNSServer",
     "FailStopServer",

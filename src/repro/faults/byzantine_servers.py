@@ -15,14 +15,13 @@ import random
 from typing import Any, Dict, Tuple
 
 from repro.baselines.martin import MartinServer
-from repro.common.errors import ConfigurationError
 from repro.common.ids import PartyId
 from repro.config import SystemConfig
 from repro.core.atomic import AtomicServer
 from repro.core.atomic_md import AtomicMdServer
 from repro.core.atomic_ns import AtomicNSServer
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
-from repro.faults.variants import derive
+from repro.faults.variants import named_variant
 from repro.net.message import Message
 from repro.net.process import Process
 
@@ -211,23 +210,10 @@ BYZANTINE_BEHAVIOURS: Dict[str, Tuple[type, Tuple[type, ...]]] = {
 
 
 def byzantine(server_cls: type, behaviour: str) -> type:
-    """``server_cls`` running the named Byzantine ``behaviour``:
-    the behaviour's mixin in front of the honest class, derived once
-    (:func:`~repro.faults.variants.derive`).  Raises
-    :class:`ConfigurationError` for an unknown behaviour or a class it
-    does not deviate from."""
-    if behaviour not in BYZANTINE_BEHAVIOURS:
-        raise ConfigurationError(
-            f"unknown byzantine behaviour {behaviour!r}; choose "
-            f"from {tuple(sorted(BYZANTINE_BEHAVIOURS))}")
-    mixin, deviates_from = BYZANTINE_BEHAVIOURS[behaviour]
-    if not issubclass(server_cls, deviates_from):
-        raise ConfigurationError(
-            f"byzantine behaviour {behaviour!r} deviates from "
-            f"{' or '.join(cls.__name__ for cls in deviates_from)}, "
-            f"not {server_cls.__name__}")
-    return derive(mixin, server_cls,
-                  mixin.__name__ + server_cls.__name__.removeprefix("Atomic"))
+    """``server_cls`` running the named Byzantine ``behaviour``
+    (:func:`~repro.faults.variants.named_variant`)."""
+    return named_variant(BYZANTINE_BEHAVIOURS, "byzantine behaviour",
+                         server_cls, behaviour)
 
 
 InflatorServer = byzantine(AtomicServer, "inflate-ts")

@@ -34,12 +34,6 @@ def terminal_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def call_name(call: ast.Call) -> Optional[str]:
-    """The terminal function name of a call, e.g. ``send`` for
-    ``self.process.send(...)``."""
-    return terminal_name(call.func)
-
-
 def str_constant(node: ast.AST) -> Optional[str]:
     """The value of a string literal, else ``None``."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):

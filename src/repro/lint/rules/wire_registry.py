@@ -64,7 +64,12 @@ def _decorator_terminal(decorator: ast.expr) -> Optional[str]:
 
 def _collect_dataclasses(module: ModuleInfo) -> List[_DataclassDef]:
     defs: List[_DataclassDef] = []
+    registrations: List[ast.Call] = []  # register_wire_type(Cls) calls
     for node in ast.walk(module.tree):
+        if isinstance(node, ast.Call):
+            if (terminal_name(node.func) in _REGISTER_DECORATORS
+                    and node.args and isinstance(node.args[0], ast.Name)):
+                registrations.append(node)
         if not isinstance(node, ast.ClassDef):
             continue
         names = [_decorator_terminal(d) for d in node.decorator_list]
@@ -75,16 +80,12 @@ def _collect_dataclasses(module: ModuleInfo) -> List[_DataclassDef]:
         defs.append(_DataclassDef(
             name=node.name, module=module.dotted, line=node.lineno,
             registered=registered, register_line=register_line))
-    # Functional registration: register_wire_type(Cls) at module level.
     by_name = {d.name: d for d in defs}
-    for node in ast.walk(module.tree):
-        if (isinstance(node, ast.Call)
-                and terminal_name(node.func) in _REGISTER_DECORATORS
-                and node.args and isinstance(node.args[0], ast.Name)):
-            target = by_name.get(node.args[0].id)
-            if target is not None:
-                target.registered = True
-                target.register_line = node.lineno
+    for node in registrations:
+        target = by_name.get(node.args[0].id)
+        if target is not None:
+            target.registered = True
+            target.register_line = node.lineno
     return defs
 
 
@@ -120,15 +121,16 @@ def _collect_usages(module: ModuleInfo) -> List[_Usage]:
                              context=context))
 
     for func in iter_functions(module.tree):
-        locals_table = single_assignment_table(func)
+        locals_table = None  # built at the first payload: few send one
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
                 continue
             fname = terminal_name(node.func)
             if (fname in _SEND_PAYLOAD_START
                     and isinstance(node.func, ast.Attribute)):
-                start = _SEND_PAYLOAD_START[fname]
-                for arg in node.args[start:]:
+                for arg in node.args[_SEND_PAYLOAD_START[fname]:]:
+                    if locals_table is None:
+                        locals_table = single_assignment_table(func)
                     for cls, at in _payload_class_refs(arg, locals_table):
                         add(cls, at, "payload")
             elif (fname == "isinstance" and len(node.args) == 2

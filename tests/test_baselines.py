@@ -3,14 +3,14 @@
 import pytest
 
 from repro.analysis.history import HistoryRecorder
+from repro.baselines.goodson import GoodsonClient
 from repro.cluster import build_cluster, run_register_case
 from repro.common.errors import ConfigurationError
 from repro.config import SystemConfig
 from repro.core.timestamps import Timestamp
-from repro.faults.byzantine_clients import PoisonousGoodsonWriter
+from repro.faults.byzantine_clients import byzantine_client
 from repro.faults.byzantine_servers import MartinInflatorServer
 from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import make_values
 
 TAG = "reg"
 
@@ -181,13 +181,11 @@ def test_goodson_concurrent_atomicity():
 
 
 def test_goodson_poison_rolls_back():
-    cluster = _cluster(
-        "goodson", 5, 1,
-        client_overrides={
-            2: lambda pid, cfg: PoisonousGoodsonWriter(pid, cfg)})
+    cluster = _cluster("goodson", 5, 1,
+                       client_overrides={
+                           2: byzantine_client(GoodsonClient, "poison")})
     cluster.write(1, TAG, "honest", b"good value")
-    garbage = make_values(2, size=64, prefix=b"bad")
-    cluster.client(2).attack_write(TAG, "poison", 50, garbage)
+    cluster.client(2).invoke_write(TAG, "poison", b"bad value")
     cluster.run()
     read = cluster.read(1, TAG, "probe")
     assert read.result == b"good value"
@@ -195,15 +193,12 @@ def test_goodson_poison_rolls_back():
 
 
 def test_goodson_stacked_poison_costs_linear_rollbacks():
-    cluster = _cluster(
-        "goodson", 5, 1,
-        client_overrides={
-            2: lambda pid, cfg: PoisonousGoodsonWriter(pid, cfg)})
+    cluster = _cluster("goodson", 5, 1,
+                       client_overrides={
+                           2: byzantine_client(GoodsonClient, "poison")})
     cluster.write(1, TAG, "honest", b"good value")
-    garbage = make_values(2, size=64, prefix=b"bad")
     for index in range(3):
-        cluster.client(2).attack_write(TAG, f"p{index}", 50 + index,
-                                       garbage)
+        cluster.client(2).invoke_write(TAG, f"p{index}", b"bad value")
     cluster.run()
     read = cluster.read(1, TAG, "probe")
     assert read.result == b"good value"

@@ -5,13 +5,15 @@ import pytest
 from repro.analysis.history import HistoryRecorder
 from repro.cluster import build_cluster
 from repro.config import SystemConfig
+from repro.baselines.bazzi_ding import BazziDingClient
+from repro.baselines.martin import MartinClient
+from repro.common.errors import ConfigurationError
+from repro.core.atomic import AtomicClient
+from repro.core.atomic_ns import AtomicNSClient
 from repro.faults.byzantine_clients import (
     SKIP_TARGET,
-    EquivocatingRbcWriter,
-    HalfWriter,
-    InconsistentDisperser,
-    SkippingWriter,
-    SplitBrainMartinWriter,
+    Half,
+    byzantine_client,
 )
 from repro.faults.byzantine_servers import (
     AvidSpammerServer,
@@ -21,12 +23,9 @@ from repro.faults.byzantine_servers import (
     InflatorServer,
     StaleReaderServer,
 )
+from repro.faults.variants import derive
 from repro.net.schedulers import RandomScheduler
-from repro.workloads.generator import (
-    make_values,
-    random_workload,
-    run_workload,
-)
+from repro.workloads.generator import random_workload, run_workload
 
 TAG = "reg"
 
@@ -115,9 +114,10 @@ def test_concurrent_workload_with_byzantine_server():
 def test_skipping_client_succeeds_against_atomic():
     cluster = _cluster(
         protocol="atomic",
-        client_overrides={2: lambda pid, cfg: SkippingWriter(pid, cfg)})
-    cluster.client(2).attack_write(TAG, "skip", b"skipped value")
+        client_overrides={2: byzantine_client(AtomicClient, "skip-ts")})
+    skip = cluster.client(2).invoke_write(TAG, "skip", b"skipped value")
     cluster.run()
+    assert skip.done  # the honest servers acked the skipping write
     ts = cluster.server(1).register_state(TAG).timestamp.ts
     assert ts == SKIP_TARGET + 1
     # The register still behaves atomically afterwards.
@@ -127,9 +127,10 @@ def test_skipping_client_succeeds_against_atomic():
 def test_skipping_client_fails_against_atomic_ns():
     cluster = _cluster(
         protocol="atomic_ns",
-        client_overrides={2: lambda pid, cfg: SkippingWriter(pid, cfg)})
-    cluster.client(2).attack_write(TAG, "skip", b"should not land")
+        client_overrides={2: byzantine_client(AtomicNSClient, "skip-ts")})
+    skip = cluster.client(2).invoke_write(TAG, "skip", b"should not land")
     cluster.run()
+    assert not skip.done
     assert cluster.server(1).register_state(TAG).timestamp.ts == 0
     accepted = [event for event in cluster.simulator.event_log
                 if event.kind == "out"
@@ -138,14 +139,13 @@ def test_skipping_client_fails_against_atomic_ns():
 
 
 def test_inconsistent_disperser_never_takes_effect():
-    for protocol in ("atomic", "atomic_ns"):
-        cluster = _cluster(
-            protocol=protocol,
-            client_overrides={
-                2: lambda pid, cfg: InconsistentDisperser(pid, cfg)})
+    for protocol, client_cls in (("atomic", AtomicClient),
+                                 ("atomic_ns", AtomicNSClient)):
+        writer = byzantine_client(client_cls, "inconsistent-dispersal")
+        cluster = _cluster(protocol=protocol,
+                           client_overrides={2: writer})
         cluster.write(1, TAG, "honest", b"clean")
-        cluster.client(2).attack_write(
-            TAG, "dirty", [b"junk-A" * 10, b"junk-B" * 10], ts=5)
+        cluster.client(2).invoke_write(TAG, "dirty", b"junk-A" * 8)
         cluster.run()
         assert cluster.read(1, TAG, "r1").result == b"clean"
         accepted = {event.payload[0]
@@ -158,12 +158,15 @@ def test_inconsistent_disperser_never_takes_effect():
 def test_half_writer_all_or_nothing():
     """Dispersal agreement: the half-written value either takes effect at
     all honest servers eventually or at none; reads never block."""
+
+    class ThreeServers(Half):
+        COUNT = 3
+
+    writer = derive(ThreeServers, AtomicClient, "ThreeServerHalfWriter")
     for seed in range(5):
-        cluster = _cluster(
-            protocol="atomic", seed=seed,
-            client_overrides={2: lambda pid, cfg: HalfWriter(pid, cfg)})
-        cluster.client(2).attack_write(TAG, "half", b"half-written",
-                                       count=3)
+        cluster = _cluster(protocol="atomic", seed=seed,
+                           client_overrides={2: writer})
+        cluster.client(2).invoke_write(TAG, "half", b"half-written")
         cluster.run()
         completed = [server for server in cluster.servers
                      if "half" in server.register_state(TAG).accepted]
@@ -174,12 +177,11 @@ def test_half_writer_all_or_nothing():
 
 def test_equivocating_rbc_writer_no_split():
     for seed in range(5):
-        cluster = _cluster(
-            protocol="atomic", seed=seed,
-            client_overrides={
-                2: lambda pid, cfg: EquivocatingRbcWriter(pid, cfg)})
-        cluster.client(2).attack_write(TAG, "equiv", b"value",
-                                       timestamps=[5, 9])
+        cluster = _cluster(protocol="atomic", seed=seed,
+                           client_overrides={
+                               2: byzantine_client(AtomicClient,
+                                                   "equivocate-rbc")})
+        cluster.client(2).invoke_write(TAG, "equiv", b"value")
         cluster.run()
         timestamps = {server.register_state(TAG).timestamp.ts
                       for server in cluster.servers}
@@ -193,16 +195,33 @@ def test_split_brain_wedges_martin_but_not_atomic():
     cluster = build_cluster(
         SystemConfig(n=4, t=1), protocol="martin", num_clients=2,
         scheduler=RandomScheduler(0),
-        client_overrides={
-            2: lambda pid, cfg: SplitBrainMartinWriter(pid, cfg)})
-    values = make_values(4, size=32)
-    cluster.client(2).attack_write(TAG, "split", 7, values)
+        client_overrides={2: byzantine_client(MartinClient, "split-brain")})
+    cluster.client(2).invoke_write(TAG, "split", b"split value")
     cluster.run()
+    assert cluster.server(1).register_state(TAG).timestamp.ts \
+        == SKIP_TARGET
     # The poisoned timestamp is now the highest at every server; a read
     # can never assemble n - t matching replies, so it stalls forever.
     handle = cluster.client(1).invoke_read(TAG, "r1")
     cluster.run()
     assert not handle.done
+
+
+def test_store_skipping_client_lands_one_huge_timestamp_on_bazzi_ding():
+    """With no client authentication a corrupted Bazzi-Ding writer
+    stores one value everywhere under ``SKIP_TARGET`` (F4's
+    client-skipping row): the register skips but stays readable."""
+    cluster = build_cluster(
+        SystemConfig(n=5, t=1), protocol="bazzi_ding", num_clients=2,
+        scheduler=RandomScheduler(0),
+        client_overrides={2: byzantine_client(BazziDingClient,
+                                              "skip-store")})
+    skip = cluster.client(2).invoke_write(TAG, "skip", b"skipped")
+    cluster.run()
+    assert skip.done
+    assert {server.register_state(TAG).timestamp.ts
+            for server in cluster.servers} == {SKIP_TARGET}
+    assert cluster.read(1, TAG, "r1").result == b"skipped"
 
 
 def test_colluding_client_and_server():
@@ -211,12 +230,27 @@ def test_colluding_client_and_server():
     cluster = _cluster(
         protocol="atomic_ns", clients=3, seed=4,
         server_overrides={1: lambda pid, cfg: InflatorNSServer(pid, cfg)},
-        client_overrides={3: lambda pid, cfg: SkippingWriter(pid, cfg)})
+        client_overrides={3: byzantine_client(AtomicNSClient, "skip-ts")})
     cluster.write(1, TAG, "w1", b"honest-1")
-    cluster.client(3).attack_write(TAG, "evil", b"evil-value")
+    cluster.client(3).invoke_write(TAG, "evil", b"evil-value")
     cluster.run()
     cluster.write(2, TAG, "w2", b"honest-2")
     read = cluster.read(1, TAG, "r1")
     assert read.result == b"honest-2"
     ts = cluster.server(2).register_state(TAG).timestamp.ts
     assert ts == 2  # non-skipping survived the collusion
+
+
+def test_client_attack_derives_once_on_the_clients_it_deviates_from():
+    """One attack, derived on each protocol's own client class; the
+    same class on every request, and a clear error for an unknown
+    attack or a client it does not deviate from."""
+    skipping = byzantine_client(AtomicNSClient, "skip-ts")
+    assert skipping is byzantine_client(AtomicNSClient, "skip-ts")
+    assert skipping is not byzantine_client(AtomicClient, "skip-ts")
+    assert issubclass(skipping, AtomicNSClient)
+    with pytest.raises(ConfigurationError, match="unknown byzantine client"):
+        byzantine_client(AtomicClient, "no-such-attack")
+    with pytest.raises(ConfigurationError,
+                       match="'replay-ts' deviates from AtomicNSClient"):
+        byzantine_client(AtomicClient, "replay-ts")

@@ -17,8 +17,8 @@ from repro.common.ids import server_id
 from repro.config import SystemConfig
 from repro.core.atomic import AtomicServer, disp_tag, rbc_tag
 from repro.core.timestamps import Timestamp
-from repro.faults.byzantine_clients import ByzantineClientBase
 from repro.net.message import Message
+from repro.net.process import Process
 from repro.net.schedulers import FifoScheduler, RandomScheduler
 
 TAG = "reg"
@@ -48,13 +48,14 @@ class FrontRunningServer(AtomicServer):
                       commitment, blocks[index - 1], witnesses[index - 1])
 
 
-class FrontRunningClient(ByzantineClientBase):
+class FrontRunningClient(Process):
     """Byzantine client racing complete sessions (its own origin) onto an
     honest write's tags — a model-violating oid reuse, shown here to at
     worst add a competing write, never to block the honest one."""
 
     def __init__(self, pid, config):
-        super().__init__(pid, config)
+        super().__init__(pid)
+        self.config = config
         self.on("race", self._ignored)
 
     def _ignored(self, message):

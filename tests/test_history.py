@@ -13,15 +13,21 @@ from repro.analysis.history import (
 from repro.cluster import build_cluster
 from repro.common.errors import LivenessError
 from repro.config import SystemConfig
-from repro.faults.byzantine_clients import SkippingWriter
+from repro.core.atomic import AtomicClient
+from repro.core.atomic_ns import AtomicNSClient
+from repro.faults.byzantine_clients import byzantine_client
 from repro.net.schedulers import RandomScheduler
 
 TAG = "reg"
 
 
-def _cluster(**kwargs):
+def _skipping(client_cls):
+    return byzantine_client(client_cls, "skip-ts")
+
+
+def _cluster(protocol="atomic", **kwargs):
     config = SystemConfig(n=4, t=1)
-    return build_cluster(config, protocol="atomic", num_clients=2,
+    return build_cluster(config, protocol=protocol, num_clients=2,
                          scheduler=RandomScheduler(0), **kwargs)
 
 
@@ -55,28 +61,47 @@ def test_unfinished_operation_raises():
 
 
 def test_byzantine_write_included_only_if_effected():
-    cluster = _cluster(
-        client_overrides={2: lambda pid, cfg: SkippingWriter(pid, cfg)})
+    cluster = _cluster(client_overrides={2: _skipping(AtomicClient)})
     recorder = HistoryRecorder(cluster, TAG)
     recorder.record_byzantine_write("skip", b"evil")
     # Not yet executed: the write did not take effect.
     assert all(op.oid != "skip" for op in recorder.operations())
-    cluster.client(2).attack_write(TAG, "skip", b"evil")
+    cluster.client(2).invoke_write(TAG, "skip", b"evil")
     cluster.run()
     included = [op for op in recorder.operations() if op.oid == "skip"]
     assert len(included) == 1
     assert included[0].invoke is None and included[0].complete is None
 
 
+def test_byzantine_variant_write_joins_only_once_effected():
+    """A Byzantine variant's handles are no honest operations: its
+    stalled write raises no :class:`LivenessError`, and its effected
+    write joins the history with no real-time interval, exactly as a
+    :meth:`~HistoryRecorder.record_byzantine_write` one does."""
+    stalled = _cluster("atomic_ns",
+                       client_overrides={2: _skipping(AtomicNSClient)})
+    handle = stalled.client(2).invoke_write(TAG, "skip", b"evil")
+    stalled.run()
+    assert not handle.done
+    assert HistoryRecorder(stalled, TAG).operations() == []
+
+    effected = _cluster(client_overrides={2: _skipping(AtomicClient)})
+    invoked = effected.client(2).invoke_write(TAG, "skip", b"evil")
+    assert HistoryRecorder(effected, TAG).operations() == []
+    effected.run()
+    assert invoked.done
+    (write,) = HistoryRecorder(effected, TAG).operations()
+    assert (write.oid, write.value) == ("skip", b"evil")
+    assert write.invoke is None and write.complete is None
+
+
 def test_check_end_to_end_with_byzantine_write():
-    cluster = _cluster(
-        client_overrides={2: lambda pid, cfg: SkippingWriter(pid, cfg)})
+    cluster = _cluster(client_overrides={2: _skipping(AtomicClient)})
     cluster.write(1, TAG, "w1", b"honest")
-    cluster.client(2).attack_write(TAG, "skip", b"evil")
+    cluster.client(2).invoke_write(TAG, "skip", b"evil")
     cluster.run()
     read = cluster.read(1, TAG, "r1")
     recorder = HistoryRecorder(cluster, TAG)
-    recorder.record_byzantine_write("skip", b"evil")
     order = recorder.check()
     assert read.result in (b"honest", b"evil")
     assert "skip" in order

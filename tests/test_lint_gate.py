@@ -429,6 +429,67 @@ def test_register_clients_share_one_timestamp_round():
         "repro.core.atomic_md._write_thread"]
 
 
+def _first_sends(protocol, client_cls):
+    """What client 1, a ``client_cls``, sends the moment it is asked to
+    write in a ``protocol`` cluster: ``(recipient, tag, type, payload)``
+    per message."""
+    from repro.cluster import build_cluster
+    from repro.config import SystemConfig
+
+    class Sends:
+        def __init__(self):
+            self.seen = []
+
+        def on_send(self, message, time, pending):
+            if message.sender.is_client:
+                self.seen.append((message.recipient, message.tag,
+                                  message.mtype, message.payload))
+
+    cluster = build_cluster(SystemConfig(n=5, t=1), protocol=protocol,
+                            num_clients=1, client_overrides={1: client_cls})
+    sends = Sends()
+    cluster.simulator.add_observer(sends)
+    handle = cluster.client(1).invoke_write("reg", "w1", b"value")
+    assert handle.kind == "write" and not handle.done
+    return sends.seen
+
+
+def test_byzantine_clients_are_one_hook_variants():
+    """The Byzantine-client ratchet: a corrupted client deviates from an
+    honest one at a write-path hook, not through a second write path.
+    Every attack of ``BYZANTINE_CLIENTS`` is a mixin carrying
+    ``ByzantineClient`` that defines no whole operation thread.  Derived
+    on each protocol's client class it deviates from, it is ``class
+    (mixin, honest)``, its methods all override hooks of that client (so
+    no mixin carries a scripted attack method of its own), and, built in
+    that protocol's cluster, it answers ``invoke_write`` by sending
+    exactly the ``get-ts`` messages its honest base sends."""
+    from repro.cluster import PROTOCOLS
+    from repro.core.register import ByzantineClient
+    from repro.faults.byzantine_clients import (
+        BYZANTINE_CLIENTS,
+        byzantine_client,
+    )
+    assert BYZANTINE_CLIENTS
+    for attack, (mixin, deviates_from) in BYZANTINE_CLIENTS.items():
+        assert issubclass(mixin, ByzantineClient)
+        methods = {name for cls in mixin.__mro__[:-2]
+                   for name, member in vars(cls).items()
+                   if callable(member)}
+        assert not methods & {"_write_thread", "_read_thread"}, attack
+        mounted = [(protocol, client_cls)
+                   for protocol, (_, client_cls) in PROTOCOLS.items()
+                   if issubclass(client_cls, deviates_from)]
+        assert mounted, attack
+        for protocol, honest in mounted:
+            variant = byzantine_client(honest, attack)
+            assert variant.__bases__ == (mixin, honest)
+            assert methods <= set(dir(honest)), (attack, protocol)
+            honest_sends = _first_sends(protocol, honest)
+            assert {mtype for _, _, mtype, _ in honest_sends} == {"get-ts"}
+            assert _first_sends(protocol, variant) == honest_sends
+
+
 def test_lint_packs_share_one_project_index():
     """The lint ratchet: every pack resolves imported names through the
     one project index.  ``module_imports`` is called only by
