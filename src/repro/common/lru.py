@@ -1,16 +1,30 @@
 """Deterministic, insertion-ordered LRU caching.
 
-The hot-path kernels (erasure decode plans, hash vectors, Merkle levels,
-wire-size accounting) memoize pure computations whose inputs recur
-constantly across a sweep.  All of them share this cache class rather
-than ``functools.lru_cache`` for two reasons the determinism lint
-enforces:
+The hot-path kernels (erasure values and decode plans, hashes, Merkle
+levels, canonical encodings, kv key routing) memoize pure computations
+whose inputs recur constantly across a sweep.  All of them share this
+cache class rather than ``functools.lru_cache`` for two reasons the
+determinism lint enforces:
 
-* **Replayable state.** The cache is an explicit object owned by the
-  component that uses it, so a fresh coder/simulator starts cold and two
-  seeded runs see identical hit/miss sequences.  ``functools`` caches
-  hang off module-level functions and leak state across runs within one
-  process, which couples experiment timings to execution history.
+* **Replayable state.** A cache is an explicit object, so its state
+  can be inspected, cleared and reasoned about; a cache's hits and
+  evictions are a function of the calls it has seen.  Where a cache
+  lives decides which calls those are:
+
+  - *per component*, starting cold with each fresh owner: the
+    decode-plan cache of each ``ReedSolomonCode``, the encode/decode
+    memos of each ``ErasureCoder`` (one per ``SystemConfig``, so one
+    per kv shard) and ``KvDirectory``'s key-to-shard memo;
+  - *process-wide*, module-level and so still warm when a second run
+    starts in the same process: ``hash_bytes``'s memo,
+    ``serialization._ENCODE_CACHE`` and ``merkle._LEVELS_CACHE``.  Two
+    seeded runs see identical hit/miss sequences only from a fresh
+    interpreter (kvperf runs each repetition in one) or after
+    ``clear()``.
+
+  Either way a cache changes how fast an answer comes, never the
+  answer.  ``functools`` caches hide their state behind the function
+  and evict by an order the determinism lint cannot check.
 * **Insertion-ordered eviction.** Entries live in a plain ``dict``
   (insertion-ordered by language guarantee); a hit re-inserts the key at
   the back, so the front is always the least-recently-used entry and

@@ -31,8 +31,11 @@ _U32 = struct.Struct(">I")
 #: every handler activation; encoding is a pure function of the value,
 #: so equal inputs may share the cached bytes.  See :func:`_cache_key`
 #: for why keys are not the values themselves.  Sizing never comes
-#: here: :func:`encoded_size` counts bytes without building them.
-_ENCODE_CACHE = LruCache(capacity=1024)
+#: here: :func:`encoded_size` counts bytes without building them.  The
+#: cache is process-wide; 128 entries is the smallest power of two at
+#: which every kvperf workload shape encodes within 5 % of what an
+#: unbounded cache encodes (docs/PERFORMANCE.md §2.13).
+_ENCODE_CACHE = LruCache(capacity=128)
 
 # Key sentinels: ``True == 1`` and ``False == 0`` in Python, but they
 # encode differently (``T``/``F`` vs ``i``), so bools must map to keys

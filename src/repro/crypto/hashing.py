@@ -21,14 +21,17 @@ DIGEST_SIZE = 32
 DIGEST_BITS = DIGEST_SIZE * 8
 
 
-@memoize_unary(capacity=1024)
+@memoize_unary(capacity=256)
 def hash_bytes(data: bytes) -> bytes:
     """Return the collision-resistant hash of ``data`` (SHA-256).
 
     Memoized by content: quorum protocols re-hash the same blocks at
     every verifying server (cross-checksum checks, commitment
     verifications), and ``bytes`` objects cache their own hash, so
-    repeat lookups cost one dict probe.
+    repeat lookups cost one dict probe.  The memo is process-wide and
+    holds 256 inputs, the smallest power of two at which every kvperf
+    workload shape computes within 5 % of the hashes an unbounded memo
+    computes (128 computes 7-10 % more; docs/PERFORMANCE.md §2.13).
     """
     return hashlib.sha256(data).digest()
 

@@ -34,9 +34,12 @@ _NODE_PREFIX = b"\x01"
 #: dispersal builds the tree over the same block vector, and each
 #: ``proof`` call in the seed rebuilt it from scratch.  Levels are
 #: immutable once built (the tree only reads them), so cached instances
-#: share them.  Deterministic insertion-ordered LRU; unhashable leaves
-#: (e.g. ``bytearray``) bypass the cache.
-_LEVELS_CACHE = LruCache(capacity=128)
+#: share them.  Deterministic insertion-ordered LRU, process-wide;
+#: unhashable leaves (e.g. ``bytearray``) bypass the cache.  An entry
+#: keeps all ``n`` leaves, so it holds the dispersals in flight: 8 trees
+#: build within 4 % of the trees an unbounded cache builds on Merkle
+#: kv runs and register runs (docs/PERFORMANCE.md §2.13).
+_LEVELS_CACHE = LruCache(capacity=8)
 
 
 def _leaf_hash(data: bytes) -> bytes:

@@ -13,7 +13,7 @@ Framing: the value is prefixed with its 8-byte big-endian length and
 zero-padded to a multiple of ``k``, so decoding is unambiguous for every
 value length including zero.
 
-Both directions carry a small value-keyed memo (deterministic
+Both directions carry a small value-keyed memo per coder (deterministic
 insertion-ordered :class:`~repro.common.lru.LruCache`): protocols
 re-encode the same value at every server and re-decode the same block
 set at every reader quorum, so repeat calls with identical content are
@@ -31,10 +31,18 @@ from repro.erasure.reed_solomon import ReedSolomonCode
 
 _LENGTH_HEADER = 8
 
-#: Entries per coder for the value-level encode/decode memos.  Sized for
-#: the working set of a simulation run (distinct values in flight), not
-#: for bulk archival workloads.
-_MEMO_CAPACITY = 64
+#: Entries per coder in the value-level memos.  Each is the smallest
+#: power of two at which every kvperf workload shape computes within 5 %
+#: of the encodes and decodes an unbounded memo computes (hit curves in
+#: docs/PERFORMANCE.md §2.13).  Encodes repeat while a value is in
+#: flight, and four sessions have at most four writes in flight per
+#: shard.  Decodes also repeat across a run's history, when a popular
+#: value is read again, so that memo is deeper.  An encode entry keeps
+#: the value and its ``n`` blocks, a decode entry ``k`` blocks and the
+#: value, so an entry past the knee of the curve holds payload for
+#: almost no saved work.
+_ENCODE_MEMO_CAPACITY = 4
+_DECODE_MEMO_CAPACITY = 32
 
 
 class ErasureCoder:
@@ -48,8 +56,8 @@ class ErasureCoder:
 
     def __init__(self, n: int, k: int):
         self._code = ReedSolomonCode(n, k)
-        self._encode_memo = LruCache(_MEMO_CAPACITY)
-        self._decode_memo = LruCache(_MEMO_CAPACITY)
+        self._encode_memo = LruCache(_ENCODE_MEMO_CAPACITY)
+        self._decode_memo = LruCache(_DECODE_MEMO_CAPACITY)
 
     @property
     def n(self) -> int:

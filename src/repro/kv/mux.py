@@ -105,7 +105,10 @@ class ShardBus:
     @property
     def time(self) -> int:
         """The fleet simulator's logical clock."""
-        return self.host._require_simulator().time
+        simulator = self.host.simulator
+        if simulator is None:
+            simulator = self.host._require_simulator()
+        return simulator.time
 
     @property
     def server_pids(self) -> Sequence[PartyId]:
@@ -179,15 +182,19 @@ class ShardBus:
                       payload: Tuple[Any, ...]) -> None:
         """Forward an inner output action to the fleet event log."""
         host = self.host
-        host._require_simulator().record_output(host.pid, tag, action,
-                                                payload)
+        simulator = host.simulator
+        if simulator is None:
+            simulator = host._require_simulator()
+        simulator.record_output(host.pid, tag, action, payload)
 
     def record_input(self, party: PartyId, tag: str, action: str,
                      payload: Tuple[Any, ...]) -> None:
         """Forward an inner input action to the fleet event log."""
         host = self.host
-        host._require_simulator().record_input(host.pid, tag, action,
-                                               payload)
+        simulator = host.simulator
+        if simulator is None:
+            simulator = host._require_simulator()
+        simulator.record_input(host.pid, tag, action, payload)
 
     def notify_quorum(self, party: PartyId, tag: str, mtype: str,
                       threshold: int, quorum: Sequence[Message],
@@ -196,16 +203,23 @@ class ShardBus:
         shard-local: it only labels span annotations (committed outputs
         that must stay byte-identical) and matches clients, whose
         identities are fleet-wide anyway."""
-        self.host._require_simulator().notify_quorum(
-            party, tag, mtype, threshold, quorum, releasing_msg_id)
+        simulator = self.host.simulator
+        if simulator is None:
+            simulator = self.host._require_simulator()
+        simulator.notify_quorum(party, tag, mtype, threshold, quorum,
+                                releasing_msg_id)
 
     def notify_verify_fail(self, party: PartyId, suspect: PartyId,
                            tag: str, mtype: str) -> None:
         """Forward a failed check as the host seeing it from the fleet
         server hosting ``suspect``: per-server signals are scored
         against the fleet roster."""
-        self.host._require_simulator().notify_verify_fail(
-            self.host.pid, self.fleet_pid(suspect), tag, mtype)
+        host = self.host
+        simulator = host.simulator
+        if simulator is None:
+            simulator = host._require_simulator()
+        simulator.notify_verify_fail(host.pid, self.fleet_pid(suspect),
+                                     tag, mtype)
 
 
 _Route = Tuple[Process, PartyId]

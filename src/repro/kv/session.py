@@ -286,11 +286,17 @@ class KvSession:
         self._touched = True
 
     def _now(self) -> int:
-        return self.host._require_simulator().time
+        simulator = self.host.simulator
+        if simulator is None:
+            simulator = self.host._require_simulator()
+        return simulator.time
 
     def _count(self, label: str) -> None:
         """Report one cache decision to the simulator's observers."""
-        self.host._require_simulator().count(f"kv.cache[{label}]")
+        simulator = self.host.simulator
+        if simulator is None:
+            simulator = self.host._require_simulator()
+        simulator.count(f"kv.cache[{label}]")
 
     # -- progress ----------------------------------------------------------
 

@@ -17,12 +17,13 @@ registered type nothing references is dead weight in the registry.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.astutil import (
+    FUNC_NODES,
     contains_name,
-    iter_functions,
     single_assignment_table,
     terminal_name,
 )
@@ -62,33 +63,6 @@ def _decorator_terminal(decorator: ast.expr) -> Optional[str]:
     return terminal_name(decorator)
 
 
-def _collect_dataclasses(module: ModuleInfo) -> List[_DataclassDef]:
-    defs: List[_DataclassDef] = []
-    registrations: List[ast.Call] = []  # register_wire_type(Cls) calls
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call):
-            if (terminal_name(node.func) in _REGISTER_DECORATORS
-                    and node.args and isinstance(node.args[0], ast.Name)):
-                registrations.append(node)
-        if not isinstance(node, ast.ClassDef):
-            continue
-        names = [_decorator_terminal(d) for d in node.decorator_list]
-        if not any(n in _DATACLASS_DECORATORS for n in names):
-            continue
-        registered = any(n in _REGISTER_DECORATORS for n in names)
-        register_line = node.lineno
-        defs.append(_DataclassDef(
-            name=node.name, module=module.dotted, line=node.lineno,
-            registered=registered, register_line=register_line))
-    by_name = {d.name: d for d in defs}
-    for node in registrations:
-        target = by_name.get(node.args[0].id)
-        if target is not None:
-            target.registered = True
-            target.register_line = node.lineno
-    return defs
-
-
 def _payload_class_refs(node: ast.expr,
                         locals_table: Dict[str, ast.expr]) -> Iterator[
                             Tuple[str, ast.expr]]:
@@ -112,51 +86,91 @@ def _payload_class_refs(node: ast.expr,
             yield (value.func.id, node)
 
 
-def _collect_usages(module: ModuleInfo) -> List[_Usage]:
+def _scan(module: ModuleInfo) -> Tuple[List[_DataclassDef], List[_Usage],
+                                       Set[str]]:
+    """Walk ``module`` once for its dataclasses (with their
+    registrations), its payload usages and every name it mentions:
+    names, attribute names and the last part of each imported name.
+
+    A send or ``isinstance`` call counts once for each function that
+    encloses it, each resolving payload locals through its own
+    single-assignment table (built at the first payload: few functions
+    send one), as if every function were walked on its own.  Calls
+    outside any function are not usages.
+    """
+    defs: List[_DataclassDef] = []
+    registrations: List[ast.Call] = []  # register_wire_type(Cls) calls
     usages: List[_Usage] = []
+    mentions: Set[str] = set()
+    tables: Dict[ast.AST, Dict[str, ast.expr]] = {}
 
     def add(name: str, node: ast.AST, context: str) -> None:
         usages.append(_Usage(name=name, module=module.dotted,
                              line=getattr(node, "lineno", 1),
                              context=context))
 
-    for func in iter_functions(module.tree):
-        locals_table = None  # built at the first payload: few send one
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            fname = terminal_name(node.func)
-            if (fname in _SEND_PAYLOAD_START
-                    and isinstance(node.func, ast.Attribute)):
+    def call(node: ast.Call, functions: Tuple[ast.AST, ...]) -> None:
+        fname = terminal_name(node.func)
+        if (fname in _REGISTER_DECORATORS
+                and node.args and isinstance(node.args[0], ast.Name)):
+            registrations.append(node)
+        if not functions:
+            return
+        if (fname in _SEND_PAYLOAD_START
+                and isinstance(node.func, ast.Attribute)):
+            for func in functions:
                 for arg in node.args[_SEND_PAYLOAD_START[fname]:]:
-                    if locals_table is None:
-                        locals_table = single_assignment_table(func)
-                    for cls, at in _payload_class_refs(arg, locals_table):
+                    table = tables.get(func)
+                    if table is None:
+                        table = tables[func] = single_assignment_table(func)
+                    for cls, at in _payload_class_refs(arg, table):
                         add(cls, at, "payload")
-            elif (fname == "isinstance" and len(node.args) == 2
-                  and contains_name(node.args[0], "payload")):
-                classes = node.args[1]
-                elts = (classes.elts
-                        if isinstance(classes, ast.Tuple) else [classes])
+        elif (fname == "isinstance" and len(node.args) == 2
+              and contains_name(node.args[0], "payload")):
+            classes = node.args[1]
+            elts = (classes.elts
+                    if isinstance(classes, ast.Tuple) else [classes])
+            for _ in functions:
                 for elt in elts:
                     name = terminal_name(elt)
                     if name and name[:1].isupper():
                         add(name, node, "isinstance")
-    return usages
 
+    def class_def(node: ast.ClassDef) -> None:
+        names = [_decorator_terminal(d) for d in node.decorator_list]
+        if any(n in _DATACLASS_DECORATORS for n in names):
+            defs.append(_DataclassDef(
+                name=node.name, module=module.dotted, line=node.lineno,
+                registered=any(n in _REGISTER_DECORATORS for n in names),
+                register_line=node.lineno))
 
-def _mentions(module: ModuleInfo) -> Set[str]:
-    """Every name a module mentions: names, attribute names and the
-    last part of each imported name."""
-    names: Set[str] = set()
-    for node in ast.walk(module.tree):
+    # ``ast.walk``'s breadth-first order, carrying the enclosing functions
+    todo: Deque[Tuple[ast.AST, Tuple[ast.AST, ...]]] = deque(
+        [(module.tree, ())])
+    while todo:
+        node, functions = todo.popleft()
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            mentions.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            mentions.add(node.attr)
         elif isinstance(node, ast.alias):
-            names.add(node.name.split(".")[-1])
-    return names
+            mentions.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Call):
+            call(node, functions)
+        elif isinstance(node, ast.ClassDef):
+            class_def(node)
+        elif isinstance(node, FUNC_NODES):
+            functions = functions + (node,)
+        todo.extend((child, functions)
+                    for child in ast.iter_child_nodes(node))
+
+    by_name = {d.name: d for d in defs}
+    for node in registrations:
+        target = by_name.get(node.args[0].id)
+        if target is not None:
+            target.registered = True
+            target.register_line = node.lineno
+    return defs, usages, mentions
 
 
 class WireRegistryRule:
@@ -171,9 +185,12 @@ class WireRegistryRule:
         scope = project.scoped(self.pack, config)
         defs: List[_DataclassDef] = []
         usages: List[_Usage] = []
+        mentions: Dict[str, Set[str]] = {}
         for module in scope:
-            defs.extend(_collect_dataclasses(module))
-            usages.extend(_collect_usages(module))
+            module_defs, module_usages, mentions[module.dotted] = \
+                _scan(module)
+            defs.extend(module_defs)
+            usages.extend(module_usages)
 
         by_name: Dict[str, List[_DataclassDef]] = {}
         for d in defs:
@@ -195,7 +212,6 @@ class WireRegistryRule:
                     "but is not registered with register_wire_type"))
 
         used_names = {u.name for u in usages}
-        mentions = {m.dotted: _mentions(m) for m in scope}
         for d in defs:
             if not d.registered or d.name in used_names:
                 continue

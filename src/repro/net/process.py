@@ -265,13 +265,17 @@ class Process:
 
     def output(self, tag: str, action: str, *payload: Any) -> None:
         """Generate an output action ``(tag, out, action, payload)``."""
-        self._require_simulator().record_output(self.pid, tag, action,
-                                                tuple(payload))
+        simulator = self.simulator
+        if simulator is None:
+            simulator = self._require_simulator()
+        simulator.record_output(self.pid, tag, action, payload)
 
     def record_input(self, tag: str, action: str, *payload: Any) -> None:
         """Record an input action ``(tag, in, action, payload)``."""
-        self._require_simulator().record_input(self.pid, tag, action,
-                                               tuple(payload))
+        simulator = self.simulator
+        if simulator is None:
+            simulator = self._require_simulator()
+        simulator.record_input(self.pid, tag, action, payload)
 
     def note_verification_failure(self, tag: str, mtype: str,
                                   suspect: "PartyId") -> None:

@@ -11,11 +11,18 @@ import random
 
 import pytest
 
+from repro.common import serialization
 from repro.common.lru import LruCache, memoize_unary
+from repro.config import SystemConfig
+from repro.crypto import merkle
 from repro.crypto.hashing import hash_bytes, hash_vector
 from repro.crypto.merkle import MerkleTree
+from repro.erasure import coder as coder_module
 from repro.erasure.coder import ErasureCoder
 from repro.erasure.reed_solomon import ReedSolomonCode
+from repro.kv import KvDirectory, build_kv_cluster, drive
+from repro.net.schedulers import RandomScheduler
+from repro.workloads.kv import kv_workload
 
 
 def _random_value(rng, size):
@@ -195,3 +202,84 @@ def test_memoize_unary_bypasses_unhashable_arguments():
     assert probe([1, 2, 3]) == 3
     assert probe([1, 2, 3]) == 3
     assert len(calls) == 3  # unhashable: computed every time
+
+
+# -- memo sizing ------------------------------------------------------------
+
+#: The sizing rule's tolerance: at the shipped capacities a run computes
+#: at most this share more encodes, decodes and hashes than it does with
+#: unbounded memos.
+WORK_TOLERANCE = 0.05
+#: What the memos may still reference once the sizing run ends: the
+#: payload bytes of 256 of its 16 KiB values.  The shipped memos hold
+#: about 200, unbounded ones about 525.
+RETAINED_BOUND = 256 * 16384
+#: The memos that live at module level, shared by every run in a process.
+PROCESS_MEMOS = (hash_bytes.cache, serialization._ENCODE_CACHE,
+                 merkle._LEVELS_CACHE)
+
+
+def _payload_bytes(item, seen):
+    """Bytes of the distinct ``bytes`` objects ``item`` reaches through
+    tuples and lists, each object counted once across ``seen``."""
+    if id(item) in seen:
+        return 0
+    seen.add(id(item))
+    if isinstance(item, (bytes, bytearray)):
+        return len(item)
+    if isinstance(item, (tuple, list)):
+        return sum(_payload_bytes(part, seen) for part in item)
+    return 0
+
+
+def _sizing_run():
+    """One kv run in the ``large_values`` shape (16 KiB values on
+    ``atomic_ns``, four sessions, four shards), from cold memos: the
+    encodes, decodes and hashes it computed and the payload bytes its
+    memos reference at the end (each object once, whoever else holds
+    it)."""
+    for memo in PROCESS_MEMOS:
+        memo.clear()
+    hashes_before = hash_bytes.cache.misses
+    directory = KvDirectory(SystemConfig(n=7, t=2), 4)
+    cluster = build_kv_cluster(directory, protocol="atomic_ns",
+                               num_sessions=4,
+                               scheduler=RandomScheduler(1))
+    workload = kv_workload(num_sessions=4, num_keys=32, ops=240,
+                           write_ratio=0.5, distribution="uniform",
+                           seed=1, value_size=16384)
+    drive(cluster, workload, seed=1)
+    coders = [directory.shard(shard).config.coder for shard in range(4)]
+    work = {
+        "encodes": sum(c._encode_memo.misses for c in coders),
+        "decodes": sum(c._decode_memo.misses for c in coders),
+        "hashes": hash_bytes.cache.misses - hashes_before,
+    }
+    memos = PROCESS_MEMOS + tuple(
+        memo for c in coders for memo in (c._encode_memo, c._decode_memo))
+    seen = set()
+    retained = sum(_payload_bytes(key, seen) + _payload_bytes(value, seen)
+                   for memo in memos for key, value in memo._data.items())
+    for memo in PROCESS_MEMOS:
+        memo.clear()
+    return work, retained
+
+
+def test_memos_hold_the_values_in_flight_for_the_same_kernel_work(
+        monkeypatch):
+    """The shipped memo capacities compute within ``WORK_TOLERANCE`` of
+    the encodes, decodes and hashes unbounded memos compute, and what
+    they still hold at the end of the run stays under
+    ``RETAINED_BOUND``."""
+    shipped, retained = _sizing_run()
+    unbounded = 10 ** 9
+    monkeypatch.setattr(coder_module, "_ENCODE_MEMO_CAPACITY", unbounded)
+    monkeypatch.setattr(coder_module, "_DECODE_MEMO_CAPACITY", unbounded)
+    for memo in PROCESS_MEMOS:
+        monkeypatch.setattr(memo, "capacity", unbounded)
+    floor, retained_unbounded = _sizing_run()
+    assert floor["encodes"] and floor["decodes"] and floor["hashes"]
+    for kind, computed in shipped.items():
+        assert computed <= floor[kind] * (1 + WORK_TOLERANCE), (
+            kind, computed, floor[kind])
+    assert retained < RETAINED_BOUND < retained_unbounded

@@ -29,7 +29,11 @@ import pytest
 
 from repro.chaos import FaultInjector, FaultPlan, FaultRule, builtin_plan
 from repro.common import serialization
-from repro.common.errors import BackpressureError, ConfigurationError
+from repro.common.errors import (
+    BackpressureError,
+    ConfigurationError,
+    SimulationError,
+)
 from repro.common.ids import PartyId, client_id, server_id
 from repro.common.serialization import decode, encode, encoded_size
 from repro.config import SystemConfig
@@ -37,6 +41,7 @@ from repro.core.atomic import AtomicClient, AtomicServer
 from repro.kv import (
     KV_TAG,
     MSG_KV_BATCH,
+    KvClientHost,
     KvDirectory,
     KvEntry,
     KvSession,
@@ -400,6 +405,32 @@ def test_shard_bus_maps_local_identities_through_one_shared_table():
     assert bus.local_pid(client_id(3)) == client_id(3)
     for outside in (1, 2, 7):  # placement is (3, 4, 5, 6)
         assert bus.local_pid(server_id(outside)) is None
+
+
+def test_an_unbound_party_raises_on_every_simulator_read():
+    """The simulator is read as an attribute on the hot path; a party
+    that was never added to a simulator still raises the one
+    ``SimulationError`` wherever it would reach it."""
+    directory = KvDirectory(SystemConfig(n=4, t=1), 2)
+    host = KvClientHost(client_id(1), directory)
+    bus = ShardBus(host, directory.shard(0))
+    session = KvSession(host, directory, 0)
+    party = Process(client_id(2))
+    calls = [
+        lambda: bus.time,
+        lambda: bus.record_output(client_id(1), "t", "a", ()),
+        lambda: bus.record_input(client_id(1), "t", "a", ()),
+        lambda: bus.notify_quorum(client_id(1), "t", "m", 1, (), None),
+        lambda: bus.notify_verify_fail(client_id(1), server_id(1), "t", "m"),
+        session._now,
+        lambda: session._count("hit"),
+        lambda: party.output("t", "a"),
+        lambda: party.record_input("t", "a"),
+    ]
+    for call in calls:
+        with pytest.raises(SimulationError,
+                           match=r"^C\d is not attached to a simulator$"):
+            call()
 
 
 def test_an_entry_costs_53_bytes_beyond_its_content():
