@@ -70,21 +70,15 @@ class CommonCoin:
     def _collect(self, name: Tuple, key: bytes):
         scheme = self._config.threshold_scheme
         signing_name = self._signing_name(name)
-        memo: Dict[int, bool] = {}
 
         def valid(message: Message) -> bool:
-            cached = memo.get(message.msg_id)
-            if cached is None:
-                payload = message.payload
-                cached = (message.sender.is_server
-                          and len(payload) == 2
-                          and payload[0] == name
-                          and isinstance(payload[1], SignatureShare)
-                          and payload[1].signer == message.sender.index
-                          and scheme.verify_share(signing_name,
-                                                  payload[1]))
-                memo[message.msg_id] = cached
-            return cached
+            payload = message.payload
+            return (message.sender.is_server
+                    and len(payload) == 2
+                    and payload[0] == name
+                    and isinstance(payload[1], SignatureShare)
+                    and payload[1].signer == message.sender.index
+                    and scheme.verify_share(signing_name, payload[1]))
 
         shares = yield self._process.condition_quorum(
             "coin", MSG_COIN_SHARE, self._config.t + 1, where=valid)

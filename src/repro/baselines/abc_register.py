@@ -21,11 +21,12 @@ from typing import Any, Dict, Tuple
 
 from repro.agreement.atomic_broadcast import AtomicBroadcast
 from repro.common.ids import PartyId
+from repro.common.serialization import encode, encoded_size
 from repro.config import SystemConfig
 from repro.core.register import OperationHandle, RegisterClientBase
 from repro.core.timestamps import Timestamp
 from repro.net.message import Message
-from repro.net.process import Process, WaitState
+from repro.net.process import Process
 
 MSG_SUBMIT = "abc-submit"
 MSG_WRITE_DONE = "abc-write-done"
@@ -99,7 +100,6 @@ class AbcRegisterServer(Process):
 
     def register_storage_bytes(self, tag: str) -> int:
         """Full replication: the whole value plus its order stamp."""
-        from repro.common.serialization import encoded_size
         value, timestamp = self._current(tag)
         return encoded_size((value, timestamp))
 
@@ -121,22 +121,10 @@ class AbcRegisterClient(RegisterClientBase):
         tag, oid = handle.tag, handle.oid
         request = ("read", tag, oid, b"", self.pid)
         self.send_to_servers(tag, MSG_SUBMIT, request)
-        needed = self.config.t + 1
-
-        def check():
-            groups: Dict[bytes, list] = {}
-            from repro.common.serialization import encode
-            for message in self.inbox.first_per_sender(
-                    tag, MSG_READ_RESULT, oid=oid,
-                    where=lambda m: (m.sender.is_server
-                                     and len(m.payload) == 3
-                                     and isinstance(m.payload[1], bytes))):
-                key = encode((message.payload[1], message.payload[2]))
-                groups.setdefault(key, []).append(message)
-            for group in groups.values():
-                if len(group) >= needed:
-                    return group[0]
-            return None
-
-        message = yield WaitState(check, (tag, MSG_READ_RESULT, oid))
-        self._finish_read(handle, message.payload[1], message.payload[2])
+        messages = yield self.condition_agreeing(
+            tag, MSG_READ_RESULT, self.config.t + 1,
+            lambda m: encode((m.payload[1], m.payload[2])), oid=oid,
+            where=lambda m: (m.sender.is_server and len(m.payload) == 3
+                             and isinstance(m.payload[1], bytes)))
+        first = messages[0]
+        self._finish_read(handle, first.payload[1], first.payload[2])

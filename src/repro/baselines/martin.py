@@ -25,7 +25,7 @@ carry the full value and the reader waits for ``n - t`` identical
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Set, Tuple
+from typing import Any, Set, Tuple
 
 from repro.common.ids import PartyId
 from repro.common.serialization import encode
@@ -38,7 +38,6 @@ from repro.core.register import (
 )
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.net.message import Message
-from repro.net.process import WaitState
 
 MSG_GET_TS = "get-ts"
 MSG_TS = "ts"
@@ -134,7 +133,6 @@ class MartinClient(RegisterClientBase):
     def _read_thread(self, handle: OperationHandle):
         tag, oid = handle.tag, handle.oid
         self.send_to_servers(tag, MSG_READ, oid)
-        quorum = self.config.quorum
 
         def valid(message: Message) -> bool:
             payload = message.payload
@@ -142,19 +140,10 @@ class MartinClient(RegisterClientBase):
                     and isinstance(payload[1], Timestamp)
                     and isinstance(payload[2], bytes))
 
-        def check():
-            groups: Dict[bytes, Dict[PartyId, Message]] = {}
-            for message in self.inbox.messages(tag, MSG_VALUE, where=valid,
-                                               oid=oid):
-                key = encode((message.payload[1], message.payload[2]))
-                groups.setdefault(key, {}).setdefault(
-                    message.sender, message)
-            for group in groups.values():
-                if len(group) >= quorum:
-                    return list(group.values())
-            return None
-
-        messages = yield WaitState(check, (tag, MSG_VALUE, oid))
+        messages = yield self.condition_agreeing(
+            tag, MSG_VALUE, self.config.quorum,
+            lambda m: encode((m.payload[1], m.payload[2])),
+            where=valid, oid=oid)
         self.send_to_servers(tag, MSG_READ_COMPLETE, oid)
         first = messages[0]
         self._finish_read(handle, first.payload[2], first.payload[1])

@@ -30,7 +30,6 @@ atomic checker rejects.  See ``tests/test_phalanx.py``.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
 
 from repro.baselines.martin import (
     MSG_ACK,
@@ -46,6 +45,7 @@ from repro.config import SystemConfig, require_n_gt_4t
 from repro.core.register import OperationHandle, RegisterClientBase
 from repro.core.timestamps import Timestamp
 from repro.net.message import Message
+from repro.net.process import agreeing_groups
 
 MSG_READ_SAFE = "read-safe"
 MSG_VALUE_SAFE = "value-safe"
@@ -115,18 +115,14 @@ class PhalanxClient(RegisterClientBase):
             replies = yield self.condition_quorum(
                 tag, MSG_VALUE_SAFE, self.config.quorum, where=valid,
                 oid=oid)
-            counts: Dict[bytes, int] = {}
-            best: Optional[Message] = None
-            for message in replies:
-                key = encode((message.payload[2], message.payload[3]))
-                counts[key] = counts.get(key, 0) + 1
-            for message in replies:
-                key = encode((message.payload[2], message.payload[3]))
-                if counts[key] >= support and (
-                        best is None
-                        or message.payload[2] > best.payload[2]):
-                    best = message
-            if best is not None:
+            groups = agreeing_groups(
+                replies, lambda m: encode((m.payload[2], m.payload[3])))
+            supported = [next(iter(group.values()))
+                         for group in groups.values()
+                         if len(group) >= support]
+            if supported:
+                # the largest TIMESTAMP; the first to arrive among equals
+                best = max(supported, key=lambda m: m.payload[2])
                 self._finish_read(handle, best.payload[3],
                                   best.payload[2])
                 return

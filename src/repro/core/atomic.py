@@ -43,7 +43,7 @@ from repro.core.register import (
 )
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.net.message import Message
-from repro.net.process import WaitState
+from repro.net.process import WaitState, first_agreeing, once_per_message
 
 MSG_GET_TS = "get-ts"
 MSG_TS = "ts"
@@ -54,6 +54,12 @@ MSG_READ_COMPLETE = "read-complete"
 
 _DISP_PREFIX = "disp."
 _RBC_PREFIX = "rbc."
+
+
+def version_key(message: Message) -> bytes:
+    """What a read's ``value`` replies agree on: the encoding of their
+    ``(commitment, TIMESTAMP)`` pair."""
+    return encode((message.payload[1], message.payload[4]))
 
 
 def disp_tag(register_tag: str, oid: str) -> str:
@@ -267,73 +273,46 @@ class AtomicClient(RegisterClientBase):
     def _read_thread(self, handle: OperationHandle):
         tag, oid = handle.tag, handle.oid
         self.send_to_servers(tag, MSG_READ, oid)
-        timestamp, _, quorum_messages = yield self._read_quorum_condition(
-            tag, oid)
-        self.send_to_servers(tag, MSG_READ_COMPLETE, oid)
-        pairs = [(message.sender.index, message.payload[2])
-                 for message in quorum_messages]
-        value = self.config.coder.decode(pairs[: self.config.k])
-        self._finish_read(handle, value, timestamp)
-
-    def _read_quorum_condition(self, tag: str, oid: str):
-        """Condition: ``n - t`` distinct servers sent valid ``value``
-        messages agreeing on one ``(commitment, TIMESTAMP)`` pair.
-
-        Returns ``(timestamp, commitment, messages)`` for the first such
-        group.  Block validity checks and the encoding that names a
-        message's group are memoized per message.
-        """
-        memo: Dict[int, bool] = {}
-        group_memo: Dict[int, bytes] = {}
-        scheme = self.config.commitment_scheme
         quorum = self.config.quorum
+        scheme = self.config.commitment_scheme
 
         def valid(message: Message) -> bool:
-            cached = memo.get(message.msg_id)
-            if cached is None:
-                payload = message.payload
-                well_formed = (
-                    message.sender.is_server
-                    and len(payload) == 5
-                    and isinstance(payload[4], Timestamp))
-                cached = well_formed and scheme.verify(
-                    payload[1], message.sender.index,
-                    payload[2], payload[3])
-                if well_formed and not cached:
-                    # A shape-correct reply with a bad witness can only
-                    # come from a Byzantine server; the memo entry keeps
-                    # the report to once per message.
-                    self.note_verification_failure(tag, MSG_VALUE,
-                                                   message.sender)
-                memo[message.msg_id] = cached
-            return cached
+            payload = message.payload
+            well_formed = (message.sender.is_server
+                           and len(payload) == 5
+                           and isinstance(payload[4], Timestamp))
+            verified = well_formed and scheme.verify(
+                payload[1], message.sender.index, payload[2], payload[3])
+            if well_formed and not verified:
+                # A shape-correct reply with a bad witness can only come
+                # from a Byzantine server.
+                self.note_verification_failure(tag, MSG_VALUE,
+                                               message.sender)
+            return verified
 
-        def check():
-            candidates = self.inbox.messages(tag, MSG_VALUE, where=valid,
-                                             oid=oid)
-            if self.bounded_memory:
-                # Martin et al.'s bound: keep one entry per server — the
+        if self.bounded_memory:
+            valid = once_per_message(valid)
+            key = once_per_message(version_key)
+
+            def check():
+                # Martin et al.'s bound: one entry per server — the
                 # highest-TIMESTAMPed valid message it sent.
                 latest: Dict[PartyId, Message] = {}
-                for message in candidates:
+                for message in self.inbox.messages(tag, MSG_VALUE,
+                                                   where=valid, oid=oid):
                     kept = latest.get(message.sender)
                     if kept is None or \
                             kept.payload[4] < message.payload[4]:
                         latest[message.sender] = message
-                candidates = list(latest.values())
-            groups: Dict[bytes, Dict[PartyId, Message]] = {}
-            for message in candidates:
-                key = group_memo.get(message.msg_id)
-                if key is None:
-                    key = group_memo[message.msg_id] = encode(
-                        (message.payload[1], message.payload[4]))
-                group = groups.setdefault(key, {})
-                group.setdefault(message.sender, message)
-            for group in groups.values():
-                if len(group) >= quorum:
-                    messages = list(group.values())
-                    first = messages[0]
-                    return (first.payload[4], first.payload[1], messages)
-            return None
+                return first_agreeing(latest.values(), quorum, key)
 
-        return WaitState(check, (tag, MSG_VALUE, oid))
+            agreeing = WaitState(check, (tag, MSG_VALUE, oid))
+        else:
+            agreeing = self.condition_agreeing(
+                tag, MSG_VALUE, quorum, version_key, where=valid, oid=oid)
+        quorum_messages = yield agreeing
+        self.send_to_servers(tag, MSG_READ_COMPLETE, oid)
+        pairs = [(message.sender.index, message.payload[2])
+                 for message in quorum_messages]
+        value = self.config.coder.decode(pairs[: self.config.k])
+        self._finish_read(handle, value, quorum_messages[0].payload[4])

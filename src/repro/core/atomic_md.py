@@ -121,7 +121,8 @@ from repro.core.register import (
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
 from repro.crypto.hashing import DIGEST_SIZE, hash_bytes, hash_many
 from repro.net.message import Message
-from repro.net.process import WaitState
+from repro.net.process import (Groups, WaitState, agreeing_groups,
+                               once_per_message)
 
 MSG_GET_TS = "md-get-ts"
 MSG_TS = "md-ts"
@@ -453,7 +454,7 @@ class AtomicMdClient(RegisterClientBase):
         lock = proof_lock(ts, proof)
         # Store phase: each server gets only its own block — O(n) block
         # messages in place of AVID's O(n^2) echo traffic.
-        for server in self._require_simulator().server_pids:
+        for server in self.simulator.server_pids:
             index = server.index
             self.send(server, tag, MSG_STORE, oid, commitment,
                       blocks[index - 1], witnesses[index - 1], lock)
@@ -537,24 +538,22 @@ class AtomicMdClient(RegisterClientBase):
         scheme = self.config.commitment_scheme
         quorum = self.config.quorum
         k = self.config.k
-        meta_memo: Dict[int, bool] = {}
-        #: per valid ``md-meta``: the encoding of its (D, TIMESTAMP, N)
-        group_memo: Dict[int, bytes] = {}
         #: per evaluated ``md-meta``: whether its block verified
         block_memo: Dict[int, bool] = {}
         #: group keys whose commit was already written back
         relayed: Set[bytes] = set()
 
         def meta_valid(message: Message) -> bool:
-            cached = meta_memo.get(message.msg_id)
-            if cached is None:
-                payload = message.payload
-                cached = (message.sender.is_server
-                          and len(payload) == 6
-                          and isinstance(payload[2], Timestamp)
-                          and isinstance(payload[3], bytes))
-                meta_memo[message.msg_id] = cached
-            return cached
+            payload = message.payload
+            return (message.sender.is_server
+                    and len(payload) == 6
+                    and isinstance(payload[2], Timestamp)
+                    and isinstance(payload[3], bytes))
+
+        @once_per_message
+        def version(message: Message) -> bytes:
+            """The encoding of its ``(D, TIMESTAMP, N)``."""
+            return encode(message.payload[1:4])
 
         def block_valid(message: Message) -> bool:
             cached = block_memo.get(message.msg_id)
@@ -570,7 +569,7 @@ class AtomicMdClient(RegisterClientBase):
                 block_memo[message.msg_id] = cached
             return cached
 
-        def write_back(groups: Dict[bytes, Dict[PartyId, Message]]) -> None:
+        def write_back(groups: Groups) -> None:
             """Relay the commit of every version that is some server's
             newest report and above the lowest such one, once each, to
             the servers that have not reported it."""
@@ -590,22 +589,15 @@ class AtomicMdClient(RegisterClientBase):
                 group = groups[key]
                 _, commitment, _, proof = \
                     next(iter(group.values())).payload[:4]
-                for server in self._require_simulator().server_pids:
+                for server in self.simulator.server_pids:
                     if server not in group:
                         self.send(server, tag, MSG_COMMIT, timestamp.oid,
                                   timestamp.ts - 1, scheme.digest(commitment),
                                   proof)
 
         def check():
-            groups: Dict[bytes, Dict[PartyId, Message]] = {}
-            for message in self.inbox.messages(tag, MSG_META,
-                                               where=meta_valid, oid=oid):
-                key = group_memo.get(message.msg_id)
-                if key is None:
-                    key = group_memo[message.msg_id] = encode(
-                        message.payload[1:4])
-                groups.setdefault(key, {}).setdefault(message.sender,
-                                                      message)
+            groups = agreeing_groups(self.inbox.messages(
+                tag, MSG_META, where=meta_valid, oid=oid), version)
             agreed = [group for group in groups.values()
                       if len(group) >= quorum]
             if not agreed:

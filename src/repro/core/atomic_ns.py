@@ -24,7 +24,7 @@ The read operation is unchanged from Protocol Atomic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 from repro.common.ids import PartyId
 from repro.core.atomic import AtomicClient, AtomicServer, _RegisterState
@@ -89,29 +89,21 @@ class AtomicNSServer(AtomicServer):
         signed_message = (register_tag, new_ts)
         my_share = scheme.sign(signed_message, self.pid.index)
         self.send_to_servers(register_tag, MSG_SHARE, oid, my_share)
-        # Memoize validity verdicts per round (the predicate depends on
-        # this round's oid and timestamp, so the cache cannot be shared).
-        memo: Dict[int, bool] = {}
 
         def valid_share(message: Message) -> bool:
-            cached = memo.get(message.msg_id)
-            if cached is None:
-                payload = message.payload
-                well_formed = (message.sender.is_server
-                               and len(payload) == 2
-                               and isinstance(payload[1], SignatureShare)
-                               and payload[1].signer
-                               == message.sender.index)
-                cached = well_formed and scheme.verify_share(
-                    signed_message, payload[1])
-                if well_formed and not cached:
-                    # A shape-correct share that fails verification is a
-                    # Byzantine signal; memo keeps it once per message.
-                    self.note_verification_failure(register_tag,
-                                                   MSG_SHARE,
-                                                   message.sender)
-                memo[message.msg_id] = cached
-            return cached
+            payload = message.payload
+            well_formed = (message.sender.is_server
+                           and len(payload) == 2
+                           and isinstance(payload[1], SignatureShare)
+                           and payload[1].signer == message.sender.index)
+            verified = well_formed and scheme.verify_share(signed_message,
+                                                           payload[1])
+            if well_formed and not verified:
+                # A shape-correct share that fails verification is a
+                # Byzantine signal.
+                self.note_verification_failure(register_tag, MSG_SHARE,
+                                               message.sender)
+            return verified
 
         share_messages = yield self.condition_quorum(
             register_tag, MSG_SHARE, self.config.quorum, where=valid_share,

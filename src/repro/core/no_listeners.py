@@ -23,15 +23,16 @@ from typing import Dict, Optional
 
 from repro.common.errors import LivenessError
 from repro.common.ids import PartyId
-from repro.common.serialization import encode
 from repro.core.atomic import (
     MSG_VALUE,
     AtomicClient,
     AtomicServer,
+    version_key,
 )
 from repro.core.register import OperationHandle
 from repro.core.timestamps import Timestamp
 from repro.net.message import Message
+from repro.net.process import first_agreeing
 
 MSG_READ_ONCE = "read-once"
 
@@ -84,39 +85,25 @@ class NoListenersClient(AtomicClient):
             self.read_rounds[oid] = attempts
             round_no = next(self._rounds)
             self.send_to_servers(tag, MSG_READ_ONCE, oid, round_no)
-            memo: Dict[int, bool] = {}
 
             def valid(message: Message, r=round_no) -> bool:
-                cached = memo.get(message.msg_id)
-                if cached is None:
-                    payload = message.payload
-                    cached = (message.sender.is_server
-                              and len(payload) == 5
-                              and payload[0] == (oid, r)
-                              and isinstance(payload[4], Timestamp)
-                              and scheme.verify(payload[1],
-                                                message.sender.index,
-                                                payload[2], payload[3]))
-                    memo[message.msg_id] = cached
-                return cached
+                payload = message.payload
+                return (message.sender.is_server
+                        and len(payload) == 5
+                        and payload[0] == (oid, r)
+                        and isinstance(payload[4], Timestamp)
+                        and scheme.verify(payload[1], message.sender.index,
+                                          payload[2], payload[3]))
 
             replies = yield self.condition_quorum(tag, MSG_VALUE, quorum,
                                                   where=valid)
-            groups: Dict[bytes, Dict[PartyId, Message]] = {}
-            for message in replies:
-                key = encode((message.payload[1], message.payload[4]))
-                groups.setdefault(key, {}).setdefault(message.sender,
-                                                      message)
-            for group in groups.values():
-                if len(group) >= quorum:
-                    messages = list(group.values())
-                    pairs = [(message.sender.index, message.payload[2])
-                             for message in messages]
-                    value = self.config.coder.decode(
-                        pairs[: self.config.k])
-                    self._finish_read(handle, value,
-                                      messages[0].payload[4])
-                    return
+            messages = first_agreeing(replies, quorum, version_key)
+            if messages is not None:
+                pairs = [(message.sender.index, message.payload[2])
+                         for message in messages]
+                value = self.config.coder.decode(pairs[: self.config.k])
+                self._finish_read(handle, value, messages[0].payload[4])
+                return
             # No group reached quorum: servers were caught mid-update by
             # concurrent writes.  Retry a fresh round.
         raise LivenessError(

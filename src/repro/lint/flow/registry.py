@@ -9,7 +9,8 @@ program points the flow engine anchors on:
 * **sources** — where Byzantine bytes enter: message-handler payload
   parameters (discovered from ``on(mtype, handler)`` registrations),
   ``where=`` predicate parameters, inbox queries, ``condition_quorum``
-  results, and decode/unwrap helpers listed in :data:`SOURCE_CALLS`;
+  and ``condition_agreeing`` results, and decode/unwrap helpers listed
+  in :data:`SOURCE_CALLS`;
 * **sanitizers** — verification calls that cleanse their arguments:
   commitment/Merkle/signature checks, structural validators, and
   ``isinstance``-style type guards (the latter are built into the
@@ -43,7 +44,8 @@ SOURCE_CALLS: Tuple[str, ...] = (
 #: messages with Byzantine payloads.  ``where=`` predicates that
 #: validate payload fields (see the engine's validator analysis) mark
 #: the admitted messages as sanitized.
-CONDITION_CALLS: Tuple[str, ...] = ("condition_quorum", "condition_message")
+CONDITION_CALLS: Tuple[str, ...] = (
+    "condition_quorum", "condition_agreeing", "condition_message")
 
 #: Inbox query methods (must be called on an ``inbox`` receiver).
 INBOX_QUERY_CALLS: Tuple[str, ...] = ("messages", "first_per_sender")

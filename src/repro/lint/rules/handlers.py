@@ -1,14 +1,15 @@
 """Handler-completeness rule pack.
 
-Every message type string that is ever sent must have a receive site
+Every message type string that is ever sent (by ``send``,
+``send_to_servers`` or ``simulator.enqueue``) must have a receive site
 somewhere — an ``on(mtype, ...)`` dispatch registration, a
-``condition_quorum``/``condition_message`` wait, a direct inbox query,
-or a ``(tag, mtype, oid)`` bucket a ``WaitState`` declares — and every
-receive site must correspond to a message that some process actually
-sends.  A sent-but-unhandled message silently disappears into inboxes
-(a liveness bug waiting for a schedule that exposes it); a
-handled-but-never-sent type is dead dispatch code or a typo in a tag
-string.
+``condition_quorum``/``condition_agreeing``/``condition_message`` wait,
+a direct inbox query, or a ``(tag, mtype, oid)`` bucket a ``WaitState``
+declares — and every receive site must correspond to a message that
+some process actually sends.  A sent-but-unhandled message silently
+disappears into inboxes (a liveness bug waiting for a schedule that
+exposes it); a handled-but-never-sent type is dead dispatch code or a
+typo in a tag string.
 
 * ``handler-unhandled`` — a send site whose message type has no
   receive site anywhere in scope.
@@ -45,20 +46,22 @@ RULE_UNHANDLED = "handler-unhandled"
 RULE_ORPHAN = "handler-orphan"
 
 #: mtype argument index per send-style callable.
-_SEND_MTYPE_INDEX = {"send": 2, "send_to_servers": 1}
+_SEND_MTYPE_INDEX = {"send": 2, "send_to_servers": 1, "enqueue": 3}
 #: mtype argument index per receive-site callable.
 _RECEIVE_MTYPE_INDEX = {
     "on": 0,
     "condition_quorum": 1,
+    "condition_agreeing": 1,
     "condition_message": 1,
     "messages": 1,
     "first_per_sender": 1,
-    "senders": 1,
-    "count_distinct": 1,
 }
-#: Inbox query methods additionally require an ``inbox`` receiver so
-#: unrelated ``.messages(...)`` calls do not register receive sites.
-_INBOX_ONLY = {"messages", "first_per_sender", "senders", "count_distinct"}
+#: Callables that count only on a receiver of this name, so unrelated
+#: ``.messages(...)`` / ``.enqueue(...)`` calls register no site: the
+#: inbox queries and ``Simulator.enqueue(sender, recipient, tag, mtype,
+#: ...)``, the send beneath ``Process.send``.
+_RECEIVER = {"messages": "inbox", "first_per_sender": "inbox",
+             "enqueue": "simulator"}
 #: The send and receive primitives themselves are never wrappers.
 _PRIMITIVES = set(_SEND_MTYPE_INDEX) | set(_RECEIVE_MTYPE_INDEX)
 
@@ -176,8 +179,12 @@ class HandlerCompletenessRule:
             if isinstance(node, ast.Call):
                 calls.append((module, stack[0] if stack else None, node))
                 fname = terminal_name(node.func)
-                if (fname in _SEND_MTYPE_INDEX
-                        and isinstance(node.func, ast.Attribute)):
+                method = isinstance(node.func, ast.Attribute)
+                if fname in _RECEIVER and not (
+                        method and terminal_name(node.func.value)
+                        == _RECEIVER[fname]):
+                    fname = None  # an unrelated method of the same name
+                if fname in _SEND_MTYPE_INDEX and method:
                     site("send", _mtype_arg(node, _SEND_MTYPE_INDEX[fname]),
                          node.lineno)
                 elif fname == WAIT_STATE_CALL:
@@ -186,10 +193,7 @@ class HandlerCompletenessRule:
                     for key in node.args[1:]:
                         if isinstance(key, ast.Tuple) and len(key.elts) == 3:
                             site("receive", key.elts[1], node.lineno)
-                elif fname in _RECEIVE_MTYPE_INDEX and (
-                        fname not in _INBOX_ONLY
-                        or (isinstance(node.func, ast.Attribute)
-                            and terminal_name(node.func.value) == "inbox")):
+                elif fname in _RECEIVE_MTYPE_INDEX:
                     site("receive",
                          _mtype_arg(node, _RECEIVE_MTYPE_INDEX[fname]),
                          node.lineno)

@@ -1,12 +1,12 @@
 """Quorum-arithmetic rule pack.
 
 Threshold expressions are extracted from wait sites —
-``condition_quorum(tag, mtype, count)`` calls and comparisons whose
-threshold side is built from the protocol symbols ``n``, ``t``, ``k``
-(plus the derived ``quorum = n - t``, ``ready_amplify = t + 1``,
-``deliver_quorum = 2t + 1``) — and checked symbolically over every
-valid configuration with ``n > 3t`` and ``1 <= k <= n - t``
-(paper, Section 2):
+``condition_quorum(tag, mtype, count)`` and ``condition_agreeing(tag,
+mtype, count, key)`` calls and comparisons whose threshold side is
+built from the protocol symbols ``n``, ``t``, ``k`` (plus the derived
+``quorum = n - t``, ``ready_amplify = t + 1``, ``deliver_quorum =
+2t + 1``) — and checked symbolically over every valid configuration
+with ``n > 3t`` and ``1 <= k <= n - t`` (paper, Section 2):
 
 * ``quorum-literal`` — a bare integer literal where a threshold
   expression is expected; literals silently break for other ``(n, t)``.
@@ -61,6 +61,9 @@ _SYMBOLS: Dict[str, Callable[[int, int, int], int]] = {
     "ready_amplify": lambda n, t, k: t + 1,
     "deliver_quorum": lambda n, t, k: 2 * t + 1,
 }
+
+#: Wait builders whose third argument (or ``count=``) is a threshold.
+_COUNTED_WAITS = ("condition_quorum", "condition_agreeing")
 
 #: Canonical thresholds that are correct by construction under n > 3t.
 _CANONICAL: Tuple[Tuple[str, Callable[[int, int, int], int]], ...] = (
@@ -230,17 +233,17 @@ class QuorumArithmeticRule:
                         seen.add(id(inner))
                     continue
                 if isinstance(node, ast.Call):
-                    yield from self._check_condition_quorum(
+                    yield from self._check_counted_wait(
                         module, node, locals_table, bound)
                 elif isinstance(node, ast.Compare):
                     yield from self._check_compare(
                         module, node, locals_table, bound)
 
-    def _check_condition_quorum(
+    def _check_counted_wait(
             self, module: ModuleInfo, node: ast.Call,
             locals_table: Dict[str, ast.expr],
             bound: Dict[str, bool]) -> Iterator[Finding]:
-        if terminal_name(node.func) != "condition_quorum":
+        if terminal_name(node.func) not in _COUNTED_WAITS:
             return
         count: Optional[ast.expr] = None
         if len(node.args) >= 3:

@@ -136,19 +136,6 @@ class Inbox:
             return list(found)
         return [message for message in found if where(message)]
 
-    def senders(self, tag: str, mtype: str,
-                where: Optional[Predicate] = None,
-                oid: Optional[str] = None) -> Set[PartyId]:
-        """Distinct senders of matching messages."""
-        return {message.sender
-                for message in self.messages(tag, mtype, where, oid)}
-
-    def count_distinct(self, tag: str, mtype: str,
-                       where: Optional[Predicate] = None,
-                       oid: Optional[str] = None) -> int:
-        """Number of distinct senders of matching messages."""
-        return len(self.senders(tag, mtype, where, oid))
-
     def first_per_sender(self, tag: str, mtype: str,
                          where: Optional[Predicate] = None,
                          oid: Optional[str] = None) -> List[Message]:

@@ -24,17 +24,20 @@ What a delivery costs depends only on what it can change.  A message
 whose type has an ``on()`` handler is consumed by the handler and never
 buffered; everything else goes to the :class:`~repro.net.inbox.Inbox`
 (which states the retention rule).  A wait state built by
-:meth:`Process.condition_quorum` / :meth:`Process.condition_message`, or
-wrapped in :class:`WaitState`, names the ``(tag, mtype, oid)`` buckets it
-reads, so an activation re-checks only the parked threads the arriving
-message can satisfy; a bare callable names nothing and is re-checked on
-every activation.
+:meth:`Process.condition_quorum`, :meth:`Process.condition_agreeing` or
+:meth:`Process.condition_message`, or wrapped in :class:`WaitState`,
+names the ``(tag, mtype, oid)`` buckets it reads, so an activation
+re-checks only the parked threads the arriving message can satisfy; a
+bare callable names nothing and is re-checked on every activation.
+Those builders run a ``where`` predicate (and a group ``key``) at most
+once per message, however often the wait state is re-checked.
 """
 
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Generator, Iterable, List,
+                    Optional, Set, Tuple)
 
 from repro.common.errors import SimulationError
 from repro.common.ids import PartyId
@@ -43,6 +46,61 @@ from repro.net.message import Message, content_wire_size
 
 Condition = Callable[[], Any]
 Handler = Callable[[Message], Any]
+#: Messages grouped by an agreement key: ``key -> sender -> message``.
+Groups = Dict[Any, Dict[PartyId, Message]]
+
+_UNSEEN = object()
+
+
+def once_per_message(function: Callable[[Message], Any]
+                     ) -> Callable[[Message], Any]:
+    """``function`` run at most once per message, its result kept by
+    ``msg_id`` (unique per simulator) for as long as the caller lives.
+
+    A wait state re-reads its buckets on every arrival, so a ``where``
+    predicate (a witness or signature check) or a group key (an
+    encoding) would otherwise run again for every message already
+    buffered — and a predicate that reports a verification failure
+    would report it again each time.
+    """
+    memo: Dict[int, Any] = {}
+
+    def memoized(message: Message) -> Any:
+        result = memo.get(message.msg_id, _UNSEEN)
+        if result is _UNSEEN:
+            result = memo[message.msg_id] = function(message)
+        return result
+
+    return memoized
+
+
+def agreeing_groups(messages: Iterable[Message],
+                    key: Callable[[Message], Any]) -> Groups:
+    """Group ``messages`` (oldest first) by ``key``: each group holds
+    the first message of each of its senders, and groups are ordered by
+    their first message.  A sender whose messages carry different keys
+    (a listener forwarding each newer version) joins each such group,
+    counted once in each."""
+    groups: Groups = {}
+    for message in messages:
+        value = key(message)
+        group = groups.get(value)
+        if group is None:
+            groups[value] = {message.sender: message}
+        elif message.sender not in group:
+            group[message.sender] = message
+    return groups
+
+
+def first_agreeing(messages: Iterable[Message], count: int,
+                   key: Callable[[Message], Any]
+                   ) -> Optional[List[Message]]:
+    """The first group of :func:`agreeing_groups` with ``count``
+    distinct senders, as a list in arrival order, or ``None``."""
+    for group in agreeing_groups(messages, key).values():
+        if len(group) >= count:
+            return list(group.values())
+    return None
 
 
 class WaitState:
@@ -306,6 +364,8 @@ class Process:
         message the wait state was actually blocked on.
         """
         released = False
+        if where is not None:
+            where = once_per_message(where)
 
         def check():
             nonlocal released
@@ -322,10 +382,33 @@ class Process:
 
         return WaitState(check, (tag, mtype, oid))
 
+    def condition_agreeing(self, tag: str, mtype: str, count: int,
+                           key: Callable[[Message], Any],
+                           where: Optional[Callable[[Message], bool]] = None,
+                           oid: Optional[str] = None) -> Condition:
+        """Condition: ``count`` distinct senders sent matching messages
+        with equal ``key(message)`` — the read's "``n - t`` servers
+        agree on one ``(D, TIMESTAMP)``".  Returns that group, the
+        first message of each of its senders (see
+        :func:`first_agreeing`); ``key`` runs once per message, like
+        ``where``.  No quorum release is reported.
+        """
+        if where is not None:
+            where = once_per_message(where)
+        key = once_per_message(key)
+
+        def check():
+            return first_agreeing(self.inbox.messages(tag, mtype, where, oid),
+                                  count, key)
+
+        return WaitState(check, (tag, mtype, oid))
+
     def condition_message(self, tag: str, mtype: str,
                           where: Optional[Callable[[Message], bool]] = None,
                           oid: Optional[str] = None) -> Condition:
         """Condition: at least one matching message; returns the first."""
+        if where is not None:
+            where = once_per_message(where)
 
         def check():
             matching = self.inbox.messages(tag, mtype, where, oid)

@@ -204,7 +204,8 @@ def _assert_index_matches_scan(messages, extra=lambda m: True):
                 == scan.messages(tag, mtype, old), (tag, mtype, oid)
             assert inbox.first_per_sender(tag, mtype, extra, oid=oid) \
                 == scan.first_per_sender(tag, mtype, old), (tag, mtype, oid)
-            assert inbox.senders(tag, mtype, oid=oid) \
+            assert {m.sender for m in inbox.first_per_sender(
+                tag, mtype, oid=oid)} \
                 == {m.sender for m in scan.messages(tag, mtype,
                                                     _names_oid(oid))}
     assert len(inbox) == len(scan.kept)

@@ -47,6 +47,15 @@ def test_taint_pack_detects_seeded_violations():
     assert locate(report, "taint-dead-sanitizer") == [(path, 35)]
 
 
+def test_taint_pack_sources_agreeing_groups():
+    """An agreeing group carries Byzantine payloads unless the wait
+    names its operation (``oid=``)."""
+    report = taint_report("taint_agreeing.py")
+    path = str(FIXTURES / "taint_agreeing.py")
+    assert locate(report, "taint-unverified-sink") == [(path, 17)]
+    assert len(report.active) == 1
+
+
 def test_taint_pack_quiet_on_sanitized_module():
     report = taint_report("taint_clean.py")
     assert report.findings == []

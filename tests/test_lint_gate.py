@@ -429,6 +429,59 @@ def test_register_clients_share_one_timestamp_round():
         "repro.core.atomic_md._write_thread"]
 
 
+
+def test_register_reads_share_one_agreeing_condition():
+    """The register-read ratchet: the read's "``n - t`` servers agree on
+    one version" wait is grouped in one place, and wait-state
+    predicates are memoized in one place — ``agreeing_groups`` and
+    ``once_per_message`` in ``repro.net.process``.  Under
+    ``repro.core``, ``repro.baselines`` and ``repro.agreement`` no
+    function keys a memo by ``msg_id`` except ``atomic_md``'s lazy
+    block check (it verifies only members of an agreeing group), none
+    groups messages with its own ``groups.setdefault``, and the seven
+    agreeing reads reach the shared grouping."""
+    shared_calls = {"condition_agreeing", "agreeing_groups",
+                    "first_agreeing"}
+    memos, groupings, shared = set(), set(), set()
+
+    def visit(node, site):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{site}.{child.name}")
+                continue
+            keyed = isinstance(child, ast.Subscript) and child.slice
+            if isinstance(child, ast.Call) and child.args \
+                    and terminal_name(child.func) == "get":
+                keyed = child.args[0]
+            if isinstance(keyed, ast.Attribute) and keyed.attr == "msg_id":
+                memos.add(site)
+            name = isinstance(child, ast.Call) and terminal_name(child.func)
+            if name == "setdefault" and (
+                    terminal_name(child.func.value) == "groups"
+                    or terminal_name(getattr(child.func.value, "func",
+                                             None)) == "setdefault"):
+                groupings.add(site)
+            if name in shared_calls:
+                shared.add(site)
+            visit(child, site)
+
+    for module in discover([SRC]):
+        if module.dotted.startswith(("repro.core.", "repro.baselines.",
+                                     "repro.agreement.")):
+            visit(module.tree, module.dotted)
+    assert sorted(memos) == [
+        "repro.core.atomic_md.AtomicMdClient._read_condition.block_valid"]
+    assert groupings == set()
+    assert sorted(shared) == [
+        "repro.baselines.abc_register.AbcRegisterClient._read_thread",
+        "repro.baselines.martin.MartinClient._read_thread",
+        "repro.baselines.phalanx.PhalanxClient._read_thread",
+        "repro.core.atomic.AtomicClient._read_thread",
+        "repro.core.atomic.AtomicClient._read_thread.check",
+        "repro.core.atomic_md.AtomicMdClient._read_condition.check",
+        "repro.core.no_listeners.NoListenersClient._read_thread"]
+
 def _first_sends(protocol, client_cls):
     """What client 1, a ``client_cls``, sends the moment it is asked to
     write in a ``protocol`` cluster: ``(recipient, tag, type, payload)``

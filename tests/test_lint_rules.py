@@ -43,6 +43,17 @@ def test_quorum_pack_detects_seeded_violations():
     assert len(report.active) == 3
 
 
+def test_quorum_pack_checks_agreeing_waits():
+    """``condition_agreeing``'s count is checked as
+    ``condition_quorum``'s is."""
+    report = findings_for("quorum_agreeing.py", only={"quorum"})
+    path = str(FIXTURES / "quorum_agreeing.py")
+    assert locate(report, "quorum-literal") == [(path, 16)]
+    assert locate(report, "quorum-intersection") == [(path, 21)]
+    # the canonical n - t agreeing wait stays quiet
+    assert len(report.active) == 2
+
+
 def test_wire_pack_detects_unregistered_payload():
     # wire_alias.py imports the class as ``Body``: the alias resolves
     # through the project's import bindings to the class it names
@@ -72,6 +83,14 @@ def test_handler_pack_detects_orphans_and_unhandled():
     assert locate(report, "handler-unhandled") == [(path, 19)]
     # The matched ping send/handler pair stays quiet.
     assert len(report.active) == 3
+
+
+def test_handler_pack_sees_enqueue_sends_and_agreeing_waits():
+    """``simulator.enqueue`` is a send site (mtype at index 3) and
+    ``condition_agreeing`` a receive site; an ``enqueue`` or
+    ``messages`` call on any other receiver is neither."""
+    report = run_lint([FIXTURES / "handler_sites.py"], only={"handlers"})
+    assert report.active == []
 
 
 def test_handler_pack_follows_receive_wrappers_across_the_hierarchy(
