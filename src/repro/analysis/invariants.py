@@ -20,7 +20,8 @@ the lemmas of Section 3.3:
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.common.errors import ProtocolError
 from repro.common.ids import PartyId
@@ -118,24 +119,34 @@ def install_commit_invariant(simulator: Simulator, tag: str,
     ``D`` at the server's own index — it is the block every read reply
     carries.  Relayed commits (reader write-back) are not evidence: they
     are what the invariant is about.  Installs an observer of sends
-    and an invariant on ``simulator``; one call per run.
+    (kv inner sends included) and an invariant on ``simulator``; one
+    call per run.
     """
     honest: Optional[Set[PartyId]] = \
         set(honest_servers) if honest_servers is not None else None
     writers: Dict[str, PartyId] = {}
     committed: Dict[Tuple[str, int], Set[bytes]] = {}
 
-    def on_send(message: Message, time: int, pending: int = 0) -> None:
-        if message.tag != tag or message.sender.is_server \
-                or not message.payload:
+    def note(sender: PartyId, message: Any) -> None:
+        if message.tag != tag or sender.is_server or not message.payload:
             return
         oid = message.payload[0]
         if message.mtype == MSG_STORE:
-            writers.setdefault(oid, message.sender)
+            writers.setdefault(oid, sender)
         elif (message.mtype == MSG_COMMIT and len(message.payload) == 4
-              and writers.get(oid) == message.sender):
+              and writers.get(oid) == sender):
             _, ts, digest, _ = message.payload
             committed.setdefault((oid, ts), set()).add(digest)
+
+    def on_send(message: Message, time: int, pending: int = 0) -> None:
+        note(message.sender, message)
+
+    def on_send_batch(sender: PartyId,
+                      sends: Sequence[Tuple[Any, PartyId, int, int]],
+                      pending: int) -> None:
+        if not sender.is_server:
+            for send in sends:
+                note(sender, send[0])
 
     def check(simulator: Simulator) -> None:
         for process in simulator.processes:
@@ -166,5 +177,6 @@ def install_commit_invariant(simulator: Simulator, tag: str,
                     f"{process.pid} adopted {state.timestamp} under a "
                     f"cross-checksum its writer did not commit")
 
-    simulator.add_observer(SimpleNamespace(on_send=on_send))
+    simulator.add_observer(SimpleNamespace(on_send=on_send,
+                                           on_send_batch=on_send_batch))
     simulator.add_invariant(check)

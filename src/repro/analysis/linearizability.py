@@ -17,9 +17,12 @@ Algorithm (registers with unique values admit a polynomial check):
    that reader would have read the other write.
 3. Build the cluster precedence graph: an edge ``C1 -> C2`` whenever some
    operation of ``C1`` completes before some operation of ``C2`` is
-   invoked (real-time order must be preserved across clusters).  Writes
-   that took effect without a recorded interval (Byzantine writers)
-   contribute no real-time edges.
+   invoked (real-time order must be preserved across clusters) — that
+   is, exactly when ``C1``'s earliest completion is before ``C2``'s
+   latest invocation, so the graph costs one pass over the operations
+   and one comparison per pair of clusters.  Writes that took effect
+   without a recorded interval (Byzantine writers) contribute no
+   real-time edges.
 4. The history is atomic iff no read completes before its write is
    invoked and the cluster graph is acyclic; a topological order of
    clusters (write first, reads by invocation time) is a witness
@@ -29,7 +32,7 @@ Algorithm (registers with unique values admit a polynomial check):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import AtomicityViolation
 
@@ -60,6 +63,33 @@ class HistoryOp:
         """Real-time precedence: this op completed before ``other`` began."""
         return (self.complete is not None and other.invoke is not None
                 and self.complete < other.invoke)
+
+
+def _precedence_edges(clusters: Dict[str, List[HistoryOp]]
+                      ) -> Dict[str, Set[str]]:
+    """The real-time edges between clusters: ``C1 -> C2`` exactly when
+    the earliest completion in ``C1`` is before the latest invocation in
+    ``C2`` (some member of ``C1`` :meth:`~HistoryOp.precedes` some
+    member of ``C2``).  Operations with no interval count in neither."""
+    first_complete: Dict[str, int] = {}
+    last_invoke: Dict[str, int] = {}
+    for cluster_oid, members in clusters.items():
+        completes = [operation.complete for operation in members
+                     if operation.complete is not None]
+        if completes:
+            first_complete[cluster_oid] = min(completes)
+        invokes = [operation.invoke for operation in members
+                   if operation.invoke is not None]
+        if invokes:
+            last_invoke[cluster_oid] = max(invokes)
+    edges: Dict[str, Set[str]] = {cluster_oid: set()
+                                  for cluster_oid in clusters}
+    for first, complete in first_complete.items():
+        successors = edges[first]
+        for second, invoke in last_invoke.items():
+            if complete < invoke and second != first:
+                successors.add(second)
+    return edges
 
 
 def check_atomicity(operations: Sequence[HistoryOp],
@@ -111,23 +141,11 @@ def check_atomicity(operations: Sequence[HistoryOp],
 
     # 2-3. cluster precedence graph.  The initial write precedes all.
     cluster_ids = list(clusters)
-    member_of: Dict[str, str] = {}
-    for cluster_oid, members in clusters.items():
-        for operation in members:
-            member_of[operation.oid] = cluster_oid
-    edges: Dict[str, set] = {cluster_oid: set() for cluster_oid in clusters}
+    edges = _precedence_edges(clusters)
     indegree: Dict[str, int] = {cluster_oid: 0 for cluster_oid in clusters}
-    all_ops = [op for members in clusters.values() for op in members]
-    for first in all_ops:
-        for second in all_ops:
-            if first is second or not first.precedes(second):
-                continue
-            c1, c2 = member_of[first.oid], member_of[second.oid]
-            if c1 == c2:
-                continue
-            if c2 not in edges[c1]:
-                edges[c1].add(c2)
-                indegree[c2] += 1
+    for successors in edges.values():
+        for successor in successors:
+            indegree[successor] += 1
     for cluster_oid in cluster_ids:
         if cluster_oid != INITIAL_WRITE_OID \
                 and cluster_oid not in edges[INITIAL_WRITE_OID]:

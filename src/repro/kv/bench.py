@@ -62,7 +62,7 @@ from repro.kv.cluster import (
     drive,
 )
 from repro.kv.directory import KvDirectory
-from repro.kv.envelope import KV_TAG
+from repro.kv.envelope import MSG_KV_BATCH
 from repro.kv.session import KvSession
 from repro.obs import (
     PHASE_BLOCK_PUSH,
@@ -70,9 +70,11 @@ from repro.obs import (
     PHASE_QUORUM_WAIT,
     PHASE_RETRIEVE,
     PHASE_TS_QUERY,
+    MessageRecord,
     PlaneTraffic,
     TraceRecorder,
     build_spans,
+    completed_operation_records,
     operation_plane_traffic,
 )
 from repro.workloads.kv import DEFAULT_SHIFT_EVERY, kv_workload
@@ -210,9 +212,15 @@ def check_kv_histories(sessions: Sequence[KvSession]) -> int:
     return len(histories)
 
 
-def _phase_attribution(recorder: TraceRecorder) -> Dict[str, int]:
+#: the recorder's per-message-type wire-size histograms
+_WIRE_BYTES = "wire.bytes["
+
+
+def _phase_attribution(recorder: TraceRecorder,
+                       records: Dict[Tuple[str, str], List[MessageRecord]]
+                       ) -> Dict[str, int]:
     totals: Dict[str, int] = {}
-    for span in build_spans(recorder):
+    for span in build_spans(recorder, records):
         if not span.tag.startswith(_KV_SPAN_PREFIX):
             continue
         for child in span.children:
@@ -369,22 +377,26 @@ def collect_kv_row(recorder: TraceRecorder, cluster: KvCluster,
         for name in cache_stats:
             cache_stats[name] += session.cache.stats[name]
     ticks = cluster.simulator.time
-    # Every whole-run column comes out of one pass over the trace; the
-    # per-operation ones below read the recorder's index.
+    # The whole-run columns read the recorder's instruments, which
+    # sample every record once (``wire.bytes[mtype]``: one value per
+    # message sent); the per-operation ones below read its index.
+    registry = recorder.registry
     envelopes = inner = wire_bytes = 0
     planes = PlaneTraffic()
-    for record in recorder.messages.values():
-        if record.tag == KV_TAG:
-            envelopes += 1
-            wire_bytes += record.wire_bytes
+    for name in registry.names():
+        if not name.startswith(_WIRE_BYTES):
+            continue
+        mtype, sizes = name[len(_WIRE_BYTES):-1], registry.histogram(name)
+        if mtype == MSG_KV_BATCH:
+            envelopes, wire_bytes = sizes.count, sizes.total
         else:
-            inner += 1
-        planes.add(record)
-    registry = recorder.registry
+            inner += sizes.count
+        planes.observe(mtype, sizes.total, sizes.count)
     verify_failures = sum(
         registry.counter(name).value for name in registry.names()
         if name.startswith("verify.failed.by["))
-    read_planes = operation_plane_traffic(recorder)["read"]
+    records = completed_operation_records(recorder)
+    read_planes = operation_plane_traffic(recorder, records)["read"]
     return KvBenchRow(
         shards=num_shards, protocol=protocol, plan=plan_label,
         sessions=sessions, keys=keys, ops=ops,
@@ -409,7 +421,7 @@ def collect_kv_row(recorder: TraceRecorder, cluster: KvCluster,
         revalidations=cache_stats["revalidations"],
         revalidate_hits=cache_stats["revalidate_hits"],
         revalidate_fallbacks=cache_stats["revalidate_fallbacks"],
-        phase_ticks=_phase_attribution(recorder))
+        phase_ticks=_phase_attribution(recorder, records))
 
 
 # -- comparisons ----------------------------------------------------------------

@@ -136,15 +136,18 @@ class ShardBus:
 
         One ``KvEntry`` per send — a fresh fleet ``msg_id``, the sending
         inner process's causal stamps — sized by arithmetic into its
-        destination's buffer slot.  A listening ``on_send`` observer sees
-        it at once as a ``Message`` in *fleet* identities (the host, and
-        the recipient's host), mirroring ``Simulator.enqueue`` so traces
-        of batched and unbatched runs have the same shape and per-server
-        health signals are scored against the fleet roster.
+        destination's buffer slot.  When an ``on_send_batch`` observer
+        listens, the host also notes ``(entry, fleet recipient, content
+        size, tick)``; :meth:`_KvMuxProcess.kv_flush` reports the notes
+        in one :meth:`~repro.net.simulator.Simulator.report_send_batch`
+        from the host, so traces of batched and unbatched runs have the
+        same shape in *fleet* identities and per-server health signals
+        are scored against the fleet roster.  No ``Message`` is built
+        for observers.
 
         ``wire_size`` is the inner content's size when the sender knows
         it (broadcasts); it sizes the entry for the envelope's byte
-        count and is stamped on the message observers see.
+        count and is the size observers record.
         """
         host = self.host
         simulator = host.simulator
@@ -173,10 +176,10 @@ class ShardBus:
             slot = host._kv_outbound[fleet_recipient] = [[], 0]
         slot[0].append(entry)
         slot[1] += size
-        if host._send_hooks:
-            simulator.report_send(
-                Message(tag, mtype, host.pid, fleet_recipient, payload,
-                        msg_id, depth, cause_id, wire_size))
+        if host._send_batch_hooks:
+            # the tick now: output actions move the clock before the flush
+            host._kv_sent.append((entry, fleet_recipient, wire_size,
+                                  simulator.time))
 
     def record_output(self, party: PartyId, tag: str, action: str,
                       payload: Tuple[Any, ...]) -> None:
@@ -238,18 +241,22 @@ class _KvMuxProcess(Process):
         #: destination -> [buffered entries, their encoded sizes summed],
         #: filled by :meth:`ShardBus.enqueue`
         self._kv_outbound: Dict[PartyId, List[Any]] = {}
+        #: ``(entry, fleet recipient, content size, tick)`` per buffered
+        #: entry, in send order, while an observer listens
+        self._kv_sent: List[Tuple[KvEntry, PartyId, int, int]] = []
         #: fleet sender -> shard -> (inner process, shard-local sender):
         #: each resolution an entry was delivered on, made once
         self._kv_routes: Dict[PartyId, Dict[int, _Route]] = {}
         self.on(MSG_KV_BATCH, self._on_kv_batch)
 
     def bind(self, simulator) -> None:
-        """Attach to ``simulator`` and hold its live ``on_send`` and
-        ``on_deliver`` hook lists: the mux reports inner traffic only
-        when one is non-empty, and tests that per message."""
+        """Attach to ``simulator`` and hold its live ``on_send_batch``
+        and ``on_deliver_batch`` hook lists: the mux notes inner traffic
+        only when one is non-empty, and tests that per message."""
         super().bind(simulator)
-        self._send_hooks = simulator.observer_hooks("on_send")
-        self._deliver_hooks = simulator.observer_hooks("on_deliver")
+        self._send_batch_hooks = simulator.observer_hooks("on_send_batch")
+        self._deliver_batch_hooks = simulator.observer_hooks(
+            "on_deliver_batch")
 
     # -- outbound: flush ----------------------------------------------------
 
@@ -260,10 +267,15 @@ class _KvMuxProcess(Process):
         (zero outside one), exactly like any direct ``Process.send``.
         The envelope's wire size is composed from its entries' sizes, so
         the metrics plane never has to walk or serialize the batch.
+        Observers hear of the entries first, in one report, and then of
+        each envelope as the simulator admits it.
         """
         if not self._kv_outbound:
             return
         outbound, self._kv_outbound = self._kv_outbound, {}
+        if self._kv_sent:
+            sent, self._kv_sent = self._kv_sent, []
+            self.simulator.report_send_batch(self.pid, sent)
         for recipient, (entries, size) in outbound.items():
             self.send(recipient, KV_TAG, MSG_KV_BATCH, tuple(entries),
                       wire_size=batch_wire_size(size))
@@ -296,7 +308,8 @@ class _KvMuxProcess(Process):
         if len(payload) != 1 or not isinstance(payload[0], tuple):
             return
         fleet_sender = message.sender
-        observed = self._deliver_hooks
+        # (entry, inbox depth, tick) per inner delivery, for observers
+        delivered = [] if self._deliver_batch_hooks else None
         routes = self._kv_routes.get(fleet_sender)
         if routes is None:
             routes = self._kv_routes[fleet_sender] = {}
@@ -322,16 +335,16 @@ class _KvMuxProcess(Process):
                     route = routes[entry.shard] = (inner, sender)
                 inner, sender = route
                 shard, recipient = entry.shard, inner.pid
-            if observed:
-                # the observers' view of the delivery, in fleet identities
-                self.simulator.report_deliver(
-                    Message(entry.tag, entry.mtype, fleet_sender, self.pid,
-                            entry.payload, entry.msg_id, entry.depth,
-                            entry.cause_id),
-                    len(inner.inbox))
+            if delivered is not None:
+                # the tick now: an inner output moves the clock
+                delivered.append((entry, inner.inbox.depth,
+                                  self.simulator.time))
             inner.receive(Message(entry.tag, entry.mtype, sender, recipient,
                                   entry.payload, entry.msg_id, entry.depth,
                                   entry.cause_id))
+        if delivered:
+            self.simulator.report_deliver_batch(fleet_sender, self.pid,
+                                                delivered)
 
     def _kv_inner_for(self, shard_id: int, fleet_sender: PartyId
                       ) -> Optional[Tuple[Process, ShardBus]]:

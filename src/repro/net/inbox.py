@@ -55,7 +55,8 @@ class Inbox:
                                      Dict[str, _Bucket]]] = {}
         self._retired: Set[Tuple[str, str]] = set()
         self._arrivals = 0
-        self._count = 0
+        #: messages held (``len``), readable without a call on hot paths
+        self.depth = 0
 
     def add(self, message: Message) -> Optional[WaitKey]:
         """Buffer a delivered message.
@@ -87,7 +88,7 @@ class Inbox:
         self._arrivals += 1
         bucket[0].append(self._arrivals)
         bucket[1].append(message)
-        self._count += 1
+        self.depth += 1
         return (tag, mtype, oid)
 
     def retire(self, tag: str, oid: str) -> None:
@@ -101,12 +102,12 @@ class Inbox:
         buckets = operations.pop(oid, None)
         if buckets is not None:
             for _, messages in buckets.values():
-                self._count -= len(messages)
+                self.depth -= len(messages)
         if not operations:
             del self._by_tag[tag]
 
     def __len__(self) -> int:
-        return self._count
+        return self.depth
 
     def _bucketed(self, tag: str, mtype: str,
                   oid: Optional[str]) -> Sequence[Message]:

@@ -74,6 +74,7 @@ from repro.obs.spans import (
     Span,
     build_spans,
     classify_phase,
+    completed_operation_records,
     operation_records,
 )
 
@@ -134,5 +135,6 @@ __all__ = [
     "Span",
     "build_spans",
     "classify_phase",
+    "completed_operation_records",
     "operation_records",
 ]

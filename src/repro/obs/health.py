@@ -38,6 +38,7 @@ preserves golden-schedule digests byte for byte.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.ids import TAG_SEP, PartyId
@@ -130,6 +131,11 @@ class HealthMonitor:
         self._chaos_hits: Dict[PartyId, int] = {}
         self._quorum_present: Dict[PartyId, int] = {}
         self._quorum_missed: Dict[PartyId, int] = {}
+        #: ``(time, in-flight count)`` per send and delivery, rolled
+        #: into ``net.in_flight`` in time order at the next tick: a kv
+        #: host reports one envelope's inner deliveries before the sends
+        #: they caused, some of which came first
+        self._in_flight: List[Tuple[int, int]] = []
         # -- operation lifecycle, by (register tag, oid) ---------------
         # op kind; feeds replication-skew classification
         self._op_kind: Dict[Tuple[str, str], str] = {}
@@ -166,33 +172,66 @@ class HealthMonitor:
                 pending: int = 0) -> None:
         """Count the send per server/mtype, split its bytes by wire
         plane, and sample the in-flight gauge."""
-        sender = message.sender
-        if sender.is_server:
-            self._sends[sender] = self._sends.get(sender, 0) + 1
-            key = (sender, message.mtype)
-            self._sends_by_type[key] = self._sends_by_type.get(key, 0) + 1
-        self.store.counter("net.sent").record(time)
-        self.store.gauge("net.in_flight").record(time, pending)
-        if message.mtype not in TRANSPORT_MTYPES:
-            wire_bytes = message.wire_size()
-            self.planes.observe(message.mtype, wire_bytes)
-            plane = plane_of_mtype(message.mtype)
-            self.store.counter(
-                f"plane.bytes[{plane}]").record(time, wire_bytes)
+        self._observe_sends(
+            message.sender,
+            ((message, message.recipient, message.wire_size(), time),),
+            pending)
+
+    def on_send_batch(self, sender: PartyId,
+                      sends: Sequence[Tuple[Any, PartyId, int, int]],
+                      pending: int) -> None:
+        """:meth:`on_send` for each inner message a kv host flushes."""
+        self._observe_sends(sender, sends, pending)
 
     def on_deliver(self, message: Message, time: int,
                    inbox_depth: int = 0, pending: int = 0) -> None:
         """Roll the delivery into the series and note each server's
         first sight of an operation's traffic (replication skew)."""
-        self.store.counter("net.delivered").record(time)
-        self.store.gauge("net.in_flight").record(time, pending)
-        if message.recipient.is_server and message.payload \
-                and isinstance(message.payload[0], str):
-            arrivals = self._op_delivery.get(
-                (message.tag.partition(TAG_SEP)[0], message.payload[0]))
-            if arrivals is not None \
-                    and message.recipient not in arrivals:
-                arrivals[message.recipient] = time
+        self._observe_deliveries(message.recipient,
+                                 ((message, inbox_depth, time),), pending)
+
+    def on_deliver_batch(self, sender: PartyId, recipient: PartyId,
+                         deliveries: Sequence[Tuple[Any, int, int]],
+                         pending: int) -> None:
+        """:meth:`on_deliver` for each inner message of one kv
+        envelope."""
+        self._observe_deliveries(recipient, deliveries, pending)
+
+    def _observe_sends(self, sender: PartyId,
+                       sends: Sequence[Tuple[Any, PartyId, int, int]],
+                       pending: int) -> None:
+        sent = self.store.counter("net.sent")
+        in_flight = self._in_flight
+        for message, _, wire_bytes, time in sends:
+            mtype = message.mtype
+            if sender.is_server:
+                self._sends[sender] = self._sends.get(sender, 0) + 1
+                key = (sender, mtype)
+                self._sends_by_type[key] = \
+                    self._sends_by_type.get(key, 0) + 1
+            sent.record(time)
+            in_flight.append((time, pending))
+            if mtype not in TRANSPORT_MTYPES:
+                self.planes.observe(mtype, wire_bytes)
+                plane = plane_of_mtype(mtype)
+                self.store.counter(
+                    f"plane.bytes[{plane}]").record(time, wire_bytes)
+
+    def _observe_deliveries(self, recipient: PartyId,
+                            deliveries: Sequence[Tuple[Any, int, int]],
+                            pending: int) -> None:
+        delivered = self.store.counter("net.delivered")
+        in_flight = self._in_flight
+        for message, _, time in deliveries:
+            delivered.record(time)
+            in_flight.append((time, pending))
+            payload = message.payload
+            if recipient.is_server and payload \
+                    and isinstance(payload[0], str):
+                arrivals = self._op_delivery.get(
+                    (message.tag.partition(TAG_SEP)[0], payload[0]))
+                if arrivals is not None and recipient not in arrivals:
+                    arrivals[recipient] = time
 
     def on_input(self, event: LocalEvent) -> None:
         """Open an operation: start its lifecycle tracking and count
@@ -246,8 +285,20 @@ class HealthMonitor:
         self.store.counter("verify.failed").record(time)
 
     def on_tick(self, time: int) -> None:
-        """Per-delivery flush hook: advances the bucket horizon."""
+        """Per-delivery flush hook: rolls the in-flight samples into
+        their series and advances the bucket horizon."""
+        self._flush_in_flight()
         self.store.observe_time(time)
+
+    def _flush_in_flight(self) -> None:
+        samples = self._in_flight
+        if not samples:
+            return
+        samples.sort(key=itemgetter(0))  # stable: report order at a tick
+        series = self.store.gauge("net.in_flight")
+        for time, pending in samples:
+            series.record(time, pending)
+        samples.clear()
 
     def on_chaos(self, event: LocalEvent) -> None:
         """Fold an injected-fault event into chaos attribution (held
@@ -295,6 +346,7 @@ class HealthMonitor:
         if self._finalized:
             return
         self._finalized = True
+        self._flush_in_flight()
         for invocation in self.recorder.operations()[2]:
             self.ops_abandoned += 1
             kind = invocation.action

@@ -57,6 +57,18 @@ class Gauge:
         if self.min_value is None or value < self.min_value:
             self.min_value = value
 
+    def fold(self, last: float, low: float, high: float,
+             count: int) -> None:
+        """Record ``count`` levels, the last of them ``last``, the
+        lowest ``low`` and the highest ``high``: what ``count`` calls of
+        :meth:`set` would record, for callers that sample in batches."""
+        self.value = last
+        self.samples += count
+        if self.max_value is None or high > self.max_value:
+            self.max_value = high
+        if self.min_value is None or low < self.min_value:
+            self.min_value = low
+
     def summary(self) -> Dict[str, Any]:
         """Last/min/max/samples as a plain JSON-exportable dictionary."""
         return {"type": "gauge", "value": self.value,
@@ -68,18 +80,18 @@ class Histogram:
     """A value distribution (wire sizes, quorum rounds, wait times).
 
     Simulation runs are small enough to retain raw observations, so
-    percentiles are exact, not estimated.
+    percentiles are exact, not estimated.  ``values`` only grows: a
+    hot caller may append to it directly, as :meth:`record` does.
     """
 
     def __init__(self, name: str):
         self.name = name
         self.values: List[float] = []
-        self._sorted: Optional[List[float]] = None
+        self._sorted: List[float] = []
 
     def record(self, value: float) -> None:
         """Add one observation."""
         self.values.append(value)
-        self._sorted = None
 
     @property
     def count(self) -> int:
@@ -100,15 +112,15 @@ class Histogram:
         ``1..100`` is 51; 0 for an empty histogram.
 
         The sorted view is cached across calls (windowed rollups take
-        several percentiles per bucket) and invalidated by ``record``.
+        several percentiles per bucket) while ``values`` keeps its length.
         """
         if not 0 <= q <= 100:
             raise SimulationError(f"percentile {q} out of range")
         if not self.values:
             return 0.0
-        if self._sorted is None:
-            self._sorted = sorted(self.values)
         ordered = self._sorted
+        if len(ordered) != len(self.values):
+            ordered = self._sorted = sorted(self.values)
         rank = max(0, min(len(ordered) - 1,
                           int(round(q / 100 * (len(ordered) - 1)))))
         return ordered[rank]

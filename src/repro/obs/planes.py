@@ -23,12 +23,12 @@ double-book every byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.avid.disperse import MESSAGE_TYPES as _AVID_TYPES
 from repro.core.atomic_md import DATA_PLANE_TYPES as _MD_DATA_TYPES
 from repro.obs.recorder import MessageRecord, TraceRecorder
-from repro.obs.spans import operation_records
+from repro.obs.spans import completed_operation_records
 
 PLANE_METADATA = "metadata"
 PLANE_DATA = "data"
@@ -69,15 +69,17 @@ class PlaneTraffic:
         """Fold one traced message into the totals (envelopes skipped)."""
         self.observe(record.mtype, record.wire_bytes)
 
-    def observe(self, mtype: str, wire_bytes: int) -> None:
-        """Fold one wire message into the totals (envelopes skipped)."""
+    def observe(self, mtype: str, wire_bytes: int,
+                messages: int = 1) -> None:
+        """Fold ``messages`` wire messages of ``mtype`` (one by default),
+        ``wire_bytes`` in all, into the totals (envelopes skipped)."""
         if mtype in TRANSPORT_MTYPES:
             return
         if mtype in DATA_PLANE_MTYPES:
-            self.data_messages += 1
+            self.data_messages += messages
             self.data_bytes += wire_bytes
         else:
-            self.metadata_messages += 1
+            self.metadata_messages += messages
             self.metadata_bytes += wire_bytes
 
     @property
@@ -104,20 +106,27 @@ def plane_traffic(recorder: TraceRecorder) -> PlaneTraffic:
 
 
 def operation_plane_traffic(
-        recorder: TraceRecorder) -> Dict[str, PlaneTraffic]:
+        recorder: TraceRecorder,
+        records: Optional[Dict[Tuple[str, str],
+                               List[MessageRecord]]] = None
+        ) -> Dict[str, PlaneTraffic]:
     """Per-operation-kind plane totals (``{"write": ..., "read": ...}``).
 
     Each *completed* operation's traffic — register-tag messages
     carrying its oid plus all sub-instance traffic — is attributed to
     the operation's kind, so a read-mostly workload shows directly how
-    many data-plane bytes its reads move.
+    many data-plane bytes its reads move.  ``records`` is
+    :func:`~repro.obs.spans.completed_operation_records`, when the
+    caller already has it.
     """
+    if records is None:
+        records = completed_operation_records(recorder)
     totals: Dict[str, PlaneTraffic] = {"write": PlaneTraffic(),
                                        "read": PlaneTraffic()}
     pairs, _, _ = recorder.operations()
     for start, _end in pairs:
         oid = start.payload[0] if start.payload else ""
         bucket = totals.setdefault(start.action, PlaneTraffic())
-        for record in operation_records(recorder, start.tag, oid):
+        for record in records[start.tag, oid]:
             bucket.add(record)
     return totals

@@ -43,13 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.trace import OperationMatcher
 from repro.common.errors import SimulationError
 from repro.common.ids import TAG_SEP, PartyId
 from repro.net.message import LocalEvent, Message
-from repro.obs.instruments import Counter, Gauge, Histogram, Registry
+from repro.obs.instruments import Counter, Gauge, Registry
 
 #: ``(root tag, oid)`` — the key one operation's candidates are filed under
 _OperationKey = Tuple[str, str]
@@ -57,6 +57,9 @@ _OperationKey = Tuple[str, str]
 _FiledRelease = Tuple[int, "QuorumRelease"]
 #: one completed operation: ``(invocation, completion)``
 _Pair = Tuple[LocalEvent, LocalEvent]
+#: where one ``(tag, mtype, oid)``'s records go: index buckets, and the
+#: values of its ``wire.bytes`` histogram
+_Filing = Tuple[Tuple[List["MessageRecord"], ...], List[float]]
 
 
 @dataclass(slots=True)
@@ -64,7 +67,8 @@ class MessageRecord:
     """The traced lifecycle of one message.
 
     ``oid`` is the operation identifier carried as the first payload
-    element when it is a string (the register protocols' convention),
+    element when it is an exact ``str`` (the register protocols'
+    convention, read as :class:`~repro.net.inbox.Inbox` reads it),
     letting spans bind register-tag traffic to individual operations.
     ``deliver_time`` stays ``None`` for messages still in flight at the
     end of the run.
@@ -139,11 +143,11 @@ def record_belongs(record: MessageRecord, tag: str, oid: str) -> bool:
     return False
 
 
-def _index_keys(record: MessageRecord) -> Tuple[str, Tuple[str, ...]]:
-    """Where a record is filed: its root tag, and every oid
-    :func:`record_belongs` can hold for under that root — the payload
-    oid and/or the sub-instance tag's oid suffix."""
-    tag, oid = record.tag, record.oid
+def _index_keys(tag: str,
+                oid: Optional[str]) -> Tuple[str, Tuple[str, ...]]:
+    """Where a record of ``tag`` with payload ``oid`` is filed: its root
+    tag, and every oid :func:`record_belongs` can hold for under that
+    root — the payload oid and/or the sub-instance tag's oid suffix."""
     if TAG_SEP not in tag:
         return tag, (() if oid is None else (oid,))
     sub_oid = _sub_oid(tag)
@@ -182,13 +186,16 @@ class TraceRecorder:
         #: ``write-accepted`` outputs, by their exact ``(tag, oid)``
         self._accepted_by_operation: Dict[Tuple[str, str],
                                           List[LocalEvent]] = {}
+        #: ``(tag, mtype, oid)`` of a record -> the index buckets it is
+        #: filed in and its wire-size histogram's values: one lookup
+        #: files a record and samples its size
+        self._filings: Dict[Tuple[str, str, Optional[str]], _Filing] = {}
         # Per-event instruments, bound on first use (never here: an
         # idle recorder's registry must stay empty) so the callbacks
         # neither format a name nor search the registry per event.
         self._net_sent: Optional[Counter] = None
         self._net_delivered: Optional[Counter] = None
         self._net_in_flight: Optional[Gauge] = None
-        self._wire_bytes: Dict[str, Histogram] = {}
         self._inbox_depth: Dict[PartyId, Gauge] = {}
 
     def attach(self, simulator) -> "TraceRecorder":
@@ -202,65 +209,136 @@ class TraceRecorder:
 
     def on_send(self, message: Message, time: int,
                 pending: int = 0) -> None:
-        """Record a message joining the in-flight bag."""
+        """Record a message joining the in-flight bag: what
+        :meth:`on_send_batch` records for a batch of one, written out
+        (a kv run reports an envelope per two or three inner
+        messages, so this path is as hot as the batches)."""
         payload = message.payload
         oid = payload[0] if (
-            payload and isinstance(payload[0], str)) else None
-        msg_id = message.msg_id
-        mtype = message.mtype
+            payload and type(payload[0]) is str) else None
+        msg_id, tag, mtype = message.msg_id, message.tag, message.mtype
         wire_bytes = message.wire_size()
         record = MessageRecord(
-            msg_id, message.tag, mtype, message.sender,
-            message.recipient, time, wire_bytes, message.depth,
-            message.cause_id, oid)
+            msg_id, tag, mtype, message.sender, message.recipient, time,
+            wire_bytes, message.depth, message.cause_id, oid)
+        try:
+            filing = self._filings[tag, mtype, oid]
+        except KeyError:
+            filing = self._filing(tag, mtype, oid)
+        filing[1].append(wire_bytes)
         messages = self.messages
-        overwrites = msg_id in messages
-        messages[msg_id] = record
-        if overwrites:
-            # Never happens under a simulator (ids are fresh); if it
-            # does, the last write wins in ``messages`` and the index
-            # is rebuilt to agree with it.
-            self._reindex_messages()
+        if msg_id in messages:
+            self._overwrite(record)
         else:
-            self._file_record(record)
-        sent = self._net_sent
-        if sent is None:
-            sent = self._net_sent = self.registry.counter("net.sent")
-        sent.inc()
-        histogram = self._wire_bytes.get(mtype)
-        if histogram is None:
-            histogram = self._wire_bytes[mtype] = \
-                self.registry.histogram(f"wire.bytes[{mtype}]")
-        histogram.record(wire_bytes)
-        self._in_flight().set(pending)
+            messages[msg_id] = record
+            for bucket in filing[0]:
+                bucket.append(record)
+        sent = self._net_sent or self._bind_sends()
+        sent.value += 1
+        self._net_in_flight.set(pending)
 
     def on_deliver(self, message: Message, time: int,
                    inbox_depth: int = 0, pending: int = 0) -> None:
-        """Record a delivery (the logical-clock tick it occupies)."""
+        """Record a delivery (the logical-clock tick it occupies): what
+        :meth:`on_deliver_batch` records for a batch of one, written
+        out."""
         record = self.messages.get(message.msg_id)
         if record is not None:
             record.deliver_time = time
-        delivered = self._net_delivered
-        if delivered is None:
-            delivered = self._net_delivered = \
-                self.registry.counter("net.delivered")
-        delivered.inc()
-        recipient = message.recipient
-        depth = self._inbox_depth.get(recipient)
-        if depth is None:
-            depth = self._inbox_depth[recipient] = \
-                self.registry.gauge(f"inbox.depth[{recipient}]")
-        # what the recipient's buffer held when this delivery arrived:
-        # live depth, which retirement brings back down
+        delivered = self._net_delivered or self._bind_deliveries()
+        delivered.value += 1
+        try:
+            depth = self._inbox_depth[message.recipient]
+        except KeyError:
+            depth = self._bind_inbox_depth(message.recipient)
         depth.set(inbox_depth)
-        self._in_flight().set(pending)
+        self._net_in_flight.set(pending)
 
-    def _in_flight(self) -> Gauge:
-        gauge = self._net_in_flight
-        if gauge is None:
-            gauge = self._net_in_flight = \
-                self.registry.gauge("net.in_flight")
-        return gauge
+    def on_send_batch(self, sender: PartyId,
+                      sends: Sequence[Tuple[Any, PartyId, int, int]],
+                      pending: int) -> None:
+        """Record the inner messages a kv host flushes, ``(entry,
+        recipient, wire_bytes, time)`` each in send order (see
+        :meth:`~repro.net.simulator.Simulator.report_send_batch`), in
+        one loop: a record each, filed in the index and sampled into
+        ``wire.bytes[mtype]`` through one lookup of its ``(tag, mtype,
+        oid)``; the counter and gauge take one update per batch."""
+        messages = self.messages
+        filings = self._filings
+        for message, recipient, wire_bytes, time in sends:
+            payload = message.payload
+            oid = payload[0] if (
+                payload and type(payload[0]) is str) else None
+            msg_id, tag, mtype = message.msg_id, message.tag, message.mtype
+            record = MessageRecord(
+                msg_id, tag, mtype, sender, recipient, time, wire_bytes,
+                message.depth, message.cause_id, oid)
+            try:
+                filing = filings[tag, mtype, oid]
+            except KeyError:
+                filing = self._filing(tag, mtype, oid)
+            filing[1].append(wire_bytes)
+            if msg_id in messages:
+                self._overwrite(record)
+            else:
+                messages[msg_id] = record
+                for bucket in filing[0]:
+                    bucket.append(record)
+        count = len(sends)
+        sent = self._net_sent or self._bind_sends()
+        sent.value += count
+        self._net_in_flight.fold(pending, pending, pending, count)
+
+    def on_deliver_batch(self, sender: PartyId, recipient: PartyId,
+                         deliveries: Sequence[Tuple[Any, int, int]],
+                         pending: int) -> None:
+        """Record the inner messages one kv envelope delivered,
+        ``(entry, inbox_depth, time)`` each in delivery order (see
+        :meth:`~repro.net.simulator.Simulator.report_deliver_batch`), in
+        one loop: each record's ``deliver_time``, and ``recipient``'s
+        buffer depth as each arrived (live depth, which retirement
+        brings back down) folded into one gauge update."""
+        record_of = self.messages.get
+        low = high = deliveries[0][1]
+        for message, inbox_depth, time in deliveries:
+            record = record_of(message.msg_id)
+            if record is not None:
+                record.deliver_time = time
+            if inbox_depth > high:
+                high = inbox_depth
+            elif inbox_depth < low:
+                low = inbox_depth
+        count = len(deliveries)
+        delivered = self._net_delivered or self._bind_deliveries()
+        delivered.value += count
+        try:
+            depth = self._inbox_depth[recipient]
+        except KeyError:
+            depth = self._bind_inbox_depth(recipient)
+        depth.fold(inbox_depth, low, high, count)
+        self._net_in_flight.fold(pending, pending, pending, count)
+
+    # -- instruments, bound on first use ----------------------------------------
+
+    def _bind_sends(self) -> Counter:
+        self._bind_in_flight()
+        sent = self._net_sent = self.registry.counter("net.sent")
+        return sent
+
+    def _bind_deliveries(self) -> Counter:
+        self._bind_in_flight()
+        delivered = self._net_delivered = \
+            self.registry.counter("net.delivered")
+        return delivered
+
+    def _bind_in_flight(self) -> None:
+        if self._net_in_flight is None:
+            self._net_in_flight = self.registry.gauge("net.in_flight")
+
+    def _bind_inbox_depth(self, recipient: PartyId) -> Gauge:
+        depth = self._inbox_depth[recipient] = \
+            self.registry.gauge(f"inbox.depth[{recipient}]")
+        return depth
 
     def on_input(self, event: LocalEvent) -> None:
         """Record an input action (an invocation opens an operation)."""
@@ -309,11 +387,17 @@ class TraceRecorder:
 
     # -- index upkeep ----------------------------------------------------------
 
-    def _file_record(self, record: MessageRecord) -> None:
-        root, oids = _index_keys(record)
-        for oid in oids:
-            self._records_by_operation.setdefault(
-                (root, oid), []).append(record)
+    def _filing(self, tag: str, mtype: str,
+                oid: Optional[str]) -> "_Filing":
+        """Make the filing of ``(tag, mtype, oid)`` records: the index
+        buckets of :func:`_index_keys` and the ``wire.bytes[mtype]``
+        histogram's values."""
+        root, oids = _index_keys(tag, oid)
+        records = self._records_by_operation
+        filing = self._filings[(tag, mtype, oid)] = (
+            tuple(records.setdefault((root, key), []) for key in oids),
+            self.registry.histogram(f"wire.bytes[{mtype}]").values)
+        return filing
 
     def _file_release(self, filed: _FiledRelease) -> None:
         release = filed[1]
@@ -323,7 +407,7 @@ class TraceRecorder:
             return
         record = self.messages.get(release.releasing_msg_id)
         if record is not None:
-            root, oids = _index_keys(record)
+            root, oids = _index_keys(record.tag, record.oid)
             for oid in oids:
                 self._releases_by_operation.setdefault(
                     (root, oid), []).append(filed)
@@ -334,14 +418,26 @@ class TraceRecorder:
             self._accepted_by_operation.setdefault(
                 (event.tag, event.payload[0]), []).append(event)
 
+    def _overwrite(self, record: MessageRecord) -> None:
+        """Replace the record of a ``msg_id`` already recorded.  Never
+        happens under a simulator (ids are fresh); if it does, the last
+        write wins in ``messages`` and the index is rebuilt to agree
+        with it."""
+        self.messages[record.msg_id] = record
+        self._reindex_messages()
+
     def _reindex_messages(self) -> None:
         """Rebuild everything filed by message from ``messages`` and
         ``quorum_releases`` (after a ``msg_id`` was overwritten)."""
         self._records_by_operation = {}
         self._releases_by_operation = {}
         self._unwaited_releases = {}
+        self._filings.clear()  # callers may hold it
+        records = self._records_by_operation
         for record in self.messages.values():
-            self._file_record(record)
+            root, oids = _index_keys(record.tag, record.oid)
+            for oid in oids:
+                records.setdefault((root, oid), []).append(record)
         for filed in enumerate(self.quorum_releases):
             self._file_release(filed)
 
@@ -385,10 +481,21 @@ class TraceRecorder:
     def operation_records(self, tag: str,
                           oid: str) -> List[MessageRecord]:
         """All message records belonging to operation ``oid`` on
-        register ``tag`` (:func:`record_belongs`), in send order."""
-        return [record for record in self._records_by_operation.get(
-                    (_root_tag(tag), oid), ())
-                if record_belongs(record, tag, oid)]
+        register ``tag`` (:func:`record_belongs`), in send order.  The
+        predicate reads only a record's ``tag`` and ``oid``, so it runs
+        once per distinct pair of them in the bucket."""
+        verdicts: Dict[Tuple[str, Optional[str]], bool] = {}
+        belonging = []
+        for record in self._records_by_operation.get(
+                (_root_tag(tag), oid), ()):
+            key = (record.tag, record.oid)
+            try:
+                verdict = verdicts[key]
+            except KeyError:
+                verdict = verdicts[key] = record_belongs(record, tag, oid)
+            if verdict:
+                belonging.append(record)
+        return belonging
 
     def operation_releases(self, tag: str, oid: str, client: PartyId,
                            open_time: int,

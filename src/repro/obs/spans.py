@@ -27,7 +27,7 @@ the operation's sub-protocols still draining after the client completed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.avid.disperse import MESSAGE_TYPES as DISPERSE_MESSAGE_TYPES
 from repro.broadcast.reliable import MESSAGE_TYPES as RBC_MESSAGE_TYPES
@@ -146,28 +146,62 @@ def operation_records(recorder: TraceRecorder, tag: str,
     return recorder.operation_records(tag, oid)
 
 
-def _close_time(record: MessageRecord) -> int:
-    return record.deliver_time if record.deliver_time is not None \
-        else record.send_time
+def completed_operation_records(recorder: TraceRecorder
+                                ) -> Dict[Tuple[str, str],
+                                          List[MessageRecord]]:
+    """:func:`operation_records` of every completed operation, by
+    ``(tag, oid)``: each operation's records computed once, for
+    :func:`build_spans` and
+    :func:`repro.obs.planes.operation_plane_traffic` to share."""
+    records: Dict[Tuple[str, str], List[MessageRecord]] = {}
+    for start, _end in recorder.operations()[0]:
+        key = (start.tag, start.payload[0] if start.payload else "")
+        if key not in records:
+            records[key] = operation_records(recorder, *key)
+    return records
 
 
 def _phase_spans(records: List[MessageRecord], tag: str) -> List[Span]:
-    by_phase: Dict[str, List[MessageRecord]] = {}
+    # A record's phase depends on its tag and type only, so the records
+    # are totalled per (tag, mtype) first, in one pass, and the pairs
+    # then folded into their phases in first-seen order.
+    totals: Dict[Tuple[str, str], List[int]] = {}
     for record in records:
-        phase = classify_phase(record.tag, record.mtype, tag)
-        by_phase.setdefault(phase, []).append(record)
-    spans = []
-    for phase, members in by_phase.items():
-        mtypes: Dict[str, int] = {}
-        for record in members:
-            mtypes[record.mtype] = mtypes.get(record.mtype, 0) + 1
-        spans.append(Span(
-            name=phase, kind=KIND_PHASE, tag=tag,
-            open_time=min(r.send_time for r in members),
-            close_time=max(_close_time(r) for r in members),
-            messages=len(members),
-            message_bytes=sum(r.wire_bytes for r in members),
-            annotations={"mtypes": mtypes}))
+        send_time = record.send_time
+        close_time = record.deliver_time
+        if close_time is None:
+            close_time = send_time
+        try:
+            pair = totals[record.tag, record.mtype]
+        except KeyError:
+            totals[record.tag, record.mtype] = [
+                send_time, close_time, 1, record.wire_bytes]
+            continue
+        if send_time < pair[0]:
+            pair[0] = send_time
+        if close_time > pair[1]:
+            pair[1] = close_time
+        pair[2] += 1
+        pair[3] += record.wire_bytes
+    phases: Dict[str, Span] = {}
+    for (record_tag, mtype), (open_time, close_time, messages,
+                              message_bytes) in totals.items():
+        phase = classify_phase(record_tag, mtype, tag)
+        span = phases.get(phase)
+        if span is None:
+            phases[phase] = Span(
+                name=phase, kind=KIND_PHASE, tag=tag, open_time=open_time,
+                close_time=close_time, messages=messages,
+                message_bytes=message_bytes,
+                annotations={"mtypes": {mtype: messages}})
+            continue
+        span.open_time = min(span.open_time, open_time)
+        span.close_time = max(span.close_time, close_time)
+        span.messages += messages
+        span.message_bytes += message_bytes
+        mtypes = span.annotations["mtypes"]
+        mtypes[mtype] = mtypes.get(mtype, 0) + messages
+    spans = list(phases.values())
     spans.sort(key=lambda span: (span.open_time, span.name))
     return spans
 
@@ -184,7 +218,10 @@ def _quorum_annotations(releases: List[QuorumRelease]
     } for release in releases]
 
 
-def build_spans(recorder: TraceRecorder) -> List[Span]:
+def build_spans(recorder: TraceRecorder,
+                records: Optional[Dict[Tuple[str, str],
+                                       List[MessageRecord]]] = None
+                ) -> List[Span]:
     """Fold a recorded run into operation spans with nested phases.
 
     Returns one span per *completed* operation, ordered by completion.
@@ -193,14 +230,16 @@ def build_spans(recorder: TraceRecorder) -> List[Span]:
 
     Every per-operation lookup (records, quorum releases, accepting
     servers) reads the recorder's index, so the fold is linear in the
-    trace — no pass over the whole run per operation.
+    trace — no pass over the whole run per operation.  ``records`` is
+    :func:`completed_operation_records`, when the caller already has it.
     """
+    if records is None:
+        records = completed_operation_records(recorder)
     pairs, _, _ = recorder.operations()
     spans = []
     for start, end in pairs:
         oid = start.payload[0] if start.payload else ""
-        records = operation_records(recorder, start.tag, oid)
-        children = _phase_spans(records, start.tag)
+        children = _phase_spans(records[start.tag, oid], start.tag)
         tail = max((span.close_time for span in children),
                    default=end.time) - end.time
         completion_record = recorder.messages.get(end.cause_id) \

@@ -8,6 +8,7 @@ from repro.cluster import build_cluster
 from repro.config import SystemConfig
 from repro.net.schedulers import RandomScheduler
 from repro.obs import TraceRecorder
+from tests.reference_observers import PerMessageBatches
 
 
 @pytest.fixture
@@ -36,8 +37,10 @@ def atomic_ns_cluster(config41):
                          scheduler=RandomScheduler(1))
 
 
-class _DeliveryLog(TraceRecorder):
-    """A recorder that keeps every message it is told was delivered."""
+class _DeliveryLog(PerMessageBatches, TraceRecorder):
+    """A recorder that keeps every message it is told was delivered
+    (a kv envelope's inner messages as ``Message``s in fleet
+    identities)."""
 
     def __init__(self):
         super().__init__()

@@ -27,6 +27,7 @@ from repro.net.schedulers import (
 from repro.net.simulator import Simulator
 from repro.obs import TraceRecorder
 from repro.workloads.kv import kv_workload
+from tests.reference_observers import PerMessageBatches
 
 
 class AvidHost(Process):
@@ -375,8 +376,9 @@ def test_blockless_echo_from_another_server_never_counts(commitment):
         assert set(state.echo_blocks) == {2}
 
 
-class _ContentSpy(TraceRecorder):
-    """A recorder that also keeps what each sent message carried."""
+class _ContentSpy(PerMessageBatches, TraceRecorder):
+    """A recorder that also keeps what each sent message carried (a kv
+    host's inner sends as the messages they stand for)."""
 
     def __init__(self):
         super().__init__()

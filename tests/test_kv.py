@@ -52,6 +52,7 @@ from repro.kv import (
     run_kv_case,
 )
 from repro.kv.directory import ShardSpec
+from repro.kv.mux import _KvMuxProcess
 from repro.net.message import Message, content_wire_size
 from repro.net.process import Process
 from repro.net.schedulers import RandomScheduler
@@ -59,6 +60,7 @@ from repro.net.simulator import Simulator
 from repro.obs import TraceRecorder
 from repro.repair.reconfig import next_generation
 from repro.workloads.kv import KvOp, key_names, kv_workload
+from tests.reference_observers import PerMessageBatches
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -166,10 +168,10 @@ def test_live_kv_envelopes_roundtrip_on_the_wire():
 
 # -- size accounting ------------------------------------------------------------
 
-class _SendSpy(TraceRecorder):
+class _SendSpy(PerMessageBatches, TraceRecorder):
     """A recorder that keeps every message it is told was sent: the
-    envelopes the simulator admits and the inner messages the buses
-    announce."""
+    envelopes the simulator admits and the inner messages the hosts
+    flush, as ``Message``s in fleet identities."""
 
     def __init__(self):
         super().__init__()
@@ -291,43 +293,43 @@ def _count_allocations(monkeypatch, traced):
 
 def test_the_mux_allocates_one_entry_per_send_and_one_message_per_delivery(
         monkeypatch):
-    """Untraced, an inner send costs one ``KvEntry`` and no ``Message``;
-    an inner delivery one ``Message``.  An attached observer adds its
-    fleet-identity view of each: one ``Message`` per inner send and one
-    per inner delivery."""
+    """An inner send costs one ``KvEntry`` and no ``Message``; an inner
+    delivery one ``Message``.  An attached observer adds nothing: a
+    traced drive constructs exactly the ``Message``s an untraced one
+    does (hosts report entries, not messages built for observers)."""
     untraced = _count_allocations(monkeypatch, traced=False)
     assert untraced["sent"] > 0 and untraced["delivered"] > 0
     assert untraced["entries"] == untraced["sent"]
     assert untraced["messages"] == untraced["delivered"]
     traced = _count_allocations(monkeypatch, traced=True)
-    assert {name: traced[name] for name in
-            ("envelopes", "entries", "sent", "delivered")} == {
-        name: untraced[name] for name in
-        ("envelopes", "entries", "sent", "delivered")}
-    assert traced["messages"] - untraced["messages"] == (
-        untraced["sent"] + untraced["delivered"])
+    assert traced == untraced
 
 
 def _count_reports(monkeypatch, traced):
-    """Drive the same small kv run and count the observer reports the
-    simulator builds against the traffic they describe: messages sent
-    (envelopes and inner sends) and delivered (envelopes and inner
-    deliveries), and each ``Process._pump`` entry, by whether the
-    process had a parked thread."""
-    counts = dict(report_send=0, report_deliver=0, envelopes=0,
+    """Drive the same small kv run and count the batched observer
+    reports the simulator dispatches against the traffic they describe:
+    envelopes sent and delivered, flushes that carried inner sends,
+    inner sends and deliveries, the entries the reports carry, and each
+    ``Process._pump`` entry, by whether the process had a parked
+    thread."""
+    counts = dict(send_reports=0, deliver_reports=0, reported_sends=0,
+                  reported_deliveries=0, envelopes=0, flushes=0,
                   inner_sends=0, envelope_deliveries=0, inner_deliveries=0)
     pumps = []
-    real_send, real_deliver = Simulator.report_send, Simulator.report_deliver
+    real_send = Simulator.report_send_batch
+    real_deliver = Simulator.report_deliver_batch
     real_step, real_enqueue = Simulator.step, ShardBus.enqueue
-    real_pump = Process._pump
+    real_flush, real_pump = _KvMuxProcess.kv_flush, Process._pump
 
-    def report_send(simulator, *args, **kwargs):
-        counts["report_send"] += 1
-        real_send(simulator, *args, **kwargs)
+    def report_send_batch(simulator, sender, sends):
+        counts["send_reports"] += 1
+        counts["reported_sends"] += len(sends)
+        real_send(simulator, sender, sends)
 
-    def report_deliver(simulator, *args, **kwargs):
-        counts["report_deliver"] += 1
-        real_deliver(simulator, *args, **kwargs)
+    def report_deliver_batch(simulator, sender, recipient, deliveries):
+        counts["deliver_reports"] += 1
+        counts["reported_deliveries"] += len(deliveries)
+        real_deliver(simulator, sender, recipient, deliveries)
 
     def step(simulator):
         delivered = real_step(simulator)
@@ -338,14 +340,20 @@ def _count_reports(monkeypatch, traced):
         counts["inner_sends"] += 1
         real_enqueue(bus, *args, **kwargs)
 
+    def kv_flush(host):
+        counts["flushes"] += bool(host._kv_outbound)
+        real_flush(host)
+
     def pump(process, *args):
         pumps.append((process.pid.is_server, bool(process._threads)))
         real_pump(process, *args)
 
-    monkeypatch.setattr(Simulator, "report_send", report_send)
-    monkeypatch.setattr(Simulator, "report_deliver", report_deliver)
+    monkeypatch.setattr(Simulator, "report_send_batch", report_send_batch)
+    monkeypatch.setattr(Simulator, "report_deliver_batch",
+                        report_deliver_batch)
     monkeypatch.setattr(Simulator, "step", step)
     monkeypatch.setattr(ShardBus, "enqueue", enqueue)
+    monkeypatch.setattr(_KvMuxProcess, "kv_flush", kv_flush)
     monkeypatch.setattr(Process, "_pump", pump)
     for cls in (AtomicServer, AtomicClient):
         def counting_receive(process, message, _real=cls.receive):
@@ -363,26 +371,68 @@ def _count_reports(monkeypatch, traced):
 
 
 def test_an_unobserved_kv_drive_builds_no_observer_report(monkeypatch):
-    """With no observer attached, no envelope or inner message is
-    reported; with a recorder, every message sent and every delivery
-    is, once.  A process with no parked thread never enters
-    ``Process._pump`` (the servers of ``atomic`` never park one)."""
+    """With no observer attached, no batch of inner traffic is
+    reported; with a recorder, each flush that carried inner sends is
+    reported once, as is each envelope's inner deliveries (every
+    envelope of a fault-free run delivers some), and together the
+    reports carry every inner send and delivery once.  A process with
+    no parked thread never enters ``Process._pump`` (the servers of
+    ``atomic`` never park one)."""
+    reports = ("send_reports", "deliver_reports", "reported_sends",
+               "reported_deliveries")
     untraced, pumps = _count_reports(monkeypatch, traced=False)
     assert untraced["inner_sends"] > untraced["envelopes"] > 0
     assert untraced["inner_deliveries"] > 0
-    assert untraced["report_send"] == untraced["report_deliver"] == 0
+    assert [untraced[name] for name in reports] == [0, 0, 0, 0]
     assert pumps and all(parked for _, parked in pumps)
     assert not any(is_server for is_server, _ in pumps)
     traced, _ = _count_reports(monkeypatch, traced=True)
-    assert traced["report_send"] == (traced["envelopes"]
-                                     + traced["inner_sends"])
-    assert traced["report_deliver"] == (traced["envelope_deliveries"]
-                                        + traced["inner_deliveries"])
+    assert traced["send_reports"] == traced["flushes"]
+    assert traced["deliver_reports"] == traced["envelope_deliveries"]
+    assert traced["reported_sends"] == traced["inner_sends"]
+    assert traced["reported_deliveries"] == traced["inner_deliveries"]
     # the recorder is measurement-only: the same traffic either way
     assert {name: traced[name] for name in untraced
-            if not name.startswith("report_")} == {
-        name: untraced[name] for name in untraced
-        if not name.startswith("report_")}
+            if name not in reports} == {
+        name: untraced[name] for name in untraced if name not in reports}
+
+
+def _drive_calls(traced, seed):
+    """Python calls (``sys.setprofile`` call and c_call events) one
+    small ``mixed_small``-shaped drive makes: n=7, t=2, four shards,
+    four sessions, 32 zipf keys, 64-byte values, half writes."""
+    cluster = build_kv_cluster(
+        KvDirectory(SystemConfig(n=7, t=2), 4), num_sessions=4,
+        scheduler=RandomScheduler(seed))
+    if traced:
+        TraceRecorder().attach(cluster.simulator)
+    workload = kv_workload(num_sessions=4, num_keys=32, ops=60,
+                           write_ratio=0.5, distribution="zipf",
+                           seed=seed, value_size=64)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        drive(cluster, workload, seed=seed, invoke_probability=0.25)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_traced_kv_drive_costs_at_most_thirty_percent_more_calls():
+    """The observer-cost ratchet: recording a kv run's trace costs a
+    record per message, not a chain of calls per message.  A traced
+    drive makes at most 1.3 times the Python calls of the same drive
+    untraced (the traced one runs first, on cold memos)."""
+    traced = _drive_calls(traced=True, seed=0)
+    untraced = _drive_calls(traced=False, seed=0)
+    assert untraced > 0
+    assert traced <= 1.3 * untraced, traced / untraced
 
 
 def test_shard_bus_maps_local_identities_through_one_shared_table():

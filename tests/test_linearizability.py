@@ -170,3 +170,69 @@ def test_property_sequential_histories_always_atomic(count):
         time += 4
     order = check_atomicity(history)
     assert len(order) == 2 * count
+
+
+def _pair_scan_edges(clusters):
+    """The precedence graph by its definition: an edge ``C1 -> C2`` for
+    every pair of operations of two clusters where one precedes the
+    other."""
+    member_of = {operation.oid: cluster_oid
+                 for cluster_oid, members in clusters.items()
+                 for operation in members}
+    edges = {cluster_oid: set() for cluster_oid in clusters}
+    operations = [operation for members in clusters.values()
+                  for operation in members]
+    for first in operations:
+        for second in operations:
+            if first is not second and first.precedes(second) \
+                    and member_of[first.oid] != member_of[second.oid]:
+                edges[member_of[first.oid]].add(member_of[second.oid])
+    return edges
+
+
+def _random_history(rng):
+    """Writes (a few without an interval, as a Byzantine writer's) and
+    reads of a written, the initial or now and then an unknown value,
+    at random logical times: atomic or not."""
+    def interval():
+        invoke = rng.randrange(40)
+        return invoke, invoke + rng.randrange(1, 12)
+
+    history = []
+    values = [b""]
+    for index in range(rng.randrange(6)):
+        value = b"v%d" % index
+        values.append(value)
+        if rng.random() < 0.15:
+            history.append(W(f"w{index}", value))
+        else:
+            history.append(W(f"w{index}", value, *interval()))
+    for index in range(rng.randrange(8)):
+        value = rng.choice(values) if rng.random() < 0.97 else b"ghost"
+        history.append(R(f"r{index}", value, *interval()))
+    rng.shuffle(history)
+    return history
+
+
+def _verdict(history):
+    try:
+        return check_atomicity(history)
+    except AtomicityViolation as violation:
+        return str(violation)
+
+
+def test_cluster_edges_match_the_pair_scan_oracle(monkeypatch):
+    """Cluster-level edges (earliest completion against latest
+    invocation) give the pair scan's witness orders and violation
+    messages on random histories, atomic or not."""
+    import random
+
+    from repro.analysis import linearizability
+    rng = random.Random(7)
+    histories = [_random_history(rng) for _ in range(3000)]
+    verdicts = [_verdict(history) for history in histories]
+    monkeypatch.setattr(linearizability, "_precedence_edges",
+                        _pair_scan_edges)
+    assert [_verdict(history) for history in histories] == verdicts
+    outcomes = {type(verdict) for verdict in verdicts}
+    assert outcomes == {list, str}  # both atomic and violating histories

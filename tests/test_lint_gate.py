@@ -236,7 +236,8 @@ def test_observers_are_reached_only_through_the_simulator():
     ``on_count``) is called, or looked up by name, only in
     ``repro.net.simulator``: processes, kv sessions and the repair
     coordinator report to their simulator, and the kv mux reports its
-    inner traffic through ``Simulator.report_send``/``report_deliver``.
+    inner traffic, one batch per flush and per envelope, through
+    ``Simulator.report_send_batch``/``report_deliver_batch``.
     """
     obs_reads, hook_calls = [], []
     for module in discover([SRC]):
