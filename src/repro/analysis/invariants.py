@@ -28,7 +28,6 @@ from repro.common.ids import PartyId
 from repro.common.serialization import encode
 from repro.core.atomic_md import MSG_COMMIT, MSG_STORE
 from repro.core.timestamps import INITIAL_TIMESTAMP, Timestamp
-from repro.net.message import Message
 from repro.net.simulator import Simulator
 
 
@@ -127,26 +126,21 @@ def install_commit_invariant(simulator: Simulator, tag: str,
     writers: Dict[str, PartyId] = {}
     committed: Dict[Tuple[str, int], Set[bytes]] = {}
 
-    def note(sender: PartyId, message: Any) -> None:
-        if message.tag != tag or sender.is_server or not message.payload:
+    def on_send(sender: PartyId,
+                sends: Sequence[Tuple[Any, PartyId, int, int]],
+                pending: int) -> None:
+        if sender.is_server:
             return
-        oid = message.payload[0]
-        if message.mtype == MSG_STORE:
-            writers.setdefault(oid, sender)
-        elif (message.mtype == MSG_COMMIT and len(message.payload) == 4
-              and writers.get(oid) == sender):
-            _, ts, digest, _ = message.payload
-            committed.setdefault((oid, ts), set()).add(digest)
-
-    def on_send(message: Message, time: int, pending: int = 0) -> None:
-        note(message.sender, message)
-
-    def on_send_batch(sender: PartyId,
-                      sends: Sequence[Tuple[Any, PartyId, int, int]],
-                      pending: int) -> None:
-        if not sender.is_server:
-            for send in sends:
-                note(sender, send[0])
+        for message, _, _, _ in sends:
+            if message.tag != tag or not message.payload:
+                continue
+            oid = message.payload[0]
+            if message.mtype == MSG_STORE:
+                writers.setdefault(oid, sender)
+            elif (message.mtype == MSG_COMMIT and len(message.payload) == 4
+                  and writers.get(oid) == sender):
+                _, ts, digest, _ = message.payload
+                committed.setdefault((oid, ts), set()).add(digest)
 
     def check(simulator: Simulator) -> None:
         for process in simulator.processes:
@@ -177,6 +171,5 @@ def install_commit_invariant(simulator: Simulator, tag: str,
                     f"{process.pid} adopted {state.timestamp} under a "
                     f"cross-checksum its writer did not commit")
 
-    simulator.add_observer(SimpleNamespace(on_send=on_send,
-                                           on_send_batch=on_send_batch))
+    simulator.add_observer(SimpleNamespace(on_send=on_send))
     simulator.add_invariant(check)

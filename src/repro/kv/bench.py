@@ -71,12 +71,13 @@ from repro.obs import (
     PHASE_RETRIEVE,
     PHASE_TS_QUERY,
     MessageRecord,
-    PlaneTraffic,
     TraceRecorder,
     build_spans,
     completed_operation_records,
     operation_plane_traffic,
+    plane_traffic,
 )
+from repro.obs.recorder import WIRE_BYTES
 from repro.workloads.kv import DEFAULT_SHIFT_EVERY, kv_workload
 
 #: Prefix distinguishing kv operation spans from other traffic.
@@ -210,10 +211,6 @@ def check_kv_histories(sessions: Sequence[KvSession]) -> int:
     for key in sorted(histories):
         check_atomicity(histories[key], initial_value=b"")
     return len(histories)
-
-
-#: the recorder's per-message-type wire-size histograms
-_WIRE_BYTES = "wire.bytes["
 
 
 def _phase_attribution(recorder: TraceRecorder,
@@ -381,17 +378,13 @@ def collect_kv_row(recorder: TraceRecorder, cluster: KvCluster,
     # sample every record once (``wire.bytes[mtype]``: one value per
     # message sent); the per-operation ones below read its index.
     registry = recorder.registry
-    envelopes = inner = wire_bytes = 0
-    planes = PlaneTraffic()
-    for name in registry.names():
-        if not name.startswith(_WIRE_BYTES):
-            continue
-        mtype, sizes = name[len(_WIRE_BYTES):-1], registry.histogram(name)
-        if mtype == MSG_KV_BATCH:
-            envelopes, wire_bytes = sizes.count, sizes.total
-        else:
-            inner += sizes.count
-        planes.observe(mtype, sizes.total, sizes.count)
+    planes = plane_traffic(recorder)
+    inner = planes.metadata_messages + planes.data_messages
+    envelopes = wire_bytes = 0
+    batch_sizes = f"{WIRE_BYTES}{MSG_KV_BATCH}]"
+    if batch_sizes in registry.names():
+        sizes = registry.histogram(batch_sizes)
+        envelopes, wire_bytes = sizes.count, sizes.total
     verify_failures = sum(
         registry.counter(name).value for name in registry.names()
         if name.startswith("verify.failed.by["))

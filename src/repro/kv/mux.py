@@ -136,7 +136,7 @@ class ShardBus:
 
         One ``KvEntry`` per send — a fresh fleet ``msg_id``, the sending
         inner process's causal stamps — sized by arithmetic into its
-        destination's buffer slot.  When an ``on_send_batch`` observer
+        destination's buffer slot.  When an ``on_send`` observer
         listens, the host also notes ``(entry, fleet recipient, content
         size, tick)``; :meth:`_KvMuxProcess.kv_flush` reports the notes
         in one :meth:`~repro.net.simulator.Simulator.report_send_batch`
@@ -176,7 +176,7 @@ class ShardBus:
             slot = host._kv_outbound[fleet_recipient] = [[], 0]
         slot[0].append(entry)
         slot[1] += size
-        if host._send_batch_hooks:
+        if host._send_hooks:
             # the tick now: output actions move the clock before the flush
             host._kv_sent.append((entry, fleet_recipient, wire_size,
                                   simulator.time))
@@ -250,13 +250,12 @@ class _KvMuxProcess(Process):
         self.on(MSG_KV_BATCH, self._on_kv_batch)
 
     def bind(self, simulator) -> None:
-        """Attach to ``simulator`` and hold its live ``on_send_batch``
-        and ``on_deliver_batch`` hook lists: the mux notes inner traffic
-        only when one is non-empty, and tests that per message."""
+        """Attach to ``simulator`` and hold its live ``on_send`` and
+        ``on_deliver`` hook lists: the mux notes inner traffic only
+        when one is non-empty, and tests that per message."""
         super().bind(simulator)
-        self._send_batch_hooks = simulator.observer_hooks("on_send_batch")
-        self._deliver_batch_hooks = simulator.observer_hooks(
-            "on_deliver_batch")
+        self._send_hooks = simulator.observer_hooks("on_send")
+        self._deliver_hooks = simulator.observer_hooks("on_deliver")
 
     # -- outbound: flush ----------------------------------------------------
 
@@ -309,7 +308,7 @@ class _KvMuxProcess(Process):
             return
         fleet_sender = message.sender
         # (entry, inbox depth, tick) per inner delivery, for observers
-        delivered = [] if self._deliver_batch_hooks else None
+        delivered = [] if self._deliver_hooks else None
         routes = self._kv_routes.get(fleet_sender)
         if routes is None:
             routes = self._kv_routes[fleet_sender] = {}

@@ -36,8 +36,7 @@ from repro.net.schedulers import FifoScheduler, Scheduler
 
 #: The callbacks an observer may define, in the order
 #: :meth:`Simulator.add_observer` looks them up.
-OBSERVER_HOOKS = ("on_send", "on_deliver", "on_send_batch",
-                  "on_deliver_batch", "on_input", "on_output",
+OBSERVER_HOOKS = ("on_send", "on_deliver", "on_input", "on_output",
                   "on_quorum", "on_verify_fail", "on_chaos", "on_tick",
                   "on_count")
 
@@ -157,12 +156,10 @@ class Simulator:
         # attached every report is a loop over an empty list.
         self._hooks: Dict[str, List[Callable[..., None]]] = {
             name: [] for name in OBSERVER_HOOKS}
-        # The per-message and per-batch hooks, held live: a report is
-        # built only when one of them is non-empty.
+        # The traffic hooks, held live: a report is built only when
+        # one of them is non-empty.
         self._send_hooks = self._hooks["on_send"]
         self._deliver_hooks = self._hooks["on_deliver"]
-        self._send_batch_hooks = self._hooks["on_send_batch"]
-        self._deliver_batch_hooks = self._hooks["on_deliver_batch"]
         self._tick_hooks = self._hooks["on_tick"]
         #: attached fault injector (duck-typed; see
         #: :class:`repro.chaos.injector.FaultInjector`).  ``None`` keeps
@@ -191,11 +188,11 @@ class Simulator:
         :class:`repro.obs.recorder.TraceRecorder` for the signatures;
         ``on_chaos(event)`` sees each injected fault and
         ``on_tick(time)`` runs after each delivery's invariants.
-        ``on_send`` / ``on_deliver`` see every message the simulator
-        admits and delivers; the inner messages a kv envelope carries
-        reach ``on_send_batch`` / ``on_deliver_batch`` instead (see
-        :meth:`report_send_batch`), so an observer of kv inner traffic
-        defines those two as well.
+        ``on_send(sender, sends, pending)`` and ``on_deliver(sender,
+        recipient, deliveries, pending)`` see every message sent and
+        delivered: each one the simulator admits and delivers, as a
+        batch of one, and the inner messages of kv envelopes, a batch
+        per flush and per envelope (see :meth:`report_send_batch`).
         Observers are measurement-only: they must not feed back into
         the schedule.  The same object attaches once.
         """
@@ -323,52 +320,57 @@ class Simulator:
 
     def _admit(self, message: Message) -> None:
         """Place a message into the in-flight bag (post-interception)
-        and report it to the ``on_send`` observers."""
+        and report it to the ``on_send`` observers, a batch of one."""
         pending = self._pending
         pending.append(message)
         if self._note_enqueue is not None:
             self._note_enqueue(message)
         self.metrics.record(message)
         if self._send_hooks:
+            sends = ((message, message.recipient, message.wire_size(),
+                      self.time),)
             # ``len(pending)`` without the method call (per report)
             in_flight = len(pending._items) - pending._head
             for hook in self._send_hooks:
-                hook(message, self.time, in_flight)
+                hook(message.sender, sends, in_flight)
 
     def report_send_batch(self, sender: PartyId,
                           sends: Sequence[Tuple[Any, PartyId, int, int]]
                           ) -> None:
         """Report inner messages a kv host is about to flush, in send
-        order, to the ``on_send_batch`` observers.
+        order, to the ``on_send`` observers.
 
-        Each send is ``(entry, recipient, wire_bytes, time)``: the
+        Each send is ``(entry, recipient, wire_bytes, time)``, as for a
+        message the simulator admits: the
         :class:`~repro.kv.envelope.KvEntry` (``tag``, ``mtype``,
-        ``payload``, ``msg_id``, ``depth``, ``cause_id``), its fleet
-        recipient, its content's wire size and the tick it was
-        buffered at; ``sender`` sent them all.  The in-flight count is
-        one for the whole batch: nothing is admitted between an entry's
-        buffering and its host's flush.
+        ``payload``, ``msg_id``, ``depth``, ``cause_id``, the fields of
+        a :class:`~repro.net.message.Message`), its fleet recipient,
+        its content's wire size and the tick it was buffered at;
+        ``sender`` sent them all.  The in-flight count is one for the
+        whole batch: nothing is admitted between an entry's buffering
+        and its host's flush.
         """
         pending = self._pending
         in_flight = len(pending._items) - pending._head
-        for hook in self._send_batch_hooks:
+        for hook in self._send_hooks:
             hook(sender, sends, in_flight)
 
     def report_deliver_batch(self, sender: PartyId, recipient: PartyId,
                              deliveries: Sequence[Tuple[Any, int, int]]
                              ) -> None:
         """Report the inner messages one kv envelope delivered, in
-        delivery order, to the ``on_deliver_batch`` observers.
+        delivery order, to the ``on_deliver`` observers.
 
-        Each delivery is ``(entry, inbox_depth, time)``: the entry, the
-        size of the receiving inner process's buffer when it arrived
-        and the tick it arrived at; ``sender`` and ``recipient`` are the
-        envelope's fleet parties.  The in-flight count is one for the
-        batch, as in :meth:`report_send_batch`.
+        Each delivery is ``(entry, inbox_depth, time)``, as for a
+        message the simulator delivers: the entry, the size of the
+        receiving inner process's buffer when it arrived and the tick
+        it arrived at; ``sender`` and ``recipient`` are the envelope's
+        fleet parties.  The in-flight count is one for the batch, as in
+        :meth:`report_send_batch`.
         """
         pending = self._pending
         in_flight = len(pending._items) - pending._head
-        for hook in self._deliver_batch_hooks:
+        for hook in self._deliver_hooks:
             hook(sender, recipient, deliveries, in_flight)
 
     def fresh_msg_id(self) -> int:
@@ -509,10 +511,11 @@ class Simulator:
                 cause_id=message.cause_id))
         recipient = self._processes[message.recipient]
         if self._deliver_hooks:
-            inbox_depth = recipient.inbox.depth
+            deliveries = ((message, recipient.inbox.depth, self.time),)
             in_flight = len(pending._items) - pending._head
             for hook in self._deliver_hooks:
-                hook(message, self.time, inbox_depth, in_flight)
+                hook(message.sender, message.recipient, deliveries,
+                     in_flight)
         recipient.receive(message)
         for check in self._invariants:
             check(self)

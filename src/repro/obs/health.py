@@ -42,11 +42,11 @@ from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.ids import TAG_SEP, PartyId
-from repro.net.message import LocalEvent, Message
+from repro.net.message import LocalEvent
 from repro.obs.planes import (
     TRANSPORT_MTYPES,
-    PlaneTraffic,
     plane_of_mtype,
+    plane_traffic,
 )
 from repro.obs.recorder import TraceRecorder
 from repro.obs.slo import (
@@ -121,9 +121,6 @@ class HealthMonitor:
         if weights:
             self.weights.update(weights)
         self._simulator = None
-        #: run totals split metadata-plane vs data-plane (transport
-        #: envelopes excluded; see :mod:`repro.obs.planes`)
-        self.planes = PlaneTraffic()
         # -- per-server signal accumulators (keyed by PartyId) --------
         self._sends: Dict[PartyId, int] = {}
         self._sends_by_type: Dict[Tuple[PartyId, str], int] = {}
@@ -168,38 +165,11 @@ class HealthMonitor:
 
     # -- observer callbacks --------------------------------------------------
 
-    def on_send(self, message: Message, time: int,
-                pending: int = 0) -> None:
-        """Count the send per server/mtype, split its bytes by wire
-        plane, and sample the in-flight gauge."""
-        self._observe_sends(
-            message.sender,
-            ((message, message.recipient, message.wire_size(), time),),
-            pending)
-
-    def on_send_batch(self, sender: PartyId,
-                      sends: Sequence[Tuple[Any, PartyId, int, int]],
-                      pending: int) -> None:
-        """:meth:`on_send` for each inner message a kv host flushes."""
-        self._observe_sends(sender, sends, pending)
-
-    def on_deliver(self, message: Message, time: int,
-                   inbox_depth: int = 0, pending: int = 0) -> None:
-        """Roll the delivery into the series and note each server's
-        first sight of an operation's traffic (replication skew)."""
-        self._observe_deliveries(message.recipient,
-                                 ((message, inbox_depth, time),), pending)
-
-    def on_deliver_batch(self, sender: PartyId, recipient: PartyId,
-                         deliveries: Sequence[Tuple[Any, int, int]],
-                         pending: int) -> None:
-        """:meth:`on_deliver` for each inner message of one kv
-        envelope."""
-        self._observe_deliveries(recipient, deliveries, pending)
-
-    def _observe_sends(self, sender: PartyId,
-                       sends: Sequence[Tuple[Any, PartyId, int, int]],
-                       pending: int) -> None:
+    def on_send(self, sender: PartyId,
+                sends: Sequence[Tuple[Any, PartyId, int, int]],
+                pending: int) -> None:
+        """Count each send per server/mtype, sample the in-flight gauge
+        and roll its bytes into its wire plane's series."""
         sent = self.store.counter("net.sent")
         in_flight = self._in_flight
         for message, _, wire_bytes, time in sends:
@@ -212,14 +182,15 @@ class HealthMonitor:
             sent.record(time)
             in_flight.append((time, pending))
             if mtype not in TRANSPORT_MTYPES:
-                self.planes.observe(mtype, wire_bytes)
                 plane = plane_of_mtype(mtype)
                 self.store.counter(
                     f"plane.bytes[{plane}]").record(time, wire_bytes)
 
-    def _observe_deliveries(self, recipient: PartyId,
-                            deliveries: Sequence[Tuple[Any, int, int]],
-                            pending: int) -> None:
+    def on_deliver(self, sender: PartyId, recipient: PartyId,
+                   deliveries: Sequence[Tuple[Any, int, int]],
+                   pending: int) -> None:
+        """Roll each delivery into the series and note each server's
+        first sight of an operation's traffic (replication skew)."""
         delivered = self.store.counter("net.delivered")
         in_flight = self._in_flight
         for message, _, time in deliveries:
@@ -466,8 +437,9 @@ class HealthMonitor:
 
     def plane_totals(self) -> Dict[str, int]:
         """Run-level metadata-plane vs data-plane message/byte totals
-        (:meth:`PlaneTraffic.to_json` form; envelopes excluded)."""
-        return self.planes.to_json()
+        of the recorder's trace (:func:`~repro.obs.planes.plane_traffic`
+        in ``PlaneTraffic.to_json`` form; envelopes excluded)."""
+        return plane_traffic(self.recorder).to_json()
 
     # -- SLO evaluation ------------------------------------------------------
 

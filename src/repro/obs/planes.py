@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.avid.disperse import MESSAGE_TYPES as _AVID_TYPES
 from repro.core.atomic_md import DATA_PLANE_TYPES as _MD_DATA_TYPES
-from repro.obs.recorder import MessageRecord, TraceRecorder
+from repro.obs.recorder import WIRE_BYTES, MessageRecord, TraceRecorder
 from repro.obs.spans import completed_operation_records
 
 PLANE_METADATA = "metadata"
@@ -98,10 +98,18 @@ class PlaneTraffic:
 
 
 def plane_traffic(recorder: TraceRecorder) -> PlaneTraffic:
-    """Whole-run plane totals over every traced message."""
+    """Whole-run plane totals of every message ``recorder`` was told
+    was sent, read off its ``wire.bytes[mtype]`` histograms: one value
+    per report of a send, so a ``msg_id`` recorded twice (no simulator
+    does that) counts twice, where ``recorder.messages`` keeps one
+    record of it."""
     totals = PlaneTraffic()
-    for record in recorder.messages.values():
-        totals.add(record)
+    registry = recorder.registry
+    for name in registry.names():
+        if name.startswith(WIRE_BYTES):
+            sizes = registry.histogram(name)
+            totals.observe(name[len(WIRE_BYTES):-1], sizes.total,
+                           sizes.count)
     return totals
 
 

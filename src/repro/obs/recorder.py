@@ -48,8 +48,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.trace import OperationMatcher
 from repro.common.errors import SimulationError
 from repro.common.ids import TAG_SEP, PartyId
-from repro.net.message import LocalEvent, Message
+from repro.net.message import LocalEvent
 from repro.obs.instruments import Counter, Gauge, Registry
+
+#: The name prefix of the recorder's per-message-type wire-size
+#: histograms, ``wire.bytes[<mtype>]``: one value per message sent.
+WIRE_BYTES = "wire.bytes["
 
 #: ``(root tag, oid)`` — the key one operation's candidates are filed under
 _OperationKey = Tuple[str, str]
@@ -207,62 +211,16 @@ class TraceRecorder:
 
     # -- simulator callbacks ------------------------------------------------
 
-    def on_send(self, message: Message, time: int,
-                pending: int = 0) -> None:
-        """Record a message joining the in-flight bag: what
-        :meth:`on_send_batch` records for a batch of one, written out
-        (a kv run reports an envelope per two or three inner
-        messages, so this path is as hot as the batches)."""
-        payload = message.payload
-        oid = payload[0] if (
-            payload and type(payload[0]) is str) else None
-        msg_id, tag, mtype = message.msg_id, message.tag, message.mtype
-        wire_bytes = message.wire_size()
-        record = MessageRecord(
-            msg_id, tag, mtype, message.sender, message.recipient, time,
-            wire_bytes, message.depth, message.cause_id, oid)
-        try:
-            filing = self._filings[tag, mtype, oid]
-        except KeyError:
-            filing = self._filing(tag, mtype, oid)
-        filing[1].append(wire_bytes)
-        messages = self.messages
-        if msg_id in messages:
-            self._overwrite(record)
-        else:
-            messages[msg_id] = record
-            for bucket in filing[0]:
-                bucket.append(record)
-        sent = self._net_sent or self._bind_sends()
-        sent.value += 1
-        self._net_in_flight.set(pending)
-
-    def on_deliver(self, message: Message, time: int,
-                   inbox_depth: int = 0, pending: int = 0) -> None:
-        """Record a delivery (the logical-clock tick it occupies): what
-        :meth:`on_deliver_batch` records for a batch of one, written
-        out."""
-        record = self.messages.get(message.msg_id)
-        if record is not None:
-            record.deliver_time = time
-        delivered = self._net_delivered or self._bind_deliveries()
-        delivered.value += 1
-        try:
-            depth = self._inbox_depth[message.recipient]
-        except KeyError:
-            depth = self._bind_inbox_depth(message.recipient)
-        depth.set(inbox_depth)
-        self._net_in_flight.set(pending)
-
-    def on_send_batch(self, sender: PartyId,
-                      sends: Sequence[Tuple[Any, PartyId, int, int]],
-                      pending: int) -> None:
-        """Record the inner messages a kv host flushes, ``(entry,
-        recipient, wire_bytes, time)`` each in send order (see
+    def on_send(self, sender: PartyId,
+                sends: Sequence[Tuple[Any, PartyId, int, int]],
+                pending: int) -> None:
+        """Record messages ``sender`` sent, ``(message, recipient,
+        wire_bytes, time)`` each in send order (an admitted message
+        alone, or a kv host's flush; see
         :meth:`~repro.net.simulator.Simulator.report_send_batch`), in
         one loop: a record each, filed in the index and sampled into
         ``wire.bytes[mtype]`` through one lookup of its ``(tag, mtype,
-        oid)``; the counter and gauge take one update per batch."""
+        oid)``; the counter and gauge take one update per report."""
         messages = self.messages
         filings = self._filings
         for message, recipient, wire_bytes, time in sends:
@@ -289,15 +247,16 @@ class TraceRecorder:
         sent.value += count
         self._net_in_flight.fold(pending, pending, pending, count)
 
-    def on_deliver_batch(self, sender: PartyId, recipient: PartyId,
-                         deliveries: Sequence[Tuple[Any, int, int]],
-                         pending: int) -> None:
-        """Record the inner messages one kv envelope delivered,
-        ``(entry, inbox_depth, time)`` each in delivery order (see
-        :meth:`~repro.net.simulator.Simulator.report_deliver_batch`), in
-        one loop: each record's ``deliver_time``, and ``recipient``'s
-        buffer depth as each arrived (live depth, which retirement
-        brings back down) folded into one gauge update."""
+    def on_deliver(self, sender: PartyId, recipient: PartyId,
+                   deliveries: Sequence[Tuple[Any, int, int]],
+                   pending: int) -> None:
+        """Record deliveries from ``sender`` to ``recipient``,
+        ``(message, inbox_depth, time)`` each in delivery order (a
+        delivered message alone, or one kv envelope's inner messages;
+        see :meth:`~repro.net.simulator.Simulator.report_deliver_batch`),
+        in one loop: each record's ``deliver_time``, and
+        ``recipient``'s buffer depth as each arrived (live depth, which
+        retirement brings back down) folded into one gauge update."""
         record_of = self.messages.get
         low = high = deliveries[0][1]
         for message, inbox_depth, time in deliveries:
@@ -396,7 +355,7 @@ class TraceRecorder:
         records = self._records_by_operation
         filing = self._filings[(tag, mtype, oid)] = (
             tuple(records.setdefault((root, key), []) for key in oids),
-            self.registry.histogram(f"wire.bytes[{mtype}]").values)
+            self.registry.histogram(f"{WIRE_BYTES}{mtype}]").values)
         return filing
 
     def _file_release(self, filed: _FiledRelease) -> None:

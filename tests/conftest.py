@@ -8,7 +8,7 @@ from repro.cluster import build_cluster
 from repro.config import SystemConfig
 from repro.net.schedulers import RandomScheduler
 from repro.obs import TraceRecorder
-from tests.reference_observers import PerMessageBatches
+from tests.reference_observers import delivered_messages
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def atomic_ns_cluster(config41):
                          scheduler=RandomScheduler(1))
 
 
-class _DeliveryLog(PerMessageBatches, TraceRecorder):
+class _DeliveryLog(TraceRecorder):
     """A recorder that keeps every message it is told was delivered
     (a kv envelope's inner messages as ``Message``s in fleet
     identities)."""
@@ -46,10 +46,11 @@ class _DeliveryLog(PerMessageBatches, TraceRecorder):
         super().__init__()
         self.delivered = []
 
-    def on_deliver(self, message, time, inbox_depth=0, pending=0):
-        self.delivered.append(message)
-        super().on_deliver(message, time, inbox_depth=inbox_depth,
-                           pending=pending)
+    def on_deliver(self, sender, recipient, deliveries, pending):
+        self.delivered.extend(
+            message for message, _, _ in delivered_messages(
+                sender, recipient, deliveries))
+        super().on_deliver(sender, recipient, deliveries, pending)
 
 
 @pytest.fixture

@@ -1,21 +1,24 @@
-"""Per-message reference observers for the batched kv reports.
+"""Per-message reference observers for the kv traffic reports.
 
-A kv host reports the inner messages it flushes, and those one envelope
-delivered, in one batch each (``on_send_batch`` / ``on_deliver_batch``).
-What is here sees the same traffic one ``Message`` at a time, in fleet
-identities, the way hosts once reported it:
+Observers hear of traffic through ``on_send(sender, sends, pending)``
+and ``on_deliver(sender, recipient, deliveries, pending)``: a message
+the simulator admits or delivers is a report of one, and a kv host
+reports the inner messages it flushes, and those one envelope
+delivered, in one report each.  What is here sees the same traffic one
+``Message`` at a time, in fleet identities, the way hosts once reported
+it:
 
-* :func:`sent_messages` / :func:`delivered_messages` turn a batch into
-  those messages, and :class:`PerMessageBatches` makes any observer
-  with ``on_send`` / ``on_deliver`` read batches through them;
+* :func:`sent_messages` / :func:`delivered_messages` turn a report into
+  those messages;
 * :func:`report_each_inner_message` instruments a run so that every
   inner message is reported on its own, at the moment it is buffered
-  or delivered, to the attached observers' ``on_send`` / ``on_deliver``;
-* :class:`ReferenceRecorder` records one message per call, through the
-  instruments' own methods and a fresh index lookup per record, and
+  or delivered, and the hosts' own batch reports are dropped;
+* :class:`ReferenceRecorder` records one message at a time, through
+  the instruments' own methods and a fresh index lookup per record, and
   :class:`ReferenceHealthMonitor` rolls each message into its series as
-  it is reported, over that recorder: together with the instrumentation
-  they are the oracle the batched path is held to.
+  it is reported, over that recorder, and totals the wire planes by a
+  scan of the records: together with the instrumentation they are the
+  oracle the batched path is held to.
 """
 
 from __future__ import annotations
@@ -24,14 +27,23 @@ from repro.common.ids import TAG_SEP
 from repro.kv.mux import ShardBus
 from repro.net.message import Message, content_wire_size
 from repro.net.process import Process
+from repro.net.simulator import Simulator
 from repro.obs.health import HealthMonitor
-from repro.obs.planes import TRANSPORT_MTYPES, plane_of_mtype
-from repro.obs.recorder import MessageRecord, TraceRecorder, _index_keys
+from repro.obs.planes import TRANSPORT_MTYPES, PlaneTraffic, plane_of_mtype
+from repro.obs.recorder import (
+    WIRE_BYTES,
+    MessageRecord,
+    TraceRecorder,
+    _index_keys,
+)
 
 
 def sent_messages(sender, sends):
-    """``(message, time)`` per send of an ``on_send_batch`` report."""
-    return [(Message(entry.tag, entry.mtype, sender, recipient,
+    """``(message, time)`` per send of an ``on_send`` report: a
+    ``Message`` as it was reported, a kv entry as the ``Message`` it
+    stands for."""
+    return [(entry if entry.__class__ is Message else
+             Message(entry.tag, entry.mtype, sender, recipient,
                      entry.payload, entry.msg_id, entry.depth,
                      entry.cause_id, wire_bytes), time)
             for entry, recipient, wire_bytes, time in sends]
@@ -39,33 +51,23 @@ def sent_messages(sender, sends):
 
 def delivered_messages(sender, recipient, deliveries):
     """``(message, inbox_depth, time)`` per delivery of an
-    ``on_deliver_batch`` report."""
-    return [(Message(entry.tag, entry.mtype, sender, recipient,
+    ``on_deliver`` report, as in :func:`sent_messages`."""
+    return [(entry if entry.__class__ is Message else
+             Message(entry.tag, entry.mtype, sender, recipient,
                      entry.payload, entry.msg_id, entry.depth,
                      entry.cause_id), inbox_depth, time)
             for entry, inbox_depth, time in deliveries]
 
 
-class PerMessageBatches:
-    """Mixin: read each batch as the per-message calls it stands for."""
-
-    def on_send_batch(self, sender, sends, pending):
-        for message, time in sent_messages(sender, sends):
-            self.on_send(message, time, pending)
-
-    def on_deliver_batch(self, sender, recipient, deliveries, pending):
-        for message, inbox_depth, time in delivered_messages(
-                sender, recipient, deliveries):
-            self.on_deliver(message, time, inbox_depth, pending)
-
-
 def report_each_inner_message(monkeypatch):
     """From now on, report every kv inner message to the simulator's
-    observers one at a time: a send as it is buffered, a delivery as
-    the inner process receives it, with that moment's tick, in-flight
-    count and buffer depth, in fleet identities.  Attach only observers
-    without batch hooks, or they hear of each inner message twice."""
+    observers in a report of its own: a send as it is buffered, a
+    delivery as the inner process receives it, with that moment's tick,
+    in-flight count and buffer depth, in fleet identities.  The hosts'
+    batch reports are dropped, so each inner message is heard of once."""
     real_enqueue, real_receive = ShardBus.enqueue, Process.receive
+    report_sends = Simulator.report_send_batch
+    report_deliveries = Simulator.report_deliver_batch
 
     def enqueue(bus, sender, recipient, tag, mtype, payload,
                 wire_size=None):
@@ -80,9 +82,8 @@ def report_each_inner_message(monkeypatch):
         message = Message(tag, mtype, host.pid, fleet_recipient,
                           entry.payload, entry.msg_id, entry.depth,
                           entry.cause_id, wire_size)
-        for observer in simulator.observers:
-            observer.on_send(message, simulator.time,
-                             len(simulator._pending))
+        report_sends(simulator, host.pid, ((message, fleet_recipient,
+                                            wire_size, simulator.time),))
 
     def receive(process, message):
         bus = process.simulator
@@ -92,86 +93,95 @@ def report_each_inner_message(monkeypatch):
                             bus.fleet_pid(message.sender), bus.host.pid,
                             message.payload, message.msg_id,
                             message.depth, message.cause_id)
-            for observer in simulator.observers:
-                observer.on_deliver(fleet, simulator.time,
-                                    len(process.inbox),
-                                    len(simulator._pending))
+            report_deliveries(simulator, fleet.sender, fleet.recipient,
+                              ((fleet, len(process.inbox),
+                                simulator.time),))
         real_receive(process, message)
 
     monkeypatch.setattr(ShardBus, "enqueue", enqueue)
     monkeypatch.setattr(Process, "receive", receive)
+    monkeypatch.setattr(Simulator, "report_send_batch",
+                        lambda *args: None)
+    monkeypatch.setattr(Simulator, "report_deliver_batch",
+                        lambda *args: None)
 
 
 class ReferenceRecorder(TraceRecorder):
-    """A trace recorder that records one message per call, through the
-    instruments' own methods and a fresh index lookup per record; it
-    takes no batches."""
+    """A trace recorder that records one message at a time, through the
+    instruments' own methods and a fresh index lookup per record."""
 
-    on_send_batch = on_deliver_batch = None
+    def on_send(self, sender, sends, pending):
+        for message, time in sent_messages(sender, sends):
+            payload = message.payload
+            oid = payload[0] if (
+                payload and isinstance(payload[0], str)) else None
+            wire_bytes = message.wire_size()
+            record = MessageRecord(
+                message.msg_id, message.tag, message.mtype, message.sender,
+                message.recipient, time, wire_bytes, message.depth,
+                message.cause_id, oid)
+            assert record.msg_id not in self.messages
+            self.messages[record.msg_id] = record
+            root, oids = _index_keys(record.tag, record.oid)
+            for key in oids:
+                self._records_by_operation.setdefault(
+                    (root, key), []).append(record)
+            self.registry.counter("net.sent").inc()
+            self.registry.histogram(
+                f"{WIRE_BYTES}{record.mtype}]").record(wire_bytes)
+            self.registry.gauge("net.in_flight").set(pending)
 
-    def on_send(self, message, time, pending=0):
-        payload = message.payload
-        oid = payload[0] if (
-            payload and isinstance(payload[0], str)) else None
-        wire_bytes = message.wire_size()
-        record = MessageRecord(
-            message.msg_id, message.tag, message.mtype, message.sender,
-            message.recipient, time, wire_bytes, message.depth,
-            message.cause_id, oid)
-        assert record.msg_id not in self.messages
-        self.messages[record.msg_id] = record
-        root, oids = _index_keys(record.tag, record.oid)
-        for key in oids:
-            self._records_by_operation.setdefault(
-                (root, key), []).append(record)
-        self.registry.counter("net.sent").inc()
-        self.registry.histogram(
-            f"wire.bytes[{record.mtype}]").record(wire_bytes)
-        self.registry.gauge("net.in_flight").set(pending)
-
-    def on_deliver(self, message, time, inbox_depth=0, pending=0):
-        record = self.messages.get(message.msg_id)
-        if record is not None:
-            record.deliver_time = time
-        self.registry.counter("net.delivered").inc()
-        self.registry.gauge(
-            f"inbox.depth[{message.recipient}]").set(inbox_depth)
-        self.registry.gauge("net.in_flight").set(pending)
+    def on_deliver(self, sender, recipient, deliveries, pending):
+        for message, inbox_depth, time in delivered_messages(
+                sender, recipient, deliveries):
+            record = self.messages.get(message.msg_id)
+            if record is not None:
+                record.deliver_time = time
+            self.registry.counter("net.delivered").inc()
+            self.registry.gauge(
+                f"inbox.depth[{message.recipient}]").set(inbox_depth)
+            self.registry.gauge("net.in_flight").set(pending)
 
 
 class ReferenceHealthMonitor(HealthMonitor):
-    """A health monitor that takes no batches and rolls each message
-    into its series as it is reported, over a
-    :class:`ReferenceRecorder`."""
-
-    on_send_batch = on_deliver_batch = None
+    """A health monitor that rolls each message into its series as it
+    is reported, over a :class:`ReferenceRecorder`, and totals the wire
+    planes by a scan of that recorder's records."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.recorder = ReferenceRecorder()
 
-    def on_send(self, message, time, pending=0):
-        sender = message.sender
-        if sender.is_server:
-            self._sends[sender] = self._sends.get(sender, 0) + 1
-            key = (sender, message.mtype)
-            self._sends_by_type[key] = self._sends_by_type.get(key, 0) + 1
-        self.store.counter("net.sent").record(time)
-        self.store.gauge("net.in_flight").record(time, pending)
-        if message.mtype not in TRANSPORT_MTYPES:
-            wire_bytes = message.wire_size()
-            self.planes.observe(message.mtype, wire_bytes)
-            plane = plane_of_mtype(message.mtype)
-            self.store.counter(
-                f"plane.bytes[{plane}]").record(time, wire_bytes)
+    def on_send(self, sender, sends, pending):
+        for message, time in sent_messages(sender, sends):
+            if sender.is_server:
+                self._sends[sender] = self._sends.get(sender, 0) + 1
+                key = (sender, message.mtype)
+                self._sends_by_type[key] = \
+                    self._sends_by_type.get(key, 0) + 1
+            self.store.counter("net.sent").record(time)
+            self.store.gauge("net.in_flight").record(time, pending)
+            if message.mtype not in TRANSPORT_MTYPES:
+                plane = plane_of_mtype(message.mtype)
+                self.store.counter(f"plane.bytes[{plane}]").record(
+                    time, message.wire_size())
 
-    def on_deliver(self, message, time, inbox_depth=0, pending=0):
-        self.store.counter("net.delivered").record(time)
-        self.store.gauge("net.in_flight").record(time, pending)
-        if message.recipient.is_server and message.payload \
-                and isinstance(message.payload[0], str):
-            arrivals = self._op_delivery.get(
-                (message.tag.partition(TAG_SEP)[0], message.payload[0]))
-            if arrivals is not None \
-                    and message.recipient not in arrivals:
-                arrivals[message.recipient] = time
+    def on_deliver(self, sender, recipient, deliveries, pending):
+        for message, _, time in delivered_messages(sender, recipient,
+                                                   deliveries):
+            self.store.counter("net.delivered").record(time)
+            self.store.gauge("net.in_flight").record(time, pending)
+            if message.recipient.is_server and message.payload \
+                    and isinstance(message.payload[0], str):
+                arrivals = self._op_delivery.get(
+                    (message.tag.partition(TAG_SEP)[0],
+                     message.payload[0]))
+                if arrivals is not None \
+                        and message.recipient not in arrivals:
+                    arrivals[message.recipient] = time
+
+    def plane_totals(self):
+        totals = PlaneTraffic()
+        for record in self.recorder.messages.values():
+            totals.add(record)
+        return totals.to_json()

@@ -1013,6 +1013,11 @@ def test_run_level_plane_split_shows_one_round_trip_reads():
     cluster.run()
     totals = plane_traffic(recorder)
     assert totals.data_bytes > 0 and totals.metadata_bytes > 0
+    # the totals read off the histograms equal a scan of the records
+    scanned = PlaneTraffic()
+    for record in recorder.messages.values():
+        scanned.add(record)
+    assert totals == scanned
     per_op = operation_plane_traffic(recorder)
     n = cluster.config.n
     assert per_op["write"].data_messages == per_op["read"].data_messages \

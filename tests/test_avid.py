@@ -27,7 +27,6 @@ from repro.net.schedulers import (
 from repro.net.simulator import Simulator
 from repro.obs import TraceRecorder
 from repro.workloads.kv import kv_workload
-from tests.reference_observers import PerMessageBatches
 
 
 class AvidHost(Process):
@@ -74,15 +73,16 @@ def _sent(simulator, servers, mtype):
     at that moment, and the verdict of its verifiability check."""
     sent = []
 
-    def on_send(message, time, pending=0):
-        if message.mtype != mtype or not message.sender.is_server:
+    def on_send(sender, sends, pending):
+        host = servers[sender.index - 1] if sender.is_server else None
+        if not isinstance(host, AvidHost):
             return
-        sender = servers[message.sender.index - 1]
-        if not isinstance(sender, AvidHost):
-            return
-        (state,) = sender.avid._instances[message.tag].keys.values()
-        sent.append((message, frozenset(state.echo_blocks),
-                     state.consistent))
+        for message, _, _, _ in sends:
+            if message.mtype != mtype:
+                continue
+            (state,) = host.avid._instances[message.tag].keys.values()
+            sent.append((message, frozenset(state.echo_blocks),
+                         state.consistent))
 
     simulator.add_observer(SimpleNamespace(on_send=on_send))
     return sent
@@ -376,7 +376,7 @@ def test_blockless_echo_from_another_server_never_counts(commitment):
         assert set(state.echo_blocks) == {2}
 
 
-class _ContentSpy(PerMessageBatches, TraceRecorder):
+class _ContentSpy(TraceRecorder):
     """A recorder that also keeps what each sent message carried (a kv
     host's inner sends as the messages they stand for)."""
 
@@ -384,10 +384,11 @@ class _ContentSpy(PerMessageBatches, TraceRecorder):
         super().__init__()
         self.contents = {}
 
-    def on_send(self, message, time, pending=0):
-        self.contents[message.msg_id] = (message.tag, message.mtype,
-                                         message.payload)
-        super().on_send(message, time, pending=pending)
+    def on_send(self, sender, sends, pending):
+        for message, _, _, _ in sends:
+            self.contents[message.msg_id] = (message.tag, message.mtype,
+                                             message.payload)
+        super().on_send(sender, sends, pending)
 
 
 def _traced_atomic_run(plane, seed, commitment="vector"):

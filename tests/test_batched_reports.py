@@ -1,8 +1,9 @@
 """The batched kv reports against the per-message reference observers.
 
 A kv host reports a flush's inner sends and an envelope's inner
-deliveries in one batch each, and the trace recorder files a batch in
-one loop with its instruments updated inline.  Every observer output
+deliveries in one ``on_send`` / ``on_deliver`` report each, and the
+trace recorder files a report in one loop with its instruments updated
+inline.  Every observer output
 must be what the same run gives when each inner message is reported
 on its own, as it is buffered or delivered, and recorded through one
 method call per event (:mod:`tests.reference_observers`): every field
@@ -11,26 +12,37 @@ releases, the health monitor's snapshot and the kv-bench row.  The
 runs cover the four kvperf workload shapes at smoke size, chaos
 ``duplicate`` / ``drop`` / ``delay`` rules (a duplicated envelope
 delivers its entries twice), a fail-stop host and a Byzantine server.
+An observer with ``on_send`` / ``on_deliver`` alone hears of every
+message the recorder records, envelopes and inner messages alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
 from repro.chaos import FaultPlan, FaultRule
 from repro.common.ids import client_id, server_id
-from repro.kv import KvEntry, run_kv_case
+from repro.config import SystemConfig
+from repro.kv import (
+    MSG_KV_BATCH,
+    KvDirectory,
+    KvEntry,
+    build_kv_cluster,
+    drive,
+    run_kv_case,
+)
+from repro.net.schedulers import RandomScheduler
 from repro.obs import TraceRecorder
 from repro.obs.health import HealthMonitor
 from repro.repair.bench import churn_storm_plan
+from repro.workloads.kv import kv_workload
 from tests.reference_observers import (
     ReferenceHealthMonitor,
     ReferenceRecorder,
-    delivered_messages,
     report_each_inner_message,
-    sent_messages,
 )
 
 #: kvperf's four workload shapes (n=7, t=2, four sessions) at an eighth
@@ -127,13 +139,12 @@ def test_a_batch_records_what_its_messages_record_one_at_a_time():
     deliveries = [(entry, depth, 9 + index) for index, (entry, depth)
                   in enumerate(zip(entries, (1, 3, 0, 2)))]
     batched, reference = TraceRecorder(), ReferenceRecorder()
-    batched.on_send_batch(sender, sends, 4)
-    batched.on_deliver_batch(sender, recipient, deliveries, 3)
-    for message, time in sent_messages(sender, sends):
-        reference.on_send(message, time, 4)
-    for message, depth, time in delivered_messages(sender, recipient,
-                                                   deliveries):
-        reference.on_deliver(message, time, depth, 3)
+    batched.on_send(sender, sends, 4)
+    batched.on_deliver(sender, recipient, deliveries, 3)
+    for send in sends:
+        reference.on_send(sender, (send,), 4)
+    for delivery in deliveries:
+        reference.on_deliver(sender, recipient, (delivery,), 3)
     assert [dataclasses.astuple(record) for record
             in batched.messages.values()] == [
         dataclasses.astuple(record)
@@ -143,3 +154,32 @@ def test_a_batch_records_what_its_messages_record_one_at_a_time():
     assert batched.registry.snapshot() == reference.registry.snapshot()
     depth = batched.registry.snapshot()[f"inbox.depth[{recipient}]"]
     assert (depth["value"], depth["min"], depth["max"]) == (2, 0, 3)
+
+
+def test_an_observer_of_the_two_traffic_hooks_sees_every_message():
+    """An observer that defines only ``on_send`` / ``on_deliver`` hears
+    of every message the recorder records on a kv run — the envelopes
+    the simulator admits and the inner messages the hosts flush, in
+    the recorder's order — and of every delivery it stamps."""
+    cluster = build_kv_cluster(KvDirectory(SystemConfig(n=4, t=1), 2),
+                               protocol="atomic", num_sessions=2,
+                               scheduler=RandomScheduler(5))
+    recorder = TraceRecorder().attach(cluster.simulator)
+    sent, delivered = [], []
+    cluster.simulator.add_observer(SimpleNamespace(
+        on_send=lambda sender, sends, pending: sent.extend(
+            message.msg_id for message, _, _, _ in sends),
+        on_deliver=lambda sender, recipient, deliveries, pending:
+            delivered.extend(message.msg_id
+                             for message, _, _ in deliveries)))
+    drive(cluster, kv_workload(num_sessions=2, num_keys=4, ops=12, seed=5),
+          seed=5)
+    records = recorder.messages
+    assert {record.mtype == MSG_KV_BATCH
+            for record in records.values()} == {True, False}
+    assert sent == list(records)
+    assert sorted(delivered) == sorted(
+        msg_id for msg_id, record in records.items()
+        if record.deliver_time is not None)
+    assert len(delivered) == \
+        recorder.registry.counter("net.delivered").value

@@ -230,8 +230,9 @@ def test_measured_disperse_bytes_match_the_fault_free_terms(commitment):
                                 protocol="atomic", scheduler=FifoScheduler())
         sizes = []
         cluster.simulator.add_observer(SimpleNamespace(
-            on_send=lambda message, time, pending: message.mtype
-            in MESSAGE_TYPES and sizes.append(message.wire_size())))
+            on_send=lambda sender, sends, pending: sizes.extend(
+                wire_bytes for message, _, wire_bytes, _ in sends
+                if message.mtype in MESSAGE_TYPES)))
         cluster.write(1, "reg", "w1", b"x" * 16384)
         cluster.run()
         model = ComplexityModel(n=n, t=t, value_size=16384,

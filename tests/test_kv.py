@@ -60,7 +60,7 @@ from repro.net.simulator import Simulator
 from repro.obs import TraceRecorder
 from repro.repair.reconfig import next_generation
 from repro.workloads.kv import KvOp, key_names, kv_workload
-from tests.reference_observers import PerMessageBatches
+from tests.reference_observers import sent_messages
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -168,7 +168,7 @@ def test_live_kv_envelopes_roundtrip_on_the_wire():
 
 # -- size accounting ------------------------------------------------------------
 
-class _SendSpy(PerMessageBatches, TraceRecorder):
+class _SendSpy(TraceRecorder):
     """A recorder that keeps every message it is told was sent: the
     envelopes the simulator admits and the inner messages the hosts
     flush, as ``Message``s in fleet identities."""
@@ -177,9 +177,10 @@ class _SendSpy(PerMessageBatches, TraceRecorder):
         super().__init__()
         self.sent = []
 
-    def on_send(self, message, time, pending=0):
-        self.sent.append(message)
-        super().on_send(message, time, pending=pending)
+    def on_send(self, sender, sends, pending):
+        self.sent.extend(message for message, _
+                         in sent_messages(sender, sends))
+        super().on_send(sender, sends, pending)
 
 
 def _small_kv_cluster(protocol, seed):

@@ -236,7 +236,8 @@ def test_observers_are_reached_only_through_the_simulator():
     ``on_count``) is called, or looked up by name, only in
     ``repro.net.simulator``: processes, kv sessions and the repair
     coordinator report to their simulator, and the kv mux reports its
-    inner traffic, one batch per flush and per envelope, through
+    inner traffic to the same ``on_send`` / ``on_deliver`` observers,
+    one report per flush and per envelope, through
     ``Simulator.report_send_batch``/``report_deliver_batch``.
     """
     obs_reads, hook_calls = [], []
@@ -272,6 +273,18 @@ def test_a_traced_run_matches_its_operations_once():
     assert _call_sites("OperationMatcher") == [
         "repro.analysis.trace.match_operations",
         "repro.obs.recorder.__init__"]
+
+
+def test_a_run_has_one_source_of_plane_totals():
+    """The plane ratchet: a run's plane totals are computed in one
+    place.  A ``PlaneTraffic`` is constructed only in
+    ``repro.obs.planes``, whose ``plane_traffic`` reads the recorder's
+    ``wire.bytes[mtype]`` histograms for the kv-bench row and the
+    health monitor alike; a second running total has to show up here
+    first."""
+    sites = _call_sites("PlaneTraffic")
+    assert sites and all(site.startswith("repro.obs.planes.")
+                         for site in sites), sites
 
 
 def test_faulty_servers_are_mixins_derived_in_one_place():
@@ -494,10 +507,11 @@ def _first_sends(protocol, client_cls):
         def __init__(self):
             self.seen = []
 
-        def on_send(self, message, time, pending):
-            if message.sender.is_client:
-                self.seen.append((message.recipient, message.tag,
-                                  message.mtype, message.payload))
+        def on_send(self, sender, sends, pending):
+            if sender.is_client:
+                self.seen.extend((recipient, message.tag, message.mtype,
+                                  message.payload)
+                                 for message, recipient, _, _ in sends)
 
     cluster = build_cluster(SystemConfig(n=5, t=1), protocol=protocol,
                             num_clients=1, client_overrides={1: client_cls})

@@ -699,12 +699,16 @@ def _hand_recorder():
         ("ID|a.x|rbc.w1", "rbc-ready", ("w1",)),
     ]
     for msg_id, (tag, mtype, payload) in enumerate(traffic):
-        recorder.on_send(Message(tag=tag, mtype=mtype,
-                                 sender=client_id(1),
-                                 recipient=server_id(1),
-                                 payload=payload, msg_id=msg_id),
-                         time=msg_id)
+        _send(recorder, Message(tag=tag, mtype=mtype, sender=client_id(1),
+                                recipient=server_id(1), payload=payload,
+                                msg_id=msg_id), time=msg_id)
     return recorder
+
+
+def _send(recorder, message, time):
+    """Report ``message`` to ``recorder`` as the simulator admits it."""
+    recorder.on_send(message.sender, ((message, message.recipient,
+                                       message.wire_size(), time),), 0)
 
 
 _HAND_QUERIES = [("ID", "w1"), ("ID|a.x", "w1"), ("ID", "w2"),
@@ -762,9 +766,9 @@ def test_index_agrees_with_messages_when_a_msg_id_is_recorded_twice():
     write's position — and the index says the same."""
     recorder = _hand_recorder()
     recorder.on_quorum(3, client_id(1), "ID", "ack", 3, (), 1)
-    recorder.on_send(Message(tag="ID2|disp.w9", mtype="avid-send",
-                             sender=client_id(1), recipient=server_id(2),
-                             payload=(b"moved",), msg_id=1), time=40)
+    _send(recorder, Message(tag="ID2|disp.w9", mtype="avid-send",
+                            sender=client_id(1), recipient=server_id(2),
+                            payload=(b"moved",), msg_id=1), time=40)
     assert recorder.messages[1].tag == "ID2|disp.w9"
     assert list(recorder.messages)[1] == 1  # position of the first write
     for tag, oid in _HAND_QUERIES + [("ID2", "w9")]:
