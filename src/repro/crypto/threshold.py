@@ -44,11 +44,7 @@ from repro.common.errors import (
     InvalidShare,
     InvalidSignature,
 )
-from repro.common.serialization import (
-    encode,
-    encoded_size,
-    register_wire_type,
-)
+from repro.common.serialization import encode, register_wire_type
 from repro.crypto.numtheory import (
     extended_gcd,
     factorial,
@@ -77,10 +73,6 @@ class SignatureShare:
     value: bytes
     proof: tuple
 
-    def size_bytes(self) -> int:
-        """Wire size of this share (the `S` of the complexity model)."""
-        return encoded_size(self)
-
 
 @register_wire_type
 @dataclass(frozen=True)
@@ -88,10 +80,6 @@ class ThresholdSignature:
     """A combined threshold signature ``σ``."""
 
     value: bytes
-
-    def size_bytes(self) -> int:
-        """Wire size of this signature."""
-        return encoded_size(self)
 
 
 def _int_to_bytes(value: int) -> bytes:
@@ -228,11 +216,6 @@ class ShoupThresholdScheme(ThresholdScheme):
         self._delta = factorial(n)
 
     # -- key access -----------------------------------------------------
-
-    @property
-    def public_key(self) -> tuple:
-        """``(N, e, v)`` plus the verification keys, as the dealer outputs."""
-        return (self._N, self._e, self._v, dict(self._vk))
 
     def private_share(self, j: int) -> int:
         if j not in self._shares:

@@ -19,7 +19,6 @@ each step's key to its result.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
@@ -43,6 +42,7 @@ from repro.experiments import (
     timestamp_attack,
 )
 from repro.obs.bench import emit_bench
+from repro.obs.clock import wall_seconds
 
 
 @dataclass(frozen=True)
@@ -168,9 +168,9 @@ def run_battery(ids: Sequence[str] = (), fast: bool = False,
     """Print the named experiments (all for none), one timed section
     each."""
     for experiment in select(ids):
-        start = time.perf_counter()
+        start = wall_seconds()
         _, text = run_experiment(experiment, fast, bench_dir)
-        elapsed = time.perf_counter() - start
+        elapsed = wall_seconds() - start
         print(f"\n=== {experiment.id} ({elapsed:.1f}s) " + "=" * 40)
         print(text)
         sys.stdout.flush()

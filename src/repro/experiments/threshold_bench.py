@@ -13,7 +13,6 @@ results are identical either way.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
@@ -24,6 +23,7 @@ from repro.crypto.threshold import (
 )
 from repro.crypto.rsa import precomputed_modulus
 from repro.experiments.common import render_table
+from repro.obs.clock import wall_seconds
 
 
 @dataclass
@@ -38,10 +38,10 @@ class CryptoCost:
 
 
 def _time_it(action: Callable[[], object], repeat: int = 5) -> float:
-    start = time.perf_counter()
+    start = wall_seconds()
     for _ in range(repeat):
         action()
-    return (time.perf_counter() - start) / repeat * 1000.0
+    return (wall_seconds() - start) / repeat * 1000.0
 
 
 def _measure(backend: str, scheme: ThresholdScheme, repeat: int = 5

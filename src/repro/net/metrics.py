@@ -38,7 +38,6 @@ class Metrics:
 
     def __init__(self) -> None:
         self._by_tag: Dict[str, TrafficCounter] = defaultdict(TrafficCounter)
-        self._sent_bytes: Dict[PartyId, int] = defaultdict(int)
         self._received_bytes: Dict[PartyId, int] = defaultdict(int)
         self.total_messages = 0
         self.total_bytes = 0
@@ -53,7 +52,6 @@ class Metrics:
         counter.messages += 1
         counter.message_bytes += size
         counter.by_mtype[message.mtype] += 1
-        self._sent_bytes[message.sender] += size
         self._received_bytes[message.recipient] += size
         self.total_messages += 1
         self.total_bytes += size
@@ -85,10 +83,6 @@ class Metrics:
         """``(total_messages, total_bytes)`` so far — subtract two
         snapshots to isolate one operation's traffic."""
         return (self.total_messages, self.total_bytes)
-
-    def sent_bytes(self, party: PartyId) -> int:
-        """Bytes sent by one party across the whole run."""
-        return self._sent_bytes.get(party, 0)
 
     def received_bytes(self, party: PartyId) -> int:
         """Bytes delivered to one party across the whole run."""

@@ -20,24 +20,18 @@ from repro.net.message import Message
 
 
 class Scheduler:
-    """Strategy interface: choose the index of the next message."""
+    """Strategy interface: choose the index of the next message.
+
+    :meth:`choose` is the whole contract — the simulator calls nothing
+    else, so a run is named exactly by its sequence of choices, and any
+    object with a ``choose`` (a subclass or not) drives a simulator.
+    """
 
     def choose(self, pending: Sequence[Message]) -> int:
-        """Return the index (into ``pending``) of the message to deliver
-        next; the simulator pops and delivers it."""
+        """Return the index (into ``pending``, the in-flight messages
+        oldest first) of the message to deliver next; the simulator pops
+        and delivers it."""
         raise NotImplementedError
-
-    def note_enqueue(self, message: Message) -> None:
-        """Hook: the simulator enqueued ``message`` into the pending bag.
-
-        Stateful schedulers override this (with :meth:`note_pop`) to
-        maintain their view of the pending set incrementally instead of
-        rescanning it on every :meth:`choose`.  The default is a no-op,
-        so schedulers remain usable standalone against plain lists.
-        """
-
-    def note_pop(self, message: Message) -> None:
-        """Hook: the simulator removed ``message`` from the pending bag."""
 
 
 class FifoScheduler(Scheduler):
@@ -66,83 +60,23 @@ class PriorityScheduler(Scheduler):
     models an adversary that delays a victim's traffic as long as the
     network allows while still satisfying eventual delivery.
 
-    The preferred/deprioritized partition is maintained *incrementally*:
-    each message is classified once, when the simulator enqueues it, and
-    counters track how many of each class are pending.  ``choose`` then
-    draws the same random rank the full-rescan implementation would and
-    only walks the bag far enough to locate that rank — with cached
-    per-message classifications instead of fresh predicate calls.  The
-    RNG consumption and the chosen indices are identical to the original
-    rescanning implementation for every seed.
+    Each :meth:`choose` classifies the pending messages afresh and draws
+    uniformly among the preferred ones, or among all of them when none
+    is preferred; it sees nothing but ``pending``, like every scheduler.
     """
 
     def __init__(self, deprioritize: Callable[[Message], bool],
                  seed: int = 0):
         self._deprioritize = deprioritize
         self._rng = random.Random(seed)
-        #: msg_id -> classification (True = deprioritized), filled on
-        #: enqueue and dropped on pop, so it tracks exactly the pending
-        #: set when driven by a simulator.
-        self._classes: dict = {}
-        #: msg_ids counted into the pending counters by
-        #: :meth:`note_enqueue`.  Standalone :meth:`choose` calls also
-        #: memoize classifications into ``_classes``, so ``note_pop``
-        #: must only decrement for messages it actually counted — a
-        #: mixed standalone/simulator user would otherwise drive
-        #: ``_pending_total`` negative and permanently disable the
-        #: incremental fast path.
-        self._noted: set = set()
-        self._pending_total = 0
-        self._pending_preferred = 0
-        self._tracking = False
-
-    def _classify(self, message: Message) -> bool:
-        flag = self._classes.get(message.msg_id)
-        if flag is None:
-            flag = bool(self._deprioritize(message))
-            self._classes[message.msg_id] = flag
-        return flag
-
-    def note_enqueue(self, message: Message) -> None:
-        self._tracking = True
-        self._noted.add(message.msg_id)
-        if not self._classify(message):
-            self._pending_preferred += 1
-        self._pending_total += 1
-
-    def note_pop(self, message: Message) -> None:
-        flag = self._classes.pop(message.msg_id, None)
-        if message.msg_id not in self._noted:
-            return  # classified standalone, never counted as pending
-        self._noted.discard(message.msg_id)
-        if flag is False:
-            self._pending_preferred -= 1
-        self._pending_total -= 1
 
     def choose(self, pending: Sequence[Message]) -> int:
-        total = len(pending)
-        if self._tracking and self._pending_total == total:
-            preferred = self._pending_preferred
-            if preferred == 0 or preferred == total:
-                # Nothing to starve (or everything starved): uniform
-                # draw over the whole bag, exactly as the rescan did.
-                return self._rng.randrange(total)
-            rank = self._rng.randrange(preferred)
-            for index, message in enumerate(pending):
-                if not self._classes[message.msg_id]:
-                    if rank == 0:
-                        return index
-                    rank -= 1
-            raise RuntimeError(
-                "pending partition counters out of sync")  # pragma: no cover
-        # Standalone use (no simulator feeding note_enqueue): fall back
-        # to the full scan, still memoizing classifications.
-        preferred_indices = [index for index, message in enumerate(pending)
-                             if not self._classify(message)]
-        if preferred_indices:
-            return preferred_indices[
-                self._rng.randrange(len(preferred_indices))]
-        return self._rng.randrange(total)
+        deprioritize = self._deprioritize
+        preferred = [index for index, message in enumerate(pending)
+                     if not deprioritize(message)]
+        if preferred:
+            return preferred[self._rng.randrange(len(preferred))]
+        return self._rng.randrange(len(pending))
 
 
 class SlowPartiesScheduler(PriorityScheduler):
@@ -198,6 +132,7 @@ def make_scheduler(name: str, seed: int = 0,
                    heal_after: Optional[int] = None) -> Scheduler:
     """Factory used by experiment configs and the chaos campaign runner.
 
+    Every strategy it builds answers one call, ``choose(pending)``.
     ``name`` selects the strategy; strategy-specific parameters are
     keyword-only in spirit:
 

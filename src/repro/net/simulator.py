@@ -16,9 +16,7 @@ experiments cap explicitly).
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import (Any, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import LivenessError, SimulationError
 from repro.common.ids import PartyId
@@ -41,98 +39,18 @@ OBSERVER_HOOKS = ("on_send", "on_deliver", "on_input", "on_output",
                   "on_count")
 
 
-def _override(scheduler: Scheduler,
-              name: str) -> Optional[Callable[[Message], None]]:
-    """``scheduler``'s bound ``name`` hook, or ``None`` when it is the
-    base class's no-op."""
-    if getattr(type(scheduler), name, None) is getattr(Scheduler, name):
-        return None
-    return getattr(scheduler, name)
-
-
-class PendingBag:
-    """Order-preserving indexed bag of in-flight messages.
-
-    Semantically identical to a plain ``list`` under ``append`` /
-    ``pop(index)`` — logical index ``i`` is always the ``i``-th oldest
-    surviving message — but implemented as a ring buffer with a head
-    offset, so the FIFO pattern ``pop(0)`` is O(1) amortized instead of
-    shifting every element.  Popped head slots are reclaimed by periodic
-    compaction once they outnumber the live elements (amortized O(1) per
-    operation).  Arbitrary-index pops fall back to an in-place delete,
-    matching ``list.pop(i)`` exactly, so adversarial schedulers keep
-    their index semantics and seeded schedules are byte-identical to the
-    previous list-backed implementation.
-    """
-
-    __slots__ = ("_items", "_head")
-
-    #: Compact only beyond this many dead head slots (avoids thrashing
-    #: on small bags, where the O(n) slice is still trivially cheap).
-    _COMPACT_THRESHOLD = 512
-
-    def __init__(self) -> None:
-        self._items: List[Message] = []
-        self._head = 0
-
-    def __len__(self) -> int:
-        return len(self._items) - self._head
-
-    def __bool__(self) -> bool:
-        return len(self._items) > self._head
-
-    def __iter__(self) -> Iterator[Message]:
-        """Iterate oldest-to-newest (logical order)."""
-        return islice(iter(self._items), self._head, None)
-
-    def __getitem__(self, index: int) -> Message:
-        """Logical indexing; supports the negative indices ``list`` does."""
-        length = len(self._items) - self._head
-        if index < 0:
-            index += length
-        if not 0 <= index < length:
-            raise IndexError("pending index out of range")
-        return self._items[self._head + index]
-
-    def append(self, message: Message) -> None:
-        """Add ``message`` at the back (newest position)."""
-        self._items.append(message)
-
-    def pop(self, index: int = 0) -> Message:
-        """Remove and return the message at logical ``index``.
-
-        ``pop(0)`` (the FIFO case) advances the head offset in O(1);
-        other indices delete in place like ``list.pop``.
-        """
-        length = len(self._items) - self._head
-        if index < 0:
-            index += length
-        if not 0 <= index < length:
-            raise IndexError("pop index out of range")
-        if index == 0:
-            message = self._items[self._head]
-            # Release the reference so compaction latency never keeps
-            # delivered payloads alive.
-            self._items[self._head] = None  # type: ignore[call-overload]
-            self._head += 1
-            head = self._head
-            if (head >= self._COMPACT_THRESHOLD
-                    and head * 2 >= len(self._items)):
-                del self._items[:head]
-                self._head = 0
-            return message
-        return self._items.pop(self._head + index)
-
-
 class Simulator:
     """Event-driven simulation of the asynchronous message-passing model.
 
     Parameters
     ----------
     scheduler:
-        Delivery-order strategy (defaults to FIFO).  Pass a seeded
-        :class:`~repro.net.schedulers.RandomScheduler` for adversarial
-        reorderings.
+        Delivery-order strategy (defaults to FIFO): any object with a
+        ``choose(pending)`` returning the index of the message to
+        deliver next, the one call the simulator makes on it.  Pass a
+        seeded :class:`~repro.net.schedulers.RandomScheduler` for
+        adversarial reorderings.  Also a public attribute; a swap
+        mid-run takes effect at the next :meth:`step`.
     record_deliveries:
         Also log every message delivery in the event log (memory-heavy;
         off by default — input/output actions are always logged); also
@@ -147,7 +65,7 @@ class Simulator:
         self.time = 0
         self._processes: Dict[PartyId, Process] = {}
         self._server_pids: List[PartyId] = []
-        self._pending = PendingBag()
+        self._pending: List[Message] = []
         self._next_msg_id = 0
         self.record_deliveries = record_deliveries
         self._invariants: List[Callable[["Simulator"], None]] = []
@@ -166,19 +84,6 @@ class Simulator:
         #: the hot path free of interposition overhead; an injector with
         #: an empty plan is byte-identical to no injector at all.
         self.chaos = None
-
-    @property
-    def scheduler(self) -> Scheduler:
-        """The delivery-order strategy."""
-        return self._scheduler
-
-    @scheduler.setter
-    def scheduler(self, scheduler: Scheduler) -> None:
-        self._scheduler = scheduler
-        # ``note_enqueue``/``note_pop`` are no-ops unless the scheduler
-        # overrides them; one it does not is never called for them.
-        self._note_enqueue = _override(scheduler, "note_enqueue")
-        self._note_pop = _override(scheduler, "note_pop")
 
     def add_observer(self, observer: Any) -> None:
         """Attach an observer beside those already attached.
@@ -323,16 +228,12 @@ class Simulator:
         and report it to the ``on_send`` observers, a batch of one."""
         pending = self._pending
         pending.append(message)
-        if self._note_enqueue is not None:
-            self._note_enqueue(message)
         self.metrics.record(message)
         if self._send_hooks:
             sends = ((message, message.recipient, message.wire_size(),
                       self.time),)
-            # ``len(pending)`` without the method call (per report)
-            in_flight = len(pending._items) - pending._head
             for hook in self._send_hooks:
-                hook(message.sender, sends, in_flight)
+                hook(message.sender, sends, len(pending))
 
     def report_send_batch(self, sender: PartyId,
                           sends: Sequence[Tuple[Any, PartyId, int, int]]
@@ -350,8 +251,7 @@ class Simulator:
         whole batch: nothing is admitted between an entry's buffering
         and its host's flush.
         """
-        pending = self._pending
-        in_flight = len(pending._items) - pending._head
+        in_flight = len(self._pending)
         for hook in self._send_hooks:
             hook(sender, sends, in_flight)
 
@@ -368,8 +268,7 @@ class Simulator:
         fleet parties.  The in-flight count is one for the batch, as in
         :meth:`report_send_batch`.
         """
-        pending = self._pending
-        in_flight = len(pending._items) - pending._head
+        in_flight = len(self._pending)
         for hook in self._deliver_hooks:
             hook(sender, recipient, deliveries, in_flight)
 
@@ -493,7 +392,7 @@ class Simulator:
         pending = self._pending
         if not pending:
             return False
-        index = self._scheduler.choose(pending)
+        index = self.scheduler.choose(pending)
         if index < 0:  # ``pop`` would count it from the end
             raise SimulationError("scheduler chose an invalid message")
         try:
@@ -501,8 +400,6 @@ class Simulator:
         except IndexError:  # past the end
             raise SimulationError(
                 "scheduler chose an invalid message") from None
-        if self._note_pop is not None:
-            self._note_pop(message)
         self.time += 1
         if self.record_deliveries:
             self.event_log.append(LocalEvent(
@@ -512,7 +409,7 @@ class Simulator:
         recipient = self._processes[message.recipient]
         if self._deliver_hooks:
             deliveries = ((message, recipient.inbox.depth, self.time),)
-            in_flight = len(pending._items) - pending._head
+            in_flight = len(pending)
             for hook in self._deliver_hooks:
                 hook(message.sender, message.recipient, deliveries,
                      in_flight)

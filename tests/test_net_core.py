@@ -242,30 +242,3 @@ def test_make_scheduler_partition():
     with pytest.raises(ValueError):
         make_scheduler("partition", heal_after=5)
 
-
-def test_priority_scheduler_standalone_then_tracked_stays_consistent():
-    """Regression: ``note_pop`` used to decrement the pending counters
-    for messages only ever *classified* by a standalone ``choose`` call,
-    driving ``_pending_total`` negative and desyncing the incremental
-    fast path for the rest of the run."""
-    scheduler = PriorityScheduler(lambda m: m.sender == server_id(1),
-                                  seed=0)
-    stray = _msg(msg_id=100, sender=2)
-    # Standalone use: classify without note_enqueue.
-    scheduler.choose([stray])
-    # A simulator-style pop of the same message must not be counted.
-    scheduler.note_pop(stray)
-    assert scheduler._pending_total == 0
-    assert scheduler._pending_preferred == 0
-    # Tracked operation afterwards still agrees with the pending bag, so
-    # the incremental path stays active and in range.
-    pending = _pending(4)
-    for message in pending:
-        scheduler.note_enqueue(message)
-    assert scheduler._pending_total == len(pending)
-    index = scheduler.choose(pending)
-    assert 0 <= index < len(pending)
-    assert pending[index].sender != server_id(1)
-    popped = pending.pop(index)
-    scheduler.note_pop(popped)
-    assert scheduler._pending_total == len(pending)

@@ -1,5 +1,7 @@
 """Simulator and process semantics: delivery, activation, wait states."""
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import LivenessError, SimulationError
@@ -235,3 +237,31 @@ def test_thread_yielding_non_callable_raises():
 def test_storage_bytes_default_zero():
     simulator, collector = _network()
     assert simulator.storage_bytes() == 0
+
+
+def test_any_object_with_choose_drives_a_run():
+    """``choose(pending)`` is the whole scheduler contract: an object
+    that only has a ``choose`` (no :class:`Scheduler` base) drives a
+    cluster to the same event log as the scheduler it delegates to."""
+    from repro.cluster import build_cluster
+    from repro.config import SystemConfig
+
+    class ChooseOnly:
+        def __init__(self, seed):
+            self._inner = RandomScheduler(seed)
+
+        def choose(self, pending):
+            return self._inner.choose(pending)
+
+    def digest(scheduler):
+        cluster = build_cluster(SystemConfig(n=4, t=1), protocol="atomic_ns",
+                                num_clients=1, scheduler=scheduler)
+        cluster.simulator.record_deliveries = True
+        cluster.write(1, "reg", "w0", b"v0")
+        cluster.read(1, "reg", "r0")
+        cluster.run()
+        lines = "\n".join(repr(event)
+                          for event in cluster.simulator.event_log)
+        return hashlib.sha256(lines.encode()).hexdigest()
+
+    assert digest(ChooseOnly(7)) == digest(RandomScheduler(7))
