@@ -40,7 +40,6 @@ from repro.core.timestamps import Timestamp
 from repro.net.schedulers import (
     FifoScheduler,
     PartitionScheduler,
-    PriorityScheduler,
     RandomScheduler,
     SlowPartiesScheduler,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "Timestamp",
     "FifoScheduler",
     "PartitionScheduler",
-    "PriorityScheduler",
     "RandomScheduler",
     "SlowPartiesScheduler",
     "Simulator",

@@ -64,10 +64,6 @@ class AtomicBroadcast:
         self._buffered_keys.add(key)
         self._maybe_propose(self._next_round_to_deliver)
 
-    @property
-    def delivered_count(self) -> int:
-        return self._next_sequence
-
     # -- round management -------------------------------------------------------
 
     def _maybe_propose(self, round_no: int) -> None:

@@ -78,13 +78,11 @@ class BinaryAgreement:
     """
 
     def __init__(self, process: Process, config: SystemConfig,
-                 decided: DecideCallback,
-                 coin: Optional[CommonCoin] = None):
+                 decided: DecideCallback):
         self._process = process
         self._config = config
         self._decided_cb = decided
-        self.coin = coin or CommonCoin(process, config,
-                                       lambda name, bit: None)
+        self.coin = CommonCoin(process, config, lambda name, bit: None)
         self._instances: Dict[bytes, _Instance] = {}
         self._ids: Dict[bytes, Any] = {}
         process.on(MSG_BVAL, self._on_bval)
@@ -99,10 +97,6 @@ class BinaryAgreement:
         if instance.input is None and value in (0, 1):
             instance.input = value
             self._maybe_start(instance_id, instance)
-
-    def decision(self, instance_id: Any) -> Optional[int]:
-        """The decided bit, or ``None`` while undecided."""
-        return self._instance(instance_id).decided
 
     # -- plumbing -----------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Execution-trace tooling: summaries and export of simulation runs.
 
 The simulator's event log is the paper's global clock made concrete.
-These helpers turn a run into something a human can audit: a timeline of
-input/output actions, per-message-type traffic summaries, and a JSON-lines
+These helpers turn a run into something a human can audit: matched
+register operations, per-message-type traffic summaries, and a JSON-lines
 export for external analysis.
 """
 
@@ -16,42 +16,6 @@ from repro.net.metrics import Metrics
 
 #: completion output action -> the invocation input action it terminates
 COMPLETION_ACTIONS = {"ack": "write", "read": "read"}
-
-
-def _payload_repr(payload) -> str:
-    parts = []
-    for item in payload:
-        if isinstance(item, bytes):
-            parts.append(f"<{len(item)}B>")
-        else:
-            text = str(item)
-            parts.append(text if len(text) <= 24 else text[:21] + "...")
-    return ", ".join(parts)
-
-
-def format_timeline(events: Sequence[LocalEvent],
-                    tag: Optional[str] = None,
-                    kinds: Sequence[str] = (EVENT_INPUT, EVENT_OUTPUT),
-                    limit: Optional[int] = None) -> str:
-    """Render a run's local events as a readable timeline.
-
-    ``tag`` filters to one register/protocol instance; ``limit`` truncates
-    to the first N matching events.
-    """
-    lines: List[str] = []
-    for event in events:
-        if event.kind not in kinds:
-            continue
-        if tag is not None and event.tag != tag:
-            continue
-        lines.append(f"t={event.time:<6} {str(event.party):<5} "
-                     f"{event.kind:<3} ({event.tag}, {event.action}"
-                     f"{', ' if event.payload else ''}"
-                     f"{_payload_repr(event.payload)})")
-        if limit is not None and len(lines) >= limit:
-            lines.append(f"... (showing first {limit} events)")
-            break
-    return "\n".join(lines) if lines else "(no matching events)"
 
 
 class OperationMatcher:

@@ -170,11 +170,6 @@ class GoodsonServer(RegisterServerBase):
                    for timestamp, (fragment, checksum)
                    in state.versions.items())
 
-    def version_count(self, tag: str) -> int:
-        """Number of versions retained for one register (grows with the
-        write history — the storage cost of read-time validation)."""
-        return len(self.register_state(tag).versions)
-
 
 class GoodsonClient(RegisterClientBase):
     """Client performing validation, rollback, and repair at read time."""

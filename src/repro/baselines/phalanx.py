@@ -76,12 +76,12 @@ class PhalanxClient(RegisterClientBase):
     """Safe-register client: one-round reads with ``t + 1``-support
     selection and bounded retry under contention."""
 
-    def __init__(self, pid: PartyId, config: SystemConfig,
-                 max_read_rounds: int = 64):
+    def __init__(self, pid: PartyId, config: SystemConfig):
         require_n_gt_4t(config, "Phalanx")
         super().__init__(pid, config)
         self._rounds = itertools.count(1)
-        self.max_read_rounds = max_read_rounds
+        #: retry budget of one read under contention
+        self.max_read_rounds = 64
 
     # -- write (same two phases as SBQ-L) ---------------------------------
 

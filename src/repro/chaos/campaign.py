@@ -146,18 +146,17 @@ def execute_run(spec: RunSpec, monitor=None) -> RunResult:
 
 
 def sweep(protocols: Sequence[str], plan_names: Sequence[str],
-          seeds: Sequence[int], n: int = 4, t: int = 1,
-          clients: int = 2, writes: int = 3, reads: int = 3
+          seeds: Sequence[int], n: int = 4, t: int = 1
           ) -> List[RunResult]:
-    """The full campaign grid: every protocol × plan × seed."""
+    """The full campaign grid: every protocol × plan × seed, each run
+    at :class:`RunSpec`'s default workload."""
     results = []
     for protocol in protocols:
         for name in plan_names:
             for seed in seeds:
                 plan = builtin_plan(name, n, t, seed=seed)
                 spec = RunSpec(protocol=protocol, plan=plan, n=n, t=t,
-                               seed=seed, clients=clients,
-                               writes=writes, reads=reads)
+                               seed=seed)
                 results.append(execute_run(spec))
     return results
 

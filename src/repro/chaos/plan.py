@@ -30,13 +30,21 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.ids import server_id
 from repro.faults.failstop import TRIGGERS
+from repro.net.schedulers import (
+    FifoScheduler,
+    PartitionScheduler,
+    RandomScheduler,
+    Scheduler,
+    SlowPartiesScheduler,
+)
 
 #: Message-level fault kinds a :class:`FaultRule` can inject.
 RULE_KINDS = ("drop", "duplicate", "corrupt", "delay")
 
-#: Adversarial scheduler families a plan can compose with
-#: (see :func:`repro.net.schedulers.make_scheduler`).
+#: Adversarial scheduler families a plan can compose with; each is
+#: built by :meth:`SchedulerSpec.build`.
 SCHEDULER_NAMES = ("random", "fifo", "slow-parties", "partition")
 
 @dataclass(frozen=True)
@@ -82,21 +90,21 @@ class SchedulerSpec:
                 raise ConfigurationError(
                     f"scheduler server index {index} outside 1..{n}")
 
-    def build(self, seed: int):
-        """Instantiate the scheduler for one run (seeded)."""
-        from repro.common.ids import server_id
-        from repro.net.schedulers import make_scheduler
+    def build(self, seed: int) -> Scheduler:
+        """Instantiate the scheduler for one run (seeded); a malformed
+        spec raises as in :meth:`validate`."""
+        self.validate()
+        if self.name == "fifo":
+            return FifoScheduler()
         if self.name == "slow-parties":
-            return make_scheduler(
-                "slow-parties", seed=seed,
-                slow_parties={server_id(index)
-                              for index in self.slow_servers})
+            return SlowPartiesScheduler(
+                {server_id(index) for index in self.slow_servers},
+                seed=seed)
         if self.name == "partition":
-            return make_scheduler(
-                "partition", seed=seed,
-                group={server_id(index) for index in self.group},
-                heal_after=self.heal_after)
-        return make_scheduler(self.name, seed=seed)
+            return PartitionScheduler(
+                {server_id(index) for index in self.group},
+                heal_after=self.heal_after, seed=seed)
+        return RandomScheduler(seed)
 
     def to_json(self) -> Dict[str, Any]:
         """The spec as a plain JSON-serializable dictionary."""
@@ -362,19 +370,6 @@ class FaultPlan:
         # plans compare (and serialize) identically.
         object.__setattr__(self, "faulty",
                            tuple(sorted(set(self.faulty))))
-
-    @property
-    def empty(self) -> bool:
-        """True when the plan injects nothing at all (the control plan:
-        attaching it must leave schedules byte-identical).
-
-        A scheduler entry does not count as injection — it changes how
-        the run is *built*, not what the injector does — but byte
-        identity with uninstrumented runs is only promised for plans
-        without one.
-        """
-        return (not self.rules and self.partition is None
-                and not self.crashes and not self.byzantine)
 
     def validate(self, n: int, t: int) -> None:
         """Check the plan against a deployment; raise on violations.

@@ -137,14 +137,17 @@ def _workload_candidates(spec: RunSpec) -> List[RunSpec]:
             and candidate.clients >= 1]
 
 
-def shrink_plan(spec: RunSpec, failing_status: str,
-                max_attempts: int = 200) -> ShrinkResult:
+#: Candidate runs one shrink may spend, the original run included.
+MAX_SHRINK_ATTEMPTS = 200
+
+
+def shrink_plan(spec: RunSpec, failing_status: str) -> ShrinkResult:
     """Minimize ``spec`` while preserving the failure.
 
     ``failing_status`` is the status the original run produced
     (``stalled`` or ``violation``).  Terminates at a fixed point
     (no chunk removal, budget halving, or workload reduction still
-    fails) or after ``max_attempts`` candidate runs.  ``removed``
+    fails) or after :data:`MAX_SHRINK_ATTEMPTS` candidate runs.  ``removed``
     counts eliminated plan components (not budget or workload
     reductions).
     """
@@ -157,7 +160,7 @@ def shrink_plan(spec: RunSpec, failing_status: str,
     state = {"attempts": 1, "current": current, "best": best}
 
     def try_spec(candidate: RunSpec) -> bool:
-        if state["attempts"] >= max_attempts:
+        if state["attempts"] >= MAX_SHRINK_ATTEMPTS:
             return False
         outcome = execute_run(candidate)
         state["attempts"] += 1
@@ -179,7 +182,7 @@ def shrink_plan(spec: RunSpec, failing_status: str,
 
     # Phase 2: halve surviving rule budgets/delays to a fixed point.
     progress = True
-    while progress and state["attempts"] < max_attempts:
+    while progress and state["attempts"] < MAX_SHRINK_ATTEMPTS:
         progress = False
         for _, candidate_plan in _budget_candidates(
                 state["current"].plan):
@@ -189,7 +192,7 @@ def shrink_plan(spec: RunSpec, failing_status: str,
 
     # Phase 3: shrink the workload itself (writes/reads/clients).
     progress = True
-    while progress and state["attempts"] < max_attempts:
+    while progress and state["attempts"] < MAX_SHRINK_ATTEMPTS:
         progress = False
         for candidate in _workload_candidates(state["current"]):
             if try_spec(candidate):

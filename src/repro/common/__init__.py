@@ -19,9 +19,7 @@ from repro.common.ids import (
     SERVER,
     PartyId,
     client_id,
-    parent_tag,
     server_id,
-    server_ids,
     subtag,
 )
 from repro.common.serialization import (
@@ -48,9 +46,7 @@ __all__ = [
     "SERVER",
     "PartyId",
     "client_id",
-    "parent_tag",
     "server_id",
-    "server_ids",
     "subtag",
     "decode",
     "encode",

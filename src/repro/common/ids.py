@@ -118,11 +118,6 @@ def client_id(i: int) -> PartyId:
     return PartyId(CLIENT, i)
 
 
-def server_ids(n: int) -> list[PartyId]:
-    """Return the identities of all ``n`` servers ``P_1 .. P_n``."""
-    return [server_id(j) for j in range(1, n + 1)]
-
-
 def subtag(tag: str, *components: str) -> str:
     """Build a sub-protocol tag with the caller's tag as prefix.
 
@@ -133,14 +128,3 @@ def subtag(tag: str, *components: str) -> str:
         if not component:
             raise ValueError("tag components must be non-empty")
     return TAG_SEP.join((tag, *components))
-
-
-def parent_tag(tag: str) -> str:
-    """Return the tag of the invoking protocol instance.
-
-    Raises :class:`ValueError` if ``tag`` has no parent (it is top-level).
-    """
-    head, sep, _ = tag.rpartition(TAG_SEP)
-    if not sep:
-        raise ValueError(f"tag {tag!r} is top-level")
-    return head

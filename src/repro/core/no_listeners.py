@@ -61,16 +61,16 @@ class NoListenersServer(AtomicServer):
 class NoListenersClient(AtomicClient):
     """Client whose reads retry query rounds instead of listening.
 
-    ``max_read_rounds`` bounds the retries (``None`` = unbounded); a read
-    that exhausts its budget raises :class:`LivenessError` — surfacing
-    the wait-freedom loss as an observable failure.
+    The ``max_read_rounds`` attribute bounds the retries (``None``, the
+    default, = unbounded); a read that exhausts its budget raises
+    :class:`LivenessError` — surfacing the wait-freedom loss as an
+    observable failure.
     """
 
-    def __init__(self, pid: PartyId, config,
-                 max_read_rounds: Optional[int] = None):
+    def __init__(self, pid: PartyId, config):
         super().__init__(pid, config)
         self._rounds = itertools.count(1)
-        self.max_read_rounds = max_read_rounds
+        self.max_read_rounds: Optional[int] = None
         #: per-oid count of query rounds the read needed (ablation metric)
         self.read_rounds: Dict[str, int] = {}
 

@@ -17,7 +17,6 @@ from repro.crypto.hashing import (
 from repro.crypto.merkle import (
     MerkleProof,
     MerkleTree,
-    merkle_root,
     verify_merkle_proof,
 )
 from repro.crypto.threshold import (
@@ -38,7 +37,6 @@ __all__ = [
     "hash_vector",
     "MerkleProof",
     "MerkleTree",
-    "merkle_root",
     "verify_merkle_proof",
     "IdealThresholdScheme",
     "ShoupThresholdScheme",

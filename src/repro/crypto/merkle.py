@@ -163,8 +163,3 @@ def verify_merkle_proof(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:
                 node = _node_hash(node, sibling_hash)
         position //= 2
     return cursor == len(proof.path) and node == root
-
-
-def merkle_root(leaves: Sequence[bytes]) -> bytes:
-    """Convenience: the root of the Merkle tree over ``leaves``."""
-    return MerkleTree(leaves).root

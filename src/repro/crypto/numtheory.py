@@ -64,16 +64,6 @@ def is_probable_prime(n: int, rng: Optional[random.Random] = None,
     return all(_miller_rabin(n, w) for w in witnesses)
 
 
-def random_prime(bits: int, rng: random.Random) -> int:
-    """Return a random prime with exactly ``bits`` bits."""
-    if bits < 2:
-        raise ValueError("primes need at least 2 bits")
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate, rng):
-            return candidate
-
-
 def random_safe_prime(bits: int, rng: random.Random) -> int:
     """Return a random safe prime ``p`` (``p`` and ``(p-1)/2`` both prime).
 

@@ -74,15 +74,6 @@ class GaloisField:
         exp, log = self.tables()
         return exp[log[a] + log[b]]
 
-    def div(self, a: int, b: int) -> int:
-        """Division; raises ``ZeroDivisionError`` on ``b == 0``."""
-        if b == 0:
-            raise ZeroDivisionError(f"division by zero in {self}")
-        if a == 0:
-            return 0
-        exp, log = self.tables()
-        return exp[log[a] - log[b] + self.order - 1]
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ``ZeroDivisionError`` on 0."""
         if a == 0:

@@ -96,12 +96,6 @@ class ReedSolomonCode:
         self._parity_rows = BlockMatrix(field, self._generator[k:])
         self._plan_cache = LruCache(_PLAN_CACHE_CAPACITY)
 
-    @property
-    def generator_matrix(self) -> Matrix:
-        """The systematic ``n x k`` generator matrix (row ``j`` makes block
-        ``j``; the top ``k`` rows are the identity)."""
-        return [row[:] for row in self._generator]
-
     # -- encoding ---------------------------------------------------------
 
     def encode_blocks(self, data_blocks: Sequence[bytes]) -> List[bytes]:

@@ -103,11 +103,6 @@ class _FailStopMixin:
         if not self.crashed and self._crash_after < until:
             self._crash_after = until
 
-    @property
-    def recovered(self) -> bool:
-        """Whether a transient crash has already healed."""
-        return self._recovered
-
     def _recovery_due(self) -> bool:
         if self._trigger == "decisions":
             return (self._decision_clock()

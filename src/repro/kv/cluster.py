@@ -62,10 +62,6 @@ class KvCluster:
         """Session ``index`` (1-based, matching client numbering)."""
         return self.sessions[index - 1]
 
-    def settle(self, max_steps: int = 1_000_000) -> Dict[str, int]:
-        """Run until every session is idle; returns drive statistics."""
-        return drive(self, (), max_steps=max_steps)
-
 
 @dataclass
 class DriveStats:
@@ -82,7 +78,6 @@ class DriveStats:
 def build_kv_cluster(directory: KvDirectory, protocol: str = "atomic",
                      num_sessions: int = 1,
                      scheduler: Optional[Scheduler] = None,
-                     initial_value: bytes = b"",
                      server_overrides: Optional[
                          Dict[int, KvServerFactory]] = None,
                      max_queue: int = 32,
@@ -109,8 +104,7 @@ def build_kv_cluster(directory: KvDirectory, protocol: str = "atomic",
         if factory is not None:
             host = factory(pid, directory)
         else:
-            host = KvServer(pid, directory, server_cls=server_cls,
-                            initial_value=initial_value)
+            host = KvServer(pid, directory, server_cls=server_cls)
         simulator.add_process(host)
         servers.append(host)
     sessions: List[KvSession] = []

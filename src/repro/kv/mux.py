@@ -359,26 +359,20 @@ class KvServer(_KvMuxProcess):
     advertise hundreds of shards while only paying for the ones traffic
     actually reaches.  ``server_cls`` is the default inner class; a
     shard whose spec names a ``protocol`` override materialises that
-    protocol's server instead.
+    protocol's server instead.  Every register starts from the empty
+    value, so a replacement host starts where the original did.
     """
 
     def __init__(self, pid: PartyId, directory: KvDirectory,
-                 server_cls: Type[AtomicServer] = AtomicServer,
-                 initial_value: bytes = b"") -> None:
+                 server_cls: Type[AtomicServer] = AtomicServer) -> None:
         super().__init__(pid, directory)
         self._server_cls = server_cls
-        self._initial_value = initial_value
         self._inner_servers: Dict[int, Tuple[Process, ShardBus]] = {}
 
     def inner_server(self, shard_id: int) -> Optional[Process]:
         """The inner server for ``shard_id`` if it has materialised."""
         resolved = self._inner_servers.get(shard_id)
         return None if resolved is None else resolved[0]
-
-    @property
-    def active_shards(self) -> List[int]:
-        """Shard ids this host has materialised state for."""
-        return list(self._inner_servers)
 
     def _kv_inner_for(self, shard_id: int, fleet_sender: PartyId
                       ) -> Optional[Tuple[Process, ShardBus]]:
@@ -395,8 +389,7 @@ class KvServer(_KvMuxProcess):
                 return None  # never a sender in this shard: keep nothing
             classes = _shard_classes(spec)
             server_cls = self._server_cls if classes is None else classes[0]
-            inner = server_cls(server_id(local), spec.config,
-                               initial_value=self._initial_value)
+            inner = server_cls(server_id(local), spec.config)
             bus.attach(inner)
             resolved = (inner, bus)
             self._inner_servers[shard_id] = resolved

@@ -588,11 +588,6 @@ class KvSession:
         return not self._queue and not self._inflight
 
     @property
-    def queued(self) -> int:
-        """Operations awaiting admission."""
-        return len(self._queue)
-
-    @property
     def inflight(self) -> int:
         """Operations admitted but not yet completed."""
         return len(self._inflight)

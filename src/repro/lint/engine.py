@@ -247,9 +247,8 @@ def discover_sources(
     """Find every ``.py`` file under ``paths`` without parsing it.
 
     Returns ``(path, dotted name)`` pairs in deterministic (sorted)
-    order.  Split from :func:`discover` so the incremental cache can
-    hash file contents and decide on a hit *before* paying for any
-    AST parse.
+    order.  The incremental cache hashes file contents and decides on
+    a hit *before* paying for any AST parse.
     """
     sources: List[Tuple[Path, Optional[str]]] = []
     seen: Set[Path] = set()
@@ -270,18 +269,6 @@ def discover_sources(
             seen.add(resolved)
             sources.append((path, _dotted_for(path, root, package)))
     return sources
-
-
-def discover(paths: Sequence[Path]) -> List[ModuleInfo]:
-    """Find and parse every ``.py`` file under ``paths``.
-
-    Directory roots that contain ``__init__.py`` are treated as
-    packages, so ``src/repro`` yields dotted names like
-    ``repro.core.atomic``.  Discovery order is sorted for
-    deterministic output.
-    """
-    return [load_module(path, dotted)
-            for path, dotted in discover_sources(paths)]
 
 
 def _waiver_lines_for(module: ModuleInfo, line: int) -> List[int]:
@@ -351,8 +338,6 @@ def _dead_waiver_findings(
 
 
 def run_lint(paths: Sequence[Path],
-             config: Optional[LintConfig] = None,
-             rules: Optional[Sequence[Rule]] = None,
              only: Optional[Set[str]] = None,
              cache_dir: Optional[Path] = None) -> LintReport:
     """Lint ``paths`` and return a :class:`LintReport`.
@@ -366,15 +351,14 @@ def run_lint(paths: Sequence[Path],
     ``cache_dir`` enables the whole-run incremental cache: when every
     scanned file's content hash and the rule selection match the
     stored entry, the cached report is returned without parsing a
-    single file (``report.from_cache`` is then true).  The cache keys
-    runs by file content and rule selection only, so callers passing a
-    non-default ``config`` or ``rules`` should not pass ``cache_dir``.
+    single file (``report.from_cache`` is then true); it keys runs by
+    file content and rule selection.
     """
     from repro.lint import cache as lint_cache
     from repro.lint.rules import all_rules
 
-    config = config or LintConfig()
-    active_rules = list(rules) if rules is not None else all_rules()
+    config = LintConfig()
+    active_rules = all_rules()
     if only:
         active_rules = [
             r for r in active_rules

@@ -40,12 +40,13 @@ SOURCE_CALLS: Tuple[str, ...] = (
     "decode_envelope",
 )
 
-#: Receive-site calls whose (yielded) results are collections of
-#: messages with Byzantine payloads.  ``where=`` predicates that
-#: validate payload fields (see the engine's validator analysis) mark
-#: the admitted messages as sanitized.
+#: The wait builders (``Process.condition_*``): receive-site calls
+#: whose (yielded) results are collections of messages with Byzantine
+#: payloads.  Each takes ``(tag, mtype, count, ...)``.  ``where=``
+#: predicates that validate payload fields (see the engine's validator
+#: analysis) mark the admitted messages as sanitized.
 CONDITION_CALLS: Tuple[str, ...] = (
-    "condition_quorum", "condition_agreeing", "condition_message")
+    "condition_quorum", "condition_agreeing")
 
 #: Inbox query methods (must be called on an ``inbox`` receiver).
 INBOX_QUERY_CALLS: Tuple[str, ...] = ("messages", "first_per_sender")

@@ -20,7 +20,7 @@ from repro.lint.flow.analysis import (
     FlowContext,
     analyze_module,
 )
-from repro.lint.flow.registry import DEFAULT_REGISTRY, TaintRegistry
+from repro.lint.flow.registry import DEFAULT_REGISTRY
 
 
 class TaintFlowRule:
@@ -33,13 +33,10 @@ class TaintFlowRule:
         RULE_DEAD_SANITIZER,
     )
 
-    def __init__(self, registry: TaintRegistry = DEFAULT_REGISTRY):
-        self.registry = registry
-
     def run(self, project: Project,
             config: LintConfig) -> Iterable[Finding]:
         """Analyze every in-scope module and yield taint findings."""
-        ctx = FlowContext(project, self.registry,
+        ctx = FlowContext(project, DEFAULT_REGISTRY,
                           in_scope=lambda dotted:
                           config.in_scope(self.pack, dotted))
         for module in project.scoped(self.pack, config):

@@ -3,8 +3,7 @@
 Every message type string that is ever sent (by ``send``,
 ``send_to_servers`` or ``simulator.enqueue``) must have a receive site
 somewhere — an ``on(mtype, ...)`` dispatch registration, a
-``condition_quorum``/``condition_agreeing``/``condition_message`` wait,
-a direct inbox query, or a ``(tag, mtype, oid)`` bucket a ``WaitState``
+``condition_quorum``/``condition_agreeing`` wait, a direct inbox query, or a ``(tag, mtype, oid)`` bucket a ``WaitState``
 declares — and every receive site must correspond to a message that
 some process actually sends.  A sent-but-unhandled message silently
 disappears into inboxes (a liveness bug waiting for a schedule that
@@ -40,7 +39,7 @@ from repro.lint.astutil import FUNC_NODES, str_constant, terminal_name
 from repro.lint.config import LintConfig
 from repro.lint.engine import ModuleInfo, Project
 from repro.lint.findings import Finding
-from repro.lint.flow.registry import WAIT_STATE_CALL
+from repro.lint.flow.registry import CONDITION_CALLS, WAIT_STATE_CALL
 
 RULE_UNHANDLED = "handler-unhandled"
 RULE_ORPHAN = "handler-orphan"
@@ -50,9 +49,7 @@ _SEND_MTYPE_INDEX = {"send": 2, "send_to_servers": 1, "enqueue": 3}
 #: mtype argument index per receive-site callable.
 _RECEIVE_MTYPE_INDEX = {
     "on": 0,
-    "condition_quorum": 1,
-    "condition_agreeing": 1,
-    "condition_message": 1,
+    **{name: 1 for name in CONDITION_CALLS},
     "messages": 1,
     "first_per_sender": 1,
 }

@@ -44,6 +44,7 @@ from repro.lint.astutil import (
 from repro.lint.config import LintConfig
 from repro.lint.engine import ModuleInfo, Project
 from repro.lint.findings import Finding
+from repro.lint.flow.registry import CONDITION_CALLS
 
 RULE_LITERAL = "quorum-literal"
 RULE_UNREACHABLE = "quorum-unreachable"
@@ -61,9 +62,6 @@ _SYMBOLS: Dict[str, Callable[[int, int, int], int]] = {
     "ready_amplify": lambda n, t, k: t + 1,
     "deliver_quorum": lambda n, t, k: 2 * t + 1,
 }
-
-#: Wait builders whose third argument (or ``count=``) is a threshold.
-_COUNTED_WAITS = ("condition_quorum", "condition_agreeing")
 
 #: Canonical thresholds that are correct by construction under n > 3t.
 _CANONICAL: Tuple[Tuple[str, Callable[[int, int, int], int]], ...] = (
@@ -243,7 +241,7 @@ class QuorumArithmeticRule:
             self, module: ModuleInfo, node: ast.Call,
             locals_table: Dict[str, ast.expr],
             bound: Dict[str, bool]) -> Iterator[Finding]:
-        if terminal_name(node.func) not in _COUNTED_WAITS:
+        if terminal_name(node.func) not in CONDITION_CALLS:
             return
         count: Optional[ast.expr] = None
         if len(node.args) >= 3:

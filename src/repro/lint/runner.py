@@ -26,10 +26,10 @@ def default_target() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     """Standalone argument parser for the ``repro-lint`` script."""
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro-lint",
         description=("Protocol-aware static analysis: determinism, "
                      "quorum arithmetic, wire-registry and handler "
                      "completeness, and Byzantine taint flow."))

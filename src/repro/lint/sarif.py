@@ -51,8 +51,7 @@ def _result(finding: Finding) -> Dict[str, object]:
     return result
 
 
-def to_sarif(report: LintReport,
-             tool_name: str = "repro-lint") -> Dict[str, object]:
+def to_sarif(report: LintReport) -> Dict[str, object]:
     """The SARIF document for ``report`` as a JSON-ready dict."""
     rule_ids = sorted({f.rule for f in report.findings})
     rules: List[Dict[str, object]] = [
@@ -63,7 +62,7 @@ def to_sarif(report: LintReport,
         "runs": [{
             "tool": {
                 "driver": {
-                    "name": tool_name,
+                    "name": "repro-lint",
                     "informationUri":
                         "https://example.invalid/repro-lint",
                     "rules": rules,

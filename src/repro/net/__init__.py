@@ -19,11 +19,9 @@ from repro.net.process import Process, WaitState
 from repro.net.schedulers import (
     FifoScheduler,
     PartitionScheduler,
-    PriorityScheduler,
     RandomScheduler,
     Scheduler,
     SlowPartiesScheduler,
-    make_scheduler,
 )
 from repro.net.simulator import Simulator
 
@@ -39,10 +37,8 @@ __all__ = [
     "WaitState",
     "FifoScheduler",
     "PartitionScheduler",
-    "PriorityScheduler",
     "RandomScheduler",
     "Scheduler",
     "SlowPartiesScheduler",
-    "make_scheduler",
     "Simulator",
 ]

@@ -84,10 +84,6 @@ class Metrics:
         snapshots to isolate one operation's traffic."""
         return (self.total_messages, self.total_bytes)
 
-    def received_bytes(self, party: PartyId) -> int:
-        """Bytes delivered to one party across the whole run."""
-        return self._received_bytes.get(party, 0)
-
     def load_imbalance(self, parties: Iterable[PartyId]) -> float:
         """Max/mean ratio of per-party received bytes (1.0 = perfectly
         balanced).  The register protocols are leaderless: server load is

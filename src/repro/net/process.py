@@ -24,9 +24,8 @@ What a delivery costs depends only on what it can change.  A message
 whose type has an ``on()`` handler is consumed by the handler and never
 buffered; everything else goes to the :class:`~repro.net.inbox.Inbox`
 (which states the retention rule).  A wait state built by
-:meth:`Process.condition_quorum`, :meth:`Process.condition_agreeing` or
-:meth:`Process.condition_message`, or wrapped in :class:`WaitState`,
-names the ``(tag, mtype, oid)`` buckets it reads, so an activation
+:meth:`Process.condition_quorum` or :meth:`Process.condition_agreeing`,
+or wrapped in :class:`WaitState`, names the ``(tag, mtype, oid)`` buckets it reads, so an activation
 re-checks only the parked threads the arriving message can satisfy; a
 bare callable names nothing and is re-checked on every activation.
 Those builders run a ``where`` predicate (and a group ``key``) at most
@@ -403,25 +402,7 @@ class Process:
 
         return WaitState(check, (tag, mtype, oid))
 
-    def condition_message(self, tag: str, mtype: str,
-                          where: Optional[Callable[[Message], bool]] = None,
-                          oid: Optional[str] = None) -> Condition:
-        """Condition: at least one matching message; returns the first."""
-        if where is not None:
-            where = once_per_message(where)
-
-        def check():
-            matching = self.inbox.messages(tag, mtype, where, oid)
-            return matching[0] if matching else None
-
-        return WaitState(check, (tag, mtype, oid))
-
     # -- introspection ----------------------------------------------------------
-
-    @property
-    def parked_threads(self) -> int:
-        """Number of threads currently in a wait state."""
-        return len(self._threads)
 
     def storage_bytes(self) -> int:
         """Size of this party's protocol global variables (storage

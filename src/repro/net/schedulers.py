@@ -14,7 +14,7 @@ found by a property test can be replayed exactly.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from repro.net.message import Message
 
@@ -53,42 +53,33 @@ class RandomScheduler(Scheduler):
         return self._rng.randrange(len(pending))
 
 
-class PriorityScheduler(Scheduler):
-    """Adversarial scheduler: starve messages matching ``deprioritize``.
+class SlowPartiesScheduler(Scheduler):
+    """Adversarial scheduler: starve all traffic to and from a set of
+    victim parties.
 
-    Matching messages are delivered only when nothing else is pending, which
-    models an adversary that delays a victim's traffic as long as the
-    network allows while still satisfying eventual delivery.
+    A victim's messages are delivered only when nothing else is
+    pending, which models an adversary that delays a victim's traffic
+    as long as the network allows while still satisfying eventual
+    delivery.
 
-    Each :meth:`choose` classifies the pending messages afresh and draws
-    uniformly among the preferred ones, or among all of them when none
-    is preferred; it sees nothing but ``pending``, like every scheduler.
+    Each :meth:`choose` classifies the pending messages afresh and
+    draws uniformly among the preferred ones, or among all of them when
+    none is preferred; it sees nothing but ``pending``, like every
+    scheduler.
     """
 
-    def __init__(self, deprioritize: Callable[[Message], bool],
-                 seed: int = 0):
-        self._deprioritize = deprioritize
+    def __init__(self, slow_parties, seed: int = 0):
+        self._slow = frozenset(slow_parties)
         self._rng = random.Random(seed)
 
     def choose(self, pending: Sequence[Message]) -> int:
-        deprioritize = self._deprioritize
+        slow = self._slow
         preferred = [index for index, message in enumerate(pending)
-                     if not deprioritize(message)]
+                     if message.sender not in slow
+                     and message.recipient not in slow]
         if preferred:
             return preferred[self._rng.randrange(len(preferred))]
         return self._rng.randrange(len(pending))
-
-
-class SlowPartiesScheduler(PriorityScheduler):
-    """Starve all traffic to and from a set of victim parties."""
-
-    def __init__(self, slow_parties, seed: int = 0):
-        slow = set(slow_parties)
-
-        def is_slow(message: Message) -> bool:
-            return message.sender in slow or message.recipient in slow
-
-        super().__init__(is_slow, seed=seed)
 
 
 class PartitionScheduler(Scheduler):
@@ -125,46 +116,3 @@ class PartitionScheduler(Scheduler):
                 return within[self._rng.randrange(len(within))]
         return self._rng.randrange(len(pending))
 
-
-def make_scheduler(name: str, seed: int = 0,
-                   deprioritize: Optional[Callable[[Message], bool]] = None,
-                   slow_parties=None, group=None,
-                   heal_after: Optional[int] = None) -> Scheduler:
-    """Factory used by experiment configs and the chaos campaign runner.
-
-    Every strategy it builds answers one call, ``choose(pending)``.
-    ``name`` selects the strategy; strategy-specific parameters are
-    keyword-only in spirit:
-
-    * ``"fifo"`` / ``"random"`` — no extra parameters (``seed`` for
-      ``random``);
-    * ``"priority"`` — requires ``deprioritize``, a predicate naming the
-      starved messages;
-    * ``"slow-parties"`` — requires ``slow_parties``, the set of
-      :class:`~repro.common.ids.PartyId` victims whose traffic is
-      starved;
-    * ``"partition"`` — requires ``group`` (the partitioned party set)
-      and ``heal_after`` (delivery decisions until the partition heals;
-      mandatory, since a permanent partition would violate eventual
-      delivery).
-    """
-    if name == "fifo":
-        return FifoScheduler()
-    if name == "random":
-        return RandomScheduler(seed)
-    if name == "priority":
-        if deprioritize is None:
-            raise ValueError("priority scheduler needs a deprioritize rule")
-        return PriorityScheduler(deprioritize, seed)
-    if name == "slow-parties":
-        if slow_parties is None:
-            raise ValueError(
-                "slow-parties scheduler needs the victim party set")
-        return SlowPartiesScheduler(slow_parties, seed=seed)
-    if name == "partition":
-        if group is None or heal_after is None:
-            raise ValueError(
-                "partition scheduler needs a party group and a "
-                "heal_after bound (partitions must heal)")
-        return PartitionScheduler(group, heal_after=heal_after, seed=seed)
-    raise ValueError(f"unknown scheduler {name!r}")

@@ -28,7 +28,7 @@ Prometheus), :mod:`~repro.obs.bench` (``BENCH_*.json`` emission), and
 """
 
 from repro.obs.bench import BENCH_ENV, bench_dir, emit_bench, to_jsonable
-from repro.obs.clock import WallTimer, wall_seconds
+from repro.obs.clock import wall_seconds
 from repro.obs.critical_path import (
     CriticalPath,
     PathHop,
@@ -83,7 +83,6 @@ __all__ = [
     "bench_dir",
     "emit_bench",
     "to_jsonable",
-    "WallTimer",
     "wall_seconds",
     "CriticalPath",
     "PathHop",

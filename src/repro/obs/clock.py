@@ -14,39 +14,9 @@ write-only measurement, never control flow.
 from __future__ import annotations
 
 import time  # lint: disable=det-wallclock
-from typing import Optional
-
-from repro.obs.instruments import Histogram
 
 
 def wall_seconds() -> float:
     """A monotonic wall-clock reading in seconds (measurement only)."""
     return time.perf_counter()  # lint: disable=det-wallclock
 
-
-class WallTimer:
-    """Context manager measuring the wall-clock span of a block.
-
-    Optionally records the elapsed seconds into a
-    :class:`~repro.obs.instruments.Histogram`, so registries can hold
-    real-time distributions next to logical-time ones::
-
-        with WallTimer(registry.histogram("bench.seconds")) as timer:
-            run_sweep()
-        print(timer.elapsed)
-    """
-
-    def __init__(self, histogram: Optional[Histogram] = None):
-        self._histogram = histogram
-        self._start: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "WallTimer":
-        self._start = wall_seconds()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed = wall_seconds() - self._start
-        if self._histogram is not None:
-            self._histogram.record(self.elapsed)
-        return None

@@ -75,13 +75,6 @@ class CriticalPath:
         """Length of the causal spine in message delays."""
         return len(self.hops)
 
-    def dominant_phase(self) -> Optional[str]:
-        """The phase with the largest latency share, if any."""
-        if not self.attribution:
-            return None
-        return max(sorted(self.attribution),
-                   key=lambda phase: self.attribution[phase])
-
 
 def critical_path(recorder: TraceRecorder,
                   span: Span) -> Optional[CriticalPath]:

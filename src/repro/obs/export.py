@@ -483,10 +483,10 @@ def export_prometheus(monitor, stream: TextIO) -> int:
     return count
 
 
-def _svg_sparkline(values: List[float], width: int = 240,
-                   height: int = 28) -> str:
-    """An inline-SVG polyline sparkline (empty series renders an empty
-    frame)."""
+def _svg_sparkline(values: List[float]) -> str:
+    """An inline-SVG polyline sparkline, 240 x 28 px (empty series
+    renders an empty frame)."""
+    width, height = 240, 28
     if not values:
         return (f'<svg width="{width}" height="{height}" '
                 f'class="spark"></svg>')

@@ -51,7 +51,6 @@ from repro.obs.planes import (
 from repro.obs.recorder import TraceRecorder
 from repro.obs.slo import (
     KIND_REPLICATION,
-    SloSpec,
     SloTracker,
     default_slos,
 )
@@ -101,25 +100,17 @@ class HealthMonitor:
     ----------
     bucket_ticks:
         Time-series bucket width (see :mod:`repro.obs.timeseries`).
-    slos:
-        Objectives to evaluate (:func:`repro.obs.slo.default_slos`
-        when omitted).
-    weights:
-        Suspicion component weights (:data:`DEFAULT_WEIGHTS` merged
-        with any overrides).
+
+    The objectives are :func:`repro.obs.slo.default_slos` and the
+    suspicion blend is :data:`DEFAULT_WEIGHTS`.
     """
 
-    def __init__(self, bucket_ticks: int = 32,
-                 slos: Optional[Sequence[SloSpec]] = None,
-                 weights: Optional[Dict[str, float]] = None):
+    def __init__(self, bucket_ticks: int = 32):
         self.recorder = TraceRecorder()
         self.store = TimeSeriesStore(bucket_ticks=bucket_ticks,
                                      max_buckets=_MAX_BUCKETS)
-        self.slos = list(slos) if slos is not None else default_slos()
+        self.slos = default_slos()
         self.trackers = [SloTracker(spec) for spec in self.slos]
-        self.weights = dict(DEFAULT_WEIGHTS)
-        if weights:
-            self.weights.update(weights)
         self._simulator = None
         # -- per-server signal accumulators (keyed by PartyId) --------
         self._sends: Dict[PartyId, int] = {}
@@ -409,7 +400,7 @@ class HealthMonitor:
         rows = []
         for server in roster:
             components = self._components(server, max_sends, excess)
-            score = sum(self.weights[name] * value
+            score = sum(DEFAULT_WEIGHTS[name] * value
                         for name, value in components.items())
             rows.append({
                 "server": str(server),

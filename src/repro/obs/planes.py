@@ -100,9 +100,8 @@ class PlaneTraffic:
 def plane_traffic(recorder: TraceRecorder) -> PlaneTraffic:
     """Whole-run plane totals of every message ``recorder`` was told
     was sent, read off its ``wire.bytes[mtype]`` histograms: one value
-    per report of a send, so a ``msg_id`` recorded twice (no simulator
-    does that) counts twice, where ``recorder.messages`` keeps one
-    record of it."""
+    per sent message, as in ``recorder.messages`` (the recorder refuses
+    a ``msg_id`` reported twice)."""
     totals = PlaneTraffic()
     registry = recorder.registry
     for name in registry.names():

@@ -228,6 +228,10 @@ class TraceRecorder:
             oid = payload[0] if (
                 payload and type(payload[0]) is str) else None
             msg_id, tag, mtype = message.msg_id, message.tag, message.mtype
+            if msg_id in messages:
+                raise SimulationError(
+                    f"msg_id {msg_id} was already recorded: every sent "
+                    f"message takes a fresh id")
             record = MessageRecord(
                 msg_id, tag, mtype, sender, recipient, time, wire_bytes,
                 message.depth, message.cause_id, oid)
@@ -236,12 +240,9 @@ class TraceRecorder:
             except KeyError:
                 filing = self._filing(tag, mtype, oid)
             filing[1].append(wire_bytes)
-            if msg_id in messages:
-                self._overwrite(record)
-            else:
-                messages[msg_id] = record
-                for bucket in filing[0]:
-                    bucket.append(record)
+            messages[msg_id] = record
+            for bucket in filing[0]:
+                bucket.append(record)
         count = len(sends)
         sent = self._net_sent or self._bind_sends()
         sent.value += count
@@ -376,29 +377,6 @@ class TraceRecorder:
                 and isinstance(event.payload[0], str):
             self._accepted_by_operation.setdefault(
                 (event.tag, event.payload[0]), []).append(event)
-
-    def _overwrite(self, record: MessageRecord) -> None:
-        """Replace the record of a ``msg_id`` already recorded.  Never
-        happens under a simulator (ids are fresh); if it does, the last
-        write wins in ``messages`` and the index is rebuilt to agree
-        with it."""
-        self.messages[record.msg_id] = record
-        self._reindex_messages()
-
-    def _reindex_messages(self) -> None:
-        """Rebuild everything filed by message from ``messages`` and
-        ``quorum_releases`` (after a ``msg_id`` was overwritten)."""
-        self._records_by_operation = {}
-        self._releases_by_operation = {}
-        self._unwaited_releases = {}
-        self._filings.clear()  # callers may hold it
-        records = self._records_by_operation
-        for record in self.messages.values():
-            root, oids = _index_keys(record.tag, record.oid)
-            for oid in oids:
-                records.setdefault((root, oid), []).append(record)
-        for filed in enumerate(self.quorum_releases):
-            self._file_release(filed)
 
     # -- queries -------------------------------------------------------------
 

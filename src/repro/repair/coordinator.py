@@ -7,22 +7,14 @@ finished repair rounds, and admits queued ones — never more than
 ``batch_size`` in flight, so background re-dispersal is rate-limited
 against client load instead of flooding the envelope layer.
 
-Work arrives three ways:
-
-* **scheduled replacement** — a chaos :class:`~repro.chaos.plan.CrashSpec`
-  with ``replace_after`` set names the decision-clock point at which
-  the crashed member is swapped for an amnesiac newcomer
-  (:func:`repro.repair.reconfig.replace_member`); every AtomicMd
-  register placed on it is then queued for repair.  Such a crash does
-  not fire while the fleet is degraded — repair outstanding, or another
-  scheduled member down and not yet replaced — so a storm never has
-  more than one member crashed or unrepaired at a time.
-* **operator trigger** — :meth:`~RepairCoordinator.request_repair`
-  queues re-dispersal toward a named server without replacing it (a
-  recovered-but-lossy member).
-* **health detection** — :meth:`~RepairCoordinator.detect_degraded`
-  reads :meth:`repro.obs.health.HealthMonitor.suspicion_scores` and
-  queues repairs for every server at or above a threshold.
+Work arrives as scheduled replacements: a chaos
+:class:`~repro.chaos.plan.CrashSpec` with ``replace_after`` set names
+the decision-clock point at which the crashed member is swapped for an
+amnesiac newcomer (:func:`repro.repair.reconfig.replace_member`); every
+AtomicMd register placed on it is then queued for repair.  Such a crash
+does not fire while the fleet is degraded — repair outstanding, or
+another scheduled member down and not yet replaced — so a storm never
+has more than one member crashed or unrepaired at a time.
 
 Repair rounds run on a dedicated :class:`~repro.kv.mux.KvClientHost`
 whose inner clients are :class:`repro.repair.protocol.RepairClient`, so
@@ -51,6 +43,10 @@ from repro.repair.reconfig import replace_member
 #: Protocols the repair round speaks (read-reconstruct-redisperse is
 #: built on the AtomicMd metadata/data separation).
 REPAIRABLE_PROTOCOLS = ("atomic_md",)
+
+#: Rounds one register's repair may start before it is given up on
+#: (chaos can stall a round; the quiescent fallback re-invokes it).
+MAX_REPAIR_ATTEMPTS = 4
 
 
 @dataclass
@@ -98,21 +94,17 @@ class RepairCoordinator:
     Construct via :func:`attach_repair`, which also registers the
     coordinator on :attr:`repro.kv.cluster.KvCluster.repair` so the
     drive loop pumps it.  ``batch_size`` bounds concurrent repair
-    rounds; ``max_attempts`` bounds per-register retries when chaos
-    stalls a round.
+    rounds; :data:`MAX_REPAIR_ATTEMPTS` bounds per-register retries
+    when chaos stalls a round.
     """
 
     def __init__(self, cluster: KvCluster, batch_size: int = 2,
-                 max_attempts: int = 4, monitor=None) -> None:
+                 monitor=None) -> None:
         if batch_size < 1:
             raise ConfigurationError(
                 f"repair batch_size must be >= 1, got {batch_size}")
-        if max_attempts < 1:
-            raise ConfigurationError(
-                f"repair max_attempts must be >= 1, got {max_attempts}")
         self.cluster = cluster
         self.batch_size = batch_size
-        self.max_attempts = max_attempts
         self.monitor = monitor
         self.stats = RepairStats()
         self.host = KvClientHost(
@@ -172,42 +164,6 @@ class RepairCoordinator:
             added += 1
         self._scheduled.sort(key=lambda entry: (entry.due, entry.server))
         return added
-
-    def request_repair(self, server_index: int) -> int:
-        """Operator trigger: queue re-dispersal of every AtomicMd
-        register placed on fleet server ``server_index`` (no
-        replacement).  Returns the number of registers queued."""
-        tasks = self._tasks_for_server(server_index)
-        for task in tasks:
-            self._pending.append(task)
-        self.stats.scheduled += len(tasks)
-        if tasks:
-            self._count("scheduled", len(tasks))
-            self._record_lag()
-        return len(tasks)
-
-    def detect_degraded(self, threshold: float) -> List[int]:
-        """Queue repairs for every server whose suspicion score meets
-        ``threshold`` (requires an attached health monitor).
-
-        Detection is advisory — with crash-only faults a suspect is
-        usually just slow or partitioned, so detection queues
-        re-dispersal rather than replacement; swapping identity stays
-        an operator/plan decision.
-        """
-        if self.monitor is None:
-            raise ConfigurationError(
-                "detect_degraded requires a HealthMonitor; construct "
-                "the coordinator with monitor=...")
-        # In index order: the scores are keyed by name, and "P10"
-        # sorts before "P2".
-        suspects = sorted(
-            int(str(server).lstrip("PC"))
-            for server, score in self.monitor.suspicion_scores().items()
-            if score >= threshold)
-        for index in suspects:
-            self.request_repair(index)
-        return suspects
 
     def _tasks_for_server(self, fleet_index: int) -> List[RepairTask]:
         """Enumerate repairable registers placed on ``fleet_index``.
@@ -371,7 +327,7 @@ class RepairCoordinator:
             task.handle = None
             self.stats.skipped += 1
             self._count("skipped")
-            task.attempts = self.max_attempts
+            task.attempts = MAX_REPAIR_ATTEMPTS
             return
         self._seq += 1
         task.attempts += 1
@@ -394,7 +350,7 @@ class RepairCoordinator:
             handle = task.handle
             if handle is not None and handle.done:
                 continue
-            if task.attempts >= self.max_attempts:
+            if task.attempts >= MAX_REPAIR_ATTEMPTS:
                 if handle is None:
                     skipped.append(task)
                 continue
@@ -411,8 +367,7 @@ class RepairCoordinator:
 
 
 def attach_repair(cluster: KvCluster, plan: Optional[FaultPlan] = None,
-                  batch_size: int = 2, max_attempts: int = 4,
-                  monitor=None) -> RepairCoordinator:
+                  batch_size: int = 2, monitor=None) -> RepairCoordinator:
     """Build a coordinator for ``cluster`` and hook it into the drive
     loop (sets :attr:`~repro.kv.cluster.KvCluster.repair`).
 
@@ -421,7 +376,6 @@ def attach_repair(cluster: KvCluster, plan: Optional[FaultPlan] = None,
     byte-identical — unless this is called.
     """
     coordinator = RepairCoordinator(cluster, batch_size=batch_size,
-                                    max_attempts=max_attempts,
                                     monitor=monitor)
     if plan is not None:
         coordinator.schedule_from_plan(plan)

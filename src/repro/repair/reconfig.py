@@ -38,10 +38,10 @@ initial TIMESTAMP until repaired).  Three facts keep histories atomic:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.ids import PartyId, server_id
+from repro.common.ids import server_id
 from repro.kv.cluster import KvCluster
 from repro.kv.directory import KvDirectory
 from repro.kv.mux import KvServer
@@ -66,10 +66,7 @@ def next_generation(directory: KvDirectory) -> KvDirectory:
         epoch=directory.epoch + 1)
 
 
-def replace_member(cluster: KvCluster, server_index: int,
-                   server_factory: Optional[Callable[
-                       [PartyId, KvDirectory], KvServer]] = None,
-                   initial_value: bytes = b""
+def replace_member(cluster: KvCluster, server_index: int
                    ) -> Tuple[KvServer, KvServer]:
     """Swap fleet server ``server_index`` for a fresh (amnesiac) host.
 
@@ -90,13 +87,9 @@ def replace_member(cluster: KvCluster, server_index: int,
             f"server index {server_index} out of range [1, {fleet_n}]")
     directory = next_generation(cluster.directory)
     pid = server_id(server_index)
-    if server_factory is not None:
-        host = server_factory(pid, directory)
-    else:
-        from repro.cluster import PROTOCOLS
-        server_cls = PROTOCOLS[cluster.protocol][0]
-        host = KvServer(pid, directory, server_cls=server_cls,
-                        initial_value=initial_value)
+    from repro.cluster import PROTOCOLS
+    host = KvServer(pid, directory,
+                    server_cls=PROTOCOLS[cluster.protocol][0])
     old = cluster.simulator.replace_process(host)
     cluster.servers[server_index - 1] = host
     cluster.directory = directory

@@ -72,23 +72,21 @@ class BlobStore:
     """
 
     def __init__(self, cluster: Cluster, client_index: int,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 namespace: str = "blob"):
+                 chunk_size: int = DEFAULT_CHUNK_SIZE):
         if chunk_size < 1:
             raise BlobStoreError("chunk size must be positive")
         self._cluster = cluster
         self._client_index = client_index
         self._chunk_size = chunk_size
-        self._namespace = namespace
         self._sequence = itertools.count()
 
     # -- tags and versions --------------------------------------------------
 
     def _manifest_tag(self, name: str) -> str:
-        return f"{self._namespace}/{name}/manifest"
+        return f"blob/{name}/manifest"
 
     def _chunk_tag(self, name: str, index: int) -> str:
-        return f"{self._namespace}/{name}/chunk{index}"
+        return f"blob/{name}/chunk{index}"
 
     def _next_oid(self, verb: str) -> str:
         return f"{verb}-c{self._client_index}-{next(self._sequence)}"

@@ -19,7 +19,7 @@ import bisect
 import random
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.analysis.linearizability import KIND_READ, KIND_WRITE
 from repro.common.errors import ConfigurationError
@@ -47,12 +47,12 @@ class KvOp:
     value: Optional[bytes] = None
 
 
-def key_names(count: int, prefix: str = "k") -> List[str]:
+def key_names(count: int) -> List[str]:
     """Deterministic key names ``k000 .. k<count-1>``."""
     if count < 1:
         raise ConfigurationError("key count must be >= 1")
     width = max(3, len(str(count - 1)))
-    return [f"{prefix}{index:0{width}d}" for index in range(count)]
+    return [f"k{index:0{width}d}" for index in range(count)]
 
 
 def _key_weights(count: int, distribution: str,
@@ -70,15 +70,14 @@ def _key_weights(count: int, distribution: str,
 def kv_workload(num_sessions: int, num_keys: int, ops: int,
                 write_ratio: float = 0.5, distribution: str = "zipf",
                 zipf_exponent: float = 1.1, seed: int = 0,
-                value_size: int = 64, keys: Sequence[str] = (),
+                value_size: int = 64,
                 shift_every: int = DEFAULT_SHIFT_EVERY) -> List[KvOp]:
     """Generate ``ops`` seeded operations over ``num_keys`` keys.
 
     Sessions are assigned round-robin so every session participates;
     operation kinds are drawn i.i.d. with ``write_ratio``, except that
     each run opens with one write (a read-only prefix would only ever
-    observe the initial value).  Pass explicit ``keys`` to override the
-    generated names.
+    observe the initial value).  Keys are :func:`key_names`.
 
     Under ``"zipf-shift"`` the rank → key assignment rotates every
     ``shift_every`` operations: the key that was rank ``r`` hot in
@@ -92,7 +91,7 @@ def kv_workload(num_sessions: int, num_keys: int, ops: int,
         raise ConfigurationError("ops must be >= 1")
     if shift_every < 1:
         raise ConfigurationError("shift_every must be >= 1")
-    key_list = list(keys) if keys else key_names(num_keys)
+    key_list = key_names(num_keys)
     count = len(key_list)
     weights = _key_weights(count, distribution, zipf_exponent)
     cumulative = list(accumulate(weights))

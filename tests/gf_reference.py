@@ -46,7 +46,7 @@ def numpy_matvec(field, matrix, blocks):
 def numpy_encode(code, data):
     """``code.encode_blocks(data)`` by the reference: the data, then the
     generator's parity rows times the data."""
-    return list(data) + numpy_matvec(code.field, code.generator_matrix[code.k:],
+    return list(data) + numpy_matvec(code.field, code._generator[code.k:],
                                      data)
 
 
@@ -54,6 +54,6 @@ def numpy_decode(code, blocks):
     """``code.decode_blocks(blocks)`` by the reference: invert the
     generator rows of the first ``k`` supplied indices and apply it."""
     chosen = sorted(blocks)[:code.k]
-    rows = [list(code.generator_matrix[index]) for index in chosen]
+    rows = [list(code._generator[index]) for index in chosen]
     inverse = code.field.matrix_invert(rows)
     return numpy_matvec(code.field, inverse, [blocks[index] for index in chosen])

@@ -141,11 +141,11 @@ def test_aba_larger_group():
 
 def test_aba_decision_query():
     simulator, hosts, _ = _network(AbaHost, seed=0)
-    assert hosts[0].aba.decision("x") is None
+    assert "x" not in hosts[0].decisions
     for host in hosts:
         host.aba.provide_input("x", 1)
     simulator.run(max_steps=400_000)
-    assert hosts[0].aba.decision("x") == 1
+    assert hosts[0].decisions["x"] == 1
 
 
 def test_aba_multiple_instances():

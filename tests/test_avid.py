@@ -21,8 +21,8 @@ from repro.net.message import content_wire_size
 from repro.net.process import Process
 from repro.net.schedulers import (
     FifoScheduler,
-    PriorityScheduler,
     RandomScheduler,
+    SlowPartiesScheduler,
 )
 from repro.net.simulator import Simulator
 from repro.obs import TraceRecorder
@@ -247,8 +247,7 @@ def test_empty_value():
 def test_adversarial_scheduler_starving_one_server():
     """A server whose traffic is maximally delayed still completes."""
     victim = server_id(4)
-    scheduler = PriorityScheduler(
-        lambda m: victim in (m.sender, m.recipient), seed=2)
+    scheduler = SlowPartiesScheduler({victim}, seed=2)
     simulator, servers, client, config = _network(scheduler=scheduler)
     disperse(client, "d", b"starved", config)
     simulator.run()

@@ -170,7 +170,7 @@ def test_goodson_versions_accumulate():
     for index in range(3):
         cluster.write(1, TAG, f"w{index}", b"v%d" % index)
     cluster.run()
-    assert cluster.server(1).version_count(TAG) == 4  # initial + 3
+    assert len(cluster.server(1).register_state(TAG).versions) == 4  # initial + 3
 
 
 def test_goodson_concurrent_atomicity():

@@ -195,7 +195,9 @@ def test_plans_compose_adversarial_scheduler_with_message_faults():
 
 def test_scheduler_only_plan_counts_as_empty_injection():
     plan = builtin_plan("sched-partition", 4, 1, seed=0)
-    assert plan.empty  # starving is not a Byzantine budget spend
+    # starving is not a Byzantine budget spend
+    assert not (plan.rules or plan.partition or plan.crashes
+                or plan.byzantine)
     result = execute_run(RunSpec(protocol="atomic", plan=plan))
     assert result.status == STATUS_OK
     assert sum(result.faults.values()) == 0

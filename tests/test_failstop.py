@@ -97,7 +97,7 @@ def test_crash_then_recover_rejoins(protocol, server_cls, recover_after):
     HistoryRecorder(cluster, TAG).check()
     server = cluster.server(2)
     assert type(server) is server_cls
-    assert server.recovered
+    assert server._recovered
     assert not server.crashed
     # The backlog really was replayed: deliveries counted past both the
     # crash point and the down window.
@@ -109,7 +109,7 @@ def test_recovery_requires_enough_traffic():
     permanent-crash behaviour is the limit case)."""
     cluster = _crash_run("atomic_ns", 1, recover_after=10 ** 9)
     server = cluster.server(2)
-    assert server.crashed and not server.recovered
+    assert server.crashed and not server._recovered
 
 
 # -- trigger clocks -----------------------------------------------------------
@@ -159,7 +159,7 @@ def test_decision_trigger_recovery_window_is_global_too():
     cluster = _crash_run("atomic_ns", 5, seed=1, recover_after=30,
                          trigger="decisions")
     server = cluster.server(2)
-    assert server.recovered and not server.crashed
+    assert server._recovered and not server.crashed
     HistoryRecorder(cluster, TAG).check()
 
 

@@ -31,8 +31,6 @@ def test_generator_reduction():
 
 def test_div_and_inv_errors():
     with pytest.raises(ZeroDivisionError):
-        GF65536.div(1, 0)
-    with pytest.raises(ZeroDivisionError):
         GF65536.inv(0)
     with pytest.raises(ZeroDivisionError):
         GF65536.pow(0, -2)
@@ -66,11 +64,6 @@ def test_distributive(a, b, c):
 @given(nonzero)
 def test_inverse(a):
     assert GF65536.mul(a, GF65536.inv(a)) == 1
-
-
-@given(elements, nonzero)
-def test_div_matches_inverse(a, b):
-    assert GF65536.div(a, b) == GF65536.mul(a, GF65536.inv(b))
 
 
 @given(nonzero, st.integers(min_value=-5, max_value=5))

@@ -15,9 +15,7 @@ import pytest
 from repro.common.ids import (
     PartyId,
     client_id,
-    parent_tag,
     server_id,
-    server_ids,
     subtag,
 )
 from repro.common.serialization import decode, encode
@@ -81,7 +79,6 @@ def test_one_instance_per_kind_and_index():
     party = server_id(3)
     assert PartyId("server", 3) is party
     assert PartyId(kind="server", index=3) is party
-    assert server_ids(3)[-1] is party
     assert decode(encode(party)) is party
     assert pickle.loads(pickle.dumps(party)) is party
     assert copy.copy(party) is party
@@ -163,11 +160,6 @@ def test_schedules_do_not_depend_on_the_hash_seed():
     assert digests[0]["sim_time"] > 0
 
 
-def test_server_ids_enumeration():
-    ids = server_ids(4)
-    assert ids == [server_id(j) for j in (1, 2, 3, 4)]
-
-
 def test_hashable_and_equal():
     assert server_id(2) == server_id(2)
     assert len({server_id(2), server_id(2), client_id(2)}) == 2
@@ -181,13 +173,3 @@ def test_subtag_builds_hierarchy():
 def test_subtag_rejects_empty_component():
     with pytest.raises(ValueError):
         subtag("reg", "")
-
-
-def test_parent_tag():
-    assert parent_tag("reg|disp.w1") == "reg"
-    assert parent_tag("a|b|c") == "a|b"
-
-
-def test_parent_of_top_level_raises():
-    with pytest.raises(ValueError):
-        parent_tag("reg")

@@ -320,7 +320,7 @@ def test_a_delivery_rechecks_only_the_threads_it_can_satisfy():
     assert waiter.done == ["w1", "w2", "bare"]
     assert waiter.checks["w1"] == parked["w1"] + 2
     assert waiter.checks["w2"] == parked["w2"] + 2
-    assert waiter.parked_threads == 0 and len(waiter.inbox) == 1  # noise
+    assert len(waiter._threads) == 0 and len(waiter.inbox) == 1  # noise
 
 
 def test_whole_key_wait_wakes_on_any_operation_of_its_key():
@@ -366,7 +366,7 @@ def _count_predicate_calls(monkeypatch):
 def _kv_inboxes(cluster):
     for host in cluster.servers:
         yield host.inbox
-        for shard in host.active_shards:
+        for shard in host._inner_servers:
             yield host.inner_server(shard).inbox
     for session in cluster.sessions:
         yield session.host.inbox

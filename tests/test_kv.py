@@ -60,6 +60,7 @@ from repro.net.simulator import Simulator
 from repro.obs import TraceRecorder
 from repro.repair.reconfig import next_generation
 from repro.workloads.kv import KvOp, key_names, kv_workload
+from tests.kv_support import settle
 from tests.reference_observers import sent_messages
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -645,14 +646,14 @@ def test_unwrap_drops_every_entry_it_cannot_route_and_keeps_the_rest(
         42, ("kv.s2.probe", "probe"),    # not entries
         _probe(2, 7),                    # valid
     ))
-    assert p3.active_shards == [2]  # shard 0 was never built for P6
+    assert list(p3._inner_servers) == [2]  # shard 0 was never built for P6
     # P3 has built shard 2, whose placement P1 is not in.
     _deliver_batch(p3, server_id(1), (_probe(2, 16),))
     _deliver_batch(p1, client_id(1), (
         _probe(1, 8),                    # P1 does not serve shard 1
         _probe(0, 9),                    # valid
     ))
-    assert p1.active_shards == [0]
+    assert list(p1._inner_servers) == [0]
     # The client host invoked on shard 0 only.
     host = cluster.sessions[0].host
     host.inner_client(0)
@@ -669,7 +670,7 @@ def test_unwrap_drops_every_entry_it_cannot_route_and_keeps_the_rest(
                     (_probe(2, 15),), ("entries",)):
         _deliver(p3, p6, payload)
     assert len(inner_deliveries) == 4
-    assert p3.active_shards == [2] and p1.active_shards == [0]
+    assert list(p3._inner_servers) == [2] and list(p1._inner_servers) == [0]
     # Interleaved shards: the unwrap resolves once per run of one shard,
     # and no resolution may outlive its run — across a shard change or a
     # dropped entry, even one of the same shard.
@@ -697,7 +698,7 @@ def test_unwrap_drops_every_entry_it_cannot_route_and_keeps_the_rest(
             _per_entry_rule(directory, recipient, sender, entries, (0, 2)))
         assert [message.msg_id for _, message in inner_deliveries] \
             == delivered
-    assert p3.active_shards == [2, 1]  # still no shard 0 for P5
+    assert list(p3._inner_servers) == [2, 1]  # still no shard 0 for P5
 
 
 def _per_entry_rule(directory, host, fleet_sender, entries, invoked):
@@ -760,12 +761,12 @@ def test_queued_writes_to_one_key_coalesce_last_value_wins():
     first = session.put("k001", b"stale-1")
     second = session.put("k001", b"stale-2")
     last = session.put("k001", b"final")
-    assert session.queued == 1  # three submissions, one queue slot
-    cluster.settle()
+    assert len(session._queue) == 1  # three submissions, one queue slot
+    settle(cluster)
     assert first.done and second.done and last.done
     assert first.coalesced and second.coalesced and not last.coalesced
     read = session.get("k001")
-    cluster.settle()
+    settle(cluster)
     assert read.result == b"final"
     check_kv_histories([session])
 
@@ -777,9 +778,9 @@ def test_read_ends_the_coalescing_window():
     session.put("k001", b"one")
     session.get("k001")
     follow = session.put("k001", b"two")
-    assert session.queued == 3  # the second write may not fold backwards
+    assert len(session._queue) == 3  # the second write may not fold backwards
     assert not follow.coalesced
-    cluster.settle()
+    settle(cluster)
     check_kv_histories([session])
 
 
@@ -793,7 +794,7 @@ def test_full_queue_raises_backpressure():
         session.get("k003")
     # Coalescing never consumes a slot, so it bypasses backpressure.
     session.put("k001", b"c")
-    cluster.settle()
+    settle(cluster)
     assert all(handle.done for handle in session.handles)
 
 
@@ -806,10 +807,10 @@ def test_retry_reinvokes_stalled_operations_and_still_linearizes():
     assert session.inflight == 1
     retried = session.retry_pending()  # as after a quiesced stall
     assert retried == 1
-    cluster.settle()
+    settle(cluster)
     assert handle.done and handle.attempts == 2
     read = session.get("k001")
-    cluster.settle()
+    settle(cluster)
     assert read.result == b"v1"
     check_kv_histories([session])
 
@@ -822,7 +823,7 @@ def test_retry_budget_is_bounded():
     session.pump()
     assert session.retry_pending() == 1  # attempt 2 of 2
     assert session.retry_pending() == 0  # budget spent
-    cluster.settle()
+    settle(cluster)
 
 
 def test_pump_works_only_when_its_outcome_could_have_changed(monkeypatch):
@@ -859,7 +860,7 @@ def test_pump_works_only_when_its_outcome_could_have_changed(monkeypatch):
     assert polls_that_worked() == 1
     session.get("k001")
     assert polls_that_worked() == 1
-    cluster.settle()
+    settle(cluster)
     assert handle.done and session.epoch == 1
 
     worked.clear()
@@ -910,7 +911,7 @@ def test_pending_handles_report_live_attempt_counts():
     assert not handle.done and handle.attempts == 1
     session.retry_pending()
     assert not handle.done and handle.attempts == 2
-    cluster.settle()
+    settle(cluster)
     assert handle.done and handle.attempts == 2
 
 
@@ -924,7 +925,7 @@ def test_stalled_operations_report_live_attempts_under_chaos_drops():
     session.pump()
     cluster.simulator.run()  # quiesce: drops may strand the round
     assert handle.attempts == 1  # live even while stranded
-    cluster.settle()
+    settle(cluster)
     assert handle.done and handle.attempts >= 1
     check_kv_histories([session])
 
@@ -978,9 +979,9 @@ def test_sessions_are_isolated_but_share_the_store():
     cluster = build_kv_cluster(directory, num_sessions=2)
     writer, reader = cluster.sessions
     writer.put("k001", b"shared")
-    cluster.settle()
+    settle(cluster)
     handle = reader.get("k001")
-    cluster.settle()
+    settle(cluster)
     assert handle.result == b"shared"
     check_kv_histories(cluster.sessions)
 
@@ -1046,7 +1047,7 @@ def test_subset_shard_placements_serve_operations():
     check_kv_histories(cluster.sessions)
     # Servers outside a shard's placement never materialize it.
     for server in cluster.servers:
-        for shard_id in server.active_shards:
+        for shard_id in server._inner_servers:
             spec = directory.shard(shard_id)
             assert spec.local_server_index(server.pid.index) is not None
 

@@ -40,6 +40,7 @@ from repro.kv.session_cache import SessionCache
 from repro.lint import run_lint
 from repro.lint.config import LintConfig
 from repro.workloads.kv import KvOp
+from tests.kv_support import settle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -62,7 +63,7 @@ def test_lease_hit_is_an_interval_clone_of_its_anchor():
     cluster = _md_cluster(lease_ticks=100_000)
     session = cluster.session(1)
     write = session.put("k001", b"v1")
-    cluster.settle()  # the ack seeds the cache and opens the lease
+    settle(cluster)  # the ack seeds the cache and opens the lease
     read = session.get("k001")
     assert read.done  # served locally at submission, no settle needed
     assert read.served == "lease"
@@ -78,12 +79,12 @@ def test_write_during_lease_window_invalidates_eagerly():
     cluster = _md_cluster(lease_ticks=100_000)
     session = cluster.session(1)
     session.put("k001", b"v1")
-    cluster.settle()
+    settle(cluster)
     assert session.get("k001").result == b"v1"  # lease hit
     session.put("k001", b"v2")  # invalidates: no stale lease serves
     read = session.get("k001")
     assert not read.done  # must go through the protocol again
-    cluster.settle()
+    settle(cluster)
     assert read.result == b"v2"
     assert session.cache.stats["invalidations"] >= 1
     check_kv_histories([session])
@@ -99,7 +100,7 @@ def test_reads_queued_behind_a_write_inherit_its_lease_at_admission():
     session.pump()  # write in flight: the sharing window is closed
     late = session.get("k001")
     assert not late.done
-    cluster.settle()
+    settle(cluster)
     assert late.result == b"v1"
     assert late.served == "lease"
     check_kv_histories([session])
@@ -111,9 +112,9 @@ def test_revalidation_confirms_an_unchanged_key_metadata_only():
     cluster = _md_cluster(lease_ticks=0)  # revalidation-only cache
     session = cluster.session(1)
     session.put("k001", b"v1")
-    cluster.settle()
+    settle(cluster)
     read = session.get("k001")
-    cluster.settle()
+    settle(cluster)
     assert read.result == b"v1"
     assert read.served == "revalidate"
     assert session.cache.stats["revalidations"] == 1
@@ -129,11 +130,11 @@ def test_cross_session_write_forces_full_read_fallback():
     cluster = _md_cluster(num_sessions=2, lease_ticks=0)
     alice, bob = cluster.sessions
     alice.put("k001", b"v1")
-    cluster.settle()
+    settle(cluster)
     bob.put("k001", b"v2")
-    cluster.settle()
+    settle(cluster)
     read = alice.get("k001")
-    cluster.settle()
+    settle(cluster)
     assert read.result == b"v2"
     assert read.served is None  # completed as a full protocol read
     assert alice.cache.stats["revalidations"] == 1
@@ -150,9 +151,9 @@ def test_cache_without_metadata_plane_falls_back_to_full_reads():
                                lease_ticks=0)
     session = cluster.session(1)
     session.put("k001", b"v1")
-    cluster.settle()
+    settle(cluster)
     read = session.get("k001")
-    cluster.settle()
+    settle(cluster)
     assert read.result == b"v1"
     assert read.served is None
     assert session.cache.stats["revalidations"] == 0
@@ -165,12 +166,12 @@ def test_gets_join_a_still_queued_read():
     cluster = _md_cluster(lease_ticks=0)
     session = cluster.session(1)
     session.put("k002", b"v2")
-    cluster.settle()
+    settle(cluster)
     first = session.get("k002")
     second = session.get("k002")  # joins first's queue slot
-    assert session.queued == 1
+    assert len(session._queue) == 1
     assert second.coalesced
-    cluster.settle()
+    settle(cluster)
     assert first.result == b"v2" and second.result == b"v2"
     assert session.cache.stats["shared_reads"] == 1
     check_kv_histories([session])
@@ -181,9 +182,9 @@ def test_get_joins_a_still_queued_write_and_returns_its_value():
     session = cluster.session(1)
     write = session.put("k003", b"v3")
     read = session.get("k003")  # write still queued: the read joins it
-    assert session.queued == 1
+    assert len(session._queue) == 1
     assert read.coalesced
-    cluster.settle()
+    settle(cluster)
     assert write.done and read.result == b"v3"
     assert session.cache.stats["shared_reads"] == 1
     check_kv_histories([session])

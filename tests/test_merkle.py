@@ -8,7 +8,6 @@ from repro.common.serialization import decode, encode
 from repro.crypto.merkle import (
     MerkleProof,
     MerkleTree,
-    merkle_root,
     verify_merkle_proof,
 )
 
@@ -97,11 +96,6 @@ def test_proof_index_out_of_range():
     tree = MerkleTree([b"a"])
     with pytest.raises(IndexError):
         tree.proof(1)
-
-
-def test_merkle_root_helper():
-    leaves = [b"a", b"b", b"c"]
-    assert merkle_root(leaves) == MerkleTree(leaves).root
 
 
 def test_proof_is_wire_serializable():

@@ -18,9 +18,10 @@ def test_sent_and_received_bytes():
     metrics = Metrics()
     message = _msg(server_id(1), server_id(2))
     metrics.record(message)
-    size = message.wire_size()
-    assert metrics.received_bytes(server_id(2)) == size
-    assert metrics.received_bytes(client_id(1)) == 0
+    # P2 received every byte, P1 and C1 none: P2 carries three times
+    # the mean load.
+    parties = [server_id(1), server_id(2), client_id(1)]
+    assert metrics.load_imbalance(parties) == 3.0
 
 
 def test_load_imbalance_balanced():
@@ -58,8 +59,8 @@ def test_end_to_end_server_load_uniform():
     cluster.run()
     metrics = cluster.simulator.metrics
     assert metrics.load_imbalance(cluster.simulator.server_pids) < 1.2
-    # Clients receive too.
-    assert metrics.received_bytes(client_id(1)) > 0
+    # Clients receive too: C1 holds all the load of the two clients.
+    assert metrics.load_imbalance([client_id(1), client_id(2)]) == 2.0
 
 
 # -- serialization decoder fuzzing (hardening for untrusted wire data) -------

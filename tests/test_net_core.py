@@ -9,13 +9,13 @@ from repro.net import message as message_module
 from repro.net.inbox import Inbox
 from repro.net.message import Message, content_wire_size
 from repro.net.metrics import Metrics
+from repro.chaos.plan import SchedulerSpec
+from repro.common.errors import ConfigurationError
 from repro.net.schedulers import (
     FifoScheduler,
     PartitionScheduler,
-    PriorityScheduler,
     RandomScheduler,
     SlowPartiesScheduler,
-    make_scheduler,
 )
 
 
@@ -174,20 +174,6 @@ def test_random_scheduler_in_range():
         assert 0 <= scheduler.choose(_pending(4)) < 4
 
 
-def test_priority_scheduler_starves_matching():
-    scheduler = PriorityScheduler(lambda m: m.sender == server_id(1),
-                                  seed=0)
-    pending = _pending(6)
-    for _ in range(20):
-        index = scheduler.choose(pending)
-        assert pending[index].sender != server_id(1)
-
-
-def test_priority_scheduler_falls_back():
-    scheduler = PriorityScheduler(lambda m: True, seed=0)
-    assert 0 <= scheduler.choose(_pending(3)) < 3
-
-
 def test_slow_parties_scheduler():
     scheduler = SlowPartiesScheduler({server_id(2)}, seed=1)
     pending = [_msg(msg_id=i, sender=(i % 3) + 1, recipient=(i % 4) + 3)
@@ -204,41 +190,37 @@ def test_slow_parties_scheduler_fallback_when_all_slow():
 
 
 def test_make_scheduler_factory():
-    assert isinstance(make_scheduler("fifo"), FifoScheduler)
-    assert isinstance(make_scheduler("random", seed=1), RandomScheduler)
-    assert isinstance(
-        make_scheduler("priority", deprioritize=lambda m: False),
-        PriorityScheduler)
-    with pytest.raises(ValueError):
-        make_scheduler("priority")
-    with pytest.raises(ValueError):
-        make_scheduler("quantum")
+    """``SchedulerSpec.build`` is the one scheduler factory."""
+    assert isinstance(SchedulerSpec(name="fifo").build(0), FifoScheduler)
+    assert isinstance(SchedulerSpec().build(1), RandomScheduler)
+    with pytest.raises(ConfigurationError):
+        SchedulerSpec(name="quantum").build(0)
 
 
 def test_make_scheduler_slow_parties():
     """Regression: the factory used to have no way to build the
     adversarial scheduler classes, so experiment configs could not
     express them."""
-    scheduler = make_scheduler("slow-parties", seed=1,
-                               slow_parties={server_id(2)})
+    scheduler = SchedulerSpec(name="slow-parties",
+                              slow_servers=(2,)).build(1)
     assert isinstance(scheduler, SlowPartiesScheduler)
     pending = [_msg(msg_id=i, sender=(i % 3) + 1, recipient=(i % 4) + 3)
                for i in range(8)]
     chosen = pending[scheduler.choose(pending)]
     assert server_id(2) not in (chosen.sender, chosen.recipient)
-    with pytest.raises(ValueError):
-        make_scheduler("slow-parties")
+    with pytest.raises(ConfigurationError):
+        SchedulerSpec(name="slow-parties").build(1)
 
 
 def test_make_scheduler_partition():
-    scheduler = make_scheduler("partition", seed=2,
-                               group={server_id(1)}, heal_after=5)
+    scheduler = SchedulerSpec(name="partition", group=(1,),
+                              heal_after=5).build(2)
     assert isinstance(scheduler, PartitionScheduler)
     assert not scheduler.healed
     # heal_after is mandatory: a permanent partition would violate
     # eventual delivery.
-    with pytest.raises(ValueError):
-        make_scheduler("partition", group={server_id(1)})
-    with pytest.raises(ValueError):
-        make_scheduler("partition", heal_after=5)
+    with pytest.raises(ConfigurationError):
+        SchedulerSpec(name="partition", group=(1,)).build(2)
+    with pytest.raises(ConfigurationError):
+        SchedulerSpec(name="partition", heal_after=5).build(2)
 

@@ -12,7 +12,6 @@ from repro.crypto.numtheory import (
     is_probable_prime,
     lagrange_coefficient,
     mod_inverse,
-    random_prime,
     random_safe_prime,
 )
 
@@ -43,19 +42,6 @@ def test_negative_numbers_not_prime():
 def test_large_known_prime():
     assert is_probable_prime(2 ** 127 - 1)      # Mersenne prime
     assert not is_probable_prime(2 ** 128 - 1)
-
-
-def test_random_prime_has_requested_bits():
-    rng = random.Random(1)
-    for bits in (8, 16, 48):
-        p = random_prime(bits, rng)
-        assert p.bit_length() == bits
-        assert is_probable_prime(p)
-
-
-def test_random_prime_too_small_rejected():
-    with pytest.raises(ValueError):
-        random_prime(1, random.Random(0))
 
 
 def test_random_safe_prime():

@@ -47,10 +47,10 @@ from repro.obs import (
     emit_bench,
     operation_plane_traffic,
     operation_records,
+    plane_traffic,
     to_jsonable,
     wall_seconds,
 )
-from repro.obs.clock import WallTimer
 from repro.repair.bench import CHURN_CASE, churn_storm_plan
 
 
@@ -231,7 +231,6 @@ def test_write_path_crosses_disperse_and_quorum(traced_cluster):
     phases = {hop.phase for hop in path.hops}
     assert PHASE_QUORUM_WAIT in phases  # the final ack hop
     assert phases & {PHASE_DISPERSE, PHASE_RBC}
-    assert path.dominant_phase() in path.attribution
     summary = attribution_summary(path)
     assert all(phase in summary for phase in path.attribution)
 
@@ -305,14 +304,9 @@ def test_builtin_instruments_populated(traced_cluster):
 
 # -- wall clock quarantine -----------------------------------------------------
 
-def test_wall_clock_measures_and_records():
+def test_wall_clock_is_monotonic():
     start = wall_seconds()
     assert wall_seconds() >= start
-    histogram = Histogram("wall")
-    with WallTimer(histogram) as timer:
-        pass
-    assert timer.elapsed >= 0.0
-    assert histogram.count == 1
 
 
 # -- metrics scoping -----------------------------------------------------------
@@ -420,7 +414,8 @@ def test_injected_delays_show_as_attributed_wait():
     assert growth == surplus
     assert delayed.attribution[PHASE_LOCAL] \
         > clean.attribution[PHASE_LOCAL]
-    assert delayed.dominant_phase() == PHASE_LOCAL
+    assert max(delayed.attribution, key=delayed.attribution.get) \
+        == PHASE_LOCAL
 
 
 # -- the per-operation index ---------------------------------------------------
@@ -761,27 +756,24 @@ def test_index_binds_unwaited_releases_in_release_order():
 
 
 def test_index_agrees_with_messages_when_a_msg_id_is_recorded_twice():
-    """Simulators never reuse a ``msg_id``; if a tracer is fed one
-    twice, the last write wins in ``messages`` — keeping the first
-    write's position — and the index says the same."""
+    """Simulators never reuse a ``msg_id`` (a chaos duplicate takes a
+    fresh one), so a tracer fed one twice raises instead of choosing a
+    winner; ``messages``, the index and the plane totals keep the first
+    record."""
     recorder = _hand_recorder()
-    recorder.on_quorum(3, client_id(1), "ID", "ack", 3, (), 1)
-    _send(recorder, Message(tag="ID2|disp.w9", mtype="avid-send",
-                            sender=client_id(1), recipient=server_id(2),
-                            payload=(b"moved",), msg_id=1), time=40)
-    assert recorder.messages[1].tag == "ID2|disp.w9"
-    assert list(recorder.messages)[1] == 1  # position of the first write
+    first = recorder.messages[1]
+    wire = plane_traffic(recorder)
+    with pytest.raises(SimulationError, match="msg_id 1 "):
+        _send(recorder, Message(tag="ID2|disp.w9", mtype="avid-send",
+                                sender=client_id(1),
+                                recipient=server_id(2),
+                                payload=(b"moved",), msg_id=1), time=40)
+    assert recorder.messages[1] is first
+    assert plane_traffic(recorder) == wire
     for tag, oid in _HAND_QUERIES + [("ID2", "w9")]:
         assert operation_records(recorder, tag, oid) \
             == _scan_operation_records(recorder, tag, oid), (tag, oid)
-        assert recorder.operation_releases(tag, oid, client_id(1), 0, 9) \
-            == _scan_releases(recorder, tag, oid, client_id(1), 0, 9)
-    assert recorder.messages[1] not in operation_records(
-        recorder, "ID", "w1")
-    assert operation_records(recorder, "ID2", "w9") \
-        == [recorder.messages[1]]
-    assert len(recorder.operation_releases(
-        "ID2", "w9", client_id(1), 0, 9)) == 1
+    assert operation_records(recorder, "ID2", "w9") == []
 
 
 class _CountingDict(dict):

@@ -21,7 +21,7 @@ class Nester(Process):
         self.start_thread(self._thread_c())
 
     def _thread_a(self):
-        yield self.condition_message("t", "go")
+        yield self.condition_quorum("t", "go", 1)
         self.order.append("A")
         self.ready = True  # makes C satisfiable
         self.start_thread(self._thread_b())  # nested start -> nested pump
@@ -41,8 +41,8 @@ def test_nested_start_thread_during_pump():
     nester = simulator.add_process(Nester(server_id(1)))
     poker = simulator.add_process(Process(server_id(2)))
     nester.start()
-    assert nester.parked_threads == 2
+    assert len(nester._threads) == 2
     poker.send(server_id(1), "t", "go")
     simulator.run()
     assert set(nester.order) == {"A", "A-end", "B", "C"}
-    assert nester.parked_threads == 0
+    assert len(nester._threads) == 0

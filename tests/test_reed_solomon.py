@@ -22,7 +22,7 @@ def _data_blocks(k: int, length: int, seed: int = 0):
 
 def test_systematic_generator():
     code = ReedSolomonCode(7, 4)
-    assert [row for row in code.generator_matrix[:4]] == identity_matrix(4)
+    assert code._generator[:4] == identity_matrix(4)
 
 
 def test_encode_is_systematic():

@@ -26,10 +26,10 @@ The load-bearing guarantees tested here:
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
+from repro.chaos.plan import CrashSpec, FaultPlan
 from repro.common.errors import ConfigurationError, LivenessError
 from repro.common.serialization import encode
 from repro.config import SystemConfig
@@ -56,6 +56,7 @@ from repro.repair.bench import (
     churn_storm_plan,
 )
 from repro.workloads.kv import KvOp
+from tests.kv_support import settle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -70,6 +71,14 @@ def _md_cluster(num_sessions=1, num_shards=1, cache_size=0,
                             num_sessions=num_sessions,
                             cache_size=cache_size,
                             lease_ticks=lease_ticks)
+
+
+def _replace_and_repair(cluster, server, batch_size=2):
+    """A coordinator whose plan swaps fleet server ``server`` for an
+    amnesiac newcomer at its first pump, queueing every register placed
+    on it for repair."""
+    plan = FaultPlan(crashes=(CrashSpec(server, replace_after=0),))
+    return attach_repair(cluster, plan=plan, batch_size=batch_size)
 
 
 def _drain(cluster):
@@ -109,7 +118,7 @@ def test_replacement_keeps_identity_but_not_state():
     cluster = _md_cluster()
     session = cluster.session(1)
     session.put("k001", b"v1")
-    cluster.settle()
+    settle(cluster)
     _drain(cluster)
     tag = cluster.directory.register_tag("k001")
     old, new = replace_member(cluster, 1)
@@ -120,7 +129,7 @@ def test_replacement_keeps_identity_but_not_state():
     assert survivor_state.timestamp > INITIAL_TIMESTAMP
     # The newcomer is amnesiac in the strongest sense: no shard state
     # has even materialised until traffic (or repair) reaches it.
-    assert new.active_shards == []
+    assert not new._inner_servers
 
 
 def test_sessions_drain_in_flight_ops_before_adopting_the_new_epoch():
@@ -135,8 +144,8 @@ def test_sessions_drain_in_flight_ops_before_adopting_the_new_epoch():
     assert session.epoch == 0
     second = session.put("k002", b"v2")
     session.pump()
-    assert session.queued == 1  # reconfiguration drain: no admissions
-    cluster.settle()
+    assert len(session._queue) == 1  # reconfiguration drain: no admissions
+    settle(cluster)
     assert first.done and second.done
     assert session.epoch == 1
     assert session._pending_directory is None
@@ -150,11 +159,11 @@ def test_new_epoch_reads_cannot_miss_old_epoch_writes():
     cluster = _md_cluster(num_sessions=2)
     alice, bob = cluster.sessions
     alice.put("k001", b"old-epoch")
-    cluster.settle()
+    settle(cluster)
     replace_member(cluster, 2)
     assert bob.epoch == 1
     read = bob.get("k001")
-    cluster.settle()
+    settle(cluster)
     assert read.result == b"old-epoch"
     check_kv_histories(cluster.sessions)
 
@@ -165,7 +174,7 @@ def test_epoch_bump_flushes_leases_and_cached_pairs():
     cluster = _md_cluster(cache_size=8, lease_ticks=100_000)
     session = cluster.session(1)
     session.put("k001", b"v1")
-    cluster.settle()
+    settle(cluster)
     assert session.get("k001").served == "lease"  # lease is live
     replace_member(cluster, 3)
     # The session was idle, so the swap commits synchronously.
@@ -174,7 +183,7 @@ def test_epoch_bump_flushes_leases_and_cached_pairs():
     assert session.cache.lookup("k001") is None
     read = session.get("k001")
     assert not read.done  # no lease serve across the bump
-    cluster.settle()
+    settle(cluster)
     assert read.result == b"v1"
     assert read.served is None  # full protocol read, not revalidation
     check_kv_histories([session])
@@ -187,13 +196,13 @@ def test_epoch_bump_drops_queued_reads_revalidation_snapshots():
     cluster = _md_cluster(cache_size=8, lease_ticks=0)
     session = cluster.session(1)
     session.put("k001", b"v1")
-    cluster.settle()  # seeds the cache for k001
+    settle(cluster)  # seeds the cache for k001
     session.put("k002", b"v2")
     session.pump()  # k002 write in flight
     read = session.get("k001")  # queues with a revalidation snapshot
     assert not read.done
     replace_member(cluster, 1)
-    cluster.settle()
+    settle(cluster)
     assert session.epoch == 1
     assert read.result == b"v1"
     assert read.served is None  # snapshot dropped at the swap
@@ -207,13 +216,15 @@ def test_repair_restores_the_replacements_block_at_original_timestamp():
     cluster = _md_cluster()
     session = cluster.session(1)
     session.put("k001", b"payload")
-    cluster.settle()
+    settle(cluster)
     _drain(cluster)
     tag = cluster.directory.register_tag("k001")
-    old, new = replace_member(cluster, 1)
-    coordinator = attach_repair(cluster)
-    assert coordinator.request_repair(1) == 1
-    cluster.settle()
+    old = cluster.servers[0]
+    coordinator = _replace_and_repair(cluster, 1)
+    settle(cluster)
+    new = cluster.servers[0]
+    assert new is not old and new.pid == old.pid
+    assert coordinator.stats.scheduled == 1
     assert coordinator.stats.completed == 1
     assert coordinator.stats.failed == 0
     assert coordinator.lag == 0
@@ -238,7 +249,7 @@ def test_repair_refuses_to_launder_a_poisonous_write():
     cluster = _md_cluster()
     session = cluster.session(1)
     session.put("k001", b"honest")  # materialise the register everywhere
-    cluster.settle()
+    settle(cluster)
     _drain(cluster)
     spec = cluster.directory.shards[0]
     config = spec.config
@@ -256,9 +267,9 @@ def test_repair_refuses_to_launder_a_poisonous_write():
         state.commitment = commitment
         state.block = blocks[local - 1]
         state.witness = witnesses[local - 1]
-    coordinator = attach_repair(cluster)
-    assert coordinator.request_repair(1) == 1
-    cluster.settle()
+    coordinator = _replace_and_repair(cluster, 1)
+    settle(cluster)
+    assert coordinator.stats.scheduled == 1
     assert coordinator.stats.failed == 1
     assert coordinator.stats.completed == 0
 
@@ -278,7 +289,7 @@ def test_repair_waits_for_the_drain_so_the_replacement_is_not_stale():
             pid, generation, server_cls=AtomicMdServer, crash_after=0)})
     session = cluster.session(1)
     session.put("k001", b"v1")
-    cluster.settle()
+    settle(cluster)
     _drain(cluster)
     tag = cluster.directory.register_tag("k001")
     session.put("k001", b"v2")
@@ -286,11 +297,10 @@ def test_repair_waits_for_the_drain_so_the_replacement_is_not_stale():
     survivors = [host.inner_server(0) for host in cluster.servers[1:]]
     cluster.simulator.run_until(lambda: all(
         server.register_state(tag).pending_store for server in survivors))
-    replace_member(cluster, 1)
-    coordinator = attach_repair(cluster)
-    assert coordinator.request_repair(1) == 1
-    cluster.settle()
+    coordinator = _replace_and_repair(cluster, 1)
+    settle(cluster)
     _drain(cluster)
+    assert coordinator.stats.scheduled == 1
     assert coordinator.stats.completed == 1
     timestamps = {host.inner_server(0).register_state(tag).timestamp
                   for host in cluster.servers}
@@ -302,20 +312,6 @@ def test_coordinator_rejects_degenerate_budgets():
     cluster = _md_cluster()
     with pytest.raises(ConfigurationError):
         RepairCoordinator(cluster, batch_size=0)
-    with pytest.raises(ConfigurationError):
-        RepairCoordinator(cluster, max_attempts=0)
-    coordinator = RepairCoordinator(cluster)
-    with pytest.raises(ConfigurationError):
-        coordinator.detect_degraded(0.5)  # no monitor attached
-
-
-def test_detect_degraded_queues_suspects_in_index_order():
-    """Suspicion scores are keyed by name; ``"P10"`` sorts before
-    ``"P2"`` as a string, but repairs are requested by server index."""
-    monitor = SimpleNamespace(suspicion_scores=lambda: {
-        "P2": 1.0, "P10": 1.0, "P9": 0.2})
-    coordinator = RepairCoordinator(_md_cluster(), monitor=monitor)
-    assert coordinator.detect_degraded(0.5) == [2, 10]
 
 
 def test_admission_is_rate_limited_by_batch_size():
@@ -323,15 +319,15 @@ def test_admission_is_rate_limited_by_batch_size():
     session = cluster.session(1)
     for index in range(6):
         session.put(f"k{index:03d}", b"v")
-    cluster.settle()
+    settle(cluster)
     _drain(cluster)
-    coordinator = attach_repair(cluster, batch_size=2)
-    queued = coordinator.request_repair(1)
+    coordinator = _replace_and_repair(cluster, 1, batch_size=2)
+    coordinator.pump()  # swaps P1; the idle session adopts the epoch
+    queued = coordinator.stats.scheduled
     assert queued >= 2
-    coordinator.pump()
     assert len(coordinator._inflight) == 2  # never above the budget
     assert coordinator.lag == queued
-    cluster.settle()
+    settle(cluster)
     assert coordinator.stats.completed == queued
     assert coordinator.idle
 
@@ -345,7 +341,6 @@ def test_churn_storm_plan_round_trips_and_declares_excess():
     assert len(plan.crashes) == 3
     assert all(crash.replace_after == 20 for crash in plan.crashes)
     assert all(crash.trigger == "decisions" for crash in plan.crashes)
-    from repro.chaos.plan import FaultPlan
     assert FaultPlan.from_json(plan.to_json()) == plan
 
 

@@ -21,14 +21,14 @@ def test_no_parked_client_threads_after_completion():
     for protocol in ("atomic", "atomic_ns", "martin", "goodson"):
         cluster = _drained_cluster(protocol=protocol)
         for client in cluster.clients:
-            assert client.parked_threads == 0, (protocol, client.pid)
+            assert len(client._threads) == 0, (protocol, client.pid)
 
 
 def test_no_parked_server_threads_after_completion():
     """Server share-round threads must all have resumed and finished."""
     cluster = _drained_cluster(protocol="atomic_ns")
     for server in cluster.servers:
-        assert server.parked_threads == 0, server.pid
+        assert len(server._threads) == 0, server.pid
 
 
 def test_substrate_buffers_released():

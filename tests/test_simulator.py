@@ -61,9 +61,9 @@ def test_request_reply_quorum():
 def test_thread_parks_until_condition():
     simulator, collector = _network()
     collector.start("t")
-    assert collector.parked_threads == 1
+    assert len(collector._threads) == 1
     simulator.run()
-    assert collector.parked_threads == 0
+    assert len(collector._threads) == 0
 
 
 def test_output_actions_logged():
@@ -186,8 +186,8 @@ def test_handler_generator_resumes_with_condition_value():
             self.on("go", self._go)
 
         def _go(self, message):
-            first = yield self.condition_message(message.tag, "data")
-            self.got = first.payload[0]
+            first = yield self.condition_quorum(message.tag, "data", 1)
+            self.got = first[0].payload[0]
 
     simulator = Simulator()
     waiter = simulator.add_process(Waiter(server_id(1)))
@@ -217,7 +217,7 @@ def test_immediately_satisfiable_condition_does_not_park():
     simulator = Simulator()
     eager = simulator.add_process(Eager(server_id(1)))
     eager.start()
-    assert eager.done and eager.parked_threads == 0
+    assert eager.done and len(eager._threads) == 0
 
 
 def test_thread_yielding_non_callable_raises():

@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis.trace import (
     export_events_jsonl,
-    format_timeline,
     match_operations,
     operation_summary,
     traffic_summary,
@@ -29,20 +28,6 @@ def run_cluster():
     cluster.read(2, "reg", "r1")
     cluster.run()
     return cluster
-
-
-def test_format_timeline(run_cluster):
-    text = format_timeline(run_cluster.simulator.event_log)
-    assert "write" in text and "ack" in text
-    assert "<12B>" in text  # byte payloads summarized by length
-
-
-def test_format_timeline_filters(run_cluster):
-    text = format_timeline(run_cluster.simulator.event_log,
-                           tag="other-register")
-    assert text == "(no matching events)"
-    limited = format_timeline(run_cluster.simulator.event_log, limit=2)
-    assert "showing first 2" in limited
 
 
 def test_operation_summary(run_cluster):

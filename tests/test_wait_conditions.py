@@ -97,8 +97,8 @@ def test_where_and_key_run_once_per_message():
                                           where=where, oid="r1")
     quorum = process.condition_quorum("t", "value", 5, where=where,
                                       oid="r1")
-    first = process.condition_message(
-        "t", "value", where=lambda m: where(m) and m.payload[1] == "C",
+    first = process.condition_quorum(
+        "t", "value", 1, where=lambda m: where(m) and m.payload[1] == "C",
         oid="r1")
     messages = [_value(1, "A"), _value(2, "B", extra=b"bad"),
                 _value(3, "A"), _value(4, "B"), _value(5, "A")]
@@ -107,7 +107,7 @@ def test_where_and_key_run_once_per_message():
         agreeing(), quorum(), first()
     ids = [message.msg_id for message in messages]
     # once for the agreeing wait, once for the quorum wait and once
-    # for the single-message wait: each builder keeps its own verdicts
+    # for the one-message quorum: each builder keeps its own verdicts
     assert [where_calls[i] for i in ids] == [3] * 5
     # the key never runs on a message ``where`` rejected
     assert [key_calls[i] for i in ids] == [1, 0, 1, 1, 1]
