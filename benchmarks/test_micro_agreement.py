@@ -1,8 +1,6 @@
 """Agreement-stack microbenchmarks (real timing): what one consensus
 instance costs the simulator — context for F13's message counts."""
 
-import pytest
-
 from repro.agreement.acs import CommonSubset
 from repro.agreement.binary import BinaryAgreement
 from repro.common.ids import server_id

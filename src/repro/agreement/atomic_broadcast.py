@@ -17,8 +17,7 @@ arrives first — late servers join by proposing their current buffer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Set
 
 from repro.agreement.acs import CommonSubset
 from repro.common.serialization import encode

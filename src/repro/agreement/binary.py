@@ -23,7 +23,7 @@ honest estimate entering round ``r + 1`` is ``v``, after which only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.agreement.coin import CommonCoin
 from repro.common.ids import PartyId

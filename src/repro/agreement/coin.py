@@ -16,9 +16,8 @@ operations").
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple
 
-from repro.common.ids import PartyId
 from repro.config import SystemConfig
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.threshold import SignatureShare

@@ -18,7 +18,7 @@ has neither: its write is a two-phase store/commit, ``6n`` messages).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.errors import ConfigurationError

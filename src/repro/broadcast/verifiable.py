@@ -31,7 +31,7 @@ eventually complete and send valid blocks, and ``k <= n - t``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.avid.disperse import AvidServer
 from repro.avid.disperse import disperse as _disperse

@@ -10,8 +10,8 @@ plane's one runner on top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.abc_register import AbcRegisterClient, AbcRegisterServer
 from repro.baselines.bazzi_ding import BazziDingClient, BazziDingServer

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.errors import SerializationError
 from repro.common.lru import LruCache

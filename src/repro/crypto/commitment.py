@@ -17,7 +17,7 @@ trade Section 2.3 makes when it replaces cross-checksums by hashes of them.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.serialization import encode

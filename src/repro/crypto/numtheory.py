@@ -1,8 +1,7 @@
 """Number-theoretic utilities for the threshold-RSA backend.
 
 Pure-Python primality testing (Miller–Rabin with deterministic bases for
-small inputs), prime and safe-prime generation from a seeded RNG, modular
-inverses, and integer Lagrange coefficients.  Everything is deterministic
+small inputs), modular inverses, and integer Lagrange coefficients.  Everything is deterministic
 given the caller's :class:`random.Random` instance, which keeps protocol
 runs and tests reproducible.
 """
@@ -62,22 +61,6 @@ def is_probable_prime(n: int, rng: Optional[random.Random] = None,
         rng = rng or random.Random(n)
         witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
     return all(_miller_rabin(n, w) for w in witnesses)
-
-
-def random_safe_prime(bits: int, rng: random.Random) -> int:
-    """Return a random safe prime ``p`` (``p`` and ``(p-1)/2`` both prime).
-
-    Safe primes are sparse; this is the slow step of RSA threshold key
-    generation.  Test fixtures use the precomputed pairs in
-    :data:`repro.crypto.rsa.PRECOMPUTED_SAFE_PRIMES`.
-    """
-    while True:
-        q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
-        if not is_probable_prime(q, rng):
-            continue
-        p = 2 * q + 1
-        if is_probable_prime(p, rng):
-            return p
 
 
 def mod_inverse(a: int, modulus: int) -> int:

@@ -7,22 +7,22 @@ that the subgroup of squares in ``Z_N*`` is cyclic of order ``m = p'q'``
 and contains no small-order elements.
 
 Safe-prime generation in pure Python is slow at production sizes, so this
-module also ships deterministic precomputed safe-prime pairs for use in
+module ships deterministic precomputed safe-prime pairs for use in
 tests and benchmarks (this is key material for a *simulation*; it is not
 meant to protect real data).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict
 
 from repro.common.errors import ConfigurationError
-from repro.crypto.numtheory import is_probable_prime, random_safe_prime
+from repro.crypto.numtheory import is_probable_prime
 
 #: Deterministically generated safe-prime pairs ``(p, q)`` keyed by bit size.
-#: Generated once with ``random_safe_prime`` from seeds 20060206/20060207
+#: Generated once with ``tests/safe_primes.py``'s ``random_safe_prime``
+#: from seeds 20060206/20060207
 #: (the paper's date); a pair is verified the first time
 #: :func:`precomputed_modulus` hands it out.
 PRECOMPUTED_SAFE_PRIMES = {
@@ -69,16 +69,6 @@ class RsaModulus:
     @property
     def bits(self) -> int:
         return self.n.bit_length()
-
-
-def generate_modulus(bits: int, rng: random.Random) -> RsaModulus:
-    """Generate a fresh safe-prime RSA modulus of roughly ``bits`` bits."""
-    half = bits // 2
-    p = random_safe_prime(half, rng)
-    q = random_safe_prime(half, rng)
-    while q == p:
-        q = random_safe_prime(half, rng)
-    return RsaModulus(n=p * q, p=p, q=q)
 
 
 #: Moduli of the pairs verified so far, by per-prime size.  Primality

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 from repro.common.errors import (
     ConfigurationError,
@@ -51,7 +51,7 @@ from repro.crypto.numtheory import (
     lagrange_coefficient,
     mod_inverse,
 )
-from repro.crypto.rsa import RsaModulus, generate_modulus, precomputed_modulus
+from repro.crypto.rsa import RsaModulus, precomputed_modulus
 
 _CHALLENGE_BITS = 256
 
@@ -180,8 +180,8 @@ class ShoupThresholdScheme(ThresholdScheme):
         Group size and corruption threshold; ``t + 1`` shares combine.
     modulus:
         A safe-prime :class:`RsaModulus`.  Defaults to the precomputed
-        512-bit-primes modulus; pass ``generate_modulus(bits, rng)`` for a
-        fresh one.
+        512-bit-primes modulus; any other safe-prime
+        :class:`RsaModulus` works the same.
     rng:
         Source of dealer randomness (polynomial coefficients, the
         verification base ``v``, and proof nonces).

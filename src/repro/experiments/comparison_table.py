@@ -19,7 +19,7 @@ Expected shape (the paper's claims):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.complexity import ComplexityModel
 from repro.experiments.common import (

@@ -233,9 +233,8 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
                 zipf_exponent: float = 1.1, seed: int = 0,
                 value_size: int = 64,
                 plan: Union[None, str, FaultPlan] = None,
-                max_queue: int = 32, max_attempts: int = 4, monitor=None,
+                max_attempts: int = 4, monitor=None,
                 shard_k: Optional[int] = None,
-                protocol_overrides: Optional[Dict[int, str]] = None,
                 shift_every: int = DEFAULT_SHIFT_EVERY,
                 byzantine: Optional[str] = None,
                 cache_size: int = 0, lease_ticks: int = 0,
@@ -268,12 +267,9 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
     traffic/phase columns and the monitor's per-shard series feed
     ``repro monitor``; otherwise a fresh recorder does.
 
-    ``protocol_overrides`` pins individual shards to other protocols
-    (``{shard_id: name}``); ``shard_k`` pins every shard's erasure
-    threshold.  When any shard runs ``atomic_md`` and ``shard_k`` is
-    unset, ``k = t + 1`` is chosen automatically
-    (:func:`repro.cluster.default_k`) — ``t + 1`` is valid for every
-    protocol, so mixed-protocol deployments stay comparable.
+    ``shard_k`` pins every shard's erasure threshold.  When
+    ``protocol`` is ``atomic_md`` and ``shard_k`` is unset, ``k = t + 1``
+    is chosen automatically (:func:`repro.cluster.default_k`).
 
     ``cache_size``/``lease_ticks`` enable session-cached reads with
     metadata-only revalidation and local lease serving (see
@@ -293,19 +289,16 @@ def run_kv_case(num_shards: int, n: int = 4, t: int = 1,
     ``row`` and ``cluster``: a caller that *expects* the stall (the
     unrepaired churn storm) reports it, everyone else fails as before.
     """
-    overrides_by_shard = dict(protocol_overrides or {})
-    for name in (protocol, *overrides_by_shard.values()):
-        shard_k = default_k(name, t, shard_k)
     fleet = SystemConfig(n=n, t=t, seed=seed)
-    directory = KvDirectory(fleet, num_shards, shard_k=shard_k,
-                            protocol_overrides=overrides_by_shard)
+    directory = KvDirectory(fleet, num_shards,
+                            shard_k=default_k(protocol, t, shard_k))
     plan = _case_plan(plan, byzantine, n, t, seed)
     cluster = build_kv_cluster(
         directory, protocol=protocol, num_sessions=sessions,
         scheduler=(plan or FaultPlan()).build_scheduler(seed),
         server_overrides=None if plan is None else fault_overrides(
             plan, protocol_classes(protocol)[0], host=KvServer),
-        max_queue=max_queue, max_attempts=max_attempts,
+        max_attempts=max_attempts,
         cache_size=cache_size, lease_ticks=lease_ticks)
     if monitor is not None:
         recorder = monitor.attach(cluster.simulator).recorder

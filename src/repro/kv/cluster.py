@@ -80,7 +80,6 @@ def build_kv_cluster(directory: KvDirectory, protocol: str = "atomic",
                      scheduler: Optional[Scheduler] = None,
                      server_overrides: Optional[
                          Dict[int, KvServerFactory]] = None,
-                     max_queue: int = 32,
                      max_attempts: int = 4,
                      cache_size: int = 0,
                      lease_ticks: int = 0) -> KvCluster:
@@ -88,9 +87,7 @@ def build_kv_cluster(directory: KvDirectory, protocol: str = "atomic",
 
     ``server_overrides`` maps 1-based fleet server indices to factories
     (used by chaos harnesses to substitute fail-stop hosts).  The inner
-    protocol comes from :data:`repro.cluster.PROTOCOLS`; shards whose
-    :class:`~repro.kv.directory.ShardSpec` carries a ``protocol``
-    override materialise that protocol instead of the cluster default.
+    protocol of every shard comes from :data:`repro.cluster.PROTOCOLS`.
     ``cache_size``/``lease_ticks`` configure every session's read cache
     (see :mod:`repro.kv.session_cache`; both default off).
     """
@@ -113,9 +110,8 @@ def build_kv_cluster(directory: KvDirectory, protocol: str = "atomic",
                                    client_cls=client_cls)
         simulator.add_process(client_host)
         sessions.append(KvSession(
-            client_host, directory, index=index, max_queue=max_queue,
-            max_attempts=max_attempts, cache_size=cache_size,
-            lease_ticks=lease_ticks))
+            client_host, directory, index=index, max_attempts=max_attempts,
+            cache_size=cache_size, lease_ticks=lease_ticks))
     return KvCluster(directory=directory, simulator=simulator,
                      servers=servers, sessions=sessions, protocol=protocol)
 

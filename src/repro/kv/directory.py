@@ -4,12 +4,12 @@ The directory is the metadata plane of the key-value layer (following
 the metadata/bulk separation of MDStore): it is pure data, identical at
 every party, and never exchanged over the wire.  A key hashes to one of
 ``num_shards`` register shards; each shard is an independent protocol
-instance with its own ``SystemConfig(n, t)`` placed on a rotated window
+instance with the fleet's ``SystemConfig(n, t)`` placed on a rotation
 of the fleet's servers, so hundreds of registers can share one simulated
 fleet while every shard keeps the paper's ``n > 3t`` resilience bound.
 
 Within a shard, parties use *shard-local* identities: servers are
-``P_1 .. P_shard_n`` in placement order, clients keep their fleet
+``P_1 .. P_n`` in placement order, clients keep their fleet
 identity.  :class:`ShardSpec` holds the bidirectional index mapping.
 """
 
@@ -57,9 +57,6 @@ class ShardSpec:
     shard_id: int
     placement: Tuple[int, ...]
     config: SystemConfig
-    #: Protocol name this shard runs (``repro.cluster.PROTOCOLS`` key),
-    #: or ``None`` to use whatever the hosting cluster was built with.
-    protocol: Optional[str] = None
     _local_by_fleet: Dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -70,33 +67,23 @@ class ShardSpec:
         """Map a shard-local server index (1-based) to its fleet index."""
         return self.placement[local_index - 1]
 
-    def local_server_index(self, fleet_index: int) -> Optional[int]:
-        """Map a fleet server index to this shard's local index.
-
-        Returns ``None`` when the fleet server does not host this shard.
-        """
-        return self._local_by_fleet.get(fleet_index)
+    def local_server_index(self, fleet_index: int) -> int:
+        """Map a fleet server index to this shard's local index."""
+        return self._local_by_fleet[fleet_index]
 
 
 class KvDirectory:
     """Deterministic key → shard map over one server fleet.
 
     Hash partitioning uses SHA-256 (never the interpreter's ``hash``,
-    which is salted per process and would break replay).  Shard ``s``
-    is placed on the ``shard_n`` fleet servers starting at rotation
-    offset ``s``, so load spreads evenly when ``shard_n < fleet n``.
-
-    Per-shard parameters are validated against the cluster config:
-    a shard cannot recruit more servers than the fleet has, and must
-    tolerate at least the fleet's corruption bound ``t`` (any ``t``
-    fleet-level faults could all land inside one shard's placement).
+    which is salted per process and would break replay).  Every shard
+    spans the whole fleet with the fleet's ``(n, t)``; shard ``s`` is
+    placed on the fleet rotated by ``s``, which decides the fleet
+    server that plays each shard-local ``P_j``.
 
     ``shard_k`` pins every shard's erasure threshold (metadata/data-
     separated shards need ``k <= n - 2t``, canonically ``t + 1``, which
-    every protocol accepts); ``protocol_overrides`` maps shard ids to
-    protocol names so one deployment can run different shards under
-    different protocols — unset shards follow the hosting cluster's
-    default.
+    every protocol accepts); unset, shards take the fleet's ``k``.
 
     ``epoch`` stamps the directory *generation*.  Reconfiguration (see
     :mod:`repro.repair.reconfig`) never mutates a directory in place:
@@ -107,61 +94,27 @@ class KvDirectory:
     """
 
     def __init__(self, fleet_config: SystemConfig, num_shards: int,
-                 shard_n: Optional[int] = None,
-                 shard_t: Optional[int] = None,
-                 shard_k: Optional[int] = None,
-                 protocol_overrides: Optional[Dict[int, str]] = None,
-                 epoch: int = 0) -> None:
+                 shard_k: Optional[int] = None, epoch: int = 0) -> None:
         if num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
         if epoch < 0:
             raise ConfigurationError(
                 f"directory epoch must be >= 0, got {epoch}")
         self.epoch = epoch
-        protocol_overrides = dict(protocol_overrides or {})
-        for shard_id in protocol_overrides:
-            if not 0 <= shard_id < num_shards:
-                raise ConfigurationError(
-                    f"protocol override for shard {shard_id} out of "
-                    f"range [0, {num_shards})")
-        shard_n = fleet_config.n if shard_n is None else shard_n
-        shard_t = fleet_config.t if shard_t is None else shard_t
-        if shard_n > fleet_config.n:
-            raise ConfigurationError(
-                f"shard_n={shard_n} exceeds the fleet size n={fleet_config.n}")
-        # Deployment-shape validation, not a quorum wait.
-        # lint: disable=quorum-intersection
-        if shard_t < fleet_config.t:
-            raise ConfigurationError(
-                f"shard_t={shard_t} is below the fleet fault bound "
-                f"t={fleet_config.t}: {fleet_config.t} fleet faults could "
-                "all fall inside one shard")
         self.fleet_config = fleet_config
         self.num_shards = num_shards
-        self.shard_n = shard_n
-        self.shard_t = shard_t
         fleet_n = fleet_config.n
-        if shard_k is None:
-            # The fleet's resolved k only transfers when the shard shares
-            # the fleet's (n, t); shrunken shards re-derive their own
-            # default.  An explicit shard_k (e.g. ``t + 1`` for
-            # metadata/data-separated shards) wins over both.
-            same_shape = (shard_n == fleet_config.n
-                          and shard_t == fleet_config.t)
-            shard_k = fleet_config.k if same_shape else None
-        self.shard_k = shard_k
+        self.shard_k = fleet_config.k if shard_k is None else shard_k
         shards = []
         for shard_id in range(num_shards):
             placement = tuple(((shard_id + offset) % fleet_n) + 1
-                              for offset in range(shard_n))
+                              for offset in range(fleet_n))
             config = SystemConfig(
-                n=shard_n, t=shard_t, k=shard_k,
+                n=fleet_n, t=fleet_config.t, k=self.shard_k,
                 commitment=fleet_config.commitment,
                 threshold_backend=fleet_config.threshold_backend,
                 seed=fleet_config.seed + shard_id)
-            shards.append(ShardSpec(
-                shard_id, placement, config,
-                protocol=protocol_overrides.get(shard_id)))
+            shards.append(ShardSpec(shard_id, placement, config))
         self._shards: Tuple[ShardSpec, ...] = tuple(shards)
         self._shard_of_key = LruCache(_KEY_MEMO_CAPACITY)
 

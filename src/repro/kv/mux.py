@@ -21,8 +21,8 @@ unwrapping derives each entry's recipient (the inner process this host
 runs for the entry's shard) and its shard-local sender (the envelope's
 channel-authenticated fleet sender, mapped through the shard's
 placement — a fleet server becomes its local ``P_j``, a client stays
-itself), and drops an entry whose fleet sender is a server outside the
-shard's placement before any shard state materialises for it.
+itself).  Every shard spans the whole fleet, so every fleet server is
+some ``P_j`` of every shard.
 
 Byzantine *hosts* are out of scope for this layer (chaos plans exercise
 crashes, drops, delays, and partitions); a corrupted host could forge
@@ -48,20 +48,6 @@ from repro.kv.envelope import (
 )
 from repro.net.message import Message, content_wire_size
 from repro.net.process import Process
-
-
-def _shard_classes(spec: ShardSpec) -> Optional[Tuple[type, type]]:
-    """The (server, client) classes a shard's ``protocol`` override
-    names, or ``None`` when the shard follows the cluster default.
-
-    Resolved lazily through :func:`repro.cluster.protocol_classes`
-    (imported here, not at module scope: the cluster facade is a higher
-    layer).
-    """
-    if spec.protocol is None:
-        return None
-    from repro.cluster import protocol_classes
-    return protocol_classes(spec.protocol)
 
 
 class ShardBus:
@@ -112,7 +98,7 @@ class ShardBus:
 
     @property
     def server_pids(self) -> Sequence[PartyId]:
-        """The shard-local server roster ``P_1 .. P_shard_n`` (shared,
+        """The shard-local server roster ``P_1 .. P_n`` (shared,
         immutable: inner protocols only iterate it)."""
         return self._server_pids
 
@@ -122,11 +108,10 @@ class ShardBus:
             return self._fleet_pids[local_pid]
         return local_pid
 
-    def local_pid(self, fleet_pid: PartyId) -> Optional[PartyId]:
-        """Map a fleet party to its shard-local identity, or ``None``
-        for a fleet server outside this shard's placement."""
+    def local_pid(self, fleet_pid: PartyId) -> PartyId:
+        """Map a fleet party to its shard-local identity."""
         if fleet_pid.is_server:
-            return self._local_pids.get(fleet_pid.index)
+            return self._local_pids[fleet_pid.index]
         return fleet_pid
 
     def enqueue(self, sender: PartyId, recipient: PartyId, tag: str,
@@ -324,14 +309,12 @@ class _KvMuxProcess(Process):
                 shard = None
                 route = routes.get(entry.shard)
                 if route is None:
-                    resolved = self._kv_inner_for(entry.shard, fleet_sender)
+                    resolved = self._kv_inner_for(entry.shard)
                     if resolved is None:
                         continue
                     inner, bus = resolved
-                    sender = bus.local_pid(fleet_sender)
-                    if sender is None:
-                        continue  # a fleet server outside the placement
-                    route = routes[entry.shard] = (inner, sender)
+                    route = routes[entry.shard] = (
+                        inner, bus.local_pid(fleet_sender))
                 inner, sender = route
                 shard, recipient = entry.shard, inner.pid
             if delivered is not None:
@@ -345,10 +328,10 @@ class _KvMuxProcess(Process):
             self.simulator.report_deliver_batch(fleet_sender, self.pid,
                                                 delivered)
 
-    def _kv_inner_for(self, shard_id: int, fleet_sender: PartyId
+    def _kv_inner_for(self, shard_id: int
                       ) -> Optional[Tuple[Process, ShardBus]]:
-        """Resolve the inner (process, bus) an entry of ``shard_id`` from
-        ``fleet_sender`` addresses, or ``None`` to drop it."""
+        """Resolve the inner (process, bus) an entry of ``shard_id``
+        addresses, or ``None`` to drop it."""
         raise NotImplementedError
 
 
@@ -357,10 +340,9 @@ class KvServer(_KvMuxProcess):
 
     Shard state materialises on first contact: a fleet of 4 servers can
     advertise hundreds of shards while only paying for the ones traffic
-    actually reaches.  ``server_cls`` is the default inner class; a
-    shard whose spec names a ``protocol`` override materialises that
-    protocol's server instead.  Every register starts from the empty
-    value, so a replacement host starts where the original did.
+    actually reaches.  ``server_cls`` is the inner class of every
+    shard.  Every register starts from the empty value, so a
+    replacement host starts where the original did.
     """
 
     def __init__(self, pid: PartyId, directory: KvDirectory,
@@ -374,22 +356,17 @@ class KvServer(_KvMuxProcess):
         resolved = self._inner_servers.get(shard_id)
         return None if resolved is None else resolved[0]
 
-    def _kv_inner_for(self, shard_id: int, fleet_sender: PartyId
+    def _kv_inner_for(self, shard_id: int
                       ) -> Optional[Tuple[Process, ShardBus]]:
         resolved = self._inner_servers.get(shard_id)
         if resolved is None:
             if not 0 <= shard_id < self.directory.num_shards:
                 return None
             spec = self.directory.shard(shard_id)
-            local = spec.local_server_index(self.pid.index)
-            if local is None:
-                return None  # this fleet server does not serve the shard
             bus = ShardBus(self, spec)
-            if bus.local_pid(fleet_sender) is None:
-                return None  # never a sender in this shard: keep nothing
-            classes = _shard_classes(spec)
-            server_cls = self._server_cls if classes is None else classes[0]
-            inner = server_cls(server_id(local), spec.config)
+            inner = self._server_cls(
+                server_id(spec.local_server_index(self.pid.index)),
+                spec.config)
             bus.attach(inner)
             resolved = (inner, bus)
             self._inner_servers[shard_id] = resolved
@@ -408,8 +385,7 @@ class KvClientHost(_KvMuxProcess):
 
     Inner clients keep the fleet client's identity (client ids are
     shard-global), so acks and read values route straight back.
-    ``client_cls`` is the default inner class; shards with a
-    ``protocol`` override materialise that protocol's client.
+    ``client_cls`` is the inner class of every shard.
     """
 
     def __init__(self, pid: PartyId, directory: KvDirectory,
@@ -433,15 +409,13 @@ class KvClientHost(_KvMuxProcess):
         if resolved is None:
             spec = self.directory.shard(shard_id)
             bus = ShardBus(self, spec)
-            classes = _shard_classes(spec)
-            client_cls = self._client_cls if classes is None else classes[1]
-            inner = client_cls(self.pid, spec.config)
+            inner = self._client_cls(self.pid, spec.config)
             bus.attach(inner)
             resolved = (inner, bus)
             self._inner_clients[shard_id] = resolved
         return resolved[0]
 
-    def _kv_inner_for(self, shard_id: int, fleet_sender: PartyId
+    def _kv_inner_for(self, shard_id: int
                       ) -> Optional[Tuple[Process, ShardBus]]:
         # Replies can only address shards this client has invoked on.
         return self._inner_clients.get(shard_id)

@@ -63,6 +63,10 @@ from repro.kv.directory import KvDirectory
 from repro.kv.mux import KvClientHost
 from repro.kv.session_cache import CachedRead, SessionCache
 
+#: Operations a session queues awaiting admission before a submission
+#: that needs a slot raises :class:`BackpressureError`.
+MAX_QUEUE = 32
+
 
 @dataclass
 class KvOpHandle:
@@ -149,13 +153,11 @@ class KvSession:
     """
 
     def __init__(self, host: KvClientHost, directory: KvDirectory,
-                 index: int, max_queue: int = 32,
-                 max_attempts: int = 4, cache_size: int = 0,
+                 index: int, max_attempts: int = 4, cache_size: int = 0,
                  lease_ticks: int = 0) -> None:
         self.host = host
         self.directory = directory
         self.index = index
-        self.max_queue = max_queue
         self.max_attempts = max_attempts
         self.cache = SessionCache(cache_size, lease_ticks)
         #: every handle ever issued, in submission order (history source).
@@ -274,10 +276,10 @@ class KvSession:
         return handle
 
     def _admission_check(self) -> None:
-        if len(self._queue) >= self.max_queue:
+        if len(self._queue) >= MAX_QUEUE:
             raise BackpressureError(
                 f"session {self.index}: queue full "
-                f"({self.max_queue} operations awaiting admission)")
+                f"({MAX_QUEUE} operations awaiting admission)")
 
     def _enqueue(self, op: _QueuedOp) -> None:
         """Take a queue slot: the one way a submission gives the next

@@ -41,7 +41,6 @@ waived per line with ``# lint: disable=<rule-id>`` comments.
 
 from __future__ import annotations
 
-from repro.lint.config import LintConfig
 from repro.lint.engine import (
     RULE_WAIVER_DEAD,
     Finding,
@@ -55,7 +54,6 @@ from repro.lint.rules import all_rules
 
 __all__ = [
     "Finding",
-    "LintConfig",
     "LintReport",
     "ModuleInfo",
     "Project",

@@ -11,7 +11,6 @@ violations) are always in scope, so fixtures exercise every rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 #: Protocol modules: the paper's actual storage/broadcast/agreement
@@ -79,30 +78,19 @@ DEFAULT_SCOPES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-@dataclass
-class LintConfig:
-    """Scoping configuration handed to every rule.
+def in_scope(pack: str, dotted: str) -> bool:
+    """Whether a rule pack applies to module ``dotted``.
 
-    ``scopes`` maps a rule-pack name to dotted-module prefixes the pack
-    applies to.  Scoping is only enforced for ``repro.*`` modules (see
-    module docstring); pass ``scope_all_packages=True`` to enforce it
-    everywhere.
+    Scoping by :data:`DEFAULT_SCOPES` is only enforced for ``repro.*``
+    modules (see module docstring).
     """
-
-    scopes: Dict[str, Tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_SCOPES))
-    scope_all_packages: bool = False
-
-    def in_scope(self, pack: str, dotted: str) -> bool:
-        """Whether a rule pack applies to module ``dotted``."""
-        if dotted.startswith("repro.lint"):
-            # The linter does not lint itself with protocol rules.
-            return pack == "wire"
-        if not self.scope_all_packages and not (
-                dotted == "repro" or dotted.startswith("repro.")):
-            return True
-        prefixes = self.scopes.get(pack, ())
-        if not prefixes:
-            return True
-        return any(dotted == p or dotted.startswith(p + ".")
-                   for p in prefixes)
+    if dotted.startswith("repro.lint"):
+        # The linter does not lint itself with protocol rules.
+        return pack == "wire"
+    if not (dotted == "repro" or dotted.startswith("repro.")):
+        return True
+    prefixes = DEFAULT_SCOPES.get(pack, ())
+    if not prefixes:
+        return True
+    return any(dotted == p or dotted.startswith(p + ".")
+               for p in prefixes)

@@ -23,7 +23,7 @@ from repro.lint.astutil import (
     module_string_constants,
     terminal_name,
 )
-from repro.lint.config import LintConfig
+from repro.lint.config import in_scope
 from repro.lint.findings import Finding, LintReport
 
 _WAIVER_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_\-]+(?:\s*,\s*[A-Za-z0-9_\-]+)*)")
@@ -63,14 +63,13 @@ class Rule(Protocol):
     ``quorum``, ``wire``, ``handlers``); ``rule_ids`` lists every
     finding identifier the rule can emit (used by ``--list-rules`` and
     ``--rules`` filtering); ``run`` yields findings over the whole
-    project and must itself respect ``config.in_scope(pack, dotted)``.
+    project and must itself respect ``in_scope(pack, dotted)``.
     """
 
     pack: str
     rule_ids: Tuple[str, ...]
 
-    def run(self, project: "Project",
-            config: LintConfig) -> Iterable[Finding]:
+    def run(self, project: "Project") -> Iterable[Finding]:
         """Yield findings over the whole project."""
         ...  # pragma: no cover - protocol signature
 
@@ -145,9 +144,9 @@ class Project:
                 if value is not None and local not in module.constants:
                     module.constants[local] = value
 
-    def scoped(self, pack: str, config: LintConfig) -> List[ModuleInfo]:
-        """The modules a rule pack applies to under ``config``."""
-        return [m for m in self.modules if config.in_scope(pack, m.dotted)]
+    def scoped(self, pack: str) -> List[ModuleInfo]:
+        """The modules a rule pack applies to."""
+        return [m for m in self.modules if in_scope(pack, m.dotted)]
 
     # -- call resolution ------------------------------------------------------
 
@@ -357,7 +356,6 @@ def run_lint(paths: Sequence[Path],
     from repro.lint import cache as lint_cache
     from repro.lint.rules import all_rules
 
-    config = LintConfig()
     active_rules = all_rules()
     if only:
         active_rules = [
@@ -383,7 +381,7 @@ def run_lint(paths: Sequence[Path],
     seen: Set[Finding] = set()
     used_waivers: Set[Tuple[str, int, str]] = set()
     for rule in active_rules:
-        for finding in rule.run(project, config):
+        for finding in rule.run(project):
             finding = _apply_waivers(module_index, finding, used_waivers)
             if finding not in seen:
                 seen.add(finding)

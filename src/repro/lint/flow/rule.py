@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from repro.lint.config import LintConfig
+from repro.lint.config import in_scope
 from repro.lint.engine import Project
 from repro.lint.findings import Finding
 from repro.lint.flow.analysis import (
@@ -33,11 +33,9 @@ class TaintFlowRule:
         RULE_DEAD_SANITIZER,
     )
 
-    def run(self, project: Project,
-            config: LintConfig) -> Iterable[Finding]:
+    def run(self, project: Project) -> Iterable[Finding]:
         """Analyze every in-scope module and yield taint findings."""
         ctx = FlowContext(project, DEFAULT_REGISTRY,
-                          in_scope=lambda dotted:
-                          config.in_scope(self.pack, dotted))
-        for module in project.scoped(self.pack, config):
+                          in_scope=lambda dotted: in_scope(self.pack, dotted))
+        for module in project.scoped(self.pack):
             yield from analyze_module(ctx, module)

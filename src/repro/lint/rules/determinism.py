@@ -36,7 +36,6 @@ import ast
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.lint.astutil import dotted_name, terminal_name
-from repro.lint.config import LintConfig
 from repro.lint.engine import ModuleInfo, Project
 from repro.lint.findings import Finding
 
@@ -136,10 +135,9 @@ class DeterminismRule:
         RULE_ENTROPY, RULE_WALLCLOCK, RULE_SET_ORDER, RULE_ID_ORDER,
         RULE_CACHE_ORDER)
 
-    def run(self, project: Project,
-            config: LintConfig) -> Iterable[Finding]:
+    def run(self, project: Project) -> Iterable[Finding]:
         """Yield determinism findings over the scoped modules."""
-        for module in project.scoped(self.pack, config):
+        for module in project.scoped(self.pack):
             yield from self._check_module(module)
 
     def _check_module(self, module: ModuleInfo) -> Iterator[Finding]:

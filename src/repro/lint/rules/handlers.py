@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.astutil import FUNC_NODES, str_constant, terminal_name
-from repro.lint.config import LintConfig
 from repro.lint.engine import ModuleInfo, Project
 from repro.lint.findings import Finding
 from repro.lint.flow.registry import CONDITION_CALLS, WAIT_STATE_CALL
@@ -112,10 +111,9 @@ class HandlerCompletenessRule:
     pack = "handlers"
     rule_ids: Tuple[str, ...] = (RULE_UNHANDLED, RULE_ORPHAN)
 
-    def run(self, project: Project,
-            config: LintConfig) -> Iterable[Finding]:
+    def run(self, project: Project) -> Iterable[Finding]:
         """Yield handler-completeness findings over the scoped modules."""
-        scope = project.scoped(self.pack, config)
+        scope = project.scoped(self.pack)
         sites: Dict[str, List[_Site]] = {"send": [], "receive": []}
         wrappers: _Wrappers = {}
         calls: _Calls = []

@@ -41,7 +41,6 @@ from repro.lint.astutil import (
     single_assignment_table,
     terminal_name,
 )
-from repro.lint.config import LintConfig
 from repro.lint.engine import ModuleInfo, Project
 from repro.lint.findings import Finding
 from repro.lint.flow.registry import CONDITION_CALLS
@@ -211,10 +210,9 @@ class QuorumArithmeticRule:
     rule_ids: Tuple[str, ...] = (
         RULE_LITERAL, RULE_UNREACHABLE, RULE_INTERSECTION)
 
-    def run(self, project: Project,
-            config: LintConfig) -> Iterable[Finding]:
+    def run(self, project: Project) -> Iterable[Finding]:
         """Yield quorum-arithmetic findings over the scoped modules."""
-        for module in project.scoped(self.pack, config):
+        for module in project.scoped(self.pack):
             yield from self._check_module(module)
 
     def _check_module(self, module: ModuleInfo) -> Iterator[Finding]:

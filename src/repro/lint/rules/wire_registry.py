@@ -27,7 +27,6 @@ from repro.lint.astutil import (
     single_assignment_table,
     terminal_name,
 )
-from repro.lint.config import LintConfig
 from repro.lint.engine import ModuleInfo, Project
 from repro.lint.findings import Finding
 
@@ -179,10 +178,9 @@ class WireRegistryRule:
     pack = "wire"
     rule_ids: Tuple[str, ...] = (RULE_UNREGISTERED, RULE_DEAD)
 
-    def run(self, project: Project,
-            config: LintConfig) -> Iterable[Finding]:
+    def run(self, project: Project) -> Iterable[Finding]:
         """Yield wire-registry findings over the scoped modules."""
-        scope = project.scoped(self.pack, config)
+        scope = project.scoped(self.pack)
         defs: List[_DataclassDef] = []
         usages: List[_Usage] = []
         mentions: Dict[str, Set[str]] = {}

@@ -51,14 +51,13 @@ class Simulator:
         seeded :class:`~repro.net.schedulers.RandomScheduler` for
         adversarial reorderings.  Also a public attribute; a swap
         mid-run takes effect at the next :meth:`step`.
-    record_deliveries:
-        Also log every message delivery in the event log (memory-heavy;
-        off by default — input/output actions are always logged); also
-        a public attribute, set before the run.
+
+    Set the public attribute ``record_deliveries`` before the run to
+    also log every message delivery in the event log (memory-heavy; off
+    by default — input/output actions are always logged).
     """
 
-    def __init__(self, scheduler: Optional[Scheduler] = None,
-                 record_deliveries: bool = False):
+    def __init__(self, scheduler: Optional[Scheduler] = None):
         self.scheduler = scheduler or FifoScheduler()
         self.metrics = Metrics()
         self.event_log: List[LocalEvent] = []
@@ -67,7 +66,7 @@ class Simulator:
         self._server_pids: List[PartyId] = []
         self._pending: List[Message] = []
         self._next_msg_id = 0
-        self.record_deliveries = record_deliveries
+        self.record_deliveries = False
         self._invariants: List[Callable[["Simulator"], None]] = []
         self._observers: List[Any] = []
         # Each hook's bound callbacks in attach order: with nothing

@@ -293,7 +293,7 @@ class HealthMonitor:
             # replication specs are judged at finalize, once the op's
             # traffic has finished propagating
             if tracker.spec.kind != KIND_REPLICATION \
-                    and tracker.spec.matches(kind, shard):
+                    and tracker.spec.matches(kind):
                 tracker.observe(bucket,
                                 tracker.spec.is_good(True, latency))
 
@@ -312,11 +312,10 @@ class HealthMonitor:
         for invocation in self.recorder.operations()[2]:
             self.ops_abandoned += 1
             kind = invocation.action
-            shard = shard_of_tag(invocation.tag)
             bucket = invocation.time // self.store.bucket_ticks
             for tracker in self.trackers:
                 if tracker.spec.kind != KIND_REPLICATION \
-                        and tracker.spec.matches(kind, shard):
+                        and tracker.spec.matches(kind):
                     tracker.observe(bucket,
                                     tracker.spec.is_good(False, None))
         self._classify_replication()
@@ -335,13 +334,12 @@ class HealthMonitor:
         observations.sort()
         for settle_time, skew, key in observations:
             kind = self._op_kind[key]
-            shard = shard_of_tag(key[0])
             self.store.digest("ops.replication_skew").record(
                 settle_time, skew)
             bucket = settle_time // self.store.bucket_ticks
             for tracker in self.trackers:
                 if tracker.spec.kind == KIND_REPLICATION \
-                        and tracker.spec.matches(kind, shard):
+                        and tracker.spec.matches(kind):
                     tracker.observe(bucket,
                                     tracker.spec.is_good(True, skew))
 

@@ -2,7 +2,7 @@
 
 An :class:`SloSpec` states an objective over the operation stream —
 "99% of reads complete within 40 ticks", "99.9% of writes complete at
-all" — scoped by op type and (optionally) shard.  The evaluator
+all" — scoped by op type.  The evaluator
 bucketizes every matched operation as *good* or *bad* on the windowed
 time-series grid and computes **burn rates**: the ratio of the observed
 bad fraction to the error budget ``1 - objective``.  A burn rate of 1
@@ -47,10 +47,8 @@ class SloSpec:
     quorum median in receiving the operation's traffic — stayed within
     ``threshold_ticks``; the durability-margin objective a starved
     server breaches long before completions suffer).  ``op`` filters
-    by operation kind
-    (``write``/``read``/``any``), ``shard`` by kv shard index (``None``
-    matches all operations, sharded or not).  Windows are in buckets of
-    the evaluating store's geometry.
+    by operation kind (``write``/``read``/``any``).  Windows are in
+    buckets of the evaluating store's geometry.
     """
 
     name: str
@@ -61,7 +59,6 @@ class SloSpec:
     fast_window: int = 4
     slow_window: int = 16
     burn_threshold: float = 2.0
-    shard: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_LATENCY, KIND_AVAILABILITY,
@@ -81,14 +78,10 @@ class SloSpec:
         """The error budget ``1 - objective``."""
         return 1.0 - self.objective
 
-    def matches(self, op_kind: str, shard: Optional[int]) -> bool:
-        """Whether an operation of ``op_kind`` on ``shard`` is in
-        scope for this objective."""
-        if self.op != OP_ANY and op_kind != self.op:
-            return False
-        if self.shard is not None and shard != self.shard:
-            return False
-        return True
+    def matches(self, op_kind: str) -> bool:
+        """Whether an operation of ``op_kind`` is in scope for this
+        objective."""
+        return self.op == OP_ANY or op_kind == self.op
 
     def is_good(self, completed: bool, latency: Optional[int]) -> bool:
         """Classify one operation outcome against the objective.
@@ -109,8 +102,6 @@ class SloSpec:
     def describe(self) -> str:
         """A one-line human rendering of the objective."""
         scope = self.op if self.op != OP_ANY else "all ops"
-        if self.shard is not None:
-            scope += f" shard {self.shard}"
         pct = f"{self.objective * 100:g}%"
         if self.kind == KIND_AVAILABILITY:
             return f"{self.name}: {pct} of {scope} complete"

@@ -170,16 +170,12 @@ class RepairCoordinator:
 
         Register tags come from the *other* hosts' materialised shard
         state (the operator's view of what exists; the target itself
-        may be amnesiac).  Only AtomicMd shards are repairable — other
-        protocols count as ``repair.skipped``.
+        may be amnesiac).  Only an AtomicMd cluster is repairable — on
+        other protocols every register counts as ``repair.skipped``.
         """
         tasks: List[RepairTask] = []
-        directory = self.cluster.directory
-        for spec in directory.shards:
-            local = spec.local_server_index(fleet_index)
-            if local is None:
-                continue
-            protocol = spec.protocol or self.cluster.protocol
+        repairable = self.cluster.protocol in REPAIRABLE_PROTOCOLS
+        for spec in self.cluster.directory.shards:
             tags = set()
             for host in self.cluster.servers:
                 if host.pid.index == fleet_index:
@@ -188,11 +184,12 @@ class RepairCoordinator:
                 registers = getattr(inner, "_registers", None)
                 if registers:
                     tags.update(registers)
-            if protocol not in REPAIRABLE_PROTOCOLS:
+            if not repairable:
                 if tags:
                     self.stats.skipped += len(tags)
                     self._count("skipped", len(tags))
                 continue
+            local = spec.local_server_index(fleet_index)
             for tag in sorted(tags):
                 tasks.append(RepairTask(shard_id=spec.shard_id, tag=tag,
                                         target_index=local))
@@ -289,7 +286,7 @@ class RepairCoordinator:
         remaining: List[RepairTask] = []
         for task in self._inflight:
             handle = task.handle
-            if handle is None or not handle.done:
+            if not handle.done:
                 remaining.append(task)
                 continue
             done += 1
@@ -322,13 +319,6 @@ class RepairCoordinator:
 
     def _invoke(self, task: RepairTask) -> None:
         client = self.host.inner_client(task.shard_id)
-        if not hasattr(client, "invoke_repair"):
-            # A shard-level protocol override displaced RepairClient.
-            task.handle = None
-            self.stats.skipped += 1
-            self._count("skipped")
-            task.attempts = MAX_REPAIR_ATTEMPTS
-            return
         self._seq += 1
         task.attempts += 1
         oid = f"c{self.host.pid.index}.r{self._seq}"
@@ -345,21 +335,13 @@ class RepairCoordinator:
         the number of actions taken.
         """
         acted = self._fire_replacements(force=True)
-        skipped: List[RepairTask] = []
-        for task in list(self._inflight):
-            handle = task.handle
-            if handle is not None and handle.done:
-                continue
-            if task.attempts >= MAX_REPAIR_ATTEMPTS:
-                if handle is None:
-                    skipped.append(task)
+        for task in self._inflight:
+            if task.handle.done or task.attempts >= MAX_REPAIR_ATTEMPTS:
                 continue
             self._invoke(task)
             self.stats.retries += 1
             self._count("retries")
             acted += 1
-        for task in skipped:
-            self._inflight.remove(task)
         if acted:
             self.host.kv_flush()
             self._record_lag()

@@ -38,7 +38,7 @@ initial TIMESTAMP until repaired).  Three facts keep histories atomic:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import server_id
@@ -50,20 +50,13 @@ from repro.kv.mux import KvServer
 def next_generation(directory: KvDirectory) -> KvDirectory:
     """Mint the successor generation of ``directory`` (``epoch + 1``).
 
-    Shard math is reproduced exactly — same fleet config, shard shape,
-    erasure threshold, and per-shard protocol overrides — so every key
-    maps to the same register tag on the same placement; only the
-    epoch stamp advances.
+    Shard math is reproduced exactly — same fleet config and erasure
+    threshold — so every key maps to the same register tag on the same
+    placement; only the epoch stamp advances.
     """
-    overrides: Dict[int, str] = {
-        spec.shard_id: spec.protocol
-        for spec in directory.shards if spec.protocol is not None}
-    return KvDirectory(
-        directory.fleet_config, directory.num_shards,
-        shard_n=directory.shard_n, shard_t=directory.shard_t,
-        shard_k=directory.shard_k,
-        protocol_overrides=overrides or None,
-        epoch=directory.epoch + 1)
+    return KvDirectory(directory.fleet_config, directory.num_shards,
+                       shard_k=directory.shard_k,
+                       epoch=directory.epoch + 1)
 
 
 def replace_member(cluster: KvCluster, server_index: int

@@ -10,7 +10,7 @@ from repro.agreement.coin import CommonCoin
 from repro.common.ids import server_id
 from repro.config import SystemConfig
 from repro.net.process import Process
-from repro.net.schedulers import FifoScheduler, RandomScheduler
+from repro.net.schedulers import RandomScheduler
 from repro.net.simulator import Simulator
 
 

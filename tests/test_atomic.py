@@ -13,7 +13,6 @@ from repro.net.schedulers import (
     SlowPartiesScheduler,
 )
 from repro.workloads.generator import (
-    make_values,
     random_workload,
     run_workload,
 )

@@ -86,7 +86,7 @@ from repro.faults.byzantine_servers import (
 from repro.faults.failstop import FailStopMdServer, fail_stop, fault_overrides
 from repro.kv import KvDirectory, run_kv_case
 from repro.kv.envelope import MSG_KV_BATCH
-from repro.lint.config import LintConfig
+from repro.lint.config import in_scope
 from repro.net.schedulers import RandomScheduler, Scheduler
 from repro.obs.planes import (
     DATA_PLANE_MTYPES,
@@ -1032,29 +1032,6 @@ def test_directory_shard_k_reaches_every_shard_config():
     assert all(spec.config.k == 2 for spec in directory.shards)
 
 
-def test_directory_protocol_overrides_validated_and_recorded():
-    fleet = SystemConfig(n=4, t=1)
-    directory = KvDirectory(fleet, 4, shard_k=2,
-                            protocol_overrides={1: "atomic_md"})
-    assert directory.shard(1).protocol == "atomic_md"
-    assert directory.shard(0).protocol is None
-    with pytest.raises(ConfigurationError, match="out of range"):
-        KvDirectory(fleet, 4, protocol_overrides={4: "atomic_md"})
-
-
-def test_mixed_protocol_kv_deployment_linearizes():
-    """One deployment, shards split across ``atomic`` and ``atomic_md``
-    (``shard_k`` auto-resolves to ``t + 1``): histories linearize."""
-    row, cluster = run_kv_case(2, sessions=2, keys=8, ops=24, seed=4,
-                               protocol="atomic",
-                               protocol_overrides={1: "atomic_md"})
-    assert row.linearizable
-    assert row.completed == 24
-    protocols = {spec.protocol for spec
-                 in cluster.directory.shards}
-    assert protocols == {None, "atomic_md"}
-
-
 def test_kv_case_rejects_byzantine_for_other_protocols():
     with pytest.raises(ConfigurationError):
         run_kv_case(2, protocol="atomic", byzantine="corrupt-block")
@@ -1136,6 +1113,5 @@ def test_read_mostly_mix_is_read_mostly_and_deterministic():
 def test_atomic_md_is_inside_every_protocol_lint_scope():
     """The new protocol module must be covered by the determinism,
     quorum, handler, and taint-flow packs (``repro.core`` scope)."""
-    config = LintConfig()
     for pack in ("determinism", "quorum", "handlers", "taint"):
-        assert config.in_scope(pack, "repro.core.atomic_md"), pack
+        assert in_scope(pack, "repro.core.atomic_md"), pack

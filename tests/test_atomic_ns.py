@@ -1,7 +1,5 @@
 """Protocol AtomicNS: the share round, signatures, non-skipping bookkeeping."""
 
-import pytest
-
 from repro.analysis.history import HistoryRecorder
 from repro.cluster import build_cluster, run_register_case
 from repro.config import SystemConfig

@@ -1,12 +1,9 @@
 """Standalone AVID storage: Disperse + Retrieve as a service."""
 
-import pytest
-
 from repro.avid import AvidStorageClient, AvidStorageNode
 from repro.common.ids import client_id, server_id
 from repro.config import SystemConfig
 from repro.faults.byzantine_servers import CrashServer
-from repro.net.process import Process
 from repro.net.schedulers import RandomScheduler
 from repro.net.simulator import Simulator
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.history import HistoryRecorder
 from repro.cluster import build_cluster
-from repro.common.ids import client_id
 from repro.config import SystemConfig
 from repro.core.atomic import AtomicClient
 from repro.core.atomic_ns import AtomicNSClient

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import PROTOCOLS, Cluster, build_cluster
+from repro.cluster import PROTOCOLS, build_cluster
 from repro.common.errors import ConfigurationError
 from repro.common.ids import client_id, server_id
 from repro.config import SystemConfig

@@ -1,8 +1,6 @@
 """Experiment harness: each table/figure module runs and asserts its
 paper-claim at reduced scale (the benchmarks run the full versions)."""
 
-import pytest
-
 from repro.cluster import Cluster
 from repro.core.timestamps import Timestamp
 from repro.experiments import (

@@ -13,7 +13,6 @@ import pytest
 from repro.avid.disperse import MSG_SEND as AVID_SEND
 from repro.broadcast.reliable import MSG_SEND as RBC_SEND
 from repro.cluster import build_cluster
-from repro.common.ids import server_id
 from repro.config import SystemConfig
 from repro.core.atomic import AtomicServer, disp_tag, rbc_tag
 from repro.core.timestamps import Timestamp

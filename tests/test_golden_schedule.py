@@ -13,7 +13,6 @@ is a correctness bug unless the schedule change was *intended*; only then
 should the fixture be regenerated.
 """
 
-import hashlib
 import json
 import sys
 from pathlib import Path

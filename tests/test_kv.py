@@ -53,6 +53,7 @@ from repro.kv import (
 )
 from repro.kv.directory import ShardSpec
 from repro.kv.mux import _KvMuxProcess
+from repro.kv.session import MAX_QUEUE
 from repro.net.message import Message, content_wire_size
 from repro.net.process import Process
 from repro.net.schedulers import RandomScheduler
@@ -90,7 +91,7 @@ def test_directory_placement_rotates_over_the_fleet():
 
 
 def test_directory_shard_configs_keep_the_resilience_bound():
-    directory = KvDirectory(SystemConfig(n=7, t=2), 3, shard_n=7)
+    directory = KvDirectory(SystemConfig(n=7, t=2), 3)
     for spec in directory.shards:
         assert spec.config.n == 7 and spec.config.t == 2
         assert spec.config.n > 3 * spec.config.t
@@ -99,10 +100,6 @@ def test_directory_shard_configs_keep_the_resilience_bound():
 def test_directory_rejects_invalid_shapes_and_keys():
     with pytest.raises(ConfigurationError):
         KvDirectory(FLEET, 0)
-    with pytest.raises(ConfigurationError):
-        KvDirectory(FLEET, 2, shard_n=5)  # more servers than the fleet
-    with pytest.raises(ConfigurationError):
-        KvDirectory(SystemConfig(n=7, t=2), 2, shard_n=4, shard_t=1)
     directory = KvDirectory(FLEET, 2)
     with pytest.raises(ConfigurationError):
         directory.shard_of_key("")
@@ -438,25 +435,25 @@ def test_a_traced_kv_drive_costs_at_most_thirty_percent_more_calls():
 
 
 def test_shard_bus_maps_local_identities_through_one_shared_table():
-    directory = KvDirectory(SystemConfig(n=7, t=1), 3, shard_n=4)
+    directory = KvDirectory(SystemConfig(n=7, t=1), 3)
     cluster = build_kv_cluster(directory, num_sessions=1)
     spec = directory.shard(2)
     bus = ShardBus(cluster.servers[0], spec)
-    assert list(bus.server_pids) == [server_id(j) for j in range(1, 5)]
+    assert list(bus.server_pids) == [server_id(j) for j in range(1, 8)]
     assert bus.server_pids is bus.server_pids  # no copy per access
-    for local in range(1, 5):
+    for local in range(1, 8):
         fleet = bus.fleet_pid(server_id(local))
         assert fleet == server_id(spec.placement[local - 1])
         assert bus.fleet_pid(server_id(local)) is fleet  # no allocation
     assert bus.fleet_pid(client_id(3)) == client_id(3)
     with pytest.raises(KeyError):
-        bus.fleet_pid(server_id(5))  # not a server of this shard
+        bus.fleet_pid(server_id(8))  # not a server of this shard
     # ... and back, by fleet index, to the roster's own objects
     for local_pid in bus.server_pids:
         assert bus.local_pid(bus.fleet_pid(local_pid)) is local_pid
     assert bus.local_pid(client_id(3)) == client_id(3)
-    for outside in (1, 2, 7):  # placement is (3, 4, 5, 6)
-        assert bus.local_pid(server_id(outside)) is None
+    # placement is (3, 4, 5, 6, 7, 1, 2): fleet P1 is the shard's P6
+    assert bus.local_pid(server_id(1)) == server_id(6)
 
 
 def test_an_unbound_party_raises_on_every_simulator_read():
@@ -569,11 +566,10 @@ def test_well_formed_rejects_bools_posing_as_ints(field):
 
 # -- unwrap: derived addresses, and every rejection -----------------------------
 
-# Seven servers, three shards of four: placements (1, 2, 3, 4),
-# (2, 3, 4, 5) and (3, 4, 5, 6), so P3 serves all three, P1 only shard 0,
-# P6 only shard 2, and P7 none.
-_SUBSET = dict(fleet_config=SystemConfig(n=7, t=1), num_shards=3,
-               shard_n=4)
+# Seven servers, three shards over the whole fleet: placements
+# (1, ..., 7), (2, ..., 7, 1) and (3, ..., 7, 1, 2), so fleet P3 is
+# shard 0's P3, shard 1's P2 and shard 2's P1.
+_FLEET7 = dict(fleet_config=SystemConfig(n=7, t=1), num_shards=3)
 
 
 @pytest.fixture
@@ -608,15 +604,15 @@ def _deliver_batch(host, sender, entries):
 
 def test_unwrap_derives_sender_and_recipient_from_channel_and_placement(
         inner_deliveries):
-    cluster = build_kv_cluster(KvDirectory(**_SUBSET), num_sessions=1)
+    cluster = build_kv_cluster(KvDirectory(**_FLEET7), num_sessions=1)
     server = cluster.servers[2]  # P3
     _deliver_batch(server, server_id(5), (_probe(1, 901), _probe(2, 902)))
     _deliver_batch(server, client_id(1), (_probe(0, 903),))
     assert [(pid, message.msg_id, message.sender, message.recipient)
             for pid, message in inner_deliveries] == [
-        # shard 1 sits on (2, 3, 4, 5): P5 is its P4, P3 its P2
+        # shard 1 sits on (2, 3, ...): P5 is its P4, P3 its P2
         (server_id(2), 901, server_id(4), server_id(2)),
-        # shard 2 sits on (3, 4, 5, 6): P5 is its P3, P3 its P1
+        # shard 2 sits on (3, 4, ...): P5 is its P3, P3 its P1
         (server_id(1), 902, server_id(3), server_id(1)),
         # a client keeps its identity in every shard
         (server_id(3), 903, client_id(1), server_id(3)),
@@ -632,13 +628,12 @@ def test_unwrap_drops_every_entry_it_cannot_route_and_keeps_the_rest(
         inner_deliveries):
     """Each rejection the unwrap makes, inside a batch whose valid
     entries are still delivered: nothing raises, no rejected entry
-    reaches an inner process, and a peer that is never a legitimate
-    sender for a shard materialises none of its state."""
-    cluster = build_kv_cluster(KvDirectory(**_SUBSET), num_sessions=1)
+    reaches an inner process, and no rejected entry materialises shard
+    state."""
+    cluster = build_kv_cluster(KvDirectory(**_FLEET7), num_sessions=1)
     p1, p3 = cluster.servers[0], cluster.servers[2]
-    p6 = server_id(6)  # placed in shard 2 only
+    p6 = server_id(6)
     _deliver_batch(p3, p6, (
-        _probe(0, 1),                    # P6 is outside shard 0's placement
         _probe(2, 2),                    # valid
         _probe(3, 3), _probe(-1, 4),     # out of range
         _probe(True, 5),                 # a bool is not shard 1
@@ -646,11 +641,9 @@ def test_unwrap_drops_every_entry_it_cannot_route_and_keeps_the_rest(
         42, ("kv.s2.probe", "probe"),    # not entries
         _probe(2, 7),                    # valid
     ))
-    assert list(p3._inner_servers) == [2]  # shard 0 was never built for P6
-    # P3 has built shard 2, whose placement P1 is not in.
-    _deliver_batch(p3, server_id(1), (_probe(2, 16),))
+    assert list(p3._inner_servers) == [2]  # only the valid shard was built
     _deliver_batch(p1, client_id(1), (
-        _probe(1, 8),                    # P1 does not serve shard 1
+        _probe(5, 8),                    # out of range
         _probe(0, 9),                    # valid
     ))
     assert list(p1._inner_servers) == [0]
@@ -661,7 +654,6 @@ def test_unwrap_drops_every_entry_it_cannot_route_and_keeps_the_rest(
         _probe(1, 10),                   # never invoked
         _probe(0, 11),                   # valid: P2 is shard 0's P2
     ))
-    _deliver_batch(host, server_id(7), (_probe(0, 12),))  # P7 is in none
     assert [(pid, message.msg_id) for pid, message in inner_deliveries] == [
         (server_id(1), 2), (server_id(1), 7), (server_id(1), 9),
         (client_id(1), 11)]
@@ -674,17 +666,16 @@ def test_unwrap_drops_every_entry_it_cannot_route_and_keeps_the_rest(
     # Interleaved shards: the unwrap resolves once per run of one shard,
     # and no resolution may outlive its run — across a shard change or a
     # dropped entry, even one of the same shard.
-    directory = KvDirectory(**_SUBSET)
+    directory = KvDirectory(**_FLEET7)
     host.inner_client(2)
     for recipient, sender, entries, delivered in (
-            # P5 is in shards 1 and 2, not 0; P3 in all three
             (p3, server_id(5), (
                 _probe(1, 20), _probe(2, 21), _probe(1, 22),
                 _probe(1, 23, depth=True),  # malformed, in shard 1's run
                 _probe(1, 24),
-                _probe(0, 25), _probe(0, 26),  # P5 is outside shard 0
+                _probe(0, 25), _probe(3, 26),  # shard 3 is out of range
                 _probe(1, 27), _probe(True, 28), _probe(2, 29)),
-             [20, 21, 22, 24, 27, 29]),
+             [20, 21, 22, 24, 25, 27, 29]),
             # the client host invoked on shards 0 and 2, not 1
             (host, server_id(3), (
                 _probe(0, 30), _probe(2, 31), _probe(0, 32), 42,
@@ -698,7 +689,7 @@ def test_unwrap_drops_every_entry_it_cannot_route_and_keeps_the_rest(
             _per_entry_rule(directory, recipient, sender, entries, (0, 2)))
         assert [message.msg_id for _, message in inner_deliveries] \
             == delivered
-    assert list(p3._inner_servers) == [2, 1]  # still no shard 0 for P5
+    assert list(p3._inner_servers) == [2, 1, 0]
 
 
 def _per_entry_rule(directory, host, fleet_sender, entries, invoked):
@@ -711,20 +702,14 @@ def _per_entry_rule(directory, host, fleet_sender, entries, invoked):
             continue
         spec = directory.shard(entry.shard)
         if host.pid.is_server:
-            local = spec.local_server_index(host.pid.index)
-            if local is None:
-                continue
-            recipient = server_id(local)
+            recipient = server_id(spec.local_server_index(host.pid.index))
         elif entry.shard in invoked:
             recipient = host.pid
         else:
             continue
         sender = fleet_sender
         if sender.is_server:
-            local = spec.local_server_index(sender.index)
-            if local is None:
-                continue
-            sender = server_id(local)
+            sender = server_id(spec.local_server_index(sender.index))
         yield recipient, entry.msg_id, sender, recipient
 
 
@@ -732,7 +717,7 @@ def test_unwrapping_a_batch_compares_no_party_identities(
         monkeypatch, inner_deliveries):
     """The per-entry path maps the channel sender by fleet index: no
     ``PartyId.__eq__`` call however many entries a batch carries."""
-    cluster = build_kv_cluster(KvDirectory(**_SUBSET), num_sessions=1)
+    cluster = build_kv_cluster(KvDirectory(**_FLEET7), num_sessions=1)
     server = cluster.servers[2]
     entries = tuple(_probe(shard, 100 + shard) for shard in range(3))
     _deliver_batch(server, server_id(4), entries)  # materialise all three
@@ -786,14 +771,15 @@ def test_read_ends_the_coalescing_window():
 
 def test_full_queue_raises_backpressure():
     directory = KvDirectory(FLEET, 2)
-    cluster = build_kv_cluster(directory, num_sessions=1, max_queue=2)
+    cluster = build_kv_cluster(directory, num_sessions=1)
     session = cluster.session(1)
-    session.put("k001", b"a")
-    session.put("k002", b"b")
+    keys = key_names(MAX_QUEUE + 1)
+    for key in keys[:MAX_QUEUE]:
+        session.put(key, b"a")
     with pytest.raises(BackpressureError):
-        session.get("k003")
+        session.get(keys[MAX_QUEUE])
     # Coalescing never consumes a slot, so it bypasses backpressure.
-    session.put("k001", b"c")
+    session.put(keys[0], b"c")
     settle(cluster)
     assert all(handle.done for handle in session.handles)
 
@@ -1032,24 +1018,6 @@ def test_bench_rows_carry_phase_attribution():
     row, _ = run_kv_case(2, sessions=2, keys=8, ops=24)
     assert row.phase_ticks, "kv spans produced no phase attribution"
     assert sum(row.phase_ticks.values()) > 0
-
-
-def test_subset_shard_placements_serve_operations():
-    """Shards may recruit only part of the fleet (``shard_n < n``):
-    operations route to the placement's servers and still linearize."""
-    fleet = SystemConfig(n=10, t=2)
-    directory = KvDirectory(fleet, 5, shard_n=7, shard_t=2)
-    assert directory.shards[1].placement == (2, 3, 4, 5, 6, 7, 8)
-    cluster = build_kv_cluster(directory, num_sessions=2)
-    workload = kv_workload(num_sessions=2, num_keys=8, ops=16, seed=0)
-    stats = drive(cluster, workload, seed=0)
-    assert stats["completed"] == 16
-    check_kv_histories(cluster.sessions)
-    # Servers outside a shard's placement never materialize it.
-    for server in cluster.servers:
-        for shard_id in server._inner_servers:
-            spec = directory.shard(shard_id)
-            assert spec.local_server_index(server.pid.index) is not None
 
 
 # -- golden-schedule regression ----------------------------------------------

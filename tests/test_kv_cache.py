@@ -38,7 +38,7 @@ from repro.kv import (
 )
 from repro.kv.session_cache import SessionCache
 from repro.lint import run_lint
-from repro.lint.config import LintConfig
+from repro.lint.config import in_scope
 from repro.workloads.kv import KvOp
 from tests.kv_support import settle
 
@@ -270,9 +270,8 @@ def test_golden_schedules_byte_identical_after_cached_kv_run():
 def test_session_cache_module_is_lint_scoped_and_clean():
     """The new module sits on the kv hot path: the determinism, quorum,
     handler, and taint packs must cover it, and it must lint clean."""
-    config = LintConfig()
     for pack in ("determinism", "quorum", "handlers", "taint"):
-        assert config.in_scope(pack, "repro.kv.session_cache"), pack
+        assert in_scope(pack, "repro.kv.session_cache"), pack
     report = run_lint([REPO_ROOT / "src" / "repro" / "kv" /
                        "session_cache.py"])
     rendered = "\n".join(f.render() for f in report.active)

@@ -7,7 +7,8 @@ rule ids and line numbers are pinned here.
 
 from pathlib import Path
 
-from repro.lint import LintConfig, run_lint
+from repro.lint import run_lint
+from repro.lint.config import in_scope
 from repro.lint.runner import main as lint_main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
@@ -225,13 +226,12 @@ def test_seeded_rng_and_canonical_thresholds_stay_quiet(tmp_path):
 
 
 def test_lint_config_scope_defaults():
-    config = LintConfig()
-    assert config.in_scope("determinism", "repro.core.atomic")
-    assert not config.in_scope("determinism", "repro.workloads.generator")
-    assert config.in_scope("wire", "repro.workloads.generator")
-    assert config.in_scope("determinism", "some_fixture_module")
+    assert in_scope("determinism", "repro.core.atomic")
+    assert not in_scope("determinism", "repro.workloads.generator")
+    assert in_scope("wire", "repro.workloads.generator")
+    assert in_scope("determinism", "some_fixture_module")
     # The linter exempts itself from protocol-only packs.
-    assert not config.in_scope("determinism", "repro.lint.engine")
+    assert not in_scope("determinism", "repro.lint.engine")
 
 
 def test_determinism_pack_flags_functools_caches():
@@ -264,33 +264,30 @@ def test_cache_rule_exempts_sanctioned_lru_module():
                           source_lines=source.splitlines())
 
     rule = DeterminismRule()
-    config = LintConfig(scope_all_packages=False)
     flagged = list(rule.run(
-        Project(modules=[module_named("repro.net.example")]), config))
+        Project(modules=[module_named("repro.net.example")])))
     assert [f.rule for f in flagged] == ["det-cache-order"]
     exempt = list(rule.run(
-        Project(modules=[module_named("repro.common.lru")]), config))
+        Project(modules=[module_named("repro.common.lru")])))
     assert exempt == []
 
 
 def test_determinism_scope_covers_kernel_and_common_modules():
-    config = LintConfig()
-    assert config.in_scope("determinism", "repro.erasure.reed_solomon")
-    assert config.in_scope("determinism", "repro.crypto.hashing")
-    assert config.in_scope("determinism", "repro.common.lru")
+    assert in_scope("determinism", "repro.erasure.reed_solomon")
+    assert in_scope("determinism", "repro.crypto.hashing")
+    assert in_scope("determinism", "repro.common.lru")
     # The quorum/handler packs keep their protocol-only scope.
-    assert not config.in_scope("quorum", "repro.erasure.reed_solomon")
+    assert not in_scope("quorum", "repro.erasure.reed_solomon")
 
 
 def test_determinism_scope_covers_health_plane():
     """The health/SLO/time-series plane runs entirely on the logical
     clock, so it is held to the protocol determinism bar; wall-clock
     reads stay quarantined in ``repro.obs.clock`` behind its waivers."""
-    config = LintConfig()
     for dotted in ("repro.obs.health", "repro.obs.slo",
                    "repro.obs.timeseries", "repro.obs.export",
                    "repro.obs.clock"):
-        assert config.in_scope("determinism", dotted)
+        assert in_scope("determinism", dotted)
 
 
 def test_health_plane_modules_lint_clean():

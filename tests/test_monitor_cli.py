@@ -3,8 +3,6 @@ byte-identical output across repeated runs of the same seed."""
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 

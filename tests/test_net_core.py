@@ -1,7 +1,6 @@
 """Network substrate: messages, inbox, metrics, schedulers."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.common.ids import client_id, server_id
 from repro.common.serialization import encode

@@ -1,10 +1,7 @@
 """The no-listeners ablation variant: retrying reads."""
 
-import pytest
-
 from repro.analysis.history import HistoryRecorder
 from repro.cluster import build_cluster, run_register_case
-from repro.common.errors import LivenessError
 from repro.config import SystemConfig
 from repro.net.schedulers import RandomScheduler
 from repro.workloads.generator import random_workload, run_workload

@@ -12,8 +12,8 @@ from repro.crypto.numtheory import (
     is_probable_prime,
     lagrange_coefficient,
     mod_inverse,
-    random_safe_prime,
 )
+from tests.safe_primes import random_safe_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101, 65537]
 SMALL_COMPOSITES = [0, 1, 4, 6, 9, 15, 21, 25, 91, 561, 1105, 65536]

@@ -3,7 +3,7 @@ hierarchy it sits at the bottom of."""
 
 import pytest
 
-from repro.analysis.consistency import check_regularity, check_safety
+from repro.analysis.consistency import check_safety
 from repro.analysis.history import HistoryRecorder
 from repro.cluster import build_cluster, run_register_case
 from repro.common.errors import ConfigurationError

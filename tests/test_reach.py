@@ -25,6 +25,14 @@ and its body then counts as reached code.  So code that only
 unreached code uses is unreached too.  Name matching merges every
 definition that shares a name, so the gate is a lower bound on what
 could go.
+
+Imports are held to the same rule: a module-level import whose bound
+name the importing module never uses (as a name, or in a string that
+spells an identifier or dotted path, such as a quoted annotation or an
+``__all__`` entry) is flagged, in ``src/repro``, ``tests/`` (not the
+lint fixtures under ``tests/fixtures/``, which import on purpose),
+``tools/`` and the top-level ``benchmarks/*.py``.  A package
+``__init__``'s imports are re-exports and are not checked.
 """
 
 from __future__ import annotations
@@ -179,6 +187,40 @@ def reach(keep=KEEP) -> Tuple[List[_Definition], Dict[str, _Definition]]:
     return pending, kept
 
 
+def _import_scope() -> Iterator[Path]:
+    """The modules whose imports are checked."""
+    for tree in ("src/repro", "tests", "tools"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            if (ROOT / "tests" / "fixtures") not in path.parents \
+                    and path.name != "__init__.py":
+                yield path
+    yield from sorted((ROOT / "benchmarks").glob("*.py"))
+
+
+def unused_imports(path: Path) -> List[str]:
+    """``name (line N)`` for each module-level import in ``path`` whose
+    bound name the module never uses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name.split(".")[0], node.lineno)
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            bound += [(alias.asname or alias.name, node.lineno)
+                      for alias in node.names if alias.name != "*"]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.match(node.value)):
+            used.update(_PART.findall(node.value))
+    return [f"{name} (line {line})" for name, line in bound
+            if name not in used]
+
+
 def test_every_definition_is_reached_from_an_entry_point():
     unreached, _ = reach()
     listing = "\n".join(
@@ -198,3 +240,11 @@ def test_the_keep_list_names_only_otherwise_unreached_definitions():
     assert sorted(kept) == sorted(KEEP)
     unreached, _ = reach(keep={})
     assert set(KEEP) <= {d.key for d in unreached}
+
+
+def test_every_module_level_import_is_used():
+    unused = [f"  {path.relative_to(ROOT)}: {name}"
+              for path in _import_scope() for name in unused_imports(path)]
+    assert not unused, (
+        f"{len(unused)} import(s) that the importing module never uses:\n"
+        + "\n".join(unused))

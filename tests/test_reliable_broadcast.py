@@ -1,7 +1,5 @@
 """Bracha reliable broadcast: validity, agreement, integrity."""
 
-import pytest
-
 from repro.broadcast.reliable import (
     MSG_SEND,
     ReliableBroadcastServer,

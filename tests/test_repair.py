@@ -43,7 +43,8 @@ from repro.kv import (
     run_kv_case,
 )
 from repro.lint import run_lint
-from repro.lint.config import LintConfig
+from repro.obs import TraceRecorder
+from repro.lint.config import in_scope
 from repro.repair import (
     RepairCoordinator,
     attach_repair,
@@ -91,14 +92,12 @@ def _drain(cluster):
 # -- reconfiguration ----------------------------------------------------------
 
 def test_next_generation_reproduces_shard_math_and_bumps_epoch():
-    directory = KvDirectory(FLEET, 3, shard_k=2,
-                            protocol_overrides={1: "atomic"})
+    directory = KvDirectory(FLEET, 3, shard_k=2)
     successor = next_generation(directory)
     assert successor.epoch == directory.epoch + 1
     assert successor.num_shards == directory.num_shards
     for before, after in zip(directory.shards, successor.shards):
         assert after.placement == before.placement
-        assert after.protocol == before.protocol
         assert after.config.n == before.config.n
         assert after.config.k == before.config.k
     # Key routing is generation-invariant: same tag, same shard.
@@ -332,6 +331,42 @@ def test_admission_is_rate_limited_by_batch_size():
     assert coordinator.idle
 
 
+def test_replacement_on_a_protocol_repair_cannot_speak_skips_every_register():
+    """On an ``atomic`` cluster the scheduled swap still happens, but
+    every materialised register is skipped — in the stats and in the
+    ``repair.skipped`` counter — no repair round starts, and the
+    workload completes with every key linearizable."""
+    cluster = build_kv_cluster(KvDirectory(FLEET, 2), protocol="atomic")
+    recorder = TraceRecorder().attach(cluster.simulator)
+    keys = [f"k{index:03d}" for index in range(6)]
+    drive(cluster, [KvOp(1, "write", key, b"v") for key in keys])
+    _drain(cluster)
+    materialised = {
+        tag for host in cluster.servers[1:] for shard in range(2)
+        if host.inner_server(shard) is not None
+        for tag in host.inner_server(shard)._registers}
+    assert materialised == {cluster.directory.register_tag(key)
+                            for key in keys}
+    coordinator = _replace_and_repair(cluster, 1)
+    drive(cluster, [KvOp(1, "read", key) for key in keys])
+    assert coordinator.stats.replacements == 1
+    assert coordinator.stats.skipped == len(materialised)
+    assert recorder.registry.counter("repair.skipped").value \
+        == len(materialised)
+    assert (coordinator.stats.scheduled, coordinator.stats.completed,
+            coordinator.stats.failed, coordinator.stats.retries) \
+        == (0, 0, 0, 0)
+    assert not any(record.sender == coordinator.host.pid
+                   for record in recorder.messages.values())
+    assert coordinator.idle
+    session = cluster.session(1)
+    assert len(session.handles) == 2 * len(keys)
+    assert all(handle.done for handle in session.handles)
+    assert [handle.result for handle in session.handles
+            if handle.kind == "read"] == [b"v"] * len(keys)
+    check_kv_histories(cluster.sessions)
+
+
 # -- churn (end to end) -------------------------------------------------------
 
 def test_churn_storm_plan_round_trips_and_declares_excess():
@@ -514,12 +549,11 @@ def test_repair_package_is_lint_scoped_and_clean():
     """The plane schedules work on live clusters and consumes
     server-supplied blocks: the determinism, quorum, handler, and
     taint packs must cover it, and it must lint clean."""
-    config = LintConfig()
     for dotted in ("repro.repair.protocol", "repro.repair.coordinator",
                    "repro.repair.reconfig", "repro.repair.bench"):
         for pack in ("determinism", "quorum", "handlers"):
-            assert config.in_scope(pack, dotted), (pack, dotted)
-        assert config.in_scope("taint", dotted), dotted
+            assert in_scope(pack, dotted), (pack, dotted)
+        assert in_scope("taint", dotted), dotted
     report = run_lint([REPO_ROOT / "src" / "repro" / "repair"])
     rendered = "\n".join(f.render() for f in report.active)
     assert not report.active, rendered

@@ -10,9 +10,9 @@ from repro.crypto.numtheory import is_probable_prime
 from repro.crypto.rsa import (
     PRECOMPUTED_SAFE_PRIMES,
     RsaModulus,
-    generate_modulus,
     precomputed_modulus,
 )
+from tests.safe_primes import generate_modulus
 
 
 def test_precomputed_sizes_available():

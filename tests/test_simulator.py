@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import LivenessError, SimulationError
 from repro.common.ids import client_id, server_id
 from repro.net.process import Process
-from repro.net.schedulers import FifoScheduler, RandomScheduler
+from repro.net.schedulers import RandomScheduler
 from repro.net.simulator import Simulator
 
 
@@ -155,7 +155,8 @@ def test_run_until_already_satisfied_predicate():
 
 
 def test_record_deliveries_flag():
-    simulator = Simulator(record_deliveries=True)
+    simulator = Simulator()
+    simulator.record_deliveries = True
     for j in (1, 2, 3):
         simulator.add_process(Echoer(server_id(j)))
     collector = simulator.add_process(Collector(client_id(1), need=2))

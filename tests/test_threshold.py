@@ -10,7 +10,7 @@ from repro.common.errors import (
     InvalidShare,
 )
 from repro.common.serialization import decode, encode
-from repro.crypto.rsa import generate_modulus, precomputed_modulus
+from repro.crypto.rsa import precomputed_modulus
 from repro.crypto.threshold import (
     IdealThresholdScheme,
     ShoupThresholdScheme,
@@ -18,6 +18,7 @@ from repro.crypto.threshold import (
     ThresholdSignature,
     make_scheme,
 )
+from tests.safe_primes import generate_modulus
 
 BACKENDS = [
     lambda n, t: IdealThresholdScheme(n, t, seed=7),
